@@ -4,8 +4,6 @@ against an independent Legendre-function eigenvalue oracle."""
 
 from .exact_series import (
     NuPolynomial,
-    PowerSeries,
-    RationalScalar,
     bernoulli,
     bessel_d_polynomial,
     sinh_ratio_coefficients,
@@ -32,7 +30,6 @@ from .legendre_asymptotics import (
     extract_structure,
     omega,
     phi,
-    psi,
 )
 from .special_eval import (
     AngleParams,
@@ -54,7 +51,6 @@ from .spectral_oracle import (
     spectrum,
 )
 from .sphere_base import (
-    SphereSpectrum,
     degeneracy,
     sphere_heat_coefficient,
     sphere_residue,

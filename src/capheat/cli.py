@@ -86,7 +86,6 @@ def cmd_coeffs(args) -> int:
         angle=_angle_from(args),
         base=_base_from(args, args.dim - 1),
         n_max=args.max_n,
-        truncation=args.truncation,
         mass=args.mass,
     )
     table = compute_table(cfg, _precision_from(args))
@@ -248,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--base-file", default=None, help="JSON file with user base coefficients"
     )
     p_coeffs.add_argument("--max-n", type=int, required=True, help="highest index n")
-    p_coeffs.add_argument("--truncation", type=int, default=None)
     p_coeffs.add_argument("--mass", type=float, default=0.0)
     p_coeffs.add_argument("--format", choices=["json", "csv"], default="json")
     p_coeffs.add_argument("--eval-tol", type=float, default=None)
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--omega-max", type=float, default=None)
     p_verify.add_argument("--trace-csv", default=None, help="write samples CSV here")
     p_verify.add_argument("--eval-tol", type=float, default=None)
-    p_verify.add_argument("--seed", type=int, default=0, help="unused; reserved")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -296,7 +293,7 @@ def run(argv=None) -> int:
     except (ValidationError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         _emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
 

@@ -11,10 +11,6 @@ class ValidationError(CapheatError):
     """Bad arguments or configuration, detected before any computation."""
 
 
-class TruncationMismatch(ValidationError):
-    """Arithmetic attempted between power series of different truncation order."""
-
-
 class StructureViolation(CapheatError):
     """A cumulant function contains a monomial outside its expected shape."""
 
@@ -37,10 +33,6 @@ class InsufficientBaseData(ValidationError):
 
 class IndexOutOfRange(ValidationError):
     """Coefficient index outside the validity range of the assembly."""
-
-
-class MissingResidue(ValidationError):
-    """Log-term coefficient requested without the base zeta residue."""
 
 
 class DomainError(ValidationError):

@@ -1,6 +1,6 @@
-"""Exact rational arithmetic: Bernoulli numbers, truncated power series and
-the polynomial side of the uniform Bessel expansion (Olver's u_k, their
-cumulants D_i, and the even coefficients of (y/sinh y)^p).
+"""Exact rational arithmetic: Bernoulli numbers and the polynomial side of
+the uniform Bessel expansion (Olver's u_k, their cumulants D_i, and the even
+coefficients of (y/sinh y)^p).
 
 All coefficients are ``fractions.Fraction``; nothing in this module touches
 floating point.
@@ -12,27 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
-
-from .errors import TruncationMismatch
+from typing import Iterable
 
 __all__ = [
-    "RationalScalar",
     "NuPolynomial",
-    "PowerSeries",
     "bernoulli",
     "u_polynomial",
     "bessel_d_polynomial",
     "sinh_ratio_coefficients",
-    "series_mul",
-    "series_log",
-    "series_exp",
-    "series_pow",
 ]
-
-# Exact rationals are plain stdlib Fractions: always in lowest terms,
-# denominator > 0.
-RationalScalar = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -177,127 +165,6 @@ class NuPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Power series truncated at a fixed order; len(coeffs) == order + 1.
-
-    Mixing truncation orders is an error, never a silent coercion.
-    """
-
-    order: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient count must equal order + 1")
-
-    @classmethod
-    def from_coeffs(cls, order: int, coeffs: Iterable) -> "PowerSeries":
-        tup = tuple(_as_fraction(c) for c in coeffs)
-        if len(tup) < order + 1:
-            tup = tup + (_ZERO,) * (order + 1 - len(tup))
-        return cls(order, tup[: order + 1])
-
-    @classmethod
-    def constant(cls, order: int, value) -> "PowerSeries":
-        return cls.from_coeffs(order, [value])
-
-    def _check(self, other: "PowerSeries") -> None:
-        if self.order != other.order:
-            raise TruncationMismatch(
-                f"orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeries(n, tuple(out))
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Truncated Cauchy product of two series of equal order."""
-    return a * b
-
-
-def series_log(a: PowerSeries) -> PowerSeries:
-    """Formal logarithm; requires constant term 1.
-
-    Uses l_n = a_n - (1/n) sum_{k<n} k l_k a_{n-k}.
-    """
-    if a.coeffs[0] != 1:
-        raise ValueError("series_log requires constant term 1")
-    n = a.order
-    out = [_ZERO] * (n + 1)
-    for m in range(1, n + 1):
-        s = sum((Fraction(k) * out[k] * a.coeffs[m - k] for k in range(1, m)), _ZERO)
-        out[m] = a.coeffs[m] - s / m
-    return PowerSeries(n, tuple(out))
-
-
-def series_exp(a: PowerSeries) -> PowerSeries:
-    """Formal exponential; requires constant term 0."""
-    if a.coeffs[0] != 0:
-        raise ValueError("series_exp requires constant term 0")
-    n = a.order
-    out = [_ZERO] * (n + 1)
-    out[0] = _ONE
-    for m in range(1, n + 1):
-        s = sum(
-            (Fraction(k) * a.coeffs[k] * out[m - k] for k in range(1, m + 1)), _ZERO
-        )
-        out[m] = s / m
-    return PowerSeries(n, tuple(out))
-
-
-def series_pow(a: PowerSeries, exponent: int) -> PowerSeries:
-    """Integer power (exponent >= 0) by binary exponentiation."""
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = PowerSeries.constant(a.order, 1)
-    base = a
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
-
-
-def _series_inverse(a: PowerSeries) -> PowerSeries:
-    if a.coeffs[0] != 1:
-        raise ValueError("inverse requires constant term 1")
-    n = a.order
-    out = [_ZERO] * (n + 1)
-    out[0] = _ONE
-    for m in range(1, n + 1):
-        out[m] = -sum((a.coeffs[k] * out[m - k] for k in range(1, m + 1)), _ZERO)
-    return PowerSeries(n, tuple(out))
-
-
 @lru_cache(maxsize=None)
 def u_polynomial(k: int) -> NuPolynomial:
     """Olver's Bessel expansion polynomial u_k, degree 3k.
@@ -346,15 +213,17 @@ def sinh_ratio_coefficients(power: int, order: int) -> tuple[Fraction, ...]:
         raise ValueError("power must be positive")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # sinh(y)/y = sum y^{2m} / (2m+1)!
-    base = PowerSeries.from_coeffs(
-        order,
-        [
-            Fraction(1, factorial(e + 1)) if e % 2 == 0 else _ZERO
-            for e in range(order + 1)
-        ],
-    )
-    ratio = series_pow(_series_inverse(base), power)
-    return tuple(
-        ratio.coeffs[v] * factorial(v) for v in range(order + 1)
-    )
+    # Miller's power rule for f = h^(-power), h = sinh(y)/y, whose nonzero
+    # coefficients are h_k = 1/(k+1)! at even k:
+    # f_m = (1/m) sum_{k=1}^{m} ((1 - power) k - m) h_k f_{m-k}.
+    f = [_ONE]
+    for m in range(1, order + 1):
+        s = sum(
+            (
+                Fraction((1 - power) * k - m, factorial(k + 1)) * f[m - k]
+                for k in range(2, m + 1, 2)
+            ),
+            _ZERO,
+        )
+        f.append(s / m)
+    return tuple(f[v] * factorial(v) for v in range(order + 1))

@@ -8,24 +8,19 @@ bases need only the numbers users actually know.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from . import sphere_base
-from .errors import (
-    GammaPole,
-    IndexOutOfRange,
-    InsufficientBaseData,
-    MissingResidue,
-    ValidationError,
-)
+from .errors import IndexOutOfRange, InsufficientBaseData, ValidationError
 from .legendre_asymptotics import omega_structures
 from .special_eval import (
     DEFAULT_PRECISION,
+    SQRT_PI,
     AngleParams,
     EvalPrecision,
+    _gamma_num,
     c1,
     f_total,
 )
@@ -46,8 +41,6 @@ __all__ = [
     "compute_table",
     "table_to_dict",
 ]
-
-SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -87,15 +80,13 @@ class SuspensionConfig:
     """Evaluation context for one suspension.
 
     D is the total dimension (base dimension plus one); n_max is the highest
-    coefficient index n requested (coefficient n/2), restricted to n < D;
-    truncation bounds the expansion order used by the angular weights.
+    coefficient index n requested (coefficient n/2), restricted to n < D.
     """
 
     D: int
     angle: AngleParams
     base: BaseDescriptor
     n_max: int
-    truncation: int | None = None
     mass: float = 0.0
 
     def __post_init__(self):
@@ -109,18 +100,12 @@ class SuspensionConfig:
             raise ValidationError(
                 f"n_max must satisfy 0 <= n_max < D, got n_max={self.n_max}, D={self.D}"
             )
-        if self.truncation is not None and self.truncation < max(1, self.n_max - 1):
-            raise ValidationError("truncation must be at least n_max - 1")
         if self.mass < 0:
             raise ValidationError("mass must be nonnegative")
 
     @property
     def d(self) -> int:
         return self.D - 1
-
-    @property
-    def effective_truncation(self) -> int:
-        return self.truncation if self.truncation is not None else max(1, self.n_max - 1)
 
 
 @dataclass(frozen=True)
@@ -144,9 +129,7 @@ class CoefficientTable:
 def residue_to_coefficient(s: float, residue: float) -> float:
     """Gamma(s) times the zeta residue at s: the dictionary between residues
     and heat coefficients."""
-    if s <= 0.0 and s == math.floor(s):
-        raise GammaPole(f"Gamma({s}) pole in the residue dictionary")
-    return math.gamma(s) * residue
+    return _gamma_num(s) * residue
 
 
 def base_coefficient(base: BaseDescriptor, n: int) -> float:
@@ -192,7 +175,7 @@ def assemble_script_A(
     if n >= 1:
         total -= sin_pow / 4.0 * base_coefficient(cfg.base, n - 1)
     if n >= 2:
-        structures = omega_structures(max(cfg.effective_truncation, n - 1))
+        structures = omega_structures(n - 1)
         for i in range(1, n):
             a_base = base_coefficient(cfg.base, n - i - 1)
             if a_base == 0.0:
@@ -231,13 +214,11 @@ def mass_shift(cal: Mapping[int, float], m: float) -> dict[int, float]:
 def log_coefficient(base: BaseDescriptor) -> float | None:
     """Coefficient of the log term: half the base zeta residue at -1/2.
 
-    Not available for sphere bases (no closed-form residue at -1/2 in scope);
-    returns None there.
+    None for sphere bases (no closed-form residue at -1/2 in scope) and for
+    user bases supplied without that residue.
     """
-    if isinstance(base, SphereBase):
+    if isinstance(base, SphereBase) or base.residue_at_minus_half is None:
         return None
-    if base.residue_at_minus_half is None:
-        raise MissingResidue("user base has no residue_at_minus_half")
     return 0.5 * base.residue_at_minus_half
 
 
@@ -253,18 +234,10 @@ def compute_table(
     cal = shift_to_pure_laplacian(script, cfg.d)
     if cfg.mass:
         cal = mass_shift(cal, cfg.mass)
-    if isinstance(cfg.base, SphereBase):
-        log_coeff = None
-    else:
-        log_coeff = (
-            0.5 * cfg.base.residue_at_minus_half
-            if cfg.base.residue_at_minus_half is not None
-            else None
-        )
     entries = tuple(
         CoefficientEntry(n, script[n], cal[n]) for n in range(cfg.n_max + 1)
     )
-    return CoefficientTable(cfg, entries, log_coeff)
+    return CoefficientTable(cfg, entries, log_coefficient(cfg.base))
 
 
 def _base_to_dict(base: BaseDescriptor) -> dict:
@@ -288,7 +261,7 @@ def table_to_dict(table: CoefficientTable) -> dict:
             "D": cfg.D,
             "theta0": cfg.angle.theta0,
             "base": _base_to_dict(cfg.base),
-            "N": cfg.effective_truncation,
+            "N": max(1, cfg.n_max - 1),  # highest cumulant order used, at least 1
             "mass": cfg.mass,
         },
         "coefficients": [

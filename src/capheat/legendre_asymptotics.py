@@ -15,18 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .errors import StructureViolation
-from .exact_series import NuPolynomial, bernoulli, bessel_d_polynomial
+from .exact_series import NuPolynomial, bernoulli
 
 __all__ = [
     "GammaStructuredFunction",
     "StructuredOmega",
     "chi",
     "phi",
-    "psi",
     "omega",
     "extract_structure",
     "omega_structures",
@@ -60,10 +58,6 @@ class GammaStructuredFunction:
 
     def part(self, j: int) -> NuPolynomial:
         return self.terms.get(j, NuPolynomial.zero())
-
-    @property
-    def j_max(self) -> int:
-        return max(self.terms, default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GammaStructuredFunction):
@@ -116,84 +110,81 @@ class GammaStructuredFunction:
             self.order, {j: p.integral_from(1) for j, p in self.terms.items()}
         )
 
-    def evaluate(self, nu, inv_one_plus_gamma_sq) -> Fraction:
-        """Exact evaluation at rational v and rational (1 + gamma^2)^(-1)."""
-        nu = Fraction(nu)
-        g = Fraction(inv_one_plus_gamma_sq)
-        return sum((p(nu) * g**j for j, p in self.terms.items()), _ZERO)
-
 
 _ONE_MINUS_NU2 = NuPolynomial.from_coeffs([1, 0, -1])
 _NU2 = NuPolynomial.from_coeffs([0, 0, 1])
+_Q = NuPolynomial.from_coeffs([-1, 0, 5])  # quadratic weight 5 v^2 - 1
+_ONE_MINUS_Q = NuPolynomial.one() - _Q
 
 
-def _phi_step(f: GammaStructuredFunction, printed_integrand: bool) -> GammaStructuredFunction:
+def _phi_step(f: GammaStructuredFunction) -> GammaStructuredFunction:
     # Derivative part: (1 - v^2)(1 + g^2 v^2) / (2 (1 + g^2)) * df/dv, with
     # (1 + g^2 v^2)/(1 + g^2) rewritten as v^2 + (1 - v^2) (1 + g^2)^(-1).
     g = f.derivative_nu().mul_poly(_ONE_MINUS_NU2).scale(Fraction(1, 2))
     deriv_part = g.mul_poly(_NU2) + g.mul_poly(_ONE_MINUS_NU2).shift_j()
 
-    # Integral part: -(1/(8 (1 + g^2))) int_1^v [g^2 q(t) + 1] f(t) dt, where
-    # q is the quadratic weight (5 t^2 - 1) or, behind the documentation flag,
-    # the linear weight (5 t - 1); g^2 q + 1 = (1 + g^2) q + (1 - q).
-    if printed_integrand:
-        q = NuPolynomial.from_coeffs([-1, 5])
-    else:
-        q = NuPolynomial.from_coeffs([-1, 0, 5])
-    one_minus_q = NuPolynomial.one() - q
-    int_plain = f.mul_poly(q).integral_from_one().scale(Fraction(-1, 8))
+    # Integral part: -(1/(8 (1 + g^2))) int_1^v [g^2 q(t) + 1] f(t) dt with the
+    # quadratic weight q = 5 t^2 - 1; g^2 q + 1 = (1 + g^2) q + (1 - q).
+    int_plain = f.mul_poly(_Q).integral_from_one().scale(Fraction(-1, 8))
     int_shift = (
-        f.mul_poly(one_minus_q).integral_from_one().scale(Fraction(-1, 8)).shift_j()
+        f.mul_poly(_ONE_MINUS_Q).integral_from_one().scale(Fraction(-1, 8)).shift_j()
     )
     result = deriv_part + int_plain + int_shift
     return GammaStructuredFunction.from_terms(f.order + 1, result.terms)
 
 
-@lru_cache(maxsize=None)
-def _phi_list(max_order: int, printed_integrand: bool) -> tuple[GammaStructuredFunction, ...]:
-    out = [GammaStructuredFunction.constant(0, 1)]
-    for _ in range(max_order):
-        out.append(_phi_step(out[-1], printed_integrand))
-    return tuple(out)
+# Shared prefix caches, filled in ascending order: _PHIS[n] is Phi_n,
+# _LOGS[n] the n-th logarithm coefficient, _OMEGAS[n - 1] and
+# _STRUCTURES[n - 1] the cumulant function of order n and its structured
+# form.  Asking for a lower order reuses the stored entries; asking for a
+# higher one computes only the missing tail.
+_PHIS: list[GammaStructuredFunction] = [GammaStructuredFunction.constant(0, 1)]
+_LOGS: list[GammaStructuredFunction] = [GammaStructuredFunction.constant(0, 0)]
+_OMEGAS: list[GammaStructuredFunction] = []
+_STRUCTURES: list["StructuredOmega"] = []
 
 
-def phi(n: int, *, printed_integrand: bool = False) -> GammaStructuredFunction:
+def _extend(cache: list, length: int, entry) -> list:
+    """Append entry(k) for k = len(cache), ... until cache has ``length`` items."""
+    while len(cache) < length:
+        cache.append(entry(len(cache)))
+    return cache
+
+
+def _phi_entry(n: int) -> GammaStructuredFunction:
+    return _phi_step(_PHIS[n - 1])
+
+
+def _log_entry(m: int) -> GammaStructuredFunction:
+    # Cumulant log over the structured-function ring:
+    # l_m = Phi_m - (1/m) sum_{k<m} k l_k Phi_{m-k}.
+    phis = _extend(_PHIS, m + 1, _phi_entry)
+    acc = GammaStructuredFunction.constant(0, 0)
+    for k in range(1, m):
+        acc = acc + (_LOGS[k] * phis[m - k]).scale(Fraction(k, m))
+    return GammaStructuredFunction.from_terms(m, (phis[m] - acc).terms)
+
+
+def _omega_entry(k: int) -> GammaStructuredFunction:
+    n = k + 1
+    om = _extend(_LOGS, n + 1, _log_entry)[n]
+    if n % 2 == 1:
+        # Bernoulli counterterm at odd inverse powers.
+        om = om - GammaStructuredFunction.constant(0, bernoulli(n + 1) / (n * (n + 1)))
+    return GammaStructuredFunction.from_terms(n, om.terms)
+
+
+def phi(n: int) -> GammaStructuredFunction:
     """n-th expansion function of the Legendre amplitude.
 
     Seeded with 1, each step applies the derivative term
     (1 - v^2)(1 + g^2 v^2) / (2 (1 + g^2)) * d/dv and subtracts
     1/(8 (1 + g^2)) times the integral from 1 of (5 t^2 + 1/g^2 - 1) times the
-    function.  ``printed_integrand=True`` switches the quadratic weight 5 t^2
-    to the linear 5 t; that variant fails to reproduce the reference cumulant
-    tables and does not match the Bessel limit, and exists only so the
-    discrepancy can be demonstrated.
+    function.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _phi_list(n, printed_integrand)[n]
-
-
-@lru_cache(maxsize=None)
-def _omega_list(max_order: int) -> tuple[GammaStructuredFunction, ...]:
-    phis = _phi_list(max_order, False)
-    # Cumulant log over the structured-function ring:
-    # l_n = Phi_n - (1/n) sum_{k<n} k l_k Phi_{n-k}.
-    logs: list[GammaStructuredFunction] = [GammaStructuredFunction.constant(0, 0)]
-    for m in range(1, max_order + 1):
-        acc = GammaStructuredFunction.constant(0, 0)
-        for k in range(1, m):
-            acc = acc + (logs[k] * phis[m - k]).scale(Fraction(k, m))
-        logs.append(GammaStructuredFunction.from_terms(m, (phis[m] - acc).terms))
-    out = []
-    for n in range(1, max_order + 1):
-        om = logs[n]
-        if n % 2 == 1:
-            # Bernoulli counterterm at odd inverse powers.
-            om = om - GammaStructuredFunction.constant(
-                0, bernoulli(n + 1) / (n * (n + 1))
-            )
-        out.append(GammaStructuredFunction.from_terms(n, om.terms))
-    return tuple(out)
+    return _extend(_PHIS, n + 1, _phi_entry)[n]
 
 
 def omega(max_order: int = 10) -> list[GammaStructuredFunction]:
@@ -205,26 +196,7 @@ def omega(max_order: int = 10) -> list[GammaStructuredFunction]:
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
-    return list(_omega_list(max_order))
-
-
-def psi(max_order: int) -> list[GammaStructuredFunction]:
-    """Amplitude functions Psi_0..Psi_max_order (the exponential of omega).
-
-    Exposed for completeness; nothing downstream consumes them individually.
-    """
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
-    oms = [GammaStructuredFunction.constant(0, 0)] + list(
-        _omega_list(max_order) if max_order else []
-    )
-    out = [GammaStructuredFunction.constant(0, 1)]
-    for m in range(1, max_order + 1):
-        acc = GammaStructuredFunction.constant(0, 0)
-        for k in range(1, m + 1):
-            acc = acc + (oms[k] * out[m - k]).scale(Fraction(k, m))
-        out.append(GammaStructuredFunction.from_terms(m, acc.terms))
-    return out
+    return _extend(_OMEGAS, max_order, _omega_entry)[:max_order]
 
 
 @dataclass(frozen=True)
@@ -298,7 +270,10 @@ def extract_structure(omega_i: GammaStructuredFunction) -> StructuredOmega:
     return StructuredOmega(i, x_coeffs, z0_coeffs, z_coeffs)
 
 
-@lru_cache(maxsize=None)
 def omega_structures(max_order: int) -> tuple[StructuredOmega, ...]:
     """Structured forms of the cumulant functions of orders 1..max_order."""
-    return tuple(extract_structure(om) for om in _omega_list(max_order))
+    if max_order < 0:
+        raise ValueError("max_order must be nonnegative")
+    omegas = _extend(_OMEGAS, max_order, _omega_entry)
+    structures = _extend(_STRUCTURES, max_order, lambda k: extract_structure(omegas[k]))
+    return tuple(structures[:max_order])

@@ -19,6 +19,7 @@ __all__ = [
     "AngleParams",
     "EvalPrecision",
     "DEFAULT_PRECISION",
+    "SQRT_PI",
     "recip_gamma",
     "gauss_2f1",
     "c1",
@@ -74,6 +75,8 @@ class EvalPrecision:
 
 
 DEFAULT_PRECISION = EvalPrecision()
+
+SQRT_PI = math.sqrt(math.pi)
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -239,11 +242,7 @@ def _check_structure(i: int, structure: StructuredOmega) -> None:
 
 
 def c2(
-    i: int,
-    structure: StructuredOmega,
-    angle: AngleParams,
-    d_minus_n: float,
-    precision: EvalPrecision = DEFAULT_PRECISION,
+    i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
 ) -> float:
     """Gamma-weighted sum over the gamma-free coefficient family.
 
@@ -276,11 +275,7 @@ def c2(
 
 
 def c3(
-    i: int,
-    structure: StructuredOmega,
-    angle: AngleParams,
-    d_minus_n: float,
-    precision: EvalPrecision = DEFAULT_PRECISION,
+    i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
 ) -> float:
     """sin^(n-D) sum_j z0^(i,j) Gamma(s + j) / (Gamma(A) Gamma(j))."""
     _check_structure(i, structure)
@@ -358,7 +353,7 @@ def f_total(
 ) -> float:
     """Full angular weight of order i: c2 + c3 + c4."""
     return (
-        c2(i, structure, angle, d_minus_n, precision)
-        + c3(i, structure, angle, d_minus_n, precision)
+        c2(i, structure, angle, d_minus_n)
+        + c3(i, structure, angle, d_minus_n)
         + c4(i, structure, angle, d_minus_n, precision)
     )

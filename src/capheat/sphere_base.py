@@ -6,7 +6,6 @@ suspension over a sphere (used as a second, independent assembly route).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -15,6 +14,7 @@ from .exact_series import sinh_ratio_coefficients
 from .legendre_asymptotics import omega_structures
 from .special_eval import (
     DEFAULT_PRECISION,
+    SQRT_PI,
     AngleParams,
     EvalPrecision,
     c1,
@@ -23,7 +23,6 @@ from .special_eval import (
 )
 
 __all__ = [
-    "SphereSpectrum",
     "degeneracy",
     "sphere_mu",
     "sphere_residue",
@@ -32,8 +31,6 @@ __all__ = [
     "suspension_coefficient_direct",
     "explicit_table_check",
 ]
-
-SQRT_PI = math.sqrt(math.pi)
 
 
 def degeneracy(k: int, d: int) -> int:
@@ -48,21 +45,6 @@ def degeneracy(k: int, d: int) -> int:
 def sphere_mu(k: int, d: int) -> float:
     """Shifted frequency of level k: k + (d-1)/2."""
     return k + 0.5 * (d - 1)
-
-
-@dataclass(frozen=True)
-class SphereSpectrum:
-    """Spectrum of the conformally shifted Laplacian on the unit S^d."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise DomainError("sphere base requires d >= 2")
-
-    def entries(self, k_max: int) -> list[tuple[float, int]]:
-        """(mu, degeneracy) pairs for levels 0..k_max, mu strictly increasing."""
-        return [(sphere_mu(k, self.d), degeneracy(k, self.d)) for k in range(k_max + 1)]
 
 
 def sphere_residue(m: int, d: int) -> Fraction:

@@ -125,6 +125,15 @@ class TestCoeffs:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_overflow_error_object(self, capsys):
+        # Gamma(172) overflows a double in c1's connection formula at D=342:
+        # exit 3 with the JSON error object, not a traceback.
+        code, out, _ = invoke(
+            capsys, ["coeffs", "--dim", "342", "--theta0", "1.2", "--max-n", "0"]
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "OverflowError"
+
 
 class TestOmega:
     def test_json_contains_reference_constant(self, capsys):

@@ -1,20 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 
-from capheat.errors import TruncationMismatch
 from capheat.exact_series import (
     NuPolynomial,
-    PowerSeries,
     bernoulli,
     bessel_d_polynomial,
-    series_exp,
-    series_log,
-    series_mul,
-    series_pow,
     sinh_ratio_coefficients,
     u_polynomial,
 )
@@ -146,44 +140,6 @@ class TestSinhRatio:
         for v in range(order + 1):
             conv = sum(comb(v, r) * a[r] * b[v - r] for r in range(v + 1))
             assert c[v] == conv
-
-
-class TestPowerSeries:
-    def test_log_mercator(self):
-        s = PowerSeries.from_coeffs(3, [1, 1])
-        assert series_log(s).coeffs == (F(0), F(1), F(-1, 2), F(1, 3))
-
-    def test_exp_of_zero(self):
-        z = PowerSeries.from_coeffs(4, [0])
-        assert series_exp(z).coeffs == (F(1), F(0), F(0), F(0), F(0))
-
-    def test_exp_inverse_pair(self):
-        y = PowerSeries.from_coeffs(6, [0, 1])
-        minus_y = PowerSeries.from_coeffs(6, [0, -1])
-        prod = series_mul(series_exp(y), series_exp(minus_y))
-        assert prod == PowerSeries.constant(6, 1)
-
-    def test_log_exp_roundtrip(self):
-        s = PowerSeries.from_coeffs(7, [0, F(1, 2), F(-2, 3), 0, F(5, 7)])
-        assert series_log(series_exp(s)) == s
-
-    def test_pow_matches_repeated_mul(self):
-        s = PowerSeries.from_coeffs(5, [1, 1, F(1, 2)])
-        assert series_pow(s, 3) == s * s * s
-
-    def test_log_requires_unit_constant(self):
-        with pytest.raises(ValueError):
-            series_log(PowerSeries.from_coeffs(3, [2, 1]))
-
-    def test_mixed_order_is_an_error(self):
-        a = PowerSeries.from_coeffs(3, [1, 1])
-        b = PowerSeries.from_coeffs(4, [1, 1])
-        with pytest.raises(TruncationMismatch):
-            _ = a * b
-
-    def test_never_extends_truncation(self):
-        a = PowerSeries.from_coeffs(2, [1, 1, 1])
-        assert (a * a).order == 2
 
 
 class TestNuPolynomial:

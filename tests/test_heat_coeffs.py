@@ -8,7 +8,6 @@ from capheat.errors import (
     GammaPole,
     IndexOutOfRange,
     InsufficientBaseData,
-    MissingResidue,
     ValidationError,
 )
 from capheat.heat_coeffs import (
@@ -214,8 +213,12 @@ class TestLogCoefficient:
         assert log_coefficient(SphereBase(2)) is None
 
     def test_missing_residue(self):
-        with pytest.raises(MissingResidue):
-            log_coefficient(UserBase(2, {0: 1.0}))
+        base = UserBase(2, {0: 1.0, 1: 0.0})
+        assert log_coefficient(base) is None
+        cfg = SuspensionConfig(
+            D=3, angle=AngleParams.from_theta0(0.8), base=base, n_max=1
+        )
+        assert compute_table(cfg).log_coefficient is None
 
 
 class TestConfigValidation:
@@ -228,10 +231,6 @@ class TestConfigValidation:
             SuspensionConfig(
                 D=4, angle=AngleParams.from_theta0(0.8), base=SphereBase(2), n_max=1
             )
-
-    def test_truncation_floor(self):
-        with pytest.raises(ValidationError):
-            sphere_config(4, 0.8, 4, truncation=2)
 
     def test_negative_mass(self):
         with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from capheat.errors import StructureViolation
-from capheat.exact_series import NuPolynomial, bessel_d_polynomial, u_polynomial
+from capheat.exact_series import NuPolynomial, bernoulli, bessel_d_polynomial
 from capheat.legendre_asymptotics import (
     GammaStructuredFunction,
     chi,
@@ -13,7 +13,6 @@ from capheat.legendre_asymptotics import (
     omega,
     omega_structures,
     phi,
-    psi,
 )
 
 from omega_reference import REFERENCE
@@ -62,23 +61,12 @@ class TestPhi:
         gamma_free = phi(1).part(0)
         assert gamma_free == bessel_d_polynomial(1) + poly(F(1, 12))
 
-    def test_printed_variant_differs(self):
-        assert phi(1, printed_integrand=True) != phi(1)
-
 
 class TestOmegaTables:
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
     def test_matches_reference(self, i):
         generated = omega(5)[i - 1]
         assert generated == gsf_from_table(i, REFERENCE[i])
-
-    def test_printed_integrand_breaks_order_one(self):
-        # The linear-weight variant cannot reproduce the reference table.
-        from capheat.legendre_asymptotics import _phi_list
-
-        phi1_printed = _phi_list(1, True)[1]
-        bad_omega1 = phi1_printed - GammaStructuredFunction.constant(0, F(1, 12))
-        assert bad_omega1 != gsf_from_table(1, REFERENCE[1])
 
     def test_omega5_top_coefficient(self):
         assert omega(5)[4].part(0).coefficient(15) == F(-82825, 3072)
@@ -121,6 +109,13 @@ class TestStructure:
         om = omega(N_MAX)[i - 1]
         assert extract_structure(om).reconstruct() == om
 
+    def test_lower_orders_share_the_cache(self):
+        high = omega_structures(N_MAX)
+        low = omega_structures(6)
+        assert len(low) == 6
+        for i in range(6):
+            assert low[i] is high[i]
+
     def test_violation_detected(self):
         bad = GammaStructuredFunction.from_terms(
             2, {0: poly(0, 0, F(1, 16), F(1))}  # stray v^3 in an even family
@@ -130,17 +125,18 @@ class TestStructure:
 
 
 class TestPsi:
-    def test_seed(self):
-        assert psi(0)[0] == GammaStructuredFunction.constant(0, 1)
-
     def test_exponential_relation(self):
-        # exp of the cumulant series must reproduce the amplitude series:
-        # checked instead through the defining route, by composing the
-        # Bernoulli prefactor with the raw phi series.
-        from capheat.exact_series import bernoulli
-
+        # The amplitude functions Psi_m = [x^m] exp(sum_n Omega_n x^n) must
+        # equal the raw phi series times the Bernoulli prefactor
+        # exp(-sum_l B_{2l}/(2l(2l-1)) x^{2l-1}), in every j-part.
         n = 6
-        psis = psi(n)
+        oms = [GammaStructuredFunction.constant(0, 0)] + omega(n)
+        psis = [GammaStructuredFunction.constant(0, 1)]
+        for m in range(1, n + 1):
+            acc = GammaStructuredFunction.constant(0, 0)
+            for k in range(1, m + 1):
+                acc = acc + (oms[k] * psis[m - k]).scale(F(k, m))
+            psis.append(acc)
         phis = [phi(k) for k in range(n + 1)]
         # exp(-sum B_{2l}/(2l(2l-1)) x^{2l-1}) as a plain rational series
         expo = [F(0)] * (n + 1)
