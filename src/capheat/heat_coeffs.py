@@ -9,7 +9,7 @@ bases need only the numbers users actually know.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, inf
 from typing import Mapping, Union
 
 from . import sphere_base
@@ -100,8 +100,8 @@ class SuspensionConfig:
             raise ValidationError(
                 f"n_max must satisfy 0 <= n_max < D, got n_max={self.n_max}, D={self.D}"
             )
-        if self.mass < 0:
-            raise ValidationError("mass must be nonnegative")
+        if not 0.0 <= self.mass < inf:
+            raise ValidationError("mass must be nonnegative and finite")
 
     @property
     def d(self) -> int:

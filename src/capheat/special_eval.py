@@ -236,6 +236,13 @@ def c1(
     return _hyp2f1(0.5, s, s + 1.0, angle.sin2, angle.cos2, precision)
 
 
+def _inv_sin_power(angle: AngleParams, d_minus_n: float) -> float:
+    """sin(theta0)^(-d_minus_n), an OverflowError once sin^2 underflows to 0."""
+    if angle.sin2 == 0.0:
+        raise OverflowError(f"sin(theta0)^2 underflows at theta0={angle.theta0}")
+    return angle.sin_theta ** (-d_minus_n)
+
+
 def _check_structure(i: int, structure: StructuredOmega) -> None:
     if structure.order != i:
         raise ValueError(f"structure has order {structure.order}, expected {i}")
@@ -293,7 +300,7 @@ def c3(
             continue
         term = float(coeff) * _gamma_num(s + j) * inv_gamma_a * rg
         total, comp = _kahan_add(total, comp, term)
-    return angle.sin_theta ** (-d_minus_n) * total
+    return _inv_sin_power(angle, d_minus_n) * total
 
 
 def c4(
@@ -327,7 +334,8 @@ def c4(
             beta = b + 0.5 * i
             gamma_low = beta + j
             # lower 2F1 parameters stay off the poles by construction
-            assert beta >= 0.5 and gamma_low >= 1.5
+            if beta < 0.5 or gamma_low < 1.5:
+                raise ValueError(f"2F1 lower parameters {beta}, {gamma_low} too low")
             rg = recip_gamma(gamma_low)
             if rg == 0.0:
                 continue
@@ -341,7 +349,7 @@ def c4(
                 * hyp
             )
             total, comp = _kahan_add(total, comp, term)
-    return angle.sin_theta ** (-d_minus_n) * total
+    return _inv_sin_power(angle, d_minus_n) * total
 
 
 def f_total(

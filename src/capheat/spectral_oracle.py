@@ -43,6 +43,7 @@ __all__ = [
 
 THETA0_GUARD = 2.2  # beyond this the series ratio (1 - cos)/2 exceeds ~0.9
 _MAX_SERIES_TERMS = 2_000_000
+_MAX_SCAN_POINTS = 100_000  # each point costs one Ferrers evaluation
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,8 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     Evaluated as ((1-x)/(1+x))^(mu/2) 2F1(1/2-w, 1/2+w; 1+mu; (1-x)/2)
     divided by Gamma(1 + mu); even in omega.
     """
-    if mu <= 0:
-        raise ValidationError("order parameter mu must be positive")
+    if not (0.0 < mu < math.inf and math.isfinite(omega)):
+        raise ValidationError("mu must be positive and finite, omega finite")
     if not -1.0 < x < 1.0:
         raise ValidationError("argument must lie in (-1, 1)")
     z = 0.5 * (1.0 - x)
@@ -155,6 +156,33 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
         return float(pref * factor)
 
 
+def _illinois(f, a: float, fa: float, b: float, fb: float, width: float):
+    """Shrink the sign-change bracket (a, b) of f (fa = f(a), fb = f(b)) to
+    at most ``width`` by Illinois false position (Dowell & Jarratt, BIT 11,
+    1971).  Trial points keep ``width / 2`` clear of both ends, so a root on
+    an end closes in one step.  An exact zero collapses the bracket."""
+    a_positive = fa > 0
+    kept = 0  # -1 after keeping b, +1 after keeping a
+    while b - a > width:
+        x = min(max(b - fb * (b - a) / (fb - fa), a + width / 2), b - width / 2)
+        if not a < x < b:
+            break
+        fx = f(x)
+        if fx == 0.0:
+            return x, x
+        if (fx > 0) == a_positive:
+            a, fa = x, fx
+            if kept == -1:
+                fb *= 0.5
+            kept = -1
+        else:
+            b, fb = x, fx
+            if kept == 1:
+                fa *= 0.5
+            kept = 1
+    return a, b
+
+
 def dirichlet_roots(
     mu: float,
     theta0: float,
@@ -165,19 +193,24 @@ def dirichlet_roots(
     theta0: the Ferrers function of order -mu vanishing at cos(theta0).
 
     Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
-    and bisects each sign change; a gap monitor guards against missed roots.
+    with a gap monitor against missed roots.  Each sign change is located by
+    Illinois, then its bisection to abs_tol is replayed against the located
+    bracket: only midpoints inside it are evaluated, so every root is the
+    bisection's, bit for bit.
     """
     if not 0.0 < theta0 <= THETA0_GUARD:
         raise ValidationError(f"theta0 must lie in (0, {THETA0_GUARD}]")
-    if omega_max <= 0:
-        raise ValidationError("omega_max must be positive")
+    if not (math.isfinite(mu) and 0.0 < omega_max < math.inf):
+        raise ValidationError("mu must be finite, omega_max positive and finite")
+    step = math.pi / (4.0 * theta0)
+    if omega_max / step > _MAX_SCAN_POINTS:
+        raise ValidationError(f"scan needs more than {_MAX_SCAN_POINTS} points")
     z = 0.5 * (1.0 - math.cos(theta0))
     state: dict = {}
 
     def f(w: float) -> float:
         return _ferrers_factor(mu, w, z, state)
 
-    step = math.pi / (4.0 * theta0)
     grid = [step * j for j in range(1, int(omega_max / step) + 1)]
     if not grid or grid[-1] < omega_max:
         grid.append(omega_max)
@@ -193,16 +226,25 @@ def dirichlet_roots(
         elif (val > 0) != (prev_val > 0):
             lo, hi = prev_w, w
             flo = prev_val
+            a, b = _illinois(f, lo, flo, hi, val, abs_tol / 256.0)
+            # plain bisection of (lo, hi); a midpoint outside [a, b] takes
+            # its side unevaluated
             while hi - lo > abs_tol:
                 mid = 0.5 * (lo + hi)
+                if mid < a:
+                    lo = mid
+                    continue
+                if mid > b:
+                    hi = mid
+                    continue
                 fm = f(mid)
                 if fm == 0.0:
                     lo = hi = mid
                     break
                 if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
+                    lo = a = mid
                 else:
-                    hi = mid
+                    hi = b = mid
             roots.append(0.5 * (lo + hi))
         prev_w, prev_val = w, val
 

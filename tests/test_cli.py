@@ -135,6 +135,27 @@ class TestCoeffs:
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
 
+    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    def test_non_finite_mass(self, capsys, mass):
+        code, out, err = invoke(
+            capsys,
+            ["coeffs", "--dim", "5", "--theta0", "1", "--max-n", "4",
+             "--mass", mass],
+        )
+        assert code == 2
+        assert out == ""
+        assert "mass" in err
+
+    def test_underflowed_angle_error_object(self, capsys):
+        # sin(1e-300)^2 underflows to 0, so sin^(n-D) overflows in c3
+        code, out, _ = invoke(
+            capsys,
+            ["coeffs", "--dim", "12", "--theta0", "1e-300", "--max-n", "11"],
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "OverflowError"
+
+
 class TestOmega:
     def test_json_contains_reference_constant(self, capsys):
         code, out, _ = invoke(capsys, ["omega", "--order", "2", "--format", "json"])
@@ -191,6 +212,19 @@ class TestRoots:
             capsys, ["roots", "--mu", "0.5", "--theta0", "2.5", "--omega-max", "5"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--mu", "nan", "mu must be finite"),
+        ("--omega-max", "nan", "omega_max positive and finite"),
+        ("--omega-max", "1e12", "scan needs more than"),
+    ])
+    def test_refused_inputs(self, capsys, flag, value, message):
+        argv = {"--mu": "0.5", "--theta0": "1.0", "--omega-max": "5"}
+        argv[flag] = value
+        code, out, err = invoke(capsys, ["roots", *sum(argv.items(), ())])
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestVerify:

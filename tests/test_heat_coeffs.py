@@ -236,6 +236,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             sphere_config(2, 0.8, 1, mass=-1.0)
 
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_mass(self, mass):
+        with pytest.raises(ValidationError):
+            sphere_config(2, 0.8, 1, mass=mass)
+
 
 class TestTable:
     def test_entries_and_schema(self):

@@ -293,6 +293,29 @@ class TestC4:
         assert abs(c4(1, structure(1), angle, 2.0)) < 1e-15
         assert abs(c4(2, structure(2), angle, 3.0)) < 1e-15
 
+    def test_low_parameter_check_survives_optimization(self, monkeypatch):
+        # an explicit check, not an assert: it also runs under python -O
+        import dataclasses
+        from fractions import Fraction
+
+        from capheat import special_eval
+
+        monkeypatch.setattr(special_eval, "chi", lambda i: -1)
+        s1 = structure(1)
+        widened = dataclasses.replace(
+            s1, z_coeffs={**s1.z_coeffs, (-1, 1): Fraction(1)}
+        )
+        with pytest.raises(ValueError, match="too low"):
+            c4(1, widened, AngleParams.from_theta0(0.8), 2.0)
+
+    def test_underflowed_sine_overflows(self):
+        angle = AngleParams.from_theta0(1e-300)
+        assert angle.sin2 == 0.0
+        with pytest.raises(OverflowError):
+            c3(1, structure(1), angle, 2.0)
+        with pytest.raises(OverflowError):
+            c4(1, structure(1), angle, 2.0)
+
     def test_order_one_index_ranges(self):
         s = structure(1)
         assert set(j for (_, j) in s.z_coeffs) == {1}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from capheat import spectral_oracle
 from capheat.errors import (
     AssumptionViolation,
     IllConditioned,
@@ -17,7 +18,9 @@ from capheat.special_eval import AngleParams
 from capheat.spectral_oracle import (
     EigenvalueChannel,
     HeatTraceSample,
+    _MAX_SCAN_POINTS,
     _check_positivity,
+    _ferrers_factor,
     dirichlet_roots,
     ferrers_p,
     fit_asymptotics,
@@ -40,6 +43,53 @@ def hemisphere_mode_count(L: int) -> int:
     harmonics odd across the equator, sum of (2l+1) over l <= L-1 with
     L - l odd, which closes to L(L+1)/2."""
     return sum(2 * l + 1 for l in range(L) if (L - l) % 2 == 1)
+
+
+def bisection_roots(mu, theta0, omega_max, abs_tol=1e-10):
+    """The quarter-spacing scan with plain bisection of every sign change,
+    evaluating the Ferrers factor at each midpoint."""
+    z = 0.5 * (1.0 - math.cos(theta0))
+    state: dict = {}
+
+    def f(w):
+        return _ferrers_factor(mu, w, z, state)
+
+    step = math.pi / (4.0 * theta0)
+    grid = [step * j for j in range(1, int(omega_max / step) + 1)]
+    if not grid or grid[-1] < omega_max:
+        grid.append(omega_max)
+    roots = []
+    prev_w, prev_val = 0.0, f(0.0)
+    for w in grid:
+        val = f(w)
+        if val == 0.0:
+            roots.append(w)
+        elif (val > 0) != (prev_val > 0):
+            lo, hi, flo = prev_w, w, prev_val
+            while hi - lo > abs_tol:
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+        prev_w, prev_val = w, val
+    return roots
+
+
+def count_evaluations(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _ferrers_factor(*args)
+
+    monkeypatch.setattr(spectral_oracle, "_ferrers_factor", counted)
+    return calls
 
 
 class TestFerrers:
@@ -75,6 +125,9 @@ class TestFerrers:
             ferrers_p(1.0, 2.0, 1.0)
         with pytest.raises(SlowConvergence):
             ferrers_p(1.0, 2.0, -0.9)
+        for mu, omega in ((math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan)):
+            with pytest.raises(ValidationError):
+                ferrers_p(mu, omega, 0.3)
 
 
 class TestDirichletRoots:
@@ -110,6 +163,40 @@ class TestDirichletRoots:
     def test_angle_guard(self):
         with pytest.raises(ValidationError):
             dirichlet_roots(0.5, 2.5, 10.0)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("theta0", [0.6, math.pi / 3, math.pi / 2, 2.0])
+    def test_bit_identical_to_bisection(self, mu, theta0):
+        roots = dirichlet_roots(mu, theta0, 20.0)
+        assert roots
+        assert roots == bisection_roots(mu, theta0, 20.0)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.5])
+    def test_evaluations_per_root(self, monkeypatch, mu):
+        # plain bisection costs about 42 per root here
+        calls = count_evaluations(monkeypatch)
+        roots = dirichlet_roots(mu, math.pi / 3, 40.0)
+        first = calls[0]
+        assert first <= 22 * len(roots)
+        calls[0] = 0
+        assert dirichlet_roots(mu, math.pi / 3, 40.0) == roots
+        assert calls[0] == first
+
+    def test_scan_size_refused_before_any_work(self, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        step = math.pi / (4.0 * 1.0)
+        with pytest.raises(ValidationError, match="scan needs"):
+            dirichlet_roots(0.5, 1.0, 1.01 * _MAX_SCAN_POINTS * step)
+        with pytest.raises(ValidationError, match="scan needs"):
+            dirichlet_roots(0.5, 1.0, 1e300)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("mu,omega_max", [
+        (math.nan, 10.0), (math.inf, 10.0), (0.5, math.nan), (0.5, math.inf),
+    ])
+    def test_non_finite_inputs(self, mu, omega_max):
+        with pytest.raises(ValidationError):
+            dirichlet_roots(mu, 1.0, omega_max)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("theta0", [0.6, 1.2, 2.0])
