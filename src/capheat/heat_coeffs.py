@@ -14,7 +14,7 @@ from typing import Mapping, Union
 
 from . import sphere_base
 from .errors import IndexOutOfRange, InsufficientBaseData, ValidationError
-from .legendre_asymptotics import omega_structures
+from .legendre_asymptotics import _MAX_ORDER, omega_structures
 from .special_eval import (
     DEFAULT_PRECISION,
     SQRT_PI,
@@ -99,6 +99,11 @@ class SuspensionConfig:
         if not 0 <= self.n_max < self.D:
             raise ValidationError(
                 f"n_max must satisfy 0 <= n_max < D, got n_max={self.n_max}, D={self.D}"
+            )
+        if self.n_max - 1 > _MAX_ORDER:
+            raise ValidationError(
+                f"n_max={self.n_max} needs cumulant order {self.n_max - 1}, "
+                f"above the limit {_MAX_ORDER}"
             )
         if not 0.0 <= self.mass < inf:
             raise ValidationError("mass must be nonnegative and finite")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import StructureViolation
+from .errors import StructureViolation, ValidationError
 from .exact_series import NuPolynomial, bernoulli
 
 __all__ = [
@@ -31,6 +31,17 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+
+# Highest cumulant order served.  The cold cost grows about 1.4x per order
+# (order 16 takes about 5 s); a table with index n_max needs n_max - 1.
+_MAX_ORDER = 16
+
+
+def _check_order(max_order: int) -> None:
+    if max_order > _MAX_ORDER:
+        raise ValidationError(
+            f"cumulant order {max_order} above the limit {_MAX_ORDER}"
+        )
 
 
 def chi(i: int) -> int:
@@ -196,6 +207,7 @@ def omega(max_order: int = 10) -> list[GammaStructuredFunction]:
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
+    _check_order(max_order)
     return _extend(_OMEGAS, max_order, _omega_entry)[:max_order]
 
 
@@ -274,6 +286,7 @@ def omega_structures(max_order: int) -> tuple[StructuredOmega, ...]:
     """Structured forms of the cumulant functions of orders 1..max_order."""
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
+    _check_order(max_order)
     omegas = _extend(_OMEGAS, max_order, _omega_entry)
     structures = _extend(_STRUCTURES, max_order, lambda k: extract_structure(omegas[k]))
     return tuple(structures[:max_order])

@@ -4,10 +4,12 @@ the suspension, truncated heat traces and small-time coefficient fits.
 The Ferrers function is evaluated through its ascending hypergeometric
 series in (1 - x)/2.  The series is absolutely convergent for any opening
 angle below pi, but its partial sums grow roughly like exp(2 w atanh(sqrt z))
-before collapsing to an O(1) value, so the summation runs in arbitrary
-precision (mpmath) with the working precision chosen adaptively from the
-observed cancellation.  Nothing here shares code with the assembly pipeline
-it is used to verify.
+before collapsing to an O(1) value.  Every term ratio is a ratio of exact
+integers (omega, mu and z are doubles), so the summation runs on Python
+integers in binary fixed point, with the number of fractional bits chosen
+adaptively from the observed cancellation; mpmath only supplies the Ferrers
+prefactor and the Weyl tail.  Nothing here shares code with the assembly
+pipeline it is used to verify.
 """
 
 from __future__ import annotations
@@ -75,43 +77,48 @@ class FitResult:
     condition_number: float
 
 
-def _series_state(prec: int, omega: float, mu: float, z: float):
-    """Sum the hypergeometric factor of the Ferrers function at fixed
-    working precision.  Returns (sum, max term magnitude, converged flag
-    meaning the truncation error sits below the roundoff floor)."""
-    with mp.workprec(prec):
-        zz = mp.mpf(z)
-        four_w2 = 4 * mp.mpf(omega) ** 2
-        mmu = mp.mpf(mu)
-        term = mp.one
-        total = mp.one
-        max_abs = mp.one
-        stop_below = mp.mpf(2) ** (-(prec - 3))
-        turn = abs(omega)
-        m = 0
-        while True:
-            # (m + 1/2)^2 - w^2 written over exact integers
-            num = (2 * m + 1) ** 2 - four_w2
-            den = (4 * (m + 1)) * (m + 1 + mmu)
-            term = term * num * zz / den
-            total += term
-            m += 1
-            a = abs(term)
-            if a > max_abs:
-                max_abs = a
-                stop_below = max_abs * mp.mpf(2) ** (-(prec - 3))
-            elif a < stop_below and m > turn:
-                return total, max_abs
-            if m > _MAX_SERIES_TERMS:
-                raise SlowConvergence("Ferrers series exceeded the term budget")
+def _series_state(prec: int, omega: float, mu: float, z: float) -> tuple[int, int]:
+    """Sum the hypergeometric factor of the Ferrers function in binary fixed
+    point: integers scaled by 2**prec.  omega, mu and z are doubles, so every
+    term ratio is a ratio of exact integers; each step rounds toward zero.
+    Returns (sum, max term magnitude), both scaled; the summation stops once,
+    past the turning point, a term falls below 2**(3 - prec) times the
+    largest one."""
+    wn, wd = omega.as_integer_ratio()
+    un, ud = mu.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    wd2, four_wn2 = wd * wd, 4 * wn * wn
+    num_scale, den_scale = zn * ud, 4 * wd2 * zd
+    term = total = max_abs = 1 << prec
+    stop_below = max_abs >> (prec - 3)
+    turn = abs(omega)
+    m = 0
+    while True:
+        # ((m + 1/2)^2 - w^2) z / ((m + 1)(m + 1 + mu)) over exact integers
+        p = term * ((2 * m + 1) ** 2 * wd2 - four_wn2) * num_scale
+        q = den_scale * (m + 1) * ((m + 1) * ud + un)
+        # toward zero: a floored negative term can stall above stop_below
+        term = p // q if p >= 0 else -(-p // q)
+        total += term
+        m += 1
+        a = abs(term)
+        if a > max_abs:
+            max_abs = a
+            stop_below = max_abs >> (prec - 3)
+        elif a < stop_below and m > turn:
+            return total, max_abs
+        if m > _MAX_SERIES_TERMS:
+            raise SlowConvergence("Ferrers series exceeded the term budget")
 
 
 def _ferrers_factor(mu: float, omega: float, z: float, state: dict) -> float:
     """2F1(1/2 - w, 1/2 + w; 1 + mu; z), cancellation-safe.
 
-    ``state`` carries the working-precision hint between calls of the same
-    channel; precision is re-raised whenever the observed cancellation says
-    the current result cannot carry 53 good bits.
+    The series is summed in fixed point, first with 64 fractional bits or
+    the channel's hint; the bits lost to cancellation (log2 of max term over
+    sum) plus 70 decide whether the sum carries 53 good bits, and the
+    fractional bits are raised until it does.  ``state`` carries the hint
+    between calls of the same channel.
     """
     prec = state.get("prec", 64)
     prev_gap = prev_prec = None
@@ -119,13 +126,13 @@ def _ferrers_factor(mu: float, omega: float, z: float, state: dict) -> float:
         total, max_abs = _series_state(prec, omega, mu, z)
         if total == 0:
             return 0.0
-        gap = float(mp.log(max_abs / abs(total), 2))
+        gap = math.log2(max_abs) - math.log2(abs(total))
         needed = int(gap) + 70
         if needed <= prec:
             # generous hint: within a channel the cancellation grows with
             # omega, and extra bits are cheaper than re-summation
             state["prec"] = max(64, needed + 32)
-            return float(total)
+            return total / (1 << prec)  # correctly rounded
         if prev_gap is not None and gap - prev_gap > 0.9 * (prec - prev_prec):
             # the residual shrinks in lockstep with the working precision:
             # the sum is an analytic zero, not a cancellation shortfall
@@ -200,8 +207,10 @@ def dirichlet_roots(
     """
     if not 0.0 < theta0 <= THETA0_GUARD:
         raise ValidationError(f"theta0 must lie in (0, {THETA0_GUARD}]")
-    if not (math.isfinite(mu) and 0.0 < omega_max < math.inf):
-        raise ValidationError("mu must be finite, omega_max positive and finite")
+    if not (0.0 < mu < math.inf and 0.0 < omega_max < math.inf):
+        raise ValidationError(
+            "mu must be finite and positive, omega_max positive and finite"
+        )
     step = math.pi / (4.0 * theta0)
     if omega_max / step > _MAX_SCAN_POINTS:
         raise ValidationError(f"scan needs more than {_MAX_SCAN_POINTS} points")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from capheat import legendre_asymptotics
 from capheat.cli import run
 
 
@@ -13,6 +14,10 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def no_algebra(k):
+    raise AssertionError(f"cumulant order {k + 1} computed")
 
 
 class TestCoeffs:
@@ -155,6 +160,17 @@ class TestCoeffs:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
+    def test_order_limit(self, capsys, monkeypatch):
+        # D = 19 with n_max = 18 needs cumulant order 17
+        monkeypatch.setattr(legendre_asymptotics, "_omega_entry", no_algebra)
+        code, out, err = invoke(
+            capsys,
+            ["coeffs", "--dim", "19", "--theta0", "1", "--max-n", "18"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "above the limit 16" in err
+
 
 class TestOmega:
     def test_json_contains_reference_constant(self, capsys):
@@ -183,6 +199,13 @@ class TestOmega:
     def test_order_validation(self, capsys):
         code, _, err = invoke(capsys, ["omega", "--order", "0"])
         assert code == 2
+
+    def test_order_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(legendre_asymptotics, "_omega_entry", no_algebra)
+        code, out, err = invoke(capsys, ["omega", "--order", "17"])
+        assert code == 2
+        assert out == ""
+        assert "above the limit 16" in err
 
 
 class TestRoots:
@@ -217,6 +240,9 @@ class TestRoots:
         ("--mu", "nan", "mu must be finite"),
         ("--omega-max", "nan", "omega_max positive and finite"),
         ("--omega-max", "1e12", "scan needs more than"),
+        ("--mu", "-1", "mu must be finite and positive"),
+        ("--mu", "0", "mu must be finite and positive"),
+        ("--mu", "-0.5", "mu must be finite and positive"),
     ])
     def test_refused_inputs(self, capsys, flag, value, message):
         argv = {"--mu": "0.5", "--theta0": "1.0", "--omega-max": "5"}

@@ -241,6 +241,11 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             sphere_config(2, 0.8, 1, mass=mass)
 
+    def test_cumulant_order_limit(self):
+        sphere_config(18, 0.8, 17)  # order 16, the limit
+        with pytest.raises(ValidationError, match="above the limit"):
+            sphere_config(18, 0.8, 18)
+
 
 class TestTable:
     def test_entries_and_schema(self):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from capheat.errors import StructureViolation
+from capheat import legendre_asymptotics
+from capheat.errors import StructureViolation, ValidationError
 from capheat.exact_series import NuPolynomial, bernoulli, bessel_d_polynomial
 from capheat.legendre_asymptotics import (
+    _MAX_ORDER,
     GammaStructuredFunction,
     chi,
     extract_structure,
@@ -115,6 +117,16 @@ class TestStructure:
         assert len(low) == 6
         for i in range(6):
             assert low[i] is high[i]
+
+    def test_order_limit_refused_before_any_algebra(self, monkeypatch):
+        def fail(k):
+            raise AssertionError(f"cumulant order {k + 1} computed")
+
+        monkeypatch.setattr(legendre_asymptotics, "_omega_entry", fail)
+        with pytest.raises(ValidationError, match="above the limit"):
+            omega(_MAX_ORDER + 1)
+        with pytest.raises(ValidationError, match="above the limit"):
+            omega_structures(_MAX_ORDER + 1)
 
     def test_violation_detected(self):
         bad = GammaStructuredFunction.from_terms(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from capheat import spectral_oracle
 from capheat.errors import (
@@ -81,6 +82,36 @@ def bisection_roots(mu, theta0, omega_max, abs_tol=1e-10):
     return roots
 
 
+def mpf_series_state(prec, omega, mu, z):
+    """The Ferrers series summed in mpmath floating point at ``prec`` bits,
+    scaled to the kernel's fixed-point return convention."""
+    with mp.workprec(prec):
+        zz = mp.mpf(z)
+        four_w2 = 4 * mp.mpf(omega) ** 2
+        mmu = mp.mpf(mu)
+        term = total = max_abs = mp.one
+        stop_below = mp.mpf(2) ** (-(prec - 3))
+        m = 0
+        while True:
+            num = (2 * m + 1) ** 2 - four_w2
+            den = (4 * (m + 1)) * (m + 1 + mmu)
+            term = term * num * zz / den
+            total += term
+            m += 1
+            a = abs(term)
+            if a > max_abs:
+                max_abs = a
+                stop_below = max_abs * mp.mpf(2) ** (-(prec - 3))
+            elif a < stop_below and m > abs(omega):
+                break
+        # max_abs >= 1 scales exactly; the sum rounds to the nearest unit
+        return int(mp.nint(mp.ldexp(total, prec))), int(mp.ldexp(max_abs, prec))
+
+
+def use_mpf_kernel(monkeypatch):
+    monkeypatch.setattr(spectral_oracle, "_series_state", mpf_series_state)
+
+
 def count_evaluations(monkeypatch) -> list[int]:
     calls = [0]
 
@@ -128,6 +159,35 @@ class TestFerrers:
         for mu, omega in ((math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan)):
             with pytest.raises(ValidationError):
                 ferrers_p(mu, omega, 0.3)
+
+
+class TestFixedPointKernel:
+    @pytest.mark.parametrize("mu", [0.5, 1.5, 7.5])
+    @pytest.mark.parametrize("omega", [0.0, 0.74, 5.3, 25.1, 60.2])
+    def test_factor_bit_identical_to_mpf(self, monkeypatch, mu, omega):
+        zs = (0.1, 0.25, 0.5, 0.895)
+        fixed = [_ferrers_factor(mu, omega, z, {}) for z in zs]
+        use_mpf_kernel(monkeypatch)
+        assert fixed == [_ferrers_factor(mu, omega, z, {}) for z in zs]
+
+    @pytest.mark.parametrize("mu", [0.5, 3.0])
+    @pytest.mark.parametrize("theta0", [math.pi / 3, math.pi / 2])
+    def test_roots_bit_identical_to_mpf(self, monkeypatch, mu, theta0):
+        roots = dirichlet_roots(mu, theta0, 20.0)
+        assert roots
+        use_mpf_kernel(monkeypatch)
+        assert roots == dirichlet_roots(mu, theta0, 20.0)
+
+    @pytest.mark.parametrize("mu", [0.5, 2.5])
+    @pytest.mark.parametrize("omega", [0.74, 1.11, 1.48])
+    def test_negative_terms_round_toward_zero(self, monkeypatch, mu, omega):
+        # the term ratio nears z = 0.895 with negative terms; a floored
+        # quotient sticks at -9 units, above the stop threshold of 8, and
+        # runs out the term budget
+        value = ferrers_p(mu, omega, -0.79)
+        assert math.isfinite(value)
+        use_mpf_kernel(monkeypatch)
+        assert value == ferrers_p(mu, omega, -0.79)
 
 
 class TestDirichletRoots:
@@ -197,6 +257,12 @@ class TestDirichletRoots:
     def test_non_finite_inputs(self, mu, omega_max):
         with pytest.raises(ValidationError):
             dirichlet_roots(mu, 1.0, omega_max)
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, -0.5])
+    def test_nonpositive_mu(self, mu):
+        # the same domain as ferrers_p; mu = -1 used to divide by zero
+        with pytest.raises(ValidationError, match="positive"):
+            dirichlet_roots(mu, 1.0, 5.0)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("theta0", [0.6, 1.2, 2.0])
