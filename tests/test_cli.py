@@ -2,12 +2,24 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from capheat import legendre_asymptotics
+import capheat
+from capheat import cli, legendre_asymptotics, spectral_oracle
 from capheat.cli import run
+from capheat.errors import (
+    DivergentAtOne,
+    GammaPole,
+    ParameterPole,
+    StructureViolation,
+)
 
 
 def invoke(capsys, argv):
@@ -18,6 +30,63 @@ def invoke(capsys, argv):
 
 def no_algebra(k):
     raise AssertionError(f"cumulant order {k + 1} computed")
+
+
+def no_evaluation(*args):
+    # fails fast, where a missing cutoff check would run for days
+    raise AssertionError("Ferrers series evaluated")
+
+
+# coeffs, omega (json and tex) and roots, then the two oracle entry points
+# that need numpy and mpmath; each snapshot lists which of the two is loaded
+IMPORT_PROBE = """
+import contextlib, io, math, sys
+from capheat import AngleParams, SphereBase, SuspensionConfig
+from capheat.cli import run
+from capheat.spectral_oracle import ferrers_p, heat_trace
+
+def loaded():
+    print(" ".join(m for m in ("numpy", "mpmath") if m in sys.modules))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["coeffs", "--dim", "4", "--theta0", "1.0", "--max-n", "3"],
+        ["omega", "--order", "3", "--format", "json"],
+        ["omega", "--order", "3", "--format", "tex"],
+        ["roots", "--mu", "0.5", "--theta0", "1.0", "--omega-max", "10"],
+    ):
+        assert run(argv) == 0, argv
+loaded()
+cfg = SuspensionConfig(D=3, angle=AngleParams.from_theta0(math.pi / 2),
+                       base=SphereBase(2), n_max=1)
+heat_trace(cfg, [0.3], omega_max=15.0)
+ferrers_p(0.5, 1.0, 0.3)
+loaded()
+"""
+
+
+@pytest.fixture(scope="module")
+def import_snapshots():
+    src = str(Path(capheat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")[:2]
+
+
+class TestImports:
+    def test_commands_load_neither_numpy_nor_mpmath(self, import_snapshots):
+        assert import_snapshots[0] == ""
+
+    def test_oracle_loads_both(self, import_snapshots):
+        # the probe sees an import when one happens
+        assert import_snapshots[1] == "numpy mpmath"
 
 
 class TestCoeffs:
@@ -171,6 +240,22 @@ class TestCoeffs:
         assert out == ""
         assert "above the limit 16" in err
 
+    @pytest.mark.parametrize(
+        "error", [GammaPole, ParameterPole, DivergentAtOne, StructureViolation]
+    )
+    def test_package_errors_map_to_error_object(self, capsys, monkeypatch, error):
+        def fail(*args):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "compute_table", fail)
+        code, out, _ = invoke(
+            capsys, ["coeffs", "--dim", "3", "--theta0", "1", "--max-n", "1"]
+        )
+        assert code == 3
+        assert json.loads(out) == {
+            "error": {"type": error.__name__, "message": "injected"}
+        }
+
 
 class TestOmega:
     def test_json_contains_reference_constant(self, capsys):
@@ -243,8 +328,10 @@ class TestRoots:
         ("--mu", "-1", "mu must be finite and positive"),
         ("--mu", "0", "mu must be finite and positive"),
         ("--mu", "-0.5", "mu must be finite and positive"),
+        ("--omega-max", "70000", "above the limit 1000"),
     ])
-    def test_refused_inputs(self, capsys, flag, value, message):
+    def test_refused_inputs(self, capsys, monkeypatch, flag, value, message):
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
         argv = {"--mu": "0.5", "--theta0": "1.0", "--omega-max": "5"}
         argv[flag] = value
         code, out, err = invoke(capsys, ["roots", *sum(argv.items(), ())])
@@ -310,3 +397,32 @@ class TestVerify:
         )
         assert code == 2
         assert "n < D" in err
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--tolerance", "nan"], "tolerance must be positive and finite"),
+        (["--tolerance", "nan", "--omega-max", "20"], "tolerance must be"),
+        (["--tolerance", "0"], "tolerance must be positive and finite"),
+        (["--t-max", "inf"], "both finite"),
+        (["--t-min", "nan"], "both finite"),
+        (["--points", "100000000"], "--points must lie in 1..10000"),
+        # the default cutoff for t = 1e-7 is about 22,000
+        (["--t-min", "1e-7", "--t-max", "1e-6"], "above the limit 1000"),
+    ], ids=["tolerance-nan", "tolerance-nan-cutoff", "tolerance-0",
+            "t-max-inf", "t-min-nan", "points", "default-cutoff"])
+    def test_refused_inputs(self, capsys, monkeypatch, extra, message):
+        real_geomspace = np.geomspace
+
+        def small_geomspace(start, stop, num):
+            assert num <= 1000, "time grid allocated"
+            return real_geomspace(start, stop, num)
+
+        monkeypatch.setattr(np, "geomspace", small_geomspace)
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        code, out, err = invoke(
+            capsys,
+            ["verify", "--dim", "3", "--theta0", "1", "--max-n", "1",
+             "--t-min", "0.05", "--t-max", "0.5", *extra],
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err

@@ -19,9 +19,11 @@ from capheat.special_eval import AngleParams
 from capheat.spectral_oracle import (
     EigenvalueChannel,
     HeatTraceSample,
+    _MAX_OMEGA,
     _MAX_SCAN_POINTS,
     _check_positivity,
     _ferrers_factor,
+    default_omega_max,
     dirichlet_roots,
     ferrers_p,
     fit_asymptotics,
@@ -251,6 +253,21 @@ class TestDirichletRoots:
             dirichlet_roots(0.5, 1.0, 1e300)
         assert calls[0] == 0
 
+    # 70,000 at theta0 = 1 needs 89,127 scan points, under the scan cap
+    @pytest.mark.parametrize("theta0,omega_max", [
+        (1.0, 70_000.0), (1.0, 1.001 * _MAX_OMEGA), (2.2, 1.001 * _MAX_OMEGA),
+    ])
+    def test_cutoff_limit_refused_before_any_work(
+        self, monkeypatch, theta0, omega_max
+    ):
+        # fails fast, where a missing check would run for days
+        def no_evaluation(*args):
+            raise AssertionError("Ferrers series evaluated")
+
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        with pytest.raises(ValidationError, match="above the limit"):
+            dirichlet_roots(0.5, theta0, omega_max)
+
     @pytest.mark.parametrize("mu,omega_max", [
         (math.nan, 10.0), (math.inf, 10.0), (0.5, math.nan), (0.5, math.inf),
     ])
@@ -318,6 +335,28 @@ class TestHeatTrace:
         cfg = hemisphere_cfg()
         with pytest.raises(TailTooLarge):
             heat_trace(cfg, [1e-4], tolerance=1e-6, omega_max=12.0)
+
+    def test_underflowed_trace(self):
+        # exp(-3 t) underflows to 0 for every mode: no relative tail exists
+        cfg = hemisphere_cfg()
+        with pytest.raises(TailTooLarge, match="relative tail inf"):
+            heat_trace(cfg, [1e4], tolerance=1e-6, omega_max=15.0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-6, math.inf])
+    def test_tolerance_refused(self, tolerance):
+        cfg = hemisphere_cfg()
+        with pytest.raises(ValidationError, match="tolerance"):
+            heat_trace(cfg, [0.3], tolerance=tolerance, omega_max=15.0)
+        with pytest.raises(ValidationError, match="tolerance"):
+            default_omega_max(3, 0.05, tolerance)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_times_refused(self, t):
+        cfg = hemisphere_cfg()
+        with pytest.raises(ValidationError, match="positive and finite"):
+            heat_trace(cfg, [0.3, t], tolerance=1e-6, omega_max=15.0)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            default_omega_max(3, t, 1e-6)
 
     def test_tail_bound_below_tolerance(self):
         cfg = hemisphere_cfg()
