@@ -2,13 +2,7 @@
 suspensions (Riemann caps), assembled from base-manifold data and verified
 against an independent Legendre-function eigenvalue oracle."""
 
-from .exact_series import (
-    NuPolynomial,
-    bernoulli,
-    bessel_d_polynomial,
-    sinh_ratio_coefficients,
-    u_polynomial,
-)
+from .exact_series import bernoulli, sinh_ratio_coefficients
 from .heat_coeffs import (
     BaseDescriptor,
     CoefficientTable,
@@ -24,7 +18,7 @@ from .heat_coeffs import (
     table_to_dict,
 )
 from .legendre_asymptotics import (
-    GammaStructuredFunction,
+    NuGPolynomial,
     StructuredOmega,
     chi,
     extract_structure,
@@ -33,7 +27,6 @@ from .legendre_asymptotics import (
 )
 from .special_eval import (
     AngleParams,
-    EvalPrecision,
     c1,
     c2,
     c3,

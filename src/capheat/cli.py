@@ -12,8 +12,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+from itertools import groupby
 
 from .errors import CapheatError, ValidationError
 from .heat_coeffs import (
@@ -24,7 +24,7 @@ from .heat_coeffs import (
     table_to_dict,
 )
 from .legendre_asymptotics import omega as omega_functions
-from .special_eval import DEFAULT_PRECISION, AngleParams, EvalPrecision
+from .special_eval import AngleParams
 from .spectral_oracle import (
     default_omega_max,
     fit_asymptotics,
@@ -32,20 +32,9 @@ from .spectral_oracle import (
     dirichlet_roots,
 )
 
-TOL_ENV_VAR = "CAPHEAT_TOL"
 # each verify time sample is one pass over every root: 10,000 samples take
 # 2.5 s over the README example's 1,777 roots (2-core VM, Python 3.11)
 _MAX_POINTS = 10_000
-
-
-def _precision_from(args) -> EvalPrecision:
-    tol = getattr(args, "eval_tol", None)
-    if tol is None:
-        env = os.environ.get(TOL_ENV_VAR)
-        tol = float(env) if env else None
-    if tol is None:
-        return DEFAULT_PRECISION
-    return EvalPrecision(rel_tol=tol)
 
 
 def _angle_from(args) -> AngleParams:
@@ -90,7 +79,7 @@ def cmd_coeffs(args) -> int:
         n_max=args.max_n,
         mass=args.mass,
     )
-    table = compute_table(cfg, _precision_from(args))
+    table = compute_table(cfg)
     if args.format == "json":
         _emit_json(table_to_dict(table))
     else:
@@ -101,28 +90,38 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def _omega_payload(order: int) -> dict:
-    functions = []
+def _omega_parts(order: int):
+    """(i, [(j, [(e, c), ...]), ...]) per cumulant function: its nonzero
+    (1 + gamma^2)^(-j) parts with their v^e coefficients, in ascending j and e."""
     for i, om in enumerate(omega_functions(order), start=1):
-        parts = []
-        for j in sorted(om.terms):
-            poly = om.part(j)
-            coeffs = {str(e): str(c) for e, c in poly.monomials()}
-            parts.append({"j": j, "coefficients": coeffs})
-        functions.append({"i": i, "parts": parts})
+        parts = groupby(om.monomials(), key=lambda m: m[0][0])
+        yield i, [(j, [(e, c) for (_, e), c in group]) for j, group in parts]
+
+
+def _omega_payload(order: int) -> dict:
+    functions = [
+        {
+            "i": i,
+            "parts": [
+                {"j": j, "coefficients": {str(e): str(c) for e, c in monos}}
+                for j, monos in parts
+            ],
+        }
+        for i, parts in _omega_parts(order)
+    ]
     return {"max_order": order, "functions": functions}
 
 
 def _omega_tex(order: int) -> str:
     lines = []
-    for i, om in enumerate(omega_functions(order), start=1):
+    for i, parts in _omega_parts(order):
         pieces = []
-        for j in sorted(om.terms):
+        for j, monos in parts:
             body = " + ".join(
                 rf"\frac{{{c.numerator}}}{{{c.denominator}}} \nu^{{{e}}}"
                 if e
                 else rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
-                for e, c in om.part(j).monomials()
+                for e, c in monos
             )
             if j == 0:
                 pieces.append(body)
@@ -181,14 +180,14 @@ def cmd_verify(args) -> int:
         base=SphereBase(args.dim - 1),
         n_max=args.max_n,
     )
-    omega_max = args.omega_max or default_omega_max(
-        args.dim, args.t_min, args.tolerance
-    )
+    omega_max = args.omega_max
+    if omega_max is None:
+        omega_max = default_omega_max(args.dim, args.t_min, args.tolerance)
     ts = [float(t) for t in np.geomspace(args.t_min, args.t_max, args.points)]
     samples = heat_trace(cfg, ts, tolerance=args.tolerance, omega_max=omega_max)
     n_fit = min(4, max(args.max_n + 2, 3))
     fit = fit_asymptotics(samples, args.dim, n_fit)
-    table = compute_table(cfg, _precision_from(args))
+    table = compute_table(cfg)
     predicted = {e.n: e.cal_A for e in table.entries}
 
     comparison = []
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--max-n", type=int, required=True, help="highest index n")
     p_coeffs.add_argument("--mass", type=float, default=0.0)
     p_coeffs.add_argument("--format", choices=["json", "csv"], default="json")
-    p_coeffs.add_argument("--eval-tol", type=float, default=None)
     p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_omega = sub.add_parser("omega", help="print the cumulant-function tables")
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=1e-6)
     p_verify.add_argument("--omega-max", type=float, default=None)
     p_verify.add_argument("--trace-csv", default=None, help="write samples CSV here")
-    p_verify.add_argument("--eval-tol", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -15,15 +15,7 @@ from typing import Mapping, Union
 from . import sphere_base
 from .errors import IndexOutOfRange, InsufficientBaseData, ValidationError
 from .legendre_asymptotics import _MAX_ORDER, omega_structures
-from .special_eval import (
-    DEFAULT_PRECISION,
-    SQRT_PI,
-    AngleParams,
-    EvalPrecision,
-    _gamma_num,
-    c1,
-    f_total,
-)
+from .special_eval import SQRT_PI, AngleParams, _gamma_num, c1, f_total
 
 __all__ = [
     "SphereBase",
@@ -151,11 +143,7 @@ def base_coefficient(base: BaseDescriptor, n: int) -> float:
         ) from None
 
 
-def assemble_script_A(
-    cfg: SuspensionConfig,
-    n: int,
-    precision: EvalPrecision = DEFAULT_PRECISION,
-) -> float:
+def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
     """Coefficient of index n/2 for the shifted operator on the suspension.
 
     sin^(D-n) [ C1/(2 sqrt(pi) (D-n)) * a_(n/2)
@@ -174,7 +162,7 @@ def assemble_script_A(
     total = (
         sin_pow
         / (2.0 * SQRT_PI * dmn)
-        * c1(angle, dmn, precision)
+        * c1(angle, dmn)
         * base_coefficient(cfg.base, n)
     )
     if n >= 1:
@@ -186,7 +174,7 @@ def assemble_script_A(
             if a_base == 0.0:
                 continue
             total -= sin_pow * a_base * f_total(
-                i, structures[i - 1], angle, dmn, precision
+                i, structures[i - 1], angle, dmn
             )
     return total
 
@@ -227,15 +215,13 @@ def log_coefficient(base: BaseDescriptor) -> float | None:
     return 0.5 * base.residue_at_minus_half
 
 
-def compute_table(
-    cfg: SuspensionConfig, precision: EvalPrecision = DEFAULT_PRECISION
-) -> CoefficientTable:
+def compute_table(cfg: SuspensionConfig) -> CoefficientTable:
     """Assemble the full coefficient table for indices 0..n_max.
 
     cal_A entries are the pure-Laplacian coefficients, with any mass term
     folded in (a mass only reshuffles coefficients, exactly like the shift).
     """
-    script = {n: assemble_script_A(cfg, n, precision) for n in range(cfg.n_max + 1)}
+    script = {n: assemble_script_A(cfg, n) for n in range(cfg.n_max + 1)}
     cal = shift_to_pure_laplacian(script, cfg.d)
     if cfg.mass:
         cal = mass_shift(cal, cfg.mass)

@@ -3,7 +3,7 @@
 The objects here live in the polynomial ring Q[v, g] where g stands for
 (1 + gamma^2)^(-1): every expansion function is a finite sum
 
-    sum_j g^j * P_j(v),
+    sum_{j, e} c_{j,e} g^j v^e,
 
 and the generating recurrence provably preserves this form, so all algebra
 is exact. ``omega`` produces the cumulant (logarithm) coefficients of the
@@ -13,15 +13,16 @@ the downstream residue formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import gcd, lcm
+from typing import Iterator, Mapping
 
 from .errors import StructureViolation, ValidationError
-from .exact_series import NuPolynomial, bernoulli
+from .exact_series import bernoulli
 
 __all__ = [
-    "GammaStructuredFunction",
+    "NuGPolynomial",
     "StructuredOmega",
     "chi",
     "phi",
@@ -32,8 +33,10 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-# Highest cumulant order served.  The cold cost grows about 1.4x per order
-# (order 16 takes about 5 s); a table with index n_max needs n_max - 1.
+# Highest cumulant order served; a table with index n_max needs n_max - 1.
+# The exact algebra takes about 0.5 s cold at order 16.  The cap stays there
+# because the double-precision angular weights (f_total) lose accuracy at
+# high order, not because of the algebra's cost.
 _MAX_ORDER = 16
 
 
@@ -51,97 +54,93 @@ def chi(i: int) -> int:
     return (1 + (-1) ** i) // 2 - i // 2
 
 
-@dataclass(frozen=True)
-class GammaStructuredFunction:
-    """Finite sum over j of (1 + gamma^2)^(-j) times a polynomial in v."""
+class NuGPolynomial:
+    """Element sum c_{j,e} g^j v^e of Q[v, g], g = (1 + gamma^2)^(-1).
 
-    order: int
-    terms: Mapping[int, NuPolynomial] = field(default_factory=dict)
+    ``num[(j, e)]`` is the integer numerator of c_{j,e} over the one positive
+    denominator ``den``; zero numerators are dropped and the fraction is in
+    lowest terms.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Mapping[tuple[int, int], int], den: int = 1):
+        num = {k: c for k, c in num.items() if c}
+        g = gcd(den, *num.values())
+        self.num = {k: c // g for k, c in num.items()} if g > 1 else num
+        self.den = den // g
 
     @classmethod
-    def from_terms(cls, order: int, terms: Mapping[int, NuPolynomial]):
-        clean = {j: p for j, p in terms.items() if not p.is_zero()}
-        return cls(order, clean)
+    def from_monomials(cls, coeffs: Mapping[tuple[int, int], Fraction | int]):
+        """The polynomial with coefficient ``coeffs[(j, e)]`` at g^j v^e."""
+        den = lcm(*(Fraction(c).denominator for c in coeffs.values()))
+        return cls({k: int(c * den) for k, c in coeffs.items()}, den)
 
-    @classmethod
-    def constant(cls, order: int, value) -> "GammaStructuredFunction":
-        return cls.from_terms(order, {0: NuPolynomial.monomial(value, 0)})
+    def __add__(self, other: "NuGPolynomial") -> "NuGPolynomial":
+        g = gcd(self.den, other.den)
+        mine, theirs = other.den // g, self.den // g
+        out = {k: c * mine for k, c in self.num.items()}
+        for k, c in other.num.items():
+            out[k] = out.get(k, 0) + c * theirs
+        return NuGPolynomial(out, self.den * mine)
 
-    def part(self, j: int) -> NuPolynomial:
-        return self.terms.get(j, NuPolynomial.zero())
+    def __mul__(self, other: "NuGPolynomial") -> "NuGPolynomial":
+        out: dict[tuple[int, int], int] = {}
+        for (j1, e1), c1 in self.num.items():
+            for (j2, e2), c2 in other.num.items():
+                k = (j1 + j2, e1 + e2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return NuGPolynomial(out, self.den * other.den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GammaStructuredFunction):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        return all(self.part(j) == other.part(j) for j in keys)
-
-    def __add__(self, other: "GammaStructuredFunction"):
-        order = max(self.order, other.order)
-        keys = set(self.terms) | set(other.terms)
-        return GammaStructuredFunction.from_terms(
-            order, {j: self.part(j) + other.part(j) for j in keys}
+    def scale(self, factor: Fraction | int) -> "NuGPolynomial":
+        f = Fraction(factor)
+        return NuGPolynomial(
+            {k: c * f.numerator for k, c in self.num.items()}, self.den * f.denominator
         )
 
-    def __sub__(self, other: "GammaStructuredFunction"):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, factor) -> "GammaStructuredFunction":
-        return GammaStructuredFunction.from_terms(
-            self.order, {j: p.scale(factor) for j, p in self.terms.items()}
-        )
-
-    def mul_poly(self, poly: NuPolynomial) -> "GammaStructuredFunction":
-        return GammaStructuredFunction.from_terms(
-            self.order, {j: p * poly for j, p in self.terms.items()}
-        )
-
-    def shift_j(self, by: int = 1) -> "GammaStructuredFunction":
-        """Multiply by (1 + gamma^2)^(-by)."""
-        return GammaStructuredFunction.from_terms(
-            self.order, {j + by: p for j, p in self.terms.items()}
-        )
-
-    def __mul__(self, other: "GammaStructuredFunction"):
-        out: dict[int, NuPolynomial] = {}
-        for j1, p1 in self.terms.items():
-            for j2, p2 in other.terms.items():
-                j = j1 + j2
-                prod = p1 * p2
-                out[j] = out.get(j, NuPolynomial.zero()) + prod
-        return GammaStructuredFunction.from_terms(self.order + other.order, out)
-
-    def derivative_nu(self) -> "GammaStructuredFunction":
-        return GammaStructuredFunction.from_terms(
-            self.order, {j: p.derivative() for j, p in self.terms.items()}
-        )
-
-    def integral_from_one(self) -> "GammaStructuredFunction":
-        return GammaStructuredFunction.from_terms(
-            self.order, {j: p.integral_from(1) for j, p in self.terms.items()}
-        )
+    def monomials(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+        """((j, e), c_{j,e}) for each nonzero coefficient, in ascending (j, e)."""
+        for k in sorted(self.num):
+            yield k, Fraction(self.num[k], self.den)
 
 
-_ONE_MINUS_NU2 = NuPolynomial.from_coeffs([1, 0, -1])
-_NU2 = NuPolynomial.from_coeffs([0, 0, 1])
-_Q = NuPolynomial.from_coeffs([-1, 0, 5])  # quadratic weight 5 v^2 - 1
-_ONE_MINUS_Q = NuPolynomial.one() - _Q
+def _phi_step(f: NuGPolynomial) -> NuGPolynomial:
+    """One step of the Phi recurrence, a linear map on monomials.
 
+    Derivative part: (1 - v^2)(1 + gamma^2 v^2) / (2 (1 + gamma^2)) * df/dv,
+    where (1 + gamma^2 v^2)/(1 + gamma^2) = v^2 + (1 - v^2) g.  Integral part:
+    -(g/8) int_1^v [gamma^2 q(t) + 1] f(t) dt with the quadratic weight
+    q = 5 t^2 - 1, where g (gamma^2 q + 1) = q + (1 - q) g.  So c g^j v^e maps to
 
-def _phi_step(f: GammaStructuredFunction) -> GammaStructuredFunction:
-    # Derivative part: (1 - v^2)(1 + g^2 v^2) / (2 (1 + g^2)) * df/dv, with
-    # (1 + g^2 v^2)/(1 + g^2) rewritten as v^2 + (1 - v^2) (1 + g^2)^(-1).
-    g = f.derivative_nu().mul_poly(_ONE_MINUS_NU2).scale(Fraction(1, 2))
-    deriv_part = g.mul_poly(_NU2) + g.mul_poly(_ONE_MINUS_NU2).shift_j()
+        (c e / 2) (v^(e+1) - v^(e+3)) g^j
+        + (c e / 2) (v^(e-1) - 2 v^(e+1) + v^(e+3)) g^(j+1)
+        - (c / 8) [5 (v^(e+3) - 1)/(e+3) - (v^(e+1) - 1)/(e+1)] g^j
+        - (c / 8) [2 (v^(e+1) - 1)/(e+1) - 5 (v^(e+3) - 1)/(e+3)] g^(j+1).
+    """
+    # every numerator below is an integer over the common denominator den * m
+    m = 8 * lcm(*(e + k for _, e in f.num for k in (1, 3)))
+    out: dict[tuple[int, int], int] = {}
 
-    # Integral part: -(1/(8 (1 + g^2))) int_1^v [g^2 q(t) + 1] f(t) dt with the
-    # quadratic weight q = 5 t^2 - 1; g^2 q + 1 = (1 + g^2) q + (1 - q).
-    int_plain = f.mul_poly(_Q).integral_from_one().scale(Fraction(-1, 8))
-    int_shift = (
-        f.mul_poly(_ONE_MINUS_Q).integral_from_one().scale(Fraction(-1, 8)).shift_j()
-    )
-    result = deriv_part + int_plain + int_shift
-    return GammaStructuredFunction.from_terms(f.order + 1, result.terms)
+    def put(j: int, e: int, c: int) -> None:
+        out[j, e] = out.get((j, e), 0) + c
+
+    for (j, e), c in f.num.items():
+        if e:
+            h = c * e * m // 2
+            put(j, e + 1, h)
+            put(j, e + 3, -h)
+            put(j + 1, e - 1, h)
+            put(j + 1, e + 1, -2 * h)
+            put(j + 1, e + 3, h)
+        a = c * m // (8 * (e + 1))
+        b = 5 * c * m // (8 * (e + 3))
+        put(j, e + 1, a)
+        put(j, e + 3, -b)
+        put(j, 0, b - a)
+        put(j + 1, e + 1, -2 * a)
+        put(j + 1, e + 3, b)
+        put(j + 1, 0, 2 * a - b)
+    return NuGPolynomial(out, f.den * m)
 
 
 # Shared prefix caches, filled in ascending order: _PHIS[n] is Phi_n,
@@ -149,9 +148,9 @@ def _phi_step(f: GammaStructuredFunction) -> GammaStructuredFunction:
 # _STRUCTURES[n - 1] the cumulant function of order n and its structured
 # form.  Asking for a lower order reuses the stored entries; asking for a
 # higher one computes only the missing tail.
-_PHIS: list[GammaStructuredFunction] = [GammaStructuredFunction.constant(0, 1)]
-_LOGS: list[GammaStructuredFunction] = [GammaStructuredFunction.constant(0, 0)]
-_OMEGAS: list[GammaStructuredFunction] = []
+_PHIS: list[NuGPolynomial] = [NuGPolynomial({(0, 0): 1})]
+_LOGS: list[NuGPolynomial] = [NuGPolynomial({})]
+_OMEGAS: list[NuGPolynomial] = []
 _STRUCTURES: list["StructuredOmega"] = []
 
 
@@ -162,30 +161,32 @@ def _extend(cache: list, length: int, entry) -> list:
     return cache
 
 
-def _phi_entry(n: int) -> GammaStructuredFunction:
+def _phi_entry(n: int) -> NuGPolynomial:
     return _phi_step(_PHIS[n - 1])
 
 
-def _log_entry(m: int) -> GammaStructuredFunction:
-    # Cumulant log over the structured-function ring:
+def _log_entry(m: int) -> NuGPolynomial:
+    # Cumulant log over the ring:
     # l_m = Phi_m - (1/m) sum_{k<m} k l_k Phi_{m-k}.
     phis = _extend(_PHIS, m + 1, _phi_entry)
-    acc = GammaStructuredFunction.constant(0, 0)
+    acc = phis[m]
     for k in range(1, m):
-        acc = acc + (_LOGS[k] * phis[m - k]).scale(Fraction(k, m))
-    return GammaStructuredFunction.from_terms(m, (phis[m] - acc).terms)
+        acc = acc + (_LOGS[k] * phis[m - k]).scale(Fraction(-k, m))
+    return acc
 
 
-def _omega_entry(k: int) -> GammaStructuredFunction:
+def _omega_entry(k: int) -> NuGPolynomial:
     n = k + 1
     om = _extend(_LOGS, n + 1, _log_entry)[n]
     if n % 2 == 1:
         # Bernoulli counterterm at odd inverse powers.
-        om = om - GammaStructuredFunction.constant(0, bernoulli(n + 1) / (n * (n + 1)))
-    return GammaStructuredFunction.from_terms(n, om.terms)
+        om = om + NuGPolynomial.from_monomials(
+            {(0, 0): -bernoulli(n + 1) / (n * (n + 1))}
+        )
+    return om
 
 
-def phi(n: int) -> GammaStructuredFunction:
+def phi(n: int) -> NuGPolynomial:
     """n-th expansion function of the Legendre amplitude.
 
     Seeded with 1, each step applies the derivative term
@@ -198,7 +199,7 @@ def phi(n: int) -> GammaStructuredFunction:
     return _extend(_PHIS, n + 1, _phi_entry)[n]
 
 
-def omega(max_order: int = 10) -> list[GammaStructuredFunction]:
+def omega(max_order: int = 10) -> list[NuGPolynomial]:
     """Cumulant functions of orders 1..max_order.
 
     Defined by the formal identity (in the inverse expansion parameter)
@@ -225,59 +226,44 @@ class StructuredOmega:
     z0_coeffs: Mapping[int, Fraction]
     z_coeffs: Mapping[tuple[int, int], Fraction]
 
-    def reconstruct(self) -> GammaStructuredFunction:
+    def reconstruct(self) -> NuGPolynomial:
         i = self.order
-        terms: dict[int, NuPolynomial] = {
-            0: sum(
-                (
-                    NuPolynomial.monomial(c, i + 2 * b)
-                    for b, c in self.x_coeffs.items()
-                ),
-                NuPolynomial.zero(),
-            )
-        }
-        for j in range(1, i + 1):
-            p = NuPolynomial.monomial(self.z0_coeffs[j], 0)
-            for b in range(chi(i), i + 1):
-                p = p + NuPolynomial.monomial(self.z_coeffs[(b, j)], i + 2 * b)
-            terms[j] = p
-        return GammaStructuredFunction.from_terms(i, terms)
+        coeffs = {(0, i + 2 * b): c for b, c in self.x_coeffs.items()}
+        coeffs.update(((j, 0), c) for j, c in self.z0_coeffs.items())
+        coeffs.update(((j, i + 2 * b), c) for (b, j), c in self.z_coeffs.items())
+        return NuGPolynomial.from_monomials(coeffs)
 
 
-def extract_structure(omega_i: GammaStructuredFunction) -> StructuredOmega:
-    """Read off the x, z0 and z coefficient families of a cumulant function.
+def extract_structure(omega_i: NuGPolynomial, i: int) -> StructuredOmega:
+    """Read off the x, z0 and z coefficient families of the cumulant
+    function ``omega_i`` of order ``i``.
 
     Raises StructureViolation if any monomial falls outside the expected
     pattern (which would signal a recursion bug upstream).
     """
-    i = omega_i.order
     if i < 1:
         raise StructureViolation("structured form defined for order >= 1")
     lo = chi(i)
-    if any(j < 0 or j > i for j in omega_i.terms):
-        raise StructureViolation(f"inverse-gamma power outside 0..{i}")
-
     x_coeffs = {b: _ZERO for b in range(0, i + 1)}
-    for e, c in omega_i.part(0).monomials():
-        b, rem = divmod(e - i, 2)
-        if rem != 0 or b < 0 or b > i:
-            raise StructureViolation(
-                f"gamma-free monomial v^{e} outside the v^(i+2b) family"
-            )
-        x_coeffs[b] = c
-
     z0_coeffs = {j: _ZERO for j in range(1, i + 1)}
     z_coeffs = {(b, j): _ZERO for j in range(1, i + 1) for b in range(lo, i + 1)}
-    for j in range(1, i + 1):
-        for e, c in omega_i.part(j).monomials():
-            if e == 0:
-                z0_coeffs[j] = c
-                continue
-            b, rem = divmod(e - i, 2)
-            if rem != 0 or b < lo or b > i:
+    for (j, e), c in omega_i.monomials():
+        if j > i:
+            raise StructureViolation(f"inverse-gamma power outside 0..{i}")
+        b, rem = divmod(e - i, 2)
+        if j == 0:
+            if rem != 0 or b < 0 or b > i:
                 raise StructureViolation(
-                    f"monomial v^{e} at inverse-gamma power {j} outside pattern"
+                    f"gamma-free monomial v^{e} outside the v^(i+2b) family"
                 )
+            x_coeffs[b] = c
+        elif e == 0:
+            z0_coeffs[j] = c
+        elif rem != 0 or b < lo or b > i:
+            raise StructureViolation(
+                f"monomial v^{e} at inverse-gamma power {j} outside pattern"
+            )
+        else:
             z_coeffs[(b, j)] = c
     return StructuredOmega(i, x_coeffs, z0_coeffs, z_coeffs)
 
@@ -288,5 +274,7 @@ def omega_structures(max_order: int) -> tuple[StructuredOmega, ...]:
         raise ValueError("max_order must be nonnegative")
     _check_order(max_order)
     omegas = _extend(_OMEGAS, max_order, _omega_entry)
-    structures = _extend(_STRUCTURES, max_order, lambda k: extract_structure(omegas[k]))
+    structures = _extend(
+        _STRUCTURES, max_order, lambda k: extract_structure(omegas[k], k + 1)
+    )
     return tuple(structures[:max_order])

@@ -17,8 +17,6 @@ from .legendre_asymptotics import StructuredOmega, chi
 
 __all__ = [
     "AngleParams",
-    "EvalPrecision",
-    "DEFAULT_PRECISION",
     "SQRT_PI",
     "recip_gamma",
     "gauss_2f1",
@@ -60,21 +58,10 @@ class AngleParams:
         return math.copysign(math.sqrt(self.cos2), math.cos(self.theta0))
 
 
-@dataclass(frozen=True)
-class EvalPrecision:
-    """Series termination policy."""
-
-    rel_tol: float = 1e-13
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-6:
-            raise ValueError("rel_tol must lie in (0, 1e-6]")
-        if self.max_terms < 1_000:
-            raise ValueError("max_terms must be at least 1000")
-
-
-DEFAULT_PRECISION = EvalPrecision()
+# Series termination: two consecutive terms below _REL_TOL of the partial
+# sum end a series; one still running after _MAX_TERMS terms is an error.
+_REL_TOL = 1e-13
+_MAX_TERMS = 100_000
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -111,7 +98,6 @@ def _series_2f1(
     b: float,
     c: float,
     x: float,
-    precision: EvalPrecision,
     nterms: int | None = None,
 ) -> float:
     """Direct ascending series with Kahan summation.
@@ -134,16 +120,16 @@ def _series_2f1(
             if m >= nterms:
                 return total
             continue
-        if abs(term) <= precision.rel_tol * abs(total) and m > settled:
+        if abs(term) <= _REL_TOL * abs(total) and m > settled:
             small_streak += 1
             if small_streak >= 2:
                 return total
         else:
             small_streak = 0
-        if m >= precision.max_terms:
+        if m >= _MAX_TERMS:
             raise SlowConvergence(
                 f"hypergeometric series at x={x} not converged "
-                f"after {precision.max_terms} terms"
+                f"after {_MAX_TERMS} terms"
             )
 
 
@@ -153,9 +139,7 @@ def _gauss_value(a: float, b: float, c: float) -> float:
     return _gamma_num(c) * _gamma_num(w) * recip_gamma(c - a) * recip_gamma(c - b)
 
 
-def _hyp2f1(
-    a: float, b: float, c: float, x: float, xc: float, precision: EvalPrecision
-) -> float:
+def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
     """2F1 on [0, 1] given the argument and its exact complement xc = 1 - x.
 
     Carrying the complement separately keeps arguments like cos^2(theta)
@@ -171,7 +155,7 @@ def _hyp2f1(
     # Terminating series: sum it exactly, any argument.
     cutoffs = [int(-p) for p in (a, b) if _is_nonpositive_integer(p)]
     if cutoffs:
-        return _series_2f1(a, b, c, x, precision, nterms=min(cutoffs))
+        return _series_2f1(a, b, c, x, nterms=min(cutoffs))
 
     if x == 1.0 or xc == 0.0:
         if c - a - b <= 0.0:
@@ -181,7 +165,7 @@ def _hyp2f1(
         return _gauss_value(a, b, c)
 
     if x <= 0.5:
-        return _series_2f1(a, b, c, x, precision)
+        return _series_2f1(a, b, c, x)
 
     w = c - a - b
     if abs(w - round(w)) > 0.05:
@@ -193,7 +177,7 @@ def _hyp2f1(
             * _gamma_num(w)
             * recip_gamma(c - a)
             * recip_gamma(c - b)
-            * _series_2f1(a, b, 1.0 - w, xc, precision)
+            * _series_2f1(a, b, 1.0 - w, xc)
         )
         second = (
             xc**w
@@ -201,7 +185,7 @@ def _hyp2f1(
             * _gamma_num(-w)
             * recip_gamma(a)
             * recip_gamma(b)
-            * _series_2f1(c - a, c - b, 1.0 + w, xc, precision)
+            * _series_2f1(c - a, c - b, 1.0 + w, xc)
         )
         return first + second
 
@@ -209,31 +193,25 @@ def _hyp2f1(
     # terminates, else to the direct series with the term-count guard.
     euler_cut = [int(-p) for p in (c - a, c - b) if _is_nonpositive_integer(p)]
     if euler_cut:
-        return xc**w * _series_2f1(
-            c - a, c - b, c, x, precision, nterms=min(euler_cut)
-        )
-    return _series_2f1(a, b, c, x, precision)
+        return xc**w * _series_2f1(c - a, c - b, c, x, nterms=min(euler_cut))
+    return _series_2f1(a, b, c, x)
 
 
-def gauss_2f1(
-    a: float, b: float, c: float, x: float, precision: EvalPrecision = DEFAULT_PRECISION
-) -> float:
+def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; x) for x in [0, 1].
 
     Symmetric in (a, b) bit for bit.  At x = 1 the Gauss summation formula is
     used and requires c - a - b > 0.
     """
-    return _hyp2f1(a, b, c, x, 1.0 - x, precision)
+    return _hyp2f1(a, b, c, x, 1.0 - x)
 
 
-def c1(
-    angle: AngleParams, two_s: float, precision: EvalPrecision = DEFAULT_PRECISION
-) -> float:
+def c1(angle: AngleParams, two_s: float) -> float:
     """Closed-form angular factor 2F1(1/2, s, s+1; sin^2 theta0), s = two_s/2."""
     if two_s <= 0.0:
         raise ValueError("two_s must be positive")
     s = 0.5 * two_s
-    return _hyp2f1(0.5, s, s + 1.0, angle.sin2, angle.cos2, precision)
+    return _hyp2f1(0.5, s, s + 1.0, angle.sin2, angle.cos2)
 
 
 def _inv_sin_power(angle: AngleParams, d_minus_n: float) -> float:
@@ -304,11 +282,7 @@ def c3(
 
 
 def c4(
-    i: int,
-    structure: StructuredOmega,
-    angle: AngleParams,
-    d_minus_n: float,
-    precision: EvalPrecision = DEFAULT_PRECISION,
+    i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
 ) -> float:
     """Hypergeometric form of the mixed coefficient family:
 
@@ -339,7 +313,7 @@ def c4(
             rg = recip_gamma(gamma_low)
             if rg == 0.0:
                 continue
-            hyp = _hyp2f1(-s, beta, gamma_low, angle.cos2, angle.sin2, precision)
+            hyp = _hyp2f1(-s, beta, gamma_low, angle.cos2, angle.sin2)
             term = (
                 float(coeff)
                 * cos_t ** (i + 2 * b)
@@ -353,15 +327,11 @@ def c4(
 
 
 def f_total(
-    i: int,
-    structure: StructuredOmega,
-    angle: AngleParams,
-    d_minus_n: float,
-    precision: EvalPrecision = DEFAULT_PRECISION,
+    i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
 ) -> float:
     """Full angular weight of order i: c2 + c3 + c4."""
     return (
         c2(i, structure, angle, d_minus_n)
         + c3(i, structure, angle, d_minus_n)
-        + c4(i, structure, angle, d_minus_n, precision)
+        + c4(i, structure, angle, d_minus_n)
     )

@@ -45,7 +45,6 @@ __all__ = [
 
 THETA0_GUARD = 2.2  # beyond this the series ratio (1 - cos)/2 exceeds ~0.9
 _MAX_SERIES_TERMS = 2_000_000
-_MAX_SCAN_POINTS = 100_000  # each point costs one Ferrers evaluation
 # A channel's cost grows about as omega_max^2.1: at mu = 1/2 and theta0 =
 # 2.2 it takes 4.2 s at omega_max 500 and 18 s at 1,000 (2-core VM,
 # Python 3.11).  The largest cutoff the tests use is 120.
@@ -217,13 +216,12 @@ def dirichlet_roots(
         raise ValidationError(
             "mu must be finite and positive, omega_max positive and finite"
         )
-    step = math.pi / (4.0 * theta0)
-    if omega_max / step > _MAX_SCAN_POINTS:
-        raise ValidationError(f"scan needs more than {_MAX_SCAN_POINTS} points")
+    # with theta0 <= THETA0_GUARD this also caps the scan at 2,801 points
     if omega_max > _MAX_OMEGA:
         raise ValidationError(
             f"omega_max {omega_max} is above the limit {_MAX_OMEGA:g}"
         )
+    step = math.pi / (4.0 * theta0)
     z = 0.5 * (1.0 - math.cos(theta0))
     state: dict = {}
 

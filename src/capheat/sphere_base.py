@@ -12,15 +12,7 @@ from math import factorial
 from .errors import DomainError
 from .exact_series import sinh_ratio_coefficients
 from .legendre_asymptotics import omega_structures
-from .special_eval import (
-    DEFAULT_PRECISION,
-    SQRT_PI,
-    AngleParams,
-    EvalPrecision,
-    c1,
-    f_total,
-    recip_gamma,
-)
+from .special_eval import SQRT_PI, AngleParams, c1, f_total, recip_gamma
 
 __all__ = [
     "degeneracy",
@@ -99,12 +91,7 @@ def _pochhammer_half(x: float, half_steps: int) -> float:
     return math.gamma(x + 0.5 * half_steps) / math.gamma(x)
 
 
-def suspension_coefficient_direct(
-    n: int,
-    d: int,
-    angle: AngleParams,
-    precision: EvalPrecision = DEFAULT_PRECISION,
-) -> float:
+def suspension_coefficient_direct(n: int, d: int, angle: AngleParams) -> float:
     """Coefficient of index n/2 on the suspension over S^d (shifted operator),
     via the direct sphere formula rather than the generic base assembly.
     """
@@ -122,7 +109,7 @@ def suspension_coefficient_direct(
         / (factorial(n) * (d - 1) * (d - n + 1))
         * _pochhammer_half(0.5 * (d - n + 1), n)
         * float(scoeffs[n])
-        * c1(angle, float(big_d - n), precision)
+        * c1(angle, float(big_d - n))
     )
     if n >= 1:
         total -= (
@@ -145,18 +132,13 @@ def suspension_coefficient_direct(
                 / factorial(n - 1 - i)
                 * _pochhammer_half(0.5 * (d - n + i + 2), n - i - 1)
                 * float(coeff)
-                * f_total(i, structures[i - 1], angle, float(big_d - n), precision)
+                * f_total(i, structures[i - 1], angle, float(big_d - n))
             )
         total -= 2.0 * SQRT_PI / (d - 1) * sin_pow * acc
     return total * sphere_surface_area(d) / (4.0 * math.pi) ** (0.5 * big_d)
 
 
-def explicit_table_check(
-    n: int,
-    d: int,
-    angle: AngleParams,
-    precision: EvalPrecision = DEFAULT_PRECISION,
-) -> float:
+def explicit_table_check(n: int, d: int, angle: AngleParams) -> float:
     """Pure-Laplacian coefficient of index n/2 over a sphere base, evaluated
     from the curated low-order closed forms (n <= 6).  Cross-checks the
     generic pipeline term by term.
@@ -173,10 +155,10 @@ def explicit_table_check(
     dd = float(d)
 
     def F(i: int, two_s: float) -> float:
-        return f_total(i, omega_structures(i)[i - 1], th, two_s, precision)
+        return f_total(i, omega_structures(i)[i - 1], th, two_s)
 
     def C(two_s: float) -> float:
-        return c1(th, two_s, precision)
+        return c1(th, two_s)
 
     if n == 0:
         scaled = C(float(big_d)) / (dd + 1.0)

@@ -1,14 +1,71 @@
-"""Frozen reference tables for the cumulant functions of orders 1..5.
+"""Frozen reference tables for the cumulant functions of orders 1..5, and
+plain-Fraction references for the Bessel side of the expansion.
 
 Layout: REFERENCE[i][j] maps exponent -> coefficient of v^exponent in the
 (1 + gamma^2)^(-j) part of the order-i function (j = 0 is the gamma-free
 part).  These literals are regression fixtures; the generator must reproduce
 them by exact rational equality.
+
+``u_polynomial`` and ``bessel_d_polynomial`` return coefficient tuples
+(entry e multiplies x^e, trailing zeros trimmed) built with nothing but
+``Fraction`` lists, independent of the package's polynomial ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import lru_cache
+
+
+def trim(coeffs) -> tuple[F, ...]:
+    out = [F(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def polyadd(p, q) -> tuple[F, ...]:
+    n = max(len(p), len(q))
+    return trim(
+        (p[e] if e < len(p) else 0) + (q[e] if e < len(q) else 0) for e in range(n)
+    )
+
+
+def polymul(p, q) -> tuple[F, ...]:
+    out = [F(0)] * (len(p) + len(q))
+    for a, x in enumerate(p):
+        for b, y in enumerate(q):
+            out[a + b] += x * y
+    return trim(out)
+
+
+@lru_cache(maxsize=None)
+def u_polynomial(k: int) -> tuple[F, ...]:
+    """Olver's Bessel expansion polynomial u_k, degree 3k.
+
+    u_0 = 1 and
+    u_{k+1}(x) = x^2 (1 - x^2) u_k'(x) / 2 + (1/8) int_0^x (1 - 5 t^2) u_k(t) dt.
+    """
+    if k == 0:
+        return (F(1),)
+    u = u_polynomial(k - 1)
+    derivative = [e * c for e, c in enumerate(u)][1:]
+    term1 = polymul((0, 0, F(1, 2), 0, F(-1, 2)), derivative)
+    weighted = polymul((1, 0, -5), u)
+    term2 = [F(0)] + [c / (8 * (e + 1)) for e, c in enumerate(weighted)]
+    return polyadd(term1, term2)
+
+
+@lru_cache(maxsize=None)
+def bessel_d_polynomial(i: int) -> tuple[F, ...]:
+    """Cumulant D_i of the u_k: log(1 + sum u_k / v^k) = sum D_i / v^i,
+    from D_m = u_m - sum_{k<m} (k/m) D_k u_{m-k}."""
+    d = u_polynomial(i)
+    for k in range(1, i):
+        term = polymul(bessel_d_polynomial(k), u_polynomial(i - k))
+        d = polyadd(d, polymul((F(-k, i),), term))
+    return d
+
 
 REFERENCE: dict[int, dict[int, dict[int, F]]] = {
     1: {

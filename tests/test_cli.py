@@ -157,18 +157,6 @@ class TestCoeffs:
         assert code == 2
         assert "theta0" in err
 
-    def test_env_var_precision(self, capsys, monkeypatch):
-        monkeypatch.setenv("CAPHEAT_TOL", "1e-10")
-        code, out, _ = invoke(
-            capsys, ["coeffs", "--dim", "3", "--theta0", "0.8", "--max-n", "1"]
-        )
-        assert code == 0
-        monkeypatch.setenv("CAPHEAT_TOL", "0.5")  # outside (0, 1e-6]
-        code, _, err = invoke(
-            capsys, ["coeffs", "--dim", "3", "--theta0", "0.8", "--max-n", "1"]
-        )
-        assert code == 2
-
     def test_user_base_file(self, capsys, tmp_path):
         base = {
             "d": 2,
@@ -324,7 +312,7 @@ class TestRoots:
     @pytest.mark.parametrize("flag,value,message", [
         ("--mu", "nan", "mu must be finite"),
         ("--omega-max", "nan", "omega_max positive and finite"),
-        ("--omega-max", "1e12", "scan needs more than"),
+        ("--omega-max", "1e12", "above the limit 1000"),
         ("--mu", "-1", "mu must be finite and positive"),
         ("--mu", "0", "mu must be finite and positive"),
         ("--mu", "-0.5", "mu must be finite and positive"),
@@ -407,8 +395,9 @@ class TestVerify:
         (["--points", "100000000"], "--points must lie in 1..10000"),
         # the default cutoff for t = 1e-7 is about 22,000
         (["--t-min", "1e-7", "--t-max", "1e-6"], "above the limit 1000"),
+        (["--omega-max", "0"], "omega_max positive and finite"),
     ], ids=["tolerance-nan", "tolerance-nan-cutoff", "tolerance-0",
-            "t-max-inf", "t-min-nan", "points", "default-cutoff"])
+            "t-max-inf", "t-min-nan", "points", "default-cutoff", "zero-cutoff"])
     def test_refused_inputs(self, capsys, monkeypatch, extra, message):
         real_geomspace = np.geomspace
 

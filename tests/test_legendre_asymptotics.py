@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from capheat import legendre_asymptotics
 from capheat.errors import StructureViolation, ValidationError
-from capheat.exact_series import NuPolynomial, bernoulli, bessel_d_polynomial
+from capheat.exact_series import bernoulli
 from capheat.legendre_asymptotics import (
     _MAX_ORDER,
-    GammaStructuredFunction,
+    NuGPolynomial,
+    _phi_step,
     chi,
     extract_structure,
     omega,
@@ -17,24 +19,71 @@ from capheat.legendre_asymptotics import (
     phi,
 )
 
-from omega_reference import REFERENCE
+from omega_reference import REFERENCE, bessel_d_polynomial, polyadd, trim
 
 F = Fraction
 
 N_MAX = 10
 
+# sha256 of canonical_dump(16), recorded from the nested NuPolynomial /
+# GammaStructuredFunction algebra this ring replaced
+ORDER_16_DIGEST = "b826b42406b2656d53a61486b036486516da9e295fa0cddd7391ae434845d513"
 
-def poly(*coeffs) -> NuPolynomial:
-    return NuPolynomial.from_coeffs(coeffs)
+
+def table(p: NuGPolynomial) -> dict[int, dict[int, F]]:
+    """The REFERENCE layout of p: j -> {e: coefficient of g^j v^e}."""
+    out: dict[int, dict[int, F]] = {}
+    for (j, e), c in p.monomials():
+        out.setdefault(j, {})[e] = c
+    return out
 
 
-def gsf_from_table(i: int, table: dict[int, dict[int, F]]) -> GammaStructuredFunction:
-    terms = {}
-    for j, mono in table.items():
-        n = max(mono) if mono else 0
-        coeffs = [mono.get(e, F(0)) for e in range(n + 1)]
-        terms[j] = NuPolynomial.from_coeffs(coeffs)
-    return GammaStructuredFunction.from_terms(i, terms)
+def part(p: NuGPolynomial, j: int) -> tuple[F, ...]:
+    """The g^j part of p as a coefficient tuple in v."""
+    mono = table(p).get(j, {})
+    return trim(mono.get(e, 0) for e in range(max(mono, default=-1) + 1))
+
+
+def canonical_dump(order: int) -> str:
+    """One line per coefficient of omega(order) and omega_structures(order)."""
+    lines = [
+        f"{i} {j} {e} {c}"
+        for i, om in enumerate(omega(order), start=1)
+        for (j, e), c in om.monomials()
+    ]
+    for s in omega_structures(order):
+        i = s.order
+        lines += [f"{i} x {b} {c}" for b, c in sorted(s.x_coeffs.items())]
+        lines += [f"{i} z0 {j} {c}" for j, c in sorted(s.z0_coeffs.items())]
+        lines += [f"{i} z {b} {j} {c}" for (b, j), c in sorted(s.z_coeffs.items())]
+    return "\n".join(lines)
+
+
+class TestNuGPolynomial:
+    def test_zeros_dropped_and_reduced(self):
+        p = NuGPolynomial.from_monomials({(0, 0): F(1, 2), (1, 3): F(-3, 4)})
+        assert (p.num, p.den) == ({(0, 0): 2, (1, 3): -3}, 4)
+        q = p.scale(6).scale(F(1, 6))
+        assert (q.num, q.den) == (p.num, p.den)
+        zero = p + p.scale(-1)
+        assert (zero.num, zero.den) == ({}, 1)
+        assert list((p * zero).monomials()) == []
+
+    def test_multiply(self):
+        # (1 + g v)(1 - g v) = 1 - g^2 v^2
+        a = NuGPolynomial.from_monomials({(0, 0): 1, (1, 1): 1})
+        b = NuGPolynomial.from_monomials({(0, 0): 1, (1, 1): -1})
+        assert list((a * b).monomials()) == [((0, 0), F(1)), ((2, 2), F(-1))]
+
+    def test_integral_from_one(self):
+        # For f = v^2: derivative part v^3 (1 - v^2) + g v (1 - v^2)^2, and
+        # -(1/8) int_1^v (5 t^4 - t^2) dt = -(v^5 - v^3/3 - 2/3)/8,
+        # -(g/8) int_1^v (2 t^2 - 5 t^4) dt = -g (2 v^3/3 - v^5 + 1/3)/8.
+        step = _phi_step(NuGPolynomial.from_monomials({(0, 2): 1}))
+        assert table(step) == {
+            0: {0: F(1, 12), 3: 1 + F(1, 24), 5: -1 - F(1, 8)},
+            1: {0: F(-1, 24), 1: F(1), 3: -2 - F(1, 12), 5: 1 + F(1, 8)},
+        }
 
 
 class TestChi:
@@ -45,45 +94,43 @@ class TestChi:
 
 class TestPhi:
     def test_seed(self):
-        assert phi(0) == GammaStructuredFunction.constant(0, 1)
+        assert table(phi(0)) == {0: {0: F(1)}}
 
     def test_order_one(self):
-        expected = GammaStructuredFunction.from_terms(
-            1,
-            {
-                0: poly(F(1, 12), F(1, 8), 0, F(-5, 24)),
-                1: poly(F(1, 24), F(-1, 4), 0, F(5, 24)),
-            },
-        )
-        assert phi(1) == expected
+        assert table(phi(1)) == {
+            0: {0: F(1, 12), 1: F(1, 8), 3: F(-5, 24)},
+            1: {0: F(1, 24), 1: F(-1, 4), 3: F(5, 24)},
+        }
 
     def test_bessel_limit_of_order_one(self):
         # Dropping the j >= 1 parts must leave the Bessel cumulant D_1 plus
         # the soon-to-cancel constant 1/12.
-        gamma_free = phi(1).part(0)
-        assert gamma_free == bessel_d_polynomial(1) + poly(F(1, 12))
+        assert part(phi(1), 0) == polyadd(bessel_d_polynomial(1), (F(1, 12),))
 
 
 class TestOmegaTables:
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
     def test_matches_reference(self, i):
-        generated = omega(5)[i - 1]
-        assert generated == gsf_from_table(i, REFERENCE[i])
+        assert table(omega(5)[i - 1]) == REFERENCE[i]
 
     def test_omega5_top_coefficient(self):
-        assert omega(5)[4].part(0).coefficient(15) == F(-82825, 3072)
+        assert part(omega(5)[4], 0)[15] == F(-82825, 3072)
+
+    def test_orders_up_to_16_digest(self):
+        dump = canonical_dump(_MAX_ORDER)
+        assert hashlib.sha256(dump.encode()).hexdigest() == ORDER_16_DIGEST
 
 
 class TestStructure:
     def test_order_two_constants(self):
-        s = extract_structure(omega(2)[1])
+        s = extract_structure(omega(2)[1], 2)
         assert s.z0_coeffs[1] == F(1, 16)
         assert s.z0_coeffs[2] == F(-1, 8)
 
     def test_order_three_j1(self):
-        s = extract_structure(omega(3)[2])
+        s = extract_structure(omega(3)[2], 3)
         assert s.z0_coeffs[1] == 0
-        exponents = {e for e, c in omega(3)[2].part(1).monomials()}
+        exponents = set(table(omega(3)[2])[1])
         assert exponents == {1, 3, 5, 7, 9}
         assert set(b for (b, j) in s.z_coeffs if j == 1) == set(range(-1, 4))
 
@@ -98,18 +145,17 @@ class TestStructure:
 
     @pytest.mark.parametrize("i", range(1, N_MAX + 1))
     def test_value_at_one_matches_bessel(self, i):
-        om = omega(N_MAX)[i - 1]
-        gamma_free_sum = sum((c for _, c in om.part(0).monomials()), F(0))
-        assert gamma_free_sum == bessel_d_polynomial(i)(F(1))
+        gamma_free_sum = sum(part(omega(N_MAX)[i - 1], 0))
+        assert gamma_free_sum == sum(bessel_d_polynomial(i))
 
     @pytest.mark.parametrize("i", range(1, N_MAX + 1))
     def test_gamma_free_part_is_bessel_cumulant(self, i):
-        assert omega(N_MAX)[i - 1].part(0) == bessel_d_polynomial(i)
+        assert part(omega(N_MAX)[i - 1], 0) == bessel_d_polynomial(i)
 
     @pytest.mark.parametrize("i", range(1, N_MAX + 1))
     def test_round_trip(self, i):
         om = omega(N_MAX)[i - 1]
-        assert extract_structure(om).reconstruct() == om
+        assert table(extract_structure(om, i).reconstruct()) == table(om)
 
     def test_lower_orders_share_the_cache(self):
         high = omega_structures(N_MAX)
@@ -129,11 +175,10 @@ class TestStructure:
             omega_structures(_MAX_ORDER + 1)
 
     def test_violation_detected(self):
-        bad = GammaStructuredFunction.from_terms(
-            2, {0: poly(0, 0, F(1, 16), F(1))}  # stray v^3 in an even family
-        )
+        # stray v^3 in an even family
+        bad = NuGPolynomial.from_monomials({(0, 2): F(1, 16), (0, 3): F(1)})
         with pytest.raises(StructureViolation):
-            extract_structure(bad)
+            extract_structure(bad, 2)
 
 
 class TestPsi:
@@ -142,10 +187,11 @@ class TestPsi:
         # equal the raw phi series times the Bernoulli prefactor
         # exp(-sum_l B_{2l}/(2l(2l-1)) x^{2l-1}), in every j-part.
         n = 6
-        oms = [GammaStructuredFunction.constant(0, 0)] + omega(n)
-        psis = [GammaStructuredFunction.constant(0, 1)]
+        zero = NuGPolynomial({})
+        oms = [zero] + omega(n)
+        psis = [NuGPolynomial({(0, 0): 1})]
         for m in range(1, n + 1):
-            acc = GammaStructuredFunction.constant(0, 0)
+            acc = zero
             for k in range(1, m + 1):
                 acc = acc + (oms[k] * psis[m - k]).scale(F(k, m))
             psis.append(acc)
@@ -162,7 +208,7 @@ class TestPsi:
                 sum((F(k) * expo[k] * pref[m - k] for k in range(1, m + 1)), F(0)) / m
             )
         for m in range(n + 1):
-            expected = GammaStructuredFunction.constant(0, 0)
+            expected = zero
             for k in range(m + 1):
                 expected = expected + phis[m - k].scale(pref[k])
-            assert psis[m] == expected
+            assert table(psis[m]) == table(expected)

@@ -8,7 +8,6 @@ from capheat.errors import DivergentAtOne, GammaPole, ParameterPole
 from capheat.legendre_asymptotics import chi, omega_structures
 from capheat.special_eval import (
     AngleParams,
-    EvalPrecision,
     c1,
     c2,
     c3,
@@ -194,12 +193,6 @@ class TestGauss2F1:
         # connection branch vs the Gauss value one ulp away from x = 1
         near = gauss_2f1(0.5, 1.5, 2.5, 1.0 - 2.0**-52)
         assert near == pytest.approx(0.75 * math.pi, rel=1e-7)
-
-    def test_precision_validation(self):
-        with pytest.raises(ValueError):
-            EvalPrecision(rel_tol=1e-3)
-        with pytest.raises(ValueError):
-            EvalPrecision(max_terms=10)
 
 
 class TestRecipGamma:
