@@ -28,9 +28,6 @@ from .legendre_asymptotics import (
 from .special_eval import (
     AngleParams,
     c1,
-    c2,
-    c3,
-    c4,
     f_total,
     gauss_2f1,
 )

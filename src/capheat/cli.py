@@ -66,12 +66,6 @@ def _emit_json(payload) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    if args.max_n >= args.dim:
-        raise ValidationError(
-            f"--max-n must be below the total dimension: requested n_max="
-            f"{args.max_n} with D={args.dim}, but coefficients are defined "
-            f"only for n < D"
-        )
     cfg = SuspensionConfig(
         D=args.dim,
         angle=_angle_from(args),
@@ -164,11 +158,6 @@ def cmd_roots(args) -> int:
 def cmd_verify(args) -> int:
     import numpy as np
 
-    if args.max_n >= args.dim:
-        raise ValidationError(
-            f"--max-n must be below the total dimension (n < D); got "
-            f"n_max={args.max_n}, D={args.dim}"
-        )
     if not 0.0 < args.t_min < args.t_max < math.inf:
         raise ValidationError("need 0 < --t-min < --t-max, both finite")
     if not 1 <= args.points <= _MAX_POINTS:

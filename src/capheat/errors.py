@@ -15,18 +15,6 @@ class StructureViolation(CapheatError):
     """A cumulant function contains a monomial outside its expected shape."""
 
 
-class ParameterPole(CapheatError):
-    """Hypergeometric lower parameter is a nonpositive integer."""
-
-
-class DivergentAtOne(CapheatError):
-    """Hypergeometric series does not converge at unit argument."""
-
-
-class GammaPole(CapheatError):
-    """Gamma function evaluated at a nonpositive integer in a numerator."""
-
-
 class InsufficientBaseData(ValidationError):
     """A base-manifold heat coefficient needed by the assembly is missing."""
 

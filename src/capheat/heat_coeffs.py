@@ -90,7 +90,8 @@ class SuspensionConfig:
             )
         if not 0 <= self.n_max < self.D:
             raise ValidationError(
-                f"n_max must satisfy 0 <= n_max < D, got n_max={self.n_max}, D={self.D}"
+                f"coefficients are defined only for 0 <= n < D; got "
+                f"n_max={self.n_max}, D={self.D}"
             )
         if self.n_max - 1 > _MAX_ORDER:
             raise ValidationError(

@@ -199,7 +199,7 @@ def phi(n: int) -> NuGPolynomial:
     return _extend(_PHIS, n + 1, _phi_entry)[n]
 
 
-def omega(max_order: int = 10) -> list[NuGPolynomial]:
+def omega(max_order: int) -> list[NuGPolynomial]:
     """Cumulant functions of orders 1..max_order.
 
     Defined by the formal identity (in the inverse expansion parameter)

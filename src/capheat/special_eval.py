@@ -1,18 +1,20 @@
 """Floating-point special functions: Gamma helpers, the Gauss hypergeometric
-function on [0, 1], and the angular building blocks C1, C2, C3, C4 that feed
-the coefficient assembly.
+function on [0, 1], and the angular factors c1 and f_total that feed the
+coefficient assembly.
 
 Everything here is double precision with compensated summation.  The
 convention throughout: a Gamma pole in a denominator contributes 0 (the
-entire function 1/Gamma), a pole in a numerator raises GammaPole.
+entire function 1/Gamma), a pole in a numerator is a bad argument and raises
+ValidationError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
-from .errors import DivergentAtOne, GammaPole, ParameterPole, SlowConvergence
+from .errors import SlowConvergence, ValidationError
 from .legendre_asymptotics import StructuredOmega, chi
 
 __all__ = [
@@ -21,32 +23,29 @@ __all__ = [
     "recip_gamma",
     "gauss_2f1",
     "c1",
-    "c2",
-    "c3",
-    "c4",
     "f_total",
 ]
 
 
 @dataclass(frozen=True)
 class AngleParams:
-    """Polar opening angle with its cached squared sine and cosine."""
+    """Polar opening angle with its squared sine and cosine, computed once."""
 
     theta0: float
-    sin2: float
-    cos2: float
+    sin2: float = field(init=False)
+    cos2: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.theta0 < math.pi:
             raise ValueError("theta0 must lie strictly inside (0, pi)")
-        if abs(self.sin2 + self.cos2 - 1.0) > 1e-12:
-            raise ValueError("sin2 + cos2 must equal 1 to machine precision")
+        s = math.sin(self.theta0)
+        c = math.cos(self.theta0)
+        object.__setattr__(self, "sin2", s * s)
+        object.__setattr__(self, "cos2", c * c)
 
     @classmethod
     def from_theta0(cls, theta0: float) -> "AngleParams":
-        s = math.sin(theta0)
-        c = math.cos(theta0)
-        return cls(theta0, s * s, c * c)
+        return cls(theta0)
 
     @property
     def sin_theta(self) -> float:
@@ -83,7 +82,7 @@ def recip_gamma(x: float) -> float:
 def _gamma_num(x: float) -> float:
     """Gamma(x) for numerator use; a pole here is a genuine error."""
     if _is_nonpositive_integer(x):
-        raise GammaPole(f"Gamma({x}) pole in a numerator")
+        raise ValidationError(f"Gamma({x}) pole in a numerator")
     return math.gamma(x)
 
 
@@ -91,6 +90,13 @@ def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
     y = term - comp
     t = total + y
     return t, (t - total) - y
+
+
+def _kahan_sum(terms: Iterable[float]) -> float:
+    total, comp = 0.0, 0.0
+    for term in terms:
+        total, comp = _kahan_add(total, comp, term)
+    return total
 
 
 def _series_2f1(
@@ -146,7 +152,7 @@ def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
     accurate when x is within a few ulp of 1.
     """
     if _is_nonpositive_integer(c):
-        raise ParameterPole(f"lower parameter c={c} is a nonpositive integer")
+        raise ValidationError(f"lower parameter c={c} is a nonpositive integer")
     if x < 0.0 or x > 1.0:
         raise ValueError("argument must lie in [0, 1]")
     if x == 0.0:
@@ -159,7 +165,7 @@ def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
 
     if x == 1.0 or xc == 0.0:
         if c - a - b <= 0.0:
-            raise DivergentAtOne(
+            raise ValidationError(
                 f"2F1 at unit argument needs c-a-b > 0, got {c - a - b}"
             )
         return _gauss_value(a, b, c)
@@ -214,124 +220,58 @@ def c1(angle: AngleParams, two_s: float) -> float:
     return _hyp2f1(0.5, s, s + 1.0, angle.sin2, angle.cos2)
 
 
-def _inv_sin_power(angle: AngleParams, d_minus_n: float) -> float:
-    """sin(theta0)^(-d_minus_n), an OverflowError once sin^2 underflows to 0."""
-    if angle.sin2 == 0.0:
-        raise OverflowError(f"sin(theta0)^2 underflows at theta0={angle.theta0}")
-    return angle.sin_theta ** (-d_minus_n)
-
-
-def _check_structure(i: int, structure: StructuredOmega) -> None:
-    if structure.order != i:
-        raise ValueError(f"structure has order {structure.order}, expected {i}")
-
-
-def c2(
-    i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
-) -> float:
-    """Gamma-weighted sum over the gamma-free coefficient family.
-
-    sum_b x_{i,b} cos^(i+2b) * Gamma(A + b) / (Gamma(A) Gamma(b + i/2)),
-    with A = (d_minus_n + i)/2.
-    """
-    _check_structure(i, structure)
-    if d_minus_n <= 0.0:
-        raise ValueError("d_minus_n must be positive")
-    big_a = 0.5 * (d_minus_n + i)
-    inv_gamma_a = recip_gamma(big_a)
-    cos_t = angle.cos_theta
-    total, comp = 0.0, 0.0
-    for b in range(0, i + 1):
-        coeff = structure.x_coeffs[b]
-        if coeff == 0:
-            continue
-        rg = recip_gamma(b + 0.5 * i)
-        if rg == 0.0:
-            continue
-        term = (
-            float(coeff)
-            * cos_t ** (i + 2 * b)
-            * _gamma_num(big_a + b)
-            * inv_gamma_a
-            * rg
-        )
-        total, comp = _kahan_add(total, comp, term)
-    return total
-
-
-def c3(
-    i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
-) -> float:
-    """sin^(n-D) sum_j z0^(i,j) Gamma(s + j) / (Gamma(A) Gamma(j))."""
-    _check_structure(i, structure)
-    if d_minus_n <= 0.0:
-        raise ValueError("d_minus_n must be positive")
-    s = 0.5 * d_minus_n
-    inv_gamma_a = recip_gamma(s + 0.5 * i)
-    total, comp = 0.0, 0.0
-    for j in range(1, i + 1):
-        coeff = structure.z0_coeffs[j]
-        if coeff == 0:
-            continue
-        rg = recip_gamma(float(j))
-        if rg == 0.0:
-            continue
-        term = float(coeff) * _gamma_num(s + j) * inv_gamma_a * rg
-        total, comp = _kahan_add(total, comp, term)
-    return _inv_sin_power(angle, d_minus_n) * total
-
-
-def c4(
-    i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
-) -> float:
-    """Hypergeometric form of the mixed coefficient family:
-
-    sin^(n-D) sum_{j,b} z_{i,b,j} cos^(i+2b)
-        * Gamma(A + b + j) / (Gamma(A) Gamma(b + j + i/2))
-        * 2F1(-s, b + i/2, b + j + i/2; cos^2 theta0),
-
-    with s = d_minus_n/2 and A = s + i/2.
-    """
-    _check_structure(i, structure)
-    if d_minus_n <= 0.0:
-        raise ValueError("d_minus_n must be positive")
-    s = 0.5 * d_minus_n
-    big_a = s + 0.5 * i
-    inv_gamma_a = recip_gamma(big_a)
-    cos_t = angle.cos_theta
-    total, comp = 0.0, 0.0
-    for j in range(1, i + 1):
-        for b in range(chi(i), i + 1):
-            coeff = structure.z_coeffs[(b, j)]
-            if coeff == 0:
-                continue
-            beta = b + 0.5 * i
-            gamma_low = beta + j
-            # lower 2F1 parameters stay off the poles by construction
-            if beta < 0.5 or gamma_low < 1.5:
-                raise ValueError(f"2F1 lower parameters {beta}, {gamma_low} too low")
-            rg = recip_gamma(gamma_low)
-            if rg == 0.0:
-                continue
-            hyp = _hyp2f1(-s, beta, gamma_low, angle.cos2, angle.sin2)
-            term = (
-                float(coeff)
-                * cos_t ** (i + 2 * b)
-                * _gamma_num(big_a + b + j)
-                * inv_gamma_a
-                * rg
-                * hyp
-            )
-            total, comp = _kahan_add(total, comp, term)
-    return _inv_sin_power(angle, d_minus_n) * total
-
-
 def f_total(
     i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
 ) -> float:
-    """Full angular weight of order i: c2 + c3 + c4."""
-    return (
-        c2(i, structure, angle, d_minus_n)
-        + c3(i, structure, angle, d_minus_n)
-        + c4(i, structure, angle, d_minus_n)
+    """Full angular weight of order i, x + z0 + z over the three coefficient
+    families of ``structure``, with s = d_minus_n/2 and A = s + i/2:
+
+        x  = sum_b x_{i,b} cos^(i+2b) Gamma(A + b) / (Gamma(A) Gamma(b + i/2)),
+        z0 = sin^(n-D) sum_j z0^(i,j) Gamma(s + j) / (Gamma(A) Gamma(j)),
+        z  = sin^(n-D) sum_{j,b} z_{i,b,j} cos^(i+2b)
+                 * Gamma(A + b + j) / (Gamma(A) Gamma(b + j + i/2))
+                 * 2F1(-s, b + i/2, b + j + i/2; cos^2 theta0),
+
+    over b in 0..i for x, j in 1..i, and b in chi(i)..i for z.  Each family
+    is a compensated sum that skips the terms whose 1/Gamma vanishes.
+    """
+    if structure.order != i:
+        raise ValueError(f"structure has order {structure.order}, expected {i}")
+    if d_minus_n <= 0.0:
+        raise ValueError("d_minus_n must be positive")
+    if angle.sin2 == 0.0:
+        raise OverflowError(f"sin(theta0)^2 underflows at theta0={angle.theta0}")
+    inv_sin = angle.sin_theta ** (-d_minus_n)
+    s = 0.5 * d_minus_n
+    half_i = 0.5 * i
+    big_a = s + half_i
+    inv_gamma_a = recip_gamma(big_a)
+    cos_t = angle.cos_theta
+    lo = chi(i)
+    # the lower 2F1 parameters b + i/2 >= 1/2 and b + j + i/2 >= 3/2 stay off
+    # the poles by construction; an explicit check, not an assert
+    if lo + half_i < 0.5:
+        raise ValueError(f"2F1 lower parameter {lo + half_i} too low")
+
+    x = _kahan_sum(
+        float(c) * cos_t ** (i + 2 * b) * _gamma_num(big_a + b) * inv_gamma_a * rg
+        for b in range(0, i + 1)
+        if (c := structure.x_coeffs[b]) and (rg := recip_gamma(b + half_i))
     )
+    z0 = _kahan_sum(
+        float(c) * _gamma_num(s + j) * inv_gamma_a * rg
+        for j in range(1, i + 1)
+        if (c := structure.z0_coeffs[j]) and (rg := recip_gamma(float(j)))
+    )
+    z = _kahan_sum(
+        float(c)
+        * cos_t ** (i + 2 * b)
+        * _gamma_num(big_a + b + j)
+        * inv_gamma_a
+        * rg
+        * _hyp2f1(-s, b + half_i, b + half_i + j, angle.cos2, angle.sin2)
+        for j in range(1, i + 1)
+        for b in range(lo, i + 1)
+        if (c := structure.z_coeffs[(b, j)]) and (rg := recip_gamma(b + half_i + j))
+    )
+    return x + inv_sin * z0 + inv_sin * z

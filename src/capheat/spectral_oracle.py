@@ -49,6 +49,13 @@ _MAX_SERIES_TERMS = 2_000_000
 # 2.2 it takes 4.2 s at omega_max 500 and 18 s at 1,000 (2-core VM,
 # Python 3.11).  The largest cutoff the tests use is 120.
 _MAX_OMEGA = 1_000.0
+# Bisection width of a root.
+_ABS_TOL = 1e-10
+# Bound on the estimated root count of a spectrum (criterion 6 estimates
+# 2,078).  The largest spectra it accepts take 65 s at theta0 = 2.2
+# (omega_max 169, 11,284 roots) and 36 s at pi/3 (omega_max 263, 8,595
+# roots) on a 2-core VM, Python 3.11.
+_MAX_ROOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -195,21 +202,7 @@ def _illinois(f, a: float, fa: float, b: float, fb: float, width: float):
     return a, b
 
 
-def dirichlet_roots(
-    mu: float,
-    theta0: float,
-    omega_max: float,
-    abs_tol: float = 1e-10,
-) -> list[float]:
-    """All simple roots in (0, omega_max] of the Dirichlet condition at
-    theta0: the Ferrers function of order -mu vanishing at cos(theta0).
-
-    Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
-    with a gap monitor against missed roots.  Each sign change is located by
-    Illinois, then its bisection to abs_tol is replayed against the located
-    bracket: only midpoints inside it are evaluated, so every root is the
-    bisection's, bit for bit.
-    """
+def _check_scan(mu: float, theta0: float, omega_max: float) -> None:
     if not 0.0 < theta0 <= THETA0_GUARD:
         raise ValidationError(f"theta0 must lie in (0, {THETA0_GUARD}]")
     if not (0.0 < mu < math.inf and 0.0 < omega_max < math.inf):
@@ -221,6 +214,19 @@ def dirichlet_roots(
         raise ValidationError(
             f"omega_max {omega_max} is above the limit {_MAX_OMEGA:g}"
         )
+
+
+def dirichlet_roots(mu: float, theta0: float, omega_max: float) -> list[float]:
+    """All simple roots in (0, omega_max] of the Dirichlet condition at
+    theta0: the Ferrers function of order -mu vanishing at cos(theta0).
+
+    Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
+    with a gap monitor against missed roots.  Each sign change is located by
+    Illinois, then its bisection to _ABS_TOL is replayed against the located
+    bracket: only midpoints inside it are evaluated, so every root is the
+    bisection's, bit for bit.
+    """
+    _check_scan(mu, theta0, omega_max)
     step = math.pi / (4.0 * theta0)
     z = 0.5 * (1.0 - math.cos(theta0))
     state: dict = {}
@@ -243,10 +249,10 @@ def dirichlet_roots(
         elif (val > 0) != (prev_val > 0):
             lo, hi = prev_w, w
             flo = prev_val
-            a, b = _illinois(f, lo, flo, hi, val, abs_tol / 256.0)
+            a, b = _illinois(f, lo, flo, hi, val, _ABS_TOL / 256.0)
             # plain bisection of (lo, hi); a midpoint outside [a, b] takes
             # its side unevaluated
-            while hi - lo > abs_tol:
+            while hi - lo > _ABS_TOL:
                 mid = 0.5 * (lo + hi)
                 if mid < a:
                     lo = mid
@@ -281,10 +287,21 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     """Channels with all their Dirichlet roots up to omega_max.
 
     The first root of a channel increases with mu, so the channel scan can
-    stop at the first channel with no roots in range.
+    stop at the first channel with no roots in range.  A request whose
+    estimated root count, omega_max^2 theta0 sin(theta0) / (2 pi) with the
+    sine taken as 1 past pi/2, exceeds _MAX_ROOTS is refused before any
+    evaluation.
     """
     if d < 2:
         raise ValidationError("the oracle supports sphere bases only (d >= 2)")
+    _check_scan(sphere_mu(0, d), theta0, omega_max)
+    sin_t = math.sin(theta0) if theta0 < 0.5 * math.pi else 1.0
+    estimate = omega_max * omega_max * theta0 * sin_t / (2.0 * math.pi)
+    if estimate > _MAX_ROOTS:
+        raise ValidationError(
+            f"about {estimate:.0f} roots below omega_max {omega_max}, above "
+            f"the limit {_MAX_ROOTS:,}"
+        )
     channels: list[EigenvalueChannel] = []
     k = 0
     while True:
@@ -346,11 +363,13 @@ def heat_trace(
     cfg: SuspensionConfig,
     t_values: Sequence[float],
     tolerance: float = 1e-6,
-    omega_max: float | None = None,
+    *,
+    omega_max: float,
     channels: Sequence[EigenvalueChannel] | None = None,
 ) -> list[HeatTraceSample]:
     """Truncated heat trace with a certified relative tail estimate.
 
+    omega_max is the spectral cutoff (of ``channels`` too, when given).
     Only sphere bases are supported: those are the only bases with closed
     form degeneracies.  Raises TailTooLarge when a requested time is too
     small for the cutoff.
@@ -363,8 +382,6 @@ def heat_trace(
         raise ValidationError("t values must be positive and finite")
     _check_tolerance(tolerance)
     d = cfg.d
-    if omega_max is None:
-        omega_max = default_omega_max(cfg.D, min(t_values), tolerance)
     if channels is None:
         channels = spectrum(d, cfg.angle.theta0, omega_max)
     if not channels:

@@ -151,7 +151,7 @@ def test_criterion_5_two_path_equality():
     worst_direct = 0.0
     theta0 = 0.8
     angle = AngleParams.from_theta0(theta0)
-    for d in (2, 3, 4):
+    for d in range(2, 7):
         n_top = min(6, d)
         cfg = sphere_config(d, theta0, n_top)
         for n in range(n_top + 1):
@@ -162,7 +162,7 @@ def test_criterion_5_two_path_equality():
             )
 
     worst_table = 0.0
-    for d in (2, 3, 4):
+    for d in range(2, 7):
         for theta0 in (0.6, 1.2):
             angle = AngleParams.from_theta0(theta0)
             n_top = min(6, d)

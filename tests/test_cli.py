@@ -14,12 +14,7 @@ import pytest
 import capheat
 from capheat import cli, legendre_asymptotics, spectral_oracle
 from capheat.cli import run
-from capheat.errors import (
-    DivergentAtOne,
-    GammaPole,
-    ParameterPole,
-    StructureViolation,
-)
+from capheat.errors import StructureViolation
 
 
 def invoke(capsys, argv):
@@ -209,7 +204,7 @@ class TestCoeffs:
         assert "mass" in err
 
     def test_underflowed_angle_error_object(self, capsys):
-        # sin(1e-300)^2 underflows to 0, so sin^(n-D) overflows in c3
+        # sin(1e-300)^2 underflows to 0, so sin^(n-D) overflows in f_total
         code, out, _ = invoke(
             capsys,
             ["coeffs", "--dim", "12", "--theta0", "1e-300", "--max-n", "11"],
@@ -228,9 +223,7 @@ class TestCoeffs:
         assert out == ""
         assert "above the limit 16" in err
 
-    @pytest.mark.parametrize(
-        "error", [GammaPole, ParameterPole, DivergentAtOne, StructureViolation]
-    )
+    @pytest.mark.parametrize("error", [StructureViolation])
     def test_package_errors_map_to_error_object(self, capsys, monkeypatch, error):
         def fail(*args):
             raise error("injected")
@@ -415,3 +408,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_spectrum_size_refused(self, capsys, monkeypatch):
+        # each channel is within the cutoff limit, but the whole spectrum
+        # (about 144,000 estimated roots) would run for tens of minutes
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        code, out, err = invoke(
+            capsys,
+            ["verify", "--dim", "3", "--theta0", "1.0471975511965976",
+             "--max-n", "1", "--t-min", "0.05", "--t-max", "0.5",
+             "--omega-max", "1000"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "above the limit 10,000" in err

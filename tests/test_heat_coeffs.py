@@ -5,7 +5,6 @@ import math
 import pytest
 
 from capheat.errors import (
-    GammaPole,
     IndexOutOfRange,
     InsufficientBaseData,
     ValidationError,
@@ -50,9 +49,9 @@ class TestResidueDictionary:
         )
 
     def test_pole_raises(self):
-        with pytest.raises(GammaPole):
+        with pytest.raises(ValidationError, match="pole"):
             residue_to_coefficient(0.0, 1.0)
-        with pytest.raises(GammaPole):
+        with pytest.raises(ValidationError, match="pole"):
             residue_to_coefficient(-2.0, 1.0)
 
 

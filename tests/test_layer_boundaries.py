@@ -1,0 +1,59 @@
+"""Package names the benchmark relies on.
+
+``bench/workloads.py`` wraps four cross-layer calls by module attribute for
+the spans of its ``--trace 1`` run, and reads a few fields directly.  A
+refactor that folds or renames one of them would leave a span silently
+empty, so the calls are checked here by counting wrappers.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+import capheat.heat_coeffs
+import capheat.spectral_oracle
+from capheat import AngleParams, SphereBase, SuspensionConfig, compute_table, spectrum
+from capheat.legendre_asymptotics import omega_structures
+
+ASSEMBLY = (capheat.heat_coeffs, ("c1", "f_total", "omega_structures"))
+ORACLE = (capheat.spectral_oracle, ("dirichlet_roots",))
+
+
+def count_calls(monkeypatch, module, names) -> dict[str, int]:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compute_table_calls_wrapped_attributes(monkeypatch):
+    calls = count_calls(monkeypatch, *ASSEMBLY)
+    cfg = SuspensionConfig(
+        D=5, angle=AngleParams.from_theta0(1.0), base=SphereBase(4), n_max=4
+    )
+    compute_table(cfg)
+    assert all(calls.values()), calls
+
+
+def test_spectrum_calls_wrapped_attribute(monkeypatch):
+    calls = count_calls(monkeypatch, *ORACLE)
+    channels = spectrum(2, 1.0, 10.0)
+    assert calls["dirichlet_roots"] == len(channels) + 1
+
+
+@pytest.mark.parametrize("theta0", [0.5, 2.0])
+def test_read_fields(theta0):
+    s = math.sin(theta0)
+    assert AngleParams.from_theta0(theta0).sin2 == s * s
+    # the cold-algebra probe counts the nonzero coefficients of all three
+    for structure in omega_structures(3):
+        families = (structure.x_coeffs, structure.z0_coeffs, structure.z_coeffs)
+        assert all(any(c != 0 for c in f.values()) for f in families)

@@ -363,8 +363,8 @@ class TestHeatTrace:
             base=UserBase(2, {0: 1.0}),
             n_max=0,
         )
-        with pytest.raises(ValidationError):
-            heat_trace(cfg, [0.1])
+        with pytest.raises(ValidationError, match="sphere bases only"):
+            heat_trace(cfg, [0.1], omega_max=15.0)
 
     def test_cutoff_doubling_stability(self):
         # fitted leading coefficient moves by < 1e-3 relative when the

@@ -136,7 +136,7 @@ def sphere_config(d: int, theta0: float, n_max: int) -> SuspensionConfig:
 
 
 class TestTwoPathEquality:
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_direct_equals_generic(self, d):
         theta0 = 0.8
         angle = AngleParams.from_theta0(theta0)
@@ -147,7 +147,7 @@ class TestTwoPathEquality:
             generic = assemble_script_A(cfg, n)
             assert abs(direct - generic) <= 1e-10 * max(1.0, abs(generic))
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("theta0", [0.6, 1.2])
     def test_explicit_table_matches_pipeline(self, d, theta0):
         angle = AngleParams.from_theta0(theta0)
