@@ -7,16 +7,25 @@ angle below pi, but its partial sums grow roughly like exp(2 w atanh(sqrt z))
 before collapsing to an O(1) value.  Every term ratio is a ratio of exact
 integers (omega, mu and z are doubles), so the summation runs on Python
 integers in binary fixed point, with the number of fractional bits chosen
-adaptively from the observed cancellation.  mpmath is still used for the
-80-bit Ferrers prefactor in ``ferrers_p`` and the incomplete gamma function of
-the Weyl tail, numpy for the trace sums and the fit; each is imported inside
-the function that uses it, so ``dirichlet_roots`` and ``spectrum`` (and the
-``roots`` command) load neither.  Nothing here shares code with the assembly
-pipeline it is used to verify.
+adaptively from the observed cancellation.
+
+Roots of one channel are found by a scan on a quarter-spacing grid.  A
+spectrum scans only its first channel: sphere channels interlace, so each
+later channel is bracketed by the roots of the one before.  Either way each
+root is shrunk by Illinois false position and then pinned to the scan's
+bisection of its grid cell, so both paths give the same roots, bit for bit.
+
+mpmath is still used for the 80-bit Ferrers prefactor in ``ferrers_p`` and
+the incomplete gamma function of the Weyl tail, numpy for the trace sums and
+the fit; each is imported inside the function that uses it, so
+``dirichlet_roots`` and ``spectrum`` (and the ``roots`` command) load
+neither.  Nothing here shares code with the assembly pipeline it is used to
+verify.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,15 +54,15 @@ __all__ = [
 
 THETA0_GUARD = 2.2  # beyond this the series ratio (1 - cos)/2 exceeds ~0.9
 _MAX_SERIES_TERMS = 2_000_000
-# A channel's cost grows about as omega_max^2.1: at mu = 1/2 and theta0 =
-# 2.2 it takes 4.2 s at omega_max 500 and 18 s at 1,000 (2-core VM,
+# A channel's cost grows about as omega_max^2.4: at mu = 1/2 and theta0 =
+# 2.2 it takes 2.5 s at omega_max 500 and 14 s at 1,000 (2-core VM,
 # Python 3.11).  The largest cutoff the tests use is 120.
 _MAX_OMEGA = 1_000.0
 # Bisection width of a root.
 _ABS_TOL = 1e-10
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  The largest spectra it accepts take 65 s at theta0 = 2.2
-# (omega_max 169, 11,284 roots) and 36 s at pi/3 (omega_max 263, 8,595
+# 2,078).  The largest spectra it accepts take about 35 s at theta0 = 2.2
+# (omega_max 169.0, 11,291 roots) and 18 s at pi/3 (omega_max 263.2, 8,599
 # roots) on a 2-core VM, Python 3.11.
 _MAX_ROOTS = 10_000
 
@@ -90,27 +99,35 @@ class FitResult:
 def _series_state(prec: int, omega: float, mu: float, z: float) -> tuple[int, int]:
     """Sum the hypergeometric factor of the Ferrers function in binary fixed
     point: integers scaled by 2**prec.  omega, mu and z are doubles, so every
-    term ratio is a ratio of exact integers; each step rounds toward zero.
-    Returns (sum, max term magnitude), both scaled; the summation stops once,
-    past the turning point, a term falls below 2**(3 - prec) times the
-    largest one."""
+    term ratio is a ratio of exact integers.  The denominators of omega and
+    z are powers of two: their share of each division is a right shift,
+    which floors exactly as the full division does.  Each step rounds
+    toward zero.  Returns (sum, max term magnitude), both scaled; the
+    summation stops once, past the turning point, a term falls below
+    2**(3 - prec) times the largest one."""
     wn, wd = omega.as_integer_ratio()
     un, ud = mu.as_integer_ratio()
     zn, zd = z.as_integer_ratio()
-    wd2, four_wn2 = wd * wd, 4 * wn * wn
-    num_scale, den_scale = zn * ud, 4 * wd2 * zd
+    wd2, num_scale = wd * wd, zn * ud
+    shift = (4 * wd2 * zd).bit_length() - 1  # 4 wd^2 zd is 2**shift
+    # ((2m - 1)^2 wd^2 - 4 wn^2) num_scale for term m; it grows by
+    # 8 wd^2 m num_scale from term m to term m + 1
+    num = (wd2 - 4 * wn * wn) * num_scale
+    num_step = 8 * wd2 * num_scale
     term = total = max_abs = 1 << prec
     stop_below = max_abs >> (prec - 3)
     turn = abs(omega)
     m = 0
     while True:
-        # ((m + 1/2)^2 - w^2) z / ((m + 1)(m + 1 + mu)) over exact integers
-        p = term * ((2 * m + 1) ** 2 * wd2 - four_wn2) * num_scale
-        q = den_scale * (m + 1) * ((m + 1) * ud + un)
-        # toward zero: a floored negative term can stall above stop_below
-        term = p // q if p >= 0 else -(-p // q)
-        total += term
+        # term m over term m - 1 is ((m - 1/2)^2 - w^2) z / (m (m + mu)),
+        # over exact integers
         m += 1
+        p = term * num
+        q = m * (m * ud + un)
+        # toward zero: a floored negative term can stall above stop_below
+        term = (p >> shift) // q if p >= 0 else -((-p >> shift) // q)
+        num += num_step * m
+        total += term
         a = abs(term)
         if a > max_abs:
             max_abs = a
@@ -127,16 +144,16 @@ def _ferrers_factor(mu: float, omega: float, z: float, state: dict) -> float:
     The series is summed in fixed point, first with 64 fractional bits or
     the channel's hint; the bits lost to cancellation (log2 of max term over
     sum) plus 70 decide whether the sum carries 53 good bits, and the
-    fractional bits are raised until it does.  ``state`` carries the hint
-    between calls of the same channel.
+    fractional bits are raised until it does.  A sum that rounds to 0 has
+    lost every fractional bit and escalates too: only the lockstep rule
+    below returns 0.  ``state`` carries the hint between calls of the same
+    channel.
     """
     prec = state.get("prec", 64)
     prev_gap = prev_prec = None
     for _ in range(12):
         total, max_abs = _series_state(prec, omega, mu, z)
-        if total == 0:
-            return 0.0
-        gap = math.log2(max_abs) - math.log2(abs(total))
+        gap = math.log2(max_abs) - math.log2(max(abs(total), 1))
         needed = int(gap) + 70
         if needed <= prec:
             # generous hint: within a channel the cancellation grows with
@@ -216,6 +233,54 @@ def _check_scan(mu: float, theta0: float, omega_max: float) -> None:
         )
 
 
+def _channel(mu: float, theta0: float):
+    """The Dirichlet function of channel mu at theta0, as a function of
+    omega: the Ferrers factor at cos(theta0), with the channel's own
+    precision hint."""
+    z = 0.5 * (1.0 - math.cos(theta0))
+    state: dict = {}
+
+    def f(w: float) -> float:
+        return _ferrers_factor(mu, w, z, state)
+
+    return f
+
+
+def _scan_grid(theta0: float, omega_max: float) -> list[float]:
+    """The scan's points: 0, then steps of pi/(4 theta0) (a quarter of the
+    asymptotic root spacing), ending at omega_max."""
+    step = math.pi / (4.0 * theta0)
+    grid = [step * j for j in range(int(omega_max / step) + 1)]
+    if grid[-1] < omega_max:
+        grid.append(omega_max)
+    return grid
+
+
+def _bisect_cell(f, lo: float, hi: float, a: float, b: float,
+                 left_positive: bool) -> float:
+    """The root that plain bisection of the scan cell (lo, hi) to _ABS_TOL
+    finds, replayed against [a, b], a located bracket of the cell's one
+    root; f is positive left of the root when ``left_positive``.  A
+    midpoint outside [a, b] takes its side unevaluated, so only midpoints
+    inside it are evaluated, and the root is the bisection's, bit for bit.
+    """
+    while hi - lo > _ABS_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid < a:
+            lo = mid
+        elif mid > b:
+            hi = mid
+        else:
+            fm = f(mid)
+            if fm == 0.0:
+                return mid
+            if (fm > 0) == left_positive:
+                lo = a = mid
+            else:
+                hi = b = mid
+    return 0.5 * (lo + hi)
+
+
 def dirichlet_roots(mu: float, theta0: float, omega_max: float) -> list[float]:
     """All simple roots in (0, omega_max] of the Dirichlet condition at
     theta0: the Ferrers function of order -mu vanishing at cos(theta0).
@@ -223,52 +288,23 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float) -> list[float]:
     Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
     with a gap monitor against missed roots.  Each sign change is located by
     Illinois, then its bisection to _ABS_TOL is replayed against the located
-    bracket: only midpoints inside it are evaluated, so every root is the
-    bisection's, bit for bit.
+    bracket (``_bisect_cell``).
     """
     _check_scan(mu, theta0, omega_max)
-    step = math.pi / (4.0 * theta0)
-    z = 0.5 * (1.0 - math.cos(theta0))
-    state: dict = {}
-
-    def f(w: float) -> float:
-        return _ferrers_factor(mu, w, z, state)
-
-    grid = [step * j for j in range(1, int(omega_max / step) + 1)]
-    if not grid or grid[-1] < omega_max:
-        grid.append(omega_max)
+    f = _channel(mu, theta0)
+    grid = _scan_grid(theta0, omega_max)
 
     roots: list[float] = []
     prev_w, prev_val = 0.0, f(0.0)
     if prev_val == 0.0:
         raise MissedRootSuspicion("unexpected root at omega = 0")
-    for w in grid:
+    for w in grid[1:]:
         val = f(w)
         if val == 0.0:
             roots.append(w)
         elif (val > 0) != (prev_val > 0):
-            lo, hi = prev_w, w
-            flo = prev_val
-            a, b = _illinois(f, lo, flo, hi, val, _ABS_TOL / 256.0)
-            # plain bisection of (lo, hi); a midpoint outside [a, b] takes
-            # its side unevaluated
-            while hi - lo > _ABS_TOL:
-                mid = 0.5 * (lo + hi)
-                if mid < a:
-                    lo = mid
-                    continue
-                if mid > b:
-                    hi = mid
-                    continue
-                fm = f(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo = a = mid
-                else:
-                    hi = b = mid
-            roots.append(0.5 * (lo + hi))
+            a, b = _illinois(f, prev_w, prev_val, w, val, _ABS_TOL / 256.0)
+            roots.append(_bisect_cell(f, prev_w, w, a, b, prev_val > 0))
         prev_w, prev_val = w, val
 
     # Roots settle to spacing pi/theta0 only once omega clears the turning
@@ -283,14 +319,84 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float) -> list[float]:
     return roots
 
 
+def _replay_scan(f, grid: list[float], a: float, b: float,
+                 left_positive: bool) -> float:
+    """The root the scan of ``grid`` finds for a root located in [a, b],
+    where 0 < a and b <= grid[-1].  A grid point inside [a, b] is evaluated
+    as the scan evaluates it: an exact 0 makes it the root, otherwise its
+    sign picks the cell.  Then the cell's bisection is replayed."""
+    i = bisect.bisect_left(grid, a)  # grid[i - 1] < a <= grid[i]
+    g = grid[i]
+    if g <= b:
+        fg = f(g)
+        if fg == 0.0:
+            return g
+        if (fg > 0) == left_positive:
+            return _bisect_cell(f, g, grid[i + 1], g, b, left_positive)
+        b = g
+    return _bisect_cell(f, grid[i - 1], g, a, b, left_positive)
+
+
+def _interlaced_roots(f, below: Sequence[float], omega_max: float,
+                      grid: list[float]) -> list[float] | None:
+    """The roots in (0, omega_max] of the channel whose Dirichlet function
+    is f, given ``below``, the (nonempty) roots of the channel one order
+    lower.  Interlacing puts exactly one root in each bracket between
+    consecutive roots of ``below``, and none or one in the last bracket
+    (below[-1], omega_max]; f is evaluated only at those ends and inside the
+    brackets.  Each root is located by Illinois, then the scan of ``grid``
+    is replayed on it, so it is the root ``dirichlet_roots`` finds.
+
+    Returns None when an end is a zero of f or a bracket between two roots
+    of ``below`` shows no sign change.  The ends are roots known only to
+    _ABS_TOL, and two channels' roots can be closer than that: on an obtuse
+    cap a high channel's lowest roots crowd onto the sphere's mu + 1/2 + n.
+    """
+    roots: list[float] = []
+    ends = [*below, omega_max]
+    fa = f(ends[0])
+    if fa == 0.0:
+        return None
+    for i in range(1, len(ends)):
+        a, b = ends[i - 1], ends[i]
+        fb = f(b)
+        if fb != 0.0 and (fb > 0) != (fa > 0):
+            x, y = _illinois(f, a, fa, b, fb, _ABS_TOL / 256.0)
+            roots.append(_replay_scan(f, grid, x, y, fa > 0))
+        elif i < len(ends) - 1:
+            return None
+        elif fb == 0.0:
+            roots.append(b)  # the scan's zero at its last point
+        fa = fb
+    return roots
+
+
 def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]:
     """Channels with all their Dirichlet roots up to omega_max.
 
-    The first root of a channel increases with mu, so the channel scan can
-    stop at the first channel with no roots in range.  A request whose
-    estimated root count, omega_max^2 theta0 sin(theta0) / (2 pi) with the
-    sine taken as 1 past pi/2, exceeds _MAX_ROOTS is refused before any
-    evaluation.
+    With omega_j(mu) the j-th root of channel mu, sphere channels, whose mu
+    step by exactly 1, interlace:
+    omega_j(mu) < omega_j(mu + 1) < omega_{j+1}(mu).  The lower bound is a
+    Sturm comparison: on the Liouville form of the channel equation a larger
+    mu raises the potential (mu^2 - 1/4) / sin^2, so every root increases.
+    The upper bound follows from the ladder relation in order (DLMF 14.10),
+    which writes the order -(mu + 1) function as a first-order expression in
+    the order -mu one, so that the Dirichlet condition of channel mu + 1 is
+    a Robin condition for channel mu, and Robin roots interlace Dirichlet
+    ones; the Bessel analogue is DLMF 10.21(i).  So only channel 0 is
+    scanned (``dirichlet_roots``); every later channel is bracketed by the
+    roots of the one before (``_interlaced_roots``), and each of those
+    brackets must show a sign change.  That check replaces the scan's gap
+    monitor.  A channel whose brackets fail it, because its roots lie
+    closer to the lower channel's than their tolerance, is scanned instead,
+    and its root count must still interlace, else MissedRootSuspicion.
+    Either way the roots are bit-identical to a scan of each channel.  The
+    first root of a channel increases with mu, so the loop stops at the
+    first channel with no roots in range.
+
+    A request whose estimated root count, omega_max^2 theta0 sin(theta0) /
+    (2 pi) with the sine taken as 1 past pi/2, exceeds _MAX_ROOTS is
+    refused before any evaluation.
     """
     if d < 2:
         raise ValidationError("the oracle supports sphere bases only (d >= 2)")
@@ -302,15 +408,24 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
             f"about {estimate:.0f} roots below omega_max {omega_max}, above "
             f"the limit {_MAX_ROOTS:,}"
         )
+    grid = _scan_grid(theta0, omega_max)
     channels: list[EigenvalueChannel] = []
     k = 0
-    while True:
-        mu = sphere_mu(k, d)
-        roots = dirichlet_roots(mu, theta0, omega_max)
-        if not roots:
-            break
-        channels.append(EigenvalueChannel(mu, degeneracy(k, d), tuple(roots)))
+    roots = dirichlet_roots(sphere_mu(0, d), theta0, omega_max)
+    while roots:
+        channels.append(
+            EigenvalueChannel(sphere_mu(k, d), degeneracy(k, d), tuple(roots))
+        )
         k += 1
+        mu, below = sphere_mu(k, d), roots
+        roots = _interlaced_roots(_channel(mu, theta0), below, omega_max, grid)
+        if roots is None:
+            roots = dirichlet_roots(mu, theta0, omega_max)
+            if not len(below) - 1 <= len(roots) <= len(below):
+                raise MissedRootSuspicion(
+                    f"{len(roots)} roots at mu = {mu} do not interlace the "
+                    f"{len(below)} of the channel one order lower"
+                )
     return channels
 
 

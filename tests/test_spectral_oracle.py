@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from capheat import spectral_oracle
 from capheat.errors import (
     AssumptionViolation,
     IllConditioned,
+    MissedRootSuspicion,
     SlowConvergence,
     TailTooLarge,
     ValidationError,
@@ -19,7 +21,9 @@ from capheat.special_eval import AngleParams
 from capheat.spectral_oracle import (
     EigenvalueChannel,
     HeatTraceSample,
+    THETA0_GUARD,
     _MAX_OMEGA,
+    _MAX_SERIES_TERMS,
     _check_positivity,
     _ferrers_factor,
     default_omega_max,
@@ -81,6 +85,50 @@ def bisection_roots(mu, theta0, omega_max, abs_tol=1e-10):
             roots.append(0.5 * (lo + hi))
         prev_w, prev_val = w, val
     return roots
+
+
+def reference_series_state(prec, omega, mu, z):
+    """The fixed-point kernel as it was before its denominator became a
+    shift and its numerator an increment: p // q with the full denominator
+    4 wd^2 zd (m + 1)((m + 1) ud + un), (2m + 1)^2 recomputed each term."""
+    wn, wd = omega.as_integer_ratio()
+    un, ud = mu.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    wd2, four_wn2 = wd * wd, 4 * wn * wn
+    num_scale, den_scale = zn * ud, 4 * wd2 * zd
+    term = total = max_abs = 1 << prec
+    stop_below = max_abs >> (prec - 3)
+    turn = abs(omega)
+    m = 0
+    while True:
+        # ((m + 1/2)^2 - w^2) z / ((m + 1)(m + 1 + mu)) over exact integers
+        p = term * ((2 * m + 1) ** 2 * wd2 - four_wn2) * num_scale
+        q = den_scale * (m + 1) * ((m + 1) * ud + un)
+        # toward zero: a floored negative term can stall above stop_below
+        term = p // q if p >= 0 else -(-p // q)
+        total += term
+        m += 1
+        a = abs(term)
+        if a > max_abs:
+            max_abs = a
+            stop_below = max_abs >> (prec - 3)
+        elif a < stop_below and m > turn:
+            return total, max_abs
+        if m > _MAX_SERIES_TERMS:
+            raise SlowConvergence("Ferrers series exceeded the term budget")
+
+
+def kernel_inputs(count=200, seed=8):
+    """Seeded (prec, omega, mu, z): half-integer and other orders, omega = 0
+    among them, and z up to 0.9, where the terms alternate longest."""
+    rng = random.Random(seed)
+    cases = [(64, 0.0, 0.3, 0.5), (64, 0.0, 2.7, 0.9), (96, 1.11, 2.7, 0.895)]
+    while len(cases) < count:
+        omega = 0.0 if rng.random() < 0.1 else rng.uniform(-5.0, 60.0)
+        z = rng.uniform(0.85, 0.9) if rng.random() < 0.3 else rng.uniform(0.01, 0.9)
+        mu = rng.choice((0.5, 1.5, 7.5, 40.5, 0.3, 2.7, rng.uniform(0.1, 20.0)))
+        cases.append((rng.randrange(64, 400), omega, mu, z))
+    return cases
 
 
 def mpf_series_state(prec, omega, mu, z):
@@ -150,6 +198,14 @@ class TestFerrers:
         assert math.isfinite(value)
         assert abs(value) < 1.0
 
+    @pytest.mark.parametrize("omega", [113.0, 112.10753517951525])
+    def test_tiny_value_is_not_zero(self, omega):
+        # the factor is below 2**-64 here: its first fixed-point sum rounds
+        # to 0, which must raise the precision, not end as an exact zero
+        expected = float(mp.legenp(omega - 0.5, -92.5, 0.5, type=2))
+        assert expected != 0.0
+        assert ferrers_p(92.5, omega, 0.5) == pytest.approx(expected, rel=1e-12)
+
     def test_domain_checks(self):
         with pytest.raises(ValidationError):
             ferrers_p(-1.0, 2.0, 0.3)
@@ -163,6 +219,12 @@ class TestFerrers:
 
 
 class TestFixedPointKernel:
+    def test_shift_kernel_matches_division_kernel(self):
+        for case in kernel_inputs():
+            assert spectral_oracle._series_state(*case) == reference_series_state(
+                *case
+            ), case
+
     @pytest.mark.parametrize("mu", [0.5, 1.5, 7.5])
     @pytest.mark.parametrize("omega", [0.0, 0.74, 5.3, 25.1, 60.2])
     def test_factor_bit_identical_to_mpf(self, monkeypatch, mu, omega):
@@ -295,6 +357,69 @@ class TestSpectrum:
         fake = [EigenvalueChannel(0.5, 1, (0.8,))]
         with pytest.raises(AssumptionViolation):
             _check_positivity(fake, 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    @pytest.mark.parametrize("theta0", [0.4, math.pi / 3, 1.8, 2.2])
+    def test_interlaced_equals_scan(self, d, theta0):
+        omega_max = 30.0 - 10.0 * theta0 / THETA0_GUARD
+        chans = spectrum(d, theta0, omega_max)
+        assert len(chans) > 1
+        for ch in chans:
+            assert ch.roots == tuple(dirichlet_roots(ch.mu, theta0, omega_max))
+        next_mu = chans[-1].mu + 1.0
+        assert dirichlet_roots(next_mu, theta0, omega_max) == []
+
+    def test_missing_sign_change_raises(self, monkeypatch):
+        # channel 1 folded to one sign: its brackets lose their sign changes,
+        # and its scan, which finds no roots, cannot interlace channel 0
+        def folded(mu, omega, z, state):
+            value = _ferrers_factor(mu, omega, z, state)
+            return abs(value) if mu == 1.5 else value
+
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", folded)
+        with pytest.raises(MissedRootSuspicion, match="do not interlace"):
+            spectrum(2, math.pi / 3, 20.0)
+
+    def test_crowded_roots_are_not_bracketed(self):
+        # on an obtuse cap the lowest roots of channels 71.5 and 72.5 crowd
+        # onto 73 closer than the root tolerance, so the root of 72.5 is not
+        # inside the bracket the rounded roots of 71.5 give
+        theta0, omega_max = THETA0_GUARD, 75.0
+        below = dirichlet_roots(71.5, theta0, omega_max)
+        assert abs(below[1] - 73.0) < 1e-10
+        f = spectral_oracle._channel(72.5, theta0)
+        grid = spectral_oracle._scan_grid(theta0, omega_max)
+        assert spectral_oracle._interlaced_roots(f, below, omega_max, grid) is None
+
+    def test_unbracketed_channel_is_scanned(self, monkeypatch):
+        theta0, omega_max = math.pi / 3, 20.0
+        first = dirichlet_roots(0.5, theta0, omega_max)
+
+        def zero_at_first_root(mu, omega, z, state):
+            if mu == 1.5 and omega == first[0]:
+                return 0.0
+            return _ferrers_factor(mu, omega, z, state)
+
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", zero_at_first_root)
+        scans = []
+
+        def scan(mu, *args):
+            scans.append(mu)
+            return dirichlet_roots(mu, *args)
+
+        monkeypatch.setattr(spectral_oracle, "dirichlet_roots", scan)
+        chans = spectrum(2, theta0, omega_max)
+        assert scans == [0.5, 1.5]
+        monkeypatch.undo()
+        for ch in chans:
+            assert ch.roots == tuple(dirichlet_roots(ch.mu, theta0, omega_max))
+
+    @pytest.mark.parametrize("omega_max", [40.0, 120.0])
+    def test_evaluations_per_root(self, monkeypatch, omega_max):
+        # a scan of every channel costs 16.6 per root here
+        calls = count_evaluations(monkeypatch)
+        chans = spectrum(2, math.pi / 3, omega_max)
+        assert calls[0] <= 12 * sum(len(ch.roots) for ch in chans)
 
 
 class TestHeatTrace:
