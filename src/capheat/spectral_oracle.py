@@ -7,13 +7,20 @@ angle below pi, but its partial sums grow roughly like exp(2 w atanh(sqrt z))
 before collapsing to an O(1) value.  Every term ratio is a ratio of exact
 integers (omega, mu and z are doubles), so the summation runs on Python
 integers in binary fixed point, with the number of fractional bits chosen
-adaptively from the observed cancellation.
+adaptively from the observed cancellation.  Past its turning point the
+series' terms keep one sign and shrink geometrically, so a proven bound on
+the rest of the sum stops it as soon as the caller's need is met: less for
+the root finder, whose signs the bound leaves exact, than for the doubles
+of ``ferrers_p``.
 
 Roots of one channel are found by a scan on a quarter-spacing grid.  A
 spectrum scans only its first channel: sphere channels interlace, so each
-later channel is bracketed by the roots of the one before.  Either way each
-root is shrunk by Illinois false position and then pinned to the scan's
-bisection of its grid cell, so both paths give the same roots, bit for bit.
+later channel is bracketed by the roots of the one before, and each of its
+roots is first tried where the channels below extrapolate it.  Either way
+each root is shrunk by Illinois false position and then pinned to the
+scan's bisection of its grid cell, so both paths give the same roots, bit
+for bit: where f is evaluated and how long each sum runs never decide a
+root, only signs do.
 
 mpmath is still used for the 80-bit Ferrers prefactor in ``ferrers_p`` and
 the incomplete gamma function of the Weyl tail, numpy for the trace sums and
@@ -55,16 +62,21 @@ __all__ = [
 THETA0_GUARD = 2.2  # beyond this the series ratio (1 - cos)/2 exceeds ~0.9
 _MAX_SERIES_TERMS = 2_000_000
 # A channel's cost grows about as omega_max^2.4: at mu = 1/2 and theta0 =
-# 2.2 it takes 2.5 s at omega_max 500 and 14 s at 1,000 (2-core VM,
+# 2.2 it takes about 2 s at omega_max 500 and 10-14 s at 1,000 (2-core VM,
 # Python 3.11).  The largest cutoff the tests use is 120.
 _MAX_OMEGA = 1_000.0
 # Bisection width of a root.
 _ABS_TOL = 1e-10
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  The largest spectra it accepts take about 35 s at theta0 = 2.2
-# (omega_max 169.0, 11,291 roots) and 18 s at pi/3 (omega_max 263.2, 8,599
-# roots) on a 2-core VM, Python 3.11.
+# 2,078).  The largest spectra it accepts take about 18-26 s at theta0 =
+# 2.2 (omega_max 169.0, 11,291 roots) and 9-13 s at pi/3 (omega_max 263.2,
+# 8,599 roots) on a 2-core VM, Python 3.11.
 _MAX_ROOTS = 10_000
+# The caller's target for the Ferrers series' tail bound, in bits below the
+# sum: ferrers_p's doubles need 64; the root finder needs only the signs,
+# which the bound leaves exact, and values good enough to steer Illinois.
+_VALUE_BITS = 64
+_SIGN_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -96,20 +108,28 @@ class FitResult:
     condition_number: float
 
 
-def _series_state(prec: int, omega: float, mu: float, z: float) -> tuple[int, int]:
+def _series_state(prec: int, omega: float, mu: float, z: float,
+                  bits: int) -> tuple[int, int]:
     """Sum the hypergeometric factor of the Ferrers function in binary fixed
     point: integers scaled by 2**prec.  omega, mu and z are doubles, so every
     term ratio is a ratio of exact integers.  The denominators of omega and
     z are powers of two: their share of each division is a right shift,
     which floors exactly as the full division does.  Each step rounds
-    toward zero.  Returns (sum, max term magnitude), both scaled; the
-    summation stops once, past the turning point, a term falls below
-    2**(3 - prec) times the largest one."""
+    toward zero.  Returns (sum, max term magnitude), both scaled.
+
+    The summation stops past the turning point m > |omega|, where every
+    later term ratio ((m + 1/2)^2 - w^2) z / ((m + 1)(m + 1 + mu)) lies in
+    (0, z) for mu > 0: the later terms keep the sign of term m and shrink
+    geometrically, so the rest of the sum is below |term m| z / (1 - z).
+    It stops once that bound, with z / (1 - z) rounded up to an integer, is
+    below 2**-bits of the sum, or, for a sum that is 0 or noise, once a
+    term falls below 2**(3 - prec) times the largest one."""
     wn, wd = omega.as_integer_ratio()
     un, ud = mu.as_integer_ratio()
     zn, zd = z.as_integer_ratio()
     wd2, num_scale = wd * wd, zn * ud
     shift = (4 * wd2 * zd).bit_length() - 1  # 4 wd^2 zd is 2**shift
+    tail_scale = -(-zn // (zd - zn)) << bits  # ceil(z / (1 - z)) 2**bits
     # ((2m - 1)^2 wd^2 - 4 wn^2) num_scale for term m; it grows by
     # 8 wd^2 m num_scale from term m to term m + 1
     num = (wd2 - 4 * wn * wn) * num_scale
@@ -132,7 +152,7 @@ def _series_state(prec: int, omega: float, mu: float, z: float) -> tuple[int, in
         if a > max_abs:
             max_abs = a
             stop_below = max_abs >> (prec - 3)
-        elif a < stop_below and m > turn:
+        elif m > turn and (a < stop_below or a * tail_scale < abs(total)):
             return total, max_abs
         if m > _MAX_SERIES_TERMS:
             raise SlowConvergence("Ferrers series exceeded the term budget")
@@ -147,12 +167,15 @@ def _ferrers_factor(mu: float, omega: float, z: float, state: dict) -> float:
     fractional bits are raised until it does.  A sum that rounds to 0 has
     lost every fractional bit and escalates too: only the lockstep rule
     below returns 0.  ``state`` carries the hint between calls of the same
-    channel.
+    channel, and ``state["bits"]`` the caller's target for the series'
+    tail bound: the value is good to about 2**-bits relative (_VALUE_BITS
+    when absent), and its sign is exact at any target.
     """
     prec = state.get("prec", 64)
-    prev_gap = prev_prec = None
+    bits = state.get("bits", _VALUE_BITS)
+    prev_gap = prev_prec = lockstep_prec = None
     for _ in range(12):
-        total, max_abs = _series_state(prec, omega, mu, z)
+        total, max_abs = _series_state(prec, omega, mu, z, bits)
         gap = math.log2(max_abs) - math.log2(max(abs(total), 1))
         needed = int(gap) + 70
         if needed <= prec:
@@ -162,8 +185,13 @@ def _ferrers_factor(mu: float, omega: float, z: float, state: dict) -> float:
             return total / (1 << prec)  # correctly rounded
         if prev_gap is not None and gap - prev_gap > 0.9 * (prec - prev_prec):
             # the residual shrinks in lockstep with the working precision:
-            # the sum is an analytic zero, not a cancellation shortfall
-            return 0.0
+            # the sum is an analytic zero, not a cancellation shortfall, if
+            # it still does so at twice the precision.  A cold start can sit
+            # on the noise of its early terms for one pair of precisions.
+            if lockstep_prec is None:
+                lockstep_prec = prec
+            elif prec >= 2 * lockstep_prec:
+                return 0.0
         prev_gap, prev_prec = gap, prec
         prec = needed + 32
     raise SlowConvergence("Ferrers series precision escalation failed")
@@ -192,15 +220,22 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
         return float(pref * factor)
 
 
-def _illinois(f, a: float, fa: float, b: float, fb: float, width: float):
+def _illinois(f, a: float, fa: float, b: float, fb: float, width: float,
+              first: float | None = None):
     """Shrink the sign-change bracket (a, b) of f (fa = f(a), fb = f(b)) to
     at most ``width`` by Illinois false position (Dowell & Jarratt, BIT 11,
-    1971).  Trial points keep ``width / 2`` clear of both ends, so a root on
-    an end closes in one step.  An exact zero collapses the bracket."""
+    1971), with ``first``, when given, as the first trial point in place of
+    the secant's.  Trial points keep ``width / 2`` clear of both ends, so a
+    root on an end closes in one step.  An exact zero collapses the
+    bracket."""
     a_positive = fa > 0
     kept = 0  # -1 after keeping b, +1 after keeping a
     while b - a > width:
-        x = min(max(b - fb * (b - a) / (fb - fa), a + width / 2), b - width / 2)
+        if first is None:
+            x = b - fb * (b - a) / (fb - fa)
+        else:
+            x, first = first, None
+        x = min(max(x, a + width / 2), b - width / 2)
         if not a < x < b:
             break
         fx = f(x)
@@ -236,9 +271,9 @@ def _check_scan(mu: float, theta0: float, omega_max: float) -> None:
 def _channel(mu: float, theta0: float):
     """The Dirichlet function of channel mu at theta0, as a function of
     omega: the Ferrers factor at cos(theta0), with the channel's own
-    precision hint."""
+    precision hint and the root finder's tail-bound target."""
     z = 0.5 * (1.0 - math.cos(theta0))
-    state: dict = {}
+    state: dict = {"bits": _SIGN_BITS}
 
     def f(w: float) -> float:
         return _ferrers_factor(mu, w, z, state)
@@ -337,23 +372,39 @@ def _replay_scan(f, grid: list[float], a: float, b: float,
     return _bisect_cell(f, grid[i - 1], g, a, b, left_positive)
 
 
-def _interlaced_roots(f, below: Sequence[float], omega_max: float,
+def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
+    """Root j of the next channel, extrapolated in mu (step 1) from root j
+    of the channels in ``lower`` (nearest last): quadratically from three,
+    linearly from two, and not at all from one."""
+    w = [roots[j] for roots in lower[-3:]]
+    if len(w) == 3:
+        return 3.0 * (w[2] - w[1]) + w[0]
+    if len(w) == 2:
+        return 2.0 * w[1] - w[0]
+    return None
+
+
+def _interlaced_roots(f, lower: Sequence[Sequence[float]], omega_max: float,
                       grid: list[float]) -> list[float] | None:
     """The roots in (0, omega_max] of the channel whose Dirichlet function
-    is f, given ``below``, the (nonempty) roots of the channel one order
-    lower.  Interlacing puts exactly one root in each bracket between
-    consecutive roots of ``below``, and none or one in the last bracket
-    (below[-1], omega_max]; f is evaluated only at those ends and inside the
-    brackets.  Each root is located by Illinois, then the scan of ``grid``
-    is replayed on it, so it is the root ``dirichlet_roots`` finds.
+    is f, given ``lower``, the roots of the channels below it, nearest last
+    (and nonempty).  Interlacing puts exactly one root in each bracket
+    between consecutive roots of the nearest, and none or one in the last
+    bracket (lower[-1][-1], omega_max]; f is evaluated only at those ends
+    and inside the brackets.  Each root is located by Illinois, starting at
+    its extrapolation from the channels below (``_extrapolated``), then the
+    scan of ``grid`` is replayed on it, so it is the root
+    ``dirichlet_roots`` finds: the start moves the evaluations, never the
+    root, which the signs alone fix.
 
     Returns None when an end is a zero of f or a bracket between two roots
-    of ``below`` shows no sign change.  The ends are roots known only to
-    _ABS_TOL, and two channels' roots can be closer than that: on an obtuse
-    cap a high channel's lowest roots crowd onto the sphere's mu + 1/2 + n.
+    of the nearest channel shows no sign change.  The ends are roots known
+    only to _ABS_TOL, and two channels' roots can be closer than that: on an
+    obtuse cap a high channel's lowest roots crowd onto the sphere's
+    mu + 1/2 + n.
     """
     roots: list[float] = []
-    ends = [*below, omega_max]
+    ends = [*lower[-1], omega_max]
     fa = f(ends[0])
     if fa == 0.0:
         return None
@@ -361,7 +412,8 @@ def _interlaced_roots(f, below: Sequence[float], omega_max: float,
         a, b = ends[i - 1], ends[i]
         fb = f(b)
         if fb != 0.0 and (fb > 0) != (fa > 0):
-            x, y = _illinois(f, a, fa, b, fb, _ABS_TOL / 256.0)
+            x, y = _illinois(f, a, fa, b, fb, _ABS_TOL / 256.0,
+                             _extrapolated(lower, i - 1))
             roots.append(_replay_scan(f, grid, x, y, fa > 0))
         elif i < len(ends) - 1:
             return None
@@ -387,7 +439,10 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     scanned (``dirichlet_roots``); every later channel is bracketed by the
     roots of the one before (``_interlaced_roots``), and each of those
     brackets must show a sign change.  That check replaces the scan's gap
-    monitor.  A channel whose brackets fail it, because its roots lie
+    monitor.  Inside a bracket Illinois starts from the root extrapolated in
+    mu from up to three channels below, which predict it to a median error
+    of 1e-4 to 1e-3, against a bracket about pi/theta0 wide; the start
+    changes only where f is evaluated.  A channel whose brackets fail it, because its roots lie
     closer to the lower channel's than their tolerance, is scanned instead,
     and its root count must still interlace, else MissedRootSuspicion.
     Either way the roots are bit-identical to a scan of each channel.  The
@@ -418,7 +473,8 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
         )
         k += 1
         mu, below = sphere_mu(k, d), roots
-        roots = _interlaced_roots(_channel(mu, theta0), below, omega_max, grid)
+        lower = [ch.roots for ch in channels[-3:]]
+        roots = _interlaced_roots(_channel(mu, theta0), lower, omega_max, grid)
         if roots is None:
             roots = dirichlet_roots(mu, theta0, omega_max)
             if not len(below) - 1 <= len(roots) <= len(below):

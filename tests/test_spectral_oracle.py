@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -131,9 +132,12 @@ def kernel_inputs(count=200, seed=8):
     return cases
 
 
-def mpf_series_state(prec, omega, mu, z):
+def mpf_series_state(prec, omega, mu, z, bits=None):
     """The Ferrers series summed in mpmath floating point at ``prec`` bits,
-    scaled to the kernel's fixed-point return convention."""
+    scaled to the kernel's fixed-point return convention.  It takes the
+    kernel's tail-bound target and ignores it: it sums to the old stop rule,
+    so the kernel, which stops earlier on a proven tail bound, is checked
+    against the longer sum."""
     with mp.workprec(prec):
         zz = mp.mpf(z)
         four_w2 = 4 * mp.mpf(omega) ** 2
@@ -198,13 +202,21 @@ class TestFerrers:
         assert math.isfinite(value)
         assert abs(value) < 1.0
 
-    @pytest.mark.parametrize("omega", [113.0, 112.10753517951525])
-    def test_tiny_value_is_not_zero(self, omega):
-        # the factor is below 2**-64 here: its first fixed-point sum rounds
-        # to 0, which must raise the precision, not end as an exact zero
-        expected = float(mp.legenp(omega - 0.5, -92.5, 0.5, type=2))
+    @pytest.mark.parametrize("mu,omega,x", [
+        pytest.param(92.5, 113.0, 0.5, id="113.0"),
+        pytest.param(92.5, 112.10753517951525, 0.5, id="112.10753517951525"),
+        pytest.param(100.5, 167.0, math.cos(2.2), id="cold-lockstep"),
+        pytest.param(0.5, 84.0, -0.44, id="cold-lockstep-order-half"),
+    ])
+    def test_tiny_value_is_not_zero(self, mu, omega, x):
+        # at 92.5 the factor is below 2**-64: its first fixed-point sum
+        # rounds to 0, which must raise the precision, not end as an exact
+        # zero.  With a cold hint the others first sit on the rounding noise
+        # of their early terms, which grows in lockstep with the precision
+        # for one pair of precisions, as an analytic zero's residual does
+        expected = float(mp.legenp(omega - 0.5, -mu, x, type=2))
         assert expected != 0.0
-        assert ferrers_p(92.5, omega, 0.5) == pytest.approx(expected, rel=1e-12)
+        assert ferrers_p(mu, omega, x) == pytest.approx(expected, rel=1e-12)
 
     def test_domain_checks(self):
         with pytest.raises(ValidationError):
@@ -220,10 +232,17 @@ class TestFerrers:
 
 class TestFixedPointKernel:
     def test_shift_kernel_matches_division_kernel(self):
+        # the kernels run the same integers up to the shift kernel's earlier
+        # stop, after which the terms keep their sign and shrink by a factor
+        # below z each, so the division kernel's longer sum differs by less
+        # than 2**-bits of the shorter one
         for case in kernel_inputs():
-            assert spectral_oracle._series_state(*case) == reference_series_state(
-                *case
-            ), case
+            ref_total, ref_max_abs = reference_series_state(*case)
+            for bits in (spectral_oracle._VALUE_BITS, spectral_oracle._SIGN_BITS):
+                total, max_abs = spectral_oracle._series_state(*case, bits)
+                assert max_abs == ref_max_abs, (case, bits)
+                assert (total > 0) == (ref_total > 0), (case, bits)
+                assert abs(ref_total - total) << bits <= abs(total), (case, bits)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5, 7.5])
     @pytest.mark.parametrize("omega", [0.0, 0.74, 5.3, 25.1, 60.2])
@@ -389,7 +408,7 @@ class TestSpectrum:
         assert abs(below[1] - 73.0) < 1e-10
         f = spectral_oracle._channel(72.5, theta0)
         grid = spectral_oracle._scan_grid(theta0, omega_max)
-        assert spectral_oracle._interlaced_roots(f, below, omega_max, grid) is None
+        assert spectral_oracle._interlaced_roots(f, [below], omega_max, grid) is None
 
     def test_unbracketed_channel_is_scanned(self, monkeypatch):
         theta0, omega_max = math.pi / 3, 20.0
@@ -414,12 +433,41 @@ class TestSpectrum:
         for ch in chans:
             assert ch.roots == tuple(dirichlet_roots(ch.mu, theta0, omega_max))
 
+    @pytest.mark.parametrize("start", ["none", "left", "right", "midpoint"])
+    @pytest.mark.parametrize("d,theta0", [(2, math.pi / 3), (3, 1.8)])
+    def test_roots_do_not_depend_on_the_guess(self, monkeypatch, start, d,
+                                               theta0):
+        # the extrapolated start only moves the evaluations: a poor start,
+        # next to either end of the bracket or at its middle, or none at
+        # all, gives the same roots bit for bit
+        omega_max = 25.0
+        chans = spectrum(d, theta0, omega_max)
+
+        def poor(lower, j):
+            ends = [*lower[-1], omega_max]
+            return {"none": None, "left": -math.inf, "right": math.inf,
+                    "midpoint": 0.5 * (ends[j] + ends[j + 1])}[start]
+
+        monkeypatch.setattr(spectral_oracle, "_extrapolated", poor)
+        assert spectrum(d, theta0, omega_max) == chans
+
     @pytest.mark.parametrize("omega_max", [40.0, 120.0])
     def test_evaluations_per_root(self, monkeypatch, omega_max):
-        # a scan of every channel costs 16.6 per root here
+        # a scan of every channel costs 16.6 per root here, the interlace
+        # brackets without the extrapolated start 11.6 and 11.9
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, math.pi / 3, omega_max)
-        assert calls[0] <= 12 * sum(len(ch.roots) for ch in chans)
+        assert calls[0] <= 8.5 * sum(len(ch.roots) for ch in chans)
+
+    def test_roots_fingerprint(self):
+        # sha256 of the float.hex of the verify-cap spectrum's 190 roots,
+        # as the scan of every channel finds them: any moved bit fails here
+        chans = spectrum(2, math.pi / 3, 40.0)
+        hexes = [r.hex() for ch in chans for r in ch.roots]
+        assert len(hexes) == 190
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == (
+            "ab64c0244414c2fe1cf47aed4f4f4dbc33d12016fd47ceb4b11a608373f4f2fa"
+        )
 
 
 class TestHeatTrace:
