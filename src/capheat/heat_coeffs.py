@@ -170,12 +170,13 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
         total -= sin_pow / 4.0 * base_coefficient(cfg.base, n - 1)
     if n >= 2:
         structures = omega_structures(n - 1)
+        shared_2f1: dict = {}  # the orders of this index share their 2F1 values
         for i in range(1, n):
             a_base = base_coefficient(cfg.base, n - i - 1)
             if a_base == 0.0:
                 continue
             total -= sin_pow * a_base * f_total(
-                i, structures[i - 1], angle, dmn
+                i, structures[i - 1], angle, dmn, shared_2f1=shared_2f1
             )
     return total
 

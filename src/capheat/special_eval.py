@@ -6,12 +6,22 @@ Everything here is double precision with compensated summation.  The
 convention throughout: a Gamma pole in a denominator contributes 0 (the
 entire function 1/Gamma), a pole in a numerator is a bad argument and raises
 ValidationError.
+
+The angular weights evaluate each ingredient once.  The 2F1 values of the z
+family are shared by the orders of one index through a dict the caller
+passes to f_total and drops with the index.  Gamma and 1/Gamma are memoized
+at module level: their arguments in the weights are integers and
+half-integers fixed by the dimension and the indices, never by the angle.
+No value that depends on the angle outlives one table: such a cache would
+pay off only when the same table is asked for again, and a benchmark that
+repeats its tables would measure the repetition instead of the code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import SlowConvergence, ValidationError
@@ -69,6 +79,9 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
+# Bounded memos: the weights ask for a few hundred integer and half-integer
+# arguments, none set by the angle.  A pole raises and is not stored.
+@lru_cache(maxsize=1024)
 def recip_gamma(x: float) -> float:
     """1 / Gamma(x), with the entire-function value 0 at nonpositive integers."""
     if _is_nonpositive_integer(x):
@@ -79,6 +92,7 @@ def recip_gamma(x: float) -> float:
         return 0.0
 
 
+@lru_cache(maxsize=1024)
 def _gamma_num(x: float) -> float:
     """Gamma(x) for numerator use; a pole here is a genuine error."""
     if _is_nonpositive_integer(x):
@@ -86,16 +100,13 @@ def _gamma_num(x: float) -> float:
     return math.gamma(x)
 
 
-def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
-    y = term - comp
-    t = total + y
-    return t, (t - total) - y
-
-
 def _kahan_sum(terms: Iterable[float]) -> float:
     total, comp = 0.0, 0.0
     for term in terms:
-        total, comp = _kahan_add(total, comp, term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
     return total
 
 
@@ -115,17 +126,25 @@ def _series_2f1(
     """
     total, comp = 1.0, 0.0
     term = 1.0
+    if nterms is not None:
+        for m in range(nterms):
+            term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
+            # compensated add, inline: the same operations as _kahan_sum
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        return total
     m = 0
     settled = max(0.0, -a, -b)  # past this index the term signs are fixed
     small_streak = 0
     while True:
         term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
-        total, comp = _kahan_add(total, comp, term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
         m += 1
-        if nterms is not None:
-            if m >= nterms:
-                return total
-            continue
         if abs(term) <= _REL_TOL * abs(total) and m > settled:
             small_streak += 1
             if small_streak >= 2:
@@ -221,7 +240,12 @@ def c1(angle: AngleParams, two_s: float) -> float:
 
 
 def f_total(
-    i: int, structure: StructuredOmega, angle: AngleParams, d_minus_n: float
+    i: int,
+    structure: StructuredOmega,
+    angle: AngleParams,
+    d_minus_n: float,
+    *,
+    shared_2f1: dict[tuple[float, int], float] | None = None,
 ) -> float:
     """Full angular weight of order i, x + z0 + z over the three coefficient
     families of ``structure``, with s = d_minus_n/2 and A = s + i/2:
@@ -234,6 +258,13 @@ def f_total(
 
     over b in 0..i for x, j in 1..i, and b in chi(i)..i for z.  Each family
     is a compensated sum that skips the terms whose 1/Gamma vanishes.
+
+    ``shared_2f1`` holds the z-family 2F1 values keyed (b + i/2, j).  They
+    also depend on d_minus_n and the angle, but not on i, so a caller passes
+    one dict to every order of one index and drops it with the index; by
+    default each call has a fresh dict.  The cos powers are computed once
+    per call, and Gamma and 1/Gamma come from their module-level memo (see
+    the module docstring).
     """
     if structure.order != i:
         raise ValueError(f"structure has order {structure.order}, expected {i}")
@@ -241,6 +272,8 @@ def f_total(
         raise ValueError("d_minus_n must be positive")
     if angle.sin2 == 0.0:
         raise OverflowError(f"sin(theta0)^2 underflows at theta0={angle.theta0}")
+    if shared_2f1 is None:
+        shared_2f1 = {}
     inv_sin = angle.sin_theta ** (-d_minus_n)
     s = 0.5 * d_minus_n
     half_i = 0.5 * i
@@ -252,26 +285,31 @@ def f_total(
     # the poles by construction; an explicit check, not an assert
     if lo + half_i < 0.5:
         raise ValueError(f"2F1 lower parameter {lo + half_i} too low")
+    cos_pow = [cos_t ** (i + 2 * b) for b in range(lo, i + 1)]
 
-    x = _kahan_sum(
-        float(c) * cos_t ** (i + 2 * b) * _gamma_num(big_a + b) * inv_gamma_a * rg
-        for b in range(0, i + 1)
-        if (c := structure.x_coeffs[b]) and (rg := recip_gamma(b + half_i))
-    )
-    z0 = _kahan_sum(
-        float(c) * _gamma_num(s + j) * inv_gamma_a * rg
-        for j in range(1, i + 1)
-        if (c := structure.z0_coeffs[j]) and (rg := recip_gamma(float(j)))
-    )
-    z = _kahan_sum(
-        float(c)
-        * cos_t ** (i + 2 * b)
-        * _gamma_num(big_a + b + j)
-        * inv_gamma_a
-        * rg
-        * _hyp2f1(-s, b + half_i, b + half_i + j, angle.cos2, angle.sin2)
-        for j in range(1, i + 1)
-        for b in range(lo, i + 1)
-        if (c := structure.z_coeffs[(b, j)]) and (rg := recip_gamma(b + half_i + j))
-    )
+    x = _kahan_sum([
+        c * cos_pow[b - lo] * _gamma_num(big_a + b) * inv_gamma_a * rg
+        for b, c in structure.x_terms
+        if (rg := recip_gamma(b + half_i))
+    ])
+    z0 = _kahan_sum([
+        c * _gamma_num(s + j) * inv_gamma_a * rg
+        for j, c in structure.z0_terms
+        if (rg := recip_gamma(float(j)))
+    ])
+    z_terms = []
+    for b, j, c in structure.z_terms:
+        beta = b + half_i
+        rg = recip_gamma(beta + j)
+        if not rg:
+            continue
+        hyp = shared_2f1.get((beta, j))
+        if hyp is None:
+            hyp = shared_2f1[beta, j] = _hyp2f1(
+                -s, beta, beta + j, angle.cos2, angle.sin2
+            )
+        z_terms.append(
+            c * cos_pow[b - lo] * _gamma_num(big_a + b + j) * inv_gamma_a * rg * hyp
+        )
+    z = _kahan_sum(z_terms)
     return x + inv_sin * z0 + inv_sin * z

@@ -176,24 +176,29 @@ def _ferrers_factor(mu: float, omega: float, z: float, state: dict) -> float:
     prev_gap = prev_prec = lockstep_prec = None
     for _ in range(12):
         total, max_abs = _series_state(prec, omega, mu, z, bits)
-        gap = math.log2(max_abs) - math.log2(max(abs(total), 1))
+        log_peak = math.log2(max_abs)
+        gap = log_peak - math.log2(max(abs(total), 1))
         needed = int(gap) + 70
         if needed <= prec:
             # generous hint: within a channel the cancellation grows with
             # omega, and extra bits are cheaper than re-summation
             state["prec"] = max(64, needed + 32)
             return total / (1 << prec)  # correctly rounded
-        if prev_gap is not None and gap - prev_gap > 0.9 * (prec - prev_prec):
-            # the residual shrinks in lockstep with the working precision:
-            # the sum is an analytic zero, not a cancellation shortfall, if
-            # it still does so at twice the precision.  A cold start can sit
-            # on the noise of its early terms for one pair of precisions.
-            if lockstep_prec is None:
-                lockstep_prec = prec
-            elif prec >= 2 * lockstep_prec:
-                return 0.0
-        prev_gap, prev_prec = gap, prec
-        prec = needed + 32
+        # Below the peak term's integer bits plus a margin, the rounding of
+        # the early terms, amplified by the growth up to the peak, swamps
+        # the sum: a residual that shrinks with precision there is noise.
+        floor = int(log_peak) - prec + 70
+        if prec >= floor:
+            if prev_gap is not None and gap - prev_gap > 0.9 * (prec - prev_prec):
+                # the residual shrinks in lockstep with the working
+                # precision: the sum is an analytic zero, not a cancellation
+                # shortfall, if it still does so at twice the precision.
+                if lockstep_prec is None:
+                    lockstep_prec = prec
+                elif prec >= 2 * lockstep_prec:
+                    return 0.0
+            prev_gap, prev_prec = gap, prec
+        prec = max(needed + 32, floor)
     raise SlowConvergence("Ferrers series precision escalation failed")
 
 

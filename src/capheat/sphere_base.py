@@ -122,6 +122,7 @@ def suspension_coefficient_direct(n: int, d: int, angle: AngleParams) -> float:
         )
     if n >= 2:
         structures = omega_structures(n - 1)
+        shared_2f1: dict = {}
         acc = 0.0
         for i in range(1, n):
             coeff = scoeffs[n - i - 1]
@@ -132,7 +133,9 @@ def suspension_coefficient_direct(n: int, d: int, angle: AngleParams) -> float:
                 / factorial(n - 1 - i)
                 * _pochhammer_half(0.5 * (d - n + i + 2), n - i - 1)
                 * float(coeff)
-                * f_total(i, structures[i - 1], angle, float(big_d - n))
+                * f_total(
+                    i, structures[i - 1], angle, float(big_d - n), shared_2f1=shared_2f1
+                )
             )
         total -= 2.0 * SQRT_PI / (d - 1) * sin_pow * acc
     return total * sphere_surface_area(d) / (4.0 * math.pi) ** (0.5 * big_d)

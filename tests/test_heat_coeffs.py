@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -23,6 +24,7 @@ from capheat.heat_coeffs import (
     shift_to_pure_laplacian,
     table_to_dict,
 )
+from capheat import special_eval
 from capheat.special_eval import AngleParams
 from capheat.sphere_base import sphere_heat_coefficient, sphere_surface_area
 
@@ -288,3 +290,66 @@ class TestTable:
         payload = table_to_dict(table)
         assert payload["config"]["base"]["type"] == "user"
         assert payload["log_coefficient"] == pytest.approx(0.2, rel=1e-15)
+
+
+def user_base(d: int) -> UserBase:
+    """A fixed user base with exact-double coefficients through index d + 1."""
+    coefficients = {n: (-1) ** n * (n + 1) / 2.0 ** (n + 1) for n in range(d + 2)}
+    return UserBase(d, coefficients, residue_at_minus_half=0.375)
+
+
+PIN_THETAS = (1e-3, 1e-2, 0.1, 1.0, math.pi / 3, math.pi / 2, 2.0, 3.0, 3.1)
+# sha256 of the float.hex of every script_A and cal_A of the 360 pinned tables
+ASSEMBLY_DIGEST = "1bccee231d2a57d907b76e5945ebf14d6982c20ec71dd4f83e61038e4dfd715f"
+
+
+class TestAssemblyBits:
+    """The assembly's output, pinned bit for bit.
+
+    Speed work on the assembly must leave every value unchanged; this digest
+    catches a single moved bit in any table.  A change that moves values on
+    purpose (more accurate angular weights, say) re-pins the digest and
+    says so in CHANGES.md.
+    """
+
+    def test_tables_are_bit_identical(self):
+        digest = hashlib.sha256()
+        for big_d in range(3, 13):
+            for theta0 in PIN_THETAS:
+                for base in (SphereBase(big_d - 1), user_base(big_d - 1)):
+                    for mass in (0.0, 0.5):
+                        cfg = SuspensionConfig(
+                            D=big_d,
+                            angle=AngleParams.from_theta0(theta0),
+                            base=base,
+                            n_max=big_d - 1,
+                            mass=mass,
+                        )
+                        for e in compute_table(cfg).entries:
+                            digest.update(
+                                f"{e.script_A.hex()} {e.cal_A.hex()}\n".encode()
+                            )
+        assert digest.hexdigest() == ASSEMBLY_DIGEST
+
+    @pytest.mark.parametrize("base,limit", [
+        pytest.param(SphereBase(11), 602, id="sphere"),
+        pytest.param(user_base(11), 1042, id="user"),
+    ])
+    def test_each_2f1_is_evaluated_once(self, monkeypatch, base, limit):
+        # the orders of one index share their z-family 2F1 values, so every
+        # distinct argument tuple is evaluated once (per-order evaluation
+        # took 1082 and 1832 calls here)
+        real = special_eval._hyp2f1
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(special_eval, "_hyp2f1", counted)
+        cfg = SuspensionConfig(
+            D=12, angle=AngleParams.from_theta0(1.0), base=base, n_max=11
+        )
+        compute_table(cfg)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= limit

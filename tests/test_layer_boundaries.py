@@ -15,7 +15,9 @@ import pytest
 import capheat.heat_coeffs
 import capheat.spectral_oracle
 from capheat import AngleParams, SphereBase, SuspensionConfig, compute_table, spectrum
+from capheat.heat_coeffs import base_coefficient
 from capheat.legendre_asymptotics import omega_structures
+from test_heat_coeffs import user_base
 
 ASSEMBLY = (capheat.heat_coeffs, ("c1", "f_total", "omega_structures"))
 ORACLE = (capheat.spectral_oracle, ("dirichlet_roots",))
@@ -41,6 +43,30 @@ def test_compute_table_calls_wrapped_attributes(monkeypatch):
     )
     compute_table(cfg)
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("base,f_total_calls", [
+    pytest.param(SphereBase(11), 30, id="sphere"),
+    pytest.param(user_base(11), 55, id="user"),
+])
+def test_compute_table_boundary_counts(monkeypatch, base, f_total_calls):
+    # The traced benchmark divides span time by these call counts, so they
+    # must not change with internal sharing: c1 once per index n, f_total
+    # once per order i of index n whose base coefficient is nonzero.  The
+    # literals are the counts recorded before the orders of one index began
+    # sharing their 2F1 values.
+    calls = count_calls(monkeypatch, capheat.heat_coeffs, ("c1", "f_total"))
+    cfg = SuspensionConfig(
+        D=12, angle=AngleParams.from_theta0(1.0), base=base, n_max=11
+    )
+    compute_table(cfg)
+    expected = sum(
+        base_coefficient(base, n - i - 1) != 0.0
+        for n in range(2, cfg.n_max + 1)
+        for i in range(1, n)
+    )
+    assert calls == {"c1": cfg.n_max + 1, "f_total": expected}
+    assert expected == f_total_calls
 
 
 def test_spectrum_calls_wrapped_attribute(monkeypatch):

@@ -207,13 +207,19 @@ class TestFerrers:
         pytest.param(92.5, 112.10753517951525, 0.5, id="112.10753517951525"),
         pytest.param(100.5, 167.0, math.cos(2.2), id="cold-lockstep"),
         pytest.param(0.5, 84.0, -0.44, id="cold-lockstep-order-half"),
+        *(
+            pytest.param(0.5, omega, math.cos(2.2), id=f"cold-high-omega-{omega}")
+            for omega in (300.3, 500.3, 700.3, 1000.3)
+        ),
     ])
     def test_tiny_value_is_not_zero(self, mu, omega, x):
         # at 92.5 the factor is below 2**-64: its first fixed-point sum
         # rounds to 0, which must raise the precision, not end as an exact
         # zero.  With a cold hint the others first sit on the rounding noise
-        # of their early terms, which grows in lockstep with the precision
-        # for one pair of precisions, as an analytic zero's residual does
+        # of their early terms, which shrinks in lockstep with the precision
+        # as an analytic zero's residual does, until the precision passes
+        # the integer bits of the peak term; at high omega that noise used
+        # to last for two pairs of precisions and end as a false 0.0
         expected = float(mp.legenp(omega - 0.5, -mu, x, type=2))
         assert expected != 0.0
         assert ferrers_p(mu, omega, x) == pytest.approx(expected, rel=1e-12)
