@@ -13,7 +13,6 @@ from .heat_coeffs import (
     compute_table,
     log_coefficient,
     mass_shift,
-    residue_to_coefficient,
     shift_to_pure_laplacian,
     table_to_dict,
 )
@@ -23,7 +22,6 @@ from .legendre_asymptotics import (
     chi,
     extract_structure,
     omega,
-    phi,
 )
 from .special_eval import (
     AngleParams,
@@ -43,8 +41,6 @@ from .spectral_oracle import (
 from .sphere_base import (
     degeneracy,
     sphere_heat_coefficient,
-    sphere_residue,
-    suspension_coefficient_direct,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from .heat_coeffs import (
 from .legendre_asymptotics import omega as omega_functions
 from .special_eval import AngleParams
 from .spectral_oracle import (
+    _MAX_N_FIT,
     default_omega_max,
     fit_asymptotics,
     heat_trace,
@@ -162,6 +163,10 @@ def cmd_verify(args) -> int:
         raise ValidationError("need 0 < --t-min < --t-max, both finite")
     if not 1 <= args.points <= _MAX_POINTS:
         raise ValidationError(f"--points must lie in 1..{_MAX_POINTS}")
+    if args.max_n > _MAX_N_FIT:
+        raise ValidationError(
+            f"--max-n {args.max_n} is above the limit {_MAX_N_FIT} of the fit"
+        )
     angle = _angle_from(args)
     cfg = SuspensionConfig(
         D=args.dim,
@@ -174,7 +179,7 @@ def cmd_verify(args) -> int:
         omega_max = default_omega_max(args.dim, args.t_min, args.tolerance)
     ts = [float(t) for t in np.geomspace(args.t_min, args.t_max, args.points)]
     samples = heat_trace(cfg, ts, tolerance=args.tolerance, omega_max=omega_max)
-    n_fit = min(4, max(args.max_n + 2, 3))
+    n_fit = min(_MAX_N_FIT, max(args.max_n + 2, 3))
     fit = fit_asymptotics(samples, args.dim, n_fit)
     table = compute_table(cfg)
     predicted = {e.n: e.cal_A for e in table.entries}

@@ -15,7 +15,7 @@ from typing import Mapping, Union
 from . import sphere_base
 from .errors import IndexOutOfRange, InsufficientBaseData, ValidationError
 from .legendre_asymptotics import _MAX_ORDER, omega_structures
-from .special_eval import SQRT_PI, AngleParams, _gamma_num, c1, f_total
+from .special_eval import SQRT_PI, AngleParams, c1, f_total
 
 __all__ = [
     "SphereBase",
@@ -24,7 +24,6 @@ __all__ = [
     "SuspensionConfig",
     "CoefficientEntry",
     "CoefficientTable",
-    "residue_to_coefficient",
     "base_coefficient",
     "assemble_script_A",
     "shift_to_pure_laplacian",
@@ -122,12 +121,6 @@ class CoefficientTable:
     config: SuspensionConfig
     entries: tuple[CoefficientEntry, ...]
     log_coefficient: float | None = None
-
-
-def residue_to_coefficient(s: float, residue: float) -> float:
-    """Gamma(s) times the zeta residue at s: the dictionary between residues
-    and heat coefficients."""
-    return _gamma_num(s) * residue
 
 
 def base_coefficient(base: BaseDescriptor, n: int) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "NuGPolynomial",
     "StructuredOmega",
     "chi",
-    "phi",
     "omega",
     "extract_structure",
     "omega_structures",
@@ -186,19 +185,6 @@ def _omega_entry(k: int) -> NuGPolynomial:
     return om
 
 
-def phi(n: int) -> NuGPolynomial:
-    """n-th expansion function of the Legendre amplitude.
-
-    Seeded with 1, each step applies the derivative term
-    (1 - v^2)(1 + g^2 v^2) / (2 (1 + g^2)) * d/dv and subtracts
-    1/(8 (1 + g^2)) times the integral from 1 of (5 t^2 + 1/g^2 - 1) times the
-    function.
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return _extend(_PHIS, n + 1, _phi_entry)[n]
-
-
 def omega(max_order: int) -> list[NuGPolynomial]:
     """Cumulant functions of orders 1..max_order.
 
@@ -249,13 +235,6 @@ class StructuredOmega:
         object.__setattr__(self, "x_terms", x)
         object.__setattr__(self, "z0_terms", z0)
         object.__setattr__(self, "z_terms", z)
-
-    def reconstruct(self) -> NuGPolynomial:
-        i = self.order
-        coeffs = {(0, i + 2 * b): c for b, c in self.x_coeffs.items()}
-        coeffs.update(((j, 0), c) for j, c in self.z0_coeffs.items())
-        coeffs.update(((j, i + 2 * b), c) for (b, j), c in self.z_coeffs.items())
-        return NuGPolynomial.from_monomials(coeffs)
 
 
 def extract_structure(omega_i: NuGPolynomial, i: int) -> StructuredOmega:

@@ -124,38 +124,39 @@ def _series_2f1(
     consecutive ones pass the relative tolerance, once past any sign
     turnaround of the Pochhammer factors.
     """
-    total, comp = 1.0, 0.0
-    term = 1.0
-    if nterms is not None:
-        for m in range(nterms):
-            term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
-            # compensated add, inline: the same operations as _kahan_sum
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return total
-    m = 0
-    settled = max(0.0, -a, -b)  # past this index the term signs are fixed
+    total, comp, term = 1.0, 0.0, 1.0
+    limit = _MAX_TERMS if nterms is None else nterms
+    # past this index the term signs are fixed; a terminating series never
+    # gets there and runs its nterms terms
+    settled = max(0.0, -a, -b) if nterms is None else math.inf
     small_streak = 0
-    while True:
+    m = 0
+    while m < limit:
         term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
+        # compensated add, inline: the same operations as _kahan_sum
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         m += 1
-        if abs(term) <= _REL_TOL * abs(total) and m > settled:
+        small = _REL_TOL * abs(total)
+        if -small <= term <= small and m > settled:
             small_streak += 1
             if small_streak >= 2:
                 return total
         else:
             small_streak = 0
-        if m >= _MAX_TERMS:
-            raise SlowConvergence(
-                f"hypergeometric series at x={x} not converged "
-                f"after {_MAX_TERMS} terms"
-            )
+    if nterms is not None:
+        return total
+    raise SlowConvergence(
+        f"hypergeometric series at x={x} not converged after {_MAX_TERMS} terms"
+    )
+
+
+def _series_length(p: float, q: float) -> int:
+    """Terms after the leading 1 of a series whose upper parameter p or q is
+    a nonpositive integer: it ends at the first of them it reaches."""
+    return min(int(-v) for v in (p, q) if _is_nonpositive_integer(v))
 
 
 def _gauss_value(a: float, b: float, c: float) -> float:
@@ -178,9 +179,8 @@ def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
         return 1.0
 
     # Terminating series: sum it exactly, any argument.
-    cutoffs = [int(-p) for p in (a, b) if _is_nonpositive_integer(p)]
-    if cutoffs:
-        return _series_2f1(a, b, c, x, nterms=min(cutoffs))
+    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
+        return _series_2f1(a, b, c, x, nterms=_series_length(a, b))
 
     if x == 1.0 or xc == 0.0:
         if c - a - b <= 0.0:
@@ -216,9 +216,10 @@ def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
 
     # Degenerate integer c-a-b: fall back to the Euler transform when it
     # terminates, else to the direct series with the term-count guard.
-    euler_cut = [int(-p) for p in (c - a, c - b) if _is_nonpositive_integer(p)]
-    if euler_cut:
-        return xc**w * _series_2f1(c - a, c - b, c, x, nterms=min(euler_cut))
+    if _is_nonpositive_integer(c - a) or _is_nonpositive_integer(c - b):
+        return xc**w * _series_2f1(
+            c - a, c - b, c, x, nterms=_series_length(c - a, c - b)
+        )
     return _series_2f1(a, b, c, x)
 
 

@@ -77,6 +77,8 @@ _MAX_ROOTS = 10_000
 # which the bound leaves exact, and values good enough to steer Illinois.
 _VALUE_BITS = 64
 _SIGN_BITS = 24
+# Highest index fit_asymptotics fits, and so the highest verify --max-n.
+_MAX_N_FIT = 4
 
 
 @dataclass(frozen=True)
@@ -600,8 +602,8 @@ def fit_asymptotics(
     """
     import numpy as np
 
-    if n_fit > 4:
-        raise ValidationError("n_fit is limited to 4")
+    if n_fit > _MAX_N_FIT:
+        raise ValidationError(f"n_fit is limited to {_MAX_N_FIT}")
     if len(samples) < 3 * n_fit:
         raise ValidationError("need at least 3 * n_fit samples")
     t = np.array([s.t for s in samples], dtype=float)

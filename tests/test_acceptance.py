@@ -23,16 +23,15 @@ from capheat.heat_coeffs import (
 )
 from capheat.legendre_asymptotics import chi, omega, omega_structures
 from capheat.special_eval import AngleParams, c1, f_total
-from capheat.sphere_base import (
-    degeneracy,
-    explicit_table_check,
-    sphere_heat_coefficient,
-    sphere_surface_area,
-    suspension_coefficient_direct,
-)
+from capheat.sphere_base import degeneracy, sphere_heat_coefficient
 from capheat.spectral_oracle import dirichlet_roots, fit_asymptotics, heat_trace
 
 from omega_reference import REFERENCE, bessel_d_polynomial
+from sphere_reference import (
+    explicit_table_check,
+    sphere_surface_area,
+    suspension_coefficient_direct,
+)
 from test_special_eval import bessel_limit_weight, c1_double_series
 
 SQRT_PI = math.sqrt(math.pi)

@@ -422,3 +422,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "above the limit 10,000" in err
+
+    def test_max_n_above_the_fit_refused(self, capsys, monkeypatch):
+        # the fit stops at index 4; --max-n 5 once built the whole spectrum
+        # and then crashed reading a fifth fitted index
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        code, out, err = invoke(
+            capsys,
+            ["verify", "--dim", "8", "--theta0", "1.0", "--max-n", "5",
+             "--t-min", "0.05", "--t-max", "0.6", "--omega-max", "60"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-n 5 is above the limit 4 of the fit" in err

@@ -11,15 +11,14 @@ from capheat.heat_coeffs import (
     SphereBase,
     SuspensionConfig,
     assemble_script_A,
-    residue_to_coefficient,
     shift_to_pure_laplacian,
 )
 from capheat.special_eval import AngleParams
-from capheat.sphere_base import (
-    degeneracy,
+from capheat.sphere_base import degeneracy, sphere_heat_coefficient, sphere_mu
+
+from sphere_reference import (
     explicit_table_check,
-    sphere_heat_coefficient,
-    sphere_mu,
+    residue_to_coefficient,
     sphere_residue,
     sphere_surface_area,
     suspension_coefficient_direct,
@@ -45,6 +44,13 @@ class TestSpectrum:
     def test_degeneracy_d3_squares(self):
         for k in range(51):
             assert degeneracy(k, 3) == (k + 1) ** 2
+
+    def test_degeneracy_matches_the_factorial_formula(self):
+        for d in range(2, 13):
+            for k in range(601):
+                assert degeneracy(k, d) == (2 * k + d - 1) * factorial(
+                    k + d - 2
+                ) // (factorial(k) * factorial(d - 1))
 
     def test_mu_increasing(self):
         mus = [sphere_mu(k, 3) for k in range(11)]
