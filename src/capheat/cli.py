@@ -42,20 +42,40 @@ def _angle_from(args) -> AngleParams:
     theta0 = args.theta0
     if args.theta0_deg is not None:
         theta0 = math.radians(args.theta0_deg)
-    if theta0 is None:
-        raise ValidationError("one of --theta0 / --theta0-deg is required")
     return AngleParams.from_theta0(theta0)
+
+
+def _number(value, what: str) -> float:
+    """A JSON number read from a base file, refused unless finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"base file: {what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int beyond doubles
+        raise ValidationError(f"base file: {what} must be a finite double")
+    return value
 
 
 def _base_from(args, d: int):
     if args.base_file:
         with open(args.base_file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        coefficients = {int(k): float(v) for k, v in payload["coefficients"].items()}
+        if not isinstance(payload, dict):
+            raise ValidationError("base file must hold a JSON object")
+        coefficients = payload.get("coefficients")
+        if not isinstance(coefficients, dict):
+            raise ValidationError('base file: "coefficients" must be an object')
+        residue = payload.get("residue_at_minus_half")
+        base_d = _number(payload.get("d", d), "d")
+        if base_d != int(base_d):
+            raise ValidationError(f"base file: d must be an integer, got {base_d!r}")
         return UserBase(
-            d=int(payload.get("d", d)),
-            coefficients=coefficients,
-            residue_at_minus_half=payload.get("residue_at_minus_half"),
+            d=int(base_d),
+            coefficients={
+                int(k): float(_number(v, f"coefficient {k}"))
+                for k, v in coefficients.items()
+            },
+            residue_at_minus_half=(
+                None if residue is None else _number(residue, "residue_at_minus_half")
+            ),
         )
     if args.base != "sphere":
         raise ValidationError(f"unknown base {args.base!r}")
@@ -233,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_angle_flags(p):
-        p.add_argument("--theta0", type=float, help="opening angle in radians")
-        p.add_argument(
+        angle = p.add_mutually_exclusive_group(required=True)
+        angle.add_argument("--theta0", type=float, help="opening angle in radians")
+        angle.add_argument(
             "--theta0-deg", type=float, default=None, help="opening angle in degrees"
         )
 

@@ -9,7 +9,7 @@ bases need only the numbers users actually know.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, inf
+from math import factorial, inf, isfinite
 from typing import Mapping, Union
 
 from . import sphere_base
@@ -215,11 +215,15 @@ def compute_table(cfg: SuspensionConfig) -> CoefficientTable:
 
     cal_A entries are the pure-Laplacian coefficients, with any mass term
     folded in (a mass only reshuffles coefficients, exactly like the shift).
+    Raises OverflowError when any entry is not finite (a large mass squares
+    to inf without raising).
     """
     script = {n: assemble_script_A(cfg, n) for n in range(cfg.n_max + 1)}
     cal = shift_to_pure_laplacian(script, cfg.d)
     if cfg.mass:
         cal = mass_shift(cal, cfg.mass)
+    if not all(map(isfinite, [*script.values(), *cal.values()])):
+        raise OverflowError("coefficient table has a non-finite entry")
     entries = tuple(
         CoefficientEntry(n, script[n], cal[n]) for n in range(cfg.n_max + 1)
     )

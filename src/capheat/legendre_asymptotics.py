@@ -5,10 +5,11 @@ The objects here live in the polynomial ring Q[v, g] where g stands for
 
     sum_{j, e} c_{j,e} g^j v^e,
 
-and the generating recurrence provably preserves this form, so all algebra
-is exact. ``omega`` produces the cumulant (logarithm) coefficients of the
-expansion, ``extract_structure`` reads off the coefficient families used by
-the downstream residue formulas.
+and so are the cumulant (logarithm) coefficients of the expansion, so all
+algebra is exact.  ``omega`` produces those coefficients directly, each the
+integral from 1 of a term of a Riccati recurrence for the v-derivative of
+the logarithm; ``extract_structure`` reads off the coefficient families used
+by the downstream residue formulas.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
 _ZERO = Fraction(0)
 
 # Highest cumulant order served; a table with index n_max needs n_max - 1.
-# The exact algebra takes about 0.5 s cold at order 16.  The cap stays there
+# The exact algebra takes about 0.1 s cold at order 16.  The cap stays there
 # because the double-precision angular weights (f_total) lose accuracy at
 # high order, not because of the algebra's cost.
 _MAX_ORDER = 16
@@ -91,11 +92,22 @@ class NuGPolynomial:
                 out[k] = out.get(k, 0) + c1 * c2
         return NuGPolynomial(out, self.den * other.den)
 
-    def scale(self, factor: Fraction | int) -> "NuGPolynomial":
-        f = Fraction(factor)
+    def derivative(self) -> "NuGPolynomial":
+        """d/dv: c g^j v^e maps to c e g^j v^(e-1)."""
         return NuGPolynomial(
-            {k: c * f.numerator for k, c in self.num.items()}, self.den * f.denominator
+            {(j, e - 1): c * e for (j, e), c in self.num.items() if e}, self.den
         )
+
+    def integral_from_one(self) -> "NuGPolynomial":
+        """The antiderivative in v that vanishes at v = 1:
+        c g^j v^e maps to c (v^(e+1) - 1) / (e + 1) g^j."""
+        m = lcm(*(e + 1 for _, e in self.num))
+        out: dict[tuple[int, int], int] = {}
+        for (j, e), c in self.num.items():
+            a = c * m // (e + 1)
+            out[j, e + 1] = a
+            out[j, 0] = out.get((j, 0), 0) - a
+        return NuGPolynomial(out, self.den * m)
 
     def monomials(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """((j, e), c_{j,e}) for each nonzero coefficient, in ascending (j, e)."""
@@ -103,52 +115,26 @@ class NuGPolynomial:
             yield k, Fraction(self.num[k], self.den)
 
 
-def _phi_step(f: NuGPolynomial) -> NuGPolynomial:
-    """One step of the Phi recurrence, a linear map on monomials.
+# The expansion functions obey Phi_0 = 1 and
+#     Phi_(n+1) = A dPhi_n/dv - int_1^v h Phi_n dt
+# with A = (1 - v^2)(1 + gamma^2 v^2) / (2 (1 + gamma^2))
+#        = (1 - v^2)(v^2 + (1 - v^2) g) / 2
+# and h = (gamma^2 q + 1) g / 8 = (q + (1 - q) g) / 8, q = 5 v^2 - 1.
+# For U = sum_n Phi_n x^n = e^W, differentiating in v and dividing by U
+# gives the Riccati equation Y = x ((A Y)' + A Y^2 - h) for Y = dW/dv, so
+#     Y_1 = -h,   Y_(n+1) = (A Y_n)' + A sum_{p=1}^{n-1} Y_p Y_(n-p),
+# and the n-th coefficient of W = log U is int_1^v Y_n: A(1) = 0 makes every
+# Phi_n with n >= 1 vanish at v = 1.
+_A = NuGPolynomial({(0, 2): 1, (0, 4): -1, (1, 0): 1, (1, 2): -2, (1, 4): 1}, 2)
 
-    Derivative part: (1 - v^2)(1 + gamma^2 v^2) / (2 (1 + gamma^2)) * df/dv,
-    where (1 + gamma^2 v^2)/(1 + gamma^2) = v^2 + (1 - v^2) g.  Integral part:
-    -(g/8) int_1^v [gamma^2 q(t) + 1] f(t) dt with the quadratic weight
-    q = 5 t^2 - 1, where g (gamma^2 q + 1) = q + (1 - q) g.  So c g^j v^e maps to
-
-        (c e / 2) (v^(e+1) - v^(e+3)) g^j
-        + (c e / 2) (v^(e-1) - 2 v^(e+1) + v^(e+3)) g^(j+1)
-        - (c / 8) [5 (v^(e+3) - 1)/(e+3) - (v^(e+1) - 1)/(e+1)] g^j
-        - (c / 8) [2 (v^(e+1) - 1)/(e+1) - 5 (v^(e+3) - 1)/(e+3)] g^(j+1).
-    """
-    # every numerator below is an integer over the common denominator den * m
-    m = 8 * lcm(*(e + k for _, e in f.num for k in (1, 3)))
-    out: dict[tuple[int, int], int] = {}
-
-    def put(j: int, e: int, c: int) -> None:
-        out[j, e] = out.get((j, e), 0) + c
-
-    for (j, e), c in f.num.items():
-        if e:
-            h = c * e * m // 2
-            put(j, e + 1, h)
-            put(j, e + 3, -h)
-            put(j + 1, e - 1, h)
-            put(j + 1, e + 1, -2 * h)
-            put(j + 1, e + 3, h)
-        a = c * m // (8 * (e + 1))
-        b = 5 * c * m // (8 * (e + 3))
-        put(j, e + 1, a)
-        put(j, e + 3, -b)
-        put(j, 0, b - a)
-        put(j + 1, e + 1, -2 * a)
-        put(j + 1, e + 3, b)
-        put(j + 1, 0, 2 * a - b)
-    return NuGPolynomial(out, f.den * m)
-
-
-# Shared prefix caches, filled in ascending order: _PHIS[n] is Phi_n,
-# _LOGS[n] the n-th logarithm coefficient, _OMEGAS[n - 1] and
-# _STRUCTURES[n - 1] the cumulant function of order n and its structured
-# form.  Asking for a lower order reuses the stored entries; asking for a
-# higher one computes only the missing tail.
-_PHIS: list[NuGPolynomial] = [NuGPolynomial({(0, 0): 1})]
-_LOGS: list[NuGPolynomial] = [NuGPolynomial({})]
+# Shared prefix caches, filled in ascending order: _YS[n] is Y_n (Y_0 = 0),
+# _OMEGAS[n - 1] and _STRUCTURES[n - 1] the cumulant function of order n and
+# its structured form.  Asking for a lower order reuses the stored entries;
+# asking for a higher one computes only the missing tail.
+_YS: list[NuGPolynomial] = [
+    NuGPolynomial({}),
+    NuGPolynomial({(0, 0): 1, (0, 2): -5, (1, 0): -2, (1, 2): 5}, 8),  # -h
+]
 _OMEGAS: list[NuGPolynomial] = []
 _STRUCTURES: list["StructuredOmega"] = []
 
@@ -160,23 +146,16 @@ def _extend(cache: list, length: int, entry) -> list:
     return cache
 
 
-def _phi_entry(n: int) -> NuGPolynomial:
-    return _phi_step(_PHIS[n - 1])
-
-
-def _log_entry(m: int) -> NuGPolynomial:
-    # Cumulant log over the ring:
-    # l_m = Phi_m - (1/m) sum_{k<m} k l_k Phi_{m-k}.
-    phis = _extend(_PHIS, m + 1, _phi_entry)
-    acc = phis[m]
-    for k in range(1, m):
-        acc = acc + (_LOGS[k] * phis[m - k]).scale(Fraction(-k, m))
-    return acc
+def _y_entry(n: int) -> NuGPolynomial:
+    square = NuGPolynomial({})
+    for p in range(1, n - 1):
+        square = square + _YS[p] * _YS[n - 1 - p]
+    return (_A * _YS[n - 1]).derivative() + _A * square
 
 
 def _omega_entry(k: int) -> NuGPolynomial:
     n = k + 1
-    om = _extend(_LOGS, n + 1, _log_entry)[n]
+    om = _extend(_YS, n + 1, _y_entry)[n].integral_from_one()
     if n % 2 == 1:
         # Bernoulli counterterm at odd inverse powers.
         om = om + NuGPolynomial.from_monomials(

@@ -197,13 +197,7 @@ def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
         # Linear connection to argument 1-x; both sub-series have ratio <= 1/2.
         # Near-integer w is routed away: Gamma(-w) approaches a pole there and
         # the cancellation between the two pieces destroys double precision.
-        first = (
-            _gamma_num(c)
-            * _gamma_num(w)
-            * recip_gamma(c - a)
-            * recip_gamma(c - b)
-            * _series_2f1(a, b, 1.0 - w, xc)
-        )
+        first = _gauss_value(a, b, c) * _series_2f1(a, b, 1.0 - w, xc)
         second = (
             xc**w
             * _gamma_num(c)

@@ -6,26 +6,23 @@ unit d-sphere with the base data written in closed form, and
 the package's angular weights ``c1`` and ``f_total``, so they check the
 assembly's bookkeeping, not those weights (``closed_forms`` does that).
 ``sphere_residue`` and ``residue_to_coefficient`` give the base zeta residues
-and the dictionary from residues to heat coefficients.  ``phi`` and
-``reconstruct`` read the expansion functions and a structure's polynomial
-back out of the cumulant algebra.
+and the dictionary from residues to heat coefficients.  ``phi`` builds the
+expansion functions from their defining recurrence (``phi_step``), which the
+package never runs: it computes the cumulant functions straight from a
+Riccati recurrence for their logarithm.  ``reconstruct`` reads a structure's
+polynomial back out.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
-from capheat import legendre_asymptotics
 from capheat.errors import DomainError
 from capheat.exact_series import sinh_ratio_coefficients
-from capheat.legendre_asymptotics import (
-    NuGPolynomial,
-    StructuredOmega,
-    omega,
-    omega_structures,
-)
+from capheat.legendre_asymptotics import NuGPolynomial, StructuredOmega, omega_structures
 from capheat.special_eval import SQRT_PI, AngleParams, c1, f_total
 
 
@@ -210,19 +207,52 @@ def explicit_table_check(n: int, d: int, angle: AngleParams) -> float:
     )
 
 
-def phi(n: int) -> NuGPolynomial:
-    """n-th expansion function of the Legendre amplitude.
+def phi_step(f: NuGPolynomial) -> NuGPolynomial:
+    """One step of the Phi recurrence, a linear map on monomials.
 
-    Seeded with 1, each step applies the derivative term
-    (1 - v^2)(1 + g^2 v^2) / (2 (1 + g^2)) * d/dv and subtracts
-    1/(8 (1 + g^2)) times the integral from 1 of (5 t^2 + 1/g^2 - 1) times the
-    function.  The cumulant functions through order n leave Phi_0..Phi_n in
-    the module's cache.
+    Derivative part: (1 - v^2)(1 + gamma^2 v^2) / (2 (1 + gamma^2)) * df/dv,
+    where (1 + gamma^2 v^2)/(1 + gamma^2) = v^2 + (1 - v^2) g.  Integral part:
+    -(g/8) int_1^v [gamma^2 q(t) + 1] f(t) dt with the quadratic weight
+    q = 5 t^2 - 1, where g (gamma^2 q + 1) = q + (1 - q) g.  So c g^j v^e maps to
+
+        (c e / 2) (v^(e+1) - v^(e+3)) g^j
+        + (c e / 2) (v^(e-1) - 2 v^(e+1) + v^(e+3)) g^(j+1)
+        - (c / 8) [5 (v^(e+3) - 1)/(e+3) - (v^(e+1) - 1)/(e+1)] g^j
+        - (c / 8) [2 (v^(e+1) - 1)/(e+1) - 5 (v^(e+3) - 1)/(e+3)] g^(j+1).
     """
+    # every numerator below is an integer over the common denominator den * m
+    m = 8 * lcm(*(e + k for _, e in f.num for k in (1, 3)))
+    out: dict[tuple[int, int], int] = {}
+
+    def put(j: int, e: int, c: int) -> None:
+        out[j, e] = out.get((j, e), 0) + c
+
+    for (j, e), c in f.num.items():
+        if e:
+            h = c * e * m // 2
+            put(j, e + 1, h)
+            put(j, e + 3, -h)
+            put(j + 1, e - 1, h)
+            put(j + 1, e + 1, -2 * h)
+            put(j + 1, e + 3, h)
+        a = c * m // (8 * (e + 1))
+        b = 5 * c * m // (8 * (e + 3))
+        put(j, e + 1, a)
+        put(j, e + 3, -b)
+        put(j, 0, b - a)
+        put(j + 1, e + 1, -2 * a)
+        put(j + 1, e + 3, b)
+        put(j + 1, 0, 2 * a - b)
+    return NuGPolynomial(out, f.den * m)
+
+
+@lru_cache(maxsize=None)
+def phi(n: int) -> NuGPolynomial:
+    """n-th expansion function of the Legendre amplitude: Phi_0 = 1 and
+    Phi_n = phi_step(Phi_(n-1))."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    omega(max(n, 1))
-    return legendre_asymptotics._PHIS[n]
+    return NuGPolynomial({(0, 0): 1}) if n == 0 else phi_step(phi(n - 1))
 
 
 def reconstruct(structure: StructuredOmega) -> NuGPolynomial:

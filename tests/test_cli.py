@@ -145,6 +145,15 @@ class TestCoeffs:
         assert code == 2
         assert "theta0" in err
 
+    def test_conflicting_angle_flags(self, capsys):
+        code, out, err = invoke(
+            capsys, ["coeffs", "--dim", "3", "--theta0", "1.0", "--theta0-deg",
+                     "30", "--max-n", "0"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
     def test_angle_out_of_range(self, capsys):
         code, _, err = invoke(
             capsys, ["coeffs", "--dim", "3", "--theta0", "3.5", "--max-n", "1"]
@@ -169,6 +178,30 @@ class TestCoeffs:
         payload = json.loads(out)
         assert payload["config"]["base"]["type"] == "user"
         assert payload["log_coefficient"] == pytest.approx(0.125)
+
+    @pytest.mark.parametrize("payload,message", [
+        ('{"coefficients": [1, 2]}', '"coefficients" must be an object'),
+        ("[1]", "must hold a JSON object"),
+        ('{"coefficients": {"0": null}}', "coefficient 0 must be a number"),
+        ('{"coefficients": {"0": 1, "1": 0, "2": 0.1}, '
+         '"residue_at_minus_half": "abc"}', "residue_at_minus_half must be a number"),
+        ('{"d": 2.5, "coefficients": {"0": 1, "1": 0, "2": 0.1}}',
+         "d must be an integer"),
+        ('{"coefficients": {"0": NaN, "1": 0, "2": 0.1}}', "must be a finite double"),
+        ('{"coefficients": {"0": 1%s, "1": 0, "2": 0.1}}' % ("0" * 400),
+         "must be a finite double"),
+    ])
+    def test_malformed_base_file(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "base.json"
+        path.write_text(payload, encoding="utf-8")
+        code, out, err = invoke(
+            capsys,
+            ["coeffs", "--dim", "3", "--theta0", "1", "--max-n", "2",
+             "--base-file", str(path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_determinism(self, capsys):
         argv = ["coeffs", "--dim", "4", "--theta0", "1.1", "--max-n", "3"]
@@ -202,6 +235,16 @@ class TestCoeffs:
         assert code == 2
         assert out == ""
         assert "mass" in err
+
+    def test_mass_overflow_error_object(self, capsys):
+        # m * m overflows to inf; no Infinity or NaN may be printed
+        code, out, _ = invoke(
+            capsys,
+            ["coeffs", "--dim", "5", "--theta0", "1", "--max-n", "4",
+             "--mass", "1e200"],
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "OverflowError"
 
     def test_underflowed_angle_error_object(self, capsys):
         # sin(1e-300)^2 underflows to 0, so sin^(n-D) overflows in f_total
@@ -275,6 +318,12 @@ class TestOmega:
 
 
 class TestRoots:
+    def test_no_angle_flag(self, capsys):
+        code, out, err = invoke(capsys, ["roots", "--mu", "0.5", "--omega-max", "5"])
+        assert code == 2
+        assert out == ""
+        assert "--theta0 --theta0-deg is required" in err
+
     def test_hemisphere_channel(self, capsys):
         code, out, _ = invoke(
             capsys,

@@ -282,6 +282,12 @@ class TestTable:
         for e, e0 in zip(table.entries, massless.entries):
             assert e.script_A == e0.script_A
 
+    def test_mass_overflow_raises(self):
+        # m * m is inf at m = 1e200 and raises nothing itself; the table
+        # must not come back with inf or nan entries
+        with pytest.raises(OverflowError, match="non-finite"):
+            compute_table(sphere_config(4, 1.0, 4, mass=1e200))
+
     def test_user_base_log_coefficient_in_table(self):
         base = UserBase(2, {0: 1.0, 1: 0.0, 2: 0.1}, residue_at_minus_half=0.4)
         cfg = SuspensionConfig(

@@ -11,7 +11,6 @@ from capheat.exact_series import bernoulli
 from capheat.legendre_asymptotics import (
     _MAX_ORDER,
     NuGPolynomial,
-    _phi_step,
     chi,
     extract_structure,
     omega,
@@ -19,9 +18,15 @@ from capheat.legendre_asymptotics import (
 )
 
 from omega_reference import REFERENCE, bessel_d_polynomial, polyadd, trim
-from sphere_reference import phi, reconstruct
+from sphere_reference import phi, phi_step, reconstruct
 
 F = Fraction
+
+
+def const(c) -> NuGPolynomial:
+    """The constant polynomial c."""
+    return NuGPolynomial.from_monomials({(0, 0): c})
+
 
 N_MAX = 10
 
@@ -63,9 +68,9 @@ class TestNuGPolynomial:
     def test_zeros_dropped_and_reduced(self):
         p = NuGPolynomial.from_monomials({(0, 0): F(1, 2), (1, 3): F(-3, 4)})
         assert (p.num, p.den) == ({(0, 0): 2, (1, 3): -3}, 4)
-        q = p.scale(6).scale(F(1, 6))
+        q = p * const(6) * const(F(1, 6))
         assert (q.num, q.den) == (p.num, p.den)
-        zero = p + p.scale(-1)
+        zero = p + p * const(-1)
         assert (zero.num, zero.den) == ({}, 1)
         assert list((p * zero).monomials()) == []
 
@@ -75,11 +80,30 @@ class TestNuGPolynomial:
         b = NuGPolynomial.from_monomials({(0, 0): 1, (1, 1): -1})
         assert list((a * b).monomials()) == [((0, 0), F(1)), ((2, 2), F(-1))]
 
+    def test_derivative(self):
+        # d/dv (3 + g v^2 - 2 g^2 v^5 / 7) = 2 g v - (10/7) g^2 v^4
+        p = NuGPolynomial.from_monomials({(0, 0): 3, (1, 2): 1, (2, 5): F(-2, 7)})
+        assert table(p.derivative()) == {1: {1: F(2)}, 2: {4: F(-10, 7)}}
+        assert list(const(5).derivative().monomials()) == []
+
+    def test_antiderivative_vanishes_at_one(self):
+        # int_1^v (1 + 3 g t^2 - g^2 t^4 / 2) dt
+        #   = (v - 1) + g (v^3 - 1) - g^2 (v^5 - 1) / 10
+        p = NuGPolynomial.from_monomials({(0, 0): 1, (1, 2): 3, (2, 4): F(-1, 2)})
+        antiderivative = p.integral_from_one()
+        assert table(antiderivative) == {
+            0: {0: F(-1), 1: F(1)},
+            1: {0: F(-1), 3: F(1)},
+            2: {0: F(1, 10), 5: F(-1, 10)},
+        }
+        d = antiderivative.derivative()
+        assert (d.num, d.den) == (p.num, p.den)
+
     def test_integral_from_one(self):
         # For f = v^2: derivative part v^3 (1 - v^2) + g v (1 - v^2)^2, and
         # -(1/8) int_1^v (5 t^4 - t^2) dt = -(v^5 - v^3/3 - 2/3)/8,
         # -(g/8) int_1^v (2 t^2 - 5 t^4) dt = -g (2 v^3/3 - v^5 + 1/3)/8.
-        step = _phi_step(NuGPolynomial.from_monomials({(0, 2): 1}))
+        step = phi_step(NuGPolynomial.from_monomials({(0, 2): 1}))
         assert table(step) == {
             0: {0: F(1, 12), 3: 1 + F(1, 24), 5: -1 - F(1, 8)},
             1: {0: F(-1, 24), 1: F(1), 3: -2 - F(1, 12), 5: 1 + F(1, 8)},
@@ -185,15 +209,17 @@ class TestPsi:
     def test_exponential_relation(self):
         # The amplitude functions Psi_m = [x^m] exp(sum_n Omega_n x^n) must
         # equal the raw phi series times the Bernoulli prefactor
-        # exp(-sum_l B_{2l}/(2l(2l-1)) x^{2l-1}), in every j-part.
-        n = 6
+        # exp(-sum_l B_{2l}/(2l(2l-1)) x^{2l-1}), in every j-part.  The phi
+        # series comes from the defining recurrence in sphere_reference, the
+        # Omega_n from the package's Riccati recurrence: two derivations.
+        n = _MAX_ORDER
         zero = NuGPolynomial({})
         oms = [zero] + omega(n)
         psis = [NuGPolynomial({(0, 0): 1})]
         for m in range(1, n + 1):
             acc = zero
             for k in range(1, m + 1):
-                acc = acc + (oms[k] * psis[m - k]).scale(F(k, m))
+                acc = acc + oms[k] * psis[m - k] * const(F(k, m))
             psis.append(acc)
         phis = [phi(k) for k in range(n + 1)]
         # exp(-sum B_{2l}/(2l(2l-1)) x^{2l-1}) as a plain rational series
@@ -210,5 +236,5 @@ class TestPsi:
         for m in range(n + 1):
             expected = zero
             for k in range(m + 1):
-                expected = expected + phis[m - k].scale(pref[k])
+                expected = expected + phis[m - k] * const(pref[k])
             assert table(psis[m]) == table(expected)

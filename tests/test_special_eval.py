@@ -180,6 +180,19 @@ class TestGauss2F1:
         rhs = (1.0 - x) ** (c - a - b) * gauss_2f1(c - a, c - b, c, x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "a,b,c,x,expected",
+        [(2.5, 1.0, 1.5, 0.9, 70.0), (3.5, 2.0, 1.5, 0.8, None)],
+    )
+    def test_terminating_euler_transform(self, a, b, c, x, expected):
+        # c - a - b is an integer, so the connection formula is routed away,
+        # and c - a is a nonpositive integer, so the Euler transform
+        # (1 - x)^(c-a-b) 2F1(c-a, c-b; c; x) terminates
+        if expected is None:
+            scipy_special = pytest.importorskip("scipy.special")
+            expected = float(scipy_special.hyp2f1(a, b, c, x))
+        assert gauss_2f1(a, b, c, x) == pytest.approx(expected, rel=1e-13)
+
     def test_argument_near_one_stays_accurate(self):
         # connection branch vs the Gauss value one ulp away from x = 1
         near = gauss_2f1(0.5, 1.5, 2.5, 1.0 - 2.0**-52)

@@ -465,6 +465,34 @@ class TestSpectrum:
         chans = spectrum(2, math.pi / 3, omega_max)
         assert calls[0] <= 8.5 * sum(len(ch.roots) for ch in chans)
 
+    @pytest.mark.parametrize("offset", [-5e-14, 5e-14])
+    def test_replay_scan_with_a_grid_point_in_the_bracket(self, offset):
+        # a root within 1e-13 of a grid point: the located bracket holds the
+        # point, which is evaluated as the scan evaluates it to pick the
+        # cell, and the root is plain bisection's of that cell, bit for bit
+        grid = spectral_oracle._scan_grid(1.0, 10.0)
+        i = 4
+        root = grid[i] + offset
+        evaluated = []
+
+        def f(w):
+            evaluated.append(w)
+            return root - w
+
+        lo, hi = (grid[i - 1], grid[i]) if offset < 0 else (grid[i], grid[i + 1])
+        while hi - lo > spectral_oracle._ABS_TOL:
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            assert fm != 0.0
+            if fm > 0:
+                lo = mid
+            else:
+                hi = mid
+        evaluated.clear()
+        got = spectral_oracle._replay_scan(f, grid, root - 2e-13, root + 2e-13, True)
+        assert evaluated[0] == grid[i]
+        assert got.hex() == (0.5 * (lo + hi)).hex()
+
     def test_roots_fingerprint(self):
         # sha256 of the float.hex of the verify-cap spectrum's 190 roots,
         # as the scan of every channel finds them: any moved bit fails here
