@@ -1,5 +1,5 @@
-"""Exact rational arithmetic: Bernoulli numbers and the even coefficients of
-(y/sinh y)^p.
+"""Exact rational arithmetic: the even coefficients of (y/sinh y)^p, and the
+Bernoulli numbers, which are read off those of y/sinh y.
 
 All coefficients are ``fractions.Fraction``; nothing in this module touches
 floating point.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 __all__ = [
     "bernoulli",
@@ -20,28 +20,19 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_upto(n: int) -> tuple[Fraction, ...]:
-    out: list[Fraction] = []
-    for m in range(n + 1):
-        if m == 0:
-            out.append(_ONE)
-            continue
-        s = sum(Fraction(comb(m + 1, k)) * out[k] for k in range(m))
-        out.append(-s / (m + 1))
-    return tuple(out)
-
-
 def bernoulli(index: int) -> Fraction:
     """B_index in the convention with B_1 = -1/2, so B_2 = 1/6.
 
-    Odd indices above 1 return zero.
+    Odd indices above 1 return zero.  The even ones are read off
+    y/sinh y = sum_k (2 - 2^(2k)) B_(2k) y^(2k)/(2k)!.
     """
     if index < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if index > 1 and index % 2 == 1:
+    if index == 1:
+        return Fraction(-1, 2)
+    if index % 2 == 1:
         return _ZERO
-    return _bernoulli_upto(index)[index]
+    return sinh_ratio_coefficients(1, index)[index] / (2 - 2**index)
 
 
 @lru_cache(maxsize=None)

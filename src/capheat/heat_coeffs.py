@@ -8,6 +8,7 @@ bases need only the numbers users actually know.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import factorial, inf, isfinite
 from typing import Mapping, Union
@@ -34,6 +35,14 @@ __all__ = [
 ]
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int; ValidationError for what operator.index refuses."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SphereBase:
     """Unit d-sphere base; all data comes from closed forms."""
@@ -41,7 +50,7 @@ class SphereBase:
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
+        if _index(self.d, "sphere base dimension") < 2:
             raise ValidationError("sphere base requires d >= 2")
 
 
@@ -59,7 +68,7 @@ class UserBase:
     residue_at_minus_half: float | None = None
 
     def __post_init__(self):
-        if self.d < 1:
+        if _index(self.d, "base dimension") < 1:
             raise ValidationError("base dimension must be at least 1")
 
 
@@ -81,13 +90,13 @@ class SuspensionConfig:
     mass: float = 0.0
 
     def __post_init__(self):
-        if self.D < 2:
+        if _index(self.D, "total dimension") < 2:
             raise ValidationError("total dimension must be at least 2")
         if self.base.d != self.D - 1:
             raise ValidationError(
                 f"base dimension {self.base.d} inconsistent with D={self.D}"
             )
-        if not 0 <= self.n_max < self.D:
+        if not 0 <= _index(self.n_max, "n_max") < self.D:
             raise ValidationError(
                 f"coefficients are defined only for 0 <= n < D; got "
                 f"n_max={self.n_max}, D={self.D}"
@@ -192,9 +201,8 @@ def shift_to_pure_laplacian(script: Mapping[int, float], d: int) -> dict[int, fl
 
 
 def mass_shift(cal: Mapping[int, float], m: float) -> dict[int, float]:
-    """Fold a mass term into the coefficients: same convolution with -m^2."""
-    if m == 0.0:
-        return dict(cal)
+    """Fold a mass term into the coefficients: same convolution with -m^2.
+    At m = 0 it adds signed zeros, which leave every finite entry as it is."""
     step = -(m * m)
     return {n: _convolve(cal, n, step) for n in sorted(cal)}
 
@@ -219,9 +227,7 @@ def compute_table(cfg: SuspensionConfig) -> CoefficientTable:
     to inf without raising).
     """
     script = {n: assemble_script_A(cfg, n) for n in range(cfg.n_max + 1)}
-    cal = shift_to_pure_laplacian(script, cfg.d)
-    if cfg.mass:
-        cal = mass_shift(cal, cfg.mass)
+    cal = mass_shift(shift_to_pure_laplacian(script, cfg.d), cfg.mass)
     if not all(map(isfinite, [*script.values(), *cal.values()])):
         raise OverflowError("coefficient table has a non-finite entry")
     entries = tuple(

@@ -2,7 +2,9 @@
 function on [0, 1], and the angular factors c1 and f_total that feed the
 coefficient assembly.
 
-Everything here is double precision with compensated summation.  The
+Everything here is double precision with compensated summation.  Every 2F1
+series runs through one loop, which a term that is exactly 0 ends: that is
+how a terminating series stops, and there is no counted mode.  The
 convention throughout: a Gamma pole in a denominator contributes 0 (the
 entire function 1/Gamma), a pole in a numerator is a bad argument and raises
 ValidationError.
@@ -110,29 +112,22 @@ def _kahan_sum(terms: Iterable[float]) -> float:
     return total
 
 
-def _series_2f1(
-    a: float,
-    b: float,
-    c: float,
-    x: float,
-    nterms: int | None = None,
-) -> float:
-    """Direct ascending series with Kahan summation.
-
-    ``nterms`` sums exactly that many terms after the leading 1 (used for
-    terminating parameter values); otherwise terms are accumulated until two
-    consecutive ones pass the relative tolerance, once past any sign
-    turnaround of the Pochhammer factors.
-    """
+def _series_2f1(a: float, b: float, c: float, x: float) -> float:
+    """Direct ascending series with Kahan summation, in one loop with no
+    counted mode.  A term that is exactly 0 ends the sum before it is added,
+    which is how a terminating series stops and why x = 0 gives 1; so do two
+    consecutive terms within the relative tolerance, once past any sign
+    turnaround of the Pochhammer factors."""
     total, comp, term = 1.0, 0.0, 1.0
-    limit = _MAX_TERMS if nterms is None else nterms
-    # past this index the term signs are fixed; a terminating series never
-    # gets there and runs its nterms terms
-    settled = max(0.0, -a, -b) if nterms is None else math.inf
+    # past this index the term signs are fixed; a terminating series meets
+    # its zero term before it gets there
+    settled = max(0.0, -a, -b)
     small_streak = 0
     m = 0
-    while m < limit:
+    while m < _MAX_TERMS:
         term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
+        if term == 0.0:
+            return total
         # compensated add, inline: the same operations as _kahan_sum
         y = term - comp
         t = total + y
@@ -146,17 +141,9 @@ def _series_2f1(
                 return total
         else:
             small_streak = 0
-    if nterms is not None:
-        return total
     raise SlowConvergence(
         f"hypergeometric series at x={x} not converged after {_MAX_TERMS} terms"
     )
-
-
-def _series_length(p: float, q: float) -> int:
-    """Terms after the leading 1 of a series whose upper parameter p or q is
-    a nonpositive integer: it ends at the first of them it reaches."""
-    return min(int(-v) for v in (p, q) if _is_nonpositive_integer(v))
 
 
 def _gauss_value(a: float, b: float, c: float) -> float:
@@ -175,12 +162,10 @@ def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
         raise ValidationError(f"lower parameter c={c} is a nonpositive integer")
     if x < 0.0 or x > 1.0:
         raise ValueError("argument must lie in [0, 1]")
-    if x == 0.0:
-        return 1.0
 
     # Terminating series: sum it exactly, any argument.
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        return _series_2f1(a, b, c, x, nterms=_series_length(a, b))
+        return _series_2f1(a, b, c, x)
 
     if x == 1.0 or xc == 0.0:
         if c - a - b <= 0.0:
@@ -211,9 +196,7 @@ def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
     # Degenerate integer c-a-b: fall back to the Euler transform when it
     # terminates, else to the direct series with the term-count guard.
     if _is_nonpositive_integer(c - a) or _is_nonpositive_integer(c - b):
-        return xc**w * _series_2f1(
-            c - a, c - b, c, x, nterms=_series_length(c - a, c - b)
-        )
+        return xc**w * _series_2f1(c - a, c - b, c, x)
     return _series_2f1(a, b, c, x)
 
 
@@ -252,7 +235,9 @@ def f_total(
                  * 2F1(-s, b + i/2, b + j + i/2; cos^2 theta0),
 
     over b in 0..i for x, j in 1..i, and b in chi(i)..i for z.  Each family
-    is a compensated sum that skips the terms whose 1/Gamma vanishes.
+    is a compensated sum of all its terms: no 1/Gamma factor can vanish, as
+    its arguments b + i/2 >= 1/2, j >= 1 and b + j + i/2 >= 3/2 are at most
+    40 under the order limit of 16.
 
     ``shared_2f1`` holds the z-family 2F1 values keyed (b + i/2, j).  They
     also depend on d_minus_n and the angle, but not on i, so a caller passes
@@ -283,28 +268,25 @@ def f_total(
     cos_pow = [cos_t ** (i + 2 * b) for b in range(lo, i + 1)]
 
     x = _kahan_sum([
-        c * cos_pow[b - lo] * _gamma_num(big_a + b) * inv_gamma_a * rg
+        c * cos_pow[b - lo] * _gamma_num(big_a + b) * inv_gamma_a
+        * recip_gamma(b + half_i)
         for b, c in structure.x_terms
-        if (rg := recip_gamma(b + half_i))
     ])
     z0 = _kahan_sum([
-        c * _gamma_num(s + j) * inv_gamma_a * rg
+        c * _gamma_num(s + j) * inv_gamma_a * recip_gamma(float(j))
         for j, c in structure.z0_terms
-        if (rg := recip_gamma(float(j)))
     ])
     z_terms = []
     for b, j, c in structure.z_terms:
         beta = b + half_i
-        rg = recip_gamma(beta + j)
-        if not rg:
-            continue
         hyp = shared_2f1.get((beta, j))
         if hyp is None:
             hyp = shared_2f1[beta, j] = _hyp2f1(
                 -s, beta, beta + j, angle.cos2, angle.sin2
             )
         z_terms.append(
-            c * cos_pow[b - lo] * _gamma_num(big_a + b + j) * inv_gamma_a * rg * hyp
+            c * cos_pow[b - lo] * _gamma_num(big_a + b + j) * inv_gamma_a
+            * recip_gamma(beta + j) * hyp
         )
     z = _kahan_sum(z_terms)
     return x + inv_sin * z0 + inv_sin * z

@@ -460,8 +460,7 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     (2 pi) with the sine taken as 1 past pi/2, exceeds _MAX_ROOTS is
     refused before any evaluation.
     """
-    if d < 2:
-        raise ValidationError("the oracle supports sphere bases only (d >= 2)")
+    SphereBase(d)  # the oracle supports sphere bases only: refuses d < 2
     _check_scan(sphere_mu(0, d), theta0, omega_max)
     sin_t = math.sin(theta0) if theta0 < 0.5 * math.pi else 1.0
     estimate = omega_max * omega_max * theta0 * sin_t / (2.0 * math.pi)
@@ -602,8 +601,8 @@ def fit_asymptotics(
     """
     import numpy as np
 
-    if n_fit > _MAX_N_FIT:
-        raise ValidationError(f"n_fit is limited to {_MAX_N_FIT}")
+    if not 0 <= n_fit <= _MAX_N_FIT:
+        raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
     if len(samples) < 3 * n_fit:
         raise ValidationError("need at least 3 * n_fit samples")
     t = np.array([s.t for s in samples], dtype=float)
@@ -617,5 +616,5 @@ def fit_asymptotics(
     if cond > 1e8:
         raise IllConditioned(f"design condition number {cond:.2e} exceeds 1e8")
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    coefficients = tuple(float(c) / u_ref**k for k, c in enumerate(coef))
+    coefficients = tuple(float(c / u_ref**k) for k, c in enumerate(coef))
     return FitResult(coefficients, cond)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -484,3 +485,44 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--max-n 5 is above the limit 4 of the fit" in err
+
+
+# sha256 of the stdout of each CLI example in the README, in its order, and
+# of the trace.csv its verify example writes
+README_STDOUT_DIGESTS = (
+    "dd80f7f1e50f6f56c5414666cf146244b840982e0817557ddbbddfb34308e3dc",
+    "f6e480407fb75e583b291657a8ba2ff11a12094e2a0272760c359e877bd9e06e",
+    "85146c676dc43bf434ecf14730a030eebbfea9f0a27b5ca651a1053d7cb656be",
+    "61e71871bbb4176694bfca4e4dc7ebf47ecf72528bb9ef329d44e79eda30c327",
+    "427579bb45f372df246ed1cedf2f34f37680f318dfb2be9a26653a2f027da1c1",
+    "1e1b4c32872c28e63670429e6e71c18e4db0dd5ebc0a4535323f5f35f7c5f4d8",
+)
+README_TRACE_CSV_DIGEST = (
+    "d946df70f43efcf2c361e5b76cb03dfb9eaa15044ceb83f40acd72b19c42e72b"
+)
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argument lists of the README's CLI block, comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split("#", 1)[0].split()[1:] for line in lines if line.strip()]
+
+
+def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
+    # the README promises these outputs; verify writes its trace.csv into
+    # the working directory, as the example says (about 1 s)
+    monkeypatch.chdir(tmp_path)
+    examples = readme_cli_examples()
+    assert [argv[0] for argv in examples] == [
+        "coeffs", "coeffs", "omega", "omega", "roots", "verify"
+    ]
+    for argv, digest in zip(examples, README_STDOUT_DIGESTS):
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    trace_csv = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(trace_csv).hexdigest() == README_TRACE_CSV_DIGEST

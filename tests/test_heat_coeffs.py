@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from capheat.errors import (
@@ -25,6 +26,7 @@ from capheat.heat_coeffs import (
 )
 from capheat import special_eval
 from capheat.special_eval import AngleParams
+from capheat.spectral_oracle import spectrum
 from capheat.sphere_base import sphere_heat_coefficient
 
 from sphere_reference import residue_to_coefficient, sphere_surface_area
@@ -185,6 +187,12 @@ class TestShifts:
         cal = {0: 1.0, 1: -0.25, 2: 0.1}
         assert mass_shift(cal, 0.0) == cal
 
+    @pytest.mark.parametrize("m", [0.0, 0.5])
+    def test_mass_checks_the_table(self, m):
+        # m = 0 runs the same convolution, so a gap raises at any mass
+        with pytest.raises(InsufficientBaseData, match="index 1/2"):
+            mass_shift({0: 1.0, 3: 0.5}, m)
+
     def test_mass_first_orders(self):
         cal = {0: 1.0, 1: 0.0, 2: 0.5, 3: 0.0, 4: 0.125}
         m = 0.7
@@ -243,6 +251,26 @@ class TestConfigValidation:
     def test_non_finite_mass(self, mass):
         with pytest.raises(ValidationError):
             sphere_config(2, 0.8, 1, mass=mass)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: SphereBase(2.5), id="sphere-d"),
+        pytest.param(lambda: SphereBase(2.0), id="sphere-d-float"),
+        pytest.param(lambda: UserBase("2", {0: 1.0}), id="user-d"),
+        pytest.param(lambda: SuspensionConfig(
+            D=3.5, angle=AngleParams(1.0), base=UserBase(2, {0: 1.0}), n_max=1
+        ), id="D"),
+        pytest.param(lambda: sphere_config(2, 1.0, 2.0), id="n_max"),
+        pytest.param(lambda: spectrum(2.5, 1.0, 10.0), id="spectrum-d"),
+    ])
+    def test_non_integral_dimensions_refused(self, make):
+        # operator.index decides: 2.0 is refused like 2.5
+        with pytest.raises(ValidationError, match="must be an integer"):
+            make()
+
+    def test_numpy_integer_dimensions_accepted(self):
+        cfg = SuspensionConfig(D=np.int64(3), angle=AngleParams(1.0),
+                               base=SphereBase(np.int64(2)), n_max=np.int64(2))
+        assert compute_table(cfg).entries[2].n == 2
 
     def test_cumulant_order_limit(self):
         sphere_config(18, 0.8, 17)  # order 16, the limit

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
-from capheat.errors import ValidationError
+from capheat.errors import CapheatError, ValidationError
 from capheat.legendre_asymptotics import StructuredOmega, chi, omega_structures
 from capheat.special_eval import AngleParams, c1, f_total, gauss_2f1, recip_gamma
 
@@ -115,6 +116,18 @@ def bessel_limit_weight(i, structure, d_minus_n):
 # ---------------------------------------------------------------------------
 
 
+# A grid through every branch of gauss_2f1: terminating a or b on both
+# sides of x = 1/2, x = 0 and x = 1, integer c - a - b above x = 1/2 (the
+# terminating Euler transform and the direct fallback), the connection
+# formula for non-integer c - a - b, and x = 1 - 2^-52.
+GAUSS_A = (-4.0, -1.0, 0.0, 0.3, 1.5, 2.5, -2.5)
+GAUSS_B = (-3.0, 0.5, 1.0, 2.25)
+GAUSS_C = (0.5, 1.5, 2.0, 3.0, 3.7)
+GAUSS_X = (0.0, 0.25, 0.5, 0.75, 0.9375, 1.0 - 2.0**-52, 1.0)
+# sha256 of the float.hex of each value, or the name of the error it raises
+GAUSS_DIGEST = "5d24403fd7bdd358f895203ba67701124727084c5a0d9b00fd3c328cd6a49014"
+
+
 class TestGauss2F1:
     def test_at_zero(self):
         assert gauss_2f1(0.7, -1.3, 2.4, 0.0) == 1.0
@@ -197,6 +210,20 @@ class TestGauss2F1:
         # connection branch vs the Gauss value one ulp away from x = 1
         near = gauss_2f1(0.5, 1.5, 2.5, 1.0 - 2.0**-52)
         assert near == pytest.approx(0.75 * math.pi, rel=1e-7)
+
+    def test_bits_are_pinned(self):
+        # every value of the grid, bit for bit, and every refusal
+        digest = hashlib.sha256()
+        for a in GAUSS_A:
+            for b in GAUSS_B:
+                for c in GAUSS_C:
+                    for x in GAUSS_X:
+                        try:
+                            outcome = gauss_2f1(a, b, c, x).hex()
+                        except CapheatError as exc:
+                            outcome = type(exc).__name__
+                        digest.update(f"{a} {b} {c} {x} {outcome}\n".encode())
+        assert digest.hexdigest() == GAUSS_DIGEST
 
 
 class TestRecipGamma:

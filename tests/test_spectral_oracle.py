@@ -61,6 +61,11 @@ def bisection_roots(mu, theta0, omega_max, abs_tol=1e-10):
     def f(w):
         return _ferrers_factor(mu, w, z, state)
 
+    return scan_bisection(f, theta0, omega_max, abs_tol)
+
+
+def scan_bisection(f, theta0, omega_max, abs_tol=1e-10):
+    """Plain scan-and-bisection of any f on the quarter-spacing grid."""
     step = math.pi / (4.0 * theta0)
     grid = [step * j for j in range(1, int(omega_max / step) + 1)]
     if not grid or grid[-1] < omega_max:
@@ -504,6 +509,117 @@ class TestSpectrum:
         )
 
 
+# At theta0 = pi/4 the scan step pi/(4 theta0) is exactly 1, so the grid
+# points are the integers 0, 1, 2, ... and a synthetic f can put a root on
+# a grid point, a bisection midpoint or a secant point at will.
+QUARTER = math.pi / 4
+
+
+def synthetic_roots(monkeypatch, f, omega_max):
+    """dirichlet_roots at mu = 1/2, theta0 = pi/4 with the channel's
+    Dirichlet function replaced by f."""
+    monkeypatch.setattr(spectral_oracle, "_channel", lambda mu, theta0: f)
+    return dirichlet_roots(0.5, QUARTER, omega_max)
+
+
+class TestRootFinderBranches:
+    """Branches that decide a root or refuse a run, on synthetic functions:
+    every root must be plain scan-and-bisection's, bit for bit."""
+
+    def test_secant_lands_on_the_root(self, monkeypatch):
+        # the first secant point of cell (2, 3) is 2.5, an exact zero, which
+        # collapses Illinois' bracket; the cell's bisection then meets it
+        def f(w):
+            return 2.5 - w
+
+        assert spectral_oracle._illinois(f, 2.0, f(2.0), 3.0, f(3.0), 1e-12) == (
+            2.5, 2.5
+        )
+        roots = synthetic_roots(monkeypatch, f, 6.0)
+        assert roots == scan_bisection(f, QUARTER, 6.0) == [2.5]
+
+    def test_bracket_of_adjacent_doubles(self):
+        # wider than the width, yet no double lies strictly inside it: no
+        # trial point exists, so Illinois stops without evaluating f
+        a = 2.0**40
+        b = math.nextafter(a, math.inf)
+
+        def f(w):
+            raise AssertionError("f evaluated")
+
+        assert spectral_oracle._illinois(f, a, 1.0, b, -1.0, 1e-12) == (a, b)
+
+    def test_bisection_midpoint_is_the_root(self, monkeypatch):
+        # 2.25 is the second midpoint of cell (2, 3): replayed against a
+        # located bracket that holds it, the bisection evaluates it and
+        # returns its exact zero
+        def f(w):
+            return (2.25 - w) * (1.0 + w * w)
+
+        assert spectral_oracle._bisect_cell(
+            f, 2.0, 3.0, 2.25 - 1e-13, 2.25 + 1e-13, True
+        ) == 2.25
+        roots = synthetic_roots(monkeypatch, f, 6.0)
+        assert roots == scan_bisection(f, QUARTER, 6.0) == [2.25]
+
+    def test_root_on_a_grid_point(self, monkeypatch):
+        def f(w):
+            return (2.0 - w) * (math.pi - w)
+
+        roots = synthetic_roots(monkeypatch, f, 6.0)
+        assert roots == scan_bisection(f, QUARTER, 6.0)
+        assert roots[0] == 2.0 and len(roots) == 2
+
+    def test_root_at_zero_refused(self, monkeypatch):
+        with pytest.raises(MissedRootSuspicion, match="omega = 0"):
+            synthetic_roots(monkeypatch, lambda w: math.sin(w), 6.0)
+
+    def test_gap_monitor(self, monkeypatch):
+        # roots 2.5 and 9.5 are 7 apart, above 1.5 pi / theta0 = 6, and both
+        # lie beyond the turning region 2 mu / sin(theta0) = 1.41
+        def f(w):
+            return (2.5 - w) * (9.5 - w)
+
+        assert scan_bisection(f, QUARTER, 12.0) == [2.5, 9.5]
+        with pytest.raises(MissedRootSuspicion, match="gap 7.000"):
+            synthetic_roots(monkeypatch, f, 12.0)
+
+    def test_replay_scan_with_a_root_on_the_grid_point(self):
+        # the located bracket holds grid point 4, which is the root: the
+        # scan's exact zero there, not a bisection of either cell
+        grid = spectral_oracle._scan_grid(QUARTER, 10.0)
+
+        def f(w):
+            return (4.0 - w) * (1.0 + w)
+
+        assert grid[4] == 4.0
+        assert spectral_oracle._replay_scan(f, grid, 4.0 - 1e-13, 4.0 + 1e-13,
+                                            True) == 4.0
+        assert 4.0 in scan_bisection(f, QUARTER, 10.0)
+
+    def test_interlaced_zero_at_the_cutoff(self):
+        # the last bracket (4.5, 7] ends on a zero of f: the scan's zero at
+        # its last point
+        omega_max = 7.0
+        grid = spectral_oracle._scan_grid(QUARTER, omega_max)
+
+        def f(w):
+            return (math.pi - w) * (omega_max - w)
+
+        roots = spectral_oracle._interlaced_roots(f, [[1.5, 4.5]], omega_max, grid)
+        assert roots == scan_bisection(f, QUARTER, omega_max)
+        assert roots[-1] == omega_max and len(roots) == 2
+
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_spectrum_refuses_low_dimension(self, monkeypatch, d):
+        def no_evaluation(*args):
+            raise AssertionError("Ferrers series evaluated")
+
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        with pytest.raises(ValidationError, match="d >= 2"):
+            spectrum(d, 1.0, 10.0)
+
+
 class TestHeatTrace:
     def test_monotone_decreasing(self):
         cfg = hemisphere_cfg()
@@ -599,11 +715,15 @@ class TestFit:
         fit = fit_asymptotics(samples, big_d, 4)
         for got, want in zip(fit.coefficients, c):
             assert got == pytest.approx(want, rel=1e-6)
+            assert type(got) is float  # FitResult's annotation, not numpy's
+        assert type(fit.condition_number) is float
 
     def test_validations(self):
         samples = [HeatTraceSample(t, 1.0, 0.0) for t in np.geomspace(1e-3, 1e-2, 20)]
         with pytest.raises(ValidationError):
             fit_asymptotics(samples, 3, 5)
+        with pytest.raises(ValidationError, match="n_fit must lie in 0..4"):
+            fit_asymptotics(samples, 3, -1)
         with pytest.raises(ValidationError):
             fit_asymptotics(samples[:5], 3, 4)
         narrow = [HeatTraceSample(t, 1.0, 0.0) for t in np.linspace(1e-3, 2e-3, 20)]
