@@ -200,6 +200,10 @@ class StructuredOmega:
     z_terms: tuple[tuple[int, int, float], ...] = field(
         init=False, repr=False, compare=False
     )
+    # f_total's angle-independent plans of this structure, keyed d_minus_n
+    weight_plans: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         i, lo = self.order, chi(self.order)

@@ -9,11 +9,12 @@ convention throughout: a Gamma pole in a denominator contributes 0 (the
 entire function 1/Gamma), a pole in a numerator is a bad argument and raises
 ValidationError.
 
-The angular weights evaluate each ingredient once.  The 2F1 values of the z
-family are shared by the orders of one index through a dict the caller
-passes to f_total and drops with the index.  Gamma and 1/Gamma are memoized
-at module level: their arguments in the weights are integers and
-half-integers fixed by the dimension and the indices, never by the angle.
+Every 2F1 and angular weight is a plan and an evaluation.  A plan holds
+what the angle does not fix: a 2F1's route and Gamma factors, memoized by
+parameters; f_total's Gamma ratios, 2F1 plans and z0 sum, kept on the
+structure per d_minus_n.  The evaluation adds the cos powers and the series
+in the order of a direct evaluation, so no bit moves.  The orders of one
+index share their z-family 2F1 values through a dict the caller drops.
 No value that depends on the angle outlives one table: such a cache would
 pay off only when the same table is asked for again, and a benchmark that
 repeats its tables would measure the repetition instead of the code.
@@ -81,8 +82,8 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-# Bounded memos: the weights ask for a few hundred integer and half-integer
-# arguments, none set by the angle.  A pole raises and is not stored.
+# A bounded memo: the plans and the sphere base ask for a few hundred integer
+# and half-integer arguments, none set by the angle.
 @lru_cache(maxsize=1024)
 def recip_gamma(x: float) -> float:
     """1 / Gamma(x), with the entire-function value 0 at nonpositive integers."""
@@ -94,7 +95,6 @@ def recip_gamma(x: float) -> float:
         return 0.0
 
 
-@lru_cache(maxsize=1024)
 def _gamma_num(x: float) -> float:
     """Gamma(x) for numerator use; a pole here is a genuine error."""
     if _is_nonpositive_integer(x):
@@ -123,8 +123,9 @@ def _series_2f1(a: float, b: float, c: float, x: float) -> float:
     # its zero term before it gets there
     settled = max(0.0, -a, -b)
     small_streak = 0
-    m = 0
-    while m < _MAX_TERMS:
+    tol, max_terms = _REL_TOL, _MAX_TERMS
+    m = 0.0  # a float counter: every index up to _MAX_TERMS is exact
+    while m < max_terms:
         term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
         if term == 0.0:
             return total
@@ -133,8 +134,8 @@ def _series_2f1(a: float, b: float, c: float, x: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
-        m += 1
-        small = _REL_TOL * abs(total)
+        m += 1.0
+        small = tol * (total if total >= 0.0 else -total)
         if -small <= term <= small and m > settled:
             small_streak += 1
             if small_streak >= 2:
@@ -152,61 +153,74 @@ def _gauss_value(a: float, b: float, c: float) -> float:
     return _gamma_num(c) * _gamma_num(w) * recip_gamma(c - a) * recip_gamma(c - b)
 
 
-def _hyp2f1(a: float, b: float, c: float, x: float, xc: float) -> float:
-    """2F1 on [0, 1] given the argument and its exact complement xc = 1 - x.
+def _connection_factors(a: float, b: float, c: float, w: float) -> tuple:
+    """The Gamma factors of the connection formula, Gauss value first."""
+    return (_gauss_value(a, b, c), _gamma_num(c), _gamma_num(-w), recip_gamma(a),
+            recip_gamma(b))
 
-    Carrying the complement separately keeps arguments like cos^2(theta)
-    accurate when x is within a few ulp of 1.
-    """
+
+# How a planned 2F1 is evaluated above x = 1/2
+_TERMINATING, _CONNECTION, _EULER, _DIRECT = range(4)
+
+
+@lru_cache(maxsize=8192)
+def _hyp2f1_plan(a: float, b: float, c: float) -> tuple:
+    """The part of 2F1(a, b; c; x) that no argument x changes, as (route
+    above x = 1/2, a, b, c, c-a-b, factors): the Gauss value, then the
+    connection formula's Gamma factors, or None where these raise (a Gamma
+    overflow, say), to raise where they are used."""
     if _is_nonpositive_integer(c):
         raise ValidationError(f"lower parameter c={c} is a nonpositive integer")
+    w = c - a - b
+    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
+        return (_TERMINATING, a, b, c, w, None)
+    # Near-integer w is kept off the connection formula: Gamma(-w) approaches
+    # a pole there and the cancellation between its two pieces destroys
+    # double precision.  The Euler transform serves when it terminates.
+    euler = _is_nonpositive_integer(c - a) or _is_nonpositive_integer(c - b)
+    route = _CONNECTION if abs(w - round(w)) > 0.05 else _EULER if euler else _DIRECT
+    try:
+        factors = (_connection_factors(a, b, c, w) if route == _CONNECTION
+                   else (_gauss_value(a, b, c),) if w > 0.0 else None)
+    except (ArithmeticError, ValueError, ValidationError):
+        factors = None
+    return (route, a, b, c, w, factors)
+
+
+def _hyp2f1_eval(plan: tuple, x: float, xc: float) -> float:
+    """2F1 of a plan's parameters at x in [0, 1], given its exact complement
+    xc = 1 - x, which keeps arguments like cos^2(theta) accurate when x is
+    within a few ulp of 1."""
     if x < 0.0 or x > 1.0:
         raise ValueError("argument must lie in [0, 1]")
-
-    # Terminating series: sum it exactly, any argument.
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
+    route, a, b, c, w, factors = plan
+    # a terminating series is summed exactly at any argument
+    if route == _TERMINATING:
         return _series_2f1(a, b, c, x)
-
     if x == 1.0 or xc == 0.0:
-        if c - a - b <= 0.0:
-            raise ValidationError(
-                f"2F1 at unit argument needs c-a-b > 0, got {c - a - b}"
-            )
-        return _gauss_value(a, b, c)
-
-    if x <= 0.5:
+        if w <= 0.0:
+            raise ValidationError(f"2F1 at unit argument needs c-a-b > 0, got {w}")
+        return factors[0] if factors else _gauss_value(a, b, c)
+    if x <= 0.5 or route == _DIRECT:
         return _series_2f1(a, b, c, x)
-
-    w = c - a - b
-    if abs(w - round(w)) > 0.05:
-        # Linear connection to argument 1-x; both sub-series have ratio <= 1/2.
-        # Near-integer w is routed away: Gamma(-w) approaches a pole there and
-        # the cancellation between the two pieces destroys double precision.
-        first = _gauss_value(a, b, c) * _series_2f1(a, b, 1.0 - w, xc)
-        second = (
-            xc**w
-            * _gamma_num(c)
-            * _gamma_num(-w)
-            * recip_gamma(a)
-            * recip_gamma(b)
-            * _series_2f1(c - a, c - b, 1.0 + w, xc)
-        )
-        return first + second
-
-    # Degenerate integer c-a-b: fall back to the Euler transform when it
-    # terminates, else to the direct series with the term-count guard.
-    if _is_nonpositive_integer(c - a) or _is_nonpositive_integer(c - b):
+    if route == _EULER:
         return xc**w * _series_2f1(c - a, c - b, c, x)
-    return _series_2f1(a, b, c, x)
+    # linear connection to argument 1-x; both sub-series have ratio <= 1/2
+    gauss, g_c, g_w, r_a, r_b = factors or _connection_factors(a, b, c, w)
+    first = gauss * _series_2f1(a, b, 1.0 - w, xc)
+    return first + xc**w * g_c * g_w * r_a * r_b * _series_2f1(c - a, c - b, 1.0 + w, xc)
 
 
 def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; x) for x in [0, 1].
 
     Symmetric in (a, b) bit for bit.  At x = 1 the Gauss summation formula is
-    used and requires c - a - b > 0.
+    used and requires c - a - b > 0.  A terminating series 2F1(-N, b; c; x)
+    loses to cancellation up to about u * sum|t_m| / |F| relative, u the unit
+    roundoff, where sum|t_m| = 2F1(-N, b; c; -x) for b, c > 0: 12% at N = 60,
+    b = 1/2, c = 3/2, x = 0.9.  The assembly's have N = (D - n)/2.
     """
-    return _hyp2f1(a, b, c, x, 1.0 - x)
+    return _hyp2f1_eval(_hyp2f1_plan(a, b, c), x, 1.0 - x)
 
 
 def c1(angle: AngleParams, two_s: float) -> float:
@@ -214,7 +228,41 @@ def c1(angle: AngleParams, two_s: float) -> float:
     if two_s <= 0.0:
         raise ValueError("two_s must be positive")
     s = 0.5 * two_s
-    return _hyp2f1(0.5, s, s + 1.0, angle.sin2, angle.cos2)
+    return _hyp2f1_eval(_hyp2f1_plan(0.5, s, s + 1.0), angle.sin2, angle.cos2)
+
+
+# Weight plans per structure: the assembly needs one per index n >= 2
+_MAX_PLANS = 32
+
+
+def _weight_plan(structure: StructuredOmega, d_minus_n: float) -> tuple:
+    """f_total's part the angle does not fix: chi(i), 1/Gamma(A), the x terms
+    (c, cos power index, Gamma, 1/Gamma), z0, and the z terms (the same,
+    then the shared_2f1 key and the 2F1 plan)."""
+    i = structure.order
+    s = 0.5 * d_minus_n
+    half_i = 0.5 * i
+    big_a = s + half_i
+    inv_gamma_a = recip_gamma(big_a)
+    lo = chi(i)
+    # the lower 2F1 parameters b + i/2 >= 1/2 and b + j + i/2 >= 3/2 stay off
+    # the poles by construction; an explicit check, not an assert
+    if lo + half_i < 0.5:
+        raise ValueError(f"2F1 lower parameter {lo + half_i} too low")
+    x_terms = tuple(
+        (c, b - lo, _gamma_num(big_a + b), recip_gamma(b + half_i))
+        for b, c in structure.x_terms
+    )
+    z0 = _kahan_sum([
+        c * _gamma_num(s + j) * inv_gamma_a * recip_gamma(float(j))
+        for j, c in structure.z0_terms
+    ])
+    z_terms = tuple(
+        (c, b - lo, _gamma_num(big_a + b + j), recip_gamma(b + half_i + j),
+         (b + half_i, j), _hyp2f1_plan(-s, b + half_i, b + half_i + j))
+        for b, j, c in structure.z_terms
+    )
+    return lo, inv_gamma_a, x_terms, z0, z_terms
 
 
 def f_total(
@@ -239,12 +287,12 @@ def f_total(
     its arguments b + i/2 >= 1/2, j >= 1 and b + j + i/2 >= 3/2 are at most
     40 under the order limit of 16.
 
-    ``shared_2f1`` holds the z-family 2F1 values keyed (b + i/2, j).  They
-    also depend on d_minus_n and the angle, but not on i, so a caller passes
-    one dict to every order of one index and drops it with the index; by
-    default each call has a fresh dict.  The cos powers are computed once
-    per call, and Gamma and 1/Gamma come from their module-level memo (see
-    the module docstring).
+    Only the cos powers and the 2F1 series depend on the angle; the rest,
+    z0 included, is planned once per d_minus_n in ``structure.weight_plans``,
+    and each term is still c * cos power * Gamma * 1/Gamma(A) * 1/Gamma * 2F1,
+    left to right.  ``shared_2f1`` holds the z-family 2F1 values keyed
+    (b + i/2, j); they do not depend on i, so a caller passes one dict to
+    every order of one index and drops it with the index.
     """
     if structure.order != i:
         raise ValueError(f"structure has order {structure.order}, expected {i}")
@@ -255,38 +303,21 @@ def f_total(
     if shared_2f1 is None:
         shared_2f1 = {}
     inv_sin = angle.sin_theta ** (-d_minus_n)
-    s = 0.5 * d_minus_n
-    half_i = 0.5 * i
-    big_a = s + half_i
-    inv_gamma_a = recip_gamma(big_a)
+    plans = structure.weight_plans
+    plan = plans.get(d_minus_n)
+    if plan is None:
+        if len(plans) >= _MAX_PLANS:  # only a sweep over d_minus_n gets here
+            plans.clear()
+        plan = plans[d_minus_n] = _weight_plan(structure, d_minus_n)
+    lo, inv_gamma_a, x_plan, z0, z_plan = plan
     cos_t = angle.cos_theta
-    lo = chi(i)
-    # the lower 2F1 parameters b + i/2 >= 1/2 and b + j + i/2 >= 3/2 stay off
-    # the poles by construction; an explicit check, not an assert
-    if lo + half_i < 0.5:
-        raise ValueError(f"2F1 lower parameter {lo + half_i} too low")
     cos_pow = [cos_t ** (i + 2 * b) for b in range(lo, i + 1)]
 
-    x = _kahan_sum([
-        c * cos_pow[b - lo] * _gamma_num(big_a + b) * inv_gamma_a
-        * recip_gamma(b + half_i)
-        for b, c in structure.x_terms
-    ])
-    z0 = _kahan_sum([
-        c * _gamma_num(s + j) * inv_gamma_a * recip_gamma(float(j))
-        for j, c in structure.z0_terms
-    ])
+    x = _kahan_sum([c * cos_pow[k] * g * inv_gamma_a * r for c, k, g, r in x_plan])
     z_terms = []
-    for b, j, c in structure.z_terms:
-        beta = b + half_i
-        hyp = shared_2f1.get((beta, j))
+    for c, k, g, r, key, hyp_plan in z_plan:
+        hyp = shared_2f1.get(key)
         if hyp is None:
-            hyp = shared_2f1[beta, j] = _hyp2f1(
-                -s, beta, beta + j, angle.cos2, angle.sin2
-            )
-        z_terms.append(
-            c * cos_pow[b - lo] * _gamma_num(big_a + b + j) * inv_gamma_a
-            * recip_gamma(beta + j) * hyp
-        )
-    z = _kahan_sum(z_terms)
-    return x + inv_sin * z0 + inv_sin * z
+            hyp = shared_2f1[key] = _hyp2f1_eval(hyp_plan, angle.cos2, angle.sin2)
+        z_terms.append(c * cos_pow[k] * g * inv_gamma_a * r * hyp)
+    return x + inv_sin * z0 + inv_sin * _kahan_sum(z_terms)

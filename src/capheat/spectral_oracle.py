@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -601,8 +602,11 @@ def fit_asymptotics(
     """
     import numpy as np
 
-    if not 0 <= n_fit <= _MAX_N_FIT:
-        raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
+    try:
+        if not 0 <= operator.index(n_fit) <= _MAX_N_FIT:
+            raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
+    except TypeError:
+        raise ValidationError(f"n_fit must be an integer, got {n_fit!r}") from None
     if len(samples) < 3 * n_fit:
         raise ValidationError("need at least 3 * n_fit samples")
     t = np.array([s.t for s in samples], dtype=float)

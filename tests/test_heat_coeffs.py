@@ -25,6 +25,7 @@ from capheat.heat_coeffs import (
     table_to_dict,
 )
 from capheat import special_eval
+from capheat.legendre_asymptotics import _MAX_ORDER, omega_structures
 from capheat.special_eval import AngleParams
 from capheat.spectral_oracle import spectrum
 from capheat.sphere_base import sphere_heat_coefficient
@@ -337,6 +338,35 @@ def user_base(d: int) -> UserBase:
 PIN_THETAS = (1e-3, 1e-2, 0.1, 1.0, math.pi / 3, math.pi / 2, 2.0, 3.0, 3.1)
 # sha256 of the float.hex of every script_A and cal_A of the 360 pinned tables
 ASSEMBLY_DIGEST = "1bccee231d2a57d907b76e5945ebf14d6982c20ec71dd4f83e61038e4dfd715f"
+# the same over D 13..18: 216 tables, cumulant orders up to 16
+HIGH_ORDER_DIGEST = "042852e7d77230b90abe0a66179d4da082e89fe892c9b2f8642bfb10ff36bd98"
+
+
+def table_tuples(big_d, theta0):
+    """(script_A, cal_A) of the tables of dimension big_d at theta0, for
+    both bases and masses 0 and 0.5, in that order."""
+    return [
+        [(e.script_A, e.cal_A) for e in compute_table(SuspensionConfig(
+            D=big_d,
+            angle=AngleParams.from_theta0(theta0),
+            base=base,
+            n_max=big_d - 1,
+            mass=mass,
+        )).entries]
+        for base in (SphereBase(big_d - 1), user_base(big_d - 1))
+        for mass in (0.0, 0.5)
+    ]
+
+
+def table_digest(dims, thetas) -> str:
+    """sha256 of the float.hex of every entry of the tables over dims x thetas."""
+    digest = hashlib.sha256()
+    for big_d in dims:
+        for theta0 in thetas:
+            for table in table_tuples(big_d, theta0):
+                for script, cal in table:
+                    digest.update(f"{script.hex()} {cal.hex()}\n".encode())
+    return digest.hexdigest()
 
 
 class TestAssemblyBits:
@@ -349,23 +379,31 @@ class TestAssemblyBits:
     """
 
     def test_tables_are_bit_identical(self):
-        digest = hashlib.sha256()
-        for big_d in range(3, 13):
-            for theta0 in PIN_THETAS:
-                for base in (SphereBase(big_d - 1), user_base(big_d - 1)):
-                    for mass in (0.0, 0.5):
-                        cfg = SuspensionConfig(
-                            D=big_d,
-                            angle=AngleParams.from_theta0(theta0),
-                            base=base,
-                            n_max=big_d - 1,
-                            mass=mass,
-                        )
-                        for e in compute_table(cfg).entries:
-                            digest.update(
-                                f"{e.script_A.hex()} {e.cal_A.hex()}\n".encode()
-                            )
-        assert digest.hexdigest() == ASSEMBLY_DIGEST
+        assert table_digest(range(3, 13), PIN_THETAS) == ASSEMBLY_DIGEST
+
+    def test_high_order_tables_are_bit_identical(self):
+        # D 13..18 reach the cumulant orders 11..16, which ASSEMBLY_DIGEST
+        # does not; recorded before the angular weights were split into
+        # angle-independent plans and a per-table evaluation
+        assert table_digest(range(13, 19), PIN_THETAS) == HIGH_ORDER_DIGEST
+
+    def test_tables_do_not_depend_on_earlier_angles(self):
+        # the plans behind the angular weights hold nothing set by the
+        # angle: tables at 2.0 after other angles are those of a fresh start
+        def at_two(after):
+            for s in omega_structures(_MAX_ORDER):
+                s.weight_plans.clear()
+            special_eval._hyp2f1_plan.cache_clear()
+            for theta0 in after:
+                for big_d in (5, 12, 18):
+                    table_tuples(big_d, theta0)
+            return [
+                [[(script.hex(), cal.hex()) for script, cal in table]
+                 for table in table_tuples(big_d, 2.0)]
+                for big_d in (5, 12, 18)
+            ]
+
+        assert at_two((1e-3, 0.1, 1.0, 3.0)) == at_two(())
 
     @pytest.mark.parametrize("base,limit", [
         pytest.param(SphereBase(11), 602, id="sphere"),
@@ -374,18 +412,21 @@ class TestAssemblyBits:
     def test_each_2f1_is_evaluated_once(self, monkeypatch, base, limit):
         # the orders of one index share their z-family 2F1 values, so every
         # distinct argument tuple is evaluated once (per-order evaluation
-        # took 1082 and 1832 calls here)
-        real = special_eval._hyp2f1
+        # took 1082 and 1832 calls here).  The count is taken where c1 and
+        # the z family evaluate each 2F1 from its plan; a wrapper on a
+        # function they no longer call would count nothing and pass.
+        real = special_eval._hyp2f1_eval
         calls = []
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(special_eval, "_hyp2f1", counted)
+        monkeypatch.setattr(special_eval, "_hyp2f1_eval", counted)
         cfg = SuspensionConfig(
             D=12, angle=AngleParams.from_theta0(1.0), base=base, n_max=11
         )
         compute_table(cfg)
         assert len(calls) == len(set(calls))
-        assert len(calls) <= limit
+        # more than c1's one call per index: the z family's are counted too
+        assert cfg.n_max + 1 < len(calls) <= limit

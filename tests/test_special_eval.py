@@ -3,10 +3,12 @@ from __future__ import annotations
 import hashlib
 import math
 
+import mpmath
 import pytest
 
 from capheat.errors import CapheatError, ValidationError
 from capheat.legendre_asymptotics import StructuredOmega, chi, omega_structures
+from capheat import special_eval
 from capheat.special_eval import AngleParams, c1, f_total, gauss_2f1, recip_gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -206,6 +208,15 @@ class TestGauss2F1:
             expected = float(scipy_special.hyp2f1(a, b, c, x))
         assert gauss_2f1(a, b, c, x) == pytest.approx(expected, rel=1e-13)
 
+    def test_gamma_overflow_raises_only_where_needed(self):
+        # Gamma(200.3) overflows; the direct series below x = 1/2 needs no
+        # Gamma factor, so only the connection formula above it raises
+        with mpmath.workdps(30):
+            expected = float(mpmath.hyp2f1(0.5, 1.0, 200.3, 0.3))
+        assert gauss_2f1(0.5, 1.0, 200.3, 0.3) == pytest.approx(expected, rel=1e-14)
+        with pytest.raises(OverflowError):
+            gauss_2f1(0.5, 1.0, 200.3, 0.9)
+
     def test_argument_near_one_stays_accurate(self):
         # connection branch vs the Gauss value one ulp away from x = 1
         near = gauss_2f1(0.5, 1.5, 2.5, 1.0 - 2.0**-52)
@@ -224,6 +235,32 @@ class TestGauss2F1:
                             outcome = type(exc).__name__
                         digest.update(f"{a} {b} {c} {x} {outcome}\n".encode())
         assert digest.hexdigest() == GAUSS_DIGEST
+
+
+class TestTerminatingCancellation:
+    """2F1(-N, 1/2; 3/2; x) = int_0^1 (1 - x t^2)^N dt lies in (0, 1), but its
+    series alternates, and the loss grows with N (gauss_2f1's docstring)."""
+
+    @staticmethod
+    def exact(n, x):
+        with mpmath.workdps(60):
+            return mpmath.hyp2f1(-n, 0.5, 1.5, x), mpmath.hyp2f1(-n, 0.5, 1.5, -x)
+
+    @pytest.mark.parametrize("n", [5, 9, 20, 40, 60, 100, 200])
+    @pytest.mark.parametrize("x", [0.3, 0.5, 0.9, 0.99])
+    def test_within_stated_bound(self, n, x):
+        # relative error up to about u * sum|t_m| / |F|, with
+        # sum|t_m| = 2F1(-N, b; c; -x) for b, c > 0
+        value, abs_terms = self.exact(n, x)
+        err = abs((gauss_2f1(-float(n), 0.5, 1.5, x) - value) / value)
+        assert err <= 2.0**-53 * abs_terms / value
+
+    @pytest.mark.xfail(strict=True, reason="terminating-series cancellation is "
+                       "stated, not mended: 0.1337 against 0.1199")
+    def test_long_series_against_closed_form(self):
+        with mpmath.workdps(30):
+            closed = mpmath.quad(lambda t: (1 - mpmath.mpf("0.9") * t * t) ** 60, [0, 1])
+        assert gauss_2f1(-60.0, 0.5, 1.5, 0.9) == pytest.approx(float(closed), rel=1e-10)
 
 
 class TestRecipGamma:
@@ -403,6 +440,40 @@ class TestFTotal:
             value = f_total(i, structure(i), angle, 3.0)
             assert math.isfinite(value)
             assert abs(value) <= 2.0 * (abs(limit) + 1.0)
+
+    def test_plans_follow_their_structure(self):
+        # two structures of one order with different coefficients, evaluated
+        # alternately, each give the weight of a fresh evaluation: no plan is
+        # shared between instances by order alone
+        def fresh(scale):
+            return StructuredOmega(3, **{
+                f: {k: scale * c for k, c in getattr(structure(3), f).items()}
+                for f in FAMILIES
+            })
+
+        angles = [AngleParams.from_theta0(t) for t in (0.3, 2.0)]
+        points = [(angle, d) for angle in angles for d in (2.0, 5.0)]
+        expected = {(scale, k): f_total(3, fresh(scale), angle, d)
+                    for scale in (1, 3) for k, (angle, d) in enumerate(points)}
+        one, three = fresh(1), fresh(3)
+        for _ in range(2):
+            for k, (angle, d) in enumerate(points):
+                assert f_total(3, one, angle, d) == expected[1, k]
+                assert f_total(3, three, angle, d) == expected[3, k]
+        assert expected[1, 0] != expected[3, 0]
+
+    def test_plans_stay_bounded(self):
+        # a sweep over d_minus_n starts the structure's plans afresh instead
+        # of keeping one per value; the weights do not change
+        def fresh():
+            return StructuredOmega(2, **{f: getattr(structure(2), f) for f in FAMILIES})
+
+        angle = AngleParams.from_theta0(1.0)
+        swept = fresh()
+        sweep = [1.0 + 0.25 * k for k in range(3 * special_eval._MAX_PLANS)]
+        values = [f_total(2, swept, angle, d) for d in sweep]
+        assert 0 < len(swept.weight_plans) <= special_eval._MAX_PLANS
+        assert values == [f_total(2, fresh(), angle, d) for d in sweep]
 
     @pytest.mark.parametrize("i", range(1, 10))
     @pytest.mark.parametrize("theta0", [0.4, 1.0, 1.6, 2.0])

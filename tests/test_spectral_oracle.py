@@ -724,6 +724,11 @@ class TestFit:
             fit_asymptotics(samples, 3, 5)
         with pytest.raises(ValidationError, match="n_fit must lie in 0..4"):
             fit_asymptotics(samples, 3, -1)
+        # a non-integral n_fit used to fit np.arange(n_fit + 1) powers
+        for n_fit in (1.5, 2.0, "2", None):
+            with pytest.raises(ValidationError, match="n_fit must be an integer"):
+                fit_asymptotics(samples, 3, n_fit)
+        assert len(fit_asymptotics(samples, 3, np.int64(2)).coefficients) == 3
         with pytest.raises(ValidationError):
             fit_asymptotics(samples[:5], 3, 4)
         narrow = [HeatTraceSample(t, 1.0, 0.0) for t in np.linspace(1e-3, 2e-3, 20)]
