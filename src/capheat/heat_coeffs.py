@@ -75,12 +75,18 @@ class UserBase:
 BaseDescriptor = Union[SphereBase, UserBase]
 
 
+# Highest total dimension: from D = 341 the Gamma factors of c1's connection
+# formula overflow a double (at theta0 = 1 for every n_max).
+_MAX_D = 340
+
+
 @dataclass(frozen=True)
 class SuspensionConfig:
     """Evaluation context for one suspension.
 
-    D is the total dimension (base dimension plus one); n_max is the highest
-    coefficient index n requested (coefficient n/2), restricted to n < D.
+    D is the total dimension (base dimension plus one), at most _MAX_D;
+    n_max is the highest coefficient index n requested (coefficient n/2),
+    restricted to n < D.
     """
 
     D: int
@@ -92,6 +98,10 @@ class SuspensionConfig:
     def __post_init__(self):
         if _index(self.D, "total dimension") < 2:
             raise ValidationError("total dimension must be at least 2")
+        if self.D > _MAX_D:
+            raise ValidationError(
+                f"total dimension D={self.D} is above the limit {_MAX_D}"
+            )
         if self.base.d != self.D - 1:
             raise ValidationError(
                 f"base dimension {self.base.d} inconsistent with D={self.D}"

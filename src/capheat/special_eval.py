@@ -191,8 +191,8 @@ def _hyp2f1_eval(plan: tuple, x: float, xc: float) -> float:
     """2F1 of a plan's parameters at x in [0, 1], given its exact complement
     xc = 1 - x, which keeps arguments like cos^2(theta) accurate when x is
     within a few ulp of 1."""
-    if x < 0.0 or x > 1.0:
-        raise ValueError("argument must lie in [0, 1]")
+    if not 0.0 <= x <= 1.0:
+        raise ValidationError(f"2F1 argument must lie in [0, 1], got {x}")
     route, a, b, c, w, factors = plan
     # a terminating series is summed exactly at any argument
     if route == _TERMINATING:
@@ -219,7 +219,11 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     loses to cancellation up to about u * sum|t_m| / |F| relative, u the unit
     roundoff, where sum|t_m| = 2F1(-N, b; c; -x) for b, c > 0: 12% at N = 60,
     b = 1/2, c = 3/2, x = 0.9.  The assembly's have N = (D - n)/2.
+    Non-finite parameters and an x outside [0, 1] (NaN too) raise
+    ValidationError.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValidationError(f"2F1 parameters must be finite, got {a}, {b}, {c}")
     return _hyp2f1_eval(_hyp2f1_plan(a, b, c), x, 1.0 - x)
 
 

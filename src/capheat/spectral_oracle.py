@@ -16,10 +16,11 @@ of ``ferrers_p``.
 Roots of one channel are found by a scan on a quarter-spacing grid.  A
 spectrum scans only its first channel: sphere channels interlace, so each
 later channel is bracketed by the roots of the one before, and each of its
-roots is first tried where the channels below extrapolate it.  Either way
-each root is shrunk by Illinois false position and then pinned to the
-scan's bisection of its grid cell, so both paths give the same roots, bit
-for bit: where f is evaluated and how long each sum runs never decide a
+roots is first tried where the channels below extrapolate it, corrected by
+the previous root's miss.  Either way each root is shrunk by
+Anderson-Bjorck false position and then pinned to the scan's bisection of
+its grid cell, so both paths give the same roots, bit for bit: where f is
+evaluated, at what precision and how long each sum runs never decide a
 root, only signs do.
 
 mpmath is still used for the 80-bit Ferrers prefactor in ``ferrers_p`` and
@@ -69,13 +70,14 @@ _MAX_OMEGA = 1_000.0
 # Bisection width of a root.
 _ABS_TOL = 1e-10
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  The largest spectra it accepts take about 18-26 s at theta0 =
-# 2.2 (omega_max 169.0, 11,291 roots) and 9-13 s at pi/3 (omega_max 263.2,
-# 8,599 roots) on a 2-core VM, Python 3.11.
+# 2,078).  Spectra near it take about 24 s at theta0 = 2.2 (omega_max
+# 168.9, 11,284 roots) and 8.5 s at pi/3 (omega_max 263.1, 8,595 roots) on
+# a 2-core VM, Python 3.11.
 _MAX_ROOTS = 10_000
 # The caller's target for the Ferrers series' tail bound, in bits below the
 # sum: ferrers_p's doubles need 64; the root finder needs only the signs,
-# which the bound leaves exact, and values good enough to steer Illinois.
+# which the bound leaves exact, and values good enough to steer false
+# position.
 _VALUE_BITS = 64
 _SIGN_BITS = 24
 # Highest index fit_asymptotics fits, and so the highest verify --max-n.
@@ -228,14 +230,17 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
         return float(pref * factor)
 
 
-def _illinois(f, a: float, fa: float, b: float, fb: float, width: float,
-              first: float | None = None):
+def _false_position(f, a: float, fa: float, b: float, fb: float,
+                    width: float, first: float | None = None):
     """Shrink the sign-change bracket (a, b) of f (fa = f(a), fb = f(b)) to
-    at most ``width`` by Illinois false position (Dowell & Jarratt, BIT 11,
-    1971), with ``first``, when given, as the first trial point in place of
-    the secant's.  Trial points keep ``width / 2`` clear of both ends, so a
-    root on an end closes in one step.  An exact zero collapses the
-    bracket."""
+    at most ``width`` by false position with the Anderson-Bjorck
+    modification (Anderson & Bjorck, BIT 13 (1973) 253): when an end is
+    kept a second time in a row, its value is scaled by m = 1 - f(x) / f(e),
+    e the end x replaced, or by 1/2 when m <= 0, where the Illinois method
+    always halves it.  ``first``, when given, is the first trial point in
+    place of the secant's.  Trial points keep ``width / 2`` clear of both
+    ends, so a root on an end closes in one step.  An exact zero collapses
+    the bracket."""
     a_positive = fa > 0
     kept = 0  # -1 after keeping b, +1 after keeping a
     while b - a > width:
@@ -250,14 +255,16 @@ def _illinois(f, a: float, fa: float, b: float, fb: float, width: float,
         if fx == 0.0:
             return x, x
         if (fx > 0) == a_positive:
-            a, fa = x, fx
             if kept == -1:
-                fb *= 0.5
+                m = 1.0 - fx / fa
+                fb *= m if m > 0.0 else 0.5
+            a, fa = x, fx
             kept = -1
         else:
-            b, fb = x, fx
             if kept == 1:
-                fa *= 0.5
+                m = 1.0 - fx / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb = x, fx
             kept = 1
     return a, b
 
@@ -276,12 +283,16 @@ def _check_scan(mu: float, theta0: float, omega_max: float) -> None:
         )
 
 
-def _channel(mu: float, theta0: float):
+def _channel(mu: float, theta0: float, state: dict | None = None):
     """The Dirichlet function of channel mu at theta0, as a function of
-    omega: the Ferrers factor at cos(theta0), with the channel's own
-    precision hint and the root finder's tail-bound target."""
+    omega: the Ferrers factor at cos(theta0), with the root finder's
+    tail-bound target.  ``state`` carries the precision hint between
+    evaluations; a fresh one starts at 64 bits, and a spectrum passes one
+    through all its channels, so each starts from the hint the channel
+    below left."""
     z = 0.5 * (1.0 - math.cos(theta0))
-    state: dict = {"bits": _SIGN_BITS}
+    state = {} if state is None else state
+    state["bits"] = _SIGN_BITS
 
     def f(w: float) -> float:
         return _ferrers_factor(mu, w, z, state)
@@ -324,17 +335,20 @@ def _bisect_cell(f, lo: float, hi: float, a: float, b: float,
     return 0.5 * (lo + hi)
 
 
-def dirichlet_roots(mu: float, theta0: float, omega_max: float) -> list[float]:
+def dirichlet_roots(mu: float, theta0: float, omega_max: float,
+                    state: dict | None = None) -> list[float]:
     """All simple roots in (0, omega_max] of the Dirichlet condition at
     theta0: the Ferrers function of order -mu vanishing at cos(theta0).
 
     Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
-    with a gap monitor against missed roots.  Each sign change is located by
-    Illinois, then its bisection to _ABS_TOL is replayed against the located
-    bracket (``_bisect_cell``).
+    with a gap monitor against missed roots.  Each sign change is located
+    by ``_false_position``, then its bisection to _ABS_TOL is replayed
+    against the located bracket (``_bisect_cell``).  ``state``, when given,
+    is the evaluation state of ``_channel``: it moves evaluations, never
+    roots.
     """
     _check_scan(mu, theta0, omega_max)
-    f = _channel(mu, theta0)
+    f = _channel(mu, theta0, state)
     grid = _scan_grid(theta0, omega_max)
 
     roots: list[float] = []
@@ -346,7 +360,8 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float) -> list[float]:
         if val == 0.0:
             roots.append(w)
         elif (val > 0) != (prev_val > 0):
-            a, b = _illinois(f, prev_w, prev_val, w, val, _ABS_TOL / 256.0)
+            a, b = _false_position(f, prev_w, prev_val, w, val,
+                                   _ABS_TOL / 256.0)
             roots.append(_bisect_cell(f, prev_w, w, a, b, prev_val > 0))
         prev_w, prev_val = w, val
 
@@ -382,9 +397,11 @@ def _replay_scan(f, grid: list[float], a: float, b: float,
 
 def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
     """Root j of the next channel, extrapolated in mu (step 1) from root j
-    of the channels in ``lower`` (nearest last): quadratically from three,
-    linearly from two, and not at all from one."""
-    w = [roots[j] for roots in lower[-3:]]
+    of the channels in ``lower`` (nearest last): cubically from four,
+    quadratically from three, linearly from two, and not at all from one."""
+    w = [roots[j] for roots in lower[-4:]]
+    if len(w) == 4:
+        return 4.0 * (w[3] + w[1]) - 6.0 * w[2] - w[0]
     if len(w) == 3:
         return 3.0 * (w[2] - w[1]) + w[0]
     if len(w) == 2:
@@ -399,11 +416,13 @@ def _interlaced_roots(f, lower: Sequence[Sequence[float]], omega_max: float,
     (and nonempty).  Interlacing puts exactly one root in each bracket
     between consecutive roots of the nearest, and none or one in the last
     bracket (lower[-1][-1], omega_max]; f is evaluated only at those ends
-    and inside the brackets.  Each root is located by Illinois, starting at
-    its extrapolation from the channels below (``_extrapolated``), then the
-    scan of ``grid`` is replayed on it, so it is the root
+    and inside the brackets.  Each root is located by ``_false_position``,
+    then the scan of ``grid`` is replayed on it, so it is the root
     ``dirichlet_roots`` finds: the start moves the evaluations, never the
-    root, which the signs alone fix.
+    root, which the signs alone fix.  The start is the root's extrapolation
+    from the channels below (``_extrapolated``) plus the previous root's
+    miss, that root less its own extrapolation; a missing or non-finite
+    extrapolation adds no correction and leaves none for the next root.
 
     Returns None when an end is a zero of f or a bracket between two roots
     of the nearest channel shows no sign change.  The ends are roots known
@@ -416,13 +435,17 @@ def _interlaced_roots(f, lower: Sequence[Sequence[float]], omega_max: float,
     fa = f(ends[0])
     if fa == 0.0:
         return None
+    miss = 0.0  # the previous root less its extrapolation
     for i in range(1, len(ends)):
         a, b = ends[i - 1], ends[i]
         fb = f(b)
         if fb != 0.0 and (fb > 0) != (fa > 0):
-            x, y = _illinois(f, a, fa, b, fb, _ABS_TOL / 256.0,
-                             _extrapolated(lower, i - 1))
+            guess = _extrapolated(lower, i - 1)
+            finite = guess is not None and math.isfinite(guess)
+            x, y = _false_position(f, a, fa, b, fb, _ABS_TOL / 256.0,
+                                   guess + miss if finite else guess)
             roots.append(_replay_scan(f, grid, x, y, fa > 0))
+            miss = roots[-1] - guess if finite else 0.0
         elif i < len(ends) - 1:
             return None
         elif fb == 0.0:
@@ -447,12 +470,16 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     scanned (``dirichlet_roots``); every later channel is bracketed by the
     roots of the one before (``_interlaced_roots``), and each of those
     brackets must show a sign change.  That check replaces the scan's gap
-    monitor.  Inside a bracket Illinois starts from the root extrapolated in
-    mu from up to three channels below, which predict it to a median error
-    of 1e-4 to 1e-3, against a bracket about pi/theta0 wide; the start
-    changes only where f is evaluated.  A channel whose brackets fail it, because its roots lie
-    closer to the lower channel's than their tolerance, is scanned instead,
-    and its root count must still interlace, else MissedRootSuspicion.
+    monitor.  Inside a bracket ``_false_position`` starts from the root
+    extrapolated in mu from up to four channels below, plus the miss of the
+    same extrapolation at the channel's previous root.  That predicts it to
+    a median error of 3e-5 at pi/3 with cutoff 40 and 3e-7 with cutoff 120,
+    against a bracket about pi/theta0 wide; the start changes only where f
+    is evaluated.  The channels share one evaluation state, so each starts
+    from the precision hint the channel below left.  A channel whose
+    brackets fail the check, because its roots lie closer to the lower
+    channel's than their tolerance, is scanned instead, and its root count
+    must still interlace, else MissedRootSuspicion.
     Either way the roots are bit-identical to a scan of each channel.  The
     first root of a channel increases with mu, so the loop stops at the
     first channel with no roots in range.
@@ -473,17 +500,19 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     grid = _scan_grid(theta0, omega_max)
     channels: list[EigenvalueChannel] = []
     k = 0
-    roots = dirichlet_roots(sphere_mu(0, d), theta0, omega_max)
+    state: dict = {}  # the precision hint, handed from channel to channel
+    roots = dirichlet_roots(sphere_mu(0, d), theta0, omega_max, state)
     while roots:
         channels.append(
             EigenvalueChannel(sphere_mu(k, d), degeneracy(k, d), tuple(roots))
         )
         k += 1
         mu, below = sphere_mu(k, d), roots
-        lower = [ch.roots for ch in channels[-3:]]
-        roots = _interlaced_roots(_channel(mu, theta0), lower, omega_max, grid)
+        lower = [ch.roots for ch in channels[-4:]]
+        roots = _interlaced_roots(_channel(mu, theta0, state), lower,
+                                  omega_max, grid)
         if roots is None:
-            roots = dirichlet_roots(mu, theta0, omega_max)
+            roots = dirichlet_roots(mu, theta0, omega_max, state)
             if not len(below) - 1 <= len(roots) <= len(below):
                 raise MissedRootSuspicion(
                     f"{len(roots)} roots at mu = {mu} do not interlace the "

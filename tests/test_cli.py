@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import capheat
-from capheat import cli, legendre_asymptotics, spectral_oracle
+from capheat import cli, heat_coeffs, legendre_asymptotics, spectral_oracle
 from capheat.cli import run
 from capheat.errors import StructureViolation
 
@@ -216,9 +216,11 @@ class TestCoeffs:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
 
-    def test_overflow_error_object(self, capsys):
-        # Gamma(172) overflows a double in c1's connection formula at D=342:
-        # exit 3 with the JSON error object, not a traceback.
+    def test_overflow_error_object(self, capsys, monkeypatch):
+        # Gamma(172) overflows a double in c1's connection formula at D=342,
+        # which the dimension limit now refuses; with the limit lifted the
+        # overflow still exits 3 with the JSON error object, not a traceback.
+        monkeypatch.setattr(heat_coeffs, "_MAX_D", 400)
         code, out, _ = invoke(
             capsys, ["coeffs", "--dim", "342", "--theta0", "1.2", "--max-n", "0"]
         )
@@ -266,6 +268,15 @@ class TestCoeffs:
         assert code == 2
         assert out == ""
         assert "above the limit 16" in err
+
+    def test_dimension_limit(self, capsys):
+        # used to pass validation and exit 3 with a bare OverflowError
+        code, out, err = invoke(
+            capsys, ["coeffs", "--dim", "400", "--theta0", "1.0", "--max-n", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "above the limit 340" in err
 
     @pytest.mark.parametrize("error", [StructureViolation])
     def test_package_errors_map_to_error_object(self, capsys, monkeypatch, error):

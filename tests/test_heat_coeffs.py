@@ -273,6 +273,20 @@ class TestConfigValidation:
                                base=SphereBase(np.int64(2)), n_max=np.int64(2))
         assert compute_table(cfg).entries[2].n == 2
 
+    @pytest.mark.parametrize("theta0", [1e-3, 1.0, 3.1])
+    def test_dimension_limit_computes(self, theta0):
+        table = compute_table(sphere_config(339, theta0, 3))
+        assert all(
+            math.isfinite(e.script_A) and math.isfinite(e.cal_A)
+            for e in table.entries
+        )
+
+    @pytest.mark.parametrize("big_d", [341, 400])
+    def test_dimension_above_limit_refused(self, big_d):
+        # c1's Gamma factors overflow from D = 341 at theta0 = 1
+        with pytest.raises(ValidationError, match="above the limit 340"):
+            sphere_config(big_d - 1, 1.0, 3)
+
     def test_cumulant_order_limit(self):
         sphere_config(18, 0.8, 17)  # order 16, the limit
         with pytest.raises(ValidationError, match="above the limit"):

@@ -154,6 +154,17 @@ class TestGauss2F1:
         with pytest.raises(ValidationError, match="c-a-b > 0"):
             gauss_2f1(0.5, 1.0, 1.5, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", ["a", "b", "c", "x"])
+    def test_non_finite_refused(self, slot, value):
+        # a NaN x used to pass the range check and run the series to its
+        # term budget; an infinite or NaN parameter raised OverflowError or
+        # ValueError from the plan's rounding
+        args = {"a": 0.5, "b": 1.5, "c": 2.5, "x": 0.3, slot: value}
+        match = "argument" if slot == "x" else "parameters must be finite"
+        with pytest.raises(ValidationError, match=match):
+            gauss_2f1(**args)
+
     @pytest.mark.parametrize("a", [-2.5, 0.3, 1.7])
     @pytest.mark.parametrize("b", [0.4, 2.2])
     @pytest.mark.parametrize("c", [1.3, 3.7])

@@ -170,14 +170,22 @@ def use_mpf_kernel(monkeypatch):
     monkeypatch.setattr(spectral_oracle, "_series_state", mpf_series_state)
 
 
-def count_evaluations(monkeypatch) -> list[int]:
-    calls = [0]
+def count_evaluations(monkeypatch) -> dict[str, int]:
+    """Counters of Ferrers evaluations and of the fixed-point sums they run:
+    sums beyond one per evaluation are precision re-sums."""
+    calls = {"evaluations": 0, "sums": 0}
+    series_state = spectral_oracle._series_state
 
     def counted(*args):
-        calls[0] += 1
+        calls["evaluations"] += 1
         return _ferrers_factor(*args)
 
+    def summed(*args):
+        calls["sums"] += 1
+        return series_state(*args)
+
     monkeypatch.setattr(spectral_oracle, "_ferrers_factor", counted)
+    monkeypatch.setattr(spectral_oracle, "_series_state", summed)
     return calls
 
 
@@ -329,11 +337,11 @@ class TestDirichletRoots:
         # plain bisection costs about 42 per root here
         calls = count_evaluations(monkeypatch)
         roots = dirichlet_roots(mu, math.pi / 3, 40.0)
-        first = calls[0]
+        first = calls["evaluations"]
         assert first <= 22 * len(roots)
-        calls[0] = 0
+        calls["evaluations"] = 0
         assert dirichlet_roots(mu, math.pi / 3, 40.0) == roots
-        assert calls[0] == first
+        assert calls["evaluations"] == first
 
     # 70,000 at theta0 = 1 would scan 89,127 points, 1e300 more than a list holds
     @pytest.mark.parametrize("theta0,omega_max", [
@@ -444,7 +452,8 @@ class TestSpectrum:
         for ch in chans:
             assert ch.roots == tuple(dirichlet_roots(ch.mu, theta0, omega_max))
 
-    @pytest.mark.parametrize("start", ["none", "left", "right", "midpoint"])
+    @pytest.mark.parametrize("start", ["none", "left", "right", "midpoint",
+                                       "after_infinite"])
     @pytest.mark.parametrize("d,theta0", [(2, math.pi / 3), (3, 1.8)])
     def test_roots_do_not_depend_on_the_guess(self, monkeypatch, start, d,
                                                theta0):
@@ -456,19 +465,41 @@ class TestSpectrum:
 
         def poor(lower, j):
             ends = [*lower[-1], omega_max]
+            midpoint = 0.5 * (ends[j] + ends[j + 1])
             return {"none": None, "left": -math.inf, "right": math.inf,
-                    "midpoint": 0.5 * (ends[j] + ends[j + 1])}[start]
+                    "midpoint": midpoint,
+                    "after_infinite": midpoint if j % 2 else math.inf}[start]
+
+        false_position = spectral_oracle._false_position
+        starts = []
+
+        def recorded(f, a, fa, b, fb, width, first=None):
+            starts.append(first)
+            return false_position(f, a, fa, b, fb, width, first)
 
         monkeypatch.setattr(spectral_oracle, "_extrapolated", poor)
+        monkeypatch.setattr(spectral_oracle, "_false_position", recorded)
         assert spectrum(d, theta0, omega_max) == chans
+        # a non-finite prediction leaves a non-finite miss, which must not
+        # correct the next start: inf - inf would be a NaN start, and a
+        # finite one would be pushed to -inf
+        assert not any(x is not None and math.isnan(x) for x in starts)
+        if start == "after_infinite":
+            assert any(x is not None and math.isfinite(x) for x in starts)
 
     @pytest.mark.parametrize("omega_max", [40.0, 120.0])
     def test_evaluations_per_root(self, monkeypatch, omega_max):
         # a scan of every channel costs 16.6 per root here, the interlace
-        # brackets without the extrapolated start 11.6 and 11.9
+        # brackets without the extrapolated start 11.6 and 11.9, with the
+        # quadratic start and Illinois halving 7.7 and 7.1, and now 6.46
+        # and 5.47 (1,228 and 9,717 evaluations).  The re-sums, 27 and 81,
+        # were 58 and 179 when each channel's first sum started at 64 bits.
+        per_root, resums = {40.0: (6.55, 30), 120.0: (5.5, 90)}[omega_max]
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, math.pi / 3, omega_max)
-        assert calls[0] <= 8.5 * sum(len(ch.roots) for ch in chans)
+        roots = sum(len(ch.roots) for ch in chans)
+        assert calls["evaluations"] <= per_root * roots
+        assert calls["sums"] - calls["evaluations"] <= resums
 
     @pytest.mark.parametrize("offset", [-5e-14, 5e-14])
     def test_replay_scan_with_a_grid_point_in_the_bracket(self, offset):
@@ -508,6 +539,24 @@ class TestSpectrum:
             "ab64c0244414c2fe1cf47aed4f4f4dbc33d12016fd47ceb4b11a608373f4f2fa"
         )
 
+    @pytest.mark.parametrize("d,theta0,omega_max,count,digest", [
+        (5, 1.8, 30.0, 243,
+         "45a550280a5494f04145fa46568e684bf3a22d8937810cae4b9733a4e0d22058"),
+        (2, 2.2, 30.0, 348,
+         "ad2f1a85246fa4649237582b0ffed4dceee609b24a1df2133161d0e1441b8b7e"),
+        # channels 72.5, 73.5 and 74.5 crowd and fall back to the scan
+        (140, 2.2, 76.0, 21,
+         "c0b2250bb82b57043d1e4e90752665354da92f4a7c3d0d61087b73b4799d93f3"),
+    ])
+    def test_roots_fingerprint_beyond_verify_cap(self, d, theta0, omega_max,
+                                                 count, digest):
+        # recorded before the cubic start, the miss correction, the
+        # Anderson-Bjorck bracketing and the shared precision hint
+        chans = spectrum(d, theta0, omega_max)
+        hexes = [r.hex() for ch in chans for r in ch.roots]
+        assert len(hexes) == count
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
+
 
 # At theta0 = pi/4 the scan step pi/(4 theta0) is exactly 1, so the grid
 # points are the integers 0, 1, 2, ... and a synthetic f can put a root on
@@ -518,7 +567,8 @@ QUARTER = math.pi / 4
 def synthetic_roots(monkeypatch, f, omega_max):
     """dirichlet_roots at mu = 1/2, theta0 = pi/4 with the channel's
     Dirichlet function replaced by f."""
-    monkeypatch.setattr(spectral_oracle, "_channel", lambda mu, theta0: f)
+    monkeypatch.setattr(spectral_oracle, "_channel",
+                        lambda mu, theta0, state=None: f)
     return dirichlet_roots(0.5, QUARTER, omega_max)
 
 
@@ -528,26 +578,27 @@ class TestRootFinderBranches:
 
     def test_secant_lands_on_the_root(self, monkeypatch):
         # the first secant point of cell (2, 3) is 2.5, an exact zero, which
-        # collapses Illinois' bracket; the cell's bisection then meets it
+        # collapses the false-position bracket; the cell's bisection then
+        # meets it
         def f(w):
             return 2.5 - w
 
-        assert spectral_oracle._illinois(f, 2.0, f(2.0), 3.0, f(3.0), 1e-12) == (
-            2.5, 2.5
-        )
+        assert spectral_oracle._false_position(
+            f, 2.0, f(2.0), 3.0, f(3.0), 1e-12
+        ) == (2.5, 2.5)
         roots = synthetic_roots(monkeypatch, f, 6.0)
         assert roots == scan_bisection(f, QUARTER, 6.0) == [2.5]
 
     def test_bracket_of_adjacent_doubles(self):
         # wider than the width, yet no double lies strictly inside it: no
-        # trial point exists, so Illinois stops without evaluating f
+        # trial point exists, so false position stops without evaluating f
         a = 2.0**40
         b = math.nextafter(a, math.inf)
 
         def f(w):
             raise AssertionError("f evaluated")
 
-        assert spectral_oracle._illinois(f, a, 1.0, b, -1.0, 1e-12) == (a, b)
+        assert spectral_oracle._false_position(f, a, 1.0, b, -1.0, 1e-12) == (a, b)
 
     def test_bisection_midpoint_is_the_root(self, monkeypatch):
         # 2.25 is the second midpoint of cell (2, 3): replayed against a
