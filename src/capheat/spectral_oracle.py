@@ -23,12 +23,12 @@ its grid cell, so both paths give the same roots, bit for bit: where f is
 evaluated, at what precision and how long each sum runs never decide a
 root, only signs do.
 
-mpmath is still used for the 80-bit Ferrers prefactor in ``ferrers_p`` and
-the incomplete gamma function of the Weyl tail, numpy for the trace sums and
-the fit; each is imported inside the function that uses it, so
-``dirichlet_roots`` and ``spectrum`` (and the ``roots`` command) load
-neither.  Nothing here shares code with the assembly pipeline it is used to
-verify.
+Everything else runs on doubles: the Ferrers prefactor and the incomplete
+gamma function of the Weyl tail are closed forms summed as logarithms.
+numpy serves the trace sums and the fit and is imported inside the two
+functions that use it, so ``ferrers_p``, ``dirichlet_roots`` and
+``spectrum`` (and the ``roots`` command) do not load it.  Nothing here
+shares code with the assembly pipeline it is used to verify.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +44,7 @@ from .errors import (
     AssumptionViolation,
     IllConditioned,
     MissedRootSuspicion,
+    NumericalError,
     SlowConvergence,
     TailTooLarge,
     ValidationError,
@@ -64,15 +66,16 @@ __all__ = [
 THETA0_GUARD = 2.2  # beyond this the series ratio (1 - cos)/2 exceeds ~0.9
 _MAX_SERIES_TERMS = 2_000_000
 # A channel's cost grows about as omega_max^2.4: at mu = 1/2 and theta0 =
-# 2.2 it takes about 2 s at omega_max 500 and 10-14 s at 1,000 (2-core VM,
-# Python 3.11).  The largest cutoff the tests use is 120.
+# 2.2 it takes about 2.1-2.5 s at omega_max 500 and 12-14 s at 1,000
+# (2-core Intel Xeon VM, Python 3.11.7).  The largest cutoff the tests use
+# is 120.
 _MAX_OMEGA = 1_000.0
 # Bisection width of a root.
 _ABS_TOL = 1e-10
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  Spectra near it take about 24 s at theta0 = 2.2 (omega_max
-# 168.9, 11,284 roots) and 8.5 s at pi/3 (omega_max 263.1, 8,595 roots) on
-# a 2-core VM, Python 3.11.
+# 2,078).  Spectra near it take about 21-25 s at theta0 = 2.2 (omega_max
+# 168.9, 11,284 roots) and 7 s at pi/3 (omega_max 263.1, 8,595 roots) on
+# a 2-core Intel Xeon VM, Python 3.11.7.
 _MAX_ROOTS = 10_000
 # The caller's target for the Ferrers series' tail bound, in bits below the
 # sum: ferrers_p's doubles need 64; the root finder needs only the signs,
@@ -82,6 +85,8 @@ _VALUE_BITS = 64
 _SIGN_BITS = 24
 # Highest index fit_asymptotics fits, and so the highest verify --max-n.
 _MAX_N_FIT = 4
+# log of the largest double
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,21 @@ def _series_state(prec: int, omega: float, mu: float, z: float,
     num = (wd2 - 4 * wn * wn) * num_scale
     num_step = 8 * wd2 * num_scale
     term = total = max_abs = 1 << prec
+    # up to the turning point no stop rule applies, so only the peak is kept
+    last = int(abs(omega))
+    if last > _MAX_SERIES_TERMS:
+        raise SlowConvergence("Ferrers series exceeded the term budget")
+    for m in range(1, last + 1):
+        p = term * num
+        q = m * (m * ud + un)
+        term = (p >> shift) // q if p >= 0 else -((-p >> shift) // q)
+        num += num_step * m
+        total += term
+        a = abs(term)
+        if a > max_abs:
+            max_abs = a
     stop_below = max_abs >> (prec - 3)
-    turn = abs(omega)
-    m = 0
+    m = last
     while True:
         # term m over term m - 1 is ((m - 1/2)^2 - w^2) z / (m (m + mu)),
         # over exact integers
@@ -157,7 +174,7 @@ def _series_state(prec: int, omega: float, mu: float, z: float,
         if a > max_abs:
             max_abs = a
             stop_below = max_abs >> (prec - 3)
-        elif m > turn and (a < stop_below or a * tail_scale < abs(total)):
+        elif a < stop_below or a * tail_scale < abs(total):
             return total, max_abs
         if m > _MAX_SERIES_TERMS:
             raise SlowConvergence("Ferrers series exceeded the term budget")
@@ -211,10 +228,10 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     """Ferrers function of the first kind, order -mu, degree -1/2 + omega.
 
     Evaluated as ((1-x)/(1+x))^(mu/2) 2F1(1/2-w, 1/2+w; 1+mu; (1-x)/2)
-    divided by Gamma(1 + mu); even in omega.
+    divided by Gamma(1 + mu); even in omega.  The prefactor joins the
+    factor's logarithm before a single exp, and a product beyond the double
+    range raises NumericalError.
     """
-    from mpmath import mp
-
     if not (0.0 < mu < math.inf and math.isfinite(omega)):
         raise ValidationError("mu must be positive and finite, omega finite")
     if not -1.0 < x < 1.0:
@@ -223,11 +240,18 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     if z > 0.9:
         raise SlowConvergence("argument too close to -1 (angle too close to pi)")
     factor = _ferrers_factor(mu, omega, z, {})
-    with mp.workprec(80):
-        pref = mp.e ** (
-            0.5 * mp.mpf(mu) * (mp.log1p(-x) - mp.log1p(x))
-        ) / mp.gamma(1 + mp.mpf(mu))
-        return float(pref * factor)
+    if factor == 0.0:
+        return 0.0
+    log_value = (
+        0.5 * mu * (math.log1p(-x) - math.log1p(x))
+        - math.lgamma(1.0 + mu)
+        + math.log(abs(factor))
+    )
+    if log_value > _LOG_MAX:
+        raise NumericalError(
+            f"Ferrers function at mu={mu}, omega={omega}, x={x} overflows a double"
+        )
+    return math.copysign(math.exp(log_value), factor)
 
 
 def _false_position(f, a: float, fa: float, b: float, fb: float,
@@ -531,22 +555,48 @@ def _check_positivity(channels: Sequence[EigenvalueChannel], d: int) -> None:
                 )
 
 
-def _weyl_tail(big_d: int, density: float, omega_max: float, t: float) -> float:
-    """Extrapolated truncation tail: integral of the fitted Weyl density
-    against the heat weight above the cutoff, times a safety factor."""
-    from mpmath import mp
+def _log_upper_gamma(twice_a: int, y: float) -> float:
+    """log Gamma(a, y), the upper incomplete gamma function, for a =
+    twice_a / 2 with twice_a a positive integer and y > 0.  It starts from
+    Gamma(1/2, y) = sqrt(pi) erfc(sqrt(y)) or Gamma(1, y) = exp(-y) (DLMF
+    8.4.6) and climbs by Gamma(a + 1, y) = a Gamma(a, y) + y^a exp(-y)
+    (DLMF 8.8.2), whose terms are positive, summed as logarithms so that
+    neither overflows nor underflows.  Where erfc would underflow, its
+    asymptotic series (DLMF 7.12.1) supplies the start."""
+    if twice_a % 2 == 0:
+        a, log_g = 1.0, -y
+    elif y < 700.0:
+        a, log_g = 0.5, math.log(math.sqrt(math.pi) * math.erfc(math.sqrt(y)))
+    else:
+        # erfc(sqrt y) = exp(-y) / sqrt(pi y) sum_k (-1)^k (1/2)_k / y^k; at
+        # y >= 700 the first term left out, k = 9, is below 1e-20
+        series = term = 1.0
+        for k in range(1, 9):
+            term *= (0.5 - k) / y
+            series += term
+        a, log_g = 0.5, math.log(series) - y - 0.5 * math.log(y)
+    log_y = math.log(y)
+    while 2.0 * a < twice_a:
+        u, v = math.log(a) + log_g, a * log_y - y
+        log_g = max(u, v) + math.log1p(math.exp(-abs(u - v)))
+        a += 1.0
+    return log_g
 
+
+def _log_weyl_tail(big_d: int, count: float, omega_max: float,
+                   t: float) -> float:
+    """Logarithm of the extrapolated truncation tail: the integral of the
+    Weyl density fitted to the ``count`` modes below the cutoff against the
+    heat weight above it, times a safety factor 3.  With y = omega_max^2 t
+    that is 3 count (D/2) y^(-D/2) exp((D - 1)^2 t / 4) Gamma(D/2, y),
+    summed as logarithms, so no factor overflows."""
     y = omega_max * omega_max * t
-    upper = float(mp.gammainc(0.5 * big_d, y))
-    tail = (
-        density
-        * big_d
-        * 0.5
-        * t ** (-0.5 * big_d)
-        * math.exp(0.25 * (big_d - 1) ** 2 * t)
-        * upper
+    return (
+        math.log(1.5 * count * big_d)
+        - 0.5 * big_d * math.log(y)
+        + 0.25 * (big_d - 1) ** 2 * t
+        + _log_upper_gamma(big_d, y)
     )
-    return 3.0 * tail
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -602,16 +652,17 @@ def heat_trace(
         [np.full(len(ch.roots), float(ch.degeneracy)) for ch in channels]
     )
     weighted_count = float(weights.sum())
-    density = weighted_count / omega_max**cfg.D
 
     samples = []
     for t in t_values:
         value = float(weights @ np.exp(-alpha_sq * t))
         # a trace that underflows to 0 leaves the relative tail unbounded
-        # (and the Weyl tail's exp(t (D - 1)^2 / 4) may overflow there)
-        tail = (
-            _weyl_tail(cfg.D, density, omega_max, t) / value if value else math.inf
+        log_tail = (
+            _log_weyl_tail(cfg.D, weighted_count, omega_max, t)
+            - math.log(value)
+            if value else math.inf
         )
+        tail = math.exp(log_tail) if log_tail <= _LOG_MAX else math.inf
         if tail > tolerance:
             raise TailTooLarge(
                 f"relative tail {tail:.2e} at t={t} exceeds tolerance {tolerance}"

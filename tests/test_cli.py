@@ -33,8 +33,9 @@ def no_evaluation(*args):
     raise AssertionError("Ferrers series evaluated")
 
 
-# coeffs, omega (json and tex) and roots, then the two oracle entry points
-# that need numpy and mpmath; each snapshot lists which of the two is loaded
+# coeffs, omega (json and tex) and roots, then ferrers_p, heat_trace and the
+# verify command, each followed by a snapshot of which of numpy and mpmath
+# is loaded
 IMPORT_PROBE = """
 import contextlib, io, math, sys
 from capheat import AngleParams, SphereBase, SuspensionConfig
@@ -53,10 +54,17 @@ with contextlib.redirect_stdout(io.StringIO()):
     ):
         assert run(argv) == 0, argv
 loaded()
+ferrers_p(0.5, 1.0, 0.3)
+loaded()
 cfg = SuspensionConfig(D=3, angle=AngleParams.from_theta0(math.pi / 2),
                        base=SphereBase(2), n_max=1)
 heat_trace(cfg, [0.3], omega_max=15.0)
-ferrers_p(0.5, 1.0, 0.3)
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["verify", "--dim", "3", "--theta0", str(math.pi / 2),
+                "--max-n", "1", "--t-min", "0.05", "--t-max", "0.5",
+                "--points", "16", "--tolerance", "1e-5",
+                "--omega-max", "24"]) == 0
 loaded()
 """
 
@@ -73,16 +81,20 @@ def import_snapshots():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split("\n")[:2]
+    return proc.stdout.split("\n")[:4]
 
 
 class TestImports:
     def test_commands_load_neither_numpy_nor_mpmath(self, import_snapshots):
         assert import_snapshots[0] == ""
 
-    def test_oracle_loads_both(self, import_snapshots):
-        # the probe sees an import when one happens
-        assert import_snapshots[1] == "numpy mpmath"
+    def test_ferrers_p_loads_neither(self, import_snapshots):
+        assert import_snapshots[1] == ""
+
+    def test_heat_trace_and_verify_load_numpy_only(self, import_snapshots):
+        # the probe sees an import when one happens; no entry point of
+        # capheat loads mpmath
+        assert import_snapshots[2:] == ["numpy", "numpy"]
 
 
 class TestCoeffs:
@@ -509,7 +521,13 @@ README_STDOUT_DIGESTS = (
     "1e1b4c32872c28e63670429e6e71c18e4db0dd5ebc0a4535323f5f35f7c5f4d8",
 )
 README_TRACE_CSV_DIGEST = (
-    "d946df70f43efcf2c361e5b76cb03dfb9eaa15044ceb83f40acd72b19c42e72b"
+    "365ddefc2f66d82f23135b6515278f216bf934ffcb0009ce35718835c2d7fcd9"
+)
+# sha256 of its t and trace columns alone: the tail_bound column is a
+# heuristic estimate whose last bits move with the tail's evaluation, the
+# trace must not move at all
+README_TRACE_COLUMNS_DIGEST = (
+    "8d80a87cf451eace9d52933810ce45f579f2a9372481ef902f349b3d15cf7b5d"
 )
 
 
@@ -536,4 +554,8 @@ def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
     trace_csv = (tmp_path / "trace.csv").read_bytes()
+    columns = b"".join(
+        b",".join(line.split(b",")[:2]) + b"\n" for line in trace_csv.splitlines()
+    )
+    assert hashlib.sha256(columns).hexdigest() == README_TRACE_COLUMNS_DIGEST
     assert hashlib.sha256(trace_csv).hexdigest() == README_TRACE_CSV_DIGEST

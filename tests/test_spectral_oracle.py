@@ -13,6 +13,7 @@ from capheat.errors import (
     AssumptionViolation,
     IllConditioned,
     MissedRootSuspicion,
+    NumericalError,
     SlowConvergence,
     TailTooLarge,
     ValidationError,
@@ -137,6 +138,66 @@ def kernel_inputs(count=200, seed=8):
     return cases
 
 
+def single_loop_series_state(prec, omega, mu, z, bits):
+    """The shift kernel as one loop, before it was split at the turning
+    point: every term checks the stop rules, guarded by m > |omega|, and
+    the term budget."""
+    wn, wd = omega.as_integer_ratio()
+    un, ud = mu.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    wd2, num_scale = wd * wd, zn * ud
+    shift = (4 * wd2 * zd).bit_length() - 1
+    tail_scale = -(-zn // (zd - zn)) << bits
+    num = (wd2 - 4 * wn * wn) * num_scale
+    num_step = 8 * wd2 * num_scale
+    term = total = max_abs = 1 << prec
+    stop_below = max_abs >> (prec - 3)
+    turn = abs(omega)
+    m = 0
+    while True:
+        m += 1
+        p = term * num
+        q = m * (m * ud + un)
+        term = (p >> shift) // q if p >= 0 else -((-p >> shift) // q)
+        num += num_step * m
+        total += term
+        a = abs(term)
+        if a > max_abs:
+            max_abs = a
+            stop_below = max_abs >> (prec - 3)
+        elif m > turn and (a < stop_below or a * tail_scale < abs(total)):
+            return total, max_abs
+        if m > _MAX_SERIES_TERMS:
+            raise SlowConvergence("Ferrers series exceeded the term budget")
+
+
+def split_loop_inputs(count=400, seed=16):
+    """Seeded (prec, omega, mu, z): negative, zero, integer, half-integer
+    and sub-1 omega, each with every mu of {0.5, 1, 7.5, 30.5}, then random
+    ones of those kinds; z up to 0.9."""
+    rng = random.Random(seed)
+    mus = (0.5, 1.0, 7.5, 30.5)
+
+    def draw_z():
+        return rng.uniform(0.85, 0.9) if rng.random() < 0.3 else rng.uniform(0.01, 0.9)
+
+    cases = [
+        (rng.randrange(64, 400), omega, mu, draw_z())
+        for omega in (-7.0, -2.5, -0.6, 0.0, 0.25, 0.999, 1.0, 4.5, 12.0, 31.5)
+        for mu in mus
+    ]
+    while len(cases) < count:
+        omega = rng.choice((
+            -float(rng.randrange(1, 60)),
+            float(rng.randrange(0, 60)),
+            rng.randrange(0, 60) + 0.5,
+            rng.uniform(0.0, 1.0),
+            rng.uniform(-60.0, 60.0),
+        ))
+        cases.append((rng.randrange(64, 400), omega, rng.choice(mus), draw_z()))
+    return cases
+
+
 def mpf_series_state(prec, omega, mu, z, bits=None):
     """The Ferrers series summed in mpmath floating point at ``prec`` bits,
     scaled to the kernel's fixed-point return convention.  It takes the
@@ -237,6 +298,42 @@ class TestFerrers:
         assert expected != 0.0
         assert ferrers_p(mu, omega, x) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.5, 7.5, 20.5, 33.0, 60.5])
+    def test_matches_mpmath(self, mu):
+        # the reference is taken where (1 - x) / 2 is the double z the series
+        # is summed at, so that it sees the evaluation's error and not the
+        # rounding of z, which the cancelling factor can amplify past 1e-13
+        with mp.workdps(60):
+            for omega in (0.0, 0.3, 1.7, 7.0, 12.5, 30.25, 61.0):
+                for x in (-0.79, -0.4, 0.1, 0.5, 0.8, 0.9, 0.99):
+                    z = mp.mpf(0.5 * (1.0 - x))
+                    expected = mp.legenp(omega - 0.5, -mu, 1 - 2 * z, type=2)
+                    value = ferrers_p(mu, omega, x)
+                    assert abs(value - expected) <= 1e-13 * abs(expected), (
+                        mu, omega, x)
+
+    def test_zero_factor(self, monkeypatch):
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor",
+                            lambda *args: 0.0)
+        assert ferrers_p(2.0, 1.0, 0.3) == 0.0
+
+    @pytest.mark.parametrize("factor", [-2.0, 3e-320])
+    def test_factor_sign_and_magnitude(self, monkeypatch, factor):
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor",
+                            lambda *args: factor)
+        # ((1 - x) / (1 + x))^(mu / 2) / Gamma(1 + mu) is 1/2 at x = 0, mu = 2
+        assert ferrers_p(2.0, 1.0, 0.0) == pytest.approx(0.5 * factor,
+                                                          rel=1e-15)
+
+    @pytest.mark.parametrize("factor", [1e308, -1e308])
+    def test_overflow_raises(self, monkeypatch, factor):
+        # the prefactor is 9 / 2 at x = -0.8, mu = 2: the product is beyond
+        # the doubles, where a conversion to float gave inf
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor",
+                            lambda *args: factor)
+        with pytest.raises(NumericalError, match="overflows a double"):
+            ferrers_p(2.0, 1.0, -0.8)
+
     def test_domain_checks(self):
         with pytest.raises(ValidationError):
             ferrers_p(-1.0, 2.0, 0.3)
@@ -262,6 +359,20 @@ class TestFixedPointKernel:
                 assert max_abs == ref_max_abs, (case, bits)
                 assert (total > 0) == (ref_total > 0), (case, bits)
                 assert abs(ref_total - total) << bits <= abs(total), (case, bits)
+
+    def test_split_loop_matches_single_loop(self):
+        # below the turning point no stop rule can fire, so the split loop
+        # runs the same integers to the same stop
+        for case in split_loop_inputs():
+            for bits in (spectral_oracle._SIGN_BITS, spectral_oracle._VALUE_BITS):
+                assert spectral_oracle._series_state(*case, bits) == (
+                    single_loop_series_state(*case, bits)
+                ), (case, bits)
+
+    def test_term_budget_beyond_the_turning_point(self):
+        # the single loop would run the budget out below the turning point
+        with pytest.raises(SlowConvergence, match="term budget"):
+            spectral_oracle._series_state(64, _MAX_SERIES_TERMS + 1.5, 0.5, 0.5, 24)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5, 7.5])
     @pytest.mark.parametrize("omega", [0.0, 0.74, 5.3, 25.1, 60.2])
@@ -750,6 +861,76 @@ class TestHeatTrace:
             samples = heat_trace(cfg, ts, tolerance=1e-5, omega_max=omega_max)
             fits.append(fit_asymptotics(samples, 3, 4).coefficients[0])
         assert abs(fits[1] - fits[0]) <= 1e-3 * abs(fits[0])
+
+
+class TestWeylTail:
+    @pytest.mark.parametrize("big_d", [*range(2, 31), 50, 100, 200, 340])
+    def test_upper_gamma_matches_mpmath(self, big_d):
+        # Gamma(D/2, y) on y from 1e-3 to 1e4; below 1e-290 only an
+        # underflow is checked: where the double of the reference is 0, so
+        # is the closed form's
+        checked = 0
+        with mp.workdps(50):
+            for k in range(60):
+                y = 10.0 ** (-3.0 + 7.0 * k / 59)
+                expected = mp.gammainc(mp.mpf(big_d) / 2, y)
+                value = math.exp(spectral_oracle._log_upper_gamma(big_d, y))
+                if expected >= mp.mpf("1e-290"):
+                    assert abs(value - expected) <= 1e-12 * expected, (big_d, y)
+                    checked += 1
+                else:
+                    assert value < 1e-289, (big_d, y)
+                    if float(expected) == 0.0:
+                        assert y > 745.0 and value == 0.0, (big_d, y)
+        assert checked >= 40
+
+    @pytest.mark.parametrize("twice_a", [1, 3, 5])
+    def test_log_upper_gamma_beyond_erfc(self, twice_a):
+        # past y = 700 erfc(sqrt y) is near underflow and the start is its
+        # asymptotic series; Gamma itself is below 1e-290 there, so the
+        # logarithm is checked, as the Weyl tail uses it
+        with mp.workdps(50):
+            for y in (699.9, 700.0, 700.1, 745.0, 1e3, 1e4):
+                expected = mp.log(mp.gammainc(mp.mpf(twice_a) / 2, y))
+                log_g = spectral_oracle._log_upper_gamma(twice_a, y)
+                assert log_g == pytest.approx(float(expected), rel=1e-15), y
+
+    @pytest.mark.parametrize("omega_max,roots,t,message", [
+        # t^(-D/2) = 1e402 overflowed
+        (120.0, (101.0, 110.0), 1e-4, r"relative tail [\d.]+e\+144 "),
+        # so did 1e804, and the tail itself is beyond the doubles
+        (120.0, (101.0, 110.0), 1e-8, "relative tail inf"),
+        # exp((D - 1)^2 t / 4) = exp(1000) overflowed
+        (100.5, (100.2, 100.4), 0.1, r"relative tail [\d.]+e-03 "),
+    ], ids=["small-t", "tiny-t", "large-t"])
+    def test_overflowing_factors_give_tail_too_large(self, omega_max, roots, t,
+                                                     message):
+        # D = 201: a factor of the tail beyond the doubles escaped as a bare
+        # OverflowError; the tail, summed as logarithms, is merely too large
+        cfg = SuspensionConfig(
+            D=201,
+            angle=AngleParams.from_theta0(1.0),
+            base=SphereBase(200),
+            n_max=0,
+        )
+        channels = [EigenvalueChannel(99.5, 1, roots)]
+        with pytest.raises(TailTooLarge, match=message):
+            heat_trace(cfg, [t], tolerance=1e-6, omega_max=omega_max,
+                       channels=channels)
+
+    def test_overflowing_factors_give_a_finite_tail(self):
+        # at omega_max 120 the t = 0.1 tail is small, though its factor
+        # exp((D - 1)^2 t / 4) = exp(1000) is not a double
+        cfg = SuspensionConfig(
+            D=201,
+            angle=AngleParams.from_theta0(1.0),
+            base=SphereBase(200),
+            n_max=0,
+        )
+        channels = [EigenvalueChannel(99.5, 1, (101.0, 110.0))]
+        (sample,) = heat_trace(cfg, [0.1], tolerance=1e-6, omega_max=120.0,
+                               channels=channels)
+        assert 0.0 < sample.tail_bound < 1e-100
 
 
 class TestFit:
