@@ -27,6 +27,7 @@ from .legendre_asymptotics import omega as omega_functions
 from .special_eval import AngleParams
 from .spectral_oracle import (
     _MAX_N_FIT,
+    _check_fit_request,
     default_omega_max,
     fit_asymptotics,
     heat_trace,
@@ -200,8 +201,9 @@ def cmd_verify(args) -> int:
     if omega_max is None:
         omega_max = default_omega_max(args.dim, args.t_min, args.tolerance)
     ts = [float(t) for t in np.geomspace(args.t_min, args.t_max, args.points)]
-    samples = heat_trace(cfg, ts, tolerance=args.tolerance, omega_max=omega_max)
     n_fit = min(_MAX_N_FIT, max(args.max_n + 2, 3))
+    _check_fit_request(ts, n_fit)  # before the spectrum, which takes seconds
+    samples = heat_trace(cfg, ts, tolerance=args.tolerance, omega_max=omega_max)
     fit = fit_asymptotics(samples, args.dim, n_fit)
     table = compute_table(cfg)
     predicted = {e.n: e.cal_A for e in table.entries}

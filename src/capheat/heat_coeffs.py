@@ -188,7 +188,7 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
             if a_base == 0.0:
                 continue
             total -= sin_pow * a_base * f_total(
-                i, structures[i - 1], angle, dmn, shared_2f1=shared_2f1
+                structures[i - 1], angle, dmn, shared_2f1=shared_2f1
             )
     return total
 

@@ -14,7 +14,7 @@ by the downstream residue formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping
@@ -177,7 +177,7 @@ def omega(max_order: int) -> list[NuGPolynomial]:
     return _extend(_OMEGAS, max_order, _omega_entry)[:max_order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredOmega:
     """Coefficient families of a cumulant function of order i.
 
@@ -185,39 +185,14 @@ class StructuredOmega:
     z0_coeffs[j] is the constant of the (1+gamma^2)^(-j) part (j in 1..i);
     z_coeffs[(b, j)] multiplies v^(i+2b) there (b in chi(i)..i).
 
-    x_terms holds (b, c), z0_terms (j, c) and z_terms (b, j, c) for the
-    nonzero coefficients c of each family, converted to floats once, when
-    the structure is built, and listed in the order f_total sums them (for
-    z_terms, j outer and b inner).
+    Every coefficient is an exact ``Fraction``.  Instances compare and hash
+    by identity, so a cache keyed by a structure follows that instance.
     """
 
     order: int
     x_coeffs: Mapping[int, Fraction]
     z0_coeffs: Mapping[int, Fraction]
     z_coeffs: Mapping[tuple[int, int], Fraction]
-    x_terms: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
-    z0_terms: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
-    z_terms: tuple[tuple[int, int, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # f_total's angle-independent plans of this structure, keyed d_minus_n
-    weight_plans: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        i, lo = self.order, chi(self.order)
-        x = tuple((b, float(c)) for b in range(0, i + 1) if (c := self.x_coeffs[b]))
-        z0 = tuple((j, float(c)) for j in range(1, i + 1) if (c := self.z0_coeffs[j]))
-        z = tuple(
-            (b, j, float(c))
-            for j in range(1, i + 1)
-            for b in range(lo, i + 1)
-            if (c := self.z_coeffs[(b, j)])
-        )
-        object.__setattr__(self, "x_terms", x)
-        object.__setattr__(self, "z0_terms", z0)
-        object.__setattr__(self, "z_terms", z)
 
 
 def extract_structure(omega_i: NuGPolynomial, i: int) -> StructuredOmega:

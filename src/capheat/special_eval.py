@@ -11,10 +11,11 @@ ValidationError.
 
 Every 2F1 and angular weight is a plan and an evaluation.  A plan holds
 what the angle does not fix: a 2F1's route and Gamma factors, memoized by
-parameters; f_total's Gamma ratios, 2F1 plans and z0 sum, kept on the
-structure per d_minus_n.  The evaluation adds the cos powers and the series
-in the order of a direct evaluation, so no bit moves.  The orders of one
-index share their z-family 2F1 values through a dict the caller drops.
+parameters; f_total's float coefficients, Gamma ratios, 2F1 plans and z0
+sum, memoized by structure and d_minus_n.  The evaluation adds the cos
+powers and the series in the order of a direct evaluation, so no bit moves.
+The orders of one index share their z-family 2F1 values through a dict the
+caller drops.
 No value that depends on the angle outlives one table: such a cache would
 pay off only when the same table is asked for again, and a benchmark that
 repeats its tables would measure the repetition instead of the code.
@@ -235,14 +236,14 @@ def c1(angle: AngleParams, two_s: float) -> float:
     return _hyp2f1_eval(_hyp2f1_plan(0.5, s, s + 1.0), angle.sin2, angle.cos2)
 
 
-# Weight plans per structure: the assembly needs one per index n >= 2
-_MAX_PLANS = 32
-
-
+# Keyed by structure identity and d_minus_n.  A table of dimension D needs
+# (D - 2)(D - 1)/2 plans at most, and lower D reuse them: 136 serve D <= 18.
+@lru_cache(maxsize=1024)
 def _weight_plan(structure: StructuredOmega, d_minus_n: float) -> tuple:
     """f_total's part the angle does not fix: chi(i), 1/Gamma(A), the x terms
-    (c, cos power index, Gamma, 1/Gamma), z0, and the z terms (the same,
-    then the shared_2f1 key and the 2F1 plan)."""
+    (float c, cos power index, Gamma, 1/Gamma), z0, and the z terms (the
+    same, then the shared_2f1 key and the 2F1 plan), over each family's
+    nonzero coefficients in f_total's order: x by b, z0 by j, z by j then b."""
     i = structure.order
     s = 0.5 * d_minus_n
     half_i = 0.5 * i
@@ -254,31 +255,31 @@ def _weight_plan(structure: StructuredOmega, d_minus_n: float) -> tuple:
     if lo + half_i < 0.5:
         raise ValueError(f"2F1 lower parameter {lo + half_i} too low")
     x_terms = tuple(
-        (c, b - lo, _gamma_num(big_a + b), recip_gamma(b + half_i))
-        for b, c in structure.x_terms
+        (float(c), b - lo, _gamma_num(big_a + b), recip_gamma(b + half_i))
+        for b in range(0, i + 1) if (c := structure.x_coeffs[b])
     )
     z0 = _kahan_sum([
-        c * _gamma_num(s + j) * inv_gamma_a * recip_gamma(float(j))
-        for j, c in structure.z0_terms
+        float(c) * _gamma_num(s + j) * inv_gamma_a * recip_gamma(float(j))
+        for j in range(1, i + 1) if (c := structure.z0_coeffs[j])
     ])
     z_terms = tuple(
-        (c, b - lo, _gamma_num(big_a + b + j), recip_gamma(b + half_i + j),
+        (float(c), b - lo, _gamma_num(big_a + b + j), recip_gamma(b + half_i + j),
          (b + half_i, j), _hyp2f1_plan(-s, b + half_i, b + half_i + j))
-        for b, j, c in structure.z_terms
+        for j in range(1, i + 1) for b in range(lo, i + 1)
+        if (c := structure.z_coeffs[(b, j)])
     )
     return lo, inv_gamma_a, x_terms, z0, z_terms
 
 
 def f_total(
-    i: int,
     structure: StructuredOmega,
     angle: AngleParams,
     d_minus_n: float,
     *,
     shared_2f1: dict[tuple[float, int], float] | None = None,
 ) -> float:
-    """Full angular weight of order i, x + z0 + z over the three coefficient
-    families of ``structure``, with s = d_minus_n/2 and A = s + i/2:
+    """Full angular weight x + z0 + z over the three coefficient families of
+    ``structure``, of order i, with s = d_minus_n/2 and A = s + i/2:
 
         x  = sum_b x_{i,b} cos^(i+2b) Gamma(A + b) / (Gamma(A) Gamma(b + i/2)),
         z0 = sin^(n-D) sum_j z0^(i,j) Gamma(s + j) / (Gamma(A) Gamma(j)),
@@ -292,14 +293,12 @@ def f_total(
     40 under the order limit of 16.
 
     Only the cos powers and the 2F1 series depend on the angle; the rest,
-    z0 included, is planned once per d_minus_n in ``structure.weight_plans``,
-    and each term is still c * cos power * Gamma * 1/Gamma(A) * 1/Gamma * 2F1,
-    left to right.  ``shared_2f1`` holds the z-family 2F1 values keyed
-    (b + i/2, j); they do not depend on i, so a caller passes one dict to
-    every order of one index and drops it with the index.
+    z0 included, is planned once per structure and d_minus_n, and each term
+    is still c * cos power * Gamma * 1/Gamma(A) * 1/Gamma * 2F1, left to
+    right.  ``shared_2f1`` holds the z-family 2F1 values keyed (b + i/2, j);
+    they do not depend on i, so a caller passes one dict to every order of
+    one index and drops it with the index.
     """
-    if structure.order != i:
-        raise ValueError(f"structure has order {structure.order}, expected {i}")
     if d_minus_n <= 0.0:
         raise ValueError("d_minus_n must be positive")
     if angle.sin2 == 0.0:
@@ -307,13 +306,8 @@ def f_total(
     if shared_2f1 is None:
         shared_2f1 = {}
     inv_sin = angle.sin_theta ** (-d_minus_n)
-    plans = structure.weight_plans
-    plan = plans.get(d_minus_n)
-    if plan is None:
-        if len(plans) >= _MAX_PLANS:  # only a sweep over d_minus_n gets here
-            plans.clear()
-        plan = plans[d_minus_n] = _weight_plan(structure, d_minus_n)
-    lo, inv_gamma_a, x_plan, z0, z_plan = plan
+    lo, inv_gamma_a, x_plan, z0, z_plan = _weight_plan(structure, d_minus_n)
+    i = structure.order
     cos_t = angle.cos_theta
     cos_pow = [cos_t ** (i + 2 * b) for b in range(lo, i + 1)]
 

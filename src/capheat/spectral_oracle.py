@@ -63,7 +63,11 @@ __all__ = [
     "fit_asymptotics",
 ]
 
-THETA0_GUARD = 2.2  # beyond this the series ratio (1 - cos)/2 exceeds ~0.9
+# Largest opening angle the oracle scans.  It caps the Ferrers series ratio
+# z = (1 - cos theta0)/2 at 0.794, short of ferrers_p's own refusal above
+# z = 0.9 (theta0 about 2.498), and with it the length of every series; the
+# cost limits below are timed at this angle.
+THETA0_GUARD = 2.2
 _MAX_SERIES_TERMS = 2_000_000
 # A channel's cost grows about as omega_max^2.4: at mu = 1/2 and theta0 =
 # 2.2 it takes about 2.1-2.5 s at omega_max 500 and 12-14 s at 1,000
@@ -671,6 +675,21 @@ def heat_trace(
     return samples
 
 
+def _check_fit_request(ts: Sequence[float], n_fit: int) -> None:
+    """Refuse a fit of n_fit + 1 coefficients to samples at the times ``ts``
+    that fit_asymptotics would refuse; it needs no trace values, so a caller
+    can ask before it builds the spectrum."""
+    try:
+        if not 0 <= operator.index(n_fit) <= _MAX_N_FIT:
+            raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
+    except TypeError:
+        raise ValidationError(f"n_fit must be an integer, got {n_fit!r}") from None
+    if len(ts) < 3 * n_fit:
+        raise ValidationError("need at least 3 * n_fit samples")
+    if max(ts) / min(ts) < 9.999:
+        raise ValidationError("samples must span at least a decade in t")
+
+
 def fit_asymptotics(
     samples: Sequence[HeatTraceSample], big_d: int, n_fit: int
 ) -> FitResult:
@@ -682,16 +701,9 @@ def fit_asymptotics(
     """
     import numpy as np
 
-    try:
-        if not 0 <= operator.index(n_fit) <= _MAX_N_FIT:
-            raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
-    except TypeError:
-        raise ValidationError(f"n_fit must be an integer, got {n_fit!r}") from None
-    if len(samples) < 3 * n_fit:
-        raise ValidationError("need at least 3 * n_fit samples")
-    t = np.array([s.t for s in samples], dtype=float)
-    if t.max() / t.min() < 9.999:
-        raise ValidationError("samples must span at least a decade in t")
+    ts = [s.t for s in samples]
+    _check_fit_request(ts, n_fit)
+    t = np.array(ts, dtype=float)
     y = np.array([s.value for s in samples], dtype=float) * t ** (0.5 * big_d)
     u = np.sqrt(t)
     u_ref = u.max()

@@ -103,7 +103,7 @@ def suspension_coefficient_direct(n: int, d: int, angle: AngleParams) -> float:
                 * _pochhammer_half(0.5 * (d - n + i + 2), n - i - 1)
                 * float(coeff)
                 * f_total(
-                    i, structures[i - 1], angle, float(big_d - n), shared_2f1=shared_2f1
+                    structures[i - 1], angle, float(big_d - n), shared_2f1=shared_2f1
                 )
             )
         total -= 2.0 * SQRT_PI / (d - 1) * sin_pow * acc
@@ -127,7 +127,7 @@ def explicit_table_check(n: int, d: int, angle: AngleParams) -> float:
     dd = float(d)
 
     def F(i: int, two_s: float) -> float:
-        return f_total(i, omega_structures(i)[i - 1], th, two_s)
+        return f_total(omega_structures(i)[i - 1], th, two_s)
 
     def C(two_s: float) -> float:
         return c1(th, two_s)

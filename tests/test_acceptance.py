@@ -225,7 +225,7 @@ def test_criterion_7_cone_limit_scaling():
         for d_minus_n in (2.0, 3.0):
             limit = bessel_limit_weight(i, structures[i - 1], d_minus_n)
             dev = [
-                f_total(i, structures[i - 1], angles[t], d_minus_n) - limit
+                f_total(structures[i - 1], angles[t], d_minus_n) - limit
                 for t in (1e-2, 5e-3)
             ]
             ratio = dev[0] / dev[1]

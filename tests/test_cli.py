@@ -509,6 +509,25 @@ class TestVerify:
         assert out == ""
         assert "--max-n 5 is above the limit 4 of the fit" in err
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--t-max", "5e-2", "--points", "5"], "need at least 3 * n_fit samples"),
+        (["--t-max", "1.4e-2"], "samples must span at least a decade in t"),
+    ], ids=["points", "sub-decade"])
+    def test_fit_request_refused_before_the_spectrum(
+        self, capsys, monkeypatch, extra, message
+    ):
+        # the README example with a request the fit refuses: the refusal
+        # once came only after the whole spectrum had been built
+        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        code, out, err = invoke(
+            capsys,
+            ["verify", "--dim", "3", "--theta0", "1.0471975511965976",
+             "--max-n", "2", "--t-min", "1.5e-3", "--omega-max", "120", *extra],
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 # sha256 of the stdout of each CLI example in the README, in its order, and
 # of the trace.csv its verify example writes

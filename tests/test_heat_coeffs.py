@@ -25,7 +25,6 @@ from capheat.heat_coeffs import (
     table_to_dict,
 )
 from capheat import special_eval
-from capheat.legendre_asymptotics import _MAX_ORDER, omega_structures
 from capheat.special_eval import AngleParams
 from capheat.spectral_oracle import spectrum
 from capheat.sphere_base import sphere_heat_coefficient
@@ -405,8 +404,7 @@ class TestAssemblyBits:
         # the plans behind the angular weights hold nothing set by the
         # angle: tables at 2.0 after other angles are those of a fresh start
         def at_two(after):
-            for s in omega_structures(_MAX_ORDER):
-                s.weight_plans.clear()
+            special_eval._weight_plan.cache_clear()
             special_eval._hyp2f1_plan.cache_clear()
             for theta0 in after:
                 for big_d in (5, 12, 18):

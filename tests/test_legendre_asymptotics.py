@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +240,33 @@ class TestPsi:
             for k in range(m + 1):
                 expected = expected + phis[m - k] * const(pref[k])
             assert table(psis[m]) == table(expected)
+
+
+# the modules that evaluate in floating point, and the CLI above them
+FLOAT_LAYERS = {"special_eval", "heat_coeffs", "spectral_oracle", "sphere_base", "cli"}
+
+
+def package_imports(module: str) -> set[str]:
+    """The capheat modules that ``module``'s source names in an import."""
+    path = Path(legendre_asymptotics.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level <= 1, "import from outside the package"
+            parts = ["capheat" if node.level else None, node.module]
+            base = ".".join(filter(None, parts))
+            imported += [f"{base}.{alias.name}" for alias in node.names]
+    assert imported
+    return {
+        name.split(".")[1] for name in imported if name.split(".")[0] == "capheat"
+    }
+
+
+@pytest.mark.parametrize("module", ["legendre_asymptotics", "exact_series"])
+def test_exact_algebra_imports_no_float_layer(module):
+    # the exact algebra stays exact: what converts its Fractions to floats
+    # lives in the layers above it, which import it, never the reverse
+    assert not package_imports(module) & FLOAT_LAYERS

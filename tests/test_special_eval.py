@@ -303,7 +303,7 @@ def family_weight(family, i, angle, d_minus_n):
     s = structure(i)
     families = {f: dict.fromkeys(getattr(s, f), 0) for f in FAMILIES}
     families[family] = getattr(s, family)
-    return f_total(i, StructuredOmega(i, **families), angle, d_minus_n)
+    return f_total(StructuredOmega(i, **families), angle, d_minus_n)
 
 
 class TestC1:
@@ -365,7 +365,7 @@ class TestC3:
     def test_all_zero_constants_gives_zero(self):
         silenced = StructuredOmega(1, {0: 0, 1: 0}, {1: 0}, {(0, 1): 0, (1, 1): 0})
         angle = AngleParams.from_theta0(0.8)
-        assert f_total(1, silenced, angle, 2.0) == 0.0
+        assert f_total(silenced, angle, 2.0) == 0.0
 
 
 class TestC4:
@@ -389,7 +389,7 @@ class TestC4:
             s1, z_coeffs={**s1.z_coeffs, (-1, 1): Fraction(1)}
         )
         with pytest.raises(ValueError, match="too low"):
-            f_total(1, widened, AngleParams.from_theta0(0.8), 2.0)
+            f_total(widened, AngleParams.from_theta0(0.8), 2.0)
 
     def test_underflowed_sine_overflows(self):
         angle = AngleParams.from_theta0(1e-300)
@@ -429,7 +429,7 @@ class TestFTotal:
             + family_weight("z0_coeffs", 2, angle, 3.0)
             + family_weight("z_coeffs", 2, angle, 3.0)
         )
-        assert f_total(2, structure(2), angle, 3.0) == parts
+        assert f_total(structure(2), angle, 3.0) == parts
 
     def test_equator_order_one_value(self):
         # At the equator only the gamma-free-constant family survives:
@@ -438,7 +438,7 @@ class TestFTotal:
         for d_minus_n in (1.0, 2.0, 4.0):
             s = 0.5 * d_minus_n
             expected = (1.0 / 24.0) * math.gamma(s + 1.0) / math.gamma(s + 0.5)
-            assert f_total(1, structure(1), angle, d_minus_n) == pytest.approx(
+            assert f_total(structure(1), angle, d_minus_n) == pytest.approx(
                 expected, rel=1e-12
             )
 
@@ -448,7 +448,7 @@ class TestFTotal:
         limit = bessel_limit_weight(i, structure(i), 3.0)
         for theta0 in (1e-3, 2e-3):
             angle = AngleParams.from_theta0(theta0)
-            value = f_total(i, structure(i), angle, 3.0)
+            value = f_total(structure(i), angle, 3.0)
             assert math.isfinite(value)
             assert abs(value) <= 2.0 * (abs(limit) + 1.0)
 
@@ -464,34 +464,35 @@ class TestFTotal:
 
         angles = [AngleParams.from_theta0(t) for t in (0.3, 2.0)]
         points = [(angle, d) for angle in angles for d in (2.0, 5.0)]
-        expected = {(scale, k): f_total(3, fresh(scale), angle, d)
+        expected = {(scale, k): f_total(fresh(scale), angle, d)
                     for scale in (1, 3) for k, (angle, d) in enumerate(points)}
         one, three = fresh(1), fresh(3)
         for _ in range(2):
             for k, (angle, d) in enumerate(points):
-                assert f_total(3, one, angle, d) == expected[1, k]
-                assert f_total(3, three, angle, d) == expected[3, k]
+                assert f_total(one, angle, d) == expected[1, k]
+                assert f_total(three, angle, d) == expected[3, k]
         assert expected[1, 0] != expected[3, 0]
 
     def test_plans_stay_bounded(self):
-        # a sweep over d_minus_n starts the structure's plans afresh instead
-        # of keeping one per value; the weights do not change
+        # a sweep over d_minus_n longer than the plan cache evicts the oldest
+        # plans instead of keeping one per value; the weights do not change
         def fresh():
             return StructuredOmega(2, **{f: getattr(structure(2), f) for f in FAMILIES})
 
         angle = AngleParams.from_theta0(1.0)
         swept = fresh()
-        sweep = [1.0 + 0.25 * k for k in range(3 * special_eval._MAX_PLANS)]
-        values = [f_total(2, swept, angle, d) for d in sweep]
-        assert 0 < len(swept.weight_plans) <= special_eval._MAX_PLANS
-        assert values == [f_total(2, fresh(), angle, d) for d in sweep]
+        maxsize = special_eval._weight_plan.cache_info().maxsize
+        sweep = [1.0 + k / 1024 for k in range(maxsize + 64)]
+        values = [f_total(swept, angle, d) for d in sweep]
+        assert 0 < special_eval._weight_plan.cache_info().currsize <= maxsize
+        assert values == [f_total(fresh(), angle, d) for d in sweep]
 
     @pytest.mark.parametrize("i", range(1, 10))
     @pytest.mark.parametrize("theta0", [0.4, 1.0, 1.6, 2.0])
     def test_finite_on_grid(self, i, theta0):
         angle = AngleParams.from_theta0(theta0)
         for d_minus_n in range(1, 13):
-            value = f_total(i, structure(i), angle, float(d_minus_n))
+            value = f_total(structure(i), angle, float(d_minus_n))
             assert math.isfinite(value)
             assert math.isfinite(c1(angle, float(d_minus_n)))
 
