@@ -19,6 +19,11 @@ caller drops.
 No value that depends on the angle outlives one table: such a cache would
 pay off only when the same table is asked for again, and a benchmark that
 repeats its tables would measure the repetition instead of the code.
+
+The hot loops, the 2F1 series and f_total's two sums, pay only for their
+arithmetic: they compare floats with floats, call no builtin per series,
+build no list of terms, and write each compensated sum inline with
+_kahan_sum's operations in its order, so they round exactly as it does.
 """
 
 from __future__ import annotations
@@ -75,6 +80,9 @@ class AngleParams:
 # sum end a series; one still running after _MAX_TERMS terms is an error.
 _REL_TOL = 1e-13
 _MAX_TERMS = 100_000
+# the loop compares its float counter with a float: an int bound would take
+# the mixed-type comparison on every term
+_MAX_TERMS_FLOAT = float(_MAX_TERMS)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -121,10 +129,11 @@ def _series_2f1(a: float, b: float, c: float, x: float) -> float:
     turnaround of the Pochhammer factors."""
     total, comp, term = 1.0, 0.0, 1.0
     # past this index the term signs are fixed; a terminating series meets
-    # its zero term before it gets there
-    settled = max(0.0, -a, -b)
+    # its zero term before it gets there.  max(-a, -b) without the builtin:
+    # it is compared only once m >= 1, so a negative value acts as 0.
+    settled = -a if a < b else -b
     small_streak = 0
-    tol, max_terms = _REL_TOL, _MAX_TERMS
+    tol, max_terms = _REL_TOL, _MAX_TERMS_FLOAT
     m = 0.0  # a float counter: every index up to _MAX_TERMS is exact
     while m < max_terms:
         term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
@@ -305,17 +314,33 @@ def f_total(
         raise OverflowError(f"sin(theta0)^2 underflows at theta0={angle.theta0}")
     if shared_2f1 is None:
         shared_2f1 = {}
-    inv_sin = angle.sin_theta ** (-d_minus_n)
+    try:
+        inv_sin = angle.sin_theta ** (-d_minus_n)
+    except OverflowError:
+        raise OverflowError(
+            f"sin(theta0)^(n-D) overflows at theta0={angle.theta0}, "
+            f"D-n={d_minus_n:g}"
+        ) from None
     lo, inv_gamma_a, x_plan, z0, z_plan = _weight_plan(structure, d_minus_n)
     i = structure.order
     cos_t = angle.cos_theta
     cos_pow = [cos_t ** (i + 2 * b) for b in range(lo, i + 1)]
 
-    x = _kahan_sum([c * cos_pow[k] * g * inv_gamma_a * r for c, k, g, r in x_plan])
-    z_terms = []
+    # both families are compensated sums written out: _kahan_sum's steps
+    x = comp = 0.0
+    for c, k, g, r in x_plan:
+        y = c * cos_pow[k] * g * inv_gamma_a * r - comp
+        t = x + y
+        comp = (t - x) - y
+        x = t
+    cos2, sin2 = angle.cos2, angle.sin2
+    z = comp = 0.0
     for c, k, g, r, key, hyp_plan in z_plan:
         hyp = shared_2f1.get(key)
         if hyp is None:
-            hyp = shared_2f1[key] = _hyp2f1_eval(hyp_plan, angle.cos2, angle.sin2)
-        z_terms.append(c * cos_pow[k] * g * inv_gamma_a * r * hyp)
-    return x + inv_sin * z0 + inv_sin * _kahan_sum(z_terms)
+            hyp = shared_2f1[key] = _hyp2f1_eval(hyp_plan, cos2, sin2)
+        y = c * cos_pow[k] * g * inv_gamma_a * r * hyp - comp
+        t = z + y
+        comp = (t - z) - y
+        z = t
+    return x + inv_sin * z0 + inv_sin * z

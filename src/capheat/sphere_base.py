@@ -5,6 +5,7 @@ coefficients, for the assembly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DomainError
@@ -32,6 +33,9 @@ def sphere_mu(k: int, d: int) -> float:
     return k + 0.5 * (d - 1)
 
 
+# A bounded memo, as for recip_gamma: the value does not depend on the angle,
+# and a table of dimension D asks for the D indices of one d = D - 1.
+@lru_cache(maxsize=1024)
 def sphere_heat_coefficient(n: int, d: int) -> float:
     """Heat coefficient of index n/2 for the shifted Laplacian on the unit S^d,
     normalized so the index-0 entry equals (4 pi)^(-d/2) vol(S^d).

@@ -270,6 +270,19 @@ class TestCoeffs:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
+    def test_overflowed_sine_power_error_object(self, capsys):
+        # sin(1e-150)^2 = 1e-300 is still a double, but sin^(n-D) at D - n = 10
+        # is 1e1500; the error names the power instead of the errno text
+        code, out, _ = invoke(
+            capsys,
+            ["coeffs", "--dim", "12", "--theta0", "1e-150", "--max-n", "2"],
+        )
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "OverflowError",
+            "message": "sin(theta0)^(n-D) overflows at theta0=1e-150, D-n=10",
+        }
+
     def test_order_limit(self, capsys, monkeypatch):
         # D = 19 with n_max = 18 needs cumulant order 17
         monkeypatch.setattr(legendre_asymptotics, "_omega_entry", no_algebra)

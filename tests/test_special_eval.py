@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 
 import mpmath
 import pytest
 
-from capheat.errors import CapheatError, ValidationError
+from capheat.errors import CapheatError, SlowConvergence, ValidationError
 from capheat.legendre_asymptotics import StructuredOmega, chi, omega_structures
 from capheat import special_eval
 from capheat.special_eval import AngleParams, c1, f_total, gauss_2f1, recip_gamma
@@ -272,6 +273,125 @@ class TestTerminatingCancellation:
         with mpmath.workdps(30):
             closed = mpmath.quad(lambda t: (1 - mpmath.mpf("0.9") * t * t) ** 60, [0, 1])
         assert gauss_2f1(-60.0, 0.5, 1.5, 0.9) == pytest.approx(float(closed), rel=1e-10)
+
+
+def builtin_max_series_2f1(a: float, b: float, c: float, x: float) -> float:
+    """The series loop as it was before it dropped its interpreter overhead
+    (a max() per series, an int term bound), kept verbatim as the reference
+    for its bits, with the tolerance and term budget it had."""
+    total, comp, term = 1.0, 0.0, 1.0
+    # past this index the term signs are fixed; a terminating series meets
+    # its zero term before it gets there
+    settled = max(0.0, -a, -b)
+    small_streak = 0
+    tol, max_terms = 1e-13, 100_000
+    m = 0.0  # a float counter: every index up to _MAX_TERMS is exact
+    while m < max_terms:
+        term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
+        if term == 0.0:
+            return total
+        # compensated add, inline: the same operations as _kahan_sum
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        m += 1.0
+        small = tol * (total if total >= 0.0 else -total)
+        if -small <= term <= small and m > settled:
+            small_streak += 1
+            if small_streak >= 2:
+                return total
+        else:
+            small_streak = 0
+    raise SlowConvergence(
+        f"hypergeometric series at x={x} not converged after {100_000} terms"
+    )
+
+
+# The series arguments: the edges of [0, 1] and the midpoint, and sin^2 and
+# cos^2 of the assembly sweep's angles, where the plans run their series
+SWEEP_THETAS = (1e-3, 1e-2, 0.1, 1.0, 2.0, 3.0, 3.1)
+SERIES_X = sorted({0.0, 1e-12, 0.5, 1.0 - 2.0**-52} | {
+    f(t) ** 2 for t in SWEEP_THETAS for f in (math.sin, math.cos)
+})
+
+
+def series_cases(per_x=112, seed=19):
+    """Seeded (a, b, c, x): a or b terminating, both terminating in either
+    order, both positive (settled is negative), and a nonterminating
+    negative a down to -40, with b positive or negative (settled is the
+    larger of -a and -b), where the terms can settle below the tolerance
+    before their signs do; c at or near the half-integers the weight plans
+    use, raised by max(a, b, 0) + max(a + b, 0) for x above 1/2 unless both
+    a and b terminate, so that a series converges well within its budget."""
+    rng = random.Random(seed)
+    halves = [k / 2 for k in range(1, 41)]
+    cases = []
+    for x in SERIES_X:
+        for _ in range(per_x):
+            kind = rng.randrange(4)
+            if kind == 0:
+                a, b = -float(rng.randrange(13)), rng.choice(halves)
+            elif kind == 1:
+                a, b = -float(rng.randrange(13)), -float(rng.randrange(13))
+            elif kind == 2:
+                a, b = rng.uniform(0.01, 6.0), rng.uniform(0.01, 6.0)
+            else:
+                a = -rng.randrange(40) - rng.choice((0.5, 0.25, 1e-9, rng.random()))
+                b = rng.choice(halves) if rng.random() < 0.7 else -rng.uniform(0.01, 8.0)
+            if rng.random() < 0.5:
+                a, b = b, a
+            c = rng.choice(halves)
+            if x > 0.5 and kind != 1:
+                c += max(a, b, 0.0) + max(a + b, 0.0)
+            c += rng.choice((0.0, 0.0, 2.0**-40, -(2.0**-40), rng.uniform(-0.05, 0.05)))
+            cases.append((a, b, c, x))
+    return cases
+
+
+class CountingArgument(float):
+    """A series argument that counts the terms: each multiplies by it once."""
+
+    terms = 0
+
+    def __rmul__(self, other):
+        self.terms += 1
+        return float(other) * float(self)
+
+
+class TestSeriesBits:
+    """The series loop keeps the bits of its reference, builtin_max_series_2f1."""
+
+    @staticmethod
+    def outcome(series, case):
+        try:
+            return series(*case).hex()
+        except (ArithmeticError, CapheatError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def test_grid_matches_reference(self):
+        cases = series_cases()
+        assert len(cases) >= 2000
+        for case in cases:
+            assert self.outcome(special_eval._series_2f1, case) == self.outcome(
+                builtin_max_series_2f1, case
+            ), case
+
+    def test_slow_series_spends_the_same_budget(self):
+        # 2F1(1, 1; 2; x) = -log(1 - x)/x: near x = 1 its terms fall like
+        # 1/m, so 100000 terms do not settle it
+        messages = []
+        for series in (special_eval._series_2f1, builtin_max_series_2f1):
+            x = CountingArgument(1.0 - 2.0**-52)
+            with pytest.raises(SlowConvergence) as raised:
+                series(1.0, 1.0, 2.0, x)
+            assert x.terms == 100_000
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == (
+            "hypergeometric series at x=0.9999999999999998 not converged "
+            "after 100000 terms"
+        )
 
 
 class TestRecipGamma:

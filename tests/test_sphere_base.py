@@ -127,6 +127,23 @@ class TestHeatCoefficients:
             expected = sphere_surface_area(d) / (4.0 * math.pi) ** (0.5 * d)
             assert sphere_heat_coefficient(0, d) == pytest.approx(expected, rel=1e-12)
 
+    def test_memo_keeps_the_bits(self):
+        # the first call fills the memo and the second reads it; both give
+        # the bits of an uncached computation
+        uncached = sphere_heat_coefficient.__wrapped__
+        for d in range(2, 41):
+            for n in range(d + 1):
+                expected = uncached(n, d).hex()
+                for _ in range(2):
+                    assert sphere_heat_coefficient(n, d).hex() == expected, (n, d)
+        assert sphere_heat_coefficient.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("n,d,error", [(0, 1, DomainError), (-1, 3, ValueError)])
+    def test_refusals_are_not_memoized(self, n, d, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                sphere_heat_coefficient(n, d)
+
     def test_surface_areas(self):
         assert sphere_surface_area(2) == pytest.approx(4.0 * math.pi, rel=1e-14)
         assert sphere_surface_area(3) == pytest.approx(2.0 * math.pi**2, rel=1e-14)
