@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from math import factorial, inf, isfinite
+from sys import float_info
 from typing import Mapping, Union
 
 from . import sphere_base
@@ -163,6 +164,8 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
                 - a_((n-1)/2) / 4
                 - sum_{i=1}^{n-1} a_((n-i-1)/2) F_i ],
     with a_* the base coefficients; the middle term is absent for n = 0.
+    Raises OverflowError when sin^(D-n) falls below the smallest normal
+    double, where it has lost digits or underflowed to 0.
     """
     if not 0 <= n < cfg.D:
         raise IndexOutOfRange(f"index n={n} outside [0, D); D={cfg.D}")
@@ -171,6 +174,10 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
     angle = cfg.angle
     dmn = float(cfg.D - n)
     sin_pow = angle.sin_theta ** (cfg.D - n)
+    if sin_pow < float_info.min:
+        raise OverflowError(
+            f"sin(theta0)^(D-n) underflows at theta0={angle.theta0}, D-n={cfg.D - n}"
+        )
 
     total = (
         sin_pow

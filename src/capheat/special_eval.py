@@ -11,9 +11,16 @@ ValidationError.
 
 Every 2F1 and angular weight is a plan and an evaluation.  A plan holds
 what the angle does not fix: a 2F1's route and Gamma factors, memoized by
-parameters; f_total's float coefficients, Gamma ratios, 2F1 plans and z0
-sum, memoized by structure and d_minus_n.  The evaluation adds the cos
-powers and the series in the order of a direct evaluation, so no bit moves.
+parameters, and for each series the route can run (the direct series, the
+Euler series, the two connection sub-series) a prefix of its term ratios
+(a + m)(b + m) / ((c + m)(1 + m)); f_total's float coefficients, Gamma
+ratios, 2F1 plans and z0 sum, memoized by structure and d_minus_n.  The
+evaluation adds the cos powers and the series in the order of a direct
+evaluation, so no bit moves.
+A ratio prefix holds what evaluations consumed, at most _PREFIX_CAP ratios
+(592 bytes); it is replaced whole and never appended in place, so threads
+sharing a plan never see mixed ratios.  A full cache of 8,192 plans with
+three full prefixes each holds about 14 MB of them.
 The orders of one index share their z-family 2F1 values through a dict the
 caller drops.
 No value that depends on the angle outlives one table: such a cache would
@@ -29,6 +36,7 @@ _kahan_sum's operations in its order, so they round exactly as it does.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -80,9 +88,6 @@ class AngleParams:
 # sum end a series; one still running after _MAX_TERMS terms is an error.
 _REL_TOL = 1e-13
 _MAX_TERMS = 100_000
-# the loop compares its float counter with a float: an int bound would take
-# the mixed-type comparison on every term
-_MAX_TERMS_FLOAT = float(_MAX_TERMS)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -121,40 +126,96 @@ def _kahan_sum(terms: Iterable[float]) -> float:
     return total
 
 
-def _series_2f1(a: float, b: float, c: float, x: float) -> float:
+# A plan keeps at most this many term ratios of each series it runs: more
+# than the 35 the longest series of a D <= 12 sweep takes, few enough that a
+# series run to its term budget pins 592 bytes, not 800 kB
+_PREFIX_CAP = 64
+_PREFIX_CAP_FLOAT = float(_PREFIX_CAP)
+_NO_RATIOS = array("d")
+
+
+class _Series:
+    """One 2F1 series of a plan: its parameters, the index past which its
+    term signs are fixed, and a prefix of its term ratios
+    (a + m)(b + m) / ((c + m)(1 + m)), none of which depends on the argument.
+
+    The prefix holds the ratios evaluations have consumed, up to
+    _PREFIX_CAP.  It is an immutable snapshot, replaced whole and never
+    appended in place, so threads that extend one series concurrently can
+    at worst publish a shorter prefix than another's, never mixed ratios.
+    The class hashes by identity, which keeps the plans hashable."""
+
+    __slots__ = ("a", "b", "c", "settled", "ratios")
+
+    def __init__(self, a: float, b: float, c: float):
+        self.a, self.b, self.c = a, b, c
+        # past this index the term signs are fixed; a terminating series
+        # meets its zero term before it gets there
+        self.settled = max(0.0, -a, -b)
+        self.ratios = _NO_RATIOS
+
+
+def _more_ratios(series: _Series, start: int, fresh: list):
+    """The term ratios of ``series`` from index ``start`` up to the term
+    budget, computed as the loop takes them; those below _PREFIX_CAP are
+    appended to ``fresh`` as well."""
+    a, b, c = series.a, series.b, series.c
+    for m in map(float, range(start, _MAX_TERMS)):
+        r = (a + m) * (b + m) / ((c + m) * (1.0 + m))
+        if m < _PREFIX_CAP_FLOAT:
+            fresh.append(r)
+        yield r
+
+
+def _series_2f1(series: _Series, x: float) -> float:
     """Direct ascending series with Kahan summation, in one loop with no
     counted mode.  A term that is exactly 0 ends the sum before it is added,
     which is how a terminating series stops and why x = 0 gives 1; so do two
     consecutive terms within the relative tolerance, once past any sign
-    turnaround of the Pochhammer factors."""
+    turnaround of the Pochhammer factors.
+
+    The loop runs over the series' cached ratios, then over those
+    _more_ratios computes; the prefix and the fresh ratios are published
+    together when the series ends.  Each term is term * (ratio * x), which
+    is how the loop has always rounded."""
+    settled = series.settled
     total, comp, term = 1.0, 0.0, 1.0
-    # past this index the term signs are fixed; a terminating series meets
-    # its zero term before it gets there.  max(-a, -b) without the builtin:
-    # it is compared only once m >= 1, so a negative value acts as 0.
-    settled = -a if a < b else -b
     small_streak = 0
-    tol, max_terms = _REL_TOL, _MAX_TERMS_FLOAT
+    tol = _REL_TOL
     m = 0.0  # a float counter: every index up to _MAX_TERMS is exact
-    while m < max_terms:
-        term *= (a + m) * (b + m) / ((c + m) * (1.0 + m)) * x
-        if term == 0.0:
-            return total
-        # compensated add, inline: the same operations as _kahan_sum
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        m += 1.0
-        small = tol * (total if total >= 0.0 else -total)
-        if -small <= term <= small and m > settled:
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise SlowConvergence(
-        f"hypergeometric series at x={x} not converged after {_MAX_TERMS} terms"
-    )
+    known = ratios = series.ratios
+    fresh = None
+    try:
+        while True:
+            for r in ratios:
+                term *= r * x
+                if term == 0.0:
+                    return total
+                # compensated add, inline: the same operations as _kahan_sum
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+                m += 1.0
+                small = tol * (total if total >= 0.0 else -total)
+                if -small <= term <= small and m > settled:
+                    small_streak += 1
+                    if small_streak >= 2:
+                        return total
+                else:
+                    small_streak = 0
+            if fresh is not None:
+                raise SlowConvergence(
+                    f"hypergeometric series at x={x} not converged after "
+                    f"{_MAX_TERMS} terms"
+                )
+            fresh = []
+            ratios = _more_ratios(series, len(known), fresh)
+    finally:
+        if fresh:
+            prefix = known + array("d", fresh)
+            if len(series.ratios) < len(prefix):
+                series.ratios = prefix
 
 
 def _gauss_value(a: float, b: float, c: float) -> float:
@@ -176,14 +237,17 @@ _TERMINATING, _CONNECTION, _EULER, _DIRECT = range(4)
 @lru_cache(maxsize=8192)
 def _hyp2f1_plan(a: float, b: float, c: float) -> tuple:
     """The part of 2F1(a, b; c; x) that no argument x changes, as (route
-    above x = 1/2, a, b, c, c-a-b, factors): the Gauss value, then the
-    connection formula's Gamma factors, or None where these raise (a Gamma
-    overflow, say), to raise where they are used."""
+    above x = 1/2, c-a-b, factors, direct, upper, second): the factors are
+    the Gauss value, then the connection formula's Gamma factors, or None
+    where these raise (a Gamma overflow, say), to raise where they are used;
+    then the direct series, the Euler series or the first connection
+    sub-series as upper, and the second sub-series, None where the route
+    does not run them."""
     if _is_nonpositive_integer(c):
         raise ValidationError(f"lower parameter c={c} is a nonpositive integer")
     w = c - a - b
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        return (_TERMINATING, a, b, c, w, None)
+        return (_TERMINATING, w, None, _Series(a, b, c), None, None)
     # Near-integer w is kept off the connection formula: Gamma(-w) approaches
     # a pole there and the cancellation between its two pieces destroys
     # double precision.  The Euler transform serves when it terminates.
@@ -194,7 +258,12 @@ def _hyp2f1_plan(a: float, b: float, c: float) -> tuple:
                    else (_gauss_value(a, b, c),) if w > 0.0 else None)
     except (ArithmeticError, ValueError, ValidationError):
         factors = None
-    return (route, a, b, c, w, factors)
+    upper = second = None
+    if route == _EULER:
+        upper = _Series(c - a, c - b, c)
+    elif route == _CONNECTION:
+        upper, second = _Series(a, b, 1.0 - w), _Series(c - a, c - b, 1.0 + w)
+    return (route, w, factors, _Series(a, b, c), upper, second)
 
 
 def _hyp2f1_eval(plan: tuple, x: float, xc: float) -> float:
@@ -203,22 +272,23 @@ def _hyp2f1_eval(plan: tuple, x: float, xc: float) -> float:
     within a few ulp of 1."""
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"2F1 argument must lie in [0, 1], got {x}")
-    route, a, b, c, w, factors = plan
+    route, w, factors, direct, upper, second = plan
     # a terminating series is summed exactly at any argument
     if route == _TERMINATING:
-        return _series_2f1(a, b, c, x)
+        return _series_2f1(direct, x)
     if x == 1.0 or xc == 0.0:
         if w <= 0.0:
             raise ValidationError(f"2F1 at unit argument needs c-a-b > 0, got {w}")
-        return factors[0] if factors else _gauss_value(a, b, c)
+        return factors[0] if factors else _gauss_value(direct.a, direct.b, direct.c)
     if x <= 0.5 or route == _DIRECT:
-        return _series_2f1(a, b, c, x)
+        return _series_2f1(direct, x)
     if route == _EULER:
-        return xc**w * _series_2f1(c - a, c - b, c, x)
+        return xc**w * _series_2f1(upper, x)
     # linear connection to argument 1-x; both sub-series have ratio <= 1/2
-    gauss, g_c, g_w, r_a, r_b = factors or _connection_factors(a, b, c, w)
-    first = gauss * _series_2f1(a, b, 1.0 - w, xc)
-    return first + xc**w * g_c * g_w * r_a * r_b * _series_2f1(c - a, c - b, 1.0 + w, xc)
+    gauss, g_c, g_w, r_a, r_b = factors or _connection_factors(
+        direct.a, direct.b, direct.c, w)
+    first = gauss * _series_2f1(upper, xc)
+    return first + xc**w * g_c * g_w * r_a * r_b * _series_2f1(second, xc)
 
 
 def gauss_2f1(a: float, b: float, c: float, x: float) -> float:

@@ -271,8 +271,9 @@ class TestCoeffs:
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
     def test_overflowed_sine_power_error_object(self, capsys):
-        # sin(1e-150)^2 = 1e-300 is still a double, but sin^(n-D) at D - n = 10
-        # is 1e1500; the error names the power instead of the errno text
+        # sin(1e-150)^2 = 1e-300 is still a double, but sin^(D-n) at index 0
+        # is 1e-1800 (and sin^(n-D) at index 2 would be 1e1500); the error
+        # names the power instead of the errno text
         code, out, _ = invoke(
             capsys,
             ["coeffs", "--dim", "12", "--theta0", "1e-150", "--max-n", "2"],
@@ -280,7 +281,25 @@ class TestCoeffs:
         assert code == 3
         assert json.loads(out)["error"] == {
             "type": "OverflowError",
-            "message": "sin(theta0)^(n-D) overflows at theta0=1e-150, D-n=10",
+            "message": "sin(theta0)^(D-n) underflows at theta0=1e-150, D-n=12",
+        }
+
+    @pytest.mark.parametrize("dim,theta0,max_n,shown", [
+        pytest.param("12", "1e-160", "1", "theta0=1e-160, D-n=12", id="dim12"),
+        pytest.param("200", "1e-5", "1", "theta0=1e-05, D-n=200", id="dim200"),
+        pytest.param("340", "1e-3", "17", "theta0=0.001, D-n=340", id="dim340"),
+    ])
+    def test_underflowed_sine_power_error_object(self, capsys, dim, theta0, max_n, shown):
+        # sin(theta0)^(D-n) below the smallest normal double used to print
+        # every entry as 0.0 with exit 0: no index reached f_total's checks
+        code, out, _ = invoke(
+            capsys,
+            ["coeffs", "--dim", dim, "--theta0", theta0, "--max-n", max_n],
+        )
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "OverflowError",
+            "message": f"sin(theta0)^(D-n) underflows at {shown}",
         }
 
     def test_order_limit(self, capsys, monkeypatch):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -272,9 +276,21 @@ class TestConfigValidation:
                                base=SphereBase(np.int64(2)), n_max=np.int64(2))
         assert compute_table(cfg).entries[2].n == 2
 
-    @pytest.mark.parametrize("theta0", [1e-3, 1.0, 3.1])
-    def test_dimension_limit_computes(self, theta0):
-        table = compute_table(sphere_config(339, theta0, 3))
+    @pytest.mark.parametrize("theta0,underflow", [
+        pytest.param(1e-3, "theta0=0.001, D-n=340", id="0.001"),
+        pytest.param(1.0, None, id="1.0"),
+        pytest.param(3.1, "theta0=3.1, D-n=340", id="3.1"),
+    ])
+    def test_dimension_limit_computes(self, theta0, underflow):
+        # sin(theta0)^340 is below the smallest normal double at 1e-3 and
+        # 3.1: the table is refused there instead of printing zeros
+        config = sphere_config(339, theta0, 3)
+        if underflow:
+            with pytest.raises(OverflowError, match=re.escape(
+                    f"sin(theta0)^(D-n) underflows at {underflow}")):
+                compute_table(config)
+            return
+        table = compute_table(config)
         assert all(
             math.isfinite(e.script_A) and math.isfinite(e.cal_A)
             for e in table.entries
@@ -349,6 +365,8 @@ def user_base(d: int) -> UserBase:
 
 
 PIN_THETAS = (1e-3, 1e-2, 0.1, 1.0, math.pi / 3, math.pi / 2, 2.0, 3.0, 3.1)
+# the assembly sweep's angles
+SWEEP_THETAS = (1e-3, 1e-2, 0.1, 1.0, 2.0, 3.0, 3.1)
 # sha256 of the float.hex of every script_A and cal_A of the 360 pinned tables
 ASSEMBLY_DIGEST = "1bccee231d2a57d907b76e5945ebf14d6982c20ec71dd4f83e61038e4dfd715f"
 # the same over D 13..18: 216 tables, cumulant orders up to 16
@@ -402,8 +420,11 @@ class TestAssemblyBits:
 
     def test_tables_do_not_depend_on_earlier_angles(self):
         # the plans behind the angular weights hold nothing set by the
-        # angle: tables at 2.0 after other angles are those of a fresh start
-        def at_two(after):
+        # angle, only term ratios that every argument shares: tables after
+        # other angles are those of a fresh start, both at 2.0 after shorter
+        # and longer series, and at 1e-3 and 3.1 from the prefixes the long
+        # series at 1.0 and 2.0 left
+        def at(thetas, after):
             special_eval._weight_plan.cache_clear()
             special_eval._hyp2f1_plan.cache_clear()
             for theta0 in after:
@@ -411,11 +432,49 @@ class TestAssemblyBits:
                     table_tuples(big_d, theta0)
             return [
                 [[(script.hex(), cal.hex()) for script, cal in table]
-                 for table in table_tuples(big_d, 2.0)]
-                for big_d in (5, 12, 18)
+                 for table in table_tuples(big_d, theta0)]
+                for theta0 in thetas for big_d in (5, 12, 18)
             ]
 
-        assert at_two((1e-3, 0.1, 1.0, 3.0)) == at_two(())
+        assert at((2.0,), (1e-3, 0.1, 1.0, 3.0)) == at((2.0,), ())
+        assert at((1e-3, 3.1), (1.0, 2.0)) == at((1e-3, 3.1), ())
+
+    def test_threads_share_plans_safely(self):
+        # four threads, more than the cores, build and extend the same plans
+        # at the same time from a cleared cache, with a short switch
+        # interval: each reproduces the serial tables, and every cached
+        # ratio prefix is the one a single thread computes
+        dims, thetas = range(3, 13), SWEEP_THETAS
+        serial = table_digest(dims, thetas)
+        special_eval._weight_plan.cache_clear()
+        special_eval._hyp2f1_plan.cache_clear()
+        barrier = threading.Barrier(4)
+        digests = {}
+
+        def run(k):
+            barrier.wait()
+            digests[k] = table_digest(dims, thetas)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == {k: serial for k in range(4)}
+        cached = [o for o in gc.get_objects() if type(o) is special_eval._Series]
+        assert sum(len(series.ratios) > 0 for series in cached) > 1000
+        for series in cached:
+            a, b, c = series.a, series.b, series.c
+            assert list(series.ratios) == [
+                (a + m) * (b + m) / ((c + m) * (1.0 + m))
+                for m in map(float, range(len(series.ratios)))
+            ]
 
     @pytest.mark.parametrize("base,limit", [
         pytest.param(SphereBase(11), 602, id="sphere"),

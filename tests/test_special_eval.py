@@ -359,39 +359,81 @@ class CountingArgument(float):
         return float(other) * float(self)
 
 
+def recomputed_ratios(series) -> list[str]:
+    """The float.hex of the term ratios a series' cached prefix must hold,
+    computed from scratch with the expression of the reference loop."""
+    a, b, c = series.a, series.b, series.c
+    return [((a + m) * (b + m) / ((c + m) * (1.0 + m))).hex()
+            for m in map(float, range(len(series.ratios)))]
+
+
 class TestSeriesBits:
-    """The series loop keeps the bits of its reference, builtin_max_series_2f1."""
+    """The series loop keeps the bits of its reference, builtin_max_series_2f1,
+    whatever term ratios its series has cached."""
 
     @staticmethod
-    def outcome(series, case):
+    def outcome(evaluate):
         try:
-            return series(*case).hex()
+            return evaluate().hex()
         except (ArithmeticError, CapheatError) as exc:
             return f"{type(exc).__name__}: {exc}"
 
     def test_grid_matches_reference(self):
+        # every case through a fresh series, which computes all its ratios
         cases = series_cases()
         assert len(cases) >= 2000
-        for case in cases:
-            assert self.outcome(special_eval._series_2f1, case) == self.outcome(
-                builtin_max_series_2f1, case
-            ), case
+        for a, b, c, x in cases:
+            assert self.outcome(
+                lambda: special_eval._series_2f1(special_eval._Series(a, b, c), x)
+            ) == self.outcome(lambda: builtin_max_series_2f1(a, b, c, x)), (a, b, c, x)
+
+    def test_shared_series_match_reference(self):
+        # the cases of one (a, b, c) share a series and run their arguments
+        # in shuffled order, each from the ratios the others left cached.
+        # Few cases share parameters, so each series also runs at every
+        # grid argument up to 1/2, where all of them converge quickly: the
+        # series then meet prefixes both shorter and longer than they need.
+        low = [x for x in SERIES_X if x <= 0.5]
+        groups = {}
+        for a, b, c, x in series_cases():
+            groups.setdefault((a, b, c), set(low)).add(x)
+        rng = random.Random(20)
+        lengths = set()
+        for (a, b, c), xs in groups.items():
+            series = special_eval._Series(a, b, c)
+            for x in rng.sample(sorted(xs), len(xs)):
+                assert self.outcome(
+                    lambda: special_eval._series_2f1(series, x)
+                ) == self.outcome(lambda: builtin_max_series_2f1(a, b, c, x)), (a, b, c, x)
+            lengths.add(len(series.ratios))
+            assert [r.hex() for r in series.ratios] == recomputed_ratios(series)
+        assert max(lengths) == special_eval._PREFIX_CAP
+        assert len(lengths) > 30
 
     def test_slow_series_spends_the_same_budget(self):
         # 2F1(1, 1; 2; x) = -log(1 - x)/x: near x = 1 its terms fall like
-        # 1/m, so 100000 terms do not settle it
+        # 1/m, so 100000 terms do not settle it.  The shared series runs
+        # twice: once computing every ratio, once from its cached prefix.
+        shared = special_eval._Series(1.0, 1.0, 2.0)
+        runs = (
+            lambda x: special_eval._series_2f1(shared, x),
+            lambda x: special_eval._series_2f1(shared, x),
+            lambda x: builtin_max_series_2f1(1.0, 1.0, 2.0, x),
+        )
         messages = []
-        for series in (special_eval._series_2f1, builtin_max_series_2f1):
+        for series in runs:
             x = CountingArgument(1.0 - 2.0**-52)
             with pytest.raises(SlowConvergence) as raised:
-                series(1.0, 1.0, 2.0, x)
+                series(x)
             assert x.terms == 100_000
             messages.append(str(raised.value))
-        assert messages[0] == messages[1]
-        assert messages[0] == (
+            # the prefix stops at the cap instead of keeping 100000 ratios
+            assert len(shared.ratios) == special_eval._PREFIX_CAP
+        assert [r.hex() for r in shared.ratios] == recomputed_ratios(shared)
+        assert messages == [
             "hypergeometric series at x=0.9999999999999998 not converged "
             "after 100000 terms"
-        )
+        ] * 3
 
 
 class TestRecipGamma:
