@@ -2,35 +2,32 @@
 function on [0, 1], and the angular factors c1 and f_total that feed the
 coefficient assembly.
 
-Everything here is double precision with compensated summation.  Every 2F1
-series runs through one loop, which a term that is exactly 0 ends: that is
-how a terminating series stops, and there is no counted mode.  The
-convention throughout: a Gamma pole in a denominator contributes 0 (the
-entire function 1/Gamma), a pole in a numerator is a bad argument and raises
-ValidationError.
+Everything here is double precision with compensated summation.  A Gamma
+pole in a denominator contributes 0 (the entire function 1/Gamma); a pole
+in a numerator is a bad argument and raises ValidationError.
+
+The assembly's 2F1s have two shapes; only these are planned, and others,
+which no caller in the package builds, are refused.  The z family's
+2F1(-s, beta; beta + j; cos^2), s = (D - n)/2, terminates when D - n is
+even and has the half-integer c - a - b = s + j when it is odd; c1's has
+c - a - b = 1/2.  A terminating series is summed directly at any argument.
+A c - a - b more than 0.05 from an integer is summed directly up to
+x = 1/2 and through the connection formula to 1 - x above it (DLMF
+15.8.4).  Every series runs through one loop, which a term that is exactly
+0 ends: that is how a terminating series stops.
 
 Every 2F1 and angular weight is a plan and an evaluation.  A plan holds
-what the angle does not fix: a 2F1's route and Gamma factors, memoized by
-parameters, and for each series the route can run (the direct series, the
-Euler series, the two connection sub-series) a prefix of its term ratios
-(a + m)(b + m) / ((c + m)(1 + m)); f_total's float coefficients, Gamma
-ratios, 2F1 plans and z0 sum, memoized by structure and d_minus_n.  The
-evaluation adds the cos powers and the series in the order of a direct
-evaluation, so no bit moves.
-A ratio prefix holds what evaluations consumed, at most _PREFIX_CAP ratios
-(592 bytes); it is replaced whole and never appended in place, so threads
-sharing a plan never see mixed ratios.  A full cache of 8,192 plans with
-three full prefixes each holds about 14 MB of them.
-The orders of one index share their z-family 2F1 values through a dict the
-caller drops.
-No value that depends on the angle outlives one table: such a cache would
-pay off only when the same table is asked for again, and a benchmark that
-repeats its tables would measure the repetition instead of the code.
-
-The hot loops, the 2F1 series and f_total's two sums, pay only for their
-arithmetic: they compare floats with floats, call no builtin per series,
-build no list of terms, and write each compensated sum inline with
-_kahan_sum's operations in its order, so they round exactly as it does.
+what the angle does not fix, memoized: a 2F1's Gamma factors and, for each
+of its series, a prefix of the term ratios (a + m)(b + m) / ((c + m)(1 + m));
+f_total's float coefficients, Gamma ratios, 2F1 plans and z0 sum, by
+structure and d_minus_n.  The evaluation adds the cos powers and the series
+in the order of a direct evaluation, so no bit moves.  The orders of one
+index share their z-family 2F1 values through a dict the caller drops.  No
+value that depends on the angle outlives one table: a benchmark that
+repeats its tables then measures the code, not a cache.  The hot loops,
+the 2F1 series and f_total's two sums, call no builtin per series, build no
+list of terms, and write each compensated sum inline with _kahan_sum's
+operations in its order, so they round exactly as it does.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import SlowConvergence, ValidationError
+from .errors import NumericalError, SlowConvergence, ValidationError
 from .legendre_asymptotics import StructuredOmega, chi
 
 __all__ = [
@@ -128,7 +125,8 @@ def _kahan_sum(terms: Iterable[float]) -> float:
 
 # A plan keeps at most this many term ratios of each series it runs: more
 # than the 35 the longest series of a D <= 12 sweep takes, few enough that a
-# series run to its term budget pins 592 bytes, not 800 kB
+# series run to its term budget pins 592 bytes, not 800 kB, and a full plan
+# cache with three full prefixes a plan about 14 MB
 _PREFIX_CAP = 64
 _PREFIX_CAP_FLOAT = float(_PREFIX_CAP)
 _NO_RATIOS = array("d")
@@ -138,12 +136,10 @@ class _Series:
     """One 2F1 series of a plan: its parameters, the index past which its
     term signs are fixed, and a prefix of its term ratios
     (a + m)(b + m) / ((c + m)(1 + m)), none of which depends on the argument.
-
-    The prefix holds the ratios evaluations have consumed, up to
-    _PREFIX_CAP.  It is an immutable snapshot, replaced whole and never
-    appended in place, so threads that extend one series concurrently can
-    at worst publish a shorter prefix than another's, never mixed ratios.
-    The class hashes by identity, which keeps the plans hashable."""
+    The prefix holds the ratios evaluations have consumed, up to _PREFIX_CAP,
+    as an immutable snapshot replaced whole: threads that extend one series
+    at once can at worst publish a shorter prefix than another's, never
+    mixed ratios.  Identity hashing keeps the plans hashable."""
 
     __slots__ = ("a", "b", "c", "settled", "ratios")
 
@@ -168,16 +164,13 @@ def _more_ratios(series: _Series, start: int, fresh: list):
 
 
 def _series_2f1(series: _Series, x: float) -> float:
-    """Direct ascending series with Kahan summation, in one loop with no
-    counted mode.  A term that is exactly 0 ends the sum before it is added,
-    which is how a terminating series stops and why x = 0 gives 1; so do two
-    consecutive terms within the relative tolerance, once past any sign
-    turnaround of the Pochhammer factors.
-
-    The loop runs over the series' cached ratios, then over those
-    _more_ratios computes; the prefix and the fresh ratios are published
-    together when the series ends.  Each term is term * (ratio * x), which
-    is how the loop has always rounded."""
+    """Direct ascending series with Kahan summation.  A term that is exactly
+    0 ends the sum before it is added, which is how a terminating series
+    stops and why x = 0 gives 1; so do two consecutive terms within the
+    relative tolerance, once past any sign turnaround of the Pochhammer
+    factors.  The loop runs over the cached ratios, then over those
+    _more_ratios computes, and publishes the longer prefix when the series
+    ends; each term is term * (ratio * x), as the loop has always rounded."""
     settled = series.settled
     total, comp, term = 1.0, 0.0, 1.0
     small_streak = 0
@@ -218,93 +211,99 @@ def _series_2f1(series: _Series, x: float) -> float:
                 series.ratios = prefix
 
 
-def _gauss_value(a: float, b: float, c: float) -> float:
-    """Value at unit argument: Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))."""
-    w = c - a - b
-    return _gamma_num(c) * _gamma_num(w) * recip_gamma(c - a) * recip_gamma(c - b)
-
-
 def _connection_factors(a: float, b: float, c: float, w: float) -> tuple:
-    """The Gamma factors of the connection formula, Gauss value first."""
-    return (_gauss_value(a, b, c), _gamma_num(c), _gamma_num(-w), recip_gamma(a),
-            recip_gamma(b))
-
-
-# How a planned 2F1 is evaluated above x = 1/2
-_TERMINATING, _CONNECTION, _EULER, _DIRECT = range(4)
+    """The Gamma factors of the connection formula, w = c - a - b, led by the
+    value at unit argument, Gamma(c) Gamma(w) / (Gamma(c-a) Gamma(c-b))."""
+    g_c = _gamma_num(c)
+    return (g_c * _gamma_num(w) * recip_gamma(c - a) * recip_gamma(c - b), g_c,
+            _gamma_num(-w), recip_gamma(a), recip_gamma(b))
 
 
 @lru_cache(maxsize=8192)
 def _hyp2f1_plan(a: float, b: float, c: float) -> tuple:
-    """The part of 2F1(a, b; c; x) that no argument x changes, as (route
-    above x = 1/2, c-a-b, factors, direct, upper, second): the factors are
-    the Gauss value, then the connection formula's Gamma factors, or None
-    where these raise (a Gamma overflow, say), to raise where they are used;
-    then the direct series, the Euler series or the first connection
-    sub-series as upper, and the second sub-series, None where the route
-    does not run them."""
+    """The part of 2F1(a, b; c; x) that no argument x changes, as (direct
+    series, connection): None for a terminating series, else (c-a-b,
+    factors, first, second), the connection formula's two sub-series and
+    its factors, the Gauss value and Gamma factors, or None where these
+    raise (a Gamma overflow, say), to raise where they are used.  Any other
+    shape raises ValidationError: no caller in the package builds one."""
     if _is_nonpositive_integer(c):
         raise ValidationError(f"lower parameter c={c} is a nonpositive integer")
-    w = c - a - b
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        return (_TERMINATING, w, None, _Series(a, b, c), None, None)
-    # Near-integer w is kept off the connection formula: Gamma(-w) approaches
-    # a pole there and the cancellation between its two pieces destroys
-    # double precision.  The Euler transform serves when it terminates.
-    euler = _is_nonpositive_integer(c - a) or _is_nonpositive_integer(c - b)
-    route = _CONNECTION if abs(w - round(w)) > 0.05 else _EULER if euler else _DIRECT
+        return (_Series(a, b, c), None)
+    w = c - a - b
+    # near an integer w, Gamma(-w) nears a pole and the two pieces of the
+    # connection formula cancel below double precision
+    if abs(w - round(w)) <= 0.05:
+        raise ValidationError(f"2F1({a}, {b}; {c}) neither terminates nor "
+                              f"has c-a-b={w} more than 0.05 from an integer")
     try:
-        factors = (_connection_factors(a, b, c, w) if route == _CONNECTION
-                   else (_gauss_value(a, b, c),) if w > 0.0 else None)
+        factors = _connection_factors(a, b, c, w)
     except (ArithmeticError, ValueError, ValidationError):
         factors = None
-    upper = second = None
-    if route == _EULER:
-        upper = _Series(c - a, c - b, c)
-    elif route == _CONNECTION:
-        upper, second = _Series(a, b, 1.0 - w), _Series(c - a, c - b, 1.0 + w)
-    return (route, w, factors, _Series(a, b, c), upper, second)
+    return (_Series(a, b, c),
+            (w, factors, _Series(a, b, 1.0 - w), _Series(c - a, c - b, 1.0 + w)))
 
 
 def _hyp2f1_eval(plan: tuple, x: float, xc: float) -> float:
     """2F1 of a plan's parameters at x in [0, 1], given its exact complement
     xc = 1 - x, which keeps arguments like cos^2(theta) accurate when x is
     within a few ulp of 1."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"2F1 argument must lie in [0, 1], got {x}")
-    route, w, factors, direct, upper, second = plan
-    # a terminating series is summed exactly at any argument
-    if route == _TERMINATING:
+    direct, connection = plan
+    # a terminating series is summed directly at any argument
+    if connection is None:
         return _series_2f1(direct, x)
+    w, factors, first, second = connection
     if x == 1.0 or xc == 0.0:
         if w <= 0.0:
             raise ValidationError(f"2F1 at unit argument needs c-a-b > 0, got {w}")
-        return factors[0] if factors else _gauss_value(direct.a, direct.b, direct.c)
-    if x <= 0.5 or route == _DIRECT:
+        return (factors or _connection_factors(direct.a, direct.b, direct.c, w))[0]
+    if x <= 0.5:
         return _series_2f1(direct, x)
-    if route == _EULER:
-        return xc**w * _series_2f1(upper, x)
     # linear connection to argument 1-x; both sub-series have ratio <= 1/2
     gauss, g_c, g_w, r_a, r_b = factors or _connection_factors(
         direct.a, direct.b, direct.c, w)
-    first = gauss * _series_2f1(upper, xc)
-    return first + xc**w * g_c * g_w * r_a * r_b * _series_2f1(second, xc)
+    return (gauss * _series_2f1(first, xc)
+            + xc**w * g_c * g_w * r_a * r_b * _series_2f1(second, xc))
+
+
+def _terminating_loss(series: _Series, x: float, value: float) -> float:
+    """u * sum|t_m| / |F|, u the unit roundoff: the relative accuracy that
+    ``value``, a terminating series at x, may have lost to cancellation."""
+    a, b, c = series.a, series.b, series.c
+    total = term = 1.0
+    for m in map(float, range(_MAX_TERMS)):
+        term *= abs((a + m) * (b + m) / ((c + m) * (1.0 + m))) * x
+        total += term
+        if term == 0.0:
+            break
+    return 2.0**-53 * total / abs(value) if value else math.inf
 
 
 def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; x) for x in [0, 1].
+    """Gauss hypergeometric function 2F1(a, b; c; x) for x in [0, 1], in the
+    two shapes the angular factors take: a or b a nonpositive integer, or
+    c - a - b more than 0.05 from an integer.  Others raise ValidationError,
+    as do non-finite parameters and an x outside [0, 1] (NaN too); no caller
+    in the package has them.
 
     Symmetric in (a, b) bit for bit.  At x = 1 the Gauss summation formula is
     used and requires c - a - b > 0.  A terminating series 2F1(-N, b; c; x)
     loses to cancellation up to about u * sum|t_m| / |F| relative, u the unit
     roundoff, where sum|t_m| = 2F1(-N, b; c; -x) for b, c > 0: 12% at N = 60,
-    b = 1/2, c = 3/2, x = 0.9.  The assembly's have N = (D - n)/2.
-    Non-finite parameters and an x outside [0, 1] (NaN too) raise
-    ValidationError.
+    b = 1/2, c = 3/2, x = 0.9.  Where that exceeds 1e-10, NumericalError is
+    raised.  (The assembly's, N = (D - n)/2, do not pass through here.)
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValidationError(f"2F1 parameters must be finite, got {a}, {b}, {c}")
-    return _hyp2f1_eval(_hyp2f1_plan(a, b, c), x, 1.0 - x)
+    if not 0.0 <= x <= 1.0:
+        raise ValidationError(f"2F1 argument must lie in [0, 1], got {x}")
+    plan = _hyp2f1_plan(a, b, c)
+    value = _hyp2f1_eval(plan, x, 1.0 - x)
+    if plan[1] is None and (loss := _terminating_loss(plan[0], x, value)) > 1e-10:
+        raise NumericalError(f"terminating 2F1({a}, {b}; {c}; {x}) may have lost "
+                             f"{loss:.1e} relative to cancellation")
+    return value
 
 
 def c1(angle: AngleParams, two_s: float) -> float:

@@ -1,9 +1,9 @@
 """Package names the benchmark relies on.
 
 ``bench/workloads.py`` wraps four cross-layer calls by module attribute for
-the spans of its ``--trace 1`` run, and reads a few fields directly.  A
-refactor that folds or renames one of them would leave a span silently
-empty, so the calls are checked here by counting wrappers.
+the spans of its ``--trace 1`` run, probes ``gauss_2f1``, and reads a few
+fields directly.  A refactor that folds or renames one of them would leave
+a span silently empty, so the calls are checked here by counting wrappers.
 """
 
 from __future__ import annotations
@@ -14,10 +14,17 @@ import pytest
 
 import capheat.heat_coeffs
 import capheat.spectral_oracle
-from capheat import AngleParams, SphereBase, SuspensionConfig, compute_table, spectrum
+from capheat import (
+    AngleParams,
+    SphereBase,
+    SuspensionConfig,
+    compute_table,
+    gauss_2f1,
+    spectrum,
+)
 from capheat.heat_coeffs import base_coefficient
 from capheat.legendre_asymptotics import omega_structures
-from test_heat_coeffs import user_base
+from test_heat_coeffs import SWEEP_THETAS, user_base
 
 ASSEMBLY = (capheat.heat_coeffs, ("c1", "f_total", "omega_structures"))
 ORACLE = (capheat.spectral_oracle, ("dirichlet_roots",))
@@ -75,6 +82,17 @@ def test_spectrum_calls_wrapped_attribute(monkeypatch):
     # only channel 0 is scanned; the others are bracketed by interlacing
     assert len(channels) > 1
     assert calls["dirichlet_roots"] == 1
+
+
+def test_gauss_2f1_probe():
+    # bench/workloads.probe_fixed times gauss_2f1 at c1's parameters
+    # (1/2, s; s + 1) on every workload, at the assembly sweep's angles and
+    # 2s = 1..12: a narrowing of gauss_2f1 that refuses them fails here
+    for theta0 in SWEEP_THETAS:
+        angle = AngleParams.from_theta0(theta0)
+        for two_s in range(1, 13):
+            s = 0.5 * two_s
+            assert math.isfinite(gauss_2f1(0.5, s, s + 1.0, angle.sin2))
 
 
 @pytest.mark.parametrize("theta0", [0.5, 2.0])
