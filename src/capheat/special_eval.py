@@ -233,8 +233,9 @@ def _hyp2f1_plan(a: float, b: float, c: float) -> tuple:
         return (_Series(a, b, c), None)
     w = c - a - b
     # near an integer w, Gamma(-w) nears a pole and the two pieces of the
-    # connection formula cancel below double precision
-    if abs(w - round(w)) <= 0.05:
+    # connection formula cancel below double precision; finite parameters
+    # can still give an infinite w
+    if not math.isfinite(w) or abs(w - round(w)) <= 0.05:
         raise ValidationError(f"2F1({a}, {b}; {c}) neither terminates nor "
                               f"has c-a-b={w} more than 0.05 from an integer")
     try:
@@ -332,20 +333,28 @@ def _weight_plan(structure: StructuredOmega, d_minus_n: float) -> tuple:
     # the poles by construction; an explicit check, not an assert
     if lo + half_i < 0.5:
         raise ValueError(f"2F1 lower parameter {lo + half_i} too low")
-    x_terms = tuple(
-        (float(c), b - lo, _gamma_num(big_a + b), recip_gamma(b + half_i))
-        for b in range(0, i + 1) if (c := structure.x_coeffs[b])
-    )
-    z0 = _kahan_sum([
-        float(c) * _gamma_num(s + j) * inv_gamma_a * recip_gamma(float(j))
-        for j in range(1, i + 1) if (c := structure.z0_coeffs[j])
-    ])
-    z_terms = tuple(
-        (float(c), b - lo, _gamma_num(big_a + b + j), recip_gamma(b + half_i + j),
-         (b + half_i, j), _hyp2f1_plan(-s, b + half_i, b + half_i + j))
-        for j in range(1, i + 1) for b in range(lo, i + 1)
-        if (c := structure.z_coeffs[(b, j)])
-    )
+    try:
+        x_terms = tuple(
+            (float(c), b - lo, _gamma_num(big_a + b), recip_gamma(b + half_i))
+            for b in range(0, i + 1) if (c := structure.x_coeffs[b])
+        )
+        z0 = _kahan_sum([
+            float(c) * _gamma_num(s + j) * inv_gamma_a * recip_gamma(float(j))
+            for j in range(1, i + 1) if (c := structure.z0_coeffs[j])
+        ])
+        z_terms = tuple(
+            (float(c), b - lo, _gamma_num(big_a + b + j),
+             recip_gamma(b + half_i + j), (b + half_i, j),
+             _hyp2f1_plan(-s, b + half_i, b + half_i + j))
+            for j in range(1, i + 1) for b in range(lo, i + 1)
+            if (c := structure.z_coeffs[(b, j)])
+        )
+    except OverflowError:
+        # Gamma(A + b) and Gamma(A + b + j) leave the double range past 171.6
+        raise OverflowError(
+            f"Gamma factors of the angular weights overflow at "
+            f"D-n={d_minus_n:g}, order {i}"
+        ) from None
     return lo, inv_gamma_a, x_terms, z0, z_terms
 
 

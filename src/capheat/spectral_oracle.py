@@ -7,8 +7,9 @@ angle below pi, but its partial sums grow roughly like exp(2 w atanh(sqrt z))
 before collapsing to an O(1) value.  Every term ratio is a ratio of exact
 integers (omega, mu and z are doubles), so the summation runs on Python
 integers in binary fixed point, with the number of fractional bits chosen
-adaptively from the observed cancellation.  Past its turning point the
-series' terms keep one sign and shrink geometrically, so a proven bound on
+adaptively from the observed cancellation.  Up to its turning point the
+series' terms alternate in sign, and that loop runs on their magnitudes;
+past it they keep one sign and shrink geometrically, so a proven bound on
 the rest of the sum stops it as soon as the caller's need is met: less for
 the root finder, whose signs the bound leaves exact, than for the doubles
 of ``ferrers_p``.
@@ -17,7 +18,8 @@ Roots of one channel are found by a scan on a quarter-spacing grid.  A
 spectrum scans only its first channel: sphere channels interlace, so each
 later channel is bracketed by the roots of the one before, and each of its
 roots is first tried where the channels below extrapolate it, corrected by
-the previous root's miss.  Either way each root is shrunk by
+the previous root's miss, then by a Newton step with the slope extrapolated
+the same way.  Either way each root is shrunk by
 Anderson-Bjorck false position and then pinned to the scan's bisection of
 its grid cell, so both paths give the same roots, bit for bit: where f is
 evaluated, at what precision and how long each sum runs never decide a
@@ -38,6 +40,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -69,16 +72,15 @@ __all__ = [
 # cost limits below are timed at this angle.
 THETA0_GUARD = 2.2
 _MAX_SERIES_TERMS = 2_000_000
-# A channel's cost grows about as omega_max^2.4: at mu = 1/2 and theta0 =
-# 2.2 it takes about 2.1-2.5 s at omega_max 500 and 12-14 s at 1,000
-# (2-core Intel Xeon VM, Python 3.11.7).  The largest cutoff the tests use
-# is 120.
+# A channel's cost grows about as omega_max^2.5: at mu = 1/2 and theta0 =
+# 2.2 it takes about 1.8 s at omega_max 500 and 10 s at 1,000 (2-core
+# Intel Xeon VM, Python 3.11.7).  The largest cutoff the tests use is 120.
 _MAX_OMEGA = 1_000.0
 # Bisection width of a root.
 _ABS_TOL = 1e-10
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  Spectra near it take about 21-25 s at theta0 = 2.2 (omega_max
-# 168.9, 11,284 roots) and 7 s at pi/3 (omega_max 263.1, 8,595 roots) on
+# 2,078).  Spectra near it take about 18 s at theta0 = 2.2 (omega_max
+# 168.9, 11,284 roots) and 4.5 s at pi/3 (omega_max 263.1, 8,595 roots) on
 # a 2-core Intel Xeon VM, Python 3.11.7.
 _MAX_ROOTS = 10_000
 # The caller's target for the Ferrers series' tail bound, in bits below the
@@ -122,6 +124,16 @@ class FitResult:
     condition_number: float
 
 
+@lru_cache(maxsize=256)
+def _series_constants(mu: float, z: float, bits: int) -> tuple[int, ...]:
+    """The integers of ``_series_state`` that omega leaves alone: mu = un /
+    ud, the numerator scale zn ud, log2 of z's denominator (a power of two)
+    and the tail-bound scale ceil(z / (1 - z)) 2**bits."""
+    un, ud = mu.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    return un, ud, zn * ud, zd.bit_length() - 1, -(-zn // (zd - zn)) << bits
+
+
 def _series_state(prec: int, omega: float, mu: float, z: float,
                   bits: int) -> tuple[int, int]:
     """Sum the hypergeometric factor of the Ferrers function in binary fixed
@@ -131,48 +143,54 @@ def _series_state(prec: int, omega: float, mu: float, z: float,
     which floors exactly as the full division does.  Each step rounds
     toward zero.  Returns (sum, max term magnitude), both scaled.
 
-    The summation stops past the turning point m > |omega|, where every
-    later term ratio ((m + 1/2)^2 - w^2) z / ((m + 1)(m + 1 + mu)) lies in
-    (0, z) for mu > 0: the later terms keep the sign of term m and shrink
-    geometrically, so the rest of the sum is below |term m| z / (1 - z).
-    It stops once that bound, with z / (1 - z) rounded up to an integer, is
-    below 2**-bits of the sum, or, for a sum that is 0 or noise, once a
-    term falls below 2**(3 - prec) times the largest one."""
+    Up to the turning point, m <= |omega|, every term ratio
+    ((m - 1/2)^2 - w^2) z / (m (m + mu)) is negative, so the terms alternate
+    in sign: that loop runs on their magnitudes, which rounding toward zero
+    floors, and keeps r = a_m - r, the sum times the sign of term m.  The
+    numerator and denominator of each ratio step by additions.  Past the
+    turning point every later ratio lies in (0, z) for mu > 0: the later
+    terms keep the sign of term m and shrink geometrically, so the rest of
+    the sum is below |term m| z / (1 - z).  It stops once that bound, with
+    z / (1 - z) rounded up to an integer, is below 2**-bits of the sum, or,
+    for a sum that is 0 or noise, once a term falls below 2**(3 - prec)
+    times the largest one."""
     wn, wd = omega.as_integer_ratio()
-    un, ud = mu.as_integer_ratio()
-    zn, zd = z.as_integer_ratio()
-    wd2, num_scale = wd * wd, zn * ud
-    shift = (4 * wd2 * zd).bit_length() - 1  # 4 wd^2 zd is 2**shift
-    tail_scale = -(-zn // (zd - zn)) << bits  # ceil(z / (1 - z)) 2**bits
-    # ((2m - 1)^2 wd^2 - 4 wn^2) num_scale for term m; it grows by
-    # 8 wd^2 m num_scale from term m to term m + 1
-    num = (wd2 - 4 * wn * wn) * num_scale
-    num_step = 8 * wd2 * num_scale
-    term = total = max_abs = 1 << prec
-    # up to the turning point no stop rule applies, so only the peak is kept
+    un, ud, num_scale, z_shift, tail_scale = _series_constants(mu, z, bits)
+    shift = 2 * wd.bit_length() + z_shift  # 4 wd^2 zd is 2**shift
+    wd2 = wd * wd
+    # term m's ratio is num / (q 2**shift) with num = ((2m - 1)^2 wd^2 -
+    # 4 wn^2) num_scale, which grows by step = 8 wd^2 m num_scale to term
+    # m + 1, and q = m (m ud + un), which grows by dq = (2m + 1) ud + un
+    step = step_inc = 8 * wd2 * num_scale
+    neg_num = (4 * wn * wn - wd2) * num_scale
+    q, dq, dq_inc = ud + un, 3 * ud + un, 2 * ud
+    a = r = max_abs = 1 << prec
     last = int(abs(omega))
     if last > _MAX_SERIES_TERMS:
         raise SlowConvergence("Ferrers series exceeded the term budget")
-    for m in range(1, last + 1):
-        p = term * num
-        q = m * (m * ud + un)
-        term = (p >> shift) // q if p >= 0 else -((-p >> shift) // q)
-        num += num_step * m
-        total += term
-        a = abs(term)
+    # up to the turning point no stop rule applies, so only the peak is kept
+    for _ in range(last):
+        a = (a * neg_num >> shift) // q
+        neg_num -= step
+        step += step_inc
+        q += dq
+        dq += dq_inc
+        r = a - r
         if a > max_abs:
             max_abs = a
+    term, total = (-a, -r) if last & 1 else (a, r)
+    num = -neg_num
     stop_below = max_abs >> (prec - 3)
     m = last
     while True:
-        # term m over term m - 1 is ((m - 1/2)^2 - w^2) z / (m (m + mu)),
-        # over exact integers
         m += 1
         p = term * num
-        q = m * (m * ud + un)
         # toward zero: a floored negative term can stall above stop_below
         term = (p >> shift) // q if p >= 0 else -((-p >> shift) // q)
-        num += num_step * m
+        num += step
+        step += step_inc
+        q += dq
+        dq += dq_inc
         total += term
         a = abs(term)
         if a > max_abs:
@@ -259,42 +277,61 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
 
 
 def _false_position(f, a: float, fa: float, b: float, fb: float,
-                    width: float, first: float | None = None):
+                    width: float, first: float | None = None,
+                    slope: float | None = None):
     """Shrink the sign-change bracket (a, b) of f (fa = f(a), fb = f(b)) to
     at most ``width`` by false position with the Anderson-Bjorck
     modification (Anderson & Bjorck, BIT 13 (1973) 253): when an end is
     kept a second time in a row, its value is scaled by m = 1 - f(x) / f(e),
     e the end x replaced, or by 1/2 when m <= 0, where the Illinois method
     always halves it.  ``first``, when given, is the first trial point in
-    place of the secant's.  Trial points keep ``width / 2`` clear of both
-    ends, so a root on an end closes in one step.  An exact zero collapses
-    the bracket."""
+    place of the secant's.  ``slope``, when given, is f's predicted slope
+    at the root: the second trial is then the Newton step from the first,
+    and the third the secant through the first two.  A trial point outside
+    the bracket is replaced by the Anderson-Bjorck one.  Trial points keep
+    ``width / 2`` clear of both ends, so a root on an end closes in one
+    step.  An exact zero collapses the bracket.
+
+    Returns the bracket and the secant slope through the values f took at
+    its ends (NaN after an exact zero)."""
     a_positive = fa > 0
+    ya, yb = fa, fb  # the ends' values, which the modification leaves
     kept = 0  # -1 after keeping b, +1 after keeping a
+    x, prev = first, None
     while b - a > width:
-        if first is None:
+        if x is None or not a < x < b:
             x = b - fb * (b - a) / (fb - fa)
-        else:
-            x, first = first, None
         x = min(max(x, a + width / 2), b - width / 2)
         if not a < x < b:
             break
         fx = f(x)
         if fx == 0.0:
-            return x, x
+            return x, x, math.nan
         if (fx > 0) == a_positive:
             if kept == -1:
                 m = 1.0 - fx / fa
                 fb *= m if m > 0.0 else 0.5
-            a, fa = x, fx
+            a, fa, ya = x, fx, fx
             kept = -1
         else:
             if kept == 1:
                 m = 1.0 - fx / fb
                 fa *= m if m > 0.0 else 0.5
-            b, fb = x, fx
+            b, fb, yb = x, fx, fx
             kept = 1
-    return a, b
+        if slope:  # 0 and None give no Newton step
+            prev, x, slope = (x, fx), x - fx / slope, None
+        elif prev is not None and fx != prev[1]:
+            x = x - fx * (x - prev[0]) / (fx - prev[1])
+            prev = None
+        else:
+            x = prev = None
+    return a, b, (yb - ya) / (b - a)
+
+
+def _log_slope(slope: float) -> float:
+    """log |slope|, NaN for NaN and -inf for 0."""
+    return math.log(abs(slope)) if slope else -math.inf
 
 
 def _check_scan(mu: float, theta0: float, omega_max: float) -> None:
@@ -373,13 +410,16 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
     by ``_false_position``, then its bisection to _ABS_TOL is replayed
     against the located bracket (``_bisect_cell``).  ``state``, when given,
     is the evaluation state of ``_channel``: it moves evaluations, never
-    roots.
+    roots.  The scan leaves in ``state["log_slopes"]`` log |f'| at each
+    root, from ``_false_position`` (NaN at a zero on a grid point), for
+    the channels above to extrapolate.
     """
     _check_scan(mu, theta0, omega_max)
     f = _channel(mu, theta0, state)
     grid = _scan_grid(theta0, omega_max)
 
     roots: list[float] = []
+    log_slopes: list[float] = []
     prev_w, prev_val = 0.0, f(0.0)
     if prev_val == 0.0:
         raise MissedRootSuspicion("unexpected root at omega = 0")
@@ -387,11 +427,15 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
         val = f(w)
         if val == 0.0:
             roots.append(w)
+            log_slopes.append(math.nan)
         elif (val > 0) != (prev_val > 0):
-            a, b = _false_position(f, prev_w, prev_val, w, val,
-                                   _ABS_TOL / 256.0)
+            a, b, slope = _false_position(f, prev_w, prev_val, w, val,
+                                          _ABS_TOL / 256.0)
             roots.append(_bisect_cell(f, prev_w, w, a, b, prev_val > 0))
+            log_slopes.append(_log_slope(slope))
         prev_w, prev_val = w, val
+    if state is not None:
+        state["log_slopes"] = log_slopes
 
     # Roots settle to spacing pi/theta0 only once omega clears the turning
     # region; below ~2 mu / sin(theta0) wider gaps are genuine, not misses.
@@ -424,9 +468,10 @@ def _replay_scan(f, grid: list[float], a: float, b: float,
 
 
 def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
-    """Root j of the next channel, extrapolated in mu (step 1) from root j
-    of the channels in ``lower`` (nearest last): cubically from four,
-    quadratically from three, linearly from two, and not at all from one."""
+    """Value j of the next channel, a root or log |f'| at one, extrapolated
+    in mu (step 1) from value j of the channels in ``lower`` (nearest
+    last): cubically from four, quadratically from three, linearly from
+    two, and not at all from one or none."""
     w = [roots[j] for roots in lower[-4:]]
     if len(w) == 4:
         return 4.0 * (w[3] + w[1]) - 6.0 * w[2] - w[0]
@@ -438,48 +483,65 @@ def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
 
 
 def _interlaced_roots(f, lower: Sequence[Sequence[float]], omega_max: float,
-                      grid: list[float]) -> list[float] | None:
+                      grid: list[float],
+                      lower_logs: Sequence[Sequence[float]] = ()):
     """The roots in (0, omega_max] of the channel whose Dirichlet function
     is f, given ``lower``, the roots of the channels below it, nearest last
-    (and nonempty).  Interlacing puts exactly one root in each bracket
-    between consecutive roots of the nearest, and none or one in the last
-    bracket (lower[-1][-1], omega_max]; f is evaluated only at those ends
-    and inside the brackets.  Each root is located by ``_false_position``,
-    then the scan of ``grid`` is replayed on it, so it is the root
-    ``dirichlet_roots`` finds: the start moves the evaluations, never the
-    root, which the signs alone fix.  The start is the root's extrapolation
-    from the channels below (``_extrapolated``) plus the previous root's
-    miss, that root less its own extrapolation; a missing or non-finite
-    extrapolation adds no correction and leaves none for the next root.
+    (and nonempty), and ``lower_logs``, log |f'| at those roots (empty for
+    none).  Interlacing puts exactly one root in each bracket between
+    consecutive roots of the nearest, and none or one in the last bracket
+    (lower[-1][-1], omega_max]; f is evaluated only at those ends and inside
+    the brackets.  Each root is located by ``_false_position``, then the
+    scan of ``grid`` is replayed on it, so it is the root
+    ``dirichlet_roots`` finds: the start and the slope move the
+    evaluations, never the root, which the signs alone fix.  The start is
+    the root's extrapolation from the channels below (``_extrapolated``)
+    plus the previous root's miss, that root less its own extrapolation; a
+    missing or non-finite extrapolation adds no correction and leaves none
+    for the next root.  The slope is predicted the same way from
+    ``lower_logs``, with the sign of the bracket's sign change.
 
-    Returns None when an end is a zero of f or a bracket between two roots
-    of the nearest channel shows no sign change.  The ends are roots known
-    only to _ABS_TOL, and two channels' roots can be closer than that: on an
-    obtuse cap a high channel's lowest roots crowd onto the sphere's
-    mu + 1/2 + n.
+    Returns the roots and log |f'| at each, or None when an end is a zero
+    of f or a bracket between two roots of the nearest channel shows no
+    sign change.  The ends are roots known only to _ABS_TOL, and two
+    channels' roots can be closer than that: on an obtuse cap a high
+    channel's lowest roots crowd onto the sphere's mu + 1/2 + n.
     """
     roots: list[float] = []
+    logs: list[float] = []
     ends = [*lower[-1], omega_max]
     fa = f(ends[0])
     if fa == 0.0:
         return None
-    miss = 0.0  # the previous root less its extrapolation
+    # the previous root and log |f'| there, less their extrapolations
+    miss = log_miss = 0.0
     for i in range(1, len(ends)):
         a, b = ends[i - 1], ends[i]
         fb = f(b)
         if fb != 0.0 and (fb > 0) != (fa > 0):
             guess = _extrapolated(lower, i - 1)
             finite = guess is not None and math.isfinite(guess)
-            x, y = _false_position(f, a, fa, b, fb, _ABS_TOL / 256.0,
-                                   guess + miss if finite else guess)
+            log_guess = _extrapolated(lower_logs, i - 1)
+            log_finite = log_guess is not None and math.isfinite(log_guess)
+            predicted = log_guess + log_miss if log_finite else math.nan
+            # f has the sign of fb right of the root; exp overflows a double
+            # past _LOG_MAX, and a NaN fails that test
+            slope = (math.copysign(math.exp(predicted), fb)
+                     if predicted < _LOG_MAX else None)
+            x, y, secant = _false_position(f, a, fa, b, fb, _ABS_TOL / 256.0,
+                                           guess + miss if finite else guess,
+                                           slope)
             roots.append(_replay_scan(f, grid, x, y, fa > 0))
+            logs.append(_log_slope(secant))
             miss = roots[-1] - guess if finite else 0.0
+            log_miss = logs[-1] - log_guess if log_finite else 0.0
         elif i < len(ends) - 1:
             return None
         elif fb == 0.0:
             roots.append(b)  # the scan's zero at its last point
+            logs.append(math.nan)
         fa = fb
-    return roots
+    return roots, logs
 
 
 def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]:
@@ -502,9 +564,11 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     extrapolated in mu from up to four channels below, plus the miss of the
     same extrapolation at the channel's previous root.  That predicts it to
     a median error of 3e-5 at pi/3 with cutoff 40 and 3e-7 with cutoff 120,
-    against a bracket about pi/theta0 wide; the start changes only where f
-    is evaluated.  The channels share one evaluation state, so each starts
-    from the precision hint the channel below left.  A channel whose
+    against a bracket about pi/theta0 wide.  Its second trial is a Newton
+    step with log |f'| at the root predicted the same way; the start and
+    the slope change only where f is evaluated.  The channels share one
+    evaluation state, so each starts from the precision hint the channel
+    below left.  A channel whose
     brackets fail the check, because its roots lie closer to the lower
     channel's than their tolerance, is scanned instead, and its root count
     must still interlace, else MissedRootSuspicion.
@@ -527,20 +591,26 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
         )
     grid = _scan_grid(theta0, omega_max)
     channels: list[EigenvalueChannel] = []
+    logs: list[list[float]] = []  # log |f'| at the roots of each channel
     k = 0
     state: dict = {}  # the precision hint, handed from channel to channel
     roots = dirichlet_roots(sphere_mu(0, d), theta0, omega_max, state)
+    log_slopes = state.pop("log_slopes")
     while roots:
         channels.append(
             EigenvalueChannel(sphere_mu(k, d), degeneracy(k, d), tuple(roots))
         )
+        logs.append(log_slopes)
         k += 1
         mu, below = sphere_mu(k, d), roots
         lower = [ch.roots for ch in channels[-4:]]
-        roots = _interlaced_roots(_channel(mu, theta0, state), lower,
-                                  omega_max, grid)
-        if roots is None:
+        found = _interlaced_roots(_channel(mu, theta0, state), lower,
+                                  omega_max, grid, logs[-4:])
+        if found is not None:
+            roots, log_slopes = found
+        else:
             roots = dirichlet_roots(mu, theta0, omega_max, state)
+            log_slopes = state.pop("log_slopes")
             if not len(below) - 1 <= len(roots) <= len(below):
                 raise MissedRootSuspicion(
                     f"{len(roots)} roots at mu = {mu} do not interlace the "

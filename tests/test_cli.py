@@ -284,6 +284,24 @@ class TestCoeffs:
             "message": "sin(theta0)^(D-n) underflows at theta0=1e-150, D-n=12",
         }
 
+    def test_overflowed_weight_gamma_error_object(self, capsys, tmp_path):
+        # a user base reaches weights at D - n = 287, order 12, whose
+        # Gamma(A + b + j) overflows: exit 3 with a message that names them
+        base = {"d": 299, "coefficients": {str(n): 0.5**n for n in range(19)}}
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(base), encoding="utf-8")
+        code, out, _ = invoke(
+            capsys,
+            ["coeffs", "--dim", "300", "--theta0", "1.0", "--max-n", "17",
+             "--base-file", str(path)],
+        )
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "OverflowError",
+            "message": "Gamma factors of the angular weights overflow at "
+                       "D-n=287, order 12",
+        }
+
     @pytest.mark.parametrize("dim,theta0,max_n,shown", [
         pytest.param("12", "1e-160", "1", "theta0=1e-160, D-n=12", id="dim12"),
         pytest.param("200", "1e-5", "1", "theta0=1e-05, D-n=200", id="dim200"),

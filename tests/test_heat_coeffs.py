@@ -296,6 +296,20 @@ class TestConfigValidation:
             for e in table.entries
         )
 
+    @pytest.mark.parametrize("big_d,shown", [
+        (300, "D-n=287, order 12"), (337, "D-n=334, order 2"),
+        (340, "D-n=337, order 2"),
+    ])
+    def test_weight_gamma_overflow_named(self, big_d, shown):
+        # the angular weights' Gamma(A + b + j), A = (D - n + i)/2, passes
+        # the double range at 171.6: the error names D - n and the order
+        # instead of the errno text (sphere-base tables at these D compute)
+        config = SuspensionConfig(D=big_d, angle=AngleParams.from_theta0(1.0),
+                                  base=user_base(big_d - 1), n_max=17)
+        with pytest.raises(OverflowError, match=re.escape(
+                f"Gamma factors of the angular weights overflow at {shown}")):
+            compute_table(config)
+
     @pytest.mark.parametrize("big_d", [341, 400])
     def test_dimension_above_limit_refused(self, big_d):
         # c1's Gamma factors overflow from D = 341 at theta0 = 1

@@ -153,10 +153,13 @@ class TestGauss2F1:
     def test_at_zero(self):
         assert gauss_2f1(0.7, -1.3, 2.2, 0.0) == 1.0
 
-    @pytest.mark.parametrize("a,b,c", [(1.0, 1.0, 2.0), (2.5, 1.0, 1.5), (0.3, 0.4, 3.72)])
+    @pytest.mark.parametrize("a,b,c", [(1.0, 1.0, 2.0), (2.5, 1.0, 1.5), (0.3, 0.4, 3.72),
+                                       (1e308, 1e308, 0.5)])
     def test_off_route_refused(self, a, b, c):
         # c - a - b = 0, -2 and 3.02, none terminating: the log closed form
-        # -log(1 - x)/x, a terminating Euler transform, and neither
+        # -log(1 - x)/x, a terminating Euler transform, and neither; and
+        # finite parameters whose c - a - b overflows to -inf, which raised
+        # a bare OverflowError from rounding it
         with pytest.raises(ValidationError, match="neither terminates"):
             gauss_2f1(a, b, c, 0.3)
 

@@ -125,9 +125,24 @@ def reference_series_state(prec, omega, mu, z):
             raise SlowConvergence("Ferrers series exceeded the term budget")
 
 
+# (prec, omega, mu, z) at the edges of the kernel's loop below the turning
+# point: |omega| < 1, which skips it; odd and even int(|omega|), which end
+# it on a negative and a positive term; negative omega; omega = k + 1/2;
+# and a z so small that a term rounds to 0, the first (at 6.3) or the third
+# (at 30.2)
+KERNEL_EDGE_CASES = [
+    (64, 0.3, 0.5, 0.5), (70, -0.9, 2.7, 0.9),
+    (64, 7.0, 0.5, 0.25), (64, 8.0, 1.5, 0.75),
+    (96, 7.9, 7.5, 0.85), (96, -8.6, 0.5, 0.6), (128, -25.3, 1.0, 0.895),
+    (80, 12.5, 0.5, 0.5), (80, -3.5, 1.5, 0.85),
+    (64, 6.3, 0.5, 2.0**-70), (64, 30.2, 0.5, 2.0**-40),
+]
+
+
 def kernel_inputs(count=200, seed=8):
     """Seeded (prec, omega, mu, z): half-integer and other orders, omega = 0
-    among them, and z up to 0.9, where the terms alternate longest."""
+    among them, and z up to 0.9, where the terms alternate longest; then
+    the edge cases."""
     rng = random.Random(seed)
     cases = [(64, 0.0, 0.3, 0.5), (64, 0.0, 2.7, 0.9), (96, 1.11, 2.7, 0.895)]
     while len(cases) < count:
@@ -135,7 +150,7 @@ def kernel_inputs(count=200, seed=8):
         z = rng.uniform(0.85, 0.9) if rng.random() < 0.3 else rng.uniform(0.01, 0.9)
         mu = rng.choice((0.5, 1.5, 7.5, 40.5, 0.3, 2.7, rng.uniform(0.1, 20.0)))
         cases.append((rng.randrange(64, 400), omega, mu, z))
-    return cases
+    return cases + KERNEL_EDGE_CASES
 
 
 def single_loop_series_state(prec, omega, mu, z, bits):
@@ -174,7 +189,7 @@ def single_loop_series_state(prec, omega, mu, z, bits):
 def split_loop_inputs(count=400, seed=16):
     """Seeded (prec, omega, mu, z): negative, zero, integer, half-integer
     and sub-1 omega, each with every mu of {0.5, 1, 7.5, 30.5}, then random
-    ones of those kinds; z up to 0.9."""
+    ones of those kinds; z up to 0.9; then the edge cases."""
     rng = random.Random(seed)
     mus = (0.5, 1.0, 7.5, 30.5)
 
@@ -195,7 +210,7 @@ def split_loop_inputs(count=400, seed=16):
             rng.uniform(-60.0, 60.0),
         ))
         cases.append((rng.randrange(64, 400), omega, rng.choice(mus), draw_z()))
-    return cases
+    return cases + KERNEL_EDGE_CASES
 
 
 def mpf_series_state(prec, omega, mu, z, bits=None):
@@ -445,11 +460,12 @@ class TestDirichletRoots:
 
     @pytest.mark.parametrize("mu", [0.5, 1.5])
     def test_evaluations_per_root(self, monkeypatch, mu):
-        # plain bisection costs about 42 per root here
+        # plain bisection costs about 42 per root here, the scan 5.2 and 9.9
+        # (68 for 13 roots, 119 for 12)
         calls = count_evaluations(monkeypatch)
         roots = dirichlet_roots(mu, math.pi / 3, 40.0)
         first = calls["evaluations"]
-        assert first <= 22 * len(roots)
+        assert first <= 10 * len(roots)
         calls["evaluations"] = 0
         assert dirichlet_roots(mu, math.pi / 3, 40.0) == roots
         assert calls["evaluations"] == first
@@ -564,13 +580,17 @@ class TestSpectrum:
             assert ch.roots == tuple(dirichlet_roots(ch.mu, theta0, omega_max))
 
     @pytest.mark.parametrize("start", ["none", "left", "right", "midpoint",
-                                       "after_infinite"])
+                                       "after_infinite", "slope_zero",
+                                       "slope_inf", "slope_minus_inf",
+                                       "slope_nan", "slope_wrong_sign",
+                                       "slope_tenfold"])
     @pytest.mark.parametrize("d,theta0", [(2, math.pi / 3), (3, 1.8)])
     def test_roots_do_not_depend_on_the_guess(self, monkeypatch, start, d,
                                                theta0):
-        # the extrapolated start only moves the evaluations: a poor start,
-        # next to either end of the bracket or at its middle, or none at
-        # all, gives the same roots bit for bit
+        # the extrapolated start and slope only move the evaluations: a poor
+        # start, next to either end of the bracket or at its middle, or
+        # none at all, gives the same roots bit for bit, and so does a
+        # slope that is 0, infinite, NaN, of the wrong sign or 10x off
         omega_max = 25.0
         chans = spectrum(d, theta0, omega_max)
 
@@ -581,16 +601,31 @@ class TestSpectrum:
                     "midpoint": midpoint,
                     "after_infinite": midpoint if j % 2 else math.inf}[start]
 
+        bad_slope = {
+            "slope_zero": lambda s: 0.0,
+            "slope_inf": lambda s: math.inf,
+            "slope_minus_inf": lambda s: -math.inf,
+            "slope_nan": lambda s: math.nan,
+            "slope_wrong_sign": lambda s: s and -s,
+            "slope_tenfold": lambda s: s and 10.0 * s,
+        }.get(start)
         false_position = spectral_oracle._false_position
-        starts = []
+        starts, slopes = [], []
 
-        def recorded(f, a, fa, b, fb, width, first=None):
+        def recorded(f, a, fa, b, fb, width, first=None, slope=None):
             starts.append(first)
-            return false_position(f, a, fa, b, fb, width, first)
+            slopes.append(slope)
+            if bad_slope:
+                slope = bad_slope(slope)
+            return false_position(f, a, fa, b, fb, width, first, slope)
 
-        monkeypatch.setattr(spectral_oracle, "_extrapolated", poor)
+        if not bad_slope:
+            monkeypatch.setattr(spectral_oracle, "_extrapolated", poor)
         monkeypatch.setattr(spectral_oracle, "_false_position", recorded)
         assert spectrum(d, theta0, omega_max) == chans
+        if bad_slope:
+            # the predictions the bad slopes replaced were there to replace
+            assert any(s is not None for s in slopes)
         # a non-finite prediction leaves a non-finite miss, which must not
         # correct the next start: inf - inf would be a NaN start, and a
         # finite one would be pushed to -inf
@@ -602,15 +637,32 @@ class TestSpectrum:
     def test_evaluations_per_root(self, monkeypatch, omega_max):
         # a scan of every channel costs 16.6 per root here, the interlace
         # brackets without the extrapolated start 11.6 and 11.9, with the
-        # quadratic start and Illinois halving 7.7 and 7.1, and now 6.46
-        # and 5.47 (1,228 and 9,717 evaluations).  The re-sums, 27 and 81,
-        # were 58 and 179 when each channel's first sum started at 64 bits.
-        per_root, resums = {40.0: (6.55, 30), 120.0: (5.5, 90)}[omega_max]
+        # quadratic start and Illinois halving 7.7 and 7.1, with the cubic
+        # start 6.46 and 5.47 (1,228 and 9,717 evaluations), and with the
+        # predicted slope 5.87 and 4.79 (1,116 and 8,511).  The re-sums,
+        # 27 and 80, were 58 and 179 when each channel's first sum started
+        # at 64 bits.
+        per_root, resums = {40.0: (5.9, 27), 120.0: (4.8, 80)}[omega_max]
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, math.pi / 3, omega_max)
         roots = sum(len(ch.roots) for ch in chans)
         assert calls["evaluations"] <= per_root * roots
         assert calls["sums"] - calls["evaluations"] <= resums
+
+    @pytest.mark.parametrize("d,resums", [(2, 27), (3, 1), (4, 1)])
+    def test_resums_are_channel_zeros_on_the_grid(self, monkeypatch, d, resums):
+        # The first sum of a spectrum, at omega = 0, starts at 64 bits,
+        # below the 70 any sum needs, and re-sums.  At d = 2 channel 0's
+        # order mu = 1/2 has the exact roots k pi / theta0 = 3k, every
+        # fourth scan point: the scan evaluates within rounding of a zero
+        # there (|f| about 1.3e-16), and false position then evaluates
+        # width/2 = 2e-13 beside it.  Each of the two lose more bits to
+        # cancellation than the hint the sums before them left, so each of
+        # the 13 roots re-sums twice.  At d = 3 and 4 (mu = 1 and 3/2) no
+        # root falls on the grid, and the interlaced channels never re-sum.
+        calls = count_evaluations(monkeypatch)
+        spectrum(d, math.pi / 3, 40.0)
+        assert calls["sums"] - calls["evaluations"] == resums
 
     @pytest.mark.parametrize("offset", [-5e-14, 5e-14])
     def test_replay_scan_with_a_grid_point_in_the_bracket(self, offset):
@@ -694,9 +746,10 @@ class TestRootFinderBranches:
         def f(w):
             return 2.5 - w
 
-        assert spectral_oracle._false_position(
+        a, b, slope = spectral_oracle._false_position(
             f, 2.0, f(2.0), 3.0, f(3.0), 1e-12
-        ) == (2.5, 2.5)
+        )
+        assert (a, b) == (2.5, 2.5) and math.isnan(slope)
         roots = synthetic_roots(monkeypatch, f, 6.0)
         assert roots == scan_bisection(f, QUARTER, 6.0) == [2.5]
 
@@ -709,7 +762,8 @@ class TestRootFinderBranches:
         def f(w):
             raise AssertionError("f evaluated")
 
-        assert spectral_oracle._false_position(f, a, 1.0, b, -1.0, 1e-12) == (a, b)
+        assert spectral_oracle._false_position(f, a, 1.0, b, -1.0, 1e-12) == (
+            a, b, -2.0 / (b - a))
 
     def test_bisection_midpoint_is_the_root(self, monkeypatch):
         # 2.25 is the second midpoint of cell (2, 3): replayed against a
@@ -768,7 +822,8 @@ class TestRootFinderBranches:
         def f(w):
             return (math.pi - w) * (omega_max - w)
 
-        roots = spectral_oracle._interlaced_roots(f, [[1.5, 4.5]], omega_max, grid)
+        roots, _ = spectral_oracle._interlaced_roots(f, [[1.5, 4.5]], omega_max,
+                                                     grid)
         assert roots == scan_bisection(f, QUARTER, omega_max)
         assert roots[-1] == omega_max and len(roots) == 2
 
