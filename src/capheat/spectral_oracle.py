@@ -180,6 +180,7 @@ def _series_state(prec: int, omega: float, mu: float, z: float,
             max_abs = a
     term, total = (-a, -r) if last & 1 else (a, r)
     num = -neg_num
+    # every ratio from here on is below 1 in magnitude: the peak stays
     stop_below = max_abs >> (prec - 3)
     m = last
     while True:
@@ -193,10 +194,7 @@ def _series_state(prec: int, omega: float, mu: float, z: float,
         dq += dq_inc
         total += term
         a = abs(term)
-        if a > max_abs:
-            max_abs = a
-            stop_below = max_abs >> (prec - 3)
-        elif a < stop_below or a * tail_scale < abs(total):
+        if a < stop_below or a * tail_scale < abs(total):
             return total, max_abs
         if m > _MAX_SERIES_TERMS:
             raise SlowConvergence("Ferrers series exceeded the term budget")
