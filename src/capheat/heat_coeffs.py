@@ -165,7 +165,8 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
                 - sum_{i=1}^{n-1} a_((n-i-1)/2) F_i ],
     with a_* the base coefficients; the middle term is absent for n = 0.
     Raises OverflowError when sin^(D-n) falls below the smallest normal
-    double, where it has lost digits or underflowed to 0.
+    double, where it has lost digits or underflowed to 0, and when one of
+    the three products of nonzero factors does.
     """
     if not 0 <= n < cfg.D:
         raise IndexOutOfRange(f"index n={n} outside [0, D); D={cfg.D}")
@@ -179,14 +180,20 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
             f"sin(theta0)^(D-n) underflows at theta0={angle.theta0}, D-n={cfg.D - n}"
         )
 
-    total = (
-        sin_pow
-        / (2.0 * SQRT_PI * dmn)
-        * c1(angle, dmn)
-        * base_coefficient(cfg.base, n)
-    )
+    def term(product: float, factor: float) -> float:
+        # ``factor`` is the one factor of ``product`` that can be 0
+        if factor and abs(product) < float_info.min:
+            raise OverflowError(
+                f"a term of index n={n} underflows at theta0={angle.theta0}, "
+                f"D={cfg.D}"
+            )
+        return product
+
+    a_base = base_coefficient(cfg.base, n)
+    total = term(sin_pow / (2.0 * SQRT_PI * dmn) * c1(angle, dmn) * a_base, a_base)
     if n >= 1:
-        total -= sin_pow / 4.0 * base_coefficient(cfg.base, n - 1)
+        a_base = base_coefficient(cfg.base, n - 1)
+        total -= term(sin_pow / 4.0 * a_base, a_base)
     if n >= 2:
         structures = omega_structures(n - 1)
         shared_2f1: dict = {}  # the orders of this index share their 2F1 values
@@ -194,9 +201,8 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
             a_base = base_coefficient(cfg.base, n - i - 1)
             if a_base == 0.0:
                 continue
-            total -= sin_pow * a_base * f_total(
-                structures[i - 1], angle, dmn, shared_2f1=shared_2f1
-            )
+            weight = f_total(structures[i - 1], angle, dmn, shared_2f1=shared_2f1)
+            total -= term(sin_pow * a_base * weight, weight)
     return total
 
 

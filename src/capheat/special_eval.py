@@ -20,8 +20,11 @@ Every 2F1 and angular weight is a plan and an evaluation.  A plan holds
 what the angle does not fix, memoized: a 2F1's Gamma factors and, for each
 of its series, a prefix of the term ratios (a + m)(b + m) / ((c + m)(1 + m));
 f_total's float coefficients, Gamma ratios, 2F1 plans and z0 sum, by
-structure and d_minus_n.  The evaluation adds the cos powers and the series
-in the order of a direct evaluation, so no bit moves.  The orders of one
+structure and d_minus_n.  recip_gamma is not memoized itself: the plans and
+the sphere base's coefficients, its only callers, are.  The evaluation adds
+the cos powers and the series in the order of a direct evaluation, so no
+bit moves; the angle's sine, cosine and their squares come from
+AngleParams, which computes them once.  The orders of one
 index share their z-family 2F1 values through a dict the caller drops.  No
 value that depends on the angle outlives one table: a benchmark that
 repeats its tables then measures the code, not a cache.  The hot loops,
@@ -53,11 +56,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AngleParams:
-    """Polar opening angle with its squared sine and cosine, computed once."""
+    """Polar opening angle with its sine and cosine (signed past pi/2) and
+    their squares, all computed once."""
 
     theta0: float
     sin2: float = field(init=False)
     cos2: float = field(init=False)
+    sin_theta: float = field(init=False)
+    cos_theta: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.theta0 < math.pi:
@@ -66,19 +72,12 @@ class AngleParams:
         c = math.cos(self.theta0)
         object.__setattr__(self, "sin2", s * s)
         object.__setattr__(self, "cos2", c * c)
+        object.__setattr__(self, "sin_theta", s)
+        object.__setattr__(self, "cos_theta", c)
 
     @classmethod
     def from_theta0(cls, theta0: float) -> "AngleParams":
         return cls(theta0)
-
-    @property
-    def sin_theta(self) -> float:
-        return math.sqrt(self.sin2)
-
-    @property
-    def cos_theta(self) -> float:
-        # keep the sign for theta0 > pi/2
-        return math.copysign(math.sqrt(self.cos2), math.cos(self.theta0))
 
 
 # Series termination: two consecutive terms below _REL_TOL of the partial
@@ -93,9 +92,6 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-# A bounded memo: the plans and the sphere base ask for a few hundred integer
-# and half-integer arguments, none set by the angle.
-@lru_cache(maxsize=1024)
 def recip_gamma(x: float) -> float:
     """1 / Gamma(x), with the entire-function value 0 at nonpositive integers."""
     if _is_nonpositive_integer(x):

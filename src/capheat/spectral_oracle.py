@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,7 +51,7 @@ from .errors import (
     TailTooLarge,
     ValidationError,
 )
-from .heat_coeffs import SphereBase, SuspensionConfig
+from .heat_coeffs import SphereBase, SuspensionConfig, _index
 from .sphere_base import degeneracy, sphere_mu
 
 __all__ = [
@@ -200,21 +199,23 @@ def _series_state(prec: int, omega: float, mu: float, z: float,
             raise SlowConvergence("Ferrers series exceeded the term budget")
 
 
-def _ferrers_factor(mu: float, omega: float, z: float, state: dict) -> float:
+def _ferrers_factor(mu: float, omega: float, z: float, bits: int,
+                    state: dict) -> float:
     """2F1(1/2 - w, 1/2 + w; 1 + mu; z), cancellation-safe.
 
-    The series is summed in fixed point, first with 64 fractional bits or
-    the channel's hint; the bits lost to cancellation (log2 of max term over
-    sum) plus 70 decide whether the sum carries 53 good bits, and the
-    fractional bits are raised until it does.  A sum that rounds to 0 has
-    lost every fractional bit and escalates too: only the lockstep rule
-    below returns 0.  ``state`` carries the hint between calls of the same
-    channel, and ``state["bits"]`` the caller's target for the series'
-    tail bound: the value is good to about 2**-bits relative (_VALUE_BITS
-    when absent), and its sign is exact at any target.
+    The series is summed in fixed point, first with the channel's hint of
+    fractional bits or, in a fresh ``state``, with 70 + 32, the hint a sum
+    that loses nothing to cancellation leaves: a first sum can pass there.
+    The bits lost to cancellation (log2 of max term over sum) plus 70
+    decide whether the sum carries 53 good bits, and the fractional bits
+    are raised until it does.
+    A sum that rounds to 0 has lost every fractional bit and escalates too:
+    only the lockstep rule below returns 0.  ``state`` carries the hint
+    between calls of the same channel.  ``bits`` is the caller's target for
+    the series' tail bound: the value is good to about 2**-bits relative,
+    and its sign is exact at any target.
     """
-    prec = state.get("prec", 64)
-    bits = state.get("bits", _VALUE_BITS)
+    prec = state.get("prec", 70 + 32)
     prev_gap = prev_prec = lockstep_prec = None
     for _ in range(12):
         total, max_abs = _series_state(prec, omega, mu, z, bits)
@@ -224,7 +225,7 @@ def _ferrers_factor(mu: float, omega: float, z: float, state: dict) -> float:
         if needed <= prec:
             # generous hint: within a channel the cancellation grows with
             # omega, and extra bits are cheaper than re-summation
-            state["prec"] = max(64, needed + 32)
+            state["prec"] = needed + 32
             return total / (1 << prec)  # correctly rounded
         # Below the peak term's integer bits plus a margin, the rounding of
         # the early terms, amplified by the growth up to the peak, swamps
@@ -259,7 +260,7 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     z = 0.5 * (1.0 - x)
     if z > 0.9:
         raise SlowConvergence("argument too close to -1 (angle too close to pi)")
-    factor = _ferrers_factor(mu, omega, z, {})
+    factor = _ferrers_factor(mu, omega, z, _VALUE_BITS, {})
     if factor == 0.0:
         return 0.0
     log_value = (
@@ -350,15 +351,13 @@ def _channel(mu: float, theta0: float, state: dict | None = None):
     """The Dirichlet function of channel mu at theta0, as a function of
     omega: the Ferrers factor at cos(theta0), with the root finder's
     tail-bound target.  ``state`` carries the precision hint between
-    evaluations; a fresh one starts at 64 bits, and a spectrum passes one
-    through all its channels, so each starts from the hint the channel
-    below left."""
+    evaluations; a spectrum passes one through all its channels, so each
+    starts from the hint the channel below left."""
     z = 0.5 * (1.0 - math.cos(theta0))
     state = {} if state is None else state
-    state["bits"] = _SIGN_BITS
 
     def f(w: float) -> float:
-        return _ferrers_factor(mu, w, z, state)
+        return _ferrers_factor(mu, w, z, _SIGN_BITS, state)
 
     return f
 
@@ -747,11 +746,8 @@ def _check_fit_request(ts: Sequence[float], n_fit: int) -> None:
     """Refuse a fit of n_fit + 1 coefficients to samples at the times ``ts``
     that fit_asymptotics would refuse; it needs no trace values, so a caller
     can ask before it builds the spectrum."""
-    try:
-        if not 0 <= operator.index(n_fit) <= _MAX_N_FIT:
-            raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
-    except TypeError:
-        raise ValidationError(f"n_fit must be an integer, got {n_fit!r}") from None
+    if not 0 <= _index(n_fit, "n_fit") <= _MAX_N_FIT:
+        raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
     if len(ts) < 3 * n_fit:
         raise ValidationError("need at least 3 * n_fit samples")
     if max(ts) / min(ts) < 9.999:

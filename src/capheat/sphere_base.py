@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
+from sys import float_info
 
 from .errors import DomainError
 from .exact_series import sinh_ratio_coefficients
@@ -33,15 +34,17 @@ def sphere_mu(k: int, d: int) -> float:
     return k + 0.5 * (d - 1)
 
 
-# A bounded memo, as for recip_gamma: the value does not depend on the angle,
-# and a table of dimension D asks for the D indices of one d = D - 1.
+# A bounded memo: the value does not depend on the angle, and a table of
+# dimension D asks for the D indices of one d = D - 1.
 @lru_cache(maxsize=1024)
 def sphere_heat_coefficient(n: int, d: int) -> float:
     """Heat coefficient of index n/2 for the shifted Laplacian on the unit S^d,
     normalized so the index-0 entry equals (4 pi)^(-d/2) vol(S^d).
 
     2 sqrt(pi) (d-n-1) S_n / (2^d n! (d-1) Gamma((d-n+1)/2)); the reciprocal
-    Gamma supplies an exact zero at its poles.
+    Gamma supplies an exact zero at its poles.  Raises OverflowError when a
+    nonzero coefficient falls below the smallest normal double, where it has
+    lost digits or underflowed to 0: index 0 does from d = 269.
     """
     if d < 2:
         raise DomainError("sphere base requires d >= 2")
@@ -50,7 +53,7 @@ def sphere_heat_coefficient(n: int, d: int) -> float:
     coeff = sinh_ratio_coefficients(d - 1, n)[n]
     if coeff == 0:
         return 0.0
-    return (
+    value = (
         2.0
         * SQRT_PI
         * (d - n - 1)
@@ -58,3 +61,10 @@ def sphere_heat_coefficient(n: int, d: int) -> float:
         / (2**d * factorial(n) * (d - 1))
         * recip_gamma(0.5 * (d - n + 1))
     )
+    # (d - n + 1)/2 is a pole of Gamma for even d - n + 1 <= 0
+    exact_zero = n == d - 1 or (n > d and (n - d) % 2 == 1)
+    if abs(value) < float_info.min and not exact_zero:
+        raise OverflowError(
+            f"sphere heat coefficient of index n={n} underflows at d={d}"
+        )
+    return value

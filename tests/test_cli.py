@@ -320,6 +320,25 @@ class TestCoeffs:
             "message": f"sin(theta0)^(D-n) underflows at {shown}",
         }
 
+    @pytest.mark.parametrize("dim,message", [
+        pytest.param("269", "a term of index n=0 underflows at theta0=1.0, "
+                     "D=269", id="dim269"),
+        pytest.param("340", "sphere heat coefficient of index n=0 underflows "
+                     "at d=339", id="dim340"),
+    ])
+    def test_underflowed_entry_error_object(self, capsys, dim, message):
+        # index 0 used to print as -1.5e-323 at D = 269 and every entry as
+        # 0.0 at D = 340, with exit 0
+        code, out, _ = invoke(
+            capsys,
+            ["coeffs", "--dim", dim, "--theta0", "1.0", "--max-n", "3"],
+        )
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "type": "OverflowError",
+            "message": message,
+        }
+
     def test_order_limit(self, capsys, monkeypatch):
         # D = 19 with n_max = 18 needs cumulant order 17
         monkeypatch.setattr(legendre_asymptotics, "_omega_entry", no_algebra)

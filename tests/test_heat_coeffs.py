@@ -276,18 +276,26 @@ class TestConfigValidation:
                                base=SphereBase(np.int64(2)), n_max=np.int64(2))
         assert compute_table(cfg).entries[2].n == 2
 
-    @pytest.mark.parametrize("theta0,underflow", [
-        pytest.param(1e-3, "theta0=0.001, D-n=340", id="0.001"),
-        pytest.param(1.0, None, id="1.0"),
-        pytest.param(3.1, "theta0=3.1, D-n=340", id="3.1"),
+    @pytest.mark.parametrize("big_d,theta0,underflow", [
+        pytest.param(340, 1e-3, "sin(theta0)^(D-n) underflows at "
+                     "theta0=0.001, D-n=340", id="0.001"),
+        pytest.param(340, 1.0, "sphere heat coefficient of index n=0 "
+                     "underflows at d=339", id="1.0"),
+        pytest.param(340, 3.1, "sin(theta0)^(D-n) underflows at "
+                     "theta0=3.1, D-n=340", id="3.1"),
+        pytest.param(254, 1.0, None, id="D254"),
+        pytest.param(255, 1.0, "a term of index n=1 underflows at "
+                     "theta0=1.0, D=255", id="D255"),
     ])
-    def test_dimension_limit_computes(self, theta0, underflow):
-        # sin(theta0)^340 is below the smallest normal double at 1e-3 and
-        # 3.1: the table is refused there instead of printing zeros
-        config = sphere_config(339, theta0, 3)
+    def test_dimension_limit_computes(self, big_d, theta0, underflow):
+        # Below the smallest normal double an entry has lost digits or is 0:
+        # the table is refused instead of printing it.  sin(theta0)^340 is
+        # that small at 1e-3 and 3.1; at theta0 = 1 the d = 339 sphere's
+        # base coefficient of index 0 is, and from D = 255 the product
+        # sin^(D-1) a_0 / 4 of index 1
+        config = sphere_config(big_d - 1, theta0, 3)
         if underflow:
-            with pytest.raises(OverflowError, match=re.escape(
-                    f"sin(theta0)^(D-n) underflows at {underflow}")):
+            with pytest.raises(OverflowError, match=re.escape(underflow)):
                 compute_table(config)
             return
         table = compute_table(config)

@@ -1,9 +1,10 @@
 """Package names the benchmark relies on.
 
 ``bench/workloads.py`` wraps four cross-layer calls by module attribute for
-the spans of its ``--trace 1`` run, probes ``gauss_2f1``, and reads a few
-fields directly.  A refactor that folds or renames one of them would leave
-a span silently empty, so the calls are checked here by counting wrappers.
+the spans of its ``--trace 1`` run, probes ``gauss_2f1``, ``ferrers_p`` and
+``dirichlet_roots``, and reads a few fields directly.  A refactor that folds
+or renames one of them would leave a span silently empty, so the calls are
+checked here by counting wrappers, and the probes by calling them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from capheat import (
     SphereBase,
     SuspensionConfig,
     compute_table,
+    dirichlet_roots,
+    ferrers_p,
     gauss_2f1,
     spectrum,
 )
@@ -93,6 +96,18 @@ def test_gauss_2f1_probe():
         for two_s in range(1, 13):
             s = 0.5 * two_s
             assert math.isfinite(gauss_2f1(0.5, s, s + 1.0, angle.sin2))
+
+
+def test_oracle_probe():
+    # bench/workloads.probe_fixed times ferrers_p(0.5, 2.5k, cos(pi/3)) for
+    # k = 1..16 and dirichlet_roots(0.5, pi/3, 40) on every workload: a
+    # change to the Ferrers factor that refuses them or finds no root fails
+    # here instead of leaving those spans empty
+    x = math.cos(math.pi / 3)
+    for k in range(1, 17):
+        assert math.isfinite(ferrers_p(0.5, 2.5 * k, x))
+    roots = dirichlet_roots(0.5, math.pi / 3, 40.0)
+    assert roots and all(map(math.isfinite, roots))
 
 
 @pytest.mark.parametrize("theta0", [0.5, 2.0])

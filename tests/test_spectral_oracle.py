@@ -60,7 +60,7 @@ def bisection_roots(mu, theta0, omega_max, abs_tol=1e-10):
     state: dict = {}
 
     def f(w):
-        return _ferrers_factor(mu, w, z, state)
+        return _ferrers_factor(mu, w, z, spectral_oracle._VALUE_BITS, state)
 
     return scan_bisection(f, theta0, omega_max, abs_tol)
 
@@ -327,6 +327,14 @@ class TestFerrers:
                     assert abs(value - expected) <= 1e-13 * abs(expected), (
                         mu, omega, x)
 
+    def test_fresh_state_sums_once(self, monkeypatch):
+        # a fresh state starts at 70 + 32 fractional bits, which a sum that
+        # loses little to cancellation passes; from 64 bits every first sum
+        # re-summed, since a sum needs at least 67
+        calls = count_evaluations(monkeypatch)
+        ferrers_p(0.5, 3.3, 0.5)
+        assert calls == {"evaluations": 1, "sums": 1}
+
     def test_zero_factor(self, monkeypatch):
         monkeypatch.setattr(spectral_oracle, "_ferrers_factor",
                             lambda *args: 0.0)
@@ -393,9 +401,10 @@ class TestFixedPointKernel:
     @pytest.mark.parametrize("omega", [0.0, 0.74, 5.3, 25.1, 60.2])
     def test_factor_bit_identical_to_mpf(self, monkeypatch, mu, omega):
         zs = (0.1, 0.25, 0.5, 0.895)
-        fixed = [_ferrers_factor(mu, omega, z, {}) for z in zs]
+        bits = spectral_oracle._VALUE_BITS
+        fixed = [_ferrers_factor(mu, omega, z, bits, {}) for z in zs]
         use_mpf_kernel(monkeypatch)
-        assert fixed == [_ferrers_factor(mu, omega, z, {}) for z in zs]
+        assert fixed == [_ferrers_factor(mu, omega, z, bits, {}) for z in zs]
 
     @pytest.mark.parametrize("mu", [0.5, 3.0])
     @pytest.mark.parametrize("theta0", [math.pi / 3, math.pi / 2])
@@ -537,8 +546,8 @@ class TestSpectrum:
     def test_missing_sign_change_raises(self, monkeypatch):
         # channel 1 folded to one sign: its brackets lose their sign changes,
         # and its scan, which finds no roots, cannot interlace channel 0
-        def folded(mu, omega, z, state):
-            value = _ferrers_factor(mu, omega, z, state)
+        def folded(mu, omega, z, bits, state):
+            value = _ferrers_factor(mu, omega, z, bits, state)
             return abs(value) if mu == 1.5 else value
 
         monkeypatch.setattr(spectral_oracle, "_ferrers_factor", folded)
@@ -560,10 +569,10 @@ class TestSpectrum:
         theta0, omega_max = math.pi / 3, 20.0
         first = dirichlet_roots(0.5, theta0, omega_max)
 
-        def zero_at_first_root(mu, omega, z, state):
+        def zero_at_first_root(mu, omega, z, bits, state):
             if mu == 1.5 and omega == first[0]:
                 return 0.0
-            return _ferrers_factor(mu, omega, z, state)
+            return _ferrers_factor(mu, omega, z, bits, state)
 
         monkeypatch.setattr(spectral_oracle, "_ferrers_factor", zero_at_first_root)
         scans = []
@@ -639,9 +648,9 @@ class TestSpectrum:
         # brackets without the extrapolated start 11.6 and 11.9, with the
         # quadratic start and Illinois halving 7.7 and 7.1, with the cubic
         # start 6.46 and 5.47 (1,228 and 9,717 evaluations), and with the
-        # predicted slope 5.87 and 4.79 (1,116 and 8,511).  The re-sums,
-        # 27 and 80, were 58 and 179 when each channel's first sum started
-        # at 64 bits.
+        # predicted slope 5.87 and 4.79 (1,116 and 8,511).  The re-sums are
+        # 26 and 79; they were 27 and 80 while a fresh state started at 64
+        # bits, and 58 and 179 when each channel's first sum did.
         per_root, resums = {40.0: (5.9, 27), 120.0: (4.8, 80)}[omega_max]
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, math.pi / 3, omega_max)
@@ -649,17 +658,17 @@ class TestSpectrum:
         assert calls["evaluations"] <= per_root * roots
         assert calls["sums"] - calls["evaluations"] <= resums
 
-    @pytest.mark.parametrize("d,resums", [(2, 27), (3, 1), (4, 1)])
+    @pytest.mark.parametrize("d,resums", [(2, 26), (3, 0), (4, 0)])
     def test_resums_are_channel_zeros_on_the_grid(self, monkeypatch, d, resums):
-        # The first sum of a spectrum, at omega = 0, starts at 64 bits,
-        # below the 70 any sum needs, and re-sums.  At d = 2 channel 0's
+        # The first sum of a spectrum, at omega = 0, starts at 102 bits, a
+        # precision it passes, and does not re-sum.  At d = 2 channel 0's
         # order mu = 1/2 has the exact roots k pi / theta0 = 3k, every
         # fourth scan point: the scan evaluates within rounding of a zero
         # there (|f| about 1.3e-16), and false position then evaluates
         # width/2 = 2e-13 beside it.  Each of the two lose more bits to
         # cancellation than the hint the sums before them left, so each of
         # the 13 roots re-sums twice.  At d = 3 and 4 (mu = 1 and 3/2) no
-        # root falls on the grid, and the interlaced channels never re-sum.
+        # root falls on the grid, and no sum re-sums.
         calls = count_evaluations(monkeypatch)
         spectrum(d, math.pi / 3, 40.0)
         assert calls["sums"] - calls["evaluations"] == resums
