@@ -1,46 +1,49 @@
 """Heat kernel coefficients for Dirichlet Laplacians on spherical
 suspensions (Riemann caps), assembled from base-manifold data and verified
-against an independent Legendre-function eigenvalue oracle."""
+against an independent Legendre-function eigenvalue oracle.
 
-from .exact_series import bernoulli, sinh_ratio_coefficients
-from .heat_coeffs import (
-    BaseDescriptor,
-    CoefficientTable,
-    SphereBase,
-    SuspensionConfig,
-    UserBase,
-    assemble_script_A,
-    compute_table,
-    log_coefficient,
-    mass_shift,
-    shift_to_pure_laplacian,
-    table_to_dict,
-)
-from .legendre_asymptotics import (
-    NuGPolynomial,
-    StructuredOmega,
-    chi,
-    extract_structure,
-    omega,
-)
-from .special_eval import (
-    AngleParams,
-    c1,
-    f_total,
-    gauss_2f1,
-)
-from .spectral_oracle import (
-    EigenvalueChannel,
-    HeatTraceSample,
-    dirichlet_roots,
-    ferrers_p,
-    fit_asymptotics,
-    heat_trace,
-    spectrum,
-)
-from .sphere_base import (
-    degeneracy,
-    sphere_heat_coefficient,
-)
+Each public name loads its submodule on first access (PEP 562), so
+``import capheat`` loads none of them and a command pays only for the
+modules it uses.
+"""
+
+from importlib import import_module
+
+# the public names, by the submodule that defines each
+_SUBMODULE_NAMES = {
+    "exact_series": ("bernoulli", "sinh_ratio_coefficients"),
+    "heat_coeffs": (
+        "BaseDescriptor", "CoefficientTable", "SphereBase", "SuspensionConfig",
+        "UserBase", "assemble_script_A", "compute_table", "log_coefficient",
+        "mass_shift", "shift_to_pure_laplacian", "table_to_dict",
+    ),
+    "legendre_asymptotics": (
+        "NuGPolynomial", "StructuredOmega", "chi", "extract_structure", "omega",
+    ),
+    "special_eval": ("AngleParams", "c1", "f_total", "gauss_2f1"),
+    "spectral_oracle": (
+        "EigenvalueChannel", "HeatTraceSample", "dirichlet_roots", "ferrers_p",
+        "fit_asymptotics", "heat_trace", "spectrum",
+    ),
+    "sphere_base": ("degeneracy", "sphere_heat_coefficient"),
+}
+_EXPORTS = {
+    name: module for module, names in _SUBMODULE_NAMES.items() for name in names
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

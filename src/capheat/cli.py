@@ -15,24 +15,9 @@ import math
 import sys
 from itertools import groupby
 
+# only the errors load with the module: each command imports the modules it
+# runs, so a fresh omega loads the cumulant algebra alone and coeffs no oracle
 from .errors import CapheatError, ValidationError
-from .heat_coeffs import (
-    SphereBase,
-    SuspensionConfig,
-    UserBase,
-    compute_table,
-    table_to_dict,
-)
-from .legendre_asymptotics import omega as omega_functions
-from .special_eval import AngleParams
-from .spectral_oracle import (
-    _MAX_N_FIT,
-    _check_fit_request,
-    default_omega_max,
-    fit_asymptotics,
-    heat_trace,
-    dirichlet_roots,
-)
 
 # each verify time sample is one pass over every root: 10,000 samples take
 # 0.11 s of heat_trace over the README example's 1,777 roots, and that
@@ -41,7 +26,9 @@ from .spectral_oracle import (
 _MAX_POINTS = 10_000
 
 
-def _angle_from(args) -> AngleParams:
+def _angle_from(args):
+    from .special_eval import AngleParams
+
     theta0 = args.theta0
     if args.theta0_deg is not None:
         theta0 = math.radians(args.theta0_deg)
@@ -58,6 +45,8 @@ def _number(value, what: str) -> float:
 
 
 def _base_from(args, d: int):
+    from .heat_coeffs import SphereBase, UserBase
+
     if args.base_file:
         with open(args.base_file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -90,6 +79,8 @@ def _emit_json(payload) -> None:
 
 
 def cmd_coeffs(args) -> int:
+    from .heat_coeffs import SuspensionConfig, compute_table, table_to_dict
+
     cfg = SuspensionConfig(
         D=args.dim,
         angle=_angle_from(args),
@@ -111,6 +102,8 @@ def cmd_coeffs(args) -> int:
 def _omega_parts(order: int):
     """(i, [(j, [(e, c), ...]), ...]) per cumulant function: its nonzero
     (1 + gamma^2)^(-j) parts with their v^e coefficients, in ascending j and e."""
+    from .legendre_asymptotics import omega as omega_functions
+
     for i, om in enumerate(omega_functions(order), start=1):
         parts = groupby(om.monomials(), key=lambda m: m[0][0])
         yield i, [(j, [(e, c) for (_, e), c in group]) for j, group in parts]
@@ -160,6 +153,8 @@ def cmd_omega(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from .spectral_oracle import dirichlet_roots
+
     angle = _angle_from(args)
     roots = dirichlet_roots(args.mu, angle.theta0, args.omega_max)
     if args.format == "json":
@@ -181,6 +176,15 @@ def cmd_roots(args) -> int:
 
 def cmd_verify(args) -> int:
     import numpy as np
+
+    from .heat_coeffs import SphereBase, SuspensionConfig, compute_table
+    from .spectral_oracle import (
+        _MAX_N_FIT,
+        _check_fit_request,
+        default_omega_max,
+        fit_asymptotics,
+        heat_trace,
+    )
 
     if not 0.0 < args.t_min < args.t_max < math.inf:
         raise ValidationError("need 0 < --t-min < --t-max, both finite")

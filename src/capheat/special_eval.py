@@ -303,12 +303,29 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     return value
 
 
+# slack of c1's upper bound for the rounding of a value near it: a few ulps
+_C1_SLACK = 1.0 + 8.0 * 2.0**-52
+
+
 def c1(angle: AngleParams, two_s: float) -> float:
-    """Closed-form angular factor 2F1(1/2, s, s+1; sin^2 theta0), s = two_s/2."""
+    """Closed-form angular factor 2F1(1/2, s, s+1; sin^2 theta0), s = two_s/2.
+
+    Its terms are positive and s/(s+k) <= 1, so for x = sin^2 theta0 < 1 the
+    value lies in [1, (1 - x)^(-1/2)].  The connection formula's two terms
+    cancel at large s away from the equator and can leave that range (from
+    D - n = 150 at theta0 = 1); such a value raises NumericalError.
+    """
     if two_s <= 0.0:
         raise ValueError("two_s must be positive")
     s = 0.5 * two_s
-    return _hyp2f1_eval(_hyp2f1_plan(0.5, s, s + 1.0), angle.sin2, angle.cos2)
+    value = _hyp2f1_eval(_hyp2f1_plan(0.5, s, s + 1.0), angle.sin2, angle.cos2)
+    if not 1.0 <= value <= _C1_SLACK / math.sqrt(angle.cos2):
+        raise NumericalError(
+            f"c1 = {value!r} lies outside its range [1, 1/|cos(theta0)|] at "
+            f"theta0={angle.theta0}, D-n={two_s:g}: the connection formula "
+            f"cancelled"
+        )
+    return value
 
 
 # Keyed by structure identity and d_minus_n.  A table of dimension D needs

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -69,19 +70,42 @@ loaded()
 """
 
 
-@pytest.fixture(scope="module")
-def import_snapshots():
+# the modules a fresh process holds after one command, or after a bare
+# ``import capheat`` when no command is given
+MODULES_PROBE = """
+import contextlib, io, sys
+if sys.argv[1:]:
+    from capheat.cli import run
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(sys.argv[1:]) == 0, sys.argv
+else:
+    import capheat
+print(" ".join(sys.modules))
+"""
+
+
+def fresh_python(code, *args) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this checkout."""
     src = str(Path(capheat.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split("\n")[:4]
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def import_snapshots():
+    return fresh_python(IMPORT_PROBE).split("\n")[:4]
+
+
+def modules_after(*argv) -> set[str]:
+    return set(fresh_python(MODULES_PROBE, *argv).split())
 
 
 class TestImports:
@@ -95,6 +119,46 @@ class TestImports:
         # the probe sees an import when one happens; no entry point of
         # capheat loads mpmath
         assert import_snapshots[2:] == ["numpy", "numpy"]
+
+    def test_omega_loads_the_cumulant_algebra_alone(self):
+        loaded = modules_after("omega", "--order", "3", "--format", "tex")
+        assert "capheat.legendre_asymptotics" in loaded
+        assert not loaded & {
+            "dataclasses",
+            "capheat.heat_coeffs",
+            "capheat.special_eval",
+            "capheat.sphere_base",
+            "capheat.spectral_oracle",
+        }
+
+    def test_coeffs_loads_no_oracle(self):
+        loaded = modules_after("coeffs", "--dim", "4", "--theta0", "1.0",
+                               "--max-n", "3")
+        assert "capheat.heat_coeffs" in loaded
+        assert "capheat.spectral_oracle" not in loaded
+
+    def test_bare_import_loads_no_submodule(self):
+        assert {m for m in modules_after() if m.startswith("capheat.")} == set()
+
+
+class TestNamespace:
+    def test_names_are_their_modules_objects(self):
+        for name in capheat.__all__:
+            module = importlib.import_module(f"capheat.{capheat._EXPORTS[name]}")
+            assert getattr(capheat, name) is getattr(module, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from capheat import *", namespace)
+        for name in capheat.__all__:
+            assert namespace[name] is getattr(capheat, name), name
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            capheat.no_such_name
+
+    def test_version(self):
+        assert capheat.__version__ == "0.1.0"
 
 
 class TestCoeffs:
@@ -287,12 +351,13 @@ class TestCoeffs:
     def test_overflowed_weight_gamma_error_object(self, capsys, tmp_path):
         # a user base reaches weights at D - n = 287, order 12, whose
         # Gamma(A + b + j) overflows: exit 3 with a message that names them
+        # (at theta0 = 1.4, where c1 is accurate and refuses nothing first)
         base = {"d": 299, "coefficients": {str(n): 0.5**n for n in range(19)}}
         path = tmp_path / "base.json"
         path.write_text(json.dumps(base), encoding="utf-8")
         code, out, _ = invoke(
             capsys,
-            ["coeffs", "--dim", "300", "--theta0", "1.0", "--max-n", "17",
+            ["coeffs", "--dim", "300", "--theta0", "1.4", "--max-n", "17",
              "--base-file", str(path)],
         )
         assert code == 3
@@ -321,23 +386,35 @@ class TestCoeffs:
         }
 
     @pytest.mark.parametrize("dim,message", [
-        pytest.param("269", "a term of index n=0 underflows at theta0=1.0, "
+        pytest.param("269", "a term of index n=0 underflows at theta0=1.4, "
                      "D=269", id="dim269"),
         pytest.param("340", "sphere heat coefficient of index n=0 underflows "
                      "at d=339", id="dim340"),
     ])
     def test_underflowed_entry_error_object(self, capsys, dim, message):
-        # index 0 used to print as -1.5e-323 at D = 269 and every entry as
-        # 0.0 at D = 340, with exit 0
+        # index 0 used to print as -1.5e-323 at D = 269, theta0 = 1, and
+        # every entry as 0.0 at D = 340, with exit 0; the angle is 1.4,
+        # where c1 is accurate (at 1.0 it refuses first, from D = 150)
         code, out, _ = invoke(
             capsys,
-            ["coeffs", "--dim", dim, "--theta0", "1.0", "--max-n", "3"],
+            ["coeffs", "--dim", dim, "--theta0", "1.4", "--max-n", "3"],
         )
         assert code == 3
         assert json.loads(out)["error"] == {
             "type": "OverflowError",
             "message": message,
         }
+
+    def test_cancelled_c1_error_object(self, capsys):
+        # index 0, a positive volume term, used to print as -3.6e-303
+        code, out, _ = invoke(
+            capsys, ["coeffs", "--dim", "254", "--theta0", "1.0", "--max-n", "3"]
+        )
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "NumericalError"
+        assert error["message"].endswith("at theta0=1.0, D-n=254: the "
+                                         "connection formula cancelled")
 
     def test_order_limit(self, capsys, monkeypatch):
         # D = 19 with n_max = 18 needs cumulant order 17
@@ -364,7 +441,8 @@ class TestCoeffs:
         def fail(*args):
             raise error("injected")
 
-        monkeypatch.setattr(cli, "compute_table", fail)
+        # the command imports compute_table when it runs
+        monkeypatch.setattr(heat_coeffs, "compute_table", fail)
         code, out, _ = invoke(
             capsys, ["coeffs", "--dim", "3", "--theta0", "1", "--max-n", "1"]
         )

@@ -13,6 +13,7 @@ import pytest
 from capheat.errors import (
     IndexOutOfRange,
     InsufficientBaseData,
+    NumericalError,
     ValidationError,
 )
 from capheat.heat_coeffs import (
@@ -276,26 +277,31 @@ class TestConfigValidation:
                                base=SphereBase(np.int64(2)), n_max=np.int64(2))
         assert compute_table(cfg).entries[2].n == 2
 
-    @pytest.mark.parametrize("big_d,theta0,underflow", [
-        pytest.param(340, 1e-3, "sin(theta0)^(D-n) underflows at "
+    @pytest.mark.parametrize("big_d,theta0,error,message", [
+        pytest.param(340, 1e-3, OverflowError, "sin(theta0)^(D-n) underflows at "
                      "theta0=0.001, D-n=340", id="0.001"),
-        pytest.param(340, 1.0, "sphere heat coefficient of index n=0 "
+        pytest.param(340, 1.0, OverflowError, "sphere heat coefficient of index n=0 "
                      "underflows at d=339", id="1.0"),
-        pytest.param(340, 3.1, "sin(theta0)^(D-n) underflows at "
+        pytest.param(340, 3.1, OverflowError, "sin(theta0)^(D-n) underflows at "
                      "theta0=3.1, D-n=340", id="3.1"),
-        pytest.param(254, 1.0, None, id="D254"),
-        pytest.param(255, 1.0, "a term of index n=1 underflows at "
-                     "theta0=1.0, D=255", id="D255"),
+        pytest.param(254, 1.0, NumericalError, "c1 = -3407872.0 lies outside "
+                     "its range [1, 1/|cos(theta0)|] at theta0=1.0, D-n=254",
+                     id="D254"),
+        pytest.param(215, 0.5, None, None, id="D215"),
+        pytest.param(255, 0.5, OverflowError, "a term of index n=0 underflows at "
+                     "theta0=0.5, D=255", id="D255"),
     ])
-    def test_dimension_limit_computes(self, big_d, theta0, underflow):
+    def test_dimension_limit_computes(self, big_d, theta0, error, message):
         # Below the smallest normal double an entry has lost digits or is 0:
         # the table is refused instead of printing it.  sin(theta0)^340 is
-        # that small at 1e-3 and 3.1; at theta0 = 1 the d = 339 sphere's
-        # base coefficient of index 0 is, and from D = 255 the product
-        # sin^(D-1) a_0 / 4 of index 1
+        # that small at 1e-3 and 3.1, the d = 339 sphere's base coefficient
+        # of index 0 at theta0 = 1, and from D = 216 at theta0 = 0.5 the
+        # entry of index 0.  At theta0 = 1 c1 cancels to a value outside
+        # its range first, from D = 150: D = 254 used to print a negative
+        # volume term
         config = sphere_config(big_d - 1, theta0, 3)
-        if underflow:
-            with pytest.raises(OverflowError, match=re.escape(underflow)):
+        if error:
+            with pytest.raises(error, match=re.escape(message)):
                 compute_table(config)
             return
         table = compute_table(config)
@@ -311,8 +317,9 @@ class TestConfigValidation:
     def test_weight_gamma_overflow_named(self, big_d, shown):
         # the angular weights' Gamma(A + b + j), A = (D - n + i)/2, passes
         # the double range at 171.6: the error names D - n and the order
-        # instead of the errno text (sphere-base tables at these D compute)
-        config = SuspensionConfig(D=big_d, angle=AngleParams.from_theta0(1.0),
+        # instead of the errno text.  At theta0 = 1.4 c1 is accurate at
+        # these D, so no other refusal comes first
+        config = SuspensionConfig(D=big_d, angle=AngleParams.from_theta0(1.4),
                                   base=user_base(big_d - 1), n_max=17)
         with pytest.raises(OverflowError, match=re.escape(
                 f"Gamma factors of the angular weights overflow at {shown}")):

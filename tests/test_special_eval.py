@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -559,6 +560,25 @@ class TestC1:
         assert abs(c1(angle, d_minus_n) - oracle) <= 1e-10
 
 
+    @pytest.mark.parametrize("theta0,first", [
+        (1.0, 150), (math.pi / 3, 179), (2.0, 275), (2.2, 121),
+    ])
+    def test_value_outside_its_range_refused(self, theta0, first):
+        # 2F1(1/2, s; s+1; x) lies in [1, (1 - x)^(-1/2)]; the connection
+        # formula's cancellation leaves that range from D - n = ``first``
+        angle = AngleParams.from_theta0(theta0)
+        assert 1.0 <= c1(angle, first - 1.0) <= 1.0 / abs(angle.cos_theta)
+        with pytest.raises(NumericalError, match=re.escape(
+                f"at theta0={theta0}, D-n={first}: the connection formula")):
+            c1(angle, float(first))
+
+    @pytest.mark.parametrize("theta0", [0.5, 1.2, 1.4, math.pi / 2])
+    def test_in_range_where_accurate(self, theta0):
+        angle = AngleParams.from_theta0(theta0)
+        for d_minus_n in range(1, 341):
+            c1(angle, float(d_minus_n))
+
+
 class TestC2:
     """The gamma-free family x of f_total."""
 
@@ -614,15 +634,14 @@ class TestC4:
 
     def test_low_parameter_check_survives_optimization(self, monkeypatch):
         # an explicit check, not an assert: it also runs under python -O
-        import dataclasses
         from fractions import Fraction
 
         from capheat import special_eval
 
         monkeypatch.setattr(special_eval, "chi", lambda i: -1)
         s1 = structure(1)
-        widened = dataclasses.replace(
-            s1, z_coeffs={**s1.z_coeffs, (-1, 1): Fraction(1)}
+        widened = StructuredOmega(
+            1, s1.x_coeffs, s1.z0_coeffs, {**s1.z_coeffs, (-1, 1): Fraction(1)}
         )
         with pytest.raises(ValueError, match="too low"):
             f_total(widened, AngleParams.from_theta0(0.8), 2.0)
