@@ -15,17 +15,17 @@ _SUBMODULE_NAMES = {
     "heat_coeffs": (
         "BaseDescriptor", "CoefficientTable", "SphereBase", "SuspensionConfig",
         "UserBase", "assemble_script_A", "compute_table", "log_coefficient",
-        "mass_shift", "shift_to_pure_laplacian", "table_to_dict",
+        "mass_shift", "shift_to_pure_laplacian", "sphere_heat_coefficient",
+        "table_to_dict",
     ),
     "legendre_asymptotics": (
         "NuGPolynomial", "StructuredOmega", "chi", "extract_structure", "omega",
     ),
     "special_eval": ("AngleParams", "c1", "f_total", "gauss_2f1"),
     "spectral_oracle": (
-        "EigenvalueChannel", "HeatTraceSample", "dirichlet_roots", "ferrers_p",
-        "fit_asymptotics", "heat_trace", "spectrum",
+        "EigenvalueChannel", "HeatTraceSample", "degeneracy", "dirichlet_roots",
+        "ferrers_p", "fit_asymptotics", "heat_trace", "spectrum",
     ),
-    "sphere_base": ("degeneracy", "sphere_heat_coefficient"),
 }
 _EXPORTS = {
     name: module for module, names in _SUBMODULE_NAMES.items() for name in names

@@ -26,13 +26,10 @@ from .errors import CapheatError, ValidationError
 _MAX_POINTS = 10_000
 
 
-def _angle_from(args):
-    from .special_eval import AngleParams
-
-    theta0 = args.theta0
+def _theta0_from(args) -> float:
     if args.theta0_deg is not None:
-        theta0 = math.radians(args.theta0_deg)
-    return AngleParams.from_theta0(theta0)
+        return math.radians(args.theta0_deg)
+    return args.theta0
 
 
 def _number(value, what: str) -> float:
@@ -80,10 +77,11 @@ def _emit_json(payload) -> None:
 
 def cmd_coeffs(args) -> int:
     from .heat_coeffs import SuspensionConfig, compute_table, table_to_dict
+    from .special_eval import AngleParams
 
     cfg = SuspensionConfig(
         D=args.dim,
-        angle=_angle_from(args),
+        angle=AngleParams.from_theta0(_theta0_from(args)),
         base=_base_from(args, args.dim - 1),
         n_max=args.max_n,
         mass=args.mass,
@@ -155,13 +153,14 @@ def cmd_omega(args) -> int:
 def cmd_roots(args) -> int:
     from .spectral_oracle import dirichlet_roots
 
-    angle = _angle_from(args)
-    roots = dirichlet_roots(args.mu, angle.theta0, args.omega_max)
+    # dirichlet_roots validates the angle; AngleParams would load the assembly
+    theta0 = _theta0_from(args)
+    roots = dirichlet_roots(args.mu, theta0, args.omega_max)
     if args.format == "json":
         _emit_json(
             {
                 "mu": args.mu,
-                "theta0": angle.theta0,
+                "theta0": theta0,
                 "omega_max": args.omega_max,
                 "roots": roots,
             }
@@ -178,6 +177,7 @@ def cmd_verify(args) -> int:
     import numpy as np
 
     from .heat_coeffs import SphereBase, SuspensionConfig, compute_table
+    from .special_eval import AngleParams
     from .spectral_oracle import (
         _MAX_N_FIT,
         _check_fit_request,
@@ -194,7 +194,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"--max-n {args.max_n} is above the limit {_MAX_N_FIT} of the fit"
         )
-    angle = _angle_from(args)
+    angle = AngleParams.from_theta0(_theta0_from(args))
     cfg = SuspensionConfig(
         D=args.dim,
         angle=angle,

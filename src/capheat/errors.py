@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class CapheatError(Exception):
     """Base class for all package-specific errors."""
@@ -9,6 +11,14 @@ class CapheatError(Exception):
 
 class ValidationError(CapheatError):
     """Bad arguments or configuration, detected before any computation."""
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int; ValidationError for what operator.index refuses."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 class StructureViolation(CapheatError):

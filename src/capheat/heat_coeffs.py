@@ -3,27 +3,31 @@
 The shifted operator (Laplacian plus d^2/4) is assembled first; the pure
 Laplacian follows by an exact convolution, and a mass term folds in the same
 way.  Everything is expressed over base heat coefficients, so user-supplied
-bases need only the numbers users actually know.
+bases need only the numbers users actually know; the unit sphere's come
+from a closed form.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, inf, isfinite
 from sys import float_info
 from typing import Mapping, Union
 
-from . import sphere_base
-from .errors import IndexOutOfRange, InsufficientBaseData, ValidationError
+from .errors import (
+    DomainError, IndexOutOfRange, InsufficientBaseData, ValidationError, _index,
+)
+from .exact_series import sinh_ratio_coefficients
 from .legendre_asymptotics import _MAX_ORDER, omega_structures
-from .special_eval import SQRT_PI, AngleParams, c1, f_total
+from .special_eval import SQRT_PI, AngleParams, c1, f_total, recip_gamma
 
 __all__ = [
     "SphereBase",
     "UserBase",
     "BaseDescriptor",
     "SuspensionConfig",
+    "sphere_heat_coefficient",
     "CoefficientEntry",
     "CoefficientTable",
     "base_coefficient",
@@ -36,14 +40,6 @@ __all__ = [
 ]
 
 
-def _index(value, name: str) -> int:
-    """``value`` as an int; ValidationError for what operator.index refuses."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SphereBase:
     """Unit d-sphere base; all data comes from closed forms."""
@@ -53,6 +49,43 @@ class SphereBase:
     def __post_init__(self):
         if _index(self.d, "sphere base dimension") < 2:
             raise ValidationError("sphere base requires d >= 2")
+
+
+# A bounded memo: the value does not depend on the angle, and a table of
+# dimension D asks for the D indices of one d = D - 1.  Typed, so that a
+# float index never reads the entry of its integer.
+@lru_cache(maxsize=1024, typed=True)
+def sphere_heat_coefficient(n: int, d: int) -> float:
+    """Heat coefficient of index n/2 for the shifted Laplacian on the unit S^d,
+    normalized so the index-0 entry equals (4 pi)^(-d/2) vol(S^d).
+
+    2 sqrt(pi) (d-n-1) S_n / (2^d n! (d-1) Gamma((d-n+1)/2)); the reciprocal
+    Gamma supplies an exact zero at its poles.  Raises OverflowError when a
+    nonzero coefficient falls below the smallest normal double, where it has
+    lost digits or underflowed to 0: index 0 does from d = 269.
+    """
+    if _index(d, "sphere dimension d") < 2:
+        raise DomainError("sphere base requires d >= 2")
+    if _index(n, "index n") < 0:
+        raise ValueError("index must be nonnegative")
+    coeff = sinh_ratio_coefficients(d - 1, n)[n]
+    if coeff == 0:
+        return 0.0
+    value = (
+        2.0
+        * SQRT_PI
+        * (d - n - 1)
+        * float(coeff)
+        / (2**d * factorial(n) * (d - 1))
+        * recip_gamma(0.5 * (d - n + 1))
+    )
+    # (d - n + 1)/2 is a pole of Gamma for even d - n + 1 <= 0
+    exact_zero = n == d - 1 or (n > d and (n - d) % 2 == 1)
+    if abs(value) < float_info.min and not exact_zero:
+        raise OverflowError(
+            f"sphere heat coefficient of index n={n} underflows at d={d}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -148,7 +181,7 @@ def base_coefficient(base: BaseDescriptor, n: int) -> float:
     if n < 0:
         return 0.0
     if isinstance(base, SphereBase):
-        return sphere_base.sphere_heat_coefficient(n, base.d)
+        return sphere_heat_coefficient(n, base.d)
     try:
         return float(base.coefficients[n])
     except KeyError:

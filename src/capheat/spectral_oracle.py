@@ -29,8 +29,9 @@ Everything else runs on doubles: the Ferrers prefactor and the incomplete
 gamma function of the Weyl tail are closed forms summed as logarithms.
 numpy serves the trace sums and the fit and is imported inside the two
 functions that use it, so ``ferrers_p``, ``dirichlet_roots`` and
-``spectrum`` (and the ``roots`` command) do not load it.  Nothing here
-shares code with the assembly pipeline it is used to verify.
+``spectrum`` (and the ``roots`` command) do not load it.  The oracle
+imports nothing from the assembly pipeline it is used to verify: it owns
+the sphere's channel data, and only ``heat_trace`` reads ``SphereBase``.
 """
 
 from __future__ import annotations
@@ -40,21 +41,26 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     AssumptionViolation,
+    DomainError,
     IllConditioned,
     MissedRootSuspicion,
     NumericalError,
     SlowConvergence,
     TailTooLarge,
     ValidationError,
+    _index,
 )
-from .heat_coeffs import SphereBase, SuspensionConfig, _index
-from .sphere_base import degeneracy, sphere_mu
+
+if TYPE_CHECKING:
+    from .heat_coeffs import SuspensionConfig
 
 __all__ = [
+    "degeneracy",
+    "sphere_mu",
     "EigenvalueChannel",
     "HeatTraceSample",
     "FitResult",
@@ -94,6 +100,20 @@ _MAX_N_FIT = 4
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def degeneracy(k: int, d: int) -> int:
+    """Multiplicity of the k-th hyperspherical harmonic level on S^d."""
+    if _index(d, "sphere dimension d") < 2:
+        raise DomainError("sphere base requires d >= 2")
+    if _index(k, "level index k") < 0:
+        raise ValueError("level index must be nonnegative")
+    return (2 * k + d - 1) * math.comb(k + d - 2, d - 2) // (d - 1)
+
+
+def sphere_mu(k: int, d: int) -> float:
+    """Shifted frequency of level k: k + (d-1)/2, the order of channel k."""
+    return k + 0.5 * (d - 1)
+
+
 @dataclass(frozen=True)
 class EigenvalueChannel:
     """All Dirichlet roots of one angular channel (fixed mu)."""
@@ -101,10 +121,6 @@ class EigenvalueChannel:
     mu: float
     degeneracy: int
     roots: tuple[float, ...]
-
-    def alpha_squared(self, d: int) -> tuple[float, ...]:
-        shift = 0.25 * d * d
-        return tuple(w * w - shift for w in self.roots)
 
 
 @dataclass(frozen=True)
@@ -565,19 +581,18 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     step with log |f'| at the root predicted the same way; the start and
     the slope change only where f is evaluated.  The channels share one
     evaluation state, so each starts from the precision hint the channel
-    below left.  A channel whose
-    brackets fail the check, because its roots lie closer to the lower
-    channel's than their tolerance, is scanned instead, and its root count
-    must still interlace, else MissedRootSuspicion.
-    Either way the roots are bit-identical to a scan of each channel.  The
-    first root of a channel increases with mu, so the loop stops at the
-    first channel with no roots in range.
+    below left.  A channel whose brackets fail the check, because its roots
+    lie closer to the lower channel's than their tolerance, is scanned like
+    channel 0, and its root count must still interlace, else
+    MissedRootSuspicion.  Either way the roots are bit-identical to a scan
+    of each channel.  The first root of a channel increases with mu, so the
+    loop stops at the first channel with no roots in range.
 
     A request whose estimated root count, omega_max^2 theta0 sin(theta0) /
     (2 pi) with the sine taken as 1 past pi/2, exceeds _MAX_ROOTS is
     refused before any evaluation.
     """
-    SphereBase(d)  # the oracle supports sphere bases only: refuses d < 2
+    degeneracy(0, d)  # the oracle supports sphere bases only: refuses d < 2
     _check_scan(sphere_mu(0, d), theta0, omega_max)
     sin_t = math.sin(theta0) if theta0 < 0.5 * math.pi else 1.0
     estimate = omega_max * omega_max * theta0 * sin_t / (2.0 * math.pi)
@@ -589,41 +604,28 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     grid = _scan_grid(theta0, omega_max)
     channels: list[EigenvalueChannel] = []
     logs: list[list[float]] = []  # log |f'| at the roots of each channel
-    k = 0
     state: dict = {}  # the precision hint, handed from channel to channel
-    roots = dirichlet_roots(sphere_mu(0, d), theta0, omega_max, state)
-    log_slopes = state.pop("log_slopes")
-    while roots:
-        channels.append(
-            EigenvalueChannel(sphere_mu(k, d), degeneracy(k, d), tuple(roots))
-        )
-        logs.append(log_slopes)
-        k += 1
-        mu, below = sphere_mu(k, d), roots
+    k = 0
+    while True:
+        mu = sphere_mu(k, d)
         lower = [ch.roots for ch in channels[-4:]]
-        found = _interlaced_roots(_channel(mu, theta0, state), lower,
-                                  omega_max, grid, logs[-4:])
-        if found is not None:
+        found = lower and _interlaced_roots(_channel(mu, theta0, state), lower,
+                                            omega_max, grid, logs[-4:])
+        if found:
             roots, log_slopes = found
         else:
             roots = dirichlet_roots(mu, theta0, omega_max, state)
             log_slopes = state.pop("log_slopes")
-            if not len(below) - 1 <= len(roots) <= len(below):
+            if lower and len(lower[-1]) - len(roots) not in (0, 1):
                 raise MissedRootSuspicion(
                     f"{len(roots)} roots at mu = {mu} do not interlace the "
-                    f"{len(below)} of the channel one order lower"
+                    f"{len(lower[-1])} of the channel one order lower"
                 )
-    return channels
-
-
-def _check_positivity(channels: Sequence[EigenvalueChannel], d: int) -> None:
-    shift = 0.25 * d * d
-    for ch in channels:
-        for w in ch.roots:
-            if w * w <= shift:
-                raise AssumptionViolation(
-                    f"eigenvalue omega={w} at mu={ch.mu} is not above d/2"
-                )
+        if not roots:
+            return channels
+        channels.append(EigenvalueChannel(mu, degeneracy(k, d), tuple(roots)))
+        logs.append(log_slopes)
+        k += 1
 
 
 def _log_upper_gamma(twice_a: int, y: float) -> float:
@@ -699,10 +701,12 @@ def heat_trace(
 
     omega_max is the spectral cutoff (of ``channels`` too, when given).
     Only sphere bases are supported: those are the only bases with closed
-    form degeneracies.  Raises TailTooLarge when a requested time is too
-    small for the cutoff.
+    form degeneracies.  Raises AssumptionViolation for a root omega <= d/2
+    and TailTooLarge when a requested time is too small for the cutoff.
     """
     import numpy as np
+
+    from .heat_coeffs import SphereBase
 
     if not isinstance(cfg.base, SphereBase):
         raise ValidationError("heat_trace supports sphere bases only")
@@ -714,14 +718,16 @@ def heat_trace(
         channels = spectrum(d, cfg.angle.theta0, omega_max)
     if not channels:
         raise TailTooLarge("no eigenvalues below the cutoff")
-    _check_positivity(channels, d)
 
-    alpha_sq = np.concatenate(
-        [np.asarray(ch.alpha_squared(d)) for ch in channels]
-    )
-    weights = np.concatenate(
-        [np.full(len(ch.roots), float(ch.degeneracy)) for ch in channels]
-    )
+    omega = np.array([w for ch in channels for w in ch.roots], dtype=float)
+    alpha_sq = omega * omega - 0.25 * d * d
+    low = np.flatnonzero(alpha_sq <= 0.0)
+    if low.size:
+        raise AssumptionViolation(
+            f"eigenvalue omega={omega[low[0]]} is not above d/2 = {0.5 * d}"
+        )
+    weights = np.repeat([float(ch.degeneracy) for ch in channels],
+                        [len(ch.roots) for ch in channels])
     weighted_count = float(weights.sum())
 
     samples = []
@@ -749,7 +755,8 @@ def _check_fit_request(ts: Sequence[float], n_fit: int) -> None:
     if not 0 <= _index(n_fit, "n_fit") <= _MAX_N_FIT:
         raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
     if len(ts) < 3 * n_fit:
-        raise ValidationError("need at least 3 * n_fit samples")
+        raise ValidationError(f"need at least {3 * n_fit} samples to fit "
+                              f"{n_fit + 1} coefficients, got {len(ts)}")
     if max(ts) / min(ts) < 9.999:
         raise ValidationError("samples must span at least a decade in t")
 

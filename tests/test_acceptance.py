@@ -20,11 +20,16 @@ from capheat.heat_coeffs import (
     assemble_script_A,
     compute_table,
     shift_to_pure_laplacian,
+    sphere_heat_coefficient,
 )
 from capheat.legendre_asymptotics import chi, omega, omega_structures
 from capheat.special_eval import AngleParams, c1, f_total
-from capheat.sphere_base import degeneracy, sphere_heat_coefficient
-from capheat.spectral_oracle import dirichlet_roots, fit_asymptotics, heat_trace
+from capheat.spectral_oracle import (
+    degeneracy,
+    dirichlet_roots,
+    fit_asymptotics,
+    heat_trace,
+)
 
 from omega_reference import REFERENCE, bessel_d_polynomial
 from sphere_reference import (

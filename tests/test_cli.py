@@ -127,7 +127,6 @@ class TestImports:
             "dataclasses",
             "capheat.heat_coeffs",
             "capheat.special_eval",
-            "capheat.sphere_base",
             "capheat.spectral_oracle",
         }
 
@@ -136,6 +135,23 @@ class TestImports:
                                "--max-n", "3")
         assert "capheat.heat_coeffs" in loaded
         assert "capheat.spectral_oracle" not in loaded
+
+    def test_roots_loads_no_assembly(self):
+        assembly = {
+            "capheat.heat_coeffs",
+            "capheat.special_eval",
+            "capheat.legendre_asymptotics",
+            "capheat.exact_series",
+        }
+        loaded = modules_after("roots", "--mu", "0.5", "--theta0", "1.0",
+                               "--omega-max", "10")
+        assert "capheat.spectral_oracle" in loaded
+        assert not loaded & assembly
+        bare = fresh_python("import sys, capheat.spectral_oracle; "
+                            "print(' '.join(sys.modules))").split()
+        assert {m for m in bare if m.startswith("capheat.")} == {
+            "capheat.errors", "capheat.spectral_oracle",
+        }
 
     def test_bare_import_loads_no_submodule(self):
         assert {m for m in modules_after() if m.startswith("capheat.")} == set()
@@ -657,7 +673,8 @@ class TestVerify:
         assert "--max-n 5 is above the limit 4 of the fit" in err
 
     @pytest.mark.parametrize("extra,message", [
-        (["--t-max", "5e-2", "--points", "5"], "need at least 3 * n_fit samples"),
+        (["--t-max", "5e-2", "--points", "5"],
+         "need at least 12 samples to fit 5 coefficients, got 5"),
         (["--t-max", "1.4e-2"], "samples must span at least a decade in t"),
     ], ids=["points", "sub-decade"])
     def test_fit_request_refused_before_the_spectrum(

@@ -27,12 +27,12 @@ from capheat.heat_coeffs import (
     log_coefficient,
     mass_shift,
     shift_to_pure_laplacian,
+    sphere_heat_coefficient,
     table_to_dict,
 )
 from capheat import special_eval
 from capheat.special_eval import AngleParams
 from capheat.spectral_oracle import spectrum
-from capheat.sphere_base import sphere_heat_coefficient
 
 from sphere_reference import residue_to_coefficient, sphere_surface_area
 

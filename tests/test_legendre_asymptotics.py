@@ -243,15 +243,32 @@ class TestPsi:
 
 
 # the modules that evaluate in floating point, and the CLI above them
-FLOAT_LAYERS = {"special_eval", "heat_coeffs", "spectral_oracle", "sphere_base", "cli"}
+FLOAT_LAYERS = {"special_eval", "heat_coeffs", "spectral_oracle", "cli"}
+
+# The capheat modules each src module may import at module level.  The two
+# pipelines meet only in errors: the oracle imports nothing of the assembly
+# it verifies, and the CLI loads each command's modules when it runs.
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "errors": set(),
+    "exact_series": set(),
+    "legendre_asymptotics": {"errors", "exact_series"},
+    "special_eval": {"errors", "legendre_asymptotics"},
+    "heat_coeffs": {"errors", "exact_series", "legendre_asymptotics",
+                    "special_eval"},
+    "spectral_oracle": {"errors"},
+    "cli": {"errors"},
+}
 
 
 def package_imports(module: str) -> set[str]:
-    """The capheat modules that ``module``'s source names in an import."""
+    """The capheat modules that ``module``'s source names in a module-level
+    import; imports inside a function or an ``if`` block (such as ``if
+    TYPE_CHECKING:``) are not counted."""
     path = Path(legendre_asymptotics.__file__).with_name(f"{module}.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = []
-    for node in ast.walk(tree):
+    for node in tree.body:
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -270,3 +287,15 @@ def test_exact_algebra_imports_no_float_layer(module):
     # the exact algebra stays exact: what converts its Fractions to floats
     # lives in the layers above it, which import it, never the reverse
     assert not package_imports(module) & FLOAT_LAYERS
+
+
+def test_every_module_is_pinned():
+    src = Path(legendre_asymptotics.__file__).parent
+    assert {p.stem for p in src.glob("*.py")} == set(ALLOWED_IMPORTS)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_IMPORTS))
+def test_module_imports_are_pinned(module):
+    # a module that re-couples the pipelines, say the oracle importing the
+    # assembly, fails here
+    assert package_imports(module) <= ALLOWED_IMPORTS[module]

@@ -26,7 +26,6 @@ from capheat.spectral_oracle import (
     THETA0_GUARD,
     _MAX_OMEGA,
     _MAX_SERIES_TERMS,
-    _check_positivity,
     _ferrers_factor,
     default_omega_max,
     dirichlet_roots,
@@ -523,14 +522,19 @@ class TestSpectrum:
         assert [ch.degeneracy for ch in chans] == [1, 3, 5, 7, 9]
 
     def test_alpha_squared_positive(self):
+        # every root of a sphere spectrum lies above d/2, so heat_trace
+        # accepts it: alpha^2 = omega^2 - d^2/4 > 0
         chans = spectrum(2, 1.2, 15.0)
-        for ch in chans:
-            assert all(a > 0 for a in ch.alpha_squared(2))
+        assert min(ch.roots[0] for ch in chans) > 1.0
+        cfg = SuspensionConfig(D=3, angle=AngleParams.from_theta0(1.2),
+                               base=SphereBase(2), n_max=1)
+        samples = heat_trace(cfg, [0.3], omega_max=15.0, channels=chans)
+        assert samples[0].value > 0.0
 
     def test_positivity_guard_raises(self):
-        fake = [EigenvalueChannel(0.5, 1, (0.8,))]
-        with pytest.raises(AssumptionViolation):
-            _check_positivity(fake, 2)
+        fake = [EigenvalueChannel(1.5, 3, (3.0,)), EigenvalueChannel(0.5, 1, (0.8,))]
+        with pytest.raises(AssumptionViolation, match=r"omega=0\.8 "):
+            heat_trace(hemisphere_cfg(), [0.3], omega_max=15.0, channels=fake)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     @pytest.mark.parametrize("theta0", [0.4, math.pi / 3, 1.8, 2.2])

@@ -6,15 +6,16 @@ from math import comb, factorial
 
 import pytest
 
-from capheat.errors import DomainError
+from capheat.errors import DomainError, ValidationError
 from capheat.heat_coeffs import (
     SphereBase,
     SuspensionConfig,
     assemble_script_A,
     shift_to_pure_laplacian,
+    sphere_heat_coefficient,
 )
 from capheat.special_eval import AngleParams
-from capheat.sphere_base import degeneracy, sphere_heat_coefficient, sphere_mu
+from capheat.spectral_oracle import degeneracy, sphere_mu
 
 from sphere_reference import (
     explicit_table_check,
@@ -59,8 +60,16 @@ class TestSpectrum:
         assert sphere_mu(2, 2) == 2.5
 
     def test_d1_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="sphere base requires d >= 2"):
             degeneracy(0, 1)
+
+    @pytest.mark.parametrize("k,d,name", [
+        (0, 2.5, "sphere dimension d"), (1.0, 3, "level index k"),
+    ])
+    def test_non_integer_refused(self, k, d, name):
+        # math.comb once raised a bare TypeError here
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            degeneracy(k, d)
 
 
 class TestResidues:
@@ -145,6 +154,16 @@ class TestHeatCoefficients:
         for _ in range(2):
             with pytest.raises(error):
                 sphere_heat_coefficient(n, d)
+
+    @pytest.mark.parametrize("n,d,name", [
+        (0, 2.5, "sphere dimension d"), (2.0, 3, "index n"),
+    ])
+    def test_non_integer_refused(self, n, d, name):
+        # (0, 2.5) once returned 0.6818; (2.0, 3) must not read the memo
+        # entry of (2, 3)
+        sphere_heat_coefficient(2, 3)
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            sphere_heat_coefficient(n, d)
 
     def test_surface_areas(self):
         assert sphere_surface_area(2) == pytest.approx(4.0 * math.pi, rel=1e-14)
