@@ -9,22 +9,18 @@ modules it uses.
 
 from importlib import import_module
 
-# the public names, by the submodule that defines each
+# The public API, by the submodule that defines each name: the README's
+# names, declared here alone.  Other helpers stay importable from their modules.
 _SUBMODULE_NAMES = {
-    "exact_series": ("bernoulli", "sinh_ratio_coefficients"),
     "heat_coeffs": (
-        "BaseDescriptor", "CoefficientTable", "SphereBase", "SuspensionConfig",
-        "UserBase", "assemble_script_A", "compute_table", "log_coefficient",
-        "mass_shift", "shift_to_pure_laplacian", "sphere_heat_coefficient",
-        "table_to_dict",
+        "CoefficientTable", "SphereBase", "SuspensionConfig", "UserBase",
+        "compute_table", "log_coefficient", "table_to_dict",
     ),
-    "legendre_asymptotics": (
-        "NuGPolynomial", "StructuredOmega", "chi", "extract_structure", "omega",
-    ),
-    "special_eval": ("AngleParams", "c1", "f_total", "gauss_2f1"),
+    "legendre_asymptotics": ("omega",),
+    "special_eval": ("AngleParams", "c1", "gauss_2f1"),
     "spectral_oracle": (
-        "EigenvalueChannel", "HeatTraceSample", "degeneracy", "dirichlet_roots",
-        "ferrers_p", "fit_asymptotics", "heat_trace", "spectrum",
+        "EigenvalueChannel", "dirichlet_roots", "ferrers_p", "fit_asymptotics",
+        "heat_trace", "spectrum",
     ),
 }
 _EXPORTS = {

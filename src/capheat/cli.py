@@ -41,12 +41,32 @@ def _number(value, what: str) -> float:
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    # json would keep a repeated key's last value
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError(f"base file: key {key!r} repeated")
+        out[key] = value
+    return out
+
+
+def _coefficient_index(key: str) -> int:
+    # canonical only, so "01" or "+1" cannot overwrite the entry of "1"
+    if key.isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ValidationError(
+        f"base file: coefficient key {key!r} must be a nonnegative integer "
+        "without sign, spaces or leading zeros"
+    )
+
+
 def _base_from(args, d: int):
     from .heat_coeffs import SphereBase, UserBase
 
     if args.base_file:
         with open(args.base_file, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(payload, dict):
             raise ValidationError("base file must hold a JSON object")
         coefficients = payload.get("coefficients")
@@ -59,15 +79,13 @@ def _base_from(args, d: int):
         return UserBase(
             d=int(base_d),
             coefficients={
-                int(k): float(_number(v, f"coefficient {k}"))
+                _coefficient_index(k): float(_number(v, f"coefficient {k}"))
                 for k, v in coefficients.items()
             },
             residue_at_minus_half=(
                 None if residue is None else _number(residue, "residue_at_minus_half")
             ),
         )
-    if args.base != "sphere":
-        raise ValidationError(f"unknown base {args.base!r}")
     return SphereBase(d)
 
 
@@ -209,22 +227,16 @@ def cmd_verify(args) -> int:
     _check_fit_request(ts, n_fit)  # before the spectrum, which takes seconds
     samples = heat_trace(cfg, ts, tolerance=args.tolerance, omega_max=omega_max)
     fit = fit_asymptotics(samples, args.dim, n_fit)
-    table = compute_table(cfg)
-    predicted = {e.n: e.cal_A for e in table.entries}
-
-    comparison = []
-    for n in range(args.max_n + 1):
-        fitted = fit.coefficients[n]
-        pred = predicted[n]
-        denom = max(abs(pred), 1e-300)
-        comparison.append(
-            {
-                "n_over_2": 0.5 * n,
-                "fitted": fitted,
-                "predicted": pred,
-                "rel_error": abs(fitted - pred) / denom,
-            }
-        )
+    comparison = [
+        {
+            "n_over_2": entry.n_over_2,
+            "fitted": fit.coefficients[entry.n],
+            "predicted": entry.cal_A,
+            "rel_error": abs(fit.coefficients[entry.n] - entry.cal_A)
+            / max(abs(entry.cal_A), 1e-300),
+        }
+        for entry in compute_table(cfg).entries
+    ]
 
     if args.trace_csv:
         with open(args.trace_csv, "w", encoding="utf-8", newline="") as fh:
@@ -270,8 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs = sub.add_parser("coeffs", help="compute a coefficient table")
     p_coeffs.add_argument("--dim", type=int, required=True, help="total dimension D")
     add_angle_flags(p_coeffs)
-    p_coeffs.add_argument("--base", default="sphere", help="base manifold (sphere)")
-    p_coeffs.add_argument(
+    # no default, so that an explicit --base sphere conflicts too
+    base = p_coeffs.add_mutually_exclusive_group()
+    base.add_argument("--base", choices=["sphere"], help="base manifold (the default)")
+    base.add_argument(
         "--base-file", default=None, help="JSON file with user base coefficients"
     )
     p_coeffs.add_argument("--max-n", type=int, required=True, help="highest index n")

@@ -11,11 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-__all__ = [
-    "bernoulli",
-    "sinh_ratio_coefficients",
-]
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

@@ -22,23 +22,6 @@ from .exact_series import sinh_ratio_coefficients
 from .legendre_asymptotics import _MAX_ORDER, omega_structures
 from .special_eval import SQRT_PI, AngleParams, c1, f_total, recip_gamma
 
-__all__ = [
-    "SphereBase",
-    "UserBase",
-    "BaseDescriptor",
-    "SuspensionConfig",
-    "sphere_heat_coefficient",
-    "CoefficientEntry",
-    "CoefficientTable",
-    "base_coefficient",
-    "assemble_script_A",
-    "shift_to_pure_laplacian",
-    "mass_shift",
-    "log_coefficient",
-    "compute_table",
-    "table_to_dict",
-]
-
 
 @dataclass(frozen=True)
 class SphereBase:
@@ -240,28 +223,20 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
     return total
 
 
-def _convolve(table: Mapping[int, float], n: int, step: float) -> float:
-    out = 0.0
-    for k in range(n // 2 + 1):
-        idx = n - 2 * k
-        if idx not in table:
-            raise InsufficientBaseData(f"missing coefficient for index {idx}/2")
-        out += step**k / factorial(k) * table[idx]
+def _exp_shift(table: Mapping[int, float], step: float) -> dict[int, float]:
+    """Multiply the expansion by exp(step t): entry n picks up sum_k
+    step^k/k! times entry n-2k.  The pure Laplacian takes step (d/2)^2, a
+    mass m takes -m^2 (m = 0 adds signed zeros, which change no entry)."""
+    out = {}
+    for n in sorted(table):
+        total = 0.0
+        for k in range(n // 2 + 1):
+            idx = n - 2 * k
+            if idx not in table:
+                raise InsufficientBaseData(f"missing coefficient for index {idx}/2")
+            total += step**k / factorial(k) * table[idx]
+        out[n] = total
     return out
-
-
-def shift_to_pure_laplacian(script: Mapping[int, float], d: int) -> dict[int, float]:
-    """Convolve with the exponential shift (d/2)^2: entry n picks up
-    sum_k (d/2)^(2k)/k! times entry n-2k."""
-    step = (0.5 * d) ** 2
-    return {n: _convolve(script, n, step) for n in sorted(script)}
-
-
-def mass_shift(cal: Mapping[int, float], m: float) -> dict[int, float]:
-    """Fold a mass term into the coefficients: same convolution with -m^2.
-    At m = 0 it adds signed zeros, which leave every finite entry as it is."""
-    step = -(m * m)
-    return {n: _convolve(cal, n, step) for n in sorted(cal)}
 
 
 def log_coefficient(base: BaseDescriptor) -> float | None:
@@ -284,7 +259,7 @@ def compute_table(cfg: SuspensionConfig) -> CoefficientTable:
     to inf without raising).
     """
     script = {n: assemble_script_A(cfg, n) for n in range(cfg.n_max + 1)}
-    cal = mass_shift(shift_to_pure_laplacian(script, cfg.d), cfg.mass)
+    cal = _exp_shift(_exp_shift(script, (0.5 * cfg.d) ** 2), -(cfg.mass * cfg.mass))
     if not all(map(isfinite, [*script.values(), *cal.values()])):
         raise OverflowError("coefficient table has a non-finite entry")
     entries = tuple(

@@ -21,15 +21,6 @@ from typing import Iterator, Mapping
 from .errors import StructureViolation, ValidationError
 from .exact_series import bernoulli
 
-__all__ = [
-    "NuGPolynomial",
-    "StructuredOmega",
-    "chi",
-    "omega",
-    "extract_structure",
-    "omega_structures",
-]
-
 _ZERO = Fraction(0)
 
 # Highest cumulant order served; a table with index n_max needs n_max - 1.

@@ -44,15 +44,6 @@ from typing import Iterable
 from .errors import NumericalError, SlowConvergence, ValidationError
 from .legendre_asymptotics import StructuredOmega, chi
 
-__all__ = [
-    "AngleParams",
-    "SQRT_PI",
-    "recip_gamma",
-    "gauss_2f1",
-    "c1",
-    "f_total",
-]
-
 
 @dataclass(frozen=True)
 class AngleParams:

@@ -58,19 +58,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .heat_coeffs import SuspensionConfig
 
-__all__ = [
-    "degeneracy",
-    "sphere_mu",
-    "EigenvalueChannel",
-    "HeatTraceSample",
-    "FitResult",
-    "ferrers_p",
-    "dirichlet_roots",
-    "spectrum",
-    "heat_trace",
-    "fit_asymptotics",
-]
-
 # Largest opening angle the oracle scans.  It caps the Ferrers series ratio
 # z = (1 - cos theta0)/2 at 0.794, short of ferrers_p's own refusal above
 # z = 0.9 (theta0 about 2.498), and with it the length of every series; the
@@ -685,8 +672,10 @@ def default_omega_max(big_d: int, t_min: float, tolerance: float) -> float:
     _check_tolerance(tolerance)
     if not 0.0 < t_min < math.inf:
         raise ValidationError("t_min must be positive and finite")
+    # a large t_min turns the target negative: take the floor, and let the
+    # tail certificate judge it
     log_target = math.log(1.0 / tolerance) + 0.5 * big_d * math.log(1.0 / t_min) + 12.0
-    return max(20.0, math.sqrt(log_target / t_min))
+    return max(20.0, math.sqrt(max(0.0, log_target) / t_min))
 
 
 def heat_trace(

@@ -17,9 +17,9 @@ import pytest
 from capheat.heat_coeffs import (
     SphereBase,
     SuspensionConfig,
+    _exp_shift,
     assemble_script_A,
     compute_table,
-    shift_to_pure_laplacian,
     sphere_heat_coefficient,
 )
 from capheat.legendre_asymptotics import chi, omega, omega_structures
@@ -172,7 +172,7 @@ def test_criterion_5_two_path_equality():
             n_top = min(6, d)
             cfg = sphere_config(d, theta0, n_top)
             script = {n: assemble_script_A(cfg, n) for n in range(n_top + 1)}
-            cal = shift_to_pure_laplacian(script, d)
+            cal = _exp_shift(script, (0.5 * d) ** 2)
             for n in range(n_top + 1):
                 tabulated = explicit_table_check(n, d, angle)
                 worst_table = max(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import json
@@ -17,6 +18,8 @@ import capheat
 from capheat import cli, heat_coeffs, legendre_asymptotics, spectral_oracle
 from capheat.cli import run
 from capheat.errors import StructureViolation
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(capsys, argv):
@@ -157,7 +160,47 @@ class TestImports:
         assert {m for m in modules_after() if m.startswith("capheat.")} == set()
 
 
+# the public API: what the README documents, and every name bench/ imports
+PUBLIC_NAMES = {
+    "AngleParams", "SphereBase", "UserBase", "SuspensionConfig",
+    "CoefficientTable", "compute_table", "table_to_dict", "log_coefficient",
+    "omega", "c1", "gauss_2f1",
+    "ferrers_p", "dirichlet_roots", "spectrum", "heat_trace", "fit_asymptotics",
+    "EigenvalueChannel",
+}
+
+
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 class TestNamespace:
+    def test_public_names(self):
+        assert sorted(capheat.__all__) == sorted(PUBLIC_NAMES)
+
+    def test_readme_documents_every_name(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        for name in capheat.__all__:
+            assert f"`{name}" in readme, name
+
+    def test_bench_imports_are_public(self):
+        # read, not imported: importing bench/ would run its set-up
+        for path in sorted((ROOT / "bench").glob("*.py")):
+            for node in ast.walk(parsed(path)):
+                if isinstance(node, ast.ImportFrom) and node.module == "capheat":
+                    for alias in node.names:
+                        assert alias.name in capheat.__all__, (path.name, alias.name)
+
+    def test_only_the_package_declares_all(self):
+        # the name table in __init__ is the one declaration of the API
+        for path in sorted((ROOT / "src" / "capheat").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(parsed(path)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                for target in targets:
+                    assert getattr(target, "id", None) != "__all__", path.name
+
     def test_names_are_their_modules_objects(self):
         for name in capheat.__all__:
             module = importlib.import_module(f"capheat.{capheat._EXPORTS[name]}")
@@ -247,6 +290,23 @@ class TestCoeffs:
         assert out == ""
         assert "not allowed with" in err
 
+    @pytest.mark.parametrize("base,message", [
+        ("sphere", "not allowed with"),
+        ("torus", "invalid choice"),
+    ])
+    def test_base_and_base_file_exclusive(self, capsys, tmp_path, base, message):
+        # --base-file used to win silently over any --base
+        path = tmp_path / "base.json"
+        path.write_text('{"coefficients": {"0": 1, "1": 0, "2": 0.1}}',
+                        encoding="utf-8")
+        code, out, err = invoke(
+            capsys, ["coeffs", "--dim", "3", "--theta0", "1", "--max-n", "2",
+                     "--base", base, "--base-file", str(path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_angle_out_of_range(self, capsys):
         code, _, err = invoke(
             capsys, ["coeffs", "--dim", "3", "--theta0", "3.5", "--max-n", "1"]
@@ -283,6 +343,16 @@ class TestCoeffs:
         ('{"coefficients": {"0": NaN, "1": 0, "2": 0.1}}', "must be a finite double"),
         ('{"coefficients": {"0": 1%s, "1": 0, "2": 0.1}}' % ("0" * 400),
          "must be a finite double"),
+        # each of these overwrote or added an index and exited 0
+        ('{"coefficients": {"0": 1, "1": 0, "01": 5, "2": 0.1}}',
+         "coefficient key '01' must be a nonnegative integer"),
+        ('{"coefficients": {"0": 1, "1": 0, "1": 5, "2": 0.1}}', "key '1' repeated"),
+        ('{"coefficients": {"0": 1, "1": 0, "2": 0.1, "-1": 5}}',
+         "coefficient key '-1' must be a nonnegative integer"),
+        ('{"coefficients": {"0": 1, "1": 0, "2": 0.1, " 3": 5}}',
+         "coefficient key ' 3' must be a nonnegative integer"),
+        ('{"d": 2, "d": 3, "coefficients": {"0": 1, "1": 0, "2": 0.1}}',
+         "key 'd' repeated"),
     ])
     def test_malformed_base_file(self, capsys, tmp_path, payload, message):
         path = tmp_path / "base.json"
@@ -606,6 +676,19 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["error"]["type"] == "TailTooLarge"
 
+    def test_large_t_min_reaches_the_tail_bound(self, capsys):
+        # the default cutoff took the square root of a negative number here
+        # and exited 2 with "math domain error"
+        code, out, _ = invoke(
+            capsys,
+            ["verify", "--dim", "12", "--theta0", "1", "--max-n", "2",
+             "--t-min", "100", "--t-max", "1000"],
+        )
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "TailTooLarge"
+        assert "relative tail inf" in error["message"]
+
     def test_validation_exit(self, capsys):
         code, _, err = invoke(
             capsys,
@@ -716,9 +799,7 @@ README_TRACE_COLUMNS_DIGEST = (
 
 def readme_cli_examples() -> list[list[str]]:
     """The argument lists of the README's CLI block, comments dropped."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8"
-    )
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [line.split("#", 1)[0].split()[1:] for line in lines if line.strip()]

@@ -21,12 +21,11 @@ from capheat.heat_coeffs import (
     SphereBase,
     SuspensionConfig,
     UserBase,
+    _exp_shift,
     assemble_script_A,
     base_coefficient,
     compute_table,
     log_coefficient,
-    mass_shift,
-    shift_to_pure_laplacian,
     sphere_heat_coefficient,
     table_to_dict,
 )
@@ -173,35 +172,36 @@ class TestConeLimit:
 
 
 class TestShifts:
+    # the pure Laplacian shifts by (d/2)^2, which is 1 at d = 2; a mass m by -m^2
     def test_shift_identity_at_zero(self):
-        assert shift_to_pure_laplacian({0: 2.5}, 2) == {0: 2.5}
+        assert _exp_shift({0: 2.5}, 1.0) == {0: 2.5}
 
     def test_shift_n2_d2(self):
         script = {0: 1.0, 1: 0.5, 2: 0.25}
-        cal = shift_to_pure_laplacian(script, 2)
+        cal = _exp_shift(script, 1.0)
         assert cal[2] == pytest.approx(script[2] + script[0], rel=1e-15)
 
     def test_shift_n4_d2(self):
         script = {n: 1.0 / (n + 1) for n in range(5)}
-        cal = shift_to_pure_laplacian(script, 2)
+        cal = _exp_shift(script, 1.0)
         assert cal[4] == pytest.approx(
             script[4] + script[2] + 0.5 * script[0], rel=1e-15
         )
 
     def test_mass_zero_identity(self):
         cal = {0: 1.0, 1: -0.25, 2: 0.1}
-        assert mass_shift(cal, 0.0) == cal
+        assert _exp_shift(cal, -0.0) == cal
 
     @pytest.mark.parametrize("m", [0.0, 0.5])
     def test_mass_checks_the_table(self, m):
         # m = 0 runs the same convolution, so a gap raises at any mass
         with pytest.raises(InsufficientBaseData, match="index 1/2"):
-            mass_shift({0: 1.0, 3: 0.5}, m)
+            _exp_shift({0: 1.0, 3: 0.5}, -(m * m))
 
     def test_mass_first_orders(self):
         cal = {0: 1.0, 1: 0.0, 2: 0.5, 3: 0.0, 4: 0.125}
         m = 0.7
-        shifted = mass_shift(cal, m)
+        shifted = _exp_shift(cal, -(m * m))
         assert shifted[2] == pytest.approx(cal[2] - m**2 * cal[0], rel=1e-15)
         assert shifted[4] == pytest.approx(
             cal[4] - m**2 * cal[2] + 0.5 * m**4 * cal[0], rel=1e-15
@@ -212,7 +212,7 @@ class TestShifts:
         # heat-trace factor identity order by order.
         d = 3
         script = {n: math.sin(n + 1.0) for n in range(6)}
-        back = mass_shift(shift_to_pure_laplacian(script, d), 0.5 * d)
+        back = _exp_shift(_exp_shift(script, (0.5 * d) ** 2), -(0.5 * d) ** 2)
         for n, v in script.items():
             assert back[n] == pytest.approx(v, rel=1e-13, abs=1e-13)
 
@@ -353,7 +353,7 @@ class TestTable:
         cfg = sphere_config(3, 1.1, 3)
         table = compute_table(cfg)
         script = {e.n: e.script_A for e in table.entries}
-        cal = shift_to_pure_laplacian(script, cfg.d)
+        cal = _exp_shift(script, (0.5 * cfg.d) ** 2)
         for e in table.entries:
             assert e.cal_A == pytest.approx(cal[e.n], rel=1e-14, abs=1e-18)
 
@@ -362,7 +362,7 @@ class TestTable:
         massless = compute_table(sphere_config(3, 1.1, 3))
         table = compute_table(cfg)
         cal0 = {e.n: e.cal_A for e in massless.entries}
-        expected = mass_shift(cal0, 0.5)
+        expected = _exp_shift(cal0, -(0.5 * 0.5))
         for e in table.entries:
             assert e.cal_A == pytest.approx(expected[e.n], rel=1e-14, abs=1e-18)
         # the shifted-operator column is mass independent

@@ -902,6 +902,12 @@ class TestHeatTrace:
         with pytest.raises(ValidationError, match="positive and finite"):
             default_omega_max(3, t, 1e-6)
 
+    @pytest.mark.parametrize("d,t_min", [(12, 100.0), (3, 1e8)])
+    def test_large_t_min_takes_the_floor(self, d, t_min):
+        # the Gaussian target turns negative here (from t_min of about 74 at
+        # D = 12): the cutoff takes its floor and the tail bound decides
+        assert default_omega_max(d, t_min, 1e-6) == 20.0
+
     def test_tail_bound_below_tolerance(self):
         cfg = hemisphere_cfg()
         samples = heat_trace(cfg, [0.3], tolerance=1e-6, omega_max=15.0)

@@ -10,8 +10,8 @@ from capheat.errors import DomainError, ValidationError
 from capheat.heat_coeffs import (
     SphereBase,
     SuspensionConfig,
+    _exp_shift,
     assemble_script_A,
-    shift_to_pure_laplacian,
     sphere_heat_coefficient,
 )
 from capheat.special_eval import AngleParams
@@ -198,7 +198,7 @@ class TestTwoPathEquality:
         n_top = min(6, d)
         cfg = sphere_config(d, theta0, n_top)
         script = {n: assemble_script_A(cfg, n) for n in range(n_top + 1)}
-        cal = shift_to_pure_laplacian(script, d)
+        cal = _exp_shift(script, (0.5 * d) ** 2)
         for n in range(n_top + 1):
             tabulated = explicit_table_check(n, d, angle)
             assert abs(tabulated - cal[n]) <= 1e-10 * max(1.0, abs(cal[n]))
