@@ -29,14 +29,6 @@ class InsufficientBaseData(ValidationError):
     """A base-manifold heat coefficient needed by the assembly is missing."""
 
 
-class IndexOutOfRange(ValidationError):
-    """Coefficient index outside the validity range of the assembly."""
-
-
-class DomainError(ValidationError):
-    """Closed-form residue requested outside its validity range."""
-
-
 class NumericalError(CapheatError):
     """Base class for runtime numerical failures (CLI exit code 3)."""
 

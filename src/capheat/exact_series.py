@@ -8,7 +8,6 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 _ZERO = Fraction(0)
@@ -30,7 +29,6 @@ def bernoulli(index: int) -> Fraction:
     return sinh_ratio_coefficients(1, index)[index] / (2 - 2**index)
 
 
-@lru_cache(maxsize=None)
 def sinh_ratio_coefficients(power: int, order: int) -> tuple[Fraction, ...]:
     """Coefficients of (y / sinh y)^power, scaled so that
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, inf, isfinite
+from numbers import Real
 from sys import float_info
 from typing import Mapping, Union
 
-from .errors import (
-    DomainError, IndexOutOfRange, InsufficientBaseData, ValidationError, _index,
-)
+from .errors import InsufficientBaseData, ValidationError, _index
 from .exact_series import sinh_ratio_coefficients
 from .legendre_asymptotics import _MAX_ORDER, omega_structures
 from .special_eval import SQRT_PI, AngleParams, c1, f_total, recip_gamma
@@ -30,14 +29,14 @@ class SphereBase:
     d: int
 
     def __post_init__(self):
-        if _index(self.d, "sphere base dimension") < 2:
+        object.__setattr__(self, "d", _index(self.d, "sphere base dimension"))
+        if self.d < 2:
             raise ValidationError("sphere base requires d >= 2")
 
 
 # A bounded memo: the value does not depend on the angle, and a table of
-# dimension D asks for the D indices of one d = D - 1.  Typed, so that a
-# float index never reads the entry of its integer.
-@lru_cache(maxsize=1024, typed=True)
+# dimension D asks for the D indices of one d = D - 1.
+@lru_cache(maxsize=1024)
 def sphere_heat_coefficient(n: int, d: int) -> float:
     """Heat coefficient of index n/2 for the shifted Laplacian on the unit S^d,
     normalized so the index-0 entry equals (4 pi)^(-d/2) vol(S^d).
@@ -47,10 +46,6 @@ def sphere_heat_coefficient(n: int, d: int) -> float:
     nonzero coefficient falls below the smallest normal double, where it has
     lost digits or underflowed to 0: index 0 does from d = 269.
     """
-    if _index(d, "sphere dimension d") < 2:
-        raise DomainError("sphere base requires d >= 2")
-    if _index(n, "index n") < 0:
-        raise ValueError("index must be nonnegative")
     coeff = sinh_ratio_coefficients(d - 1, n)[n]
     if coeff == 0:
         return 0.0
@@ -71,13 +66,27 @@ def sphere_heat_coefficient(n: int, d: int) -> float:
     return value
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a float, refused unless a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond doubles
+        number = inf
+    if not isfinite(number):
+        raise ValidationError(f"{what} must be a finite double")
+    return number
+
+
 @dataclass(frozen=True)
 class UserBase:
     """Caller-supplied base: heat coefficients of the shifted base operator.
 
     ``coefficients[n]`` is the coefficient of index n/2 (half-odd entries
     vanish on closed bases but must be supplied for bases with boundary).
-    ``residue_at_minus_half`` enables the log-term coefficient.
+    ``residue_at_minus_half`` enables the log-term coefficient.  Keys must
+    be nonnegative integers and values finite numbers, stored as floats.
     """
 
     d: int
@@ -87,6 +96,15 @@ class UserBase:
     def __post_init__(self):
         if _index(self.d, "base dimension") < 1:
             raise ValidationError("base dimension must be at least 1")
+        object.__setattr__(self, "coefficients", {
+            _index(n, "coefficient index"): _finite(value, f"coefficient {n}")
+            for n, value in self.coefficients.items()
+        })
+        if min(self.coefficients, default=0) < 0:
+            raise ValidationError("coefficient indices must be nonnegative")
+        if self.residue_at_minus_half is not None:
+            object.__setattr__(self, "residue_at_minus_half", _finite(
+                self.residue_at_minus_half, "residue_at_minus_half"))
 
 
 BaseDescriptor = Union[SphereBase, UserBase]
@@ -113,7 +131,11 @@ class SuspensionConfig:
     mass: float = 0.0
 
     def __post_init__(self):
-        if _index(self.D, "total dimension") < 2:
+        # stored as ints, as SphereBase.d is: a numpy integer overflows in 2**d
+        # and rounds sin(theta0)^(D - n) an ulp away
+        object.__setattr__(self, "D", _index(self.D, "total dimension"))
+        object.__setattr__(self, "n_max", _index(self.n_max, "n_max"))
+        if self.D < 2:
             raise ValidationError("total dimension must be at least 2")
         if self.D > _MAX_D:
             raise ValidationError(
@@ -123,7 +145,7 @@ class SuspensionConfig:
             raise ValidationError(
                 f"base dimension {self.base.d} inconsistent with D={self.D}"
             )
-        if not 0 <= _index(self.n_max, "n_max") < self.D:
+        if not 0 <= self.n_max < self.D:
             raise ValidationError(
                 f"coefficients are defined only for 0 <= n < D; got "
                 f"n_max={self.n_max}, D={self.D}"
@@ -166,7 +188,7 @@ def base_coefficient(base: BaseDescriptor, n: int) -> float:
     if isinstance(base, SphereBase):
         return sphere_heat_coefficient(n, base.d)
     try:
-        return float(base.coefficients[n])
+        return base.coefficients[n]
     except KeyError:
         raise InsufficientBaseData(
             f"user base missing coefficient for index {n}/2"
@@ -185,10 +207,6 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
     the three products of nonzero factors does; C1 raises NumericalError
     where its value leaves the range of its 2F1.
     """
-    if not 0 <= n < cfg.D:
-        raise IndexOutOfRange(f"index n={n} outside [0, D); D={cfg.D}")
-    if n > cfg.n_max:
-        raise IndexOutOfRange(f"index n={n} above configured n_max={cfg.n_max}")
     angle = cfg.angle
     dmn = float(cfg.D - n)
     sin_pow = angle.sin_theta ** (cfg.D - n)
@@ -231,10 +249,7 @@ def _exp_shift(table: Mapping[int, float], step: float) -> dict[int, float]:
     for n in sorted(table):
         total = 0.0
         for k in range(n // 2 + 1):
-            idx = n - 2 * k
-            if idx not in table:
-                raise InsufficientBaseData(f"missing coefficient for index {idx}/2")
-            total += step**k / factorial(k) * table[idx]
+            total += step**k / factorial(k) * table[n - 2 * k]
         out[n] = total
     return out
 

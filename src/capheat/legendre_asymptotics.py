@@ -40,8 +40,6 @@ def _check_order(max_order: int) -> None:
 
 def chi(i: int) -> int:
     """Lower limit of the shifted-power family: (1 + (-1)^i)/2 - floor(i/2)."""
-    if i < 1:
-        raise ValueError("order must be positive")
     return (1 + (-1) ** i) // 2 - i // 2
 
 
@@ -207,8 +205,6 @@ def extract_structure(omega_i: NuGPolynomial, i: int) -> StructuredOmega:
     Raises StructureViolation if any monomial falls outside the expected
     pattern (which would signal a recursion bug upstream).
     """
-    if i < 1:
-        raise StructureViolation("structured form defined for order >= 1")
     lo = chi(i)
     x_coeffs = {b: _ZERO for b in range(0, i + 1)}
     z0_coeffs = {j: _ZERO for j in range(1, i + 1)}
@@ -236,8 +232,6 @@ def extract_structure(omega_i: NuGPolynomial, i: int) -> StructuredOmega:
 
 def omega_structures(max_order: int) -> tuple[StructuredOmega, ...]:
     """Structured forms of the cumulant functions of orders 1..max_order."""
-    if max_order < 0:
-        raise ValueError("max_order must be nonnegative")
     _check_order(max_order)
     omegas = _extend(_OMEGAS, max_order, _omega_entry)
     structures = _extend(

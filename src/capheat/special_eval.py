@@ -333,10 +333,6 @@ def _weight_plan(structure: StructuredOmega, d_minus_n: float) -> tuple:
     big_a = s + half_i
     inv_gamma_a = recip_gamma(big_a)
     lo = chi(i)
-    # the lower 2F1 parameters b + i/2 >= 1/2 and b + j + i/2 >= 3/2 stay off
-    # the poles by construction; an explicit check, not an assert
-    if lo + half_i < 0.5:
-        raise ValueError(f"2F1 lower parameter {lo + half_i} too low")
     try:
         x_terms = tuple(
             (float(c), b - lo, _gamma_num(big_a + b), recip_gamma(b + half_i))
@@ -390,8 +386,6 @@ def f_total(
     they do not depend on i, so a caller passes one dict to every order of
     one index and drops it with the index.
     """
-    if d_minus_n <= 0.0:
-        raise ValueError("d_minus_n must be positive")
     if angle.sin2 == 0.0:
         raise OverflowError(f"sin(theta0)^2 underflows at theta0={angle.theta0}")
     if shared_2f1 is None:

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     AssumptionViolation,
-    DomainError,
     IllConditioned,
     MissedRootSuspicion,
     NumericalError,
@@ -89,10 +88,6 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 def degeneracy(k: int, d: int) -> int:
     """Multiplicity of the k-th hyperspherical harmonic level on S^d."""
-    if _index(d, "sphere dimension d") < 2:
-        raise DomainError("sphere base requires d >= 2")
-    if _index(k, "level index k") < 0:
-        raise ValueError("level index must be nonnegative")
     return (2 * k + d - 1) * math.comb(k + d - 2, d - 2) // (d - 1)
 
 
@@ -579,7 +574,8 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     (2 pi) with the sine taken as 1 past pi/2, exceeds _MAX_ROOTS is
     refused before any evaluation.
     """
-    degeneracy(0, d)  # the oracle supports sphere bases only: refuses d < 2
+    if _index(d, "sphere dimension d") < 2:
+        raise ValidationError("sphere base requires d >= 2")
     _check_scan(sphere_mu(0, d), theta0, omega_max)
     sin_t = math.sin(theta0) if theta0 < 0.5 * math.pi else 1.0
     estimate = omega_max * omega_max * theta0 * sin_t / (2.0 * math.pi)
@@ -699,7 +695,7 @@ def heat_trace(
 
     if not isinstance(cfg.base, SphereBase):
         raise ValidationError("heat_trace supports sphere bases only")
-    if not t_values or not all(0.0 < t < math.inf for t in t_values):
+    if not len(t_values) or not all(0.0 < t < math.inf for t in t_values):
         raise ValidationError("t values must be positive and finite")
     _check_tolerance(tolerance)
     d = cfg.d

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from capheat.errors import DomainError
+from capheat.errors import ValidationError
 from capheat.exact_series import sinh_ratio_coefficients
 from capheat.legendre_asymptotics import NuGPolynomial, StructuredOmega, omega_structures
 from capheat.special_eval import SQRT_PI, AngleParams, c1, f_total
@@ -33,9 +33,11 @@ def sphere_residue(m: int, d: int) -> Fraction:
     coefficient of (y/sinh y)^(d-1); zero for odd d-m.
     """
     if d < 2:
-        raise DomainError("sphere base requires d >= 2")
+        raise ValidationError("sphere base requires d >= 2")
     if not 2 <= m <= d:
-        raise DomainError(f"residue formula valid for 2 <= m <= d, got m={m}, d={d}")
+        raise ValidationError(
+            f"residue formula valid for 2 <= m <= d, got m={m}, d={d}"
+        )
     coeff = sinh_ratio_coefficients(d - 1, d - m)[d - m]
     return (
         Fraction(2) ** (m - d)
@@ -65,10 +67,10 @@ def suspension_coefficient_direct(n: int, d: int, angle: AngleParams) -> float:
     via the direct sphere formula rather than the generic base assembly.
     """
     if d < 2:
-        raise DomainError("sphere base requires d >= 2")
+        raise ValidationError("sphere base requires d >= 2")
     big_d = d + 1
     if n >= big_d:
-        raise DomainError("direct formula valid for n < d + 1")
+        raise ValidationError("direct formula valid for n < d + 1")
     sin_pow = angle.sin_theta ** (big_d - n)
     scoeffs = sinh_ratio_coefficients(d - 1, max(n, 0))
 
@@ -116,12 +118,12 @@ def explicit_table_check(n: int, d: int, angle: AngleParams) -> float:
     generic pipeline term by term.
     """
     if d < 2:
-        raise DomainError("sphere base requires d >= 2")
+        raise ValidationError("sphere base requires d >= 2")
     big_d = d + 1
     if n > 6:
-        raise DomainError("explicit table covers n <= 6 only")
+        raise ValidationError("explicit table covers n <= 6 only")
     if n >= big_d:
-        raise DomainError("coefficients defined for n < d + 1")
+        raise ValidationError("coefficients defined for n < d + 1")
     th = angle
     s2 = th.sin2
     dd = float(d)

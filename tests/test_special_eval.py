@@ -632,20 +632,6 @@ class TestC4:
         assert abs(family_weight("z_coeffs", 1, angle, 2.0)) < 1e-15
         assert abs(family_weight("z_coeffs", 2, angle, 3.0)) < 1e-15
 
-    def test_low_parameter_check_survives_optimization(self, monkeypatch):
-        # an explicit check, not an assert: it also runs under python -O
-        from fractions import Fraction
-
-        from capheat import special_eval
-
-        monkeypatch.setattr(special_eval, "chi", lambda i: -1)
-        s1 = structure(1)
-        widened = StructuredOmega(
-            1, s1.x_coeffs, s1.z0_coeffs, {**s1.z_coeffs, (-1, 1): Fraction(1)}
-        )
-        with pytest.raises(ValueError, match="too low"):
-            f_total(widened, AngleParams.from_theta0(0.8), 2.0)
-
     def test_underflowed_sine_overflows(self):
         angle = AngleParams.from_theta0(1e-300)
         assert angle.sin2 == 0.0

@@ -908,6 +908,18 @@ class TestHeatTrace:
         # D = 12): the cutoff takes its floor and the tail bound decides
         assert default_omega_max(d, t_min, 1e-6) == 20.0
 
+    def test_array_of_times_matches_a_list(self):
+        # an ndarray of times once raised numpy's "truth value of an array
+        # is ambiguous" ValueError
+        cfg = hemisphere_cfg()
+        ts = np.geomspace(0.1, 0.8, 6)
+        bits = [
+            [(float(s.t).hex(), s.value.hex(), s.tail_bound.hex()) for s in
+             heat_trace(cfg, times, tolerance=1e-6, omega_max=40.0)]
+            for times in (ts, ts.tolist())
+        ]
+        assert bits[0] == bits[1]
+
     def test_tail_bound_below_tolerance(self):
         cfg = hemisphere_cfg()
         samples = heat_trace(cfg, [0.3], tolerance=1e-6, omega_max=15.0)
