@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from numbers import Real
 
 
 class CapheatError(Exception):
@@ -19,6 +20,15 @@ def _index(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str):
+    """``value`` itself; ValidationError unless a real number (a bool is
+    not).  Run before any comparison, which a wrong type would fail with a
+    bare TypeError."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 class StructureViolation(CapheatError):

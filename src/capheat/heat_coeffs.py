@@ -9,14 +9,14 @@ from a closed form.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, inf, isfinite
-from numbers import Real
 from sys import float_info
-from typing import Mapping, Union
+from typing import Union
 
-from .errors import InsufficientBaseData, ValidationError, _index
+from .errors import InsufficientBaseData, ValidationError, _index, _real
 from .exact_series import sinh_ratio_coefficients
 from .legendre_asymptotics import _MAX_ORDER, omega_structures
 from .special_eval import SQRT_PI, AngleParams, c1, f_total, recip_gamma
@@ -68,10 +68,8 @@ def sphere_heat_coefficient(n: int, d: int) -> float:
 
 def _finite(value, what: str) -> float:
     """``value`` as a float, refused unless a finite real number."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
     try:
-        number = float(value)
+        number = float(_real(value, what))
     except OverflowError:  # an int beyond doubles
         number = inf
     if not isfinite(number):
@@ -96,6 +94,9 @@ class UserBase:
     def __post_init__(self):
         if _index(self.d, "base dimension") < 1:
             raise ValidationError("base dimension must be at least 1")
+        if not isinstance(self.coefficients, Mapping):
+            raise ValidationError("coefficients must be a mapping from index "
+                                  f"to value, got {self.coefficients!r}")
         object.__setattr__(self, "coefficients", {
             _index(n, "coefficient index"): _finite(value, f"coefficient {n}")
             for n, value in self.coefficients.items()
@@ -135,6 +136,11 @@ class SuspensionConfig:
         # and rounds sin(theta0)^(D - n) an ulp away
         object.__setattr__(self, "D", _index(self.D, "total dimension"))
         object.__setattr__(self, "n_max", _index(self.n_max, "n_max"))
+        if not isinstance(self.angle, AngleParams):
+            raise ValidationError(f"angle must be AngleParams, got {self.angle!r}")
+        if not isinstance(self.base, BaseDescriptor):
+            raise ValidationError(
+                f"base must be SphereBase or UserBase, got {self.base!r}")
         if self.D < 2:
             raise ValidationError("total dimension must be at least 2")
         if self.D > _MAX_D:
@@ -155,7 +161,7 @@ class SuspensionConfig:
                 f"n_max={self.n_max} needs cumulant order {self.n_max - 1}, "
                 f"above the limit {_MAX_ORDER}"
             )
-        if not 0.0 <= self.mass < inf:
+        if not 0.0 <= _real(self.mass, "mass") < inf:
             raise ValidationError("mass must be nonnegative and finite")
 
     @property

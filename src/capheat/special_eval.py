@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import NumericalError, SlowConvergence, ValidationError
+from .errors import NumericalError, SlowConvergence, ValidationError, _real
 from .legendre_asymptotics import StructuredOmega, chi
 
 
@@ -57,7 +57,7 @@ class AngleParams:
     cos_theta: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.theta0 < math.pi:
+        if not 0.0 < _real(self.theta0, "theta0") < math.pi:
             raise ValueError("theta0 must lie strictly inside (0, pi)")
         s = math.sin(self.theta0)
         c = math.cos(self.theta0)

@@ -19,11 +19,11 @@ spectrum scans only its first channel: sphere channels interlace, so each
 later channel is bracketed by the roots of the one before, and each of its
 roots is first tried where the channels below extrapolate it, corrected by
 the previous root's miss, then by a Newton step with the slope extrapolated
-the same way.  Either way each root is shrunk by
-Anderson-Bjorck false position and then pinned to the scan's bisection of
-its grid cell, so both paths give the same roots, bit for bit: where f is
-evaluated, at what precision and how long each sum runs never decide a
-root, only signs do.
+the same way.  Either way one routine pins each root: Anderson-Bjorck false
+position shrinks its bracket, and the scan and its bisection are replayed
+on what is left, evaluating f only inside it.  So both paths give the same
+roots, bit for bit: where f is evaluated, at what precision and how long
+each sum runs never decide a root, only signs do.
 
 Everything else runs on doubles: the Ferrers prefactor and the incomplete
 gamma function of the Weyl tail are closed forms summed as logarithms.
@@ -52,6 +52,7 @@ from .errors import (
     TailTooLarge,
     ValidationError,
     _index,
+    _real,
 )
 
 if TYPE_CHECKING:
@@ -251,9 +252,10 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     factor's logarithm before a single exp, and a product beyond the double
     range raises NumericalError.
     """
-    if not (0.0 < mu < math.inf and math.isfinite(omega)):
+    if not (0.0 < _real(mu, "mu") < math.inf
+            and math.isfinite(_real(omega, "omega"))):
         raise ValidationError("mu must be positive and finite, omega finite")
-    if not -1.0 < x < 1.0:
+    if not -1.0 < _real(x, "x") < 1.0:
         raise ValidationError("argument must lie in (-1, 1)")
     z = 0.5 * (1.0 - x)
     if z > 0.9:
@@ -274,10 +276,9 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
 
 
 def _false_position(f, a: float, fa: float, b: float, fb: float,
-                    width: float, first: float | None = None,
-                    slope: float | None = None):
+                    first: float | None = None, slope: float | None = None):
     """Shrink the sign-change bracket (a, b) of f (fa = f(a), fb = f(b)) to
-    at most ``width`` by false position with the Anderson-Bjorck
+    at most _ABS_TOL / 256 by false position with the Anderson-Bjorck
     modification (Anderson & Bjorck, BIT 13 (1973) 253): when an end is
     kept a second time in a row, its value is scaled by m = 1 - f(x) / f(e),
     e the end x replaced, or by 1/2 when m <= 0, where the Illinois method
@@ -286,11 +287,12 @@ def _false_position(f, a: float, fa: float, b: float, fb: float,
     at the root: the second trial is then the Newton step from the first,
     and the third the secant through the first two.  A trial point outside
     the bracket is replaced by the Anderson-Bjorck one.  Trial points keep
-    ``width / 2`` clear of both ends, so a root on an end closes in one
+    half the width clear of both ends, so a root on an end closes in one
     step.  An exact zero collapses the bracket.
 
     Returns the bracket and the secant slope through the values f took at
     its ends (NaN after an exact zero)."""
+    width = _ABS_TOL / 256.0
     a_positive = fa > 0
     ya, yb = fa, fb  # the ends' values, which the modification leaves
     kept = 0  # -1 after keeping b, +1 after keeping a
@@ -326,15 +328,56 @@ def _false_position(f, a: float, fa: float, b: float, fb: float,
     return a, b, (yb - ya) / (b - a)
 
 
-def _log_slope(slope: float) -> float:
-    """log |slope|, NaN for NaN and -inf for 0."""
-    return math.log(abs(slope)) if slope else -math.inf
+def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
+                 fb: float, first: float | None = None,
+                 slope: float | None = None) -> tuple[float, float]:
+    """The root that the scan of ``grid`` finds in the sign-change bracket
+    (a, b) of f, where fa = f(a), fb = f(b) and 0 <= a < b <= grid[-1],
+    and log |f'| there.  ``_false_position``, steered by ``first`` and
+    ``slope``, locates the root in [x, y], and the scan is replayed there:
+    the first grid point above x picks the scan's cell, and the cell is
+    bisected to _ABS_TOL.  Only a point strictly inside [x, y] is
+    evaluated, since f's sign is known elsewhere, and an exact zero is the
+    root where the replay reaches it.  So the signs alone fix the root, bit
+    for bit.  log |f'| is that of the secant through [x, y]: NaN after an
+    exact zero of false position, -inf for a zero slope."""
+    x, y, secant = _false_position(f, a, fa, b, fb, first, slope)
+    log_slope = math.log(abs(secant)) if secant else -math.inf
+    left_positive = fa > 0
+    j = bisect.bisect_right(grid, x)  # grid[j - 1] <= x < grid[j]
+    lo, hi = grid[j - 1], grid[j]
+    if lo == y:  # false position's exact zero, on a grid point
+        return lo, log_slope
+    if x < hi < y:  # the scan's next point: [x, y] is narrower than a cell
+        fh = f(hi)
+        if fh == 0.0:
+            return hi, log_slope
+        if (fh > 0) == left_positive:
+            lo, hi = hi, grid[j + 1]
+    while hi - lo > _ABS_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid <= x:
+            if mid == y:  # false position's exact zero
+                return mid, log_slope
+            lo = mid
+        elif mid >= y:
+            hi = mid
+        else:
+            fm = f(mid)
+            if fm == 0.0:
+                return mid, log_slope
+            if (fm > 0) == left_positive:
+                lo = x = mid
+            else:
+                hi = y = mid
+    return 0.5 * (lo + hi), log_slope
 
 
 def _check_scan(mu: float, theta0: float, omega_max: float) -> None:
-    if not 0.0 < theta0 <= THETA0_GUARD:
+    if not 0.0 < _real(theta0, "theta0") <= THETA0_GUARD:
         raise ValidationError(f"theta0 must lie in (0, {THETA0_GUARD}]")
-    if not (0.0 < mu < math.inf and 0.0 < omega_max < math.inf):
+    if not (0.0 < _real(mu, "mu") < math.inf
+            and 0.0 < _real(omega_max, "omega_max") < math.inf):
         raise ValidationError(
             "mu must be finite and positive, omega_max positive and finite"
         )
@@ -370,44 +413,18 @@ def _scan_grid(theta0: float, omega_max: float) -> list[float]:
     return grid
 
 
-def _bisect_cell(f, lo: float, hi: float, a: float, b: float,
-                 left_positive: bool) -> float:
-    """The root that plain bisection of the scan cell (lo, hi) to _ABS_TOL
-    finds, replayed against [a, b], a located bracket of the cell's one
-    root; f is positive left of the root when ``left_positive``.  A
-    midpoint outside [a, b] takes its side unevaluated, so only midpoints
-    inside it are evaluated, and the root is the bisection's, bit for bit.
-    """
-    while hi - lo > _ABS_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid < a:
-            lo = mid
-        elif mid > b:
-            hi = mid
-        else:
-            fm = f(mid)
-            if fm == 0.0:
-                return mid
-            if (fm > 0) == left_positive:
-                lo = a = mid
-            else:
-                hi = b = mid
-    return 0.5 * (lo + hi)
-
-
 def dirichlet_roots(mu: float, theta0: float, omega_max: float,
                     state: dict | None = None) -> list[float]:
     """All simple roots in (0, omega_max] of the Dirichlet condition at
     theta0: the Ferrers function of order -mu vanishing at cos(theta0).
 
     Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
-    with a gap monitor against missed roots.  Each sign change is located
-    by ``_false_position``, then its bisection to _ABS_TOL is replayed
-    against the located bracket (``_bisect_cell``).  ``state``, when given,
-    is the evaluation state of ``_channel``: it moves evaluations, never
-    roots.  The scan leaves in ``state["log_slopes"]`` log |f'| at each
-    root, from ``_false_position`` (NaN at a zero on a grid point), for
-    the channels above to extrapolate.
+    with a gap monitor against missed roots.  ``_pinned_root`` pins each
+    sign change to the root of the cell's bisection to _ABS_TOL.
+    ``state``, when given, is the evaluation state of ``_channel``: it moves
+    evaluations, never roots.  The scan leaves in ``state["log_slopes"]``
+    log |f'| at each root, from ``_pinned_root`` (NaN at a zero on a grid
+    point), for the channels above to extrapolate.
     """
     _check_scan(mu, theta0, omega_max)
     f = _channel(mu, theta0, state)
@@ -424,10 +441,9 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
             roots.append(w)
             log_slopes.append(math.nan)
         elif (val > 0) != (prev_val > 0):
-            a, b, slope = _false_position(f, prev_w, prev_val, w, val,
-                                          _ABS_TOL / 256.0)
-            roots.append(_bisect_cell(f, prev_w, w, a, b, prev_val > 0))
-            log_slopes.append(_log_slope(slope))
+            root, log_slope = _pinned_root(f, grid, prev_w, prev_val, w, val)
+            roots.append(root)
+            log_slopes.append(log_slope)
         prev_w, prev_val = w, val
     if state is not None:
         state["log_slopes"] = log_slopes
@@ -442,24 +458,6 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
                 f"gap {b - a:.3f} between roots exceeds {max_gap:.3f}"
             )
     return roots
-
-
-def _replay_scan(f, grid: list[float], a: float, b: float,
-                 left_positive: bool) -> float:
-    """The root the scan of ``grid`` finds for a root located in [a, b],
-    where 0 < a and b <= grid[-1].  A grid point inside [a, b] is evaluated
-    as the scan evaluates it: an exact 0 makes it the root, otherwise its
-    sign picks the cell.  Then the cell's bisection is replayed."""
-    i = bisect.bisect_left(grid, a)  # grid[i - 1] < a <= grid[i]
-    g = grid[i]
-    if g <= b:
-        fg = f(g)
-        if fg == 0.0:
-            return g
-        if (fg > 0) == left_positive:
-            return _bisect_cell(f, g, grid[i + 1], g, b, left_positive)
-        b = g
-    return _bisect_cell(f, grid[i - 1], g, a, b, left_positive)
 
 
 def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
@@ -486,9 +484,8 @@ def _interlaced_roots(f, lower: Sequence[Sequence[float]], omega_max: float,
     none).  Interlacing puts exactly one root in each bracket between
     consecutive roots of the nearest, and none or one in the last bracket
     (lower[-1][-1], omega_max]; f is evaluated only at those ends and inside
-    the brackets.  Each root is located by ``_false_position``, then the
-    scan of ``grid`` is replayed on it, so it is the root
-    ``dirichlet_roots`` finds: the start and the slope move the
+    the brackets.  ``_pinned_root`` pins each root on ``grid``, so it is
+    the root ``dirichlet_roots`` finds: the start and the slope move the
     evaluations, never the root, which the signs alone fix.  The start is
     the root's extrapolation from the channels below (``_extrapolated``)
     plus the previous root's miss, that root less its own extrapolation; a
@@ -523,11 +520,11 @@ def _interlaced_roots(f, lower: Sequence[Sequence[float]], omega_max: float,
             # past _LOG_MAX, and a NaN fails that test
             slope = (math.copysign(math.exp(predicted), fb)
                      if predicted < _LOG_MAX else None)
-            x, y, secant = _false_position(f, a, fa, b, fb, _ABS_TOL / 256.0,
+            root, log_slope = _pinned_root(f, grid, a, fa, b, fb,
                                            guess + miss if finite else guess,
                                            slope)
-            roots.append(_replay_scan(f, grid, x, y, fa > 0))
-            logs.append(_log_slope(secant))
+            roots.append(root)
+            logs.append(log_slope)
             miss = roots[-1] - guess if finite else 0.0
             log_miss = logs[-1] - log_guess if log_finite else 0.0
         elif i < len(ends) - 1:
@@ -555,12 +552,13 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     scanned (``dirichlet_roots``); every later channel is bracketed by the
     roots of the one before (``_interlaced_roots``), and each of those
     brackets must show a sign change.  That check replaces the scan's gap
-    monitor.  Inside a bracket ``_false_position`` starts from the root
+    monitor.  Inside a bracket false position starts from the root
     extrapolated in mu from up to four channels below, plus the miss of the
     same extrapolation at the channel's previous root.  That predicts it to
     a median error of 3e-5 at pi/3 with cutoff 40 and 3e-7 with cutoff 120,
     against a bracket about pi/theta0 wide.  Its second trial is a Newton
-    step with log |f'| at the root predicted the same way; the start and
+    step with log |f'| at the root predicted the same way.  Then
+    ``_pinned_root`` replays the scan on the bracket left, so the start and
     the slope change only where f is evaluated.  The channels share one
     evaluation state, so each starts from the precision hint the channel
     below left.  A channel whose brackets fail the check, because its roots
@@ -658,7 +656,7 @@ def _log_weyl_tail(big_d: int, count: float, omega_max: float,
 def _check_tolerance(tolerance: float) -> None:
     # a NaN tolerance would switch the tail certificate off (tail > nan is
     # never true), and 0 leaves no cutoff able to meet it
-    if not 0.0 < tolerance < math.inf:
+    if not 0.0 < _real(tolerance, "tolerance") < math.inf:
         raise ValidationError("tolerance must be positive and finite")
 
 
@@ -666,7 +664,7 @@ def default_omega_max(big_d: int, t_min: float, tolerance: float) -> float:
     """Cutoff heuristic: large enough that the Gaussian tail at t_min falls
     below the tolerance; always certified afterwards by the tail bound."""
     _check_tolerance(tolerance)
-    if not 0.0 < t_min < math.inf:
+    if not 0.0 < _real(t_min, "t_min") < math.inf:
         raise ValidationError("t_min must be positive and finite")
     # a large t_min turns the target negative: take the floor, and let the
     # tail certificate judge it
@@ -695,7 +693,8 @@ def heat_trace(
 
     if not isinstance(cfg.base, SphereBase):
         raise ValidationError("heat_trace supports sphere bases only")
-    if not len(t_values) or not all(0.0 < t < math.inf for t in t_values):
+    if not len(t_values) or not all(0.0 < _real(t, "t") < math.inf
+                                    for t in t_values):
         raise ValidationError("t values must be positive and finite")
     _check_tolerance(tolerance)
     d = cfg.d

@@ -41,7 +41,7 @@ from capheat.errors import (
     TailTooLarge,
     ValidationError,
 )
-from capheat.spectral_oracle import HeatTraceSample
+from capheat.spectral_oracle import HeatTraceSample, default_omega_max
 
 COEFFS = ["coeffs", "--dim", "3", "--theta0", "1", "--max-n", "2"]
 ROOTS = ["roots", "--mu", "0.5", "--theta0", "1", "--omega-max", "5"]
@@ -97,6 +97,8 @@ REFUSALS = [
         flag(COEFFS, "--theta0", "3.5"), 2, id="angle-above-pi"),
     row(lambda: AngleParams(math.nan), ValueError,
         flag(COEFFS, "--theta0", "nan"), 2, id="angle-nan"),
+    row(lambda: AngleParams("1"), ValidationError, id="angle-str"),
+    row(lambda: AngleParams(None), ValidationError, id="angle-none"),
     # SphereBase
     row(lambda: SphereBase(1), ValidationError,
         flag(flag(COEFFS, "--dim", "2"), "--max-n", "1"), 2, id="sphere-d1"),
@@ -105,6 +107,7 @@ REFUSALS = [
     row(lambda: user(d="2"), ValidationError,
         base_file('{"d": 2.5, "coefficients": {"0": 1, "1": 0, "2": 0.1}}'), 2,
         id="user-d-float"),
+    row(lambda: UserBase(2, [1.0]), ValidationError, id="user-coefficients-list"),
     row(lambda: user(d=0), ValidationError,
         base_file('{"d": 0, "coefficients": {"0": 1}}'), 2, id="user-d0"),
     row(lambda: user({**GOOD, -1: 5.0}), ValidationError,
@@ -167,6 +170,11 @@ REFUSALS = [
         flag(COEFFS, "--mass", "nan"), 2, id="mass-nan"),
     row(lambda: config(mass=math.inf), ValidationError,
         flag(COEFFS, "--mass", "inf"), 2, id="mass-inf"),
+    row(lambda: config(mass="0"), ValidationError, id="mass-str"),
+    row(lambda: SuspensionConfig(D=3, angle=1.0, base=SphereBase(2), n_max=2),
+        ValidationError, id="angle-not-angleparams"),
+    row(lambda: SuspensionConfig(D=3, angle=AngleParams(1.0), base=None, n_max=2),
+        ValidationError, id="base-none"),
     # compute_table
     row(lambda: compute_table(config(base=user({0: 1.0}))), InsufficientBaseData,
         base_file('{"coefficients": {"0": 1}}'), 2, id="table-missing-coefficient"),
@@ -196,6 +204,7 @@ REFUSALS = [
     row(lambda: ferrers_p(0.0, 1.0, 0.5), ValidationError, id="ferrers-mu-zero"),
     row(lambda: ferrers_p(0.5, 1.0, 1.0), ValidationError, id="ferrers-x-one"),
     row(lambda: ferrers_p(0.5, 1.0, -0.9), SlowConvergence, id="ferrers-near-pi"),
+    row(lambda: ferrers_p("1", 1.0, 0.5), ValidationError, id="ferrers-mu-str"),
     # dirichlet_roots
     row(lambda: dirichlet_roots(0.5, 2.3, 5.0), ValidationError,
         flag(ROOTS, "--theta0", "2.3"), 2, id="roots-theta0-above-guard"),
@@ -207,12 +216,17 @@ REFUSALS = [
         flag(ROOTS, "--omega-max", "1001"), 2, id="roots-omega_max-above-limit"),
     row(lambda: dirichlet_roots(0.5, 1.0, math.nan), ValidationError,
         flag(ROOTS, "--omega-max", "nan"), 2, id="roots-omega_max-nan"),
+    row(lambda: dirichlet_roots("1", 1.0, 5.0), ValidationError, id="roots-mu-str"),
     # spectrum
     row(lambda: spectrum(1, 1.0, 10.0), ValidationError, id="spectrum-d1"),
     row(lambda: spectrum(2.5, 1.0, 10.0), ValidationError, id="spectrum-d-float"),
     row(lambda: spectrum(2, 2.2, 300.0), ValidationError,
         flag(flag(VERIFY, "--theta0", "2.2"), "--omega-max", "300"), 2,
         id="spectrum-too-many-roots"),
+    row(lambda: spectrum(2, "1", 5.0), ValidationError, id="spectrum-theta0-str"),
+    # default_omega_max
+    row(lambda: default_omega_max(3, "1", 1e-6), ValidationError,
+        id="omega_max-t_min-str"),
     # heat_trace
     row(lambda: heat_trace(config(base=user()), [0.1], omega_max=15.0),
         ValidationError, id="trace-user-base"),
@@ -225,6 +239,10 @@ REFUSALS = [
     row(lambda: heat_trace(hemisphere(), [0.3], math.nan, omega_max=15.0),
         ValidationError, flag(VERIFY, "--tolerance", "nan"), 2,
         id="trace-tolerance-nan"),
+    row(lambda: heat_trace(hemisphere(), ["0.3"], omega_max=15.0),
+        ValidationError, id="trace-time-str"),
+    row(lambda: heat_trace(hemisphere(), [0.3], "1", omega_max=15.0),
+        ValidationError, id="trace-tolerance-str"),
     row(lambda: heat_trace(hemisphere(), [1e-4], omega_max=12.0), TailTooLarge,
         ["verify", "--dim", "12", "--theta0", "1", "--max-n", "2",
          "--t-min", "100", "--t-max", "1000"], 3, id="trace-tail-too-large"),

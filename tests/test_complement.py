@@ -1,11 +1,13 @@
-"""The odd-index complement identity over the sphere base.
+"""The odd-index complement identity over the sphere base and over a closed
+user base.
 
 The caps of opening theta0 and pi - theta0 glue into the whole suspension.
 Heat invariants are local, and reversing the normal flips the sign of the
 boundary integrand of index n/2 by (-1)^(n-1).  Over a closed base, then,
 A_(n/2)(theta0) = A_(n/2)(pi - theta0) for every odd n.  It holds for every
-D and index, where the closed-form grid stops at index 4 beyond D = 18.  Even
-n waits for the volume term over obtuse caps to be mended.
+D, index and closed base, where the closed-form grid stops at index 4
+beyond D = 18 and has no user base.  Even n waits for the volume term over
+obtuse caps to be mended.
 
 Every cell compares ``script_A`` at the two openings, relative to the larger
 magnitude.  The cells above the bound are strict xfail, with their deviation
@@ -16,11 +18,12 @@ tells it to drop the cell here.
 from __future__ import annotations
 
 import math
+import random
 from functools import lru_cache
 
 import pytest
 
-from capheat.heat_coeffs import SphereBase, SuspensionConfig, compute_table
+from capheat.heat_coeffs import SphereBase, SuspensionConfig, UserBase, compute_table
 from capheat.special_eval import AngleParams
 
 BOUND = 1e-9
@@ -58,26 +61,51 @@ MEASURED = {
 }
 
 
-def config(big_d: int, theta0: float) -> SuspensionConfig:
+# A closed base that is not the sphere: seeded even-index coefficients in
+# [-2, 2], and zero odd-index ones.
+_rng = random.Random(3)
+USER_COEFFICIENTS = {n: _rng.uniform(-2.0, 2.0) if n % 2 == 0 else 0.0
+                     for n in range(18)}
+USER_DIMS = tuple(range(3, 19))
+# (D, theta0) -> {odd n: relative deviation as measured}, over that base
+MEASURED_USER = {
+    (8, 0.7): {7: 1.1e-09},
+    (10, 0.7): {7: 2.1e-08, 9: 1.4e-06},
+    (11, 0.7): {9: 3.2e-09},
+    (12, 0.7): {9: 5.7e-07, 11: 0.0048},
+    (13, 0.7): {9: 1.6e-09, 11: 1.1e-07},
+    (14, 0.7): {9: 7e-08, 11: 0.0045, 13: 0.095},
+    (15, 0.7): {9: 6.5e-09, 11: 5.5e-07, 13: 3.9e-05},
+    (16, 0.7): {9: 5.9e-08, 11: 0.0007, 13: 0.099, 15: 0.12},
+    (16, 1.2): {15: 2.1e-09},
+    (17, 0.7): {9: 2.7e-07, 11: 9.7e-07, 13: 5.2e-06, 15: 0.019},
+    (17, 1.2): {15: 7.9e-09},
+    (18, 0.7): {9: 3.9e-08, 11: 3.5e-06, 13: 0.038, 15: 0.11, 17: 0.062},
+    (18, 1.2): {15: 6.9e-09, 17: 1.4e-07},
+}
+
+
+def config(big_d: int, theta0: float, user: bool = False) -> SuspensionConfig:
     return SuspensionConfig(
         D=big_d,
         angle=AngleParams.from_theta0(theta0),
-        base=SphereBase(big_d - 1),
+        base=UserBase(big_d - 1, USER_COEFFICIENTS) if user else SphereBase(big_d - 1),
         n_max=min(big_d - 1, 17),
     )
 
 
 @lru_cache(maxsize=None)
-def script(big_d: int, theta0: float) -> tuple[float, ...]:
-    return tuple(e.script_A for e in compute_table(config(big_d, theta0)).entries)
+def script(big_d: int, theta0: float, user: bool = False) -> tuple[float, ...]:
+    table = compute_table(config(big_d, theta0, user))
+    return tuple(e.script_A for e in table.entries)
 
 
-def cells():
-    for big_d in DIMS:
+def cells(dims, measured_cells, refused=()):
+    for big_d in dims:
         for theta0 in THETAS:
-            if (big_d, theta0) in REFUSED:
+            if (big_d, theta0) in refused:
                 continue
-            measured = MEASURED.get((big_d, theta0), {})
+            measured = measured_cells.get((big_d, theta0), {})
             for n in range(1, min(big_d - 1, 17) + 1, 2):
                 marks = ()
                 if n in measured:
@@ -90,14 +118,23 @@ def cells():
                 )
 
 
-@pytest.mark.parametrize("big_d,theta0,n", cells())
-def test_odd_index_complement(big_d, theta0, n):
-    a = script(big_d, theta0)[n]
-    b = script(big_d, math.pi - theta0)[n]
+def assert_complement(big_d, theta0, n, user=False):
+    a = script(big_d, theta0, user)[n]
+    b = script(big_d, math.pi - theta0, user)[n]
     scale = max(abs(a), abs(b))
     if not abs(a - b) <= BOUND * scale:
         # a cell's traceback says nothing its deviation does not
         pytest.fail(f"relative deviation {abs(a - b) / scale:.2e}", pytrace=False)
+
+
+@pytest.mark.parametrize("big_d,theta0,n", cells(DIMS, MEASURED, REFUSED))
+def test_odd_index_complement(big_d, theta0, n):
+    assert_complement(big_d, theta0, n)
+
+
+@pytest.mark.parametrize("big_d,theta0,n", cells(USER_DIMS, MEASURED_USER))
+def test_odd_index_complement_user_base(big_d, theta0, n):
+    assert_complement(big_d, theta0, n, user=True)
 
 
 @pytest.mark.parametrize("big_d,theta0", REFUSED)
@@ -107,7 +144,9 @@ def test_refused_tables(big_d, theta0):
 
 
 def test_measured_cells_are_in_the_grid():
-    for (big_d, theta0), measured in MEASURED.items():
-        assert big_d in DIMS and theta0 in THETAS
-        assert all(n % 2 and n <= min(big_d - 1, 17) for n in measured)
-        assert all(dev > BOUND for dev in measured.values())
+    grids = [(DIMS, MEASURED), (USER_DIMS, MEASURED_USER)]
+    for dims, measured_cells in grids:
+        for (big_d, theta0), measured in measured_cells.items():
+            assert big_d in dims and theta0 in THETAS
+            assert all(n % 2 and n <= min(big_d - 1, 17) for n in measured)
+            assert all(dev > BOUND for dev in measured.values())

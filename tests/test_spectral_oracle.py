@@ -625,12 +625,12 @@ class TestSpectrum:
         false_position = spectral_oracle._false_position
         starts, slopes = [], []
 
-        def recorded(f, a, fa, b, fb, width, first=None, slope=None):
+        def recorded(f, a, fa, b, fb, first=None, slope=None):
             starts.append(first)
             slopes.append(slope)
             if bad_slope:
                 slope = bad_slope(slope)
-            return false_position(f, a, fa, b, fb, width, first, slope)
+            return false_position(f, a, fa, b, fb, first, slope)
 
         if not bad_slope:
             monkeypatch.setattr(spectral_oracle, "_extrapolated", poor)
@@ -662,6 +662,18 @@ class TestSpectrum:
         assert calls["evaluations"] <= per_root * roots
         assert calls["sums"] - calls["evaluations"] <= resums
 
+    def test_hemisphere_roots_on_the_grid_are_not_evaluated_again(
+            self, monkeypatch):
+        # at theta0 = pi/2 the scan step is 1/2, and the roots lie within
+        # rounding above integers, which are grid points (channel 1/2's are
+        # the even integers).  False position then leaves a bracket that
+        # ends on the grid point, whose sign it has evaluated, and the
+        # replay of the scan does not evaluate it again: 514 evaluations.
+        # Evaluating the located bracket's ends as well would take 538.
+        calls = count_evaluations(monkeypatch)
+        spectrum(2, math.pi / 2, 20.0)
+        assert calls["evaluations"] <= 514
+
     @pytest.mark.parametrize("d,resums", [(2, 26), (3, 0), (4, 0)])
     def test_resums_are_channel_zeros_on_the_grid(self, monkeypatch, d, resums):
         # The first sum of a spectrum, at omega = 0, starts at 102 bits, a
@@ -681,7 +693,9 @@ class TestSpectrum:
     def test_replay_scan_with_a_grid_point_in_the_bracket(self, offset):
         # a root within 1e-13 of a grid point: the located bracket holds the
         # point, which is evaluated as the scan evaluates it to pick the
-        # cell, and the root is plain bisection's of that cell, bit for bit
+        # cell, and the root is plain bisection's of that cell, bit for bit.
+        # The bracket is narrower than _ABS_TOL / 256, so false position
+        # takes no step, and only points inside it are evaluated.
         grid = spectral_oracle._scan_grid(1.0, 10.0)
         i = 4
         root = grid[i] + offset
@@ -700,9 +714,12 @@ class TestSpectrum:
                 lo = mid
             else:
                 hi = mid
+        a, b = root - 1.5e-13, root + 1.5e-13
+        fa, fb = f(a), f(b)
         evaluated.clear()
-        got = spectral_oracle._replay_scan(f, grid, root - 2e-13, root + 2e-13, True)
+        got, _ = spectral_oracle._pinned_root(f, grid, a, fa, b, fb)
         assert evaluated[0] == grid[i]
+        assert all(a < w < b for w in evaluated)
         assert got.hex() == (0.5 * (lo + hi)).hex()
 
     def test_roots_fingerprint(self):
@@ -759,9 +776,8 @@ class TestRootFinderBranches:
         def f(w):
             return 2.5 - w
 
-        a, b, slope = spectral_oracle._false_position(
-            f, 2.0, f(2.0), 3.0, f(3.0), 1e-12
-        )
+        a, b, slope = spectral_oracle._false_position(f, 2.0, f(2.0), 3.0,
+                                                      f(3.0))
         assert (a, b) == (2.5, 2.5) and math.isnan(slope)
         roots = synthetic_roots(monkeypatch, f, 6.0)
         assert roots == scan_bisection(f, QUARTER, 6.0) == [2.5]
@@ -775,19 +791,20 @@ class TestRootFinderBranches:
         def f(w):
             raise AssertionError("f evaluated")
 
-        assert spectral_oracle._false_position(f, a, 1.0, b, -1.0, 1e-12) == (
+        assert spectral_oracle._false_position(f, a, 1.0, b, -1.0) == (
             a, b, -2.0 / (b - a))
 
     def test_bisection_midpoint_is_the_root(self, monkeypatch):
         # 2.25 is the second midpoint of cell (2, 3): replayed against a
-        # located bracket that holds it, the bisection evaluates it and
+        # located bracket that holds it, narrower than _ABS_TOL / 256 so
+        # that false position takes no step, the bisection evaluates it and
         # returns its exact zero
         def f(w):
             return (2.25 - w) * (1.0 + w * w)
 
-        assert spectral_oracle._bisect_cell(
-            f, 2.0, 3.0, 2.25 - 1e-13, 2.25 + 1e-13, True
-        ) == 2.25
+        a, b = 2.25 - 1e-13, 2.25 + 1e-13
+        grid = spectral_oracle._scan_grid(QUARTER, 6.0)
+        assert spectral_oracle._pinned_root(f, grid, a, f(a), b, f(b))[0] == 2.25
         roots = synthetic_roots(monkeypatch, f, 6.0)
         assert roots == scan_bisection(f, QUARTER, 6.0) == [2.25]
 
@@ -814,17 +831,35 @@ class TestRootFinderBranches:
             synthetic_roots(monkeypatch, f, 12.0)
 
     def test_replay_scan_with_a_root_on_the_grid_point(self):
-        # the located bracket holds grid point 4, which is the root: the
-        # scan's exact zero there, not a bisection of either cell
+        # the located bracket, narrower than _ABS_TOL / 256, holds grid point
+        # 4, which is the root: the scan's exact zero there, not a bisection
+        # of either cell
         grid = spectral_oracle._scan_grid(QUARTER, 10.0)
 
         def f(w):
             return (4.0 - w) * (1.0 + w)
 
+        a, b = 4.0 - 1e-13, 4.0 + 1e-13
         assert grid[4] == 4.0
-        assert spectral_oracle._replay_scan(f, grid, 4.0 - 1e-13, 4.0 + 1e-13,
-                                            True) == 4.0
+        assert spectral_oracle._pinned_root(f, grid, a, f(a), b, f(b))[0] == 4.0
         assert 4.0 in scan_bisection(f, QUARTER, 10.0)
+
+    @pytest.mark.parametrize("zero", [3.0, 2.3])
+    def test_false_position_lands_on_the_root(self, zero):
+        # the first trial is an exact zero of f: on grid point 3 it is the
+        # root, as the scan takes it; at 2.3, which no midpoint of cell
+        # (2, 3) reaches, the replayed bisection decides, as plain
+        # bisection does
+        grid = spectral_oracle._scan_grid(QUARTER, 6.0)
+
+        def f(w):
+            return (zero - w) * (1.0 + w)
+
+        a, b = zero - 0.7, zero + 0.6
+        root, log_slope = spectral_oracle._pinned_root(f, grid, a, f(a), b,
+                                                       f(b), zero)
+        assert [root] == scan_bisection(f, QUARTER, 6.0)
+        assert (root == zero) == (zero == 3.0) and math.isnan(log_slope)
 
     def test_interlaced_zero_at_the_cutoff(self):
         # the last bracket (4.5, 7] ends on a zero of f: the scan's zero at
