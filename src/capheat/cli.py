@@ -313,7 +313,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError, KeyError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (CapheatError, OverflowError) as exc:

@@ -14,16 +14,18 @@ the rest of the sum stops it as soon as the caller's need is met: less for
 the root finder, whose signs the bound leaves exact, than for the doubles
 of ``ferrers_p``.
 
-Roots of one channel are found by a scan on a quarter-spacing grid.  A
-spectrum scans only its first channel: sphere channels interlace, so each
-later channel is bracketed by the roots of the one before, and each of its
-roots is first tried where the channels below extrapolate it, corrected by
-the previous root's miss, then by a Newton step with the slope extrapolated
-the same way.  Either way one routine pins each root: Anderson-Bjorck false
-position shrinks its bracket, and the scan and its bisection are replayed
-on what is left, evaluating f only inside it.  So both paths give the same
-roots, bit for bit: where f is evaluated, at what precision and how long
-each sum runs never decide a root, only signs do.
+One walk over brackets finds a channel's roots.  A scan walks a
+quarter-spacing grid, and a spectrum scans only its first channel: sphere
+channels interlace, so each later channel walks the roots of the one
+before, and each of its roots is first tried where the channels below
+extrapolate it, corrected by the previous root's miss, then by a Newton
+step with the slope extrapolated the same way.  An exact zero on an end is
+a root, past which the sign flips.  One routine pins each root:
+Anderson-Bjorck false position shrinks its bracket, and the scan and its
+bisection are replayed on what is left, evaluating f only inside it.  So
+every walk gives the scan's roots, bit for bit: where f is evaluated, at
+what precision and how long each sum runs never decide a root, only signs
+do.
 
 Everything else runs on doubles: the Ferrers prefactor and the incomplete
 gamma function of the Weyl tail are closed forms summed as logarithms.
@@ -413,53 +415,6 @@ def _scan_grid(theta0: float, omega_max: float) -> list[float]:
     return grid
 
 
-def dirichlet_roots(mu: float, theta0: float, omega_max: float,
-                    state: dict | None = None) -> list[float]:
-    """All simple roots in (0, omega_max] of the Dirichlet condition at
-    theta0: the Ferrers function of order -mu vanishing at cos(theta0).
-
-    Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
-    with a gap monitor against missed roots.  ``_pinned_root`` pins each
-    sign change to the root of the cell's bisection to _ABS_TOL.
-    ``state``, when given, is the evaluation state of ``_channel``: it moves
-    evaluations, never roots.  The scan leaves in ``state["log_slopes"]``
-    log |f'| at each root, from ``_pinned_root`` (NaN at a zero on a grid
-    point), for the channels above to extrapolate.
-    """
-    _check_scan(mu, theta0, omega_max)
-    f = _channel(mu, theta0, state)
-    grid = _scan_grid(theta0, omega_max)
-
-    roots: list[float] = []
-    log_slopes: list[float] = []
-    prev_w, prev_val = 0.0, f(0.0)
-    if prev_val == 0.0:
-        raise MissedRootSuspicion("unexpected root at omega = 0")
-    for w in grid[1:]:
-        val = f(w)
-        if val == 0.0:
-            roots.append(w)
-            log_slopes.append(math.nan)
-        elif (val > 0) != (prev_val > 0):
-            root, log_slope = _pinned_root(f, grid, prev_w, prev_val, w, val)
-            roots.append(root)
-            log_slopes.append(log_slope)
-        prev_w, prev_val = w, val
-    if state is not None:
-        state["log_slopes"] = log_slopes
-
-    # Roots settle to spacing pi/theta0 only once omega clears the turning
-    # region; below ~2 mu / sin(theta0) wider gaps are genuine, not misses.
-    max_gap = 1.5 * math.pi / theta0
-    asymptotic_floor = 2.0 * mu / math.sin(theta0)
-    for a, b in zip(roots, roots[1:]):
-        if a > asymptotic_floor and b - a > max_gap:
-            raise MissedRootSuspicion(
-                f"gap {b - a:.3f} between roots exceeds {max_gap:.3f}"
-            )
-    return roots
-
-
 def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
     """Value j of the next channel, a root or log |f'| at one, extrapolated
     in mu (step 1) from value j of the channels in ``lower`` (nearest
@@ -475,36 +430,35 @@ def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
     return None
 
 
-def _interlaced_roots(f, lower: Sequence[Sequence[float]], omega_max: float,
-                      grid: list[float],
-                      lower_logs: Sequence[Sequence[float]] = ()):
-    """The roots in (0, omega_max] of the channel whose Dirichlet function
-    is f, given ``lower``, the roots of the channels below it, nearest last
-    (and nonempty), and ``lower_logs``, log |f'| at those roots (empty for
-    none).  Interlacing puts exactly one root in each bracket between
-    consecutive roots of the nearest, and none or one in the last bracket
-    (lower[-1][-1], omega_max]; f is evaluated only at those ends and inside
-    the brackets.  ``_pinned_root`` pins each root on ``grid``, so it is
-    the root ``dirichlet_roots`` finds: the start and the slope move the
-    evaluations, never the root, which the signs alone fix.  The start is
-    the root's extrapolation from the channels below (``_extrapolated``)
-    plus the previous root's miss, that root less its own extrapolation; a
-    missing or non-finite extrapolation adds no correction and leaves none
-    for the next root.  The slope is predicted the same way from
-    ``lower_logs``, with the sign of the bracket's sign change.
+def _bracket_roots(f, ends: Sequence[float], grid: list[float],
+                   lower: Sequence[Sequence[float]] = (),
+                   lower_logs: Sequence[Sequence[float]] = ()):
+    """The roots of f in (ends[0], ends[-1]] and log |f'| at each, walking
+    the brackets between consecutive ends: a scan's ``grid``, or the roots
+    of the channel below and the cutoff, with ``lower``, the roots of the
+    channels below (nearest last), and ``lower_logs``, log |f'| at them.
+    ``_pinned_root`` pins each sign change on ``grid``, so every walk gives
+    the scan's root: the start and the slope move the evaluations, never
+    the root, which the signs alone fix.  The start is the root's
+    extrapolation from the channels below (``_extrapolated``; None with
+    fewer than two) plus the previous root's miss, that root less its own
+    extrapolation; a missing or non-finite extrapolation adds no correction
+    and leaves none for the next root.  The slope is predicted the same way
+    from ``lower_logs``, with the sign of the bracket's sign change.  An
+    exact zero on an end is a root (log |f'| NaN), and a simple root flips
+    the sign: the next bracket starts from the opposite of the one before.
 
-    Returns the roots and log |f'| at each, or None when an end is a zero
-    of f or a bracket between two roots of the nearest channel shows no
-    sign change.  The ends are roots known only to _ABS_TOL, and two
-    channels' roots can be closer than that: on an obtuse cap a high
-    channel's lowest roots crowd onto the sphere's mu + 1/2 + n.
+    Returns None when f is 0 at ends[0], or, with a ``lower``, at the first
+    bracket other than the last that ends on a zero or shows no sign
+    change.  Interlacing puts one root in each, but its ends are roots
+    known only to _ABS_TOL: on an obtuse cap a high channel's lowest roots
+    crowd onto mu + 1/2 + n closer than that.
     """
-    roots: list[float] = []
-    logs: list[float] = []
-    ends = [*lower[-1], omega_max]
     fa = f(ends[0])
     if fa == 0.0:
         return None
+    roots: list[float] = []
+    logs: list[float] = []
     # the previous root and log |f'| there, less their extrapolations
     miss = log_miss = 0.0
     for i in range(1, len(ends)):
@@ -525,15 +479,50 @@ def _interlaced_roots(f, lower: Sequence[Sequence[float]], omega_max: float,
                                            slope)
             roots.append(root)
             logs.append(log_slope)
-            miss = roots[-1] - guess if finite else 0.0
-            log_miss = logs[-1] - log_guess if log_finite else 0.0
-        elif i < len(ends) - 1:
+            miss = root - guess if finite else 0.0
+            log_miss = log_slope - log_guess if log_finite else 0.0
+        elif lower and i < len(ends) - 1:
             return None
         elif fb == 0.0:
-            roots.append(b)  # the scan's zero at its last point
+            roots.append(b)
             logs.append(math.nan)
-        fa = fb
+        fa = fb if fb != 0.0 else -fa
     return roots, logs
+
+
+def dirichlet_roots(mu: float, theta0: float, omega_max: float,
+                    state: dict | None = None) -> list[float]:
+    """All simple roots in (0, omega_max] of the Dirichlet condition at
+    theta0: the Ferrers function of order -mu vanishing at cos(theta0).
+
+    Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
+    with a gap monitor against missed roots: ``_bracket_roots`` walks the
+    grid, a zero on a grid point is a root, and ``_pinned_root`` pins each
+    sign change to the root of the cell's bisection to _ABS_TOL.
+    ``state``, when given, is the evaluation state of ``_channel``: it moves
+    evaluations, never roots.  The scan leaves in ``state["log_slopes"]``
+    log |f'| at each root, from ``_pinned_root`` (NaN at a zero on a grid
+    point), for the channels above to extrapolate.
+    """
+    _check_scan(mu, theta0, omega_max)
+    grid = _scan_grid(theta0, omega_max)
+    found = _bracket_roots(_channel(mu, theta0, state), grid, grid)
+    if found is None:
+        raise MissedRootSuspicion("unexpected root at omega = 0")
+    roots, log_slopes = found
+    if state is not None:
+        state["log_slopes"] = log_slopes
+
+    # Roots settle to spacing pi/theta0 only once omega clears the turning
+    # region; below ~2 mu / sin(theta0) wider gaps are genuine, not misses.
+    max_gap = 1.5 * math.pi / theta0
+    asymptotic_floor = 2.0 * mu / math.sin(theta0)
+    for a, b in zip(roots, roots[1:]):
+        if a > asymptotic_floor and b - a > max_gap:
+            raise MissedRootSuspicion(
+                f"gap {b - a:.3f} between roots exceeds {max_gap:.3f}"
+            )
+    return roots
 
 
 def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]:
@@ -549,24 +538,22 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     the order -mu one, so that the Dirichlet condition of channel mu + 1 is
     a Robin condition for channel mu, and Robin roots interlace Dirichlet
     ones; the Bessel analogue is DLMF 10.21(i).  So only channel 0 is
-    scanned (``dirichlet_roots``); every later channel is bracketed by the
-    roots of the one before (``_interlaced_roots``), and each of those
-    brackets must show a sign change.  That check replaces the scan's gap
-    monitor.  Inside a bracket false position starts from the root
-    extrapolated in mu from up to four channels below, plus the miss of the
-    same extrapolation at the channel's previous root.  That predicts it to
-    a median error of 3e-5 at pi/3 with cutoff 40 and 3e-7 with cutoff 120,
-    against a bracket about pi/theta0 wide.  Its second trial is a Newton
-    step with log |f'| at the root predicted the same way.  Then
-    ``_pinned_root`` replays the scan on the bracket left, so the start and
-    the slope change only where f is evaluated.  The channels share one
-    evaluation state, so each starts from the precision hint the channel
-    below left.  A channel whose brackets fail the check, because its roots
-    lie closer to the lower channel's than their tolerance, is scanned like
-    channel 0, and its root count must still interlace, else
-    MissedRootSuspicion.  Either way the roots are bit-identical to a scan
-    of each channel.  The first root of a channel increases with mu, so the
-    loop stops at the first channel with no roots in range.
+    scanned (``dirichlet_roots``); ``_bracket_roots`` walks every later
+    channel over the roots of the one before, as the scan walks its grid,
+    and each of those brackets must show a sign change.  That check
+    replaces the scan's gap monitor.  The start extrapolated in mu from up
+    to four channels below, with the miss at the channel's previous root,
+    predicts a root to a median error of 3e-5 at pi/3 with cutoff 40 and
+    3e-7 with cutoff 120, against a bracket about pi/theta0 wide; it and
+    the slope predicted the same way change only where f is evaluated.  The
+    channels share one evaluation state, so each starts from the precision
+    hint the channel below left.  A channel whose brackets fail the check,
+    because its roots lie closer to the lower channel's than their
+    tolerance, is scanned like channel 0, and its root count must still
+    interlace, else MissedRootSuspicion.  Either way the roots are
+    bit-identical to a scan of each channel.  The first root of a channel
+    increases with mu, so the loop stops at the first channel with no roots
+    in range.
 
     A request whose estimated root count, omega_max^2 theta0 sin(theta0) /
     (2 pi) with the sine taken as 1 past pi/2, exceeds _MAX_ROOTS is
@@ -590,8 +577,9 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     while True:
         mu = sphere_mu(k, d)
         lower = [ch.roots for ch in channels[-4:]]
-        found = lower and _interlaced_roots(_channel(mu, theta0, state), lower,
-                                            omega_max, grid, logs[-4:])
+        found = lower and _bracket_roots(_channel(mu, theta0, state),
+                                         [*lower[-1], omega_max], grid, lower,
+                                         logs[-4:])
         if found:
             roots, log_slopes = found
         else:
@@ -666,6 +654,7 @@ def default_omega_max(big_d: int, t_min: float, tolerance: float) -> float:
     _check_tolerance(tolerance)
     if not 0.0 < _real(t_min, "t_min") < math.inf:
         raise ValidationError("t_min must be positive and finite")
+    _index(big_d, "total dimension D")
     # a large t_min turns the target negative: take the floor, and let the
     # tail certificate judge it
     log_target = math.log(1.0 / tolerance) + 0.5 * big_d * math.log(1.0 / t_min) + 12.0
@@ -758,6 +747,7 @@ def fit_asymptotics(
 
     ts = [s.t for s in samples]
     _check_fit_request(ts, n_fit)
+    _index(big_d, "total dimension D")
     t = np.array(ts, dtype=float)
     y = np.array([s.value for s in samples], dtype=float) * t ** (0.5 * big_d)
     u = np.sqrt(t)

@@ -227,6 +227,8 @@ REFUSALS = [
     # default_omega_max
     row(lambda: default_omega_max(3, "1", 1e-6), ValidationError,
         id="omega_max-t_min-str"),
+    row(lambda: default_omega_max("3", 1e-3, 1e-6), ValidationError,
+        id="omega_max-big_d-str"),
     # heat_trace
     row(lambda: heat_trace(config(base=user()), [0.1], omega_max=15.0),
         ValidationError, id="trace-user-base"),
@@ -256,6 +258,8 @@ REFUSALS = [
     row(lambda: fit_asymptotics(samples(np.concatenate(
         [np.full(12, 1e-3) * (1 + 1e-12 * np.arange(12)), [1e-2]])), 3, 4),
         IllConditioned, id="fit-ill-conditioned"),
+    row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 20)), "3", 1),
+        ValidationError, id="fit-big_d-str"),
 ]
 
 

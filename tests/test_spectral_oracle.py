@@ -65,7 +65,9 @@ def bisection_roots(mu, theta0, omega_max, abs_tol=1e-10):
 
 
 def scan_bisection(f, theta0, omega_max, abs_tol=1e-10):
-    """Plain scan-and-bisection of any f on the quarter-spacing grid."""
+    """Plain scan-and-bisection of any f on the quarter-spacing grid.  A
+    zero on a grid point is a root, and a simple root flips the sign, so
+    the next cell starts from the opposite of the sign before it."""
     step = math.pi / (4.0 * theta0)
     grid = [step * j for j in range(1, int(omega_max / step) + 1)]
     if not grid or grid[-1] < omega_max:
@@ -89,7 +91,7 @@ def scan_bisection(f, theta0, omega_max, abs_tol=1e-10):
                 else:
                     hi = mid
             roots.append(0.5 * (lo + hi))
-        prev_w, prev_val = w, val
+        prev_w, prev_val = w, val if val != 0.0 else -prev_val
     return roots
 
 
@@ -567,7 +569,8 @@ class TestSpectrum:
         assert abs(below[1] - 73.0) < 1e-10
         f = spectral_oracle._channel(72.5, theta0)
         grid = spectral_oracle._scan_grid(theta0, omega_max)
-        assert spectral_oracle._interlaced_roots(f, [below], omega_max, grid) is None
+        assert spectral_oracle._bracket_roots(f, [*below, omega_max], grid,
+                                              [below]) is None
 
     def test_unbracketed_channel_is_scanned(self, monkeypatch):
         theta0, omega_max = math.pi / 3, 20.0
@@ -608,6 +611,8 @@ class TestSpectrum:
         chans = spectrum(d, theta0, omega_max)
 
         def poor(lower, j):
+            if not lower:  # a scan, with no channel below
+                return None
             ends = [*lower[-1], omega_max]
             midpoint = 0.5 * (ends[j] + ends[j + 1])
             return {"none": None, "left": -math.inf, "right": math.inf,
@@ -741,14 +746,19 @@ class TestSpectrum:
         (140, 2.2, 76.0, 21,
          "c0b2250bb82b57043d1e4e90752665354da92f4a7c3d0d61087b73b4799d93f3"),
     ])
-    def test_roots_fingerprint_beyond_verify_cap(self, d, theta0, omega_max,
-                                                 count, digest):
+    def test_roots_fingerprint_beyond_verify_cap(self, monkeypatch, d, theta0,
+                                                 omega_max, count, digest):
         # recorded before the cubic start, the miss correction, the
-        # Anderson-Bjorck bracketing and the shared precision hint
+        # Anderson-Bjorck bracketing and the shared precision hint.  The
+        # evaluations are bounded too: at d = 140 the walk of each crowded
+        # channel stops at its first bracket without a sign change, and a
+        # walk that went on would cost more.
+        calls = count_evaluations(monkeypatch)
         chans = spectrum(d, theta0, omega_max)
         hexes = [r.hex() for ch in chans for r in ch.roots]
         assert len(hexes) == count
         assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
+        assert calls["evaluations"] <= {5: 1451, 2: 1988, 140: 1011}[d]
 
 
 # At theta0 = pi/4 the scan step pi/(4 theta0) is exactly 1, so the grid
@@ -816,6 +826,18 @@ class TestRootFinderBranches:
         assert roots == scan_bisection(f, QUARTER, 6.0)
         assert roots[0] == 2.0 and len(roots) == 2
 
+    def test_rising_root_on_a_grid_point(self, monkeypatch):
+        # test_root_on_a_grid_point with f rising through its zero on grid
+        # point 2: that is one root, and the next cell starts from the sign
+        # past it, so (2, 3) is not taken for a sign change
+        def f(w):
+            return (w - 2.0) * (math.pi - w)
+
+        roots = synthetic_roots(monkeypatch, f, 6.0)
+        assert roots == scan_bisection(f, QUARTER, 6.0)
+        assert roots[0] == 2.0 and len(roots) == 2
+        assert abs(roots[1] - math.pi) < 1e-10
+
     def test_root_at_zero_refused(self, monkeypatch):
         with pytest.raises(MissedRootSuspicion, match="omega = 0"):
             synthetic_roots(monkeypatch, lambda w: math.sin(w), 6.0)
@@ -870,8 +892,8 @@ class TestRootFinderBranches:
         def f(w):
             return (math.pi - w) * (omega_max - w)
 
-        roots, _ = spectral_oracle._interlaced_roots(f, [[1.5, 4.5]], omega_max,
-                                                     grid)
+        roots, _ = spectral_oracle._bracket_roots(f, [1.5, 4.5, omega_max],
+                                                  grid, [[1.5, 4.5]])
         assert roots == scan_bisection(f, QUARTER, omega_max)
         assert roots[-1] == omega_max and len(roots) == 2
 
