@@ -20,12 +20,13 @@ channels interlace, so each later channel walks the roots of the one
 before, and each of its roots is first tried where the channels below
 extrapolate it, corrected by the previous root's miss, then by a Newton
 step with the slope extrapolated the same way.  An exact zero on an end is
-a root, past which the sign flips.  One routine pins each root:
-Anderson-Bjorck false position shrinks its bracket, and the scan and its
-bisection are replayed on what is left, evaluating f only inside it.  So
-every walk gives the scan's roots, bit for bit: where f is evaluated, at
-what precision and how long each sum runs never decide a root, only signs
-do.
+a root, past which the sign flips.  One routine pins each root: it walks
+down the scan's bisection tree, the grid points and then the midpoints of
+the scan's cell, and evaluates f only to decide the first tree point
+inside the bracket, at Anderson-Bjorck false-position trials aimed just
+past their estimates.  So every walk gives the scan's roots, bit for bit:
+where f is evaluated, at what precision and how long each sum runs never
+decide a root, only signs do.
 
 Everything else runs on doubles: the Ferrers prefactor and the incomplete
 gamma function of the Weyl tail are closed forms summed as logarithms.
@@ -277,38 +278,69 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     return math.copysign(math.exp(log_value), factor)
 
 
-def _false_position(f, a: float, fa: float, b: float, fb: float,
-                    first: float | None = None, slope: float | None = None):
-    """Shrink the sign-change bracket (a, b) of f (fa = f(a), fb = f(b)) to
-    at most _ABS_TOL / 256 by false position with the Anderson-Bjorck
-    modification (Anderson & Bjorck, BIT 13 (1973) 253): when an end is
-    kept a second time in a row, its value is scaled by m = 1 - f(x) / f(e),
-    e the end x replaced, or by 1/2 when m <= 0, where the Illinois method
-    always halves it.  ``first``, when given, is the first trial point in
-    place of the secant's.  ``slope``, when given, is f's predicted slope
-    at the root: the second trial is then the Newton step from the first,
-    and the third the secant through the first two.  A trial point outside
-    the bracket is replaced by the Anderson-Bjorck one.  Trial points keep
-    half the width clear of both ends, so a root on an end closes in one
-    step.  An exact zero collapses the bracket.
+def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
+                 fb: float, first: float | None = None,
+                 slope: float | None = None) -> tuple[float, float]:
+    """The root that the scan of ``grid`` finds in the sign-change bracket
+    (a, b) of f, where fa = f(a), fb = f(b) and 0 <= a < b <= grid[-1],
+    and log |f'| there.
 
-    Returns the bracket and the secant slope through the values f took at
-    its ends (NaN after an exact zero)."""
-    width = _ABS_TOL / 256.0
-    a_positive = fa > 0
+    The walk goes down the scan's bisection tree: the grid points above a,
+    which pick the scan's cell, then the midpoints of that cell, to
+    _ABS_TOL.  A tree point outside (a, b) has the sign of the nearer end,
+    and f is evaluated only to decide the first one inside, each trial
+    shrinking (a, b); the root is the midpoint of the last cell.  So the
+    signs alone fix the root, bit for bit, and the trials move only the
+    cost.  They are false position's, with the Anderson-Bjorck modification
+    (Anderson & Bjorck, BIT 13 (1973) 253): when an end is kept a second
+    time in a row, its value is scaled by m = 1 - f(x) / f(e), e the end x
+    replaced, or by 1/2 when m <= 0, where the Illinois method always
+    halves it.  ``first``, when given, is the first trial.  ``slope``, when
+    given, is f's predicted slope at the root: the next trial is then the
+    Newton step, and the one after it the secant through the last two.
+    Every trial but ``first`` aims _ABS_TOL / 1024 past its estimate
+    toward the undecided tree point, stopping on it rather than passing
+    it, so that an estimate that close to the root decides the point in
+    one evaluation; a trial not strictly inside (a, b) becomes that point.
+    An exact zero collapses the bracket: it is the root where the walk
+    meets it, else the midpoint of its last cell.
+
+    log |f'| is that of the secant through f's values at the last bracket's
+    ends: NaN after an exact zero, -inf for a zero slope."""
+    left_positive = fa > 0
     ya, yb = fa, fb  # the ends' values, which the modification leaves
     kept = 0  # -1 after keeping b, +1 after keeping a
     x, prev = first, None
-    while b - a > width:
-        if x is None or not a < x < b:
+    # the caller's start is tried as given, every later trial aimed
+    aim = 0.0 if first is not None else _ABS_TOL / 1024.0
+    j = bisect.bisect_right(grid, a)  # grid[j - 1] <= a < grid[j]
+    lo, hi = grid[j - 1], grid[j]
+    scanning = True  # the next tree point is the grid point hi
+    while scanning or hi - lo > _ABS_TOL:
+        p = hi if scanning else 0.5 * (lo + hi)
+        if p <= a:
+            if p == b:  # an exact zero, on the tree
+                return p, math.nan
+            lo = p
+            if scanning:
+                j += 1
+                hi = grid[j]
+            continue
+        if p >= b:
+            hi = p
+            scanning = False
+            continue
+        if x is None:
             x = b - fb * (b - a) / (fb - fa)
-        x = min(max(x, a + width / 2), b - width / 2)
+        x = min(x + aim, p) if x < p else max(x - aim, p)
         if not a < x < b:
-            break
+            x = p
+        aim = _ABS_TOL / 1024.0
         fx = f(x)
         if fx == 0.0:
-            return x, x, math.nan
-        if (fx > 0) == a_positive:
+            a = b = x
+            continue
+        if (fx > 0) == left_positive:
             if kept == -1:
                 m = 1.0 - fx / fa
                 fb *= m if m > 0.0 else 0.5
@@ -327,52 +359,8 @@ def _false_position(f, a: float, fa: float, b: float, fb: float,
             prev = None
         else:
             x = prev = None
-    return a, b, (yb - ya) / (b - a)
-
-
-def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
-                 fb: float, first: float | None = None,
-                 slope: float | None = None) -> tuple[float, float]:
-    """The root that the scan of ``grid`` finds in the sign-change bracket
-    (a, b) of f, where fa = f(a), fb = f(b) and 0 <= a < b <= grid[-1],
-    and log |f'| there.  ``_false_position``, steered by ``first`` and
-    ``slope``, locates the root in [x, y], and the scan is replayed there:
-    the first grid point above x picks the scan's cell, and the cell is
-    bisected to _ABS_TOL.  Only a point strictly inside [x, y] is
-    evaluated, since f's sign is known elsewhere, and an exact zero is the
-    root where the replay reaches it.  So the signs alone fix the root, bit
-    for bit.  log |f'| is that of the secant through [x, y]: NaN after an
-    exact zero of false position, -inf for a zero slope."""
-    x, y, secant = _false_position(f, a, fa, b, fb, first, slope)
-    log_slope = math.log(abs(secant)) if secant else -math.inf
-    left_positive = fa > 0
-    j = bisect.bisect_right(grid, x)  # grid[j - 1] <= x < grid[j]
-    lo, hi = grid[j - 1], grid[j]
-    if lo == y:  # false position's exact zero, on a grid point
-        return lo, log_slope
-    if x < hi < y:  # the scan's next point: [x, y] is narrower than a cell
-        fh = f(hi)
-        if fh == 0.0:
-            return hi, log_slope
-        if (fh > 0) == left_positive:
-            lo, hi = hi, grid[j + 1]
-    while hi - lo > _ABS_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= x:
-            if mid == y:  # false position's exact zero
-                return mid, log_slope
-            lo = mid
-        elif mid >= y:
-            hi = mid
-        else:
-            fm = f(mid)
-            if fm == 0.0:
-                return mid, log_slope
-            if (fm > 0) == left_positive:
-                lo = x = mid
-            else:
-                hi = y = mid
-    return 0.5 * (lo + hi), log_slope
+    secant = (yb - ya) / (b - a) if a < b else math.nan  # NaN: exact zero
+    return 0.5 * (lo + hi), math.log(abs(secant)) if secant else -math.inf
 
 
 def _check_scan(mu: float, theta0: float, omega_max: float) -> None:
@@ -727,6 +715,8 @@ def _check_fit_request(ts: Sequence[float], n_fit: int) -> None:
     can ask before it builds the spectrum."""
     if not 0 <= _index(n_fit, "n_fit") <= _MAX_N_FIT:
         raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
+    if not len(ts) or not all(0.0 < _real(t, "t") < math.inf for t in ts):
+        raise ValidationError("t values must be positive and finite")
     if len(ts) < 3 * n_fit:
         raise ValidationError(f"need at least {3 * n_fit} samples to fit "
                               f"{n_fit + 1} coefficients, got {len(ts)}")
@@ -748,6 +738,8 @@ def fit_asymptotics(
     ts = [s.t for s in samples]
     _check_fit_request(ts, n_fit)
     _index(big_d, "total dimension D")
+    if not all(math.isfinite(_real(s.value, "trace value")) for s in samples):
+        raise ValidationError("trace values must be finite")
     t = np.array(ts, dtype=float)
     y = np.array([s.value for s in samples], dtype=float) * t ** (0.5 * big_d)
     u = np.sqrt(t)

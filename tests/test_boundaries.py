@@ -85,8 +85,8 @@ def samples(ts):
     return [HeatTraceSample(float(t), 1.0, 0.0) for t in ts]
 
 
-def row(call, error, argv=None, code=None, *, id):
-    return pytest.param(call, error, argv, code, id=id)
+def row(call, error, argv=None, code=None, *, id, match=None):
+    return pytest.param(call, error, argv, code, match, id=id)
 
 
 REFUSALS = [
@@ -260,12 +260,26 @@ REFUSALS = [
         IllConditioned, id="fit-ill-conditioned"),
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 20)), "3", 1),
         ValidationError, id="fit-big_d-str"),
+    row(lambda: fit_asymptotics([], 3, 0), ValidationError, id="fit-no-samples"),
+    row(lambda: fit_asymptotics(samples([0.0, *np.geomspace(1e-3, 1e-2, 5)]),
+                                3, 1),
+        ValidationError, id="fit-time-zero"),
+    # refused before by the decade check alone, with its message
+    row(lambda: fit_asymptotics(samples([-1e-3, *np.geomspace(1e-3, 1e-2, 5)]),
+                                3, 1),
+        ValidationError, match="positive", id="fit-time-negative"),
+    row(lambda: fit_asymptotics(
+        [*samples(np.geomspace(1e-3, 1e-2, 5)), HeatTraceSample(0.1, math.inf, 0.0)],
+        3, 1), ValidationError, id="fit-value-inf"),
+    row(lambda: fit_asymptotics(
+        [*samples(np.geomspace(1e-3, 1e-2, 5)), HeatTraceSample(0.1, math.nan, 0.0)],
+        3, 1), ValidationError, id="fit-value-nan"),
 ]
 
 
-@pytest.mark.parametrize("call,error,argv,code", REFUSALS)
-def test_refusal(capsys, tmp_path, call, error, argv, code):
-    with pytest.raises(error) as caught:
+@pytest.mark.parametrize("call,error,argv,code,match", REFUSALS)
+def test_refusal(capsys, tmp_path, call, error, argv, code, match):
+    with pytest.raises(error, match=match) as caught:
         call()
     assert caught.type is error
     if argv is None:

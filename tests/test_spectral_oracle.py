@@ -627,19 +627,19 @@ class TestSpectrum:
             "slope_wrong_sign": lambda s: s and -s,
             "slope_tenfold": lambda s: s and 10.0 * s,
         }.get(start)
-        false_position = spectral_oracle._false_position
+        pinned_root = spectral_oracle._pinned_root
         starts, slopes = [], []
 
-        def recorded(f, a, fa, b, fb, first=None, slope=None):
+        def recorded(f, grid, a, fa, b, fb, first=None, slope=None):
             starts.append(first)
             slopes.append(slope)
             if bad_slope:
                 slope = bad_slope(slope)
-            return false_position(f, a, fa, b, fb, first, slope)
+            return pinned_root(f, grid, a, fa, b, fb, first, slope)
 
         if not bad_slope:
             monkeypatch.setattr(spectral_oracle, "_extrapolated", poor)
-        monkeypatch.setattr(spectral_oracle, "_false_position", recorded)
+        monkeypatch.setattr(spectral_oracle, "_pinned_root", recorded)
         assert spectrum(d, theta0, omega_max) == chans
         if bad_slope:
             # the predictions the bad slopes replaced were there to replace
@@ -657,10 +657,12 @@ class TestSpectrum:
         # brackets without the extrapolated start 11.6 and 11.9, with the
         # quadratic start and Illinois halving 7.7 and 7.1, with the cubic
         # start 6.46 and 5.47 (1,228 and 9,717 evaluations), and with the
-        # predicted slope 5.87 and 4.79 (1,116 and 8,511).  The re-sums are
-        # 26 and 79; they were 27 and 80 while a fresh state started at 64
-        # bits, and 58 and 179 when each channel's first sum did.
-        per_root, resums = {40.0: (5.9, 27), 120.0: (4.8, 80)}[omega_max]
+        # predicted slope 5.87 and 4.79 (1,116 and 8,511), and with the walk
+        # of the scan's bisection tree 5.61 and 4.41 (1,066 and 7,844).  The
+        # re-sums are 26 and 79; they were 27 and 80 while a fresh state
+        # started at 64 bits, and 58 and 179 when each channel's first sum
+        # did.
+        per_root, resums = {40.0: (5.62, 26), 120.0: (4.42, 79)}[omega_max]
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, math.pi / 3, omega_max)
         roots = sum(len(ch.roots) for ch in chans)
@@ -671,13 +673,13 @@ class TestSpectrum:
             self, monkeypatch):
         # at theta0 = pi/2 the scan step is 1/2, and the roots lie within
         # rounding above integers, which are grid points (channel 1/2's are
-        # the even integers).  False position then leaves a bracket that
-        # ends on the grid point, whose sign it has evaluated, and the
-        # replay of the scan does not evaluate it again: 514 evaluations.
-        # Evaluating the located bracket's ends as well would take 538.
+        # the even integers).  A trial that would pass the undecided grid
+        # point stops on it, and once evaluated its sign is known: 447
+        # evaluations.  Replaying the scan on a false-position bracket took
+        # 514, and 538 when it evaluated the bracket's ends as well.
         calls = count_evaluations(monkeypatch)
         spectrum(2, math.pi / 2, 20.0)
-        assert calls["evaluations"] <= 514
+        assert calls["evaluations"] <= 447
 
     @pytest.mark.parametrize("d,resums", [(2, 26), (3, 0), (4, 0)])
     def test_resums_are_channel_zeros_on_the_grid(self, monkeypatch, d, resums):
@@ -685,8 +687,9 @@ class TestSpectrum:
         # precision it passes, and does not re-sum.  At d = 2 channel 0's
         # order mu = 1/2 has the exact roots k pi / theta0 = 3k, every
         # fourth scan point: the scan evaluates within rounding of a zero
-        # there (|f| about 1.3e-16), and false position then evaluates
-        # width/2 = 2e-13 beside it.  Each of the two lose more bits to
+        # there (|f| about 1.3e-16), and the root's first trial, aimed
+        # _ABS_TOL / 1024 past the secant's estimate, evaluates about 1e-13
+        # beside it.  Each of the two lose more bits to
         # cancellation than the hint the sums before them left, so each of
         # the 13 roots re-sums twice.  At d = 3 and 4 (mu = 1 and 3/2) no
         # root falls on the grid, and no sum re-sums.
@@ -696,11 +699,12 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("offset", [-5e-14, 5e-14])
     def test_replay_scan_with_a_grid_point_in_the_bracket(self, offset):
-        # a root within 1e-13 of a grid point: the located bracket holds the
-        # point, which is evaluated as the scan evaluates it to pick the
-        # cell, and the root is plain bisection's of that cell, bit for bit.
-        # The bracket is narrower than _ABS_TOL / 256, so false position
-        # takes no step, and only points inside it are evaluated.
+        # a root within 1e-13 of a grid point: the bracket holds the point,
+        # the first undecided tree point, and the first trial, aimed past
+        # the secant's estimate toward it, stops on it.  So the point is
+        # evaluated as the scan evaluates it to pick the cell, the root is
+        # plain bisection's of that cell, bit for bit, and only points
+        # inside the bracket are evaluated.
         grid = spectral_oracle._scan_grid(1.0, 10.0)
         i = 4
         root = grid[i] + offset
@@ -758,7 +762,7 @@ class TestSpectrum:
         hexes = [r.hex() for ch in chans for r in ch.roots]
         assert len(hexes) == count
         assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
-        assert calls["evaluations"] <= {5: 1451, 2: 1988, 140: 1011}[d]
+        assert calls["evaluations"] <= {5: 1377, 2: 1887, 140: 1000}[d]
 
 
 # At theta0 = pi/4 the scan step pi/(4 theta0) is exactly 1, so the grid
@@ -781,34 +785,43 @@ class TestRootFinderBranches:
 
     def test_secant_lands_on_the_root(self, monkeypatch):
         # the first secant point of cell (2, 3) is 2.5, an exact zero, which
-        # collapses the false-position bracket; the cell's bisection then
-        # meets it
+        # collapses the bracket; the walk of the cell's bisection then meets
+        # it, with no other evaluation
+        evaluated = []
+
         def f(w):
+            evaluated.append(w)
             return 2.5 - w
 
-        a, b, slope = spectral_oracle._false_position(f, 2.0, f(2.0), 3.0,
-                                                      f(3.0))
-        assert (a, b) == (2.5, 2.5) and math.isnan(slope)
+        grid = spectral_oracle._scan_grid(QUARTER, 6.0)
+        fa, fb = f(2.0), f(3.0)
+        evaluated.clear()
+        root, log_slope = spectral_oracle._pinned_root(f, grid, 2.0, fa, 3.0,
+                                                       fb)
+        assert root == 2.5 and math.isnan(log_slope) and evaluated == [2.5]
         roots = synthetic_roots(monkeypatch, f, 6.0)
         assert roots == scan_bisection(f, QUARTER, 6.0) == [2.5]
 
     def test_bracket_of_adjacent_doubles(self):
-        # wider than the width, yet no double lies strictly inside it: no
-        # trial point exists, so false position stops without evaluating f
-        a = 2.0**40
+        # no double lies strictly inside the bracket, so no tree point is
+        # undecided: the walk reaches the scan's root without evaluating f
+        a = math.pi
         b = math.nextafter(a, math.inf)
 
         def f(w):
             raise AssertionError("f evaluated")
 
-        assert spectral_oracle._false_position(f, a, 1.0, b, -1.0) == (
-            a, b, -2.0 / (b - a))
+        def signs(w):
+            return 1.0 if w <= a else -1.0
+
+        grid = spectral_oracle._scan_grid(QUARTER, 6.0)
+        assert spectral_oracle._pinned_root(f, grid, a, 1.0, b, -1.0) == (
+            scan_bisection(signs, QUARTER, 6.0)[0], math.log(2.0 / (b - a)))
 
     def test_bisection_midpoint_is_the_root(self, monkeypatch):
-        # 2.25 is the second midpoint of cell (2, 3): replayed against a
-        # located bracket that holds it, narrower than _ABS_TOL / 256 so
-        # that false position takes no step, the bisection evaluates it and
-        # returns its exact zero
+        # 2.25 is the second midpoint of cell (2, 3): in a bracket 2e-13
+        # wide around it, the first trial, aimed past the secant's estimate
+        # toward it, stops on it, and its exact zero is the root
         def f(w):
             return (2.25 - w) * (1.0 + w * w)
 
@@ -853,9 +866,8 @@ class TestRootFinderBranches:
             synthetic_roots(monkeypatch, f, 12.0)
 
     def test_replay_scan_with_a_root_on_the_grid_point(self):
-        # the located bracket, narrower than _ABS_TOL / 256, holds grid point
-        # 4, which is the root: the scan's exact zero there, not a bisection
-        # of either cell
+        # a bracket 2e-13 wide holds grid point 4, which is the root: the
+        # scan's exact zero there, not a bisection of either cell
         grid = spectral_oracle._scan_grid(QUARTER, 10.0)
 
         def f(w):
@@ -868,9 +880,9 @@ class TestRootFinderBranches:
 
     @pytest.mark.parametrize("zero", [3.0, 2.3])
     def test_false_position_lands_on_the_root(self, zero):
-        # the first trial is an exact zero of f: on grid point 3 it is the
-        # root, as the scan takes it; at 2.3, which no midpoint of cell
-        # (2, 3) reaches, the replayed bisection decides, as plain
+        # the caller's start is an exact zero of f: on grid point 3 it is
+        # the root, as the scan takes it; at 2.3, which no midpoint of cell
+        # (2, 3) reaches, the walk of the bisection decides, as plain
         # bisection does
         grid = spectral_oracle._scan_grid(QUARTER, 6.0)
 
@@ -882,6 +894,76 @@ class TestRootFinderBranches:
                                                        f(b), zero)
         assert [root] == scan_bisection(f, QUARTER, 6.0)
         assert (root == zero) == (zero == 3.0) and math.isnan(log_slope)
+
+    def test_random_brackets_give_the_scans_root(self):
+        # seeded cases on four scan grids: roots on grid points, on
+        # midpoints of the scan's bisection, within 1e-13 of either, and
+        # anywhere, some between two adjacent doubles; brackets from
+        # adjacent doubles up to 2 wide; good, bad and missing starts and
+        # slopes.  Every root is the scan's, bit for bit, f is evaluated
+        # only strictly inside the bracket, and log |f'| is NaN exactly
+        # when an evaluation was an exact zero.
+        rng = random.Random(20)
+        omega_max = 8.0
+        grids = {t: spectral_oracle._scan_grid(t, omega_max)
+                 for t in (QUARTER, 1.0, math.pi / 3, THETA0_GUARD)}
+        bad_starts = (None, -math.inf, math.inf, math.nan, 0.0, omega_max)
+        bad_slopes = (0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300)
+        cases = 0
+        while cases < 20_000:
+            theta0, grid = rng.choice(list(grids.items()))
+            k = rng.randrange(1, len(grid) - 1)
+            r = grid[k]
+            kind = rng.choice(("grid", "midpoint", "near", "anywhere"))
+            if kind != "grid":
+                lo, hi = grid[k - 1], grid[k]
+                for _ in range(rng.randrange(1, 36)):
+                    r = 0.5 * (lo + hi)
+                    lo, hi = (r, hi) if rng.random() < 0.5 else (lo, r)
+            if kind == "near":
+                r += rng.uniform(-1e-13, 1e-13)
+            elif kind == "anywhere":
+                r = rng.uniform(0.1, omega_max - 0.1)
+            # below an ulp: the root lies between r and the next double
+            h = rng.choice((0.0, rng.uniform(0.0, 0.9) * math.ulp(r)))
+            sign, growth = rng.choice((1.0, -1.0)), rng.uniform(0.0, 1.0)
+
+            def f(w, r=r, h=h, sign=sign, growth=growth):
+                return sign * ((r - w) + h) * (1.0 + growth * w)
+
+            if rng.random() < 0.2:
+                a, b = (r, math.nextafter(r, math.inf)) if h else (
+                    math.nextafter(r, -math.inf), math.nextafter(r, math.inf))
+            else:
+                width = 10.0 ** rng.uniform(-15.0, math.log10(2.0))
+                share = rng.random()
+                a = max(0.0, r - share * width)
+                b = min(omega_max, r + (1.0 - share) * width)
+            fa, fb = f(a), f(b)
+            if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
+                continue
+            slope = -sign * (1.0 + growth * r)
+            first = rng.choice((
+                None, rng.choice(bad_starts), rng.uniform(a, b),
+                r + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-16.0, -4.0),
+            ))
+            slope = rng.choice((
+                None, rng.choice(bad_slopes), -slope, 10.0 * slope,
+                slope * (1.0 + rng.uniform(-1e-3, 1e-3)),
+            ))
+            values = {}
+
+            def recorded(w, f=f):
+                values[w] = f(w)
+                return values[w]
+
+            root, log_slope = spectral_oracle._pinned_root(
+                recorded, grid, a, fa, b, fb, first, slope)
+            assert [root.hex()] == [
+                w.hex() for w in scan_bisection(f, theta0, omega_max)]
+            assert all(a < w < b for w in values)
+            assert math.isnan(log_slope) == (0.0 in values.values())
+            cases += 1
 
     def test_interlaced_zero_at_the_cutoff(self):
         # the last bracket (4.5, 7] ends on a zero of f: the scan's zero at
