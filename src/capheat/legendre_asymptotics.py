@@ -15,10 +15,11 @@ by the downstream residue formulas.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, Mapping
 
-from .errors import StructureViolation, ValidationError
+from .errors import StructureViolation, ValidationError, _index
 from .exact_series import bernoulli
 
 _ZERO = Fraction(0)
@@ -116,41 +117,30 @@ class NuGPolynomial:
 # Phi_n with n >= 1 vanish at v = 1.
 _A = NuGPolynomial({(0, 2): 1, (0, 4): -1, (1, 0): 1, (1, 2): -2, (1, 4): 1}, 2)
 
-# Shared prefix caches, filled in ascending order: _YS[n] is Y_n (Y_0 = 0),
-# _OMEGAS[n - 1] and _STRUCTURES[n - 1] the cumulant function of order n and
-# its structured form.  Asking for a lower order reuses the stored entries;
-# asking for a higher one computes only the missing tail.
-_YS: list[NuGPolynomial] = [
-    NuGPolynomial({}),
-    NuGPolynomial({(0, 0): 1, (0, 2): -5, (1, 0): -2, (1, 2): 5}, 8),  # -h
-]
-_OMEGAS: list[NuGPolynomial] = []
-_STRUCTURES: list["StructuredOmega"] = []
 
-
-def _extend(cache: list, length: int, entry) -> list:
-    """Append entry(k) for k = len(cache), ... until cache has ``length`` items."""
-    while len(cache) < length:
-        cache.append(entry(len(cache)))
-    return cache
-
-
-def _y_entry(n: int) -> NuGPolynomial:
+# Each function of the order below is computed once per process and kept by
+# an lru_cache keyed by the order, which _check_order bounds at _MAX_ORDER.
+# Each is a pure function of its order, so threads that race on a first
+# call may compute an entry twice but never get different values.
+@lru_cache(maxsize=None)
+def _y(n: int) -> NuGPolynomial:
+    if n == 1:
+        return NuGPolynomial({(0, 0): 1, (0, 2): -5, (1, 0): -2, (1, 2): 5}, 8)  # -h
     # sum_{p=1}^{m-1} Y_p Y_(m-p), m = n - 1: each pair p < m - p is formed
     # once and doubled, and an even m adds the middle square once
     m = n - 1
     pairs = NuGPolynomial({})
     for p in range(1, (m + 1) // 2):
-        pairs = pairs + _YS[p] * _YS[m - p]
+        pairs = pairs + _y(p) * _y(m - p)
     square = pairs + pairs
     if m % 2 == 0:
-        square = square + _YS[m // 2] * _YS[m // 2]
-    return (_A * _YS[m]).derivative() + _A * square
+        square = square + _y(m // 2) * _y(m // 2)
+    return (_A * _y(m)).derivative() + _A * square
 
 
-def _omega_entry(k: int) -> NuGPolynomial:
-    n = k + 1
-    om = _extend(_YS, n + 1, _y_entry)[n].integral_from_one()
+@lru_cache(maxsize=None)
+def _omega(n: int) -> NuGPolynomial:
+    om = _y(n).integral_from_one()
     if n % 2 == 1:
         # Bernoulli counterterm at odd inverse powers.
         om = om + NuGPolynomial.from_monomials(
@@ -166,10 +156,11 @@ def omega(max_order: int) -> list[NuGPolynomial]:
     -sum_l B_{2l} / (2l (2l-1)) x^{2l-1} + log(1 + sum_j Phi_j x^j)
     = sum_n Omega_n x^n, computed exactly.
     """
+    max_order = _index(max_order, "max_order")
     if max_order < 1:
         raise ValueError("max_order must be positive")
     _check_order(max_order)
-    return _extend(_OMEGAS, max_order, _omega_entry)[:max_order]
+    return [_omega(n) for n in range(1, max_order + 1)]
 
 
 class StructuredOmega:
@@ -230,11 +221,14 @@ def extract_structure(omega_i: NuGPolynomial, i: int) -> StructuredOmega:
     return StructuredOmega(i, x_coeffs, z0_coeffs, z_coeffs)
 
 
+# one instance per order: special_eval._weight_plan is keyed by it
+@lru_cache(maxsize=None)
+def _structure(i: int) -> StructuredOmega:
+    return extract_structure(_omega(i), i)
+
+
+@lru_cache(maxsize=None)
 def omega_structures(max_order: int) -> tuple[StructuredOmega, ...]:
     """Structured forms of the cumulant functions of orders 1..max_order."""
     _check_order(max_order)
-    omegas = _extend(_OMEGAS, max_order, _omega_entry)
-    structures = _extend(
-        _STRUCTURES, max_order, lambda k: extract_structure(omegas[k], k + 1)
-    )
-    return tuple(structures[:max_order])
+    return tuple(map(_structure, range(1, max_order + 1)))

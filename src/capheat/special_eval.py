@@ -282,6 +282,8 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     b = 1/2, c = 3/2, x = 0.9.  Where that exceeds 1e-10, NumericalError is
     raised.  (The assembly's, N = (D - n)/2, do not pass through here.)
     """
+    for name, value in zip("abcx", (a, b, c, x)):
+        _real(value, f"2F1 {name}")
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValidationError(f"2F1 parameters must be finite, got {a}, {b}, {c}")
     if not 0.0 <= x <= 1.0:
@@ -306,7 +308,9 @@ def c1(angle: AngleParams, two_s: float) -> float:
     cancel at large s away from the equator and can leave that range (from
     D - n = 150 at theta0 = 1); such a value raises NumericalError.
     """
-    if two_s <= 0.0:
+    if not isinstance(angle, AngleParams):
+        raise ValidationError(f"angle must be AngleParams, got {angle!r}")
+    if _real(two_s, "two_s") <= 0.0:
         raise ValueError("two_s must be positive")
     s = 0.5 * two_s
     value = _hyp2f1_eval(_hyp2f1_plan(0.5, s, s + 1.0), angle.sin2, angle.cos2)

@@ -190,8 +190,15 @@ REFUSALS = [
     row(lambda: omega(0), ValueError, ["omega", "--order", "0"], 2, id="omega-0"),
     row(lambda: omega(17), ValidationError, ["omega", "--order", "17"], 2,
         id="omega-above-limit"),
+    row(lambda: omega("3"), ValidationError, id="omega-str"),
+    row(lambda: omega(2.5), ValidationError, id="omega-float"),
+    row(lambda: omega(2.0), ValidationError, id="omega-integral-float"),
     # c1 and gauss_2f1
     row(lambda: c1(AngleParams(1.0), 0.0), ValueError, id="c1-two_s-zero"),
+    row(lambda: c1(AngleParams(1.0), "3"), ValidationError, id="c1-two_s-str"),
+    row(lambda: c1(1.0, 3.0), ValidationError, id="c1-angle-not-angleparams"),
+    row(lambda: gauss_2f1("1", 1, 1, 0.5), ValidationError, id="2f1-a-str"),
+    row(lambda: gauss_2f1(1, 1, 2, "0.5"), ValidationError, id="2f1-x-str"),
     row(lambda: gauss_2f1(0.5, 1.0, 2.5, 1.5), ValidationError, id="2f1-x-above-1"),
     row(lambda: gauss_2f1(math.nan, 1.0, 2.5, 0.5), ValidationError,
         id="2f1-nan-parameter"),

@@ -28,8 +28,8 @@ def invoke(capsys, argv):
     return code, captured.out, captured.err
 
 
-def no_algebra(k):
-    raise AssertionError(f"cumulant order {k + 1} computed")
+def no_algebra(n):
+    raise AssertionError(f"cumulant order {n} computed")
 
 
 def no_evaluation(*args):
@@ -504,7 +504,7 @@ class TestCoeffs:
 
     def test_order_limit(self, capsys, monkeypatch):
         # D = 19 with n_max = 18 needs cumulant order 17
-        monkeypatch.setattr(legendre_asymptotics, "_omega_entry", no_algebra)
+        monkeypatch.setattr(legendre_asymptotics, "_omega", no_algebra)
         code, out, err = invoke(
             capsys,
             ["coeffs", "--dim", "19", "--theta0", "1", "--max-n", "18"],
@@ -567,7 +567,7 @@ class TestOmega:
         assert code == 2
 
     def test_order_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(legendre_asymptotics, "_omega_entry", no_algebra)
+        monkeypatch.setattr(legendre_asymptotics, "_omega", no_algebra)
         code, out, err = invoke(capsys, ["omega", "--order", "17"])
         assert code == 2
         assert out == ""

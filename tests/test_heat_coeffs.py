@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-import gc
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +417,45 @@ def table_digest(dims, thetas) -> str:
     return digest.hexdigest()
 
 
+# test_threads_share_plans_safely runs this in a fresh interpreter; it prints
+# each thread's digest and the parameters of every wrong ratio prefix.
+THREAD_PROBE = """
+import gc, json, sys, threading
+from capheat import special_eval
+from test_heat_coeffs import SWEEP_THETAS, table_digest
+
+barrier = threading.Barrier(4)
+digests = {}
+
+
+def run(k):
+    barrier.wait()
+    digests[k] = table_digest(range(3, 13), SWEEP_THETAS)
+
+
+threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(4)]
+sys.setswitchinterval(1e-6)
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+cached = [o for o in gc.get_objects() if type(o) is special_eval._Series]
+wrong = [
+    (series.a, series.b, series.c) for series in cached
+    if list(series.ratios) != [
+        (series.a + m) * (series.b + m) / ((series.c + m) * (1.0 + m))
+        for m in map(float, range(len(series.ratios)))
+    ]
+]
+print(json.dumps({
+    "alive": sum(thread.is_alive() for thread in threads),
+    "digests": [digests.get(k) for k in range(4)],
+    "prefixed": sum(len(series.ratios) > 0 for series in cached),
+    "wrong_prefixes": wrong,
+}))
+"""
+
+
 class TestAssemblyBits:
     """The assembly's output, pinned bit for bit.
 
@@ -455,41 +496,30 @@ class TestAssemblyBits:
         assert at((1e-3, 3.1), (1.0, 2.0)) == at((1e-3, 3.1), ())
 
     def test_threads_share_plans_safely(self):
-        # four threads, more than the cores, build and extend the same plans
-        # at the same time from a cleared cache, with a short switch
-        # interval: each reproduces the serial tables, and every cached
-        # ratio prefix is the one a single thread computes
-        dims, thetas = range(3, 13), SWEEP_THETAS
-        serial = table_digest(dims, thetas)
-        special_eval._weight_plan.cache_clear()
-        special_eval._hyp2f1_plan.cache_clear()
-        barrier = threading.Barrier(4)
-        digests = {}
-
-        def run(k):
-            barrier.wait()
-            digests[k] = table_digest(dims, thetas)
-
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert digests == {k: serial for k in range(4)}
-        cached = [o for o in gc.get_objects() if type(o) is special_eval._Series]
-        assert sum(len(series.ratios) > 0 for series in cached) > 1000
-        for series in cached:
-            a, b, c = series.a, series.b, series.c
-            assert list(series.ratios) == [
-                (a + m) * (b + m) / ((c + m) * (1.0 + m))
-                for m in map(float, range(len(series.ratios)))
-            ]
+        # four threads, more than the cores, build the same cumulant
+        # functions and plans at the same time in a fresh interpreter, where
+        # both start cold, with a short switch interval: each reproduces the
+        # serial tables, and every cached ratio prefix is the one a single
+        # thread computes
+        tests = Path(__file__).resolve().parent
+        src = Path(special_eval.__file__).resolve().parent.parent
+        path = os.pathsep.join(
+            filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["alive"] == 0
+        serial = table_digest(range(3, 13), SWEEP_THETAS)
+        assert result["digests"] == [serial] * 4, proc.stderr
+        assert result["prefixed"] > 1000
+        assert result["wrong_prefixes"] == []
 
     @pytest.mark.parametrize("base,limit", [
         pytest.param(SphereBase(11), 602, id="sphere"),

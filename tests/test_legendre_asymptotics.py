@@ -191,10 +191,10 @@ class TestStructure:
             assert low[i] is high[i]
 
     def test_order_limit_refused_before_any_algebra(self, monkeypatch):
-        def fail(k):
-            raise AssertionError(f"cumulant order {k + 1} computed")
+        def fail(n):
+            raise AssertionError(f"cumulant order {n} computed")
 
-        monkeypatch.setattr(legendre_asymptotics, "_omega_entry", fail)
+        monkeypatch.setattr(legendre_asymptotics, "_omega", fail)
         with pytest.raises(ValidationError, match="above the limit"):
             omega(_MAX_ORDER + 1)
         with pytest.raises(ValidationError, match="above the limit"):
