@@ -15,11 +15,14 @@ class ValidationError(CapheatError):
 
 
 def _index(value, name: str) -> int:
-    """``value`` as an int; ValidationError for what operator.index refuses."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; ValidationError for a bool and for what
+    operator.index refuses."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _real(value, name: str):

@@ -3,8 +3,8 @@ function on [0, 1], and the angular factors c1 and f_total that feed the
 coefficient assembly.
 
 Everything here is double precision with compensated summation.  A Gamma
-pole in a denominator contributes 0 (the entire function 1/Gamma); a pole
-in a numerator is a bad argument and raises ValidationError.
+pole in a denominator contributes 0 (the entire function 1/Gamma); the
+planned shapes put none in a numerator.
 
 The assembly's 2F1s have two shapes; only these are planned, and others,
 which no caller in the package builds, are refused.  The z family's
@@ -91,13 +91,6 @@ def recip_gamma(x: float) -> float:
         return 1.0 / math.gamma(x)
     except OverflowError:
         return 0.0
-
-
-def _gamma_num(x: float) -> float:
-    """Gamma(x) for numerator use; a pole here is a genuine error."""
-    if _is_nonpositive_integer(x):
-        raise ValidationError(f"Gamma({x}) pole in a numerator")
-    return math.gamma(x)
 
 
 def _kahan_sum(terms: Iterable[float]) -> float:
@@ -198,21 +191,14 @@ def _series_2f1(series: _Series, x: float) -> float:
                 series.ratios = prefix
 
 
-def _connection_factors(a: float, b: float, c: float, w: float) -> tuple:
-    """The Gamma factors of the connection formula, w = c - a - b, led by the
-    value at unit argument, Gamma(c) Gamma(w) / (Gamma(c-a) Gamma(c-b))."""
-    g_c = _gamma_num(c)
-    return (g_c * _gamma_num(w) * recip_gamma(c - a) * recip_gamma(c - b), g_c,
-            _gamma_num(-w), recip_gamma(a), recip_gamma(b))
-
-
 @lru_cache(maxsize=8192)
 def _hyp2f1_plan(a: float, b: float, c: float) -> tuple:
     """The part of 2F1(a, b; c; x) that no argument x changes, as (direct
     series, connection): None for a terminating series, else (c-a-b,
     factors, first, second), the connection formula's two sub-series and
-    its factors, the Gauss value and Gamma factors, or None where these
-    raise (a Gamma overflow, say), to raise where they are used.  Any other
+    its factors: the Gauss value Gamma(c) Gamma(w) / (Gamma(c-a) Gamma(c-b)),
+    w = c - a - b, then Gamma(c), Gamma(-w), 1/Gamma(a) and 1/Gamma(b).
+    A Gamma factor outside the double range raises OverflowError; any other
     shape raises ValidationError: no caller in the package builds one."""
     if _is_nonpositive_integer(c):
         raise ValidationError(f"lower parameter c={c} is a nonpositive integer")
@@ -226,9 +212,11 @@ def _hyp2f1_plan(a: float, b: float, c: float) -> tuple:
         raise ValidationError(f"2F1({a}, {b}; {c}) neither terminates nor "
                               f"has c-a-b={w} more than 0.05 from an integer")
     try:
-        factors = _connection_factors(a, b, c, w)
-    except (ArithmeticError, ValueError, ValidationError):
-        factors = None
+        g_c = math.gamma(c)
+        factors = (g_c * math.gamma(w) * recip_gamma(c - a) * recip_gamma(c - b),
+                   g_c, math.gamma(-w), recip_gamma(a), recip_gamma(b))
+    except OverflowError:
+        raise OverflowError(f"Gamma factors of 2F1({a}, {b}; {c}) overflow") from None
     return (_Series(a, b, c),
             (w, factors, _Series(a, b, 1.0 - w), _Series(c - a, c - b, 1.0 + w)))
 
@@ -245,12 +233,11 @@ def _hyp2f1_eval(plan: tuple, x: float, xc: float) -> float:
     if x == 1.0 or xc == 0.0:
         if w <= 0.0:
             raise ValidationError(f"2F1 at unit argument needs c-a-b > 0, got {w}")
-        return (factors or _connection_factors(direct.a, direct.b, direct.c, w))[0]
+        return factors[0]
     if x <= 0.5:
         return _series_2f1(direct, x)
     # linear connection to argument 1-x; both sub-series have ratio <= 1/2
-    gauss, g_c, g_w, r_a, r_b = factors or _connection_factors(
-        direct.a, direct.b, direct.c, w)
+    gauss, g_c, g_w, r_a, r_b = factors
     return (gauss * _series_2f1(first, xc)
             + xc**w * g_c * g_w * r_a * r_b * _series_2f1(second, xc))
 
@@ -273,7 +260,8 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     two shapes the angular factors take: a or b a nonpositive integer, or
     c - a - b more than 0.05 from an integer.  Others raise ValidationError,
     as do non-finite parameters and an x outside [0, 1] (NaN too); no caller
-    in the package has them.
+    in the package has them.  A Gamma factor outside the double range (c or
+    |c - a - b| above about 171.6) raises OverflowError at every x.
 
     Symmetric in (a, b) bit for bit.  At x = 1 the Gauss summation formula is
     used and requires c - a - b > 0.  A terminating series 2F1(-N, b; c; x)
@@ -310,8 +298,8 @@ def c1(angle: AngleParams, two_s: float) -> float:
     """
     if not isinstance(angle, AngleParams):
         raise ValidationError(f"angle must be AngleParams, got {angle!r}")
-    if _real(two_s, "two_s") <= 0.0:
-        raise ValueError("two_s must be positive")
+    if not 0.0 < _real(two_s, "two_s") < math.inf:
+        raise ValueError("two_s must be positive and finite")
     s = 0.5 * two_s
     value = _hyp2f1_eval(_hyp2f1_plan(0.5, s, s + 1.0), angle.sin2, angle.cos2)
     if not 1.0 <= value <= _C1_SLACK / math.sqrt(angle.cos2):
@@ -339,22 +327,23 @@ def _weight_plan(structure: StructuredOmega, d_minus_n: float) -> tuple:
     lo = chi(i)
     try:
         x_terms = tuple(
-            (float(c), b - lo, _gamma_num(big_a + b), recip_gamma(b + half_i))
+            (float(c), b - lo, math.gamma(big_a + b), recip_gamma(b + half_i))
             for b in range(0, i + 1) if (c := structure.x_coeffs[b])
         )
         z0 = _kahan_sum([
-            float(c) * _gamma_num(s + j) * inv_gamma_a * recip_gamma(float(j))
+            float(c) * math.gamma(s + j) * inv_gamma_a * recip_gamma(float(j))
             for j in range(1, i + 1) if (c := structure.z0_coeffs[j])
         ])
         z_terms = tuple(
-            (float(c), b - lo, _gamma_num(big_a + b + j),
+            (float(c), b - lo, math.gamma(big_a + b + j),
              recip_gamma(b + half_i + j), (b + half_i, j),
              _hyp2f1_plan(-s, b + half_i, b + half_i + j))
             for j in range(1, i + 1) for b in range(lo, i + 1)
             if (c := structure.z_coeffs[(b, j)])
         )
     except OverflowError:
-        # Gamma(A + b) and Gamma(A + b + j) leave the double range past 171.6
+        # Gamma(A + b), Gamma(A + b + j) and a z-family 2F1's Gamma(s + j)
+        # leave the double range past 171.6
         raise OverflowError(
             f"Gamma factors of the angular weights overflow at "
             f"D-n={d_minus_n:g}, order {i}"

@@ -636,6 +636,11 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValidationError("tolerance must be positive and finite")
 
 
+def _check_times(ts: Sequence[float]) -> None:
+    if not len(ts) or not all(0.0 < _real(t, "t") < math.inf for t in ts):
+        raise ValidationError("t values must be positive and finite")
+
+
 def default_omega_max(big_d: int, t_min: float, tolerance: float) -> float:
     """Cutoff heuristic: large enough that the Gaussian tail at t_min falls
     below the tolerance; always certified afterwards by the tail bound."""
@@ -670,9 +675,7 @@ def heat_trace(
 
     if not isinstance(cfg.base, SphereBase):
         raise ValidationError("heat_trace supports sphere bases only")
-    if not len(t_values) or not all(0.0 < _real(t, "t") < math.inf
-                                    for t in t_values):
-        raise ValidationError("t values must be positive and finite")
+    _check_times(t_values)
     _check_tolerance(tolerance)
     d = cfg.d
     if channels is None:
@@ -715,8 +718,7 @@ def _check_fit_request(ts: Sequence[float], n_fit: int) -> None:
     can ask before it builds the spectrum."""
     if not 0 <= _index(n_fit, "n_fit") <= _MAX_N_FIT:
         raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
-    if not len(ts) or not all(0.0 < _real(t, "t") < math.inf for t in ts):
-        raise ValidationError("t values must be positive and finite")
+    _check_times(ts)
     if len(ts) < 3 * n_fit:
         raise ValidationError(f"need at least {3 * n_fit} samples to fit "
                               f"{n_fit + 1} coefficients, got {len(ts)}")

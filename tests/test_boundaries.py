@@ -161,6 +161,7 @@ REFUSALS = [
     row(lambda: config(n_max=-1), ValidationError,
         flag(COEFFS, "--max-n", "-1"), 2, id="n_max-negative"),
     row(lambda: config(n_max=2.0), ValidationError, id="n_max-float"),
+    row(lambda: config(n_max=True), ValidationError, id="n_max-bool"),
     row(lambda: config(D=19, n_max=18), ValidationError,
         flag(flag(COEFFS, "--dim", "19"), "--max-n", "18"), 2,
         id="n_max-above-order-limit"),
@@ -193,8 +194,11 @@ REFUSALS = [
     row(lambda: omega("3"), ValidationError, id="omega-str"),
     row(lambda: omega(2.5), ValidationError, id="omega-float"),
     row(lambda: omega(2.0), ValidationError, id="omega-integral-float"),
+    row(lambda: omega(True), ValidationError, id="omega-bool"),
     # c1 and gauss_2f1
     row(lambda: c1(AngleParams(1.0), 0.0), ValueError, id="c1-two_s-zero"),
+    row(lambda: c1(AngleParams(1.0), math.nan), ValueError, id="c1-two_s-nan"),
+    row(lambda: c1(AngleParams(1.0), math.inf), ValueError, id="c1-two_s-inf"),
     row(lambda: c1(AngleParams(1.0), "3"), ValidationError, id="c1-two_s-str"),
     row(lambda: c1(1.0, 3.0), ValidationError, id="c1-angle-not-angleparams"),
     row(lambda: gauss_2f1("1", 1, 1, 0.5), ValidationError, id="2f1-a-str"),
@@ -255,6 +259,9 @@ REFUSALS = [
     row(lambda: heat_trace(hemisphere(), [1e-4], omega_max=12.0), TailTooLarge,
         ["verify", "--dim", "12", "--theta0", "1", "--max-n", "2",
          "--t-min", "100", "--t-max", "1000"], 3, id="trace-tail-too-large"),
+    row(lambda: heat_trace(config(), [0.1], omega_max=1.0), TailTooLarge,
+        flag(VERIFY, "--omega-max", "1"), 3, match="no eigenvalues",
+        id="trace-no-eigenvalues"),
     # fit_asymptotics
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 20)), 3, 5),
         ValidationError, flag(VERIFY, "--max-n", "5"), 2, id="fit-n_fit-above-limit"),

@@ -159,6 +159,15 @@ class TestImports:
     def test_bare_import_loads_no_submodule(self):
         assert {m for m in modules_after() if m.startswith("capheat.")} == set()
 
+    def test_dir_lists_the_api_and_loads_no_submodule(self):
+        names, loaded = fresh_python(
+            "import sys, capheat\n"
+            "print(' '.join(dir(capheat)))\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('capheat.')))"
+        ).split("\n")[:2]
+        assert set(capheat.__all__) <= set(names.split())
+        assert loaded == ""
+
 
 # the public API: what the README documents, and every name bench/ imports
 PUBLIC_NAMES = {

@@ -58,13 +58,6 @@ class TestResidueDictionary:
             2.0 * SQRT_PI, rel=1e-15
         )
 
-    def test_pole_raises(self):
-        # a Gamma pole in a numerator is a bad argument, not a zero
-        with pytest.raises(ValidationError, match="pole"):
-            special_eval._gamma_num(0.0)
-        with pytest.raises(ValidationError, match="pole"):
-            special_eval._gamma_num(-2.0)
-
 
 class TestAssembly:
     def test_leading_coefficient_formula(self):
