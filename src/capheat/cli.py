@@ -17,7 +17,7 @@ from itertools import groupby
 
 # only the errors load with the module: each command imports the modules it
 # runs, so a fresh omega loads the cumulant algebra alone and coeffs no oracle
-from .errors import CapheatError, ValidationError
+from .errors import CapheatError, ValidationError, _finite, _positive
 
 # each verify time sample is one pass over every root: 10,000 samples take
 # 0.11 s of heat_trace over the README example's 1,777 roots, and that
@@ -53,7 +53,7 @@ def _coefficient_index(key: str) -> int:
 
 
 def _base_from(args, d: int):
-    from .heat_coeffs import SphereBase, UserBase, _finite
+    from .heat_coeffs import SphereBase, UserBase
 
     if args.base_file:
         with open(args.base_file, "r", encoding="utf-8") as fh:
@@ -187,8 +187,8 @@ def cmd_verify(args) -> int:
         heat_trace,
     )
 
-    if not 0.0 < args.t_min < args.t_max < math.inf:
-        raise ValidationError("need 0 < --t-min < --t-max, both finite")
+    if not _positive(args.t_min, "--t-min") < _positive(args.t_max, "--t-max"):
+        raise ValidationError("--t-min must be below --t-max")
     if not 1 <= args.points <= _MAX_POINTS:
         raise ValidationError(f"--points must lie in 1..{_MAX_POINTS}")
     if args.max_n > _MAX_N_FIT:
@@ -313,7 +313,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (CapheatError, OverflowError) as exc:

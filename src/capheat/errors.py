@@ -1,7 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the rule for input
+numbers: each public entry converts every number it takes once, with
+``_index``, ``_real``, ``_finite`` or ``_positive``, which refuse a bool, a
+non-number and one no double holds with ``ValidationError`` (a ValueError)."""
 
 from __future__ import annotations
 
+import math
 import operator
 from numbers import Real
 
@@ -10,28 +14,50 @@ class CapheatError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ValidationError(CapheatError):
+class ValidationError(CapheatError, ValueError):
     """Bad arguments or configuration, detected before any computation."""
 
 
 def _index(value, name: str) -> int:
-    """``value`` as an int; ValidationError for a bool and for what
-    operator.index refuses."""
+    """``value`` as an int; ValidationError for a bool, for what
+    operator.index refuses and for an int that no double holds."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            index = operator.index(value)
         except TypeError:
             pass
+        else:
+            _real(index, name)  # the float math behind would overflow
+            return index
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def _real(value, name: str):
-    """``value`` itself; ValidationError unless a real number (a bool is
-    not).  Run before any comparison, which a wrong type would fail with a
-    bare TypeError."""
+def _real(value, name: str) -> float:
+    """``value`` as a double; ValidationError unless a real number (a bool is
+    not) that a double holds.  Run before any comparison, which a wrong type
+    would fail with a bare TypeError."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} lies outside the range of a double") from None
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a finite double, else ValidationError."""
+    number = _real(value, name)
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be a finite double")
+    return number
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a positive finite double, else ValidationError."""
+    number = _real(value, name)
+    if not 0.0 < number < math.inf:
+        raise ValidationError(f"{name} must be finite and positive")
+    return number
 
 
 class StructureViolation(CapheatError):

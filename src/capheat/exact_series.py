@@ -20,8 +20,6 @@ def bernoulli(index: int) -> Fraction:
     Odd indices above 1 return zero.  The even ones are read off
     y/sinh y = sum_k (2 - 2^(2k)) B_(2k) y^(2k)/(2k)!.
     """
-    if index < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
     if index == 1:
         return Fraction(-1, 2)
     if index % 2 == 1:
@@ -36,10 +34,6 @@ def sinh_ratio_coefficients(power: int, order: int) -> tuple[Fraction, ...]:
 
     Odd entries vanish.
     """
-    if power < 1:
-        raise ValueError("power must be positive")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     # Miller's power rule for f = h^(-power), h = sinh(y)/y, whose nonzero
     # coefficients are h_k = 1/(k+1)! at even k:
     # f_m = (1/m) sum_{k=1}^{m} ((1 - power) k - m) h_k f_{m-k}.

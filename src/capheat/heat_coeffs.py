@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, inf, isfinite
+from math import factorial, isfinite
 from sys import float_info
 from typing import Union
 
-from .errors import InsufficientBaseData, ValidationError, _index, _real
+from .errors import InsufficientBaseData, ValidationError, _finite, _index
 from .exact_series import sinh_ratio_coefficients
 from .legendre_asymptotics import _MAX_ORDER, omega_structures
 from .special_eval import SQRT_PI, AngleParams, c1, f_total, recip_gamma
@@ -66,17 +66,6 @@ def sphere_heat_coefficient(n: int, d: int) -> float:
     return value
 
 
-def _finite(value, what: str) -> float:
-    """``value`` as a float, refused unless a finite real number."""
-    try:
-        number = float(_real(value, what))
-    except OverflowError:  # an int beyond doubles
-        number = inf
-    if not isfinite(number):
-        raise ValidationError(f"{what} must be a finite double")
-    return number
-
-
 @dataclass(frozen=True)
 class UserBase:
     """Caller-supplied base: heat coefficients of the shifted base operator.
@@ -122,7 +111,7 @@ class SuspensionConfig:
 
     D is the total dimension (base dimension plus one), at most _MAX_D;
     n_max is the highest coefficient index n requested (coefficient n/2),
-    restricted to n < D.
+    restricted to n < D.  The mass is stored as a double.
     """
 
     D: int
@@ -161,7 +150,8 @@ class SuspensionConfig:
                 f"n_max={self.n_max} needs cumulant order {self.n_max - 1}, "
                 f"above the limit {_MAX_ORDER}"
             )
-        if not 0.0 <= _real(self.mass, "mass") < inf:
+        object.__setattr__(self, "mass", _finite(self.mass, "mass"))
+        if self.mass < 0.0:
             raise ValidationError("mass must be nonnegative and finite")
 
     @property
@@ -276,11 +266,14 @@ def compute_table(cfg: SuspensionConfig) -> CoefficientTable:
 
     cal_A entries are the pure-Laplacian coefficients, with any mass term
     folded in (a mass only reshuffles coefficients, exactly like the shift).
-    Raises OverflowError when any entry is not finite (a large mass squares
-    to inf without raising).
+    Raises OverflowError, naming the mass where a power of -mass^2
+    overflows, and when any entry is not finite (mass^2 can reach inf).
     """
     script = {n: assemble_script_A(cfg, n) for n in range(cfg.n_max + 1)}
-    cal = _exp_shift(_exp_shift(script, (0.5 * cfg.d) ** 2), -(cfg.mass * cfg.mass))
+    try:  # only the mass shift can overflow: (d/2)^(2k) stays below 1e36
+        cal = _exp_shift(_exp_shift(script, (0.5 * cfg.d) ** 2), -(cfg.mass * cfg.mass))
+    except OverflowError:
+        raise OverflowError(f"the mass term overflows at mass={cfg.mass!r}") from None
     if not all(map(isfinite, [*script.values(), *cal.values()])):
         raise OverflowError("coefficient table has a non-finite entry")
     entries = tuple(

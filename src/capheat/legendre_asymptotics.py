@@ -158,7 +158,7 @@ def omega(max_order: int) -> list[NuGPolynomial]:
     """
     max_order = _index(max_order, "max_order")
     if max_order < 1:
-        raise ValueError("max_order must be positive")
+        raise ValidationError("max_order must be positive")
     _check_order(max_order)
     return [_omega(n) for n in range(1, max_order + 1)]
 

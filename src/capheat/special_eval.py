@@ -41,14 +41,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import NumericalError, SlowConvergence, ValidationError, _real
+from .errors import (NumericalError, SlowConvergence, ValidationError,
+                     _finite, _positive, _real)
 from .legendre_asymptotics import StructuredOmega, chi
 
 
 @dataclass(frozen=True)
 class AngleParams:
-    """Polar opening angle with its sine and cosine (signed past pi/2) and
-    their squares, all computed once."""
+    """Polar opening angle, stored as a double, with its sine and cosine
+    (signed past pi/2) and their squares, all computed once."""
 
     theta0: float
     sin2: float = field(init=False)
@@ -57,8 +58,9 @@ class AngleParams:
     cos_theta: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < _real(self.theta0, "theta0") < math.pi:
-            raise ValueError("theta0 must lie strictly inside (0, pi)")
+        object.__setattr__(self, "theta0", _real(self.theta0, "theta0"))
+        if not 0.0 < self.theta0 < math.pi:
+            raise ValidationError("theta0 must lie strictly inside (0, pi)")
         s = math.sin(self.theta0)
         c = math.cos(self.theta0)
         object.__setattr__(self, "sin2", s * s)
@@ -270,10 +272,8 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     b = 1/2, c = 3/2, x = 0.9.  Where that exceeds 1e-10, NumericalError is
     raised.  (The assembly's, N = (D - n)/2, do not pass through here.)
     """
-    for name, value in zip("abcx", (a, b, c, x)):
-        _real(value, f"2F1 {name}")
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise ValidationError(f"2F1 parameters must be finite, got {a}, {b}, {c}")
+    a, b, c = (_finite(v, f"2F1 {name}") for name, v in zip("abc", (a, b, c)))
+    x = _real(x, "2F1 x")
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"2F1 argument must lie in [0, 1], got {x}")
     plan = _hyp2f1_plan(a, b, c)
@@ -298,8 +298,7 @@ def c1(angle: AngleParams, two_s: float) -> float:
     """
     if not isinstance(angle, AngleParams):
         raise ValidationError(f"angle must be AngleParams, got {angle!r}")
-    if not 0.0 < _real(two_s, "two_s") < math.inf:
-        raise ValueError("two_s must be positive and finite")
+    two_s = _positive(two_s, "two_s")
     s = 0.5 * two_s
     value = _hyp2f1_eval(_hyp2f1_plan(0.5, s, s + 1.0), angle.sin2, angle.cos2)
     if not 1.0 <= value <= _C1_SLACK / math.sqrt(angle.cos2):
@@ -383,13 +382,7 @@ def f_total(
         raise OverflowError(f"sin(theta0)^2 underflows at theta0={angle.theta0}")
     if shared_2f1 is None:
         shared_2f1 = {}
-    try:
-        inv_sin = angle.sin_theta ** (-d_minus_n)
-    except OverflowError:
-        raise OverflowError(
-            f"sin(theta0)^(n-D) overflows at theta0={angle.theta0}, "
-            f"D-n={d_minus_n:g}"
-        ) from None
+    inv_sin = angle.sin_theta ** (-d_minus_n)
     lo, inv_gamma_a, x_plan, z0, z_plan = _weight_plan(structure, d_minus_n)
     i = structure.order
     cos_t = angle.cos_theta

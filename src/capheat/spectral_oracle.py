@@ -54,7 +54,9 @@ from .errors import (
     SlowConvergence,
     TailTooLarge,
     ValidationError,
+    _finite,
     _index,
+    _positive,
     _real,
 )
 
@@ -255,10 +257,9 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     factor's logarithm before a single exp, and a product beyond the double
     range raises NumericalError.
     """
-    if not (0.0 < _real(mu, "mu") < math.inf
-            and math.isfinite(_real(omega, "omega"))):
-        raise ValidationError("mu must be positive and finite, omega finite")
-    if not -1.0 < _real(x, "x") < 1.0:
+    mu, omega = _positive(mu, "mu"), _finite(omega, "omega")
+    x = _real(x, "x")
+    if not -1.0 < x < 1.0:
         raise ValidationError("argument must lie in (-1, 1)")
     z = 0.5 * (1.0 - x)
     if z > 0.9:
@@ -363,19 +364,18 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     return 0.5 * (lo + hi), math.log(abs(secant)) if secant else -math.inf
 
 
-def _check_scan(mu: float, theta0: float, omega_max: float) -> None:
-    if not 0.0 < _real(theta0, "theta0") <= THETA0_GUARD:
+def _check_scan(mu: float, theta0: float, omega_max: float) -> tuple:
+    """The scan's mu, theta0 and omega_max as doubles, or ValidationError."""
+    theta0 = _real(theta0, "theta0")
+    if not 0.0 < theta0 <= THETA0_GUARD:
         raise ValidationError(f"theta0 must lie in (0, {THETA0_GUARD}]")
-    if not (0.0 < _real(mu, "mu") < math.inf
-            and 0.0 < _real(omega_max, "omega_max") < math.inf):
-        raise ValidationError(
-            "mu must be finite and positive, omega_max positive and finite"
-        )
+    mu, omega_max = _positive(mu, "mu"), _positive(omega_max, "omega_max")
     # with theta0 <= THETA0_GUARD this also caps the scan at 2,801 points
     if omega_max > _MAX_OMEGA:
         raise ValidationError(
             f"omega_max {omega_max} is above the limit {_MAX_OMEGA:g}"
         )
+    return mu, theta0, omega_max
 
 
 def _channel(mu: float, theta0: float, state: dict | None = None):
@@ -492,7 +492,7 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
     log |f'| at each root, from ``_pinned_root`` (NaN at a zero on a grid
     point), for the channels above to extrapolate.
     """
-    _check_scan(mu, theta0, omega_max)
+    mu, theta0, omega_max = _check_scan(mu, theta0, omega_max)
     grid = _scan_grid(theta0, omega_max)
     found = _bracket_roots(_channel(mu, theta0, state), grid, grid)
     if found is None:
@@ -549,7 +549,7 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     """
     if _index(d, "sphere dimension d") < 2:
         raise ValidationError("sphere base requires d >= 2")
-    _check_scan(sphere_mu(0, d), theta0, omega_max)
+    _, theta0, omega_max = _check_scan(sphere_mu(0, d), theta0, omega_max)
     sin_t = math.sin(theta0) if theta0 < 0.5 * math.pi else 1.0
     estimate = omega_max * omega_max * theta0 * sin_t / (2.0 * math.pi)
     if estimate > _MAX_ROOTS:
@@ -629,24 +629,16 @@ def _log_weyl_tail(big_d: int, count: float, omega_max: float,
     )
 
 
-def _check_tolerance(tolerance: float) -> None:
-    # a NaN tolerance would switch the tail certificate off (tail > nan is
-    # never true), and 0 leaves no cutoff able to meet it
-    if not 0.0 < _real(tolerance, "tolerance") < math.inf:
-        raise ValidationError("tolerance must be positive and finite")
-
-
-def _check_times(ts: Sequence[float]) -> None:
-    if not len(ts) or not all(0.0 < _real(t, "t") < math.inf for t in ts):
+def _check_times(ts: Sequence[float]) -> list[float]:
+    if not len(ts):
         raise ValidationError("t values must be positive and finite")
+    return [_positive(t, "t") for t in ts]
 
 
 def default_omega_max(big_d: int, t_min: float, tolerance: float) -> float:
     """Cutoff heuristic: large enough that the Gaussian tail at t_min falls
     below the tolerance; always certified afterwards by the tail bound."""
-    _check_tolerance(tolerance)
-    if not 0.0 < _real(t_min, "t_min") < math.inf:
-        raise ValidationError("t_min must be positive and finite")
+    tolerance, t_min = _positive(tolerance, "tolerance"), _positive(t_min, "t_min")
     _index(big_d, "total dimension D")
     # a large t_min turns the target negative: take the floor, and let the
     # tail certificate judge it
@@ -675,8 +667,10 @@ def heat_trace(
 
     if not isinstance(cfg.base, SphereBase):
         raise ValidationError("heat_trace supports sphere bases only")
-    _check_times(t_values)
-    _check_tolerance(tolerance)
+    t_values = _check_times(t_values)
+    # a NaN tolerance would switch the tail certificate off (tail > nan is
+    # never true), and 0 leaves no cutoff able to meet it
+    tolerance = _positive(tolerance, "tolerance")
     d = cfg.d
     if channels is None:
         channels = spectrum(d, cfg.angle.theta0, omega_max)
@@ -718,7 +712,7 @@ def _check_fit_request(ts: Sequence[float], n_fit: int) -> None:
     can ask before it builds the spectrum."""
     if not 0 <= _index(n_fit, "n_fit") <= _MAX_N_FIT:
         raise ValidationError(f"n_fit must lie in 0..{_MAX_N_FIT}")
-    _check_times(ts)
+    ts = _check_times(ts)
     if len(ts) < 3 * n_fit:
         raise ValidationError(f"need at least {3 * n_fit} samples to fit "
                               f"{n_fit + 1} coefficients, got {len(ts)}")
@@ -740,10 +734,9 @@ def fit_asymptotics(
     ts = [s.t for s in samples]
     _check_fit_request(ts, n_fit)
     _index(big_d, "total dimension D")
-    if not all(math.isfinite(_real(s.value, "trace value")) for s in samples):
-        raise ValidationError("trace values must be finite")
+    values = [_finite(s.value, "trace value") for s in samples]
     t = np.array(ts, dtype=float)
-    y = np.array([s.value for s in samples], dtype=float) * t ** (0.5 * big_d)
+    y = np.array(values) * t ** (0.5 * big_d)
     u = np.sqrt(t)
     u_ref = u.max()
     design = (u / u_ref)[:, None] ** np.arange(n_fit + 1)

@@ -351,7 +351,7 @@ class TestCoeffs:
          "d must be an integer"),
         ('{"coefficients": {"0": NaN, "1": 0, "2": 0.1}}', "must be a finite double"),
         ('{"coefficients": {"0": 1%s, "1": 0, "2": 0.1}}' % ("0" * 400),
-         "must be a finite double"),
+         "lies outside the range of a double"),
         # each of these overwrote or added an index and exited 0
         ('{"coefficients": {"0": 1, "1": 0, "01": 5, "2": 0.1}}',
          "coefficient key '01' must be a nonnegative integer"),
@@ -619,7 +619,7 @@ class TestRoots:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--mu", "nan", "mu must be finite"),
-        ("--omega-max", "nan", "omega_max positive and finite"),
+        ("--omega-max", "nan", "omega_max must be finite and positive"),
         ("--omega-max", "1e12", "above the limit 1000"),
         ("--mu", "-1", "mu must be finite and positive"),
         ("--mu", "0", "mu must be finite and positive"),
@@ -708,17 +708,19 @@ class TestVerify:
         assert "n < D" in err
 
     @pytest.mark.parametrize("extra,message", [
-        (["--tolerance", "nan"], "tolerance must be positive and finite"),
+        (["--tolerance", "nan"], "tolerance must be finite and positive"),
         (["--tolerance", "nan", "--omega-max", "20"], "tolerance must be"),
-        (["--tolerance", "0"], "tolerance must be positive and finite"),
-        (["--t-max", "inf"], "both finite"),
-        (["--t-min", "nan"], "both finite"),
+        (["--tolerance", "0"], "tolerance must be finite and positive"),
+        (["--t-max", "inf"], "--t-max must be finite and positive"),
+        (["--t-min", "nan"], "--t-min must be finite and positive"),
+        (["--t-min", "0.5", "--t-max", "0.05"], "--t-min must be below --t-max"),
         (["--points", "100000000"], "--points must lie in 1..10000"),
         # the default cutoff for t = 1e-7 is about 22,000
         (["--t-min", "1e-7", "--t-max", "1e-6"], "above the limit 1000"),
-        (["--omega-max", "0"], "omega_max positive and finite"),
+        (["--omega-max", "0"], "omega_max must be finite and positive"),
     ], ids=["tolerance-nan", "tolerance-nan-cutoff", "tolerance-0",
-            "t-max-inf", "t-min-nan", "points", "default-cutoff", "zero-cutoff"])
+            "t-max-inf", "t-min-nan", "t-min-above-t-max", "points",
+            "default-cutoff", "zero-cutoff"])
     def test_refused_inputs(self, capsys, monkeypatch, extra, message):
         real_geomspace = np.geomspace
 

@@ -186,7 +186,7 @@ class TestGauss2F1:
         # term budget; an infinite or NaN parameter raised OverflowError or
         # ValueError from the plan's rounding
         args = {"a": 0.5, "b": 1.5, "c": 2.5, "x": 0.3, slot: value}
-        match = "argument" if slot == "x" else "parameters must be finite"
+        match = "argument" if slot == "x" else "must be a finite double"
         with pytest.raises(ValidationError, match=match):
             gauss_2f1(**args)
 
@@ -518,6 +518,10 @@ class TestRecipGamma:
     def test_poles_vanish(self):
         assert recip_gamma(0.0) == 0.0
         assert recip_gamma(-3.0) == 0.0
+
+    def test_gamma_overflow_gives_zero(self):
+        # Gamma(200) overflows a double, and its reciprocal is below them
+        assert recip_gamma(200.0) == 0.0
 
     def test_regular_values(self):
         assert recip_gamma(0.5) == pytest.approx(1.0 / SQRT_PI, rel=1e-15)

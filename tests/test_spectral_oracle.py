@@ -1036,9 +1036,9 @@ class TestHeatTrace:
     @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
     def test_times_refused(self, t):
         cfg = hemisphere_cfg()
-        with pytest.raises(ValidationError, match="positive and finite"):
+        with pytest.raises(ValidationError, match="finite and positive"):
             heat_trace(cfg, [0.3, t], tolerance=1e-6, omega_max=15.0)
-        with pytest.raises(ValidationError, match="positive and finite"):
+        with pytest.raises(ValidationError, match="finite and positive"):
             default_omega_max(3, t, 1e-6)
 
     @pytest.mark.parametrize("d,t_min", [(12, 100.0), (3, 1e8)])

@@ -135,9 +135,7 @@ class TestHeatCoefficients:
                     assert sphere_heat_coefficient(n, d).hex() == expected, (n, d)
         assert sphere_heat_coefficient.cache_info().maxsize is not None
 
-    @pytest.mark.parametrize("n,d,error", [
-        (-1, 3, ValueError), (0, 269, OverflowError),
-    ])
+    @pytest.mark.parametrize("n,d,error", [(0, 269, OverflowError)])
     def test_refusals_are_not_memoized(self, n, d, error):
         for _ in range(2):
             with pytest.raises(error):
