@@ -81,7 +81,8 @@ class UserBase:
     residue_at_minus_half: float | None = None
 
     def __post_init__(self):
-        if _index(self.d, "base dimension") < 1:
+        object.__setattr__(self, "d", _index(self.d, "base dimension"))
+        if self.d < 1:
             raise ValidationError("base dimension must be at least 1")
         if not isinstance(self.coefficients, Mapping):
             raise ValidationError("coefficients must be a mapping from index "

@@ -17,16 +17,14 @@ of ``ferrers_p``.
 One walk over brackets finds a channel's roots.  A scan walks a
 quarter-spacing grid, and a spectrum scans only its first channel: sphere
 channels interlace, so each later channel walks the roots of the one
-before, and each of its roots is first tried where the channels below
-extrapolate it, corrected by the previous root's miss, then by a Newton
-step with the slope extrapolated the same way.  An exact zero on an end is
-a root, past which the sign flips.  One routine pins each root: it walks
-down the scan's bisection tree, the grid points and then the midpoints of
-the scan's cell, and evaluates f only to decide the first tree point
-inside the bracket, at Anderson-Bjorck false-position trials aimed just
-past their estimates.  So every walk gives the scan's roots, bit for bit:
-where f is evaluated, at what precision and how long each sum runs never
-decide a root, only signs do.
+before, each root first tried where the channels below extrapolate it,
+and walks the grid inside a bracket that shows no sign change.  One
+routine pins each root: it walks down the scan's bisection tree, the grid
+points and then the midpoints of the scan's cell, and evaluates f only to
+decide the first tree point inside the bracket, at Anderson-Bjorck
+false-position trials aimed just past their estimates.  So every walk
+gives the scan's roots, bit for bit: where f is evaluated, at what
+precision and how long each sum runs never decide a root, only signs do.
 
 Everything else runs on doubles: the Ferrers prefactor and the incomplete
 gamma function of the Weyl tail are closed forms summed as logarithms.
@@ -73,12 +71,14 @@ _MAX_SERIES_TERMS = 2_000_000
 # 2.2 it takes about 1.8 s at omega_max 500 and 10 s at 1,000 (2-core
 # Intel Xeon VM, Python 3.11.7).  The largest cutoff the tests use is 120.
 _MAX_OMEGA = 1_000.0
+# Largest |omega| of ferrers_p: at x = -0.8, its hardest argument, a call
+# takes about 0.8 s at mu = 1/2 and up to 2.6 s at larger mu (same VM).
+_MAX_FERRERS_OMEGA = 10_000.0
 # Bisection width of a root.
 _ABS_TOL = 1e-10
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  Spectra near it take about 18 s at theta0 = 2.2 (omega_max
-# 168.9, 11,284 roots) and 4.5 s at pi/3 (omega_max 263.1, 8,595 roots) on
-# a 2-core Intel Xeon VM, Python 3.11.7.
+# 2,078).  Near it a spectrum takes about 4.9 s at theta0 = 2.2 (omega_max
+# 168.9, 11,284 roots) and 2.0 s at pi/3 (263.1, 8,595 roots), same VM.
 _MAX_ROOTS = 10_000
 # The caller's target for the Ferrers series' tail bound, in bits below the
 # sum: ferrers_p's doubles need 64; the root finder needs only the signs,
@@ -259,6 +259,10 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
     """
     mu, omega = _positive(mu, "mu"), _finite(omega, "omega")
     x = _real(x, "x")
+    if abs(omega) > _MAX_FERRERS_OMEGA:
+        raise ValidationError(
+            f"|omega| {abs(omega)} is above the limit {_MAX_FERRERS_OMEGA:g}"
+        )
     if not -1.0 < x < 1.0:
         raise ValidationError("argument must lie in (-1, 1)")
     z = 0.5 * (1.0 - x)
@@ -283,8 +287,8 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
                  fb: float, first: float | None = None,
                  slope: float | None = None) -> tuple[float, float]:
     """The root that the scan of ``grid`` finds in the sign-change bracket
-    (a, b) of f, where fa = f(a), fb = f(b) and 0 <= a < b <= grid[-1],
-    and log |f'| there.
+    (a, b) of f, where fa = f(a), fb = f(b) and 0 <= a < b <= grid[-1], or
+    at an exact zero a = b, and log |f'| there.
 
     The walk goes down the scan's bisection tree: the grid points above a,
     which pick the scan's cell, then the midpoints of that cell, to
@@ -314,7 +318,7 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     x, prev = first, None
     # the caller's start is tried as given, every later trial aimed
     aim = 0.0 if first is not None else _ABS_TOL / 1024.0
-    j = bisect.bisect_right(grid, a)  # grid[j - 1] <= a < grid[j]
+    j = bisect.bisect_left(grid, a)  # grid[j - 1] < a <= grid[j]
     lo, hi = grid[j - 1], grid[j]
     scanning = True  # the next tree point is the grid point hi
     while scanning or hi - lo > _ABS_TOL:
@@ -420,31 +424,33 @@ def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
 
 def _bracket_roots(f, ends: Sequence[float], grid: list[float],
                    lower: Sequence[Sequence[float]] = (),
-                   lower_logs: Sequence[Sequence[float]] = ()):
+                   lower_logs: Sequence[Sequence[float]] = (),
+                   fa: float | None = None):
     """The roots of f in (ends[0], ends[-1]] and log |f'| at each, walking
     the brackets between consecutive ends: a scan's ``grid``, or the roots
     of the channel below and the cutoff, with ``lower``, the roots of the
     channels below (nearest last), and ``lower_logs``, log |f'| at them.
-    ``_pinned_root`` pins each sign change on ``grid``, so every walk gives
-    the scan's root: the start and the slope move the evaluations, never
-    the root, which the signs alone fix.  The start is the root's
+    ``fa`` is f(ends[0]) when the caller holds it; a zero there raises
+    MissedRootSuspicion.  ``_pinned_root`` pins each sign change on
+    ``grid``, so every walk gives the scan's root: the start and the slope
+    move the evaluations, never the root.  The start is the root's
     extrapolation from the channels below (``_extrapolated``; None with
     fewer than two) plus the previous root's miss, that root less its own
     extrapolation; a missing or non-finite extrapolation adds no correction
     and leaves none for the next root.  The slope is predicted the same way
     from ``lower_logs``, with the sign of the bracket's sign change.  An
-    exact zero on an end is a root (log |f'| NaN), and a simple root flips
-    the sign: the next bracket starts from the opposite of the one before.
+    exact zero on an end is the root the scan's tree meets there (log |f'|
+    NaN), and flips the sign for the next bracket.
 
-    Returns None when f is 0 at ends[0], or, with a ``lower``, at the first
-    bracket other than the last that ends on a zero or shows no sign
-    change.  Interlacing puts one root in each, but its ends are roots
-    known only to _ABS_TOL: on an obtuse cap a high channel's lowest roots
-    crowd onto mu + 1/2 + n closer than that.
+    With a ``lower``, a bracket other than the last that ends on a zero or
+    shows no sign change is walked as a scan over the grid points inside
+    it: its ends are roots known only to _ABS_TOL, and on an obtuse cap a
+    high channel's lowest roots crowd onto mu + 1/2 + n closer than that.
+    The caller checks the root count.
     """
-    fa = f(ends[0])
+    fa = f(ends[0]) if fa is None else fa
     if fa == 0.0:
-        return None
+        raise MissedRootSuspicion(f"unexpected root at omega = {ends[0]}")
     roots: list[float] = []
     logs: list[float] = []
     # the previous root and log |f'| there, less their extrapolations
@@ -452,7 +458,15 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
     for i in range(1, len(ends)):
         a, b = ends[i - 1], ends[i]
         fb = f(b)
-        if fb != 0.0 and (fb > 0) != (fa > 0):
+        change = fb != 0.0 and (fb > 0) != (fa > 0)
+        if lower and not change and i < len(ends) - 1:
+            inside = grid[bisect.bisect_right(grid, a):bisect.bisect_left(grid, b)]
+            split, split_logs = _bracket_roots(f, [a, *inside, b], grid, fa=fa)
+            roots += split
+            logs += split_logs
+            if fb == 0.0 and len(split) % 2 == 0:
+                fa = -fa  # a root before the zero at b: the sign left of b
+        elif change:
             guess = _extrapolated(lower, i - 1)
             finite = guess is not None and math.isfinite(guess)
             log_guess = _extrapolated(lower_logs, i - 1)
@@ -469,10 +483,8 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
             logs.append(log_slope)
             miss = root - guess if finite else 0.0
             log_miss = log_slope - log_guess if log_finite else 0.0
-        elif lower and i < len(ends) - 1:
-            return None
-        elif fb == 0.0:
-            roots.append(b)
+        elif fb == 0.0:  # on a grid point b itself, else its cell's midpoint
+            roots.append(_pinned_root(f, grid, b, fb, b, fb)[0])
             logs.append(math.nan)
         fa = fb if fb != 0.0 else -fa
     return roots, logs
@@ -483,21 +495,15 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
     """All simple roots in (0, omega_max] of the Dirichlet condition at
     theta0: the Ferrers function of order -mu vanishing at cos(theta0).
 
-    Scans with step pi/(4 theta0) (a quarter of the asymptotic root spacing)
-    with a gap monitor against missed roots: ``_bracket_roots`` walks the
-    grid, a zero on a grid point is a root, and ``_pinned_root`` pins each
-    sign change to the root of the cell's bisection to _ABS_TOL.
-    ``state``, when given, is the evaluation state of ``_channel``: it moves
-    evaluations, never roots.  The scan leaves in ``state["log_slopes"]``
-    log |f'| at each root, from ``_pinned_root`` (NaN at a zero on a grid
-    point), for the channels above to extrapolate.
+    ``_bracket_roots`` walks the grid of ``_scan_grid``, and a gap monitor
+    guards against missed roots.  ``state``, when given, is the evaluation
+    state of ``_channel``: it moves evaluations, never roots.  The scan
+    leaves in ``state["log_slopes"]`` log |f'| at each root (NaN at a zero
+    on a grid point), for the channels above to extrapolate.
     """
     mu, theta0, omega_max = _check_scan(mu, theta0, omega_max)
     grid = _scan_grid(theta0, omega_max)
-    found = _bracket_roots(_channel(mu, theta0, state), grid, grid)
-    if found is None:
-        raise MissedRootSuspicion("unexpected root at omega = 0")
-    roots, log_slopes = found
+    roots, log_slopes = _bracket_roots(_channel(mu, theta0, state), grid, grid)
     if state is not None:
         state["log_slopes"] = log_slopes
 
@@ -527,21 +533,19 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     a Robin condition for channel mu, and Robin roots interlace Dirichlet
     ones; the Bessel analogue is DLMF 10.21(i).  So only channel 0 is
     scanned (``dirichlet_roots``); ``_bracket_roots`` walks every later
-    channel over the roots of the one before, as the scan walks its grid,
-    and each of those brackets must show a sign change.  That check
-    replaces the scan's gap monitor.  The start extrapolated in mu from up
-    to four channels below, with the miss at the channel's previous root,
-    predicts a root to a median error of 3e-5 at pi/3 with cutoff 40 and
-    3e-7 with cutoff 120, against a bracket about pi/theta0 wide; it and
-    the slope predicted the same way change only where f is evaluated.  The
-    channels share one evaluation state, so each starts from the precision
-    hint the channel below left.  A channel whose brackets fail the check,
-    because its roots lie closer to the lower channel's than their
-    tolerance, is scanned like channel 0, and its root count must still
-    interlace, else MissedRootSuspicion.  Either way the roots are
-    bit-identical to a scan of each channel.  The first root of a channel
-    increases with mu, so the loop stops at the first channel with no roots
-    in range.
+    channel over the roots of the one before, as the scan walks its grid.
+    The start extrapolated in mu from up to four channels below, with the
+    miss at the channel's previous root, predicts a root to a median error
+    of 3e-5 at pi/3 with cutoff 40 and 3e-7 with cutoff 120, against a
+    bracket about pi/theta0 wide; it and the slope predicted the same way
+    change only where f is evaluated.  The channels share one evaluation
+    state, so each starts from the precision hint the channel below left.
+    A bracket that shows no sign change, its root closer to an end than
+    the end's tolerance, is walked on the scan grid, so the roots are
+    bit-identical to a scan of each channel.  Each channel's root count
+    must interlace, else MissedRootSuspicion, in place of the scan's gap
+    monitor.  The first root of a channel increases with mu, so the loop
+    stops at the first channel with no roots in range.
 
     A request whose estimated root count, omega_max^2 theta0 sin(theta0) /
     (2 pi) with the sine taken as 1 past pi/2, exceeds _MAX_ROOTS is
@@ -549,7 +553,7 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     """
     if _index(d, "sphere dimension d") < 2:
         raise ValidationError("sphere base requires d >= 2")
-    _, theta0, omega_max = _check_scan(sphere_mu(0, d), theta0, omega_max)
+    mu, theta0, omega_max = _check_scan(sphere_mu(0, d), theta0, omega_max)
     sin_t = math.sin(theta0) if theta0 < 0.5 * math.pi else 1.0
     estimate = omega_max * omega_max * theta0 * sin_t / (2.0 * math.pi)
     if estimate > _MAX_ROOTS:
@@ -558,31 +562,26 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
             f"the limit {_MAX_ROOTS:,}"
         )
     grid = _scan_grid(theta0, omega_max)
-    channels: list[EigenvalueChannel] = []
-    logs: list[list[float]] = []  # log |f'| at the roots of each channel
     state: dict = {}  # the precision hint, handed from channel to channel
+    roots = dirichlet_roots(mu, theta0, omega_max, state)
+    logs = [state.pop("log_slopes")]  # log |f'| at the roots of each channel
+    channels: list[EigenvalueChannel] = []
     k = 0
-    while True:
+    while roots:
+        channels.append(EigenvalueChannel(mu, degeneracy(k, d), tuple(roots)))
+        k += 1
         mu = sphere_mu(k, d)
         lower = [ch.roots for ch in channels[-4:]]
-        found = lower and _bracket_roots(_channel(mu, theta0, state),
-                                         [*lower[-1], omega_max], grid, lower,
-                                         logs[-4:])
-        if found:
-            roots, log_slopes = found
-        else:
-            roots = dirichlet_roots(mu, theta0, omega_max, state)
-            log_slopes = state.pop("log_slopes")
-            if lower and len(lower[-1]) - len(roots) not in (0, 1):
-                raise MissedRootSuspicion(
-                    f"{len(roots)} roots at mu = {mu} do not interlace the "
-                    f"{len(lower[-1])} of the channel one order lower"
-                )
-        if not roots:
-            return channels
-        channels.append(EigenvalueChannel(mu, degeneracy(k, d), tuple(roots)))
+        roots, log_slopes = _bracket_roots(_channel(mu, theta0, state),
+                                           [*lower[-1], omega_max], grid,
+                                           lower, logs[-4:])
+        if len(lower[-1]) - len(roots) not in (0, 1):
+            raise MissedRootSuspicion(
+                f"{len(roots)} roots at mu = {mu} do not interlace the "
+                f"{len(lower[-1])} of the channel one order lower"
+            )
         logs.append(log_slopes)
-        k += 1
+    return channels
 
 
 def _log_upper_gamma(twice_a: int, y: float) -> float:
@@ -631,7 +630,7 @@ def _log_weyl_tail(big_d: int, count: float, omega_max: float,
 
 def _check_times(ts: Sequence[float]) -> list[float]:
     if not len(ts):
-        raise ValidationError("t values must be positive and finite")
+        raise ValidationError("at least one t value is needed")
     return [_positive(t, "t") for t in ts]
 
 

@@ -246,6 +246,10 @@ REFUSALS = [
         id="ferrers-mu-int-beyond-doubles"),
     row(lambda: ferrers_p(0.5, BIG, 0.5), ValidationError,
         id="ferrers-omega-int-beyond-doubles"),
+    row(lambda: ferrers_p(0.5, 10_000.5, 0.5), ValidationError,
+        id="ferrers-omega-above-limit", match="above the limit 10000"),
+    row(lambda: ferrers_p(0.5, -10_000.5, -0.8), ValidationError,
+        id="ferrers-negative-omega-above-limit", match="above the limit"),
     # dirichlet_roots
     row(lambda: dirichlet_roots(0.5, 2.3, 5.0), ValidationError,
         flag(ROOTS, "--theta0", "2.3"), 2, id="roots-theta0-above-guard"),
@@ -282,9 +286,9 @@ REFUSALS = [
     row(lambda: heat_trace(config(base=user()), [0.1], omega_max=15.0),
         ValidationError, id="trace-user-base"),
     row(lambda: heat_trace(hemisphere(), [], omega_max=15.0), ValidationError,
-        id="trace-no-times"),
+        id="trace-no-times", match="at least one t value"),
     row(lambda: heat_trace(hemisphere(), np.array([]), omega_max=15.0),
-        ValidationError, id="trace-no-times-array"),
+        ValidationError, id="trace-no-times-array", match="at least one t value"),
     row(lambda: heat_trace(hemisphere(), [0.3, 0.0], omega_max=15.0),
         ValidationError, flag(VERIFY, "--t-min", "0"), 2, id="trace-time-zero"),
     row(lambda: heat_trace(hemisphere(), [0.3], math.nan, omega_max=15.0),
@@ -316,7 +320,8 @@ REFUSALS = [
         IllConditioned, id="fit-ill-conditioned"),
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 20)), "3", 1),
         ValidationError, id="fit-big_d-str"),
-    row(lambda: fit_asymptotics([], 3, 0), ValidationError, id="fit-no-samples"),
+    row(lambda: fit_asymptotics([], 3, 0), ValidationError, id="fit-no-samples",
+        match="at least one t value"),
     row(lambda: fit_asymptotics(samples([0.0, *np.geomspace(1e-3, 1e-2, 5)]),
                                 3, 1),
         ValidationError, id="fit-time-zero"),
@@ -378,6 +383,13 @@ def test_numpy_integers_compute_what_ints_do():
             D=D, angle=AngleParams(1.0), base=SphereBase(d), n_max=n_max))))
 
     assert table(np.int64(71), np.int64(70), np.int64(3)) == table(71, 70, 3)
+
+    # a numpy UserBase dimension once reached table_to_dict as is, and
+    # json.dumps raised TypeError
+    def user_table(d):
+        return json.dumps(table_to_dict(compute_table(config(base=user(d=d)))))
+
+    assert user_table(np.int64(2)) == user_table(2)
 
 
 @pytest.mark.parametrize("number", [np.float32, Fraction])

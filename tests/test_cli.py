@@ -221,6 +221,10 @@ class TestNamespace:
         for name in capheat.__all__:
             assert namespace[name] is getattr(capheat, name), name
 
+    def test_dir_lists_the_api(self):
+        # in process, beside the fresh interpreter of TestImports
+        assert dir(capheat) == sorted({*vars(capheat), *capheat.__all__})
+
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="'no_such_name'"):
             capheat.no_such_name
@@ -230,6 +234,18 @@ class TestNamespace:
 
 
 class TestCoeffs:
+    @pytest.mark.parametrize("argv,code", [
+        (["coeffs", "--dim", "3", "--theta0", "1", "--max-n", "0"], 0),
+        (["coeffs", "--dim", "3", "--theta0", "0", "--max-n", "0"], 2),
+    ])
+    def test_main_exits_with_the_run_code(self, capsys, monkeypatch, argv, code):
+        # the console script: main exits with what run returns
+        monkeypatch.setattr(sys, "argv", ["capheat", *argv])
+        with pytest.raises(SystemExit) as caught:
+            cli.main()
+        assert caught.value.code == code
+        capsys.readouterr()
+
     def test_hemisphere_volume_json(self, capsys):
         code, out, _ = invoke(
             capsys,

@@ -206,6 +206,17 @@ class TestStructure:
         with pytest.raises(StructureViolation):
             extract_structure(bad, 2)
 
+    @pytest.mark.parametrize("monomial,message", [
+        ((3, 2), "inverse-gamma power outside 0..2"),
+        ((1, 3), "monomial v\\^3 at inverse-gamma power 1 outside pattern"),
+    ])
+    def test_violation_in_the_gamma_families(self, monomial, message):
+        # order 2 has inverse-gamma powers up to 2, and at power 1 only
+        # the even exponents v^(2 + 2b)
+        bad = NuGPolynomial.from_monomials({(1, 2): F(1, 16), monomial: F(1)})
+        with pytest.raises(StructureViolation, match=message):
+            extract_structure(bad, 2)
+
 
 class TestPsi:
     def test_exponential_relation(self):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -560,19 +561,23 @@ class TestSpectrum:
         with pytest.raises(MissedRootSuspicion, match="do not interlace"):
             spectrum(2, math.pi / 3, 20.0)
 
-    def test_crowded_roots_are_not_bracketed(self):
+    def test_crowded_bracket_is_walked_on_the_grid(self):
         # on an obtuse cap the lowest roots of channels 71.5 and 72.5 crowd
-        # onto 73 closer than the root tolerance, so the root of 72.5 is not
-        # inside the bracket the rounded roots of 71.5 give
+        # onto 73 closer than the root tolerance: the first root of 72.5 is
+        # the very double that is the second root of 71.5, so the bracket
+        # between the first two roots of 71.5 shows no sign change.  It is
+        # walked on the scan grid, and the walk returns the scan's roots.
         theta0, omega_max = THETA0_GUARD, 75.0
         below = dirichlet_roots(71.5, theta0, omega_max)
         assert abs(below[1] - 73.0) < 1e-10
         f = spectral_oracle._channel(72.5, theta0)
         grid = spectral_oracle._scan_grid(theta0, omega_max)
-        assert spectral_oracle._bracket_roots(f, [*below, omega_max], grid,
-                                              [below]) is None
+        roots, _ = spectral_oracle._bracket_roots(f, [*below, omega_max], grid,
+                                                  [below])
+        assert roots == dirichlet_roots(72.5, theta0, omega_max)
+        assert roots[0] == below[1]
 
-    def test_unbracketed_channel_is_scanned(self, monkeypatch):
+    def test_zero_on_the_first_end_is_refused(self, monkeypatch):
         theta0, omega_max = math.pi / 3, 20.0
         first = dirichlet_roots(0.5, theta0, omega_max)
 
@@ -582,18 +587,26 @@ class TestSpectrum:
             return _ferrers_factor(mu, omega, z, bits, state)
 
         monkeypatch.setattr(spectral_oracle, "_ferrers_factor", zero_at_first_root)
-        scans = []
+        message = re.escape(f"unexpected root at omega = {first[0]}")
+        with pytest.raises(MissedRootSuspicion, match=message):
+            spectrum(2, theta0, omega_max)
 
-        def scan(mu, *args):
-            scans.append(mu)
-            return dirichlet_roots(mu, *args)
+    @pytest.mark.parametrize("zeros", [(1.2, 3.3, 4.1, 7.2), (2.5, 3.3, 4.1, 7.2)])
+    def test_zero_on_an_inner_end_is_the_scans_root(self, zeros):
+        # f is exactly 0 on the end 3.3, which is no point of the scan's
+        # tree on the integer grid of pi/4.  The bracket that ends there is
+        # walked on the grid, and the zero gives the root the scan's
+        # bisection finds.  With a root before it in the same bracket (2.5)
+        # the walk still carries f's sign past it.
+        def f(w):
+            return math.prod(z - w for z in zeros)
 
-        monkeypatch.setattr(spectral_oracle, "dirichlet_roots", scan)
-        chans = spectrum(2, theta0, omega_max)
-        assert scans == [0.5, 1.5]
-        monkeypatch.undo()
-        for ch in chans:
-            assert ch.roots == tuple(dirichlet_roots(ch.mu, theta0, omega_max))
+        ends = [0.7, 2.0, 3.3, 5.3, 8.0]
+        grid = spectral_oracle._scan_grid(QUARTER, 8.0)
+        roots, logs = spectral_oracle._bracket_roots(f, ends, grid, [ends[:-1]])
+        assert roots == scan_bisection(f, QUARTER, 8.0)
+        j = zeros.index(3.3)
+        assert roots[j] != 3.3 and math.isnan(logs[j])
 
     @pytest.mark.parametrize("start", ["none", "left", "right", "midpoint",
                                        "after_infinite", "slope_zero",
@@ -668,6 +681,18 @@ class TestSpectrum:
         roots = sum(len(ch.roots) for ch in chans)
         assert calls["evaluations"] <= per_root * roots
         assert calls["sums"] - calls["evaluations"] <= resums
+
+    def test_sums_per_root_on_an_obtuse_cap(self, monkeypatch):
+        # at theta0 = 2.2 the lowest roots of 38 channels crowd onto the
+        # channel below, and 82 of their brackets show no sign change:
+        # walking each of those on the scan grid takes 24,744 sums for the
+        # 5,681 roots (4.36 per root), where a scan of each crowded channel
+        # took 39,427 (6.94)
+        calls = count_evaluations(monkeypatch)
+        chans = spectrum(2, THETA0_GUARD, 120.0)
+        roots = sum(len(ch.roots) for ch in chans)
+        assert roots == 5681
+        assert calls["sums"] <= 4.5 * roots
 
     def test_hemisphere_roots_on_the_grid_are_not_evaluated_again(
             self, monkeypatch):
@@ -746,7 +771,7 @@ class TestSpectrum:
          "45a550280a5494f04145fa46568e684bf3a22d8937810cae4b9733a4e0d22058"),
         (2, 2.2, 30.0, 348,
          "ad2f1a85246fa4649237582b0ffed4dceee609b24a1df2133161d0e1441b8b7e"),
-        # channels 72.5, 73.5 and 74.5 crowd and fall back to the scan
+        # the lowest roots of channels 72.5, 73.5 and 74.5 crowd
         (140, 2.2, 76.0, 21,
          "c0b2250bb82b57043d1e4e90752665354da92f4a7c3d0d61087b73b4799d93f3"),
     ])
@@ -754,15 +779,15 @@ class TestSpectrum:
                                                  omega_max, count, digest):
         # recorded before the cubic start, the miss correction, the
         # Anderson-Bjorck bracketing and the shared precision hint.  The
-        # evaluations are bounded too: at d = 140 the walk of each crowded
-        # channel stops at its first bracket without a sign change, and a
-        # walk that went on would cost more.
+        # evaluations are bounded too: at d = 140 each crowded bracket is
+        # walked on the scan grid, 355 evaluations, where a scan of each
+        # crowded channel took 1,000.
         calls = count_evaluations(monkeypatch)
         chans = spectrum(d, theta0, omega_max)
         hexes = [r.hex() for ch in chans for r in ch.roots]
         assert len(hexes) == count
         assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
-        assert calls["evaluations"] <= {5: 1377, 2: 1887, 140: 1000}[d]
+        assert calls["evaluations"] <= {5: 1377, 2: 1887, 140: 355}[d]
 
 
 # At theta0 = pi/4 the scan step pi/(4 theta0) is exactly 1, so the grid
