@@ -17,8 +17,8 @@ from sys import float_info
 from typing import Union
 
 from .errors import InsufficientBaseData, ValidationError, _finite, _index
-from .exact_series import sinh_ratio_coefficients
-from .legendre_asymptotics import _MAX_ORDER, omega_structures
+from .legendre_asymptotics import (_MAX_ORDER, omega_structures,
+                                   sinh_ratio_coefficients)
 from .special_eval import SQRT_PI, AngleParams, c1, f_total, recip_gamma
 
 

@@ -8,21 +8,22 @@ The objects here live in the polynomial ring Q[v, g] where g stands for
 and so are the cumulant (logarithm) coefficients of the expansion, so all
 algebra is exact.  ``omega`` produces those coefficients directly, each the
 integral from 1 of a term of a Riccati recurrence for the v-derivative of
-the logarithm; ``extract_structure`` reads off the coefficient families used
-by the downstream residue formulas.
+the logarithm, plus a Bernoulli counterterm at odd orders (``bernoulli``,
+read off ``sinh_ratio_coefficients``); ``extract_structure`` reads off the
+coefficient families used by the downstream residue formulas.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Iterator, Mapping
 
 from .errors import StructureViolation, ValidationError, _index
-from .exact_series import bernoulli
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # Highest cumulant order served; a table with index n_max needs n_max - 1.
 # The exact algebra takes about 0.09 s cold at order 16 (median of 9 fresh
@@ -37,6 +38,42 @@ def _check_order(max_order: int) -> None:
         raise ValidationError(
             f"cumulant order {max_order} above the limit {_MAX_ORDER}"
         )
+
+
+def bernoulli(index: int) -> Fraction:
+    """B_index in the convention with B_1 = -1/2, so B_2 = 1/6.
+
+    Odd indices above 1 return zero.  The even ones are read off
+    y/sinh y = sum_k (2 - 2^(2k)) B_(2k) y^(2k)/(2k)!.
+    """
+    if index == 1:
+        return Fraction(-1, 2)
+    if index % 2 == 1:
+        return _ZERO
+    return sinh_ratio_coefficients(1, index)[index] / (2 - 2**index)
+
+
+def sinh_ratio_coefficients(power: int, order: int) -> tuple[Fraction, ...]:
+    """Coefficients of (y / sinh y)^power, scaled so that
+
+    (y / sinh y)^power = sum_v coeffs[v] y^v / v!.
+
+    Odd entries vanish.
+    """
+    # Miller's power rule for f = h^(-power), h = sinh(y)/y, whose nonzero
+    # coefficients are h_k = 1/(k+1)! at even k:
+    # f_m = (1/m) sum_{k=1}^{m} ((1 - power) k - m) h_k f_{m-k}.
+    f = [_ONE]
+    for m in range(1, order + 1):
+        s = sum(
+            (
+                Fraction((1 - power) * k - m, factorial(k + 1)) * f[m - k]
+                for k in range(2, m + 1, 2)
+            ),
+            _ZERO,
+        )
+        f.append(s / m)
+    return tuple(f[v] * factorial(v) for v in range(order + 1))
 
 
 def chi(i: int) -> int:

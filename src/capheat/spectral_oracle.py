@@ -72,10 +72,11 @@ _MAX_SERIES_TERMS = 2_000_000
 # Intel Xeon VM, Python 3.11.7).  The largest cutoff the tests use is 120.
 _MAX_OMEGA = 1_000.0
 # Largest |omega| of ferrers_p: at x = -0.8, its hardest argument, a call
-# takes about 0.8 s at mu = 1/2 and up to 2.6 s at larger mu (same VM).
+# takes about 0.8 s at mu = 1/2 and up to 1.3 s at larger mu (same VM).
 _MAX_FERRERS_OMEGA = 10_000.0
-# Bisection width of a root.
+# Bisection width of a root, and how far past its estimate a trial aims.
 _ABS_TOL = 1e-10
+_AIM = _ABS_TOL / 1024.0
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
 # 2,078).  Near it a spectrum takes about 4.9 s at theta0 = 2.2 (omega_max
 # 168.9, 11,284 roots) and 2.0 s at pi/3 (263.1, 8,595 roots), same VM.
@@ -214,10 +215,13 @@ def _ferrers_factor(mu: float, omega: float, z: float, bits: int,
     decide whether the sum carries 53 good bits, and the fractional bits
     are raised until it does.
     A sum that rounds to 0 has lost every fractional bit and escalates too:
-    only the lockstep rule below returns 0.  ``state`` carries the hint
-    between calls of the same channel.  ``bits`` is the caller's target for
-    the series' tail bound: the value is good to about 2**-bits relative,
-    and its sign is exact at any target.
+    only the lockstep rule below returns 0, and that 0.0 is a bound, not a
+    value: a lockstep first seen at p fractional bits and again at 2p or
+    more puts the factor below about 2**-p, with p at least 70 plus log2
+    of the largest term.  ``state`` carries the hint between calls of the
+    same channel.  ``bits`` is the caller's target for the series' tail
+    bound: the value is good to about 2**-bits relative, and its sign is
+    exact at any target.
     """
     prec = state.get("prec", 70 + 32)
     prev_gap = prev_prec = lockstep_prec = None
@@ -239,13 +243,14 @@ def _ferrers_factor(mu: float, omega: float, z: float, bits: int,
             if prev_gap is not None and gap - prev_gap > 0.9 * (prec - prev_prec):
                 # the residual shrinks in lockstep with the working
                 # precision: the sum is an analytic zero, not a cancellation
-                # shortfall, if it still does so at twice the precision.
+                # shortfall, if it still does so at twice the precision, the
+                # next round's.
                 if lockstep_prec is None:
                     lockstep_prec = prec
                 elif prec >= 2 * lockstep_prec:
                     return 0.0
             prev_gap, prev_prec = gap, prec
-        prec = max(needed + 32, floor)
+        prec = max(needed + 32, floor, 2 * (lockstep_prec or 0))
     raise SlowConvergence("Ferrers series precision escalation failed")
 
 
@@ -300,13 +305,13 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     (Anderson & Bjorck, BIT 13 (1973) 253): when an end is kept a second
     time in a row, its value is scaled by m = 1 - f(x) / f(e), e the end x
     replaced, or by 1/2 when m <= 0, where the Illinois method always
-    halves it.  ``first``, when given, is the first trial.  ``slope``, when
-    given, is f's predicted slope at the root: the next trial is then the
-    Newton step, and the one after it the secant through the last two.
-    Every trial but ``first`` aims _ABS_TOL / 1024 past its estimate
-    toward the undecided tree point, stopping on it rather than passing
-    it, so that an estimate that close to the root decides the point in
-    one evaluation; a trial not strictly inside (a, b) becomes that point.
+    halves it.  ``first``, when given, is the first estimate.  ``slope``,
+    when given, is f's predicted slope at the root: the next estimate is
+    then the Newton step, and the one after it the secant through the last
+    two.  Every trial aims _AIM past its estimate toward the undecided tree
+    point, stopping on it rather than passing it, so that an estimate that
+    close to the root decides the point in one evaluation; a trial not
+    strictly inside (a, b) becomes that point.
     An exact zero collapses the bracket: it is the root where the walk
     meets it, else the midpoint of its last cell.
 
@@ -316,8 +321,6 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     ya, yb = fa, fb  # the ends' values, which the modification leaves
     kept = 0  # -1 after keeping b, +1 after keeping a
     x, prev = first, None
-    # the caller's start is tried as given, every later trial aimed
-    aim = 0.0 if first is not None else _ABS_TOL / 1024.0
     j = bisect.bisect_left(grid, a)  # grid[j - 1] < a <= grid[j]
     lo, hi = grid[j - 1], grid[j]
     scanning = True  # the next tree point is the grid point hi
@@ -337,10 +340,9 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
             continue
         if x is None:
             x = b - fb * (b - a) / (fb - fa)
-        x = min(x + aim, p) if x < p else max(x - aim, p)
+        x = min(x + _AIM, p) if x < p else max(x - _AIM, p)
         if not a < x < b:
             x = p
-        aim = _ABS_TOL / 1024.0
         fx = f(x)
         if fx == 0.0:
             a = b = x
@@ -411,15 +413,18 @@ def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
     """Value j of the next channel, a root or log |f'| at one, extrapolated
     in mu (step 1) from value j of the channels in ``lower`` (nearest
     last): cubically from four, quadratically from three, linearly from
-    two, and not at all from one or none."""
+    two, and not at all from one or none.  A non-finite extrapolation (from
+    a NaN or infinite log |f'|) is none either."""
     w = [roots[j] for roots in lower[-4:]]
     if len(w) == 4:
-        return 4.0 * (w[3] + w[1]) - 6.0 * w[2] - w[0]
-    if len(w) == 3:
-        return 3.0 * (w[2] - w[1]) + w[0]
-    if len(w) == 2:
-        return 2.0 * w[1] - w[0]
-    return None
+        value = 4.0 * (w[3] + w[1]) - 6.0 * w[2] - w[0]
+    elif len(w) == 3:
+        value = 3.0 * (w[2] - w[1]) + w[0]
+    elif len(w) == 2:
+        value = 2.0 * w[1] - w[0]
+    else:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _bracket_roots(f, ends: Sequence[float], grid: list[float],
@@ -434,11 +439,11 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
     MissedRootSuspicion.  ``_pinned_root`` pins each sign change on
     ``grid``, so every walk gives the scan's root: the start and the slope
     move the evaluations, never the root.  The start is the root's
-    extrapolation from the channels below (``_extrapolated``; None with
-    fewer than two) plus the previous root's miss, that root less its own
-    extrapolation; a missing or non-finite extrapolation adds no correction
-    and leaves none for the next root.  The slope is predicted the same way
-    from ``lower_logs``, with the sign of the bracket's sign change.  An
+    extrapolation from the channels below (``_extrapolated``) plus the
+    previous root's miss, that root less its own extrapolation.  The slope
+    is predicted the same way from ``lower_logs``, with the sign of the
+    bracket's sign change.  Where ``_extrapolated`` gives none, there is no
+    start (or no slope), and no miss for the next root.  An
     exact zero on an end is the root the scan's tree meets there (log |f'|
     NaN), and flips the sign for the next bracket.
 
@@ -468,21 +473,18 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
                 fa = -fa  # a root before the zero at b: the sign left of b
         elif change:
             guess = _extrapolated(lower, i - 1)
-            finite = guess is not None and math.isfinite(guess)
             log_guess = _extrapolated(lower_logs, i - 1)
-            log_finite = log_guess is not None and math.isfinite(log_guess)
-            predicted = log_guess + log_miss if log_finite else math.nan
+            start = None if guess is None else guess + miss
+            predicted = math.nan if log_guess is None else log_guess + log_miss
             # f has the sign of fb right of the root; exp overflows a double
             # past _LOG_MAX, and a NaN fails that test
             slope = (math.copysign(math.exp(predicted), fb)
                      if predicted < _LOG_MAX else None)
-            root, log_slope = _pinned_root(f, grid, a, fa, b, fb,
-                                           guess + miss if finite else guess,
-                                           slope)
+            root, log_slope = _pinned_root(f, grid, a, fa, b, fb, start, slope)
             roots.append(root)
             logs.append(log_slope)
-            miss = root - guess if finite else 0.0
-            log_miss = log_slope - log_guess if log_finite else 0.0
+            miss = 0.0 if guess is None else root - guess
+            log_miss = 0.0 if log_guess is None else log_slope - log_guess
         elif fb == 0.0:  # on a grid point b itself, else its cell's midpoint
             roots.append(_pinned_root(f, grid, b, fb, b, fb)[0])
             logs.append(math.nan)
@@ -726,7 +728,8 @@ def fit_asymptotics(
 
     Fits K(t) t^(D/2) against powers of sqrt(t) (which equalizes the term
     magnitudes), on an internally rescaled abscissa for conditioning;
-    returns the n_fit + 1 expansion coefficients.
+    returns the n_fit + 1 expansion coefficients.  Samples whose scaled
+    values or coefficients a double cannot hold raise NumericalError.
     """
     import numpy as np
 
@@ -735,7 +738,10 @@ def fit_asymptotics(
     _index(big_d, "total dimension D")
     values = [_finite(s.value, "trace value") for s in samples]
     t = np.array(ts, dtype=float)
-    y = np.array(values) * t ** (0.5 * big_d)
+    with np.errstate(over="ignore"):
+        y = np.array(values) * t ** (0.5 * big_d)
+    if not np.isfinite(y).all():
+        raise NumericalError("trace values times t^(D/2) overflow a double")
     u = np.sqrt(t)
     u_ref = u.max()
     design = (u / u_ref)[:, None] ** np.arange(n_fit + 1)
@@ -743,5 +749,11 @@ def fit_asymptotics(
     if cond > 1e8:
         raise IllConditioned(f"design condition number {cond:.2e} exceeds 1e8")
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    coefficients = tuple(float(c / u_ref**k) for k, c in enumerate(coef))
+    # u_ref^k underflows to 0 at t near the smallest doubles
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coefficients = tuple(float(c / u_ref**k) for k, c in enumerate(coef))
+    if not all(map(math.isfinite, coefficients)):
+        raise NumericalError(
+            f"t down to {min(ts):g} puts the fit coefficients beyond doubles"
+        )
     return FitResult(coefficients, cond)

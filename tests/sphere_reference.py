@@ -21,8 +21,12 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from capheat.errors import ValidationError
-from capheat.exact_series import sinh_ratio_coefficients
-from capheat.legendre_asymptotics import NuGPolynomial, StructuredOmega, omega_structures
+from capheat.legendre_asymptotics import (
+    NuGPolynomial,
+    StructuredOmega,
+    omega_structures,
+    sinh_ratio_coefficients,
+)
 from capheat.special_eval import SQRT_PI, AngleParams, c1, f_total
 
 

@@ -144,7 +144,6 @@ class TestImports:
             "capheat.heat_coeffs",
             "capheat.special_eval",
             "capheat.legendre_asymptotics",
-            "capheat.exact_series",
         }
         loaded = modules_after("roots", "--mu", "0.5", "--theta0", "1.0",
                                "--omega-max", "10")

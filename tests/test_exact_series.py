@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from capheat.exact_series import bernoulli, sinh_ratio_coefficients
+from capheat.legendre_asymptotics import bernoulli, sinh_ratio_coefficients
 
 from omega_reference import bessel_d_polynomial, polyadd, polymul, trim, u_polynomial
 

@@ -9,10 +9,10 @@ import pytest
 
 from capheat import legendre_asymptotics
 from capheat.errors import StructureViolation, ValidationError
-from capheat.exact_series import bernoulli
 from capheat.legendre_asymptotics import (
     _MAX_ORDER,
     NuGPolynomial,
+    bernoulli,
     chi,
     extract_structure,
     omega,
@@ -262,11 +262,9 @@ FLOAT_LAYERS = {"special_eval", "heat_coeffs", "spectral_oracle", "cli"}
 ALLOWED_IMPORTS = {
     "__init__": set(),
     "errors": set(),
-    "exact_series": set(),
-    "legendre_asymptotics": {"errors", "exact_series"},
+    "legendre_asymptotics": {"errors"},
     "special_eval": {"errors", "legendre_asymptotics"},
-    "heat_coeffs": {"errors", "exact_series", "legendre_asymptotics",
-                    "special_eval"},
+    "heat_coeffs": {"errors", "legendre_asymptotics", "special_eval"},
     "spectral_oracle": {"errors"},
     "cli": {"errors"},
 }
@@ -293,7 +291,7 @@ def package_imports(module: str) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("module", ["legendre_asymptotics", "exact_series"])
+@pytest.mark.parametrize("module", ["legendre_asymptotics"])
 def test_exact_algebra_imports_no_float_layer(module):
     # the exact algebra stays exact: what converts its Fractions to floats
     # lives in the layers above it, which import it, never the reverse

@@ -329,6 +329,14 @@ class TestFerrers:
                     assert abs(value - expected) <= 1e-13 * abs(expected), (
                         mu, omega, x)
 
+    def test_lockstep_zero_inside_the_domain(self):
+        # mpmath's legenp gives 8.6e-36452, far below the doubles.  The
+        # residual first shrinks in lockstep with the precision at 11,027
+        # bits, and the lockstep must hold again at twice that, where the
+        # escalation goes next: at about 110 bits a round, its 12 rounds
+        # would not get there
+        assert ferrers_p(1e4, 1e4, -0.8) == 0.0
+
     def test_fresh_state_sums_once(self, monkeypatch):
         # a fresh state starts at 70 + 32 fractional bits, which a sum that
         # loses little to cancellation passes; from 64 bits every first sum
@@ -617,20 +625,22 @@ class TestSpectrum:
     def test_roots_do_not_depend_on_the_guess(self, monkeypatch, start, d,
                                                theta0):
         # the extrapolated start and slope only move the evaluations: a poor
-        # start, next to either end of the bracket or at its middle, or
+        # start, just inside either end of the bracket or at its middle, or
         # none at all, gives the same roots bit for bit, and so does a
-        # slope that is 0, infinite, NaN, of the wrong sign or 10x off
+        # slope that is 0, infinite, NaN, of the wrong sign or 10x off.
+        # "after_infinite" leaves every other extrapolation out, as
+        # _extrapolated does an infinite one.
         omega_max = 25.0
         chans = spectrum(d, theta0, omega_max)
 
         def poor(lower, j):
             if not lower:  # a scan, with no channel below
                 return None
-            ends = [*lower[-1], omega_max]
-            midpoint = 0.5 * (ends[j] + ends[j + 1])
-            return {"none": None, "left": -math.inf, "right": math.inf,
-                    "midpoint": midpoint,
-                    "after_infinite": midpoint if j % 2 else math.inf}[start]
+            a, b = [*lower[-1], omega_max][j:j + 2]
+            midpoint = 0.5 * (a + b)
+            return {"none": None, "left": math.nextafter(a, b),
+                    "right": math.nextafter(b, a), "midpoint": midpoint,
+                    "after_infinite": midpoint if j % 2 else None}[start]
 
         bad_slope = {
             "slope_zero": lambda s: 0.0,
@@ -644,7 +654,7 @@ class TestSpectrum:
         starts, slopes = [], []
 
         def recorded(f, grid, a, fa, b, fb, first=None, slope=None):
-            starts.append(first)
+            starts.append((first, 0.5 * (a + b)))
             slopes.append(slope)
             if bad_slope:
                 slope = bad_slope(slope)
@@ -657,12 +667,12 @@ class TestSpectrum:
         if bad_slope:
             # the predictions the bad slopes replaced were there to replace
             assert any(s is not None for s in slopes)
-        # a non-finite prediction leaves a non-finite miss, which must not
-        # correct the next start: inf - inf would be a NaN start, and a
-        # finite one would be pushed to -inf
-        assert not any(x is not None and math.isnan(x) for x in starts)
+        assert all(x is None or math.isfinite(x) for x, _ in starts)
         if start == "after_infinite":
-            assert any(x is not None and math.isfinite(x) for x in starts)
+            # a missing prediction leaves no miss to correct the next start:
+            # each start is its bracket's midpoint as predicted, unmoved
+            given = [(x, mid) for x, mid in starts if x is not None]
+            assert given and all(x == mid for x, mid in given)
 
     @pytest.mark.parametrize("omega_max", [40.0, 120.0])
     def test_evaluations_per_root(self, monkeypatch, omega_max):
@@ -685,8 +695,8 @@ class TestSpectrum:
     def test_sums_per_root_on_an_obtuse_cap(self, monkeypatch):
         # at theta0 = 2.2 the lowest roots of 38 channels crowd onto the
         # channel below, and 82 of their brackets show no sign change:
-        # walking each of those on the scan grid takes 24,744 sums for the
-        # 5,681 roots (4.36 per root), where a scan of each crowded channel
+        # walking each of those on the scan grid takes 24,737 sums for the
+        # 5,681 roots (4.35 per root), where a scan of each crowded channel
         # took 39,427 (6.94)
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, THETA0_GUARD, 120.0)
@@ -699,7 +709,7 @@ class TestSpectrum:
         # at theta0 = pi/2 the scan step is 1/2, and the roots lie within
         # rounding above integers, which are grid points (channel 1/2's are
         # the even integers).  A trial that would pass the undecided grid
-        # point stops on it, and once evaluated its sign is known: 447
+        # point stops on it, and once evaluated its sign is known: 445
         # evaluations.  Replaying the scan on a false-position bracket took
         # 514, and 538 when it evaluated the bracket's ends as well.
         calls = count_evaluations(monkeypatch)
@@ -905,18 +915,22 @@ class TestRootFinderBranches:
 
     @pytest.mark.parametrize("zero", [3.0, 2.3])
     def test_false_position_lands_on_the_root(self, zero):
-        # the caller's start is an exact zero of f: on grid point 3 it is
-        # the root, as the scan takes it; at 2.3, which no midpoint of cell
-        # (2, 3) reaches, the walk of the bisection decides, as plain
-        # bisection does
+        # the caller's start lies _AIM above an exact zero of f, and the
+        # first trial, aimed _AIM down toward the undecided tree point (grid
+        # point 2 or 3), lands on it: on grid point 3 it is the root, as
+        # the scan takes it; at 2.3, which no midpoint of cell (2, 3)
+        # reaches, the walk of the bisection decides, as plain bisection
+        # does
         grid = spectral_oracle._scan_grid(QUARTER, 6.0)
 
         def f(w):
             return (zero - w) * (1.0 + w)
 
         a, b = zero - 0.7, zero + 0.6
+        first = zero + spectral_oracle._AIM
+        assert first - spectral_oracle._AIM == zero
         root, log_slope = spectral_oracle._pinned_root(f, grid, a, f(a), b,
-                                                       f(b), zero)
+                                                       f(b), first)
         assert [root] == scan_bisection(f, QUARTER, 6.0)
         assert (root == zero) == (zero == 3.0) and math.isnan(log_slope)
 
@@ -989,6 +1003,14 @@ class TestRootFinderBranches:
             assert all(a < w < b for w in values)
             assert math.isnan(log_slope) == (0.0 in values.values())
             cases += 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_extrapolation_is_none(self, bad):
+        # a NaN or infinite log |f'| below gives no prediction at all, so
+        # _bracket_roots has one rule for it and for too few channels
+        assert spectral_oracle._extrapolated([[1.0], [2.0]], 0) == 3.0
+        assert spectral_oracle._extrapolated([[bad], [2.0]], 0) is None
+        assert spectral_oracle._extrapolated([[2.0]], 0) is None
 
     def test_interlaced_zero_at_the_cutoff(self):
         # the last bracket (4.5, 7] ends on a zero of f: the scan's zero at
@@ -1216,6 +1238,17 @@ class TestFit:
         narrow = [HeatTraceSample(t, 1.0, 0.0) for t in np.linspace(1e-3, 2e-3, 20)]
         with pytest.raises(ValidationError):
             fit_asymptotics(narrow, 3, 4)
+
+    @pytest.mark.parametrize("t_min,value,big_d", [
+        (1e-300, 1.0, 3),  # u_ref^4 underflows: 0/0
+        (1e-300, 1.0, 1),  # and c/0
+        (1e10, 1e300, 10),  # the trace times t^(D/2) overflows
+    ])
+    def test_beyond_doubles_refused(self, t_min, value, big_d):
+        samples = [HeatTraceSample(float(t), value, 0.0)
+                   for t in np.geomspace(t_min, 10.0 * t_min, 12)]
+        with pytest.raises(NumericalError, match="double"):
+            fit_asymptotics(samples, big_d, 4)
 
     def test_ill_conditioned_detected(self):
         # nearly coincident abscissas push the design matrix over the cap
