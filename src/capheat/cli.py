@@ -74,29 +74,36 @@ def _base_from(args, d: int):
     return SphereBase(d)
 
 
+def _config(args, make_base, mass):
+    # make_base runs after the angle check, so a bad angle is reported first
+    from .heat_coeffs import SuspensionConfig
+    from .special_eval import AngleParams
+
+    angle = AngleParams.from_theta0(_theta0_from(args))
+    return SuspensionConfig(D=args.dim, angle=angle, base=make_base(args.dim - 1),
+                            n_max=args.max_n, mass=mass)
+
+
 def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_coeffs(args) -> int:
-    from .heat_coeffs import SuspensionConfig, compute_table, table_to_dict
-    from .special_eval import AngleParams
+def _write_csv(stream, header, rows) -> None:
+    # csv writes a float as str, which is its repr
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
-    cfg = SuspensionConfig(
-        D=args.dim,
-        angle=AngleParams.from_theta0(_theta0_from(args)),
-        base=_base_from(args, args.dim - 1),
-        n_max=args.max_n,
-        mass=args.mass,
-    )
-    table = compute_table(cfg)
+
+def cmd_coeffs(args) -> int:
+    from .heat_coeffs import compute_table, table_to_dict
+
+    table = compute_table(_config(args, lambda d: _base_from(args, d), args.mass))
     if args.format == "json":
         _emit_json(table_to_dict(table))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n_over_2", "script_A", "cal_A"])
-        for entry in table.entries:
-            writer.writerow([entry.n_over_2, repr(entry.script_A), repr(entry.cal_A)])
+        _write_csv(sys.stdout, ["n_over_2", "script_A", "cal_A"],
+                   ([e.n_over_2, e.script_A, e.cal_A] for e in table.entries))
     return 0
 
 
@@ -167,18 +174,14 @@ def cmd_roots(args) -> int:
             }
         )
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["omega"])
-        for r in roots:
-            writer.writerow([repr(r)])
+        _write_csv(sys.stdout, ["omega"], ([r] for r in roots))
     return 0
 
 
 def cmd_verify(args) -> int:
     import numpy as np
 
-    from .heat_coeffs import SphereBase, SuspensionConfig, compute_table
-    from .special_eval import AngleParams
+    from .heat_coeffs import SphereBase, compute_table
     from .spectral_oracle import (
         _MAX_N_FIT,
         _check_fit_request,
@@ -195,13 +198,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"--max-n {args.max_n} is above the limit {_MAX_N_FIT} of the fit"
         )
-    angle = AngleParams.from_theta0(_theta0_from(args))
-    cfg = SuspensionConfig(
-        D=args.dim,
-        angle=angle,
-        base=SphereBase(args.dim - 1),
-        n_max=args.max_n,
-    )
+    cfg = _config(args, SphereBase, 0.0)
     omega_max = args.omega_max
     if omega_max is None:
         omega_max = default_omega_max(args.dim, args.t_min, args.tolerance)
@@ -223,16 +220,14 @@ def cmd_verify(args) -> int:
 
     if args.trace_csv:
         with open(args.trace_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "trace", "tail_bound"])
-            for s in samples:
-                writer.writerow([repr(s.t), repr(s.value), repr(s.tail_bound)])
+            _write_csv(fh, ["t", "trace", "tail_bound"],
+                       ([s.t, s.value, s.tail_bound] for s in samples))
 
     _emit_json(
         {
             "config": {
                 "D": args.dim,
-                "theta0": angle.theta0,
+                "theta0": cfg.angle.theta0,
                 "base": {"type": "sphere", "d": args.dim - 1},
                 "omega_max": omega_max,
                 "tolerance": args.tolerance,

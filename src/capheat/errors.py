@@ -1,7 +1,7 @@
-"""Exception hierarchy shared across the package, and the rule for input
-numbers: each public entry converts every number it takes once, with
-``_index``, ``_real``, ``_finite`` or ``_positive``, which refuse a bool, a
-non-number and one no double holds with ``ValidationError`` (a ValueError)."""
+"""Exception hierarchy shared across the package, and the input rules: each
+public entry converts every number it takes once, with ``_index``, ``_real``,
+``_finite`` or ``_positive``, and checks every object it takes with
+``_instance``; all of them refuse with ``ValidationError`` (a ValueError)."""
 
 from __future__ import annotations
 
@@ -58,6 +58,16 @@ def _positive(value, name: str) -> float:
     if not 0.0 < number < math.inf:
         raise ValidationError(f"{name} must be finite and positive")
     return number
+
+
+def _instance(value, kinds, name: str):
+    """``value`` itself if an instance of ``kinds``, a class (an ABC such as
+    Mapping too) or a tuple of them; else ValidationError naming them."""
+    if isinstance(value, kinds):
+        return value
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    names = " or ".join(kind.__name__ for kind in kinds)
+    raise ValidationError(f"{name} must be {names}, got {value!r}")
 
 
 class StructureViolation(CapheatError):

@@ -16,7 +16,7 @@ from math import factorial, isfinite
 from sys import float_info
 from typing import Union
 
-from .errors import InsufficientBaseData, ValidationError, _finite, _index
+from .errors import InsufficientBaseData, ValidationError, _finite, _index, _instance
 from .legendre_asymptotics import (_MAX_ORDER, omega_structures,
                                    sinh_ratio_coefficients)
 from .special_eval import SQRT_PI, AngleParams, c1, f_total, recip_gamma
@@ -84,9 +84,7 @@ class UserBase:
         object.__setattr__(self, "d", _index(self.d, "base dimension"))
         if self.d < 1:
             raise ValidationError("base dimension must be at least 1")
-        if not isinstance(self.coefficients, Mapping):
-            raise ValidationError("coefficients must be a mapping from index "
-                                  f"to value, got {self.coefficients!r}")
+        _instance(self.coefficients, Mapping, "coefficients")
         object.__setattr__(self, "coefficients", {
             _index(n, "coefficient index"): _finite(value, f"coefficient {n}")
             for n, value in self.coefficients.items()
@@ -126,11 +124,8 @@ class SuspensionConfig:
         # and rounds sin(theta0)^(D - n) an ulp away
         object.__setattr__(self, "D", _index(self.D, "total dimension"))
         object.__setattr__(self, "n_max", _index(self.n_max, "n_max"))
-        if not isinstance(self.angle, AngleParams):
-            raise ValidationError(f"angle must be AngleParams, got {self.angle!r}")
-        if not isinstance(self.base, BaseDescriptor):
-            raise ValidationError(
-                f"base must be SphereBase or UserBase, got {self.base!r}")
+        _instance(self.angle, AngleParams, "angle")
+        _instance(self.base, (SphereBase, UserBase), "base")
         if self.D < 2:
             raise ValidationError("total dimension must be at least 2")
         if self.D > _MAX_D:
@@ -257,6 +252,7 @@ def log_coefficient(base: BaseDescriptor) -> float | None:
     None for sphere bases (no closed-form residue at -1/2 in scope) and for
     user bases supplied without that residue.
     """
+    _instance(base, (SphereBase, UserBase), "base")
     if isinstance(base, SphereBase) or base.residue_at_minus_half is None:
         return None
     return 0.5 * base.residue_at_minus_half
@@ -270,6 +266,7 @@ def compute_table(cfg: SuspensionConfig) -> CoefficientTable:
     Raises OverflowError, naming the mass where a power of -mass^2
     overflows, and when any entry is not finite (mass^2 can reach inf).
     """
+    _instance(cfg, SuspensionConfig, "cfg")
     script = {n: assemble_script_A(cfg, n) for n in range(cfg.n_max + 1)}
     try:  # only the mass shift can overflow: (d/2)^(2k) stays below 1e36
         cal = _exp_shift(_exp_shift(script, (0.5 * cfg.d) ** 2), -(cfg.mass * cfg.mass))
@@ -298,7 +295,7 @@ def _base_to_dict(base: BaseDescriptor) -> dict:
 
 def table_to_dict(table: CoefficientTable) -> dict:
     """Serialize to the fixed output schema."""
-    cfg = table.config
+    cfg = _instance(table, CoefficientTable, "table").config
     return {
         "config": {
             "D": cfg.D,

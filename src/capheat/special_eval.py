@@ -42,7 +42,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import (NumericalError, SlowConvergence, ValidationError,
-                     _finite, _positive, _real)
+                     _finite, _instance, _positive, _real)
 from .legendre_asymptotics import StructuredOmega, chi
 
 
@@ -110,7 +110,6 @@ def _kahan_sum(terms: Iterable[float]) -> float:
 # series run to its term budget pins 592 bytes, not 800 kB, and a full plan
 # cache with three full prefixes a plan about 14 MB
 _PREFIX_CAP = 64
-_PREFIX_CAP_FLOAT = float(_PREFIX_CAP)
 _NO_RATIOS = array("d")
 
 
@@ -121,7 +120,7 @@ class _Series:
     The prefix holds the ratios evaluations have consumed, up to _PREFIX_CAP,
     as an immutable snapshot replaced whole: threads that extend one series
     at once can at worst publish a shorter prefix than another's, never
-    mixed ratios.  Identity hashing keeps the plans hashable."""
+    mixed ratios."""
 
     __slots__ = ("a", "b", "c", "settled", "ratios")
 
@@ -140,7 +139,7 @@ def _more_ratios(series: _Series, start: int, fresh: list):
     a, b, c = series.a, series.b, series.c
     for m in map(float, range(start, _MAX_TERMS)):
         r = (a + m) * (b + m) / ((c + m) * (1.0 + m))
-        if m < _PREFIX_CAP_FLOAT:
+        if m < _PREFIX_CAP:
             fresh.append(r)
         yield r
 
@@ -296,8 +295,7 @@ def c1(angle: AngleParams, two_s: float) -> float:
     cancel at large s away from the equator and can leave that range (from
     D - n = 150 at theta0 = 1); such a value raises NumericalError.
     """
-    if not isinstance(angle, AngleParams):
-        raise ValidationError(f"angle must be AngleParams, got {angle!r}")
+    _instance(angle, AngleParams, "angle")
     two_s = _positive(two_s, "two_s")
     s = 0.5 * two_s
     value = _hyp2f1_eval(_hyp2f1_plan(0.5, s, s + 1.0), angle.sin2, angle.cos2)

@@ -32,7 +32,8 @@ numpy serves the trace sums and the fit and is imported inside the two
 functions that use it, so ``ferrers_p``, ``dirichlet_roots`` and
 ``spectrum`` (and the ``roots`` command) do not load it.  The oracle
 imports nothing from the assembly pipeline it is used to verify: it owns
-the sphere's channel data, and only ``heat_trace`` reads ``SphereBase``.
+the sphere's channel data, and only ``heat_trace`` reads ``SphereBase``
+and ``SuspensionConfig``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -54,6 +56,7 @@ from .errors import (
     ValidationError,
     _finite,
     _index,
+    _instance,
     _positive,
     _real,
 )
@@ -631,7 +634,7 @@ def _log_weyl_tail(big_d: int, count: float, omega_max: float,
 
 
 def _check_times(ts: Sequence[float]) -> list[float]:
-    if not len(ts):
+    if not len(_instance(ts, Collection, "t values")):
         raise ValidationError("at least one t value is needed")
     return [_positive(t, "t") for t in ts]
 
@@ -664,8 +667,9 @@ def heat_trace(
     """
     import numpy as np
 
-    from .heat_coeffs import SphereBase
+    from .heat_coeffs import SphereBase, SuspensionConfig
 
+    _instance(cfg, SuspensionConfig, "cfg")
     if not isinstance(cfg.base, SphereBase):
         raise ValidationError("heat_trace supports sphere bases only")
     t_values = _check_times(t_values)
@@ -675,6 +679,10 @@ def heat_trace(
     d = cfg.d
     if channels is None:
         channels = spectrum(d, cfg.angle.theta0, omega_max)
+    else:  # spectrum checks the cutoff it is given
+        omega_max = _positive(omega_max, "omega_max")
+        channels = [_instance(ch, EigenvalueChannel, "channel")
+                    for ch in _instance(channels, Collection, "channels")]
     if not channels:
         raise TailTooLarge("no eigenvalues below the cutoff")
 
@@ -733,6 +741,8 @@ def fit_asymptotics(
     """
     import numpy as np
 
+    samples = [_instance(s, HeatTraceSample, "sample")
+               for s in _instance(samples, Collection, "samples")]
     ts = [s.t for s in samples]
     _check_fit_request(ts, n_fit)
     _index(big_d, "total dimension D")

@@ -31,6 +31,7 @@ from capheat import (
     fit_asymptotics,
     gauss_2f1,
     heat_trace,
+    log_coefficient,
     omega,
     spectrum,
     table_to_dict,
@@ -187,7 +188,10 @@ REFUSALS = [
         ValidationError, id="angle-not-angleparams"),
     row(lambda: SuspensionConfig(D=3, angle=AngleParams(1.0), base=None, n_max=2),
         ValidationError, id="base-none"),
-    # compute_table
+    # compute_table, table_to_dict and log_coefficient
+    row(lambda: compute_table(None), ValidationError, id="table-cfg-none"),
+    row(lambda: table_to_dict(None), ValidationError, id="to-dict-table-none"),
+    row(lambda: log_coefficient(None), ValidationError, id="log-base-none"),
     row(lambda: compute_table(config(base=user({0: 1.0}))), InsufficientBaseData,
         base_file('{"coefficients": {"0": 1}}'), 2, id="table-missing-coefficient"),
     row(lambda: compute_table(config(mass=1e200)), OverflowError,
@@ -283,6 +287,17 @@ REFUSALS = [
     row(lambda: default_omega_max(3, 1e-3, BIG), ValidationError,
         id="omega_max-tolerance-int-beyond-doubles"),
     # heat_trace
+    row(lambda: heat_trace("cfg", [0.1], omega_max=10.0), ValidationError,
+        id="trace-cfg-str"),
+    row(lambda: heat_trace(config(), None, omega_max=10.0), ValidationError,
+        id="trace-times-none"),
+    row(lambda: heat_trace(config(), True, omega_max=10.0), ValidationError,
+        id="trace-times-bool"),
+    row(lambda: heat_trace(config(), [0.1], omega_max=10.0, channels=[1, 2]),
+        ValidationError, id="trace-channels-ints"),
+    row(lambda: heat_trace(config(), [0.1], omega_max="15",
+                           channels=spectrum(2, 1.0, 15.0)),
+        ValidationError, id="trace-omega_max-str-with-channels"),
     row(lambda: heat_trace(config(base=user()), [0.1], omega_max=15.0),
         ValidationError, id="trace-user-base"),
     row(lambda: heat_trace(hemisphere(), [], omega_max=15.0), ValidationError,
@@ -309,6 +324,10 @@ REFUSALS = [
         flag(VERIFY, "--omega-max", "1"), 3, match="no eigenvalues",
         id="trace-no-eigenvalues"),
     # fit_asymptotics
+    row(lambda: fit_asymptotics(None, 3, 0), ValidationError,
+        id="fit-samples-none"),
+    row(lambda: fit_asymptotics([1, 2, 3], 3, 0), ValidationError,
+        id="fit-samples-numbers"),
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 20)), 3, 5),
         ValidationError, flag(VERIFY, "--max-n", "5"), 2, id="fit-n_fit-above-limit"),
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 5)), 3, 4),
@@ -431,3 +450,31 @@ def test_number_rule_lives_in_errors(path):
     # errors owns what a valid number is and refuses with ValidationError;
     # an entry converts through its helpers rather than comparing by hand
     assert number_rule_breaches(path) == []
+
+
+# the functions outside errors.py that dispatch on a class: every other
+# object an entry takes is checked by errors._instance
+CLASS_DISPATCHES = {
+    "cli": {"_base_from"},
+    "heat_coeffs": {"base_coefficient", "log_coefficient", "_base_to_dict"},
+    "spectral_oracle": {"heat_trace"},
+}
+
+
+def isinstance_callers(path: Path) -> set:
+    """The names of the functions in ``path`` that call isinstance."""
+    return {
+        func.name
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+    }
+
+
+@pytest.mark.parametrize("path", sorted(Path(capheat.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_object_rule_lives_in_errors(path):
+    # a hand-written isinstance refusal elsewhere would say the rule twice
+    if path.name != "errors.py":
+        assert isinstance_callers(path) <= CLASS_DISPATCHES.get(path.stem, set())

@@ -626,6 +626,25 @@ class TestRoots:
         assert lines[0] == "omega"
         assert len(lines) == 3
 
+    def test_csv_bytes(self, capsys):
+        # one repr per line, the same doubles the JSON listing carries
+        argv = ["roots", "--mu", "1.5", "--theta0", "2", "--omega-max", "12"]
+        code, out, _ = invoke(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        assert out == (
+            "omega\n"
+            "2.4485820875808972\n"
+            "3.9841746101674733\n"
+            "5.539005764245985\n"
+            "7.1007648922967075\n"
+            "8.665761367173062\n"
+            "10.232524117130438\n"
+            "11.800354423847228\n"
+        )
+        _, listing, _ = invoke(capsys, argv)
+        assert out == "omega\n" + "".join(
+            f"{root!r}\n" for root in json.loads(listing)["roots"])
+
     def test_angle_guard_exit_code(self, capsys):
         code, _, err = invoke(
             capsys, ["roots", "--mu", "0.5", "--theta0", "2.5", "--omega-max", "5"]
@@ -849,3 +868,15 @@ def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
     )
     assert hashlib.sha256(columns).hexdigest() == README_TRACE_COLUMNS_DIGEST
     assert hashlib.sha256(trace_csv).hexdigest() == README_TRACE_CSV_DIGEST
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--dim", "3", "--max-n", "2", "--base-file", "missing.json"],
+    ["verify", "--dim", "2", "--max-n", "1", "--t-min", "1e-3", "--t-max", "1e-1"],
+], ids=["coeffs-missing-base-file", "verify-sphere-d1"])
+def test_angle_is_named_before_the_base(capsys, tmp_path, monkeypatch, argv):
+    # both the angle and the base are wrong: the angle is checked first
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, [*argv, "--theta0", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: theta0 must lie strictly inside (0, pi)\n"

@@ -337,6 +337,14 @@ class TestFerrers:
         # would not get there
         assert ferrers_p(1e4, 1e4, -0.8) == 0.0
 
+    def test_escalation_gives_up(self, monkeypatch):
+        # a sum that loses more bits to cancellation the more it is given
+        # never carries 53 good bits: the 12 rounds run out
+        monkeypatch.setattr(spectral_oracle, "_series_state",
+                            lambda prec, *args: (1, 1 << (3 * prec)))
+        with pytest.raises(SlowConvergence, match="escalation failed"):
+            _ferrers_factor(0.5, 3.0, 0.25, 64, {})
+
     def test_fresh_state_sums_once(self, monkeypatch):
         # a fresh state starts at 70 + 32 fractional bits, which a sum that
         # loses little to cancellation passes; from 64 bits every first sum
@@ -406,6 +414,13 @@ class TestFixedPointKernel:
         # the single loop would run the budget out below the turning point
         with pytest.raises(SlowConvergence, match="term budget"):
             spectral_oracle._series_state(64, _MAX_SERIES_TERMS + 1.5, 0.5, 0.5, 24)
+
+    def test_term_budget_past_the_turning_point(self, monkeypatch):
+        # at omega = 2.3 the terms past the turning point shrink by about z =
+        # 0.875 each, too slowly for 190 bits within a budget of 10 terms
+        monkeypatch.setattr(spectral_oracle, "_MAX_SERIES_TERMS", 10)
+        with pytest.raises(SlowConvergence, match="term budget"):
+            spectral_oracle._series_state(200, 2.3, 0.5, 0.875, 190)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5, 7.5])
     @pytest.mark.parametrize("omega", [0.0, 0.74, 5.3, 25.1, 60.2])
