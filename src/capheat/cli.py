@@ -17,7 +17,7 @@ from itertools import groupby
 
 # only the errors load with the module: each command imports the modules it
 # runs, so a fresh omega loads the cumulant algebra alone and coeffs no oracle
-from .errors import CapheatError, ValidationError, _finite, _positive
+from .errors import CapheatError, ValidationError, _index, _positive
 
 # each verify time sample is one pass over every root: 10,000 samples take
 # 0.11 s of heat_trace over the README example's 1,777 roots, and that
@@ -63,11 +63,8 @@ def _base_from(args, d: int):
         coefficients = payload.get("coefficients")
         if not isinstance(coefficients, dict):
             raise ValidationError('base file: "coefficients" must be an object')
-        base_d = _finite(payload.get("d", d), "base file: d")
-        if base_d != int(base_d):
-            raise ValidationError(f"base file: d must be an integer, got {base_d!r}")
         return UserBase(
-            d=int(base_d),
+            d=_index(payload.get("d", d), "base file: d"),
             coefficients={_coefficient_index(k): v for k, v in coefficients.items()},
             residue_at_minus_half=payload.get("residue_at_minus_half"),
         )
@@ -181,7 +178,7 @@ def cmd_roots(args) -> int:
 def cmd_verify(args) -> int:
     import numpy as np
 
-    from .heat_coeffs import SphereBase, compute_table
+    from .heat_coeffs import SphereBase, _base_to_dict, compute_table
     from .spectral_oracle import (
         _MAX_N_FIT,
         _check_fit_request,
@@ -226,9 +223,9 @@ def cmd_verify(args) -> int:
     _emit_json(
         {
             "config": {
-                "D": args.dim,
+                "D": cfg.D,
                 "theta0": cfg.angle.theta0,
-                "base": {"type": "sphere", "d": args.dim - 1},
+                "base": _base_to_dict(cfg.base),
                 "omega_max": omega_max,
                 "tolerance": args.tolerance,
                 "points": args.points,

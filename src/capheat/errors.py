@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the package, and the input rules: each
 public entry converts every number it takes once, with ``_index``, ``_real``,
 ``_finite`` or ``_positive``, and checks every object it takes with
-``_instance``; all of them refuse with ``ValidationError`` (a ValueError)."""
+``_instance`` or ``_collection``; all of them refuse with ``ValidationError``
+(a ValueError)."""
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Collection
 from numbers import Real
 
 
@@ -68,6 +70,17 @@ def _instance(value, kinds, name: str):
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     names = " or ".join(kind.__name__ for kind in kinds)
     raise ValidationError(f"{name} must be {names}, got {value!r}")
+
+
+def _collection(value, name: str):
+    """``value`` itself if a Collection with a length, else ValidationError:
+    a 0-d numpy array has the methods of one, but len() refuses it."""
+    try:
+        len(_instance(value, Collection, name))
+    except TypeError:
+        raise ValidationError(f"{name} must be a Collection with a length, "
+                              f"got {value!r}") from None
+    return value
 
 
 class StructureViolation(CapheatError):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isfinite
 from sys import float_info
-from typing import Union
 
 from .errors import InsufficientBaseData, ValidationError, _finite, _index, _instance
 from .legendre_asymptotics import (_MAX_ORDER, omega_structures,
@@ -96,7 +95,7 @@ class UserBase:
                 self.residue_at_minus_half, "residue_at_minus_half"))
 
 
-BaseDescriptor = Union[SphereBase, UserBase]
+BaseDescriptor = SphereBase | UserBase
 
 
 # Highest total dimension: from D = 341 the Gamma factors of c1's connection

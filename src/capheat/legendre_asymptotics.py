@@ -43,13 +43,11 @@ def _check_order(max_order: int) -> None:
 def bernoulli(index: int) -> Fraction:
     """B_index in the convention with B_1 = -1/2, so B_2 = 1/6.
 
-    Odd indices above 1 return zero.  The even ones are read off
-    y/sinh y = sum_k (2 - 2^(2k)) B_(2k) y^(2k)/(2k)!.
+    The others are read off y/sinh y = sum_k (2 - 2^(2k)) B_(2k) y^(2k)/(2k)!,
+    whose odd coefficients vanish, so odd indices above 1 return zero.
     """
     if index == 1:
         return Fraction(-1, 2)
-    if index % 2 == 1:
-        return _ZERO
     return sinh_ratio_coefficients(1, index)[index] / (2 - 2**index)
 
 

@@ -246,10 +246,9 @@ def _hyp2f1_eval(plan: tuple, x: float, xc: float) -> float:
 def _terminating_loss(series: _Series, x: float, value: float) -> float:
     """u * sum|t_m| / |F|, u the unit roundoff: the relative accuracy that
     ``value``, a terminating series at x, may have lost to cancellation."""
-    a, b, c = series.a, series.b, series.c
     total = term = 1.0
-    for m in map(float, range(_MAX_TERMS)):
-        term *= abs((a + m) * (b + m) / ((c + m) * (1.0 + m))) * x
+    for r in _more_ratios(series, 0, []):
+        term *= abs(r) * x
         total += term
         if term == 0.0:
             break

@@ -41,7 +41,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from collections.abc import Collection
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -54,6 +53,7 @@ from .errors import (
     SlowConvergence,
     TailTooLarge,
     ValidationError,
+    _collection,
     _finite,
     _index,
     _instance,
@@ -108,11 +108,22 @@ def sphere_mu(k: int, d: int) -> float:
 
 @dataclass(frozen=True)
 class EigenvalueChannel:
-    """All Dirichlet roots of one angular channel (fixed mu)."""
+    """All Dirichlet roots of one angular channel (fixed mu).  The order mu
+    and the roots are positive doubles, stored as a float and a tuple of
+    floats, and the degeneracy an integer of at least 1."""
 
     mu: float
     degeneracy: int
     roots: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu", _positive(self.mu, "channel mu"))
+        object.__setattr__(self, "degeneracy",
+                           _index(self.degeneracy, "degeneracy"))
+        if self.degeneracy < 1:
+            raise ValidationError("degeneracy must be at least 1")
+        object.__setattr__(self, "roots", tuple(
+            _positive(w, "root") for w in _collection(self.roots, "roots")))
 
 
 @dataclass(frozen=True)
@@ -387,14 +398,13 @@ def _check_scan(mu: float, theta0: float, omega_max: float) -> tuple:
     return mu, theta0, omega_max
 
 
-def _channel(mu: float, theta0: float, state: dict | None = None):
+def _channel(mu: float, theta0: float, state: dict):
     """The Dirichlet function of channel mu at theta0, as a function of
     omega: the Ferrers factor at cos(theta0), with the root finder's
     tail-bound target.  ``state`` carries the precision hint between
     evaluations; a spectrum passes one through all its channels, so each
     starts from the hint the channel below left."""
     z = 0.5 * (1.0 - math.cos(theta0))
-    state = {} if state is None else state
 
     def f(w: float) -> float:
         return _ferrers_factor(mu, w, z, _SIGN_BITS, state)
@@ -501,16 +511,16 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
     theta0: the Ferrers function of order -mu vanishing at cos(theta0).
 
     ``_bracket_roots`` walks the grid of ``_scan_grid``, and a gap monitor
-    guards against missed roots.  ``state``, when given, is the evaluation
-    state of ``_channel``: it moves evaluations, never roots.  The scan
-    leaves in ``state["log_slopes"]`` log |f'| at each root (NaN at a zero
-    on a grid point), for the channels above to extrapolate.
+    guards against missed roots.  ``state`` is the evaluation state of
+    ``_channel`` (fresh when not given): it moves evaluations, never roots.
+    The scan leaves in ``state["log_slopes"]`` log |f'| at each root (NaN at
+    a zero on a grid point), for the channels above to extrapolate.
     """
     mu, theta0, omega_max = _check_scan(mu, theta0, omega_max)
     grid = _scan_grid(theta0, omega_max)
-    roots, log_slopes = _bracket_roots(_channel(mu, theta0, state), grid, grid)
-    if state is not None:
-        state["log_slopes"] = log_slopes
+    state = {} if state is None else state
+    roots, state["log_slopes"] = _bracket_roots(_channel(mu, theta0, state),
+                                                grid, grid)
 
     # Roots settle to spacing pi/theta0 only once omega clears the turning
     # region; below ~2 mu / sin(theta0) wider gaps are genuine, not misses.
@@ -573,7 +583,7 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     channels: list[EigenvalueChannel] = []
     k = 0
     while roots:
-        channels.append(EigenvalueChannel(mu, degeneracy(k, d), tuple(roots)))
+        channels.append(EigenvalueChannel(mu, degeneracy(k, d), roots))
         k += 1
         mu = sphere_mu(k, d)
         lower = [ch.roots for ch in channels[-4:]]
@@ -634,7 +644,7 @@ def _log_weyl_tail(big_d: int, count: float, omega_max: float,
 
 
 def _check_times(ts: Sequence[float]) -> list[float]:
-    if not len(_instance(ts, Collection, "t values")):
+    if not len(_collection(ts, "t values")):
         raise ValidationError("at least one t value is needed")
     return [_positive(t, "t") for t in ts]
 
@@ -682,7 +692,7 @@ def heat_trace(
     else:  # spectrum checks the cutoff it is given
         omega_max = _positive(omega_max, "omega_max")
         channels = [_instance(ch, EigenvalueChannel, "channel")
-                    for ch in _instance(channels, Collection, "channels")]
+                    for ch in _collection(channels, "channels")]
     if not channels:
         raise TailTooLarge("no eigenvalues below the cutoff")
 
@@ -742,7 +752,7 @@ def fit_asymptotics(
     import numpy as np
 
     samples = [_instance(s, HeatTraceSample, "sample")
-               for s in _instance(samples, Collection, "samples")]
+               for s in _collection(samples, "samples")]
     ts = [s.t for s in samples]
     _check_fit_request(ts, n_fit)
     _index(big_d, "total dimension D")

@@ -21,6 +21,7 @@ import pytest
 import capheat
 from capheat import (
     AngleParams,
+    EigenvalueChannel,
     SphereBase,
     SuspensionConfig,
     UserBase,
@@ -90,6 +91,12 @@ def samples(ts):
     return [HeatTraceSample(float(t), 1.0, 0.0) for t in ts]
 
 
+def channel_trace(mu=1.5, degeneracy=3, roots=(3.0,)):
+    """The hemisphere's trace over one channel built from these fields."""
+    return heat_trace(hemisphere(), [0.3], omega_max=15.0,
+                      channels=[EigenvalueChannel(mu, degeneracy, roots)])
+
+
 def row(call, error, argv=None, code=None, *, id, match=None):
     return pytest.param(call, error, argv, code, match, id=id)
 
@@ -112,6 +119,9 @@ REFUSALS = [
     row(lambda: user(d="2"), ValidationError,
         base_file('{"d": 2.5, "coefficients": {"0": 1, "1": 0, "2": 0.1}}'), 2,
         id="user-d-float"),
+    row(lambda: user(d=2.0), ValidationError,
+        base_file('{"d": 2.0, "coefficients": {"0": 1, "1": 0, "2": 0.1}}'), 2,
+        id="user-d-integral-float"),
     row(lambda: UserBase(2, [1.0]), ValidationError, id="user-coefficients-list"),
     row(lambda: user(d=0), ValidationError,
         base_file('{"d": 0, "coefficients": {"0": 1}}'), 2, id="user-d0"),
@@ -295,6 +305,11 @@ REFUSALS = [
         id="trace-times-bool"),
     row(lambda: heat_trace(config(), [0.1], omega_max=10.0, channels=[1, 2]),
         ValidationError, id="trace-channels-ints"),
+    row(lambda: heat_trace(hemisphere(), np.array(0.1), omega_max=15.0),
+        ValidationError, match="t values", id="trace-times-0d-array"),
+    row(lambda: heat_trace(hemisphere(), [0.3], omega_max=15.0, channels=np.array(
+        EigenvalueChannel(1.5, 3, (3.0,)), dtype=object)),
+        ValidationError, match="channels", id="trace-channels-0d-array"),
     row(lambda: heat_trace(config(), [0.1], omega_max="15",
                            channels=spectrum(2, 1.0, 15.0)),
         ValidationError, id="trace-omega_max-str-with-channels"),
@@ -323,11 +338,32 @@ REFUSALS = [
     row(lambda: heat_trace(config(), [0.1], omega_max=1.0), TailTooLarge,
         flag(VERIFY, "--omega-max", "1"), 3, match="no eigenvalues",
         id="trace-no-eigenvalues"),
+    # EigenvalueChannel, built for heat_trace
+    row(lambda: channel_trace(mu=0.0), ValidationError, id="channel-mu-zero"),
+    row(lambda: channel_trace(mu="x"), ValidationError, id="channel-mu-str"),
+    row(lambda: channel_trace(degeneracy=-5), ValidationError,
+        id="channel-degeneracy-negative"),
+    row(lambda: channel_trace(degeneracy="x"), ValidationError,
+        id="channel-degeneracy-str"),
+    row(lambda: channel_trace(degeneracy=1.5), ValidationError,
+        id="channel-degeneracy-float"),
+    row(lambda: channel_trace(roots=3.0), ValidationError,
+        id="channel-roots-number"),
+    row(lambda: channel_trace(roots=np.array(3.0)), ValidationError,
+        id="channel-roots-0d-array"),
+    row(lambda: channel_trace(roots=("a",)), ValidationError, id="channel-root-str"),
+    row(lambda: channel_trace(roots=(math.nan,)), ValidationError,
+        id="channel-root-nan"),
+    row(lambda: channel_trace(roots=(math.inf,)), ValidationError,
+        id="channel-root-inf"),
     # fit_asymptotics
     row(lambda: fit_asymptotics(None, 3, 0), ValidationError,
         id="fit-samples-none"),
     row(lambda: fit_asymptotics([1, 2, 3], 3, 0), ValidationError,
         id="fit-samples-numbers"),
+    row(lambda: fit_asymptotics(np.array(HeatTraceSample(0.1, 1.0, 0.0),
+                                         dtype=object), 3, 1),
+        ValidationError, match="samples", id="fit-samples-0d-array"),
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 20)), 3, 5),
         ValidationError, flag(VERIFY, "--max-n", "5"), 2, id="fit-n_fit-above-limit"),
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 5)), 3, 4),

@@ -364,6 +364,9 @@ class TestCoeffs:
          '"residue_at_minus_half": "abc"}', "residue_at_minus_half must be a number"),
         ('{"d": 2.5, "coefficients": {"0": 1, "1": 0, "2": 0.1}}',
          "d must be an integer"),
+        # read as 2 and exited 0, where UserBase(d=2.0) is refused
+        ('{"d": 2.0, "coefficients": {"0": 1, "1": 0, "2": 0.1}}',
+         "base file: d must be an integer"),
         ('{"coefficients": {"0": NaN, "1": 0, "2": 0.1}}', "must be a finite double"),
         ('{"coefficients": {"0": 1%s, "1": 0, "2": 0.1}}' % ("0" * 400),
          "lies outside the range of a double"),
@@ -868,6 +871,21 @@ def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
     )
     assert hashlib.sha256(columns).hexdigest() == README_TRACE_COLUMNS_DIGEST
     assert hashlib.sha256(trace_csv).hexdigest() == README_TRACE_CSV_DIGEST
+
+
+# the stdout of the README's "Library quick start" block
+README_QUICK_START_STDOUT = (
+    "0.0 0.08662917358759416 0.08662917358759416\n"
+    "0.5 -0.18749999999999994 -0.18749999999999994\n"
+    "1.0 0.0814337519838198 0.16806292557141395\n"
+)
+
+
+def test_readme_quick_start_prints_its_table(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start\n\n```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out == README_QUICK_START_STDOUT
 
 
 @pytest.mark.parametrize("argv", [

@@ -593,7 +593,7 @@ class TestSpectrum:
         theta0, omega_max = THETA0_GUARD, 75.0
         below = dirichlet_roots(71.5, theta0, omega_max)
         assert abs(below[1] - 73.0) < 1e-10
-        f = spectral_oracle._channel(72.5, theta0)
+        f = spectral_oracle._channel(72.5, theta0, {})
         grid = spectral_oracle._scan_grid(theta0, omega_max)
         roots, _ = spectral_oracle._bracket_roots(f, [*below, omega_max], grid,
                                                   [below])
