@@ -19,9 +19,9 @@ from itertools import groupby
 # runs, so a fresh omega loads the cumulant algebra alone and coeffs no oracle
 from .errors import CapheatError, ValidationError, _index, _positive
 
-# each verify time sample is one pass over every root: 10,000 samples take
-# 0.11 s of heat_trace over the README example's 1,777 roots, and that
-# example with --points 10000 about 1.1 s in a fresh process (2-core Intel
+# each verify time sample is one fsum over every root: 10,000 samples take
+# 2.1 s of heat_trace over the README example's 1,777 roots, and that
+# example with --points 10000 about 3.2 s in a fresh process (2-core Intel
 # Xeon VM, Python 3.11.7)
 _MAX_POINTS = 10_000
 
@@ -175,9 +175,15 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    import numpy as np
+def _time_grid(t_min: float, t_max: float, points: int) -> list[float]:
+    """np.geomspace(t_min, t_max, points) on math: log10 steps, exact ends."""
+    start = math.log10(t_min)
+    step = (math.log10(t_max) - start) / max(points - 1, 1)
+    inner = [10.0 ** (i * step + start) for i in range(1, points - 1)]
+    return [t_min, *inner, t_max][:points]
 
+
+def cmd_verify(args) -> int:
     from .heat_coeffs import SphereBase, _base_to_dict, compute_table
     from .spectral_oracle import (
         _MAX_N_FIT,
@@ -199,7 +205,7 @@ def cmd_verify(args) -> int:
     omega_max = args.omega_max
     if omega_max is None:
         omega_max = default_omega_max(args.dim, args.t_min, args.tolerance)
-    ts = [float(t) for t in np.geomspace(args.t_min, args.t_max, args.points)]
+    ts = _time_grid(args.t_min, args.t_max, args.points)
     n_fit = min(_MAX_N_FIT, max(args.max_n + 2, 3))
     _check_fit_request(ts, n_fit)  # before the spectrum, which takes seconds
     samples = heat_trace(cfg, ts, tolerance=args.tolerance, omega_max=omega_max)

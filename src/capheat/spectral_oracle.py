@@ -27,10 +27,9 @@ gives the scan's roots, bit for bit: where f is evaluated, at what
 precision and how long each sum runs never decide a root, only signs do.
 
 Everything else runs on doubles: the Ferrers prefactor and the incomplete
-gamma function of the Weyl tail are closed forms summed as logarithms.
-numpy serves the trace sums and the fit and is imported inside the two
-functions that use it, so ``ferrers_p``, ``dirichlet_roots`` and
-``spectrum`` (and the ``roots`` command) do not load it.  The oracle
+gamma function of the Weyl tail are closed forms summed as logarithms, and
+every sum of the trace and the fit is a correctly rounded ``math.fsum``, so
+no summation order, BLAS or CPU moves a bit.  The oracle
 imports nothing from the assembly pipeline it is used to verify: it owns
 the sphere's channel data, and only ``heat_trace`` reads ``SphereBase``
 and ``SuspensionConfig``.
@@ -92,6 +91,8 @@ _VALUE_BITS = 64
 _SIGN_BITS = 24
 # Highest index fit_asymptotics fits, and so the highest verify --max-n.
 _MAX_N_FIT = 4
+# Sweeps of the fit's Jacobi SVD, as in LAPACK's xGESVJ; README verify needs 5
+_MAX_SWEEPS = 30
 # log of the largest double
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -668,15 +669,14 @@ def heat_trace(
     omega_max: float,
     channels: Sequence[EigenvalueChannel] | None = None,
 ) -> list[HeatTraceSample]:
-    """Truncated heat trace with a certified relative tail estimate.
+    """Truncated heat trace times exp(-mass^2 t), with a certified tail bound.
 
     omega_max is the spectral cutoff (of ``channels`` too, when given).
     Only sphere bases are supported: those are the only bases with closed
-    form degeneracies.  Raises AssumptionViolation for a root omega <= d/2
-    and TailTooLarge when a requested time is too small for the cutoff.
+    form degeneracies.  Raises AssumptionViolation for a root omega <= d/2,
+    TailTooLarge when a requested time is too small for the cutoff and
+    NumericalError where the mass factor underflows a sample to 0.
     """
-    import numpy as np
-
     from .heat_coeffs import SphereBase, SuspensionConfig
 
     _instance(cfg, SuspensionConfig, "cfg")
@@ -696,20 +696,18 @@ def heat_trace(
     if not channels:
         raise TailTooLarge("no eigenvalues below the cutoff")
 
-    omega = np.array([w for ch in channels for w in ch.roots], dtype=float)
-    alpha_sq = omega * omega - 0.25 * d * d
-    low = np.flatnonzero(alpha_sq <= 0.0)
-    if low.size:
+    # (degeneracy, omega, alpha^2 = omega^2 - d^2/4) per root
+    terms = [(ch.degeneracy, w, w * w - 0.25 * d * d)
+             for ch in channels for w in ch.roots]
+    low = [w for _, w, alpha_sq in terms if alpha_sq <= 0.0]
+    if low:
         raise AssumptionViolation(
-            f"eigenvalue omega={omega[low[0]]} is not above d/2 = {0.5 * d}"
-        )
-    weights = np.repeat([float(ch.degeneracy) for ch in channels],
-                        [len(ch.roots) for ch in channels])
-    weighted_count = float(weights.sum())
+            f"eigenvalue omega={low[0]} is not above d/2 = {0.5 * d}")
+    weighted_count = float(sum(g for g, _, _ in terms))
 
     samples = []
     for t in t_values:
-        value = float(weights @ np.exp(-alpha_sq * t))
+        value = math.fsum(g * math.exp(-alpha_sq * t) for g, _, alpha_sq in terms)
         # a trace that underflows to 0 leaves the relative tail unbounded
         log_tail = (
             _log_weyl_tail(cfg.D, weighted_count, omega_max, t)
@@ -721,6 +719,10 @@ def heat_trace(
             raise TailTooLarge(
                 f"relative tail {tail:.2e} at t={t} exceeds tolerance {tolerance}"
             )
+        # the mass scales the trace and its tail alike, so not their ratio
+        value *= math.exp(-(cfg.mass * cfg.mass) * t)
+        if not value:
+            raise NumericalError(f"mass={cfg.mass!r} underflows the trace at t={t}")
         samples.append(HeatTraceSample(t, value, tail))
     return samples
 
@@ -739,41 +741,73 @@ def _check_fit_request(ts: Sequence[float], n_fit: int) -> None:
         raise ValidationError("samples must span at least a decade in t")
 
 
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    return math.fsum(a * b for a, b in zip(x, y))
+
+
+def _jacobi_svd(a: list[list[float]]) -> tuple[list, list]:
+    """One-sided Jacobi SVD (Hestenes; Demmel and Veselic, SIAM J. Matrix Anal.
+    Appl. 13 (1992) 1204): rotates the columns ``a`` of A in place into those
+    of A V, orthogonal with the singular values as norms; returns them and V's."""
+    v = [[float(i == j) for i in range(len(a))] for j in range(len(a))]
+    pairs = [(p, q) for p in range(len(a)) for q in range(p + 1, len(a))]
+    tol = math.sqrt(len(a[0])) * sys.float_info.epsilon
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p, q in pairs:
+            alpha, beta, gamma = _dot(a[p], a[p]), _dot(a[q], a[q]), _dot(a[p], a[q])
+            if abs(gamma) <= tol * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)  # zeta^2 may be inf
+            t = math.copysign(1.0 / (abs(zeta) + math.sqrt(1.0 + zeta * zeta)), zeta)
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = c * t
+            for m in (a, v):
+                m[p], m[q] = ([c * x - s * y for x, y in zip(m[p], m[q])],
+                              [s * x + c * y for x, y in zip(m[p], m[q])])
+        if not rotated:
+            return a, v
+    raise NumericalError(f"the fit's SVD did not converge in {_MAX_SWEEPS} sweeps")
+
+
 def fit_asymptotics(
     samples: Sequence[HeatTraceSample], big_d: int, n_fit: int
 ) -> FitResult:
     """Least-squares fit of the singular small-time expansion.
 
     Fits K(t) t^(D/2) against powers of sqrt(t) (which equalizes the term
-    magnitudes), on an internally rescaled abscissa for conditioning;
-    returns the n_fit + 1 expansion coefficients.  Samples whose scaled
-    values or coefficients a double cannot hold raise NumericalError.
+    magnitudes), on an internally rescaled abscissa for conditioning, by one
+    Jacobi SVD; returns the n_fit + 1 expansion coefficients.  Samples whose
+    scaled values or coefficients a double cannot hold raise NumericalError.
     """
-    import numpy as np
-
     samples = [_instance(s, HeatTraceSample, "sample")
                for s in _collection(samples, "samples")]
     ts = [s.t for s in samples]
     _check_fit_request(ts, n_fit)
-    _index(big_d, "total dimension D")
+    big_d = _index(big_d, "total dimension D")
     values = [_finite(s.value, "trace value") for s in samples]
-    t = np.array(ts, dtype=float)
-    with np.errstate(over="ignore"):
-        y = np.array(values) * t ** (0.5 * big_d)
-    if not np.isfinite(y).all():
-        raise NumericalError("trace values times t^(D/2) overflow a double")
-    u = np.sqrt(t)
-    u_ref = u.max()
-    design = (u / u_ref)[:, None] ** np.arange(n_fit + 1)
-    cond = float(np.linalg.cond(design))
+    try:
+        y = [v * t ** (0.5 * big_d) for v, t in zip(values, ts)]
+        if not all(map(math.isfinite, y)):
+            raise OverflowError
+    except OverflowError:
+        raise NumericalError("trace values times t^(D/2) overflow a double") from None
+    u = [math.sqrt(t) for t in ts]
+    u_ref = max(u)
+    a, v = _jacobi_svd([[(x / u_ref) ** k for x in u] for k in range(n_fit + 1)])
+    norms = [_dot(col, col) for col in a]  # the squared singular values
+    cond = math.sqrt(max(norms)) / math.sqrt(min(norms)) if min(norms) else math.inf
     if cond > 1e8:
         raise IllConditioned(f"design condition number {cond:.2e} exceeds 1e8")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    # u_ref^k underflows to 0 at t near the smallest doubles
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coefficients = tuple(float(c / u_ref**k) for k, c in enumerate(coef))
-    if not all(map(math.isfinite, coefficients)):
-        raise NumericalError(
-            f"t down to {min(ts):g} puts the fit coefficients beyond doubles"
-        )
-    return FitResult(coefficients, cond)
+    # fsum refuses sums past the doubles (OverflowError, or ValueError for
+    # inf - inf), and u_ref^k underflows to 0 at t near the smallest doubles
+    try:
+        proj = [_dot(col, y) / norm for col, norm in zip(a, norms)]
+        coefficients = tuple(_dot(row, proj) / u_ref**k for k, row in enumerate(zip(*v)))
+        if all(map(math.isfinite, coefficients)):
+            return FitResult(coefficients, cond)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        pass
+    raise NumericalError(f"t down to {min(ts):g} puts the fit coefficients "
+                         "beyond doubles")

@@ -11,7 +11,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import capheat
@@ -87,13 +86,15 @@ print(" ".join(sys.modules))
 """
 
 
-def fresh_python(code, *args) -> str:
-    """Stdout of ``code`` run in a fresh interpreter on this checkout."""
+def fresh_python(code, *args, env=None, cwd=None) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this checkout, with
+    ``env`` added to the environment."""
     src = str(Path(capheat.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=120,
@@ -118,10 +119,10 @@ class TestImports:
     def test_ferrers_p_loads_neither(self, import_snapshots):
         assert import_snapshots[1] == ""
 
-    def test_heat_trace_and_verify_load_numpy_only(self, import_snapshots):
-        # the probe sees an import when one happens; no entry point of
-        # capheat loads mpmath
-        assert import_snapshots[2:] == ["numpy", "numpy"]
+    def test_heat_trace_and_verify_load_neither(self, import_snapshots):
+        # the probe sees an import when one happens; the trace, the fit and
+        # the time grid run on the standard library
+        assert import_snapshots[2:] == ["", ""]
 
     def test_omega_loads_the_cumulant_algebra_alone(self):
         loaded = modules_after("omega", "--order", "3", "--format", "tex")
@@ -674,6 +675,17 @@ class TestRoots:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("points", [1, 2, 3, 24])
+    def test_time_grid(self, points):
+        # exact end points, and a constant ratio to rounding in between
+        grid = cli._time_grid(1.5e-3, 1.6e-2, points)
+        assert len(grid) == points
+        assert grid[0] == 1.5e-3
+        assert points == 1 or grid[-1] == 1.6e-2
+        ratio = (1.6e-2 / 1.5e-3) ** (1.0 / max(points - 1, 1))
+        for a, b in zip(grid, grid[1:]):
+            assert b / a == pytest.approx(ratio, rel=1e-14)
+
     def test_hemisphere_report(self, capsys, tmp_path):
         trace_csv = tmp_path / "trace.csv"
         code, out, _ = invoke(
@@ -759,13 +771,13 @@ class TestVerify:
             "t-max-inf", "t-min-nan", "t-min-above-t-max", "points",
             "default-cutoff", "zero-cutoff"])
     def test_refused_inputs(self, capsys, monkeypatch, extra, message):
-        real_geomspace = np.geomspace
+        real_time_grid = cli._time_grid
 
-        def small_geomspace(start, stop, num):
-            assert num <= 1000, "time grid allocated"
-            return real_geomspace(start, stop, num)
+        def small_time_grid(t_min, t_max, points):
+            assert points <= 1000, "time grid allocated"
+            return real_time_grid(t_min, t_max, points)
 
-        monkeypatch.setattr(np, "geomspace", small_geomspace)
+        monkeypatch.setattr(cli, "_time_grid", small_time_grid)
         monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
         code, out, err = invoke(
             capsys,
@@ -832,16 +844,16 @@ README_STDOUT_DIGESTS = (
     "85146c676dc43bf434ecf14730a030eebbfea9f0a27b5ca651a1053d7cb656be",
     "61e71871bbb4176694bfca4e4dc7ebf47ecf72528bb9ef329d44e79eda30c327",
     "427579bb45f372df246ed1cedf2f34f37680f318dfb2be9a26653a2f027da1c1",
-    "1e1b4c32872c28e63670429e6e71c18e4db0dd5ebc0a4535323f5f35f7c5f4d8",
+    "6c0e1d6a3d1efb2dad728b1940a5a712a46ddb2becbc26da1737996e3d9ccf3e",
 )
 README_TRACE_CSV_DIGEST = (
-    "365ddefc2f66d82f23135b6515278f216bf934ffcb0009ce35718835c2d7fcd9"
+    "16ecf6a50af3dafef06fa13f438ba349d2af601c1b60221cd8397b8c199e501a"
 )
 # sha256 of its t and trace columns alone: the tail_bound column is a
 # heuristic estimate whose last bits move with the tail's evaluation, the
 # trace must not move at all
 README_TRACE_COLUMNS_DIGEST = (
-    "8d80a87cf451eace9d52933810ce45f579f2a9372481ef902f349b3d15cf7b5d"
+    "8b8fe291d54ed62478ac61c8239df35909f85185953126ca313c53543e450a75"
 )
 
 
@@ -865,12 +877,31 @@ def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
         code, out, _ = invoke(capsys, argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
-    trace_csv = (tmp_path / "trace.csv").read_bytes()
+    assert_readme_trace_csv(tmp_path / "trace.csv")
+
+
+def assert_readme_trace_csv(path: Path) -> None:
+    trace_csv = path.read_bytes()
     columns = b"".join(
         b",".join(line.split(b",")[:2]) + b"\n" for line in trace_csv.splitlines()
     )
     assert hashlib.sha256(columns).hexdigest() == README_TRACE_COLUMNS_DIGEST
     assert hashlib.sha256(trace_csv).hexdigest() == README_TRACE_CSV_DIGEST
+
+
+@pytest.mark.parametrize("prelude,env", [
+    # numpy's AVX-512 log10 and power, its BLAS dot product and its lstsq
+    # once moved these bytes: numpy as on a CPU without AVX-512, and
+    # OpenBLAS on its Haswell kernel
+    ("", {"NPY_DISABLE_CPU_FEATURES": "X86_V4", "OPENBLAS_CORETYPE": "Haswell"}),
+    ('import sys; sys.modules["numpy"] = None; ', {}),
+], ids=["no-avx512-haswell-blas", "numpy-unimportable"])
+def test_readme_verify_bytes_in_a_fresh_process(tmp_path, prelude, env):
+    argv = readme_cli_examples()[-1]
+    out = fresh_python(prelude + "from capheat.cli import main; main()", *argv,
+                       env=env, cwd=tmp_path)
+    assert hashlib.sha256(out.encode()).hexdigest() == README_STDOUT_DIGESTS[-1]
+    assert_readme_trace_csv(tmp_path / "trace.csv")
 
 
 # the stdout of the README's "Library quick start" block

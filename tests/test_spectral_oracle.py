@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1149,6 +1150,36 @@ class TestHeatTrace:
             fits.append(fit_asymptotics(samples, 3, 4).coefficients[0])
         assert abs(fits[1] - fits[0]) <= 1e-3 * abs(fits[0])
 
+    def test_mass_scales_each_sample(self):
+        # exp(-m^2 t) times the massless trace, as compute_table folds the
+        # mass in; the tail scales alike, so its relative bound is unchanged
+        channels = spectrum(2, math.pi / 2, 15.0)
+        plain, massive = (
+            heat_trace(replace(hemisphere_cfg(), mass=mass), [0.1, 0.25, 0.5],
+                       omega_max=15.0, channels=channels)
+            for mass in (0.0, 3.0)
+        )
+        for s, m in zip(plain, massive):
+            assert m.value == s.value * math.exp(-9.0 * s.t)
+            assert (m.t, m.tail_bound) == (s.t, s.tail_bound)
+
+    def test_massless_trace_is_the_correctly_rounded_sum(self):
+        # mass 0 multiplies by exp(-0.0) = 1, so no bit of the fsum moves
+        channels = spectrum(2, math.pi / 2, 15.0)
+        (sample,) = heat_trace(hemisphere_cfg(), [0.25], omega_max=15.0,
+                               channels=channels)
+        assert sample.value == math.fsum(
+            ch.degeneracy * math.exp(-(w * w - 1.0) * 0.25)
+            for ch in channels for w in ch.roots
+        )
+
+    def test_mass_underflow_refused(self):
+        # exp(-1600 * 0.5) is 0 in doubles: no trace is left to certify
+        cfg = replace(hemisphere_cfg(), mass=40.0)
+        with pytest.raises(NumericalError,
+                           match="mass=40.0 underflows the trace at t=0.5"):
+            heat_trace(cfg, [0.1, 0.5], omega_max=15.0)
+
 
 class TestWeylTail:
     @pytest.mark.parametrize("big_d", [*range(2, 31), 50, 100, 200, 340])
@@ -1264,6 +1295,36 @@ class TestFit:
                    for t in np.geomspace(t_min, 10.0 * t_min, 12)]
         with pytest.raises(NumericalError, match="double"):
             fit_asymptotics(samples, big_d, 4)
+
+    def test_matches_exact_least_squares(self):
+        # the Jacobi SVD against the least-squares solution of the same
+        # doubles in 50 digits, on the README verify's times with noisy
+        # values (numpy's lstsq was off by up to 4.9e-9 here)
+        big_d, c = 3, [0.25, -0.1, 0.05, 0.01, -0.002]
+        rng = random.Random(7)
+        samples = [
+            HeatTraceSample(t, sum(ck * t ** (0.5 * (k - big_d))
+                                   for k, ck in enumerate(c))
+                            * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0)), 0.0)
+            for t in map(float, np.geomspace(1.5e-3, 1.6e-2, 24))
+        ]
+        fit = fit_asymptotics(samples, big_d, 4)
+        u = [math.sqrt(s.t) for s in samples]
+        with mp.workdps(50):
+            design = mp.matrix([[(x / max(u)) ** k for k in range(5)] for x in u])
+            y = mp.matrix([s.value * s.t ** 1.5 for s in samples])
+            exact = mp.lu_solve(design.T * design, design.T * y)
+            for k, got in enumerate(fit.coefficients):
+                want = exact[k] / mp.mpf(max(u)) ** k
+                assert abs(got - want) <= 1e-8 * abs(want), k
+
+    def test_svd_sweep_limit(self, monkeypatch):
+        # the README verify's design needs 5 sweeps
+        monkeypatch.setattr(spectral_oracle, "_MAX_SWEEPS", 1)
+        samples = [HeatTraceSample(float(t), 1.0 / t, 0.0)
+                   for t in np.geomspace(1.5e-3, 1.6e-2, 24)]
+        with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
+            fit_asymptotics(samples, 3, 4)
 
     def test_ill_conditioned_detected(self):
         # nearly coincident abscissas push the design matrix over the cap
