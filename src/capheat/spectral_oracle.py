@@ -14,6 +14,13 @@ the rest of the sum stops it as soon as the caller's need is met: less for
 the root finder, whose signs the bound leaves exact, than for the doubles
 of ``ferrers_p``.
 
+At a half-integer order, every channel of an odd-dimensional suspension,
+the Ferrers function is elementary: sines and cosines of the degree times
+the angle, raised through the order recurrence.  The root finder evaluates
+that in doubles first, with a proven error bound, and keeps the value only
+where the bound certifies its sign, which is then the series' exact sign;
+the series decides the rest, mostly trials within about 1e-12 of a root.
+
 One walk over brackets finds a channel's roots.  A scan walks a
 quarter-spacing grid, and a spectrum scans only its first channel: sphere
 channels interlace, so each later channel walks the roots of the one
@@ -69,9 +76,10 @@ if TYPE_CHECKING:
 # cost limits below are timed at this angle.
 THETA0_GUARD = 2.2
 _MAX_SERIES_TERMS = 2_000_000
-# A channel's cost grows about as omega_max^2.5: at mu = 1/2 and theta0 =
-# 2.2 it takes about 1.8 s at omega_max 500 and 10 s at 1,000 (2-core
-# Intel Xeon VM, Python 3.11.7).  The largest cutoff the tests use is 120.
+# A channel's cost grows about as omega_max^2.5: at mu = 1 and theta0 =
+# 2.2 it takes about 1.5 s at omega_max 500 and 8 s at 1,000 (2-core
+# Intel Xeon VM, Python 3.11.7), a half-integer mu about a third of that.
+# The largest cutoff the tests use is 120.
 _MAX_OMEGA = 1_000.0
 # Largest |omega| of ferrers_p: at x = -0.8, its hardest argument, a call
 # takes about 0.8 s at mu = 1/2 and up to 1.3 s at larger mu (same VM).
@@ -80,8 +88,9 @@ _MAX_FERRERS_OMEGA = 10_000.0
 _ABS_TOL = 1e-10
 _AIM = _ABS_TOL / 1024.0
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  Near it a spectrum takes about 4.9 s at theta0 = 2.2 (omega_max
-# 168.9, 11,284 roots) and 2.0 s at pi/3 (263.1, 8,595 roots), same VM.
+# 2,078).  Near it a d = 2 spectrum takes about 5.5 s at theta0 = 2.2
+# (omega_max 168.9, 11,284 roots) and 2.8 s at pi/3 (263.1, 8,595 roots),
+# and a d = 3 one, all series, 7 s at 2.2, same VM.
 _MAX_ROOTS = 10_000
 # The caller's target for the Ferrers series' tail bound, in bits below the
 # sum: ferrers_p's doubles need 64; the root finder needs only the signs,
@@ -89,6 +98,8 @@ _MAX_ROOTS = 10_000
 # position.
 _VALUE_BITS = 64
 _SIGN_BITS = 24
+# Unit of _half_integer_factor's error bound: 8 u, u = 2**-53
+_CLOSED_FORM_ULPS = 8 * 2.0**-53
 # Highest index fit_asymptotics fits, and so the highest verify --max-n.
 _MAX_N_FIT = 4
 # Sweeps of the fit's Jacobi SVD, as in LAPACK's xGESVJ; README verify needs 5
@@ -399,16 +410,73 @@ def _check_scan(mu: float, theta0: float, omega_max: float) -> tuple:
     return mu, theta0, omega_max
 
 
+def _half_integer_factor(mu: float, z: float):
+    """For half-integer mu up to _MAX_OMEGA (a higher channel has no root
+    below any scan's cutoff) and 0 < z <= 0.8, the Ferrers factor of
+    ``_ferrers_factor`` as a function of omega, in doubles: a value whose
+    sign is certified, or None.  At theta = 2 asin(sqrt z), P^(-mu)_(w-1/2)
+    (cos theta) is (2 / (pi sin theta))^(1/2) s_K, K = mu - 1/2, where s_-1
+    = cos(w theta), s_0 = sin(w theta) / w (DLMF 14.5.11-12) and the order
+    recurrence (DLMF 14.10.1) steps s_k = ((2k - 1) c s_(k-1) - s_(k-2)) /
+    ((w - k)(w + k)), c = cot theta; the factor is that times
+    Gamma(1 + mu) ((1 - z) / z)^(mu/2), a positive constant of the channel.
+
+    The error bound (Higham 2002, section 3) assumes that libm's asin, sin
+    and cos are within 1 ulp, as glibc's are.  With u = 2**-53, the phase
+    (asin's condition number is below 1.81 up to z = 0.8) and those calls
+    cost at most 5 (|w| theta + 1) u of the start's magnitudes (1, 1/|w|),
+    and each step's roundings at most 11 u of its magnitudes, the terms of
+    the recurrence run on |c| and magnitudes, m: (w - k)(w + k) is good to
+    3 u, where w^2 - k^2 would lose w^2 / |w^2 - k^2| of it.  m bounds
+    every |s_k|, so 8 u (|w| theta + 1 + 4 K) m_K, a margin of 1.6 on the
+    start and 2.9 on the steps, bounds the error of s_K.  A value within
+    that bound of 0, an m beyond the normal doubles, or a bound above
+    m_K / 4, where the first-order rates no longer cover the rest, gives
+    None: the series decides there.  So does w = 0."""
+    if (2.0 * mu) % 2.0 != 1.0 or mu > _MAX_OMEGA or not 0.0 < z <= 0.8:
+        return None
+    theta = 2.0 * math.asin(math.sqrt(z))
+    c = (1.0 - 2.0 * z) / (2.0 * math.sqrt(z * (1.0 - z)))
+    ladder = [(k, (2 * k - 1) * c, (2 * k - 1) * abs(c)) for k in range(1, int(mu) + 1)]
+    log_scale = (-0.5 * math.log(math.pi * math.sqrt(z * (1.0 - z)))
+                 + math.lgamma(1.0 + mu) + 0.5 * mu * (math.log1p(-z) - math.log(z)))
+
+    def factor(w: float) -> float | None:
+        if w == 0.0:
+            return None
+        w, tiny = abs(w), sys.float_info.min
+        s_prev, s, m_prev, m = math.cos(w * theta), math.sin(w * theta) / w, 1.0, 1.0 / w
+        for k, b, size in ladder:
+            d = (w - k) * (w + k)
+            if m < tiny or d == 0.0:  # an infinite or NaN m fails the bound
+                return None
+            s_prev, s = s, (b * s - s_prev) / d
+            m_prev, m = m, (size * m + m_prev) / abs(d)
+        bound = _CLOSED_FORM_ULPS * (w * theta + 1.0 + 4 * len(ladder)) * m
+        if not (bound < 0.25 * m and abs(s) > bound >= tiny):
+            return None
+        log_value = math.log(abs(s)) + log_scale
+        value = math.exp(log_value) if log_value < _LOG_MAX else 0.0
+        return math.copysign(value, s) if value >= tiny else None
+
+    return factor
+
+
 def _channel(mu: float, theta0: float, state: dict):
     """The Dirichlet function of channel mu at theta0, as a function of
     omega: the Ferrers factor at cos(theta0), with the root finder's
-    tail-bound target.  ``state`` carries the precision hint between
-    evaluations; a spectrum passes one through all its channels, so each
-    starts from the hint the channel below left."""
+    tail-bound target.  A half-integer mu takes it from the closed form of
+    ``_half_integer_factor`` where that certifies its sign, which is then
+    the series' sign, and from the series elsewhere.  ``state`` carries the
+    series' precision hint between evaluations; a spectrum passes one
+    through all its channels, so each starts from the hint the channel
+    below left."""
     z = 0.5 * (1.0 - math.cos(theta0))
+    closed = _half_integer_factor(mu, z)
 
     def f(w: float) -> float:
-        return _ferrers_factor(mu, w, z, _SIGN_BITS, state)
+        value = closed(w) if closed else None
+        return _ferrers_factor(mu, w, z, _SIGN_BITS, state) if value is None else value
 
     return f
 

@@ -33,7 +33,7 @@ def no_algebra(n):
 
 def no_evaluation(*args):
     # fails fast, where a missing cutoff check would run for days
-    raise AssertionError("Ferrers series evaluated")
+    raise AssertionError("a channel was evaluated")
 
 
 # coeffs, omega (json and tex) and roots, then ferrers_p, heat_trace and the
@@ -665,7 +665,7 @@ class TestRoots:
         ("--omega-max", "70000", "above the limit 1000"),
     ])
     def test_refused_inputs(self, capsys, monkeypatch, flag, value, message):
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        monkeypatch.setattr(spectral_oracle, "_channel", no_evaluation)
         argv = {"--mu": "0.5", "--theta0": "1.0", "--omega-max": "5"}
         argv[flag] = value
         code, out, err = invoke(capsys, ["roots", *sum(argv.items(), ())])
@@ -778,7 +778,7 @@ class TestVerify:
             return real_time_grid(t_min, t_max, points)
 
         monkeypatch.setattr(cli, "_time_grid", small_time_grid)
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        monkeypatch.setattr(spectral_oracle, "_channel", no_evaluation)
         code, out, err = invoke(
             capsys,
             ["verify", "--dim", "3", "--theta0", "1", "--max-n", "1",
@@ -791,7 +791,7 @@ class TestVerify:
     def test_spectrum_size_refused(self, capsys, monkeypatch):
         # each channel is within the cutoff limit, but the whole spectrum
         # (about 144,000 estimated roots) would run for tens of minutes
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        monkeypatch.setattr(spectral_oracle, "_channel", no_evaluation)
         code, out, err = invoke(
             capsys,
             ["verify", "--dim", "3", "--theta0", "1.0471975511965976",
@@ -805,7 +805,7 @@ class TestVerify:
     def test_max_n_above_the_fit_refused(self, capsys, monkeypatch):
         # the fit stops at index 4; --max-n 5 once built the whole spectrum
         # and then crashed reading a fifth fitted index
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        monkeypatch.setattr(spectral_oracle, "_channel", no_evaluation)
         code, out, err = invoke(
             capsys,
             ["verify", "--dim", "8", "--theta0", "1.0", "--max-n", "5",
@@ -825,7 +825,7 @@ class TestVerify:
     ):
         # the README example with a request the fit refuses: the refusal
         # once came only after the whole spectrum had been built
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        monkeypatch.setattr(spectral_oracle, "_channel", no_evaluation)
         code, out, err = invoke(
             capsys,
             ["verify", "--dim", "3", "--theta0", "1.0471975511965976",
@@ -895,7 +895,11 @@ def assert_readme_trace_csv(path: Path) -> None:
     # OpenBLAS on its Haswell kernel
     ("", {"NPY_DISABLE_CPU_FEATURES": "X86_V4", "OPENBLAS_CORETYPE": "Haswell"}),
     ('import sys; sys.modules["numpy"] = None; ', {}),
-], ids=["no-avx512-haswell-blas", "numpy-unimportable"])
+    # the oracle's half-integer closed form calls libm's asin, sin and cos,
+    # whose glibc variants differ by CPU: its certified signs and the roots
+    # must not, so neither may these bytes
+    ("", {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX,-FMA4"}),
+], ids=["no-avx512-haswell-blas", "numpy-unimportable", "glibc-no-avx-fma"])
 def test_readme_verify_bytes_in_a_fresh_process(tmp_path, prelude, env):
     argv = readme_cli_examples()[-1]
     out = fresh_python(prelude + "from capheat.cli import main; main()", *argv,

@@ -250,22 +250,46 @@ def use_mpf_kernel(monkeypatch):
 
 
 def count_evaluations(monkeypatch) -> dict[str, int]:
-    """Counters of Ferrers evaluations and of the fixed-point sums they run:
-    sums beyond one per evaluation are precision re-sums."""
-    calls = {"evaluations": 0, "sums": 0}
-    series_state = spectral_oracle._series_state
+    """Counters of channel evaluations, of the Ferrers series evaluations
+    among them (the closed form's fallbacks) or made directly, and of the
+    fixed-point sums those run: sums beyond one per series evaluation are
+    precision re-sums."""
+    calls = {"evaluations": 0, "series": 0, "sums": 0}
+    channel, series_state = spectral_oracle._channel, spectral_oracle._series_state
 
-    def counted(*args):
-        calls["evaluations"] += 1
+    def counted_channel(*args):
+        f = channel(*args)
+
+        def counted(w):
+            calls["evaluations"] += 1
+            return f(w)
+
+        return counted
+
+    def counted_series(*args):
+        calls["series"] += 1
         return _ferrers_factor(*args)
 
     def summed(*args):
         calls["sums"] += 1
         return series_state(*args)
 
-    monkeypatch.setattr(spectral_oracle, "_ferrers_factor", counted)
+    monkeypatch.setattr(spectral_oracle, "_channel", counted_channel)
+    monkeypatch.setattr(spectral_oracle, "_ferrers_factor", counted_series)
     monkeypatch.setattr(spectral_oracle, "_series_state", summed)
     return calls
+
+
+def wrap_channel(monkeypatch, wrap):
+    """Replace each channel's Dirichlet function f by wrap(mu, f), so that an
+    injected fault reaches every evaluation, closed form or series."""
+    channel = spectral_oracle._channel
+    monkeypatch.setattr(spectral_oracle, "_channel",
+                        lambda mu, theta0, state: wrap(mu, channel(mu, theta0, state)))
+
+
+def no_evaluation(*args):
+    raise AssertionError("a channel was evaluated")
 
 
 class TestFerrers:
@@ -352,7 +376,7 @@ class TestFerrers:
         # re-summed, since a sum needs at least 67
         calls = count_evaluations(monkeypatch)
         ferrers_p(0.5, 3.3, 0.5)
-        assert calls == {"evaluations": 1, "sums": 1}
+        assert calls == {"evaluations": 0, "series": 1, "sums": 1}
 
     def test_zero_factor(self, monkeypatch):
         monkeypatch.setattr(spectral_oracle, "_ferrers_factor",
@@ -452,6 +476,145 @@ class TestFixedPointKernel:
         assert value == ferrers_p(mu, omega, -0.79)
 
 
+def series_sign_agreement(points) -> tuple[int, list]:
+    """The closed form at each (mu, theta0, omega) of ``points`` against the
+    series' exact sign: the count of certified values, and the points where
+    a certified sign differs from the series'."""
+    certified, wrong = 0, []
+    for mu, theta0, omega in points:
+        z = 0.5 * (1.0 - math.cos(theta0))
+        value = spectral_oracle._half_integer_factor(mu, z)(omega)
+        if value is not None:
+            certified += 1
+            series = _ferrers_factor(mu, omega, z, spectral_oracle._SIGN_BITS, {})
+            if series == 0.0 or (value > 0) != (series > 0):
+                wrong.append((mu, theta0, omega, value, series))
+    return certified, wrong
+
+
+def adjacent_doubles_of_the_zero(mu, theta0, a, b):
+    """The doubles on either side of the zero of the series in (a, b), found
+    by bisection on the series' exact signs."""
+    z = 0.5 * (1.0 - math.cos(theta0))
+    state: dict = {}
+    fa = _ferrers_factor(mu, a, z, spectral_oracle._SIGN_BITS, state)
+    while math.nextafter(a, b) < b:
+        m = 0.5 * (a + b)
+        fm = _ferrers_factor(mu, m, z, spectral_oracle._SIGN_BITS, state)
+        if fm == 0.0:
+            return m, m
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return a, b
+
+
+class TestHalfIntegerClosedForm:
+    """A certified sign of the closed form must be the series' exact sign
+    wherever the closed form is asked: at the doubles beside a root, within
+    rounding of an order-recurrence pole w = k, and anywhere at random."""
+
+    @pytest.mark.parametrize("d,theta0,omega_max", [
+        (2, THETA0_GUARD, 30.0), (2, 0.2, 60.0), (4, 1.0, 30.0),
+        (2, math.pi / 3, 30.0),
+    ])
+    def test_signs_beside_roots(self, d, theta0, omega_max):
+        # the doubles within 4 ulps of each zero, where only the error
+        # bound stands between the closed form and a wrong sign, and offsets
+        # of 1e-15 to 1e-6 from each root
+        points = []
+        for ch in spectrum(d, theta0, omega_max):
+            for root in ch.roots:
+                w = adjacent_doubles_of_the_zero(ch.mu, theta0, root - 1e-10,
+                                                 root + 1e-10)[0]
+                for _ in range(4):
+                    w = math.nextafter(w, 0.0)
+                for _ in range(9):
+                    points.append((ch.mu, theta0, w))
+                    w = math.nextafter(w, math.inf)
+                points += [(ch.mu, theta0, root + sign * 10.0**e)
+                           for e in range(-15, -5) for sign in (-1, 1)]
+        certified, wrong = series_sign_agreement(points)
+        assert not wrong
+        assert certified > len(points) // 2
+
+    @pytest.mark.parametrize("theta0", [0.02, math.pi / 2, THETA0_GUARD])
+    def test_signs_beside_integer_omega(self, theta0):
+        # w = k is a pole of the order recurrence's step k: within 1e-15
+        # to 1e-3 of it the steps divide by almost nothing
+        points = [(mu, theta0, k + sign * 10.0**e)
+                  for mu in (0.5, 1.5, 4.5, 12.5)
+                  for k in range(1, int(mu) + 3)
+                  for e in range(-15, -2) for sign in (-1, 1)]
+        certified, wrong = series_sign_agreement(points)
+        assert not wrong
+        assert certified > len(points) // 10
+
+    def test_signs_at_random_points(self):
+        rng = random.Random(43)
+        points = [(rng.randrange(150) + 0.5,
+                   math.exp(rng.uniform(math.log(0.02), math.log(THETA0_GUARD))),
+                   rng.uniform(0.0, 200.0)) for _ in range(600)]
+        certified, wrong = series_sign_agreement(points)
+        assert not wrong
+        # high orders at small angles cancel past the bound below w = mu
+        assert certified > len(points) // 4
+
+    @pytest.mark.parametrize("theta0", [math.pi / 3, 1.0, THETA0_GUARD])
+    def test_grid_zeros_are_never_certified(self, theta0):
+        # at mu = 1/2 the factor vanishes at w = k pi / theta, and every
+        # fourth scan point is k pi / theta0 to rounding: only the series
+        # may decide those signs
+        closed = spectral_oracle._half_integer_factor(
+            0.5, 0.5 * (1.0 - math.cos(theta0)))
+        grid = spectral_oracle._scan_grid(theta0, 120.0)
+        assert all(closed(w) is None for w in grid[4::4])
+
+    @pytest.mark.parametrize("mu", [0.5, 1.5, 2.5, 7.5, 20.5, 30.5])
+    def test_matches_mpmath(self, mu):
+        # the factor P Gamma(1 + mu) ((1 - z) / z)^(mu / 2) at the series'
+        # own z, away from roots: a certified value is within its own size
+        # of the truth, and here within 1e-4 of it (3.5e-5 at mu = 7.5,
+        # theta0 = 0.3, w = 0.7, where the recurrence cancels most)
+        certified = 0
+        with mp.workdps(60):
+            for theta0 in (0.3, 1.0, math.pi / 3, THETA0_GUARD):
+                z = 0.5 * (1.0 - math.cos(theta0))
+                closed = spectral_oracle._half_integer_factor(mu, z)
+                for omega in (0.7, 3.3, 12.25, 40.1, 80.7):
+                    value = closed(omega)
+                    if value is None:
+                        continue
+                    certified += 1
+                    zm = mp.mpf(z)
+                    expected = (mp.legenp(omega - 0.5, -mu, 1 - 2 * zm, type=2)
+                                * mp.gamma(1 + mu) * ((1 - zm) / zm) ** (mu / 2))
+                    error = abs(value - expected)
+                    assert error < abs(value), (mu, theta0, omega)
+                    assert error <= 1e-4 * abs(expected), (mu, theta0, omega)
+        # all 20 points up to mu = 7.5, 17 at 20.5 and 10 at 30.5
+        assert certified >= 10
+
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 0.25, 2.0**60])
+    def test_only_half_integer_orders(self, mu):
+        assert spectral_oracle._half_integer_factor(mu, 0.25) is None
+
+    @pytest.mark.parametrize("theta0", [1e-12, 2.3])
+    def test_only_angles_the_bound_covers(self, theta0):
+        # z rounds to 0 at 1e-12, and past z = 0.8 the bound's condition
+        # number of asin no longer holds
+        z = 0.5 * (1.0 - math.cos(theta0))
+        assert spectral_oracle._half_integer_factor(0.5, z) is None
+
+    def test_orders_above_the_cutoff_limit_take_the_series(self):
+        # a channel of order above the scan's cutoff limit has no root below
+        # any cutoff, so no closed form is built for it
+        closed = spectral_oracle._half_integer_factor
+        assert closed(_MAX_OMEGA + 0.5, 0.25) is None
+        assert closed(_MAX_OMEGA - 0.5, 0.25) is not None
+
+
 class TestDirichletRoots:
     @pytest.mark.parametrize("mu,expected", [
         (0.5, [2.0, 4.0, 6.0, 8.0]),
@@ -514,10 +677,7 @@ class TestDirichletRoots:
         self, monkeypatch, theta0, omega_max
     ):
         # fails fast, where a missing check would run for days
-        def no_evaluation(*args):
-            raise AssertionError("Ferrers series evaluated")
-
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        monkeypatch.setattr(spectral_oracle, "_channel", no_evaluation)
         with pytest.raises(ValidationError, match="above the limit"):
             dirichlet_roots(0.5, theta0, omega_max)
 
@@ -577,11 +737,7 @@ class TestSpectrum:
     def test_missing_sign_change_raises(self, monkeypatch):
         # channel 1 folded to one sign: its brackets lose their sign changes,
         # and its scan, which finds no roots, cannot interlace channel 0
-        def folded(mu, omega, z, bits, state):
-            value = _ferrers_factor(mu, omega, z, bits, state)
-            return abs(value) if mu == 1.5 else value
-
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", folded)
+        wrap_channel(monkeypatch, lambda mu, f: (lambda w: abs(f(w))) if mu == 1.5 else f)
         with pytest.raises(MissedRootSuspicion, match="do not interlace"):
             spectrum(2, math.pi / 3, 20.0)
 
@@ -605,12 +761,10 @@ class TestSpectrum:
         theta0, omega_max = math.pi / 3, 20.0
         first = dirichlet_roots(0.5, theta0, omega_max)
 
-        def zero_at_first_root(mu, omega, z, bits, state):
-            if mu == 1.5 and omega == first[0]:
-                return 0.0
-            return _ferrers_factor(mu, omega, z, bits, state)
+        def zero_at_first_root(mu, f):
+            return (lambda w: 0.0 if w == first[0] else f(w)) if mu == 1.5 else f
 
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", zero_at_first_root)
+        wrap_channel(monkeypatch, zero_at_first_root)
         message = re.escape(f"unexpected root at omega = {first[0]}")
         with pytest.raises(MissedRootSuspicion, match=message):
             spectrum(2, theta0, omega_max)
@@ -698,55 +852,70 @@ class TestSpectrum:
         # start 6.46 and 5.47 (1,228 and 9,717 evaluations), and with the
         # predicted slope 5.87 and 4.79 (1,116 and 8,511), and with the walk
         # of the scan's bisection tree 5.61 and 4.41 (1,066 and 7,844).  The
-        # re-sums are 26 and 79; they were 27 and 80 while a fresh state
-        # started at 64 bits, and 58 and 179 when each channel's first sum
-        # did.
-        per_root, resums = {40.0: (5.62, 26), 120.0: (4.42, 79)}[omega_max]
+        # half-integer closed form steers the trials with values that are
+        # only certain in sign near a root, 5.92 and 4.74 (1,125 and 8,422),
+        # and leaves 187 and 3,237 of them to the series, where every
+        # evaluation was a series.  The re-sums are 1 and 4; they were 26
+        # and 79 when every evaluation was a series, 27 and 80 while a
+        # fresh state started at 64 bits, and 58 and 179 when each
+        # channel's first sum did.
+        per_root, series, resums = {40.0: (5.93, 187, 1),
+                                    120.0: (4.74, 3237, 4)}[omega_max]
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, math.pi / 3, omega_max)
         roots = sum(len(ch.roots) for ch in chans)
         assert calls["evaluations"] <= per_root * roots
-        assert calls["sums"] - calls["evaluations"] <= resums
+        assert calls["series"] <= series
+        assert calls["sums"] - calls["series"] <= resums
 
     def test_sums_per_root_on_an_obtuse_cap(self, monkeypatch):
         # at theta0 = 2.2 the lowest roots of 38 channels crowd onto the
         # channel below, and 82 of their brackets show no sign change:
-        # walking each of those on the scan grid takes 24,737 sums for the
-        # 5,681 roots (4.35 per root), where a scan of each crowded channel
-        # took 39,427 (6.94)
+        # walking each of those on the scan grid takes 25,118 evaluations
+        # for the 5,681 roots (4.42 per root).  The half-integer closed form
+        # certifies 11,220 of them, and the series sums the rest in 14,098
+        # sums (2.48 per root), where every evaluation was a series in
+        # 24,737 sums (4.35), and a scan of each crowded channel took 39,427
+        # (6.94)
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, THETA0_GUARD, 120.0)
         roots = sum(len(ch.roots) for ch in chans)
         assert roots == 5681
-        assert calls["sums"] <= 4.5 * roots
+        assert calls["evaluations"] <= 4.43 * roots
+        assert calls["sums"] <= 2.49 * roots
 
     def test_hemisphere_roots_on_the_grid_are_not_evaluated_again(
             self, monkeypatch):
         # at theta0 = pi/2 the scan step is 1/2, and the roots lie within
         # rounding above integers, which are grid points (channel 1/2's are
         # the even integers).  A trial that would pass the undecided grid
-        # point stops on it, and once evaluated its sign is known: 445
-        # evaluations.  Replaying the scan on a false-position bracket took
-        # 514, and 538 when it evaluated the bracket's ends as well.
+        # point stops on it, and once evaluated its sign is known: 459
+        # evaluations, 445 when every evaluation was a series, whose values
+        # steer the trials more closely than the closed form's near a root.
+        # Replaying the scan on a false-position bracket took 514, and 538
+        # when it evaluated the bracket's ends as well.
         calls = count_evaluations(monkeypatch)
         spectrum(2, math.pi / 2, 20.0)
-        assert calls["evaluations"] <= 447
+        assert calls["evaluations"] <= 459
 
-    @pytest.mark.parametrize("d,resums", [(2, 26), (3, 0), (4, 0)])
+    @pytest.mark.parametrize("d,resums", [(2, 1), (3, 0), (4, 1)])
     def test_resums_are_channel_zeros_on_the_grid(self, monkeypatch, d, resums):
         # The first sum of a spectrum, at omega = 0, starts at 102 bits, a
         # precision it passes, and does not re-sum.  At d = 2 channel 0's
         # order mu = 1/2 has the exact roots k pi / theta0 = 3k, every
         # fourth scan point: the scan evaluates within rounding of a zero
-        # there (|f| about 1.3e-16), and the root's first trial, aimed
-        # _ABS_TOL / 1024 past the secant's estimate, evaluates about 1e-13
-        # beside it.  Each of the two lose more bits to
-        # cancellation than the hint the sums before them left, so each of
-        # the 13 roots re-sums twice.  At d = 3 and 4 (mu = 1 and 3/2) no
-        # root falls on the grid, and no sum re-sums.
+        # there (|f| about 1.3e-16), where the closed form never certifies
+        # a sign.  The first such series, at omega = 3, loses more bits to
+        # cancellation than the hint of the sum at omega = 0 and re-sums
+        # once, and its hint covers every later series.  When every
+        # evaluation was a series each of the 13 roots re-summed twice, at
+        # the grid point and at the trial beside it.  At d = 4 (mu = 3/2
+        # and up) no root falls on the grid, and the one re-sum is the
+        # first series past omega = 0, beside a root of channel 7/2.  At
+        # d = 3 (integer mu, no closed form) no sum re-sums.
         calls = count_evaluations(monkeypatch)
         spectrum(d, math.pi / 3, 40.0)
-        assert calls["sums"] - calls["evaluations"] == resums
+        assert calls["sums"] - calls["series"] == resums
 
     @pytest.mark.parametrize("offset", [-5e-14, 5e-14])
     def test_replay_scan_with_a_grid_point_in_the_bracket(self, offset):
@@ -807,13 +976,14 @@ class TestSpectrum:
         # Anderson-Bjorck bracketing and the shared precision hint.  The
         # evaluations are bounded too: at d = 140 each crowded bracket is
         # walked on the scan grid, 355 evaluations, where a scan of each
-        # crowded channel took 1,000.
+        # crowded channel took 1,000.  At d = 2 the half-integer closed
+        # form's values steer 1,933 evaluations, 1,887 all series.
         calls = count_evaluations(monkeypatch)
         chans = spectrum(d, theta0, omega_max)
         hexes = [r.hex() for ch in chans for r in ch.roots]
         assert len(hexes) == count
         assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
-        assert calls["evaluations"] <= {5: 1377, 2: 1887, 140: 355}[d]
+        assert calls["evaluations"] <= {5: 1377, 2: 1933, 140: 355}[d]
 
 
 # At theta0 = pi/4 the scan step pi/(4 theta0) is exactly 1, so the grid
@@ -1044,10 +1214,7 @@ class TestRootFinderBranches:
 
     @pytest.mark.parametrize("d", [1, 0, -2])
     def test_spectrum_refuses_low_dimension(self, monkeypatch, d):
-        def no_evaluation(*args):
-            raise AssertionError("Ferrers series evaluated")
-
-        monkeypatch.setattr(spectral_oracle, "_ferrers_factor", no_evaluation)
+        monkeypatch.setattr(spectral_oracle, "_channel", no_evaluation)
         with pytest.raises(ValidationError, match="d >= 2"):
             spectrum(d, 1.0, 10.0)
 
