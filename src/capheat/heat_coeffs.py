@@ -234,8 +234,8 @@ def assemble_script_A(cfg: SuspensionConfig, n: int) -> float:
 
 def _exp_shift(table: Mapping[int, float], step: float) -> dict[int, float]:
     """Multiply the expansion by exp(step t): entry n picks up sum_k
-    step^k/k! times entry n-2k.  The pure Laplacian takes step (d/2)^2, a
-    mass m takes -m^2 (m = 0 adds signed zeros, which change no entry)."""
+    step^k/k! times entry n-2k.  A table takes one shift, by (d/2)^2 - m^2:
+    the pure Laplacian's (d/2)^2 and a mass m's -m^2 in one step."""
     out = {}
     for n in sorted(table):
         total = 0.0
@@ -260,15 +260,15 @@ def log_coefficient(base: BaseDescriptor) -> float | None:
 def compute_table(cfg: SuspensionConfig) -> CoefficientTable:
     """Assemble the full coefficient table for indices 0..n_max.
 
-    cal_A entries are the pure-Laplacian coefficients, with any mass term
-    folded in (a mass only reshuffles coefficients, exactly like the shift).
-    Raises OverflowError, naming the mass where a power of -mass^2
-    overflows, and when any entry is not finite (mass^2 can reach inf).
+    cal_A entries are those of Delta + mass^2, whose heat trace is script_A's
+    (of Delta + (d/2)^2) times exp(((d/2)^2 - mass^2) t): one shift, by 0 at
+    mass = d/2.  Raises OverflowError where a power of that step overflows
+    (naming the mass) or an entry is not finite (mass^2 can reach inf).
     """
     _instance(cfg, SuspensionConfig, "cfg")
     script = {n: assemble_script_A(cfg, n) for n in range(cfg.n_max + 1)}
-    try:  # only the mass shift can overflow: (d/2)^(2k) stays below 1e36
-        cal = _exp_shift(_exp_shift(script, (0.5 * cfg.d) ** 2), -(cfg.mass * cfg.mass))
+    try:  # only a mass can overflow the step: (d/2)^(2k) stays below 1e36
+        cal = _exp_shift(script, (0.5 * cfg.d) ** 2 - cfg.mass * cfg.mass)
     except OverflowError:
         raise OverflowError(f"the mass term overflows at mass={cfg.mass!r}") from None
     if not all(map(isfinite, [*script.values(), *cal.values()])):

@@ -11,9 +11,9 @@ import math
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from capheat.cli import _time_grid
 from capheat.heat_coeffs import (
     SphereBase,
     SuspensionConfig,
@@ -193,7 +193,7 @@ def test_criterion_6_oracle_agreement():
     start = time.time()
     d, theta0 = 2, math.pi / 3
     cfg = sphere_config(d, theta0, 2)
-    ts = [float(t) for t in np.geomspace(1.5e-3, 1.6e-2, 24)]
+    ts = _time_grid(1.5e-3, 1.6e-2, 24)  # capheat verify's own times
     samples = heat_trace(cfg, ts, tolerance=1e-6, omega_max=120.0)
     fit = fit_asymptotics(samples, cfg.D, 4)
     predicted = [e.cal_A for e in compute_table(cfg).entries]

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -231,6 +232,25 @@ class TestNamespace:
 
     def test_version(self):
         assert capheat.__version__ == "0.1.0"
+
+
+class TestTestExtra:
+    def test_lists_exactly_what_tests_and_bench_import(self):
+        # the modules are read, not imported, and pyproject.toml by hand:
+        # tomllib needs Python 3.11
+        paths = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")])
+        imported = set()
+        for path in paths:
+            for node in ast.walk(parsed(path)):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.partition(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.partition(".")[0])
+        local = {path.stem for path in paths} | {"capheat"}
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        extra = re.search(r"^test = \[(.*?)^\]", pyproject, re.M | re.S).group(1)
+        declared = {re.match(r"[\w.-]+", req).group() for req in re.findall(r'"(.+?)"', extra)}
+        assert imported - set(sys.stdlib_module_names) - local == declared
 
 
 class TestCoeffs:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -350,6 +351,34 @@ class TestTable:
         for e, e0 in zip(table.entries, massless.entries):
             assert e.script_A == e0.script_A
 
+    @pytest.mark.parametrize("big_d", range(3, 19))
+    def test_mass_half_d_is_the_shifted_operator(self, big_d):
+        # Delta + (d/2)^2 is script_A's own operator, so at mass d/2 the
+        # step (d/2)^2 - mass^2 is exactly 0 and cal_A is script_A bit for bit
+        for config in alternating_configs(big_d, 0.5 * (big_d - 1)):
+            entries = compute_table(config).entries
+            assert [e.cal_A for e in entries] == [e.script_A for e in entries]
+
+    @pytest.mark.parametrize("mass", [0.5, 3.0, 7.0])
+    def test_one_shift_is_within_rounding(self, mass):
+        # each cal_A against the exact sum over k of s^k/k! script_A[n-2k],
+        # s = (d/2)^2 - mass^2, of the same script_A doubles at 60 digits:
+        # within 2e-15 of the sum of the terms' moduli
+        outside = []
+        with mpmath.workdps(60):
+            for big_d in range(3, 19):
+                step = mpmath.mpf(0.5 * (big_d - 1)) ** 2 - mpmath.mpf(mass) ** 2
+                for config in alternating_configs(big_d, mass):
+                    entries = compute_table(config).entries
+                    script = [e.script_A for e in entries]
+                    for e in entries:
+                        terms = [step**k / mpmath.factorial(k) * script[e.n - 2 * k]
+                                 for k in range(e.n // 2 + 1)]
+                        error = abs(e.cal_A - mpmath.fsum(terms))
+                        if error > 2e-15 * mpmath.fsum(map(abs, terms)):
+                            outside.append((config, e.n, float(error)))
+        assert outside == []
+
     def test_mass_overflow_raises(self):
         # m * m is inf at m = 1e200 and raises nothing itself; the table
         # must not come back with inf or nan entries
@@ -374,18 +403,38 @@ def user_base(d: int) -> UserBase:
     return UserBase(d, coefficients, residue_at_minus_half=0.375)
 
 
+def alternating_configs(big_d: int, mass: float) -> list[SuspensionConfig]:
+    """Full tables of dimension big_d at theta0 0.3, 1.0 and 1.4, over the
+    sphere base and the user base with coefficients (-1)^n/(n+1)."""
+    d = big_d - 1
+    alternating = UserBase(d, {n: (-1) ** n / (n + 1) for n in range(d + 2)})
+    return [
+        SuspensionConfig(D=big_d, angle=AngleParams.from_theta0(theta0), base=base,
+                         n_max=d, mass=mass)
+        for theta0 in (0.3, 1.0, 1.4)
+        for base in (SphereBase(d), alternating)
+    ]
+
+
 PIN_THETAS = (1e-3, 1e-2, 0.1, 1.0, math.pi / 3, math.pi / 2, 2.0, 3.0, 3.1)
 # the assembly sweep's angles
 SWEEP_THETAS = (1e-3, 1e-2, 0.1, 1.0, 2.0, 3.0, 3.1)
-# sha256 of the float.hex of every script_A and cal_A of the 360 pinned tables
-ASSEMBLY_DIGEST = "1bccee231d2a57d907b76e5945ebf14d6982c20ec71dd4f83e61038e4dfd715f"
-# the same over D 13..18: 216 tables, cumulant orders up to 16
-HIGH_ORDER_DIGEST = "042852e7d77230b90abe0a66179d4da082e89fe892c9b2f8642bfb10ff36bd98"
+# by mass, sha256 of the float.hex of every script_A and cal_A of the 180
+# pinned tables at that mass
+ASSEMBLY_DIGESTS = {
+    0.0: "c6d5a65315f2a62b379e9c5542313d047b7b9a31a87191642728d65c6dc4e641",
+    0.5: "8380d91758de034eb60ba64dfac68a374ad330c17dad5a4fee709077a275c6c9",
+}
+# the same over D 13..18: 108 tables a mass, cumulant orders up to 16
+HIGH_ORDER_DIGESTS = {
+    0.0: "fd0b1a944749a0383e7e36b6cc029c6497dafbfc14d6c39968c36cf59f6e712e",
+    0.5: "a602d41045d68e231f49af79489e9563ec7dd50c1f1b0e7cbdf09f81a6aebdc5",
+}
 
 
-def table_tuples(big_d, theta0):
+def table_tuples(big_d, theta0, masses=(0.0, 0.5)):
     """(script_A, cal_A) of the tables of dimension big_d at theta0, for
-    both bases and masses 0 and 0.5, in that order."""
+    both bases and the given masses, in that order."""
     return [
         [(e.script_A, e.cal_A) for e in compute_table(SuspensionConfig(
             D=big_d,
@@ -395,16 +444,17 @@ def table_tuples(big_d, theta0):
             mass=mass,
         )).entries]
         for base in (SphereBase(big_d - 1), user_base(big_d - 1))
-        for mass in (0.0, 0.5)
+        for mass in masses
     ]
 
 
-def table_digest(dims, thetas) -> str:
-    """sha256 of the float.hex of every entry of the tables over dims x thetas."""
+def table_digest(dims, thetas, masses=(0.0, 0.5)) -> str:
+    """sha256 of the float.hex of every entry of the tables over dims x
+    thetas x masses."""
     digest = hashlib.sha256()
     for big_d in dims:
         for theta0 in thetas:
-            for table in table_tuples(big_d, theta0):
+            for table in table_tuples(big_d, theta0, masses):
                 for script, cal in table:
                     digest.update(f"{script.hex()} {cal.hex()}\n".encode())
     return digest.hexdigest()
@@ -455,17 +505,19 @@ class TestAssemblyBits:
     Speed work on the assembly must leave every value unchanged; this digest
     catches a single moved bit in any table.  A change that moves values on
     purpose (more accurate angular weights, say) re-pins the digest and
-    says so in CHANGES.md.
+    says so in CHANGES.md.  Each mass has its own digest, so a change to the
+    mass shift alone re-pins the massive ones and shows the massless kept.
     """
 
     def test_tables_are_bit_identical(self):
-        assert table_digest(range(3, 13), PIN_THETAS) == ASSEMBLY_DIGEST
+        digests = {m: table_digest(range(3, 13), PIN_THETAS, (m,)) for m in (0.0, 0.5)}
+        assert digests == ASSEMBLY_DIGESTS
 
     def test_high_order_tables_are_bit_identical(self):
-        # D 13..18 reach the cumulant orders 11..16, which ASSEMBLY_DIGEST
-        # does not; recorded before the angular weights were split into
-        # angle-independent plans and a per-table evaluation
-        assert table_digest(range(13, 19), PIN_THETAS) == HIGH_ORDER_DIGEST
+        # D 13..18 reach the cumulant orders 11..16, which ASSEMBLY_DIGESTS
+        # do not
+        digests = {m: table_digest(range(13, 19), PIN_THETAS, (m,)) for m in (0.0, 0.5)}
+        assert digests == HIGH_ORDER_DIGESTS
 
     def test_tables_do_not_depend_on_earlier_angles(self):
         # the plans behind the angular weights hold nothing set by the
