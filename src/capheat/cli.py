@@ -19,11 +19,11 @@ from itertools import groupby
 # runs, so a fresh omega loads the cumulant algebra alone and coeffs no oracle
 from .errors import CapheatError, ValidationError, _index, _positive
 
-# each verify time sample is one fsum over every root: 10,000 samples take
-# 2.1 s of heat_trace over the README example's 1,777 roots, and that
-# example with --points 10000 about 3.2 s in a fresh process (2-core Intel
-# Xeon VM, Python 3.11.7)
-_MAX_POINTS = 10_000
+# each verify time sample is one fsum over every root: 1,000 samples, 25
+# times the 40 that the largest test, bench workload or example uses, take
+# about 0.26 s of heat_trace over the README example's 1,777 roots (2-core
+# Intel Xeon VM, Python 3.11.7)
+_MAX_POINTS = 1_000
 
 
 def _theta0_from(args) -> float:

@@ -19,7 +19,9 @@ the Ferrers function is elementary: sines and cosines of the degree times
 the angle, raised through the order recurrence.  The root finder evaluates
 that in doubles first, with a proven error bound, and keeps the value only
 where the bound certifies its sign, which is then the series' exact sign;
-the series decides the rest, mostly trials within about 1e-12 of a root.
+the series decides the rest.  Such a channel's trials aim 1e-10 / 16 past
+their estimates, not the series' 1e-10 / 1024, so that |f| there usually
+clears the bound.
 
 One walk over brackets finds a channel's roots.  A scan walks a
 quarter-spacing grid, and a spectrum scans only its first channel: sphere
@@ -84,12 +86,16 @@ _MAX_OMEGA = 1_000.0
 # Largest |omega| of ferrers_p: at x = -0.8, its hardest argument, a call
 # takes about 0.8 s at mu = 1/2 and up to 1.3 s at larger mu (same VM).
 _MAX_FERRERS_OMEGA = 10_000.0
-# Bisection width of a root, and how far past its estimate a trial aims.
+# Bisection width of a root, and how far past its estimate a trial aims:
+# the series' sign is exact at any distance from a root, but within about
+# 1e-13 of one |f| is below the closed form's error bound, so a closed-form
+# channel aims past that
 _ABS_TOL = 1e-10
 _AIM = _ABS_TOL / 1024.0
+_CLOSED_FORM_AIM = _ABS_TOL / 16.0
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  Near it a d = 2 spectrum takes about 5.5 s at theta0 = 2.2
-# (omega_max 168.9, 11,284 roots) and 2.8 s at pi/3 (263.1, 8,595 roots),
+# 2,078).  Near it a d = 2 spectrum takes about 5.4 s at theta0 = 2.2
+# (omega_max 168.9, 11,284 roots) and 2.5 s at pi/3 (263.1, 8,595 roots),
 # and a d = 3 one, all series, 7 s at 2.2, same VM.
 _MAX_ROOTS = 10_000
 # The caller's target for the Ferrers series' tail bound, in bits below the
@@ -316,7 +322,8 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
 
 def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
                  fb: float, first: float | None = None,
-                 slope: float | None = None) -> tuple[float, float]:
+                 slope: float | None = None,
+                 aim: float = _AIM) -> tuple[float, float]:
     """The root that the scan of ``grid`` finds in the sign-change bracket
     (a, b) of f, where fa = f(a), fb = f(b) and 0 <= a < b <= grid[-1], or
     at an exact zero a = b, and log |f'| there.
@@ -334,10 +341,13 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     halves it.  ``first``, when given, is the first estimate.  ``slope``,
     when given, is f's predicted slope at the root: the next estimate is
     then the Newton step, and the one after it the secant through the last
-    two.  Every trial aims _AIM past its estimate toward the undecided tree
-    point, stopping on it rather than passing it, so that an estimate that
-    close to the root decides the point in one evaluation; a trial not
-    strictly inside (a, b) becomes that point.
+    two.  Every trial aims ``aim`` past its estimate toward the undecided
+    tree point, stopping on it rather than passing it, so that an estimate
+    that close to the root decides the point in one evaluation; a trial not
+    strictly inside (a, b) becomes that point.  The aim is _AIM where f's
+    sign is exact at any distance, and _CLOSED_FORM_AIM for a closed-form
+    channel (``_trial_aim``), whose values certify their sign only clear
+    of the root.
     An exact zero collapses the bracket: it is the root where the walk
     meets it, else the midpoint of its last cell.
 
@@ -366,7 +376,7 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
             continue
         if x is None:
             x = b - fb * (b - a) / (fb - fa)
-        x = min(x + _AIM, p) if x < p else max(x - _AIM, p)
+        x = min(x + aim, p) if x < p else max(x - aim, p)
         if not a < x < b:
             x = p
         fx = f(x)
@@ -432,23 +442,26 @@ def _half_integer_factor(mu: float, z: float):
     start and 2.9 on the steps, bounds the error of s_K.  A value within
     that bound of 0, an m beyond the normal doubles, or a bound above
     m_K / 4, where the first-order rates no longer cover the rest, gives
-    None: the series decides there.  So does w = 0."""
-    if (2.0 * mu) % 2.0 != 1.0 or mu > _MAX_OMEGA or not 0.0 < z <= 0.8:
+    None: the series decides there.  So does w = 0, and an integer w <= K,
+    a pole of step w."""
+    if not _has_closed_form(mu, z):
         return None
     theta = 2.0 * math.asin(math.sqrt(z))
     c = (1.0 - 2.0 * z) / (2.0 * math.sqrt(z * (1.0 - z)))
-    ladder = [(k, (2 * k - 1) * c, (2 * k - 1) * abs(c)) for k in range(1, int(mu) + 1)]
+    ladder = [(float(k), (2 * k - 1) * c, (2 * k - 1) * abs(c))
+              for k in range(1, int(mu) + 1)]
+    top = float(len(ladder))
     log_scale = (-0.5 * math.log(math.pi * math.sqrt(z * (1.0 - z)))
                  + math.lgamma(1.0 + mu) + 0.5 * mu * (math.log1p(-z) - math.log(z)))
 
     def factor(w: float) -> float | None:
-        if w == 0.0:
-            return None
         w, tiny = abs(w), sys.float_info.min
+        if w == 0.0 or w <= top and w.is_integer():
+            return None
         s_prev, s, m_prev, m = math.cos(w * theta), math.sin(w * theta) / w, 1.0, 1.0 / w
         for k, b, size in ladder:
             d = (w - k) * (w + k)
-            if m < tiny or d == 0.0:  # an infinite or NaN m fails the bound
+            if m < tiny:  # an infinite or NaN m fails the bound
                 return None
             s_prev, s = s, (b * s - s_prev) / d
             m_prev, m = m, (size * m + m_prev) / abs(d)
@@ -460,6 +473,18 @@ def _half_integer_factor(mu: float, z: float):
         return math.copysign(value, s) if value >= tiny else None
 
     return factor
+
+
+def _has_closed_form(mu: float, z: float) -> bool:
+    """Whether ``_half_integer_factor`` covers channel mu at z."""
+    return (2.0 * mu) % 2.0 == 1.0 and mu <= _MAX_OMEGA and 0.0 < z <= 0.8
+
+
+def _trial_aim(mu: float, theta0: float) -> float:
+    """How far past its estimate a trial of ``_channel(mu, theta0)`` aims:
+    _CLOSED_FORM_AIM where the closed form evaluates it, else _AIM."""
+    z = 0.5 * (1.0 - math.cos(theta0))
+    return _CLOSED_FORM_AIM if _has_closed_form(mu, z) else _AIM
 
 
 def _channel(mu: float, theta0: float, state: dict):
@@ -512,15 +537,16 @@ def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
 def _bracket_roots(f, ends: Sequence[float], grid: list[float],
                    lower: Sequence[Sequence[float]] = (),
                    lower_logs: Sequence[Sequence[float]] = (),
-                   fa: float | None = None):
+                   fa: float | None = None, aim: float = _AIM):
     """The roots of f in (ends[0], ends[-1]] and log |f'| at each, walking
     the brackets between consecutive ends: a scan's ``grid``, or the roots
     of the channel below and the cutoff, with ``lower``, the roots of the
     channels below (nearest last), and ``lower_logs``, log |f'| at them.
     ``fa`` is f(ends[0]) when the caller holds it; a zero there raises
     MissedRootSuspicion.  ``_pinned_root`` pins each sign change on
-    ``grid``, so every walk gives the scan's root: the start and the slope
-    move the evaluations, never the root.  The start is the root's
+    ``grid``, its trials aimed ``aim`` past their estimates, so every walk
+    gives the scan's root: the start, the slope and the aim move the
+    evaluations, never the root.  The start is the root's
     extrapolation from the channels below (``_extrapolated``) plus the
     previous root's miss, that root less its own extrapolation.  The slope
     is predicted the same way from ``lower_logs``, with the sign of the
@@ -548,7 +574,8 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
         change = fb != 0.0 and (fb > 0) != (fa > 0)
         if lower and not change and i < len(ends) - 1:
             inside = grid[bisect.bisect_right(grid, a):bisect.bisect_left(grid, b)]
-            split, split_logs = _bracket_roots(f, [a, *inside, b], grid, fa=fa)
+            split, split_logs = _bracket_roots(f, [a, *inside, b], grid,
+                                               fa=fa, aim=aim)
             roots += split
             logs += split_logs
             if fb == 0.0 and len(split) % 2 == 0:
@@ -562,7 +589,8 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
             # past _LOG_MAX, and a NaN fails that test
             slope = (math.copysign(math.exp(predicted), fb)
                      if predicted < _LOG_MAX else None)
-            root, log_slope = _pinned_root(f, grid, a, fa, b, fb, start, slope)
+            root, log_slope = _pinned_root(f, grid, a, fa, b, fb, start,
+                                           slope, aim)
             roots.append(root)
             logs.append(log_slope)
             miss = 0.0 if guess is None else root - guess
@@ -588,8 +616,8 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
     mu, theta0, omega_max = _check_scan(mu, theta0, omega_max)
     grid = _scan_grid(theta0, omega_max)
     state = {} if state is None else state
-    roots, state["log_slopes"] = _bracket_roots(_channel(mu, theta0, state),
-                                                grid, grid)
+    roots, state["log_slopes"] = _bracket_roots(
+        _channel(mu, theta0, state), grid, grid, aim=_trial_aim(mu, theta0))
 
     # Roots settle to spacing pi/theta0 only once omega clears the turning
     # region; below ~2 mu / sin(theta0) wider gaps are genuine, not misses.
@@ -658,7 +686,8 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
         lower = [ch.roots for ch in channels[-4:]]
         roots, log_slopes = _bracket_roots(_channel(mu, theta0, state),
                                            [*lower[-1], omega_max], grid,
-                                           lower, logs[-4:])
+                                           lower, logs[-4:],
+                                           aim=_trial_aim(mu, theta0))
         if len(lower[-1]) - len(roots) not in (0, 1):
             raise MissedRootSuspicion(
                 f"{len(roots)} roots at mu = {mu} do not interlace the "

@@ -783,13 +783,14 @@ class TestVerify:
         (["--t-max", "inf"], "--t-max must be finite and positive"),
         (["--t-min", "nan"], "--t-min must be finite and positive"),
         (["--t-min", "0.5", "--t-max", "0.05"], "--t-min must be below --t-max"),
-        (["--points", "100000000"], "--points must lie in 1..10000"),
+        (["--points", "100000000"], "--points must lie in 1..1000"),
+        (["--points", "1001"], "--points must lie in 1..1000"),
         # the default cutoff for t = 1e-7 is about 22,000
         (["--t-min", "1e-7", "--t-max", "1e-6"], "above the limit 1000"),
         (["--omega-max", "0"], "omega_max must be finite and positive"),
     ], ids=["tolerance-nan", "tolerance-nan-cutoff", "tolerance-0",
             "t-max-inf", "t-min-nan", "t-min-above-t-max", "points",
-            "default-cutoff", "zero-cutoff"])
+            "points-1001", "default-cutoff", "zero-cutoff"])
     def test_refused_inputs(self, capsys, monkeypatch, extra, message):
         real_time_grid = cli._time_grid
 
@@ -807,6 +808,25 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_points_limit_accepted(self, capsys, monkeypatch):
+        # the limit itself is a valid sample count
+        sizes = []
+        real_time_grid = cli._time_grid
+
+        def recorded(t_min, t_max, points):
+            sizes.append(points)
+            return real_time_grid(t_min, t_max, points)
+
+        monkeypatch.setattr(cli, "_time_grid", recorded)
+        code, _, _ = invoke(
+            capsys,
+            ["verify", "--dim", "3", "--theta0", "1.0471975511965976",
+             "--max-n", "2", "--t-min", "1.5e-2", "--t-max", "1.6e-1",
+             "--points", "1000", "--omega-max", "40"],
+        )
+        assert code == 0
+        assert sizes == [1000]
 
     def test_spectrum_size_refused(self, capsys, monkeypatch):
         # each channel is within the cutoff limit, but the whole spectrum

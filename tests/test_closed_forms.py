@@ -48,7 +48,6 @@ CONE = (
 # The cone-limit failures are monotone in D: the first failing D for each
 # (theta0, n), the same at both masses.
 CONE_FIRST_D = {
-    (1e-3, 0): 13,
     (1e-3, 2): 4,
     (1e-3, 3): 5,
     (1e-3, 4): 6,

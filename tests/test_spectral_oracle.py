@@ -596,6 +596,14 @@ class TestHalfIntegerClosedForm:
         # all 20 points up to mu = 7.5, 17 at 20.5 and 10 at 30.5
         assert certified >= 10
 
+    def test_integer_degrees_up_to_the_order_are_poles(self):
+        # at mu = 3.5 (K = 3) steps 1..3 of the order recurrence divide by
+        # (w - k)(w + k), which is 0 at w = k: those degrees take the series,
+        # and w = 4.0, past the last step, is evaluated
+        closed = spectral_oracle._half_integer_factor(3.5, 0.25)
+        assert [closed(w) for w in (1.0, 2.0, 3.0, -2.0)] == [None] * 4
+        assert closed(4.0) is not None
+
     @pytest.mark.parametrize("mu", [1.0, 2.0, 0.25, 2.0**60])
     def test_only_half_integer_orders(self, mu):
         assert spectral_oracle._half_integer_factor(mu, 0.25) is None
@@ -823,12 +831,13 @@ class TestSpectrum:
         pinned_root = spectral_oracle._pinned_root
         starts, slopes = [], []
 
-        def recorded(f, grid, a, fa, b, fb, first=None, slope=None):
+        def recorded(f, grid, a, fa, b, fb, first=None, slope=None,
+                     aim=spectral_oracle._AIM):
             starts.append((first, 0.5 * (a + b)))
             slopes.append(slope)
             if bad_slope:
                 slope = bad_slope(slope)
-            return pinned_root(f, grid, a, fa, b, fb, first, slope)
+            return pinned_root(f, grid, a, fa, b, fb, first, slope, aim)
 
         if not bad_slope:
             monkeypatch.setattr(spectral_oracle, "_extrapolated", poor)
@@ -855,48 +864,66 @@ class TestSpectrum:
         # half-integer closed form steers the trials with values that are
         # only certain in sign near a root, 5.92 and 4.74 (1,125 and 8,422),
         # and leaves 187 and 3,237 of them to the series, where every
-        # evaluation was a series.  The re-sums are 1 and 4; they were 26
-        # and 79 when every evaluation was a series, 27 and 80 while a
-        # fresh state started at 64 bits, and 58 and 179 when each
-        # channel's first sum did.
-        per_root, series, resums = {40.0: (5.93, 187, 1),
-                                    120.0: (4.74, 3237, 4)}[omega_max]
+        # evaluation was a series.  Aimed _CLOSED_FORM_AIM past their
+        # estimates instead of _AIM, its trials land where it certifies
+        # their signs: 1,125 -> 1,083 and 8,422 -> 8,670 evaluations (5.70
+        # and 4.88 per root), 187 -> 63 and 3,237 -> 2,041 series.  The
+        # re-sums are 1 and 4; they were 26 and 79 when every evaluation
+        # was a series, 27 and 80 while a fresh state started at 64 bits,
+        # and 58 and 179 when each channel's first sum did.
+        evaluations, series, resums = {40.0: (1083, 63, 1),
+                                       120.0: (8670, 2041, 4)}[omega_max]
         calls = count_evaluations(monkeypatch)
-        chans = spectrum(2, math.pi / 3, omega_max)
-        roots = sum(len(ch.roots) for ch in chans)
-        assert calls["evaluations"] <= per_root * roots
+        spectrum(2, math.pi / 3, omega_max)
+        assert calls["evaluations"] <= evaluations
         assert calls["series"] <= series
         assert calls["sums"] - calls["series"] <= resums
+
+    def test_series_channels_keep_the_near_aim(self, monkeypatch):
+        # at even D every order is an integer: no closed form, every
+        # evaluation a series, whose sign is exact at any distance from a
+        # root, so the trials keep aiming _AIM past their estimates.  Aimed
+        # _CLOSED_FORM_AIM, this spectrum took 1,434 evaluations
+        assert spectral_oracle._trial_aim(2.0, 1.8) == spectral_oracle._AIM
+        assert (spectral_oracle._trial_aim(2.5, 1.8)
+                == spectral_oracle._CLOSED_FORM_AIM)
+        assert spectral_oracle._trial_aim(2.5, 2.3) == spectral_oracle._AIM
+        calls = count_evaluations(monkeypatch)
+        spectrum(5, 1.8, 30.0)
+        assert calls["evaluations"] == calls["series"] == 1377
 
     def test_sums_per_root_on_an_obtuse_cap(self, monkeypatch):
         # at theta0 = 2.2 the lowest roots of 38 channels crowd onto the
         # channel below, and 82 of their brackets show no sign change:
-        # walking each of those on the scan grid takes 25,118 evaluations
+        # walking each of those on the scan grid took 25,118 evaluations
         # for the 5,681 roots (4.42 per root).  The half-integer closed form
-        # certifies 11,220 of them, and the series sums the rest in 14,098
+        # certified 11,220 of them, and the series summed the rest in 14,098
         # sums (2.48 per root), where every evaluation was a series in
         # 24,737 sums (4.35), and a scan of each crowded channel took 39,427
-        # (6.94)
+        # (6.94).  With the closed form's trials aimed _CLOSED_FORM_AIM past
+        # their estimates, 25,118 -> 26,538 evaluations (4.67 per root) and
+        # 14,098 -> 11,581 sums (2.04)
         calls = count_evaluations(monkeypatch)
         chans = spectrum(2, THETA0_GUARD, 120.0)
         roots = sum(len(ch.roots) for ch in chans)
         assert roots == 5681
-        assert calls["evaluations"] <= 4.43 * roots
-        assert calls["sums"] <= 2.49 * roots
+        assert calls["evaluations"] <= 26_538
+        assert calls["sums"] <= 11_581
 
     def test_hemisphere_roots_on_the_grid_are_not_evaluated_again(
             self, monkeypatch):
         # at theta0 = pi/2 the scan step is 1/2, and the roots lie within
         # rounding above integers, which are grid points (channel 1/2's are
         # the even integers).  A trial that would pass the undecided grid
-        # point stops on it, and once evaluated its sign is known: 459
-        # evaluations, 445 when every evaluation was a series, whose values
-        # steer the trials more closely than the closed form's near a root.
+        # point stops on it, and once evaluated its sign is known: 438
+        # evaluations.  It took 445 when every evaluation was a series, and
+        # 459 with the closed form's trials aimed _AIM past their estimates,
+        # where its values steer them less closely than the series'.
         # Replaying the scan on a false-position bracket took 514, and 538
         # when it evaluated the bracket's ends as well.
         calls = count_evaluations(monkeypatch)
         spectrum(2, math.pi / 2, 20.0)
-        assert calls["evaluations"] <= 459
+        assert calls["evaluations"] <= 438
 
     @pytest.mark.parametrize("d,resums", [(2, 1), (3, 0), (4, 1)])
     def test_resums_are_channel_zeros_on_the_grid(self, monkeypatch, d, resums):
@@ -911,8 +938,10 @@ class TestSpectrum:
         # evaluation was a series each of the 13 roots re-summed twice, at
         # the grid point and at the trial beside it.  At d = 4 (mu = 3/2
         # and up) no root falls on the grid, and the one re-sum is the
-        # first series past omega = 0, beside a root of channel 7/2.  At
-        # d = 3 (integer mu, no closed form) no sum re-sums.
+        # first series past omega = 0, at grid point 18 in channel 19/2
+        # (beside a root of channel 7/2 while the closed form's trials
+        # aimed _AIM past their estimates).  At d = 3 (integer mu, no
+        # closed form) no sum re-sums.
         calls = count_evaluations(monkeypatch)
         spectrum(d, math.pi / 3, 40.0)
         assert calls["sums"] - calls["series"] == resums
@@ -977,13 +1006,17 @@ class TestSpectrum:
         # evaluations are bounded too: at d = 140 each crowded bracket is
         # walked on the scan grid, 355 evaluations, where a scan of each
         # crowded channel took 1,000.  At d = 2 the half-integer closed
-        # form's values steer 1,933 evaluations, 1,887 all series.
+        # form's values steer the trials: 1,887 evaluations all series,
+        # 1,933 with the closed form's trials aimed _AIM past their
+        # estimates and 1,958 aimed _CLOSED_FORM_AIM, which leaves 191
+        # series instead of 370.  The closed form's aim moves d = 140 from
+        # 355 to 353.
         calls = count_evaluations(monkeypatch)
         chans = spectrum(d, theta0, omega_max)
         hexes = [r.hex() for ch in chans for r in ch.roots]
         assert len(hexes) == count
         assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
-        assert calls["evaluations"] <= {5: 1377, 2: 1933, 140: 355}[d]
+        assert calls["evaluations"] <= {5: 1377, 2: 1958, 140: 353}[d]
 
 
 # At theta0 = pi/4 the scan step pi/(4 theta0) is exactly 1, so the grid
@@ -1121,11 +1154,17 @@ class TestRootFinderBranches:
         assert (root == zero) == (zero == 3.0) and math.isnan(log_slope)
 
     def test_random_brackets_give_the_scans_root(self):
+        for aim in (spectral_oracle._AIM, spectral_oracle._CLOSED_FORM_AIM):
+            self.check_random_brackets(aim)
+
+    @staticmethod
+    def check_random_brackets(aim):
         # seeded cases on four scan grids: roots on grid points, on
         # midpoints of the scan's bisection, within 1e-13 of either, and
         # anywhere, some between two adjacent doubles; brackets from
         # adjacent doubles up to 2 wide; good, bad and missing starts and
-        # slopes.  Every root is the scan's, bit for bit, f is evaluated
+        # slopes; trials aimed as a series channel's and as a closed-form
+        # channel's.  Every root is the scan's, bit for bit, f is evaluated
         # only strictly inside the bracket, and log |f'| is NaN exactly
         # when an evaluation was an exact zero.
         rng = random.Random(20)
@@ -1183,7 +1222,7 @@ class TestRootFinderBranches:
                 return values[w]
 
             root, log_slope = spectral_oracle._pinned_root(
-                recorded, grid, a, fa, b, fb, first, slope)
+                recorded, grid, a, fa, b, fb, first, slope, aim)
             assert [root.hex()] == [
                 w.hex() for w in scan_bisection(f, theta0, omega_max)]
             assert all(a < w < b for w in values)
