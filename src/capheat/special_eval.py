@@ -36,6 +36,7 @@ operations in its order, so they round exactly as it does.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -86,13 +87,19 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 
 def recip_gamma(x: float) -> float:
-    """1 / Gamma(x), with the entire-function value 0 at nonpositive integers."""
+    """1 / Gamma(x), with the entire-function value 0 at nonpositive integers
+    and 0 where Gamma overflows.  Where |Gamma| falls below the normal
+    doubles (from x about -171.5) it raises OverflowError: the reciprocal
+    of that is inaccurate or infinite."""
     if _is_nonpositive_integer(x):
         return 0.0
     try:
-        return 1.0 / math.gamma(x)
+        gamma = math.gamma(x)
     except OverflowError:
         return 0.0
+    if abs(gamma) < sys.float_info.min:
+        raise OverflowError(f"1/Gamma({x}) overflows a double")
+    return 1.0 / gamma
 
 
 def _kahan_sum(terms: Iterable[float]) -> float:
@@ -261,7 +268,9 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     c - a - b more than 0.05 from an integer.  Others raise ValidationError,
     as do non-finite parameters and an x outside [0, 1] (NaN too); no caller
     in the package has them.  A Gamma factor outside the double range (c or
-    |c - a - b| above about 171.6) raises OverflowError at every x.
+    |c - a - b| above about 171.6, or c - a, c - b, a or b below about
+    -171.5) raises OverflowError at every x, and so does a value beyond the
+    doubles.
 
     Symmetric in (a, b) bit for bit.  At x = 1 the Gauss summation formula is
     used and requires c - a - b > 0.  A terminating series 2F1(-N, b; c; x)
@@ -279,6 +288,8 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     if plan[1] is None and (loss := _terminating_loss(plan[0], x, value)) > 1e-10:
         raise NumericalError(f"terminating 2F1({a}, {b}; {c}; {x}) may have lost "
                              f"{loss:.1e} relative to cancellation")
+    if not math.isfinite(value):
+        raise OverflowError(f"2F1({a}, {b}; {c}; {x}) overflows a double")
     return value
 
 

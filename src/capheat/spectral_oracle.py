@@ -19,9 +19,9 @@ the Ferrers function is elementary: sines and cosines of the degree times
 the angle, raised through the order recurrence.  The root finder evaluates
 that in doubles first, with a proven error bound, and keeps the value only
 where the bound certifies its sign, which is then the series' exact sign;
-the series decides the rest.  Such a channel's trials aim 1e-10 / 16 past
-their estimates, not the series' 1e-10 / 1024, so that |f| there usually
-clears the bound.
+the series decides the rest.  ``_channel`` aims such a channel's trials
+1e-10 / 16 past their estimates, not the series' 1e-10 / 1024, so that
+|f| there usually clears the bound.
 
 One walk over brackets finds a channel's roots.  A scan walks a
 quarter-spacing grid, and a spectrum scans only its first channel: sphere
@@ -344,10 +344,8 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     two.  Every trial aims ``aim`` past its estimate toward the undecided
     tree point, stopping on it rather than passing it, so that an estimate
     that close to the root decides the point in one evaluation; a trial not
-    strictly inside (a, b) becomes that point.  The aim is _AIM where f's
-    sign is exact at any distance, and _CLOSED_FORM_AIM for a closed-form
-    channel (``_trial_aim``), whose values certify their sign only clear
-    of the root.
+    strictly inside (a, b) becomes that point.  ``_channel`` returns each
+    channel's aim with its f.
     An exact zero collapses the bracket: it is the root where the walk
     meets it, else the midpoint of its last cell.
 
@@ -444,7 +442,7 @@ def _half_integer_factor(mu: float, z: float):
     m_K / 4, where the first-order rates no longer cover the rest, gives
     None: the series decides there.  So does w = 0, and an integer w <= K,
     a pole of step w."""
-    if not _has_closed_form(mu, z):
+    if not ((2.0 * mu) % 2.0 == 1.0 and mu <= _MAX_OMEGA and 0.0 < z <= 0.8):
         return None
     theta = 2.0 * math.asin(math.sqrt(z))
     c = (1.0 - 2.0 * z) / (2.0 * math.sqrt(z * (1.0 - z)))
@@ -475,42 +473,40 @@ def _half_integer_factor(mu: float, z: float):
     return factor
 
 
-def _has_closed_form(mu: float, z: float) -> bool:
-    """Whether ``_half_integer_factor`` covers channel mu at z."""
-    return (2.0 * mu) % 2.0 == 1.0 and mu <= _MAX_OMEGA and 0.0 < z <= 0.8
-
-
-def _trial_aim(mu: float, theta0: float) -> float:
-    """How far past its estimate a trial of ``_channel(mu, theta0)`` aims:
-    _CLOSED_FORM_AIM where the closed form evaluates it, else _AIM."""
-    z = 0.5 * (1.0 - math.cos(theta0))
-    return _CLOSED_FORM_AIM if _has_closed_form(mu, z) else _AIM
-
-
 def _channel(mu: float, theta0: float, state: dict):
-    """The Dirichlet function of channel mu at theta0, as a function of
-    omega: the Ferrers factor at cos(theta0), with the root finder's
-    tail-bound target.  A half-integer mu takes it from the closed form of
-    ``_half_integer_factor`` where that certifies its sign, which is then
-    the series' sign, and from the series elsewhere.  ``state`` carries the
-    series' precision hint between evaluations; a spectrum passes one
-    through all its channels, so each starts from the hint the channel
-    below left."""
+    """The Dirichlet function f of channel mu at theta0, as a function of
+    omega, and the aim of its root trials (``_pinned_root``): the Ferrers
+    factor at cos(theta0), with the root finder's tail-bound target.  The
+    series' sign is exact at any distance from a root, and a channel of the
+    series alone aims _AIM.  Where ``_half_integer_factor`` covers the
+    channel, f takes its closed form where that certifies its sign, which
+    is then the series' sign, and the series elsewhere; those values
+    certify their sign only clear of a root, so f aims _CLOSED_FORM_AIM.
+    ``state`` carries the series' precision hint between evaluations; a
+    spectrum passes one through all its channels, so each starts from the
+    hint the channel below left."""
     z = 0.5 * (1.0 - math.cos(theta0))
     closed = _half_integer_factor(mu, z)
 
-    def f(w: float) -> float:
-        value = closed(w) if closed else None
-        return _ferrers_factor(mu, w, z, _SIGN_BITS, state) if value is None else value
+    def series(w: float) -> float:
+        return _ferrers_factor(mu, w, z, _SIGN_BITS, state)
 
-    return f
+    if closed is None:
+        return series, _AIM
+
+    def f(w: float) -> float:
+        value = closed(w)
+        return series(w) if value is None else value
+
+    return f, _CLOSED_FORM_AIM
 
 
 def _scan_grid(theta0: float, omega_max: float) -> list[float]:
     """The scan's points: 0, then steps of pi/(4 theta0) (a quarter of the
     asymptotic root spacing), ending at omega_max."""
     step = math.pi / (4.0 * theta0)
-    grid = [step * j for j in range(int(omega_max / step) + 1)]
+    # 0.0, not step * 0, which is NaN where the step overflows
+    grid = [0.0, *(step * j for j in range(1, int(omega_max / step) + 1))]
     if grid[-1] < omega_max:
         grid.append(omega_max)
     return grid
@@ -616,8 +612,8 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
     mu, theta0, omega_max = _check_scan(mu, theta0, omega_max)
     grid = _scan_grid(theta0, omega_max)
     state = {} if state is None else state
-    roots, state["log_slopes"] = _bracket_roots(
-        _channel(mu, theta0, state), grid, grid, aim=_trial_aim(mu, theta0))
+    f, aim = _channel(mu, theta0, state)
+    roots, state["log_slopes"] = _bracket_roots(f, grid, grid, aim=aim)
 
     # Roots settle to spacing pi/theta0 only once omega clears the turning
     # region; below ~2 mu / sin(theta0) wider gaps are genuine, not misses.
@@ -684,10 +680,9 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
         k += 1
         mu = sphere_mu(k, d)
         lower = [ch.roots for ch in channels[-4:]]
-        roots, log_slopes = _bracket_roots(_channel(mu, theta0, state),
-                                           [*lower[-1], omega_max], grid,
-                                           lower, logs[-4:],
-                                           aim=_trial_aim(mu, theta0))
+        f, aim = _channel(mu, theta0, state)
+        roots, log_slopes = _bracket_roots(f, [*lower[-1], omega_max], grid,
+                                           lower, logs[-4:], aim=aim)
         if len(lower[-1]) - len(roots) not in (0, 1):
             raise MissedRootSuspicion(
                 f"{len(roots)} roots at mu = {mu} do not interlace the "
@@ -731,8 +726,11 @@ def _log_weyl_tail(big_d: int, count: float, omega_max: float,
     Weyl density fitted to the ``count`` modes below the cutoff against the
     heat weight above it, times a safety factor 3.  With y = omega_max^2 t
     that is 3 count (D/2) y^(-D/2) exp((D - 1)^2 t / 4) Gamma(D/2, y),
-    summed as logarithms, so no factor overflows."""
+    summed as logarithms, so no factor overflows.  Where y underflows to 0
+    the tail is unbounded: +inf."""
     y = omega_max * omega_max * t
+    if not y:
+        return math.inf
     return (
         math.log(1.5 * count * big_d)
         - 0.5 * big_d * math.log(y)

@@ -10,9 +10,12 @@ where the CLI reaches the same check, the CLI arguments and the exit code
 from __future__ import annotations
 
 import ast
+import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +254,15 @@ REFUSALS = [
         id="2f1-b-int-beyond-doubles"),
     row(lambda: gauss_2f1(0.5, 1.0, BIG, 0.5), ValidationError,
         id="2f1-c-int-beyond-doubles"),
+    # Gamma(c - a) = Gamma(-199.25) underflows to 0, and Gamma(-175.5) to a
+    # subnormal whose reciprocal is infinite
+    row(lambda: gauss_2f1(200.0, 0.5, 0.75, 0.3), OverflowError,
+        match="Gamma factors", id="2f1-gamma-zero"),
+    row(lambda: gauss_2f1(176.25, -4.25, 0.75, 0.9), OverflowError,
+        match="Gamma factors", id="2f1-gamma-subnormal"),
+    # the connection formula's second term overflows (the value is 7.1e219)
+    row(lambda: gauss_2f1(90.0, 82.0, 0.75, 0.9), OverflowError,
+        match="overflows a double", id="2f1-value-overflow"),
     # ferrers_p
     row(lambda: ferrers_p(0.0, 1.0, 0.5), ValidationError, id="ferrers-mu-zero"),
     row(lambda: ferrers_p(0.5, 1.0, 1.0), ValidationError, id="ferrers-x-one"),
@@ -338,6 +350,14 @@ REFUSALS = [
     row(lambda: heat_trace(config(), [0.1], omega_max=1.0), TailTooLarge,
         flag(VERIFY, "--omega-max", "1"), 3, match="no eigenvalues",
         id="trace-no-eigenvalues"),
+    # the scan step pi/(4 theta0) overflows a double: no roots
+    row(lambda: heat_trace(config(theta0=5e-324), [0.1], omega_max=10.0),
+        TailTooLarge, flag(VERIFY, "--theta0", "5e-324"), 3,
+        match="no eigenvalues", id="trace-theta0-subnormal"),
+    # omega_max^2 t underflows to 0: the Weyl tail is unbounded
+    row(lambda: heat_trace(config(), [0.5], omega_max=5e-324,
+                           channels=[EigenvalueChannel(1.5, 3, (2.2,))]),
+        TailTooLarge, id="trace-tail-scale-underflow"),
     # EigenvalueChannel, built for heat_trace
     row(lambda: channel_trace(mu=0.0), ValidationError, id="channel-mu-zero"),
     row(lambda: channel_trace(mu="x"), ValidationError, id="channel-mu-str"),
@@ -419,6 +439,89 @@ def test_refusal(capsys, tmp_path, call, error, argv, code, match):
         assert out == ""
     else:
         assert json.loads(out)["error"]["type"] == error.__name__
+
+
+def test_scan_step_beyond_doubles_finds_no_roots(capsys):
+    # below theta0 about 4.4e-309 the scan step pi/(4 theta0) overflows;
+    # the first root lies near pi/theta0, far beyond any cutoff
+    assert dirichlet_roots(2.5, 5e-324, 1000.0) == []
+    assert spectrum(2, 5e-324, 10.0) == []
+    assert run(["roots", "--mu", "2.5", "--theta0", "5e-324",
+                "--omega-max", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["roots"] == []
+
+
+# Extreme doubles: the smallest subnormal, a subnormal, tiny and moderate
+# normals and a huge one
+EDGES = (5e-324, 4e-309, 1e-300, 1e-9, 0.5, 2.2, 1e300)
+SIGNED = (*EDGES, *(-e for e in EDGES))
+
+
+def table_at(D, theta0, mass):
+    return compute_table(config(D=D, theta0=theta0, n_max=D - 1, mass=mass))
+
+
+def trace_of(root, t, omega_max, mass):
+    return heat_trace(config(mass=mass), [t], omega_max=omega_max,
+                      channels=[EigenvalueChannel(1.5, 3, (root,))])
+
+
+def fit_at(t_min, value, big_d, n_fit):
+    return fit_asymptotics([HeatTraceSample(t_min * 10.0 ** (k / 4), value, 0.0)
+                            for k in range(13)], big_d, n_fit)
+
+
+def edge_calls():
+    """Calls of the public library with extreme doubles, as partials."""
+    product = itertools.product
+    for args in product(EDGES, EDGES, EDGES):
+        yield partial(dirichlet_roots, *args)
+    for args in product((2, 3, 140), EDGES, EDGES):
+        yield partial(spectrum, *args)
+    for args in product(EDGES, SIGNED, SIGNED):
+        yield partial(ferrers_p, *args)
+    # Gamma(c - a) and 1/Gamma(a) from -200.25 to 1e300, and values beyond
+    # the doubles
+    for args in product((5e-324, -0.5, 2.2, 90.0, 176.25, -200.25, 1e300),
+                        (5e-324, 0.5, -4.25, 82.0, 1e300),
+                        (5e-324, 0.75, 2.2, 1e300), (0.0, 0.5, 0.9, 1.0)):
+        yield partial(gauss_2f1, *args)
+    for args in product(EDGES, EDGES, (*EDGES, 1e9), (0.0, 1e300)):
+        yield partial(trace_of, *args)
+    for args in product(EDGES, SIGNED, (3, 340), (0, 1, 4)):
+        yield partial(fit_at, *args)
+    for args in product((3, 6), EDGES, (0.0, *EDGES)):
+        yield partial(table_at, *args)
+
+
+def numbers(value):
+    """The floats of a result, through lists, tuples and dataclasses."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from numbers(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from numbers(getattr(value, field.name))
+
+
+def test_extreme_doubles_give_finite_numbers_or_a_package_error():
+    # every call returns finite numbers or refuses with one of the package's
+    # errors or OverflowError: no NaN, no bare ValueError or
+    # ZeroDivisionError from the math module
+    escaped = []
+    for call in edge_calls():
+        try:
+            result = call()
+        except (ValidationError, NumericalError, OverflowError):
+            continue
+        except Exception as error:
+            escaped.append((call, error))
+        else:
+            if not all(map(math.isfinite, numbers(result))):
+                escaped.append((call, result))
+    assert escaped == []
 
 
 def test_user_base_stores_floats():

@@ -258,13 +258,13 @@ def count_evaluations(monkeypatch) -> dict[str, int]:
     channel, series_state = spectral_oracle._channel, spectral_oracle._series_state
 
     def counted_channel(*args):
-        f = channel(*args)
+        f, aim = channel(*args)
 
         def counted(w):
             calls["evaluations"] += 1
             return f(w)
 
-        return counted
+        return counted, aim
 
     def counted_series(*args):
         calls["series"] += 1
@@ -282,10 +282,15 @@ def count_evaluations(monkeypatch) -> dict[str, int]:
 
 def wrap_channel(monkeypatch, wrap):
     """Replace each channel's Dirichlet function f by wrap(mu, f), so that an
-    injected fault reaches every evaluation, closed form or series."""
+    injected fault reaches every evaluation, closed form or series; the
+    channel keeps its aim."""
     channel = spectral_oracle._channel
-    monkeypatch.setattr(spectral_oracle, "_channel",
-                        lambda mu, theta0, state: wrap(mu, channel(mu, theta0, state)))
+
+    def wrapped(mu, theta0, state):
+        f, aim = channel(mu, theta0, state)
+        return wrap(mu, f), aim
+
+    monkeypatch.setattr(spectral_oracle, "_channel", wrapped)
 
 
 def no_evaluation(*args):
@@ -709,6 +714,65 @@ class TestDirichletRoots:
         assert ferrers_p(mu, 0.0, math.cos(theta0)) > 0.0
 
 
+# The spectra whose roots and work are pinned, keyed by (d, theta0,
+# omega_max): the root count and the sha256 of the roots' float.hex, which
+# must hold exactly, so that any moved bit fails, then the channel
+# evaluations, the Ferrers series evaluations among them and the
+# fixed-point sums of count_evaluations.  Those counts, and the re-sums
+# (sums less series), are upper bounds, save the ones the last field names,
+# which must hold exactly.
+SPECTRUM_PINS = {
+    # verify-cap, criterion 6's geometry at a third of its cutoff.  Channel
+    # 1/2's exact roots 3k are every fourth grid point, where the closed
+    # form never certifies a sign: the first series there, at omega = 3,
+    # re-sums once, and its hint covers every later series
+    (2, math.pi / 3, 40.0): (
+        190, "ab64c0244414c2fe1cf47aed4f4f4dbc33d12016fd47ceb4b11a608373f4f2fa",
+        1083, 63, 64, ("resums",)),
+    # criterion 6
+    (2, math.pi / 3, 120.0): (
+        1777, "ff636c33f1fcc0552231243bb0071899f21ead42c77fceba659c9077f4d36169",
+        8670, 2041, 2045, ()),
+    # integer orders: no closed form, every evaluation a series, and the
+    # first sum of the spectrum, at omega = 0, passes at 102 bits and leaves
+    # a hint that no later sum outgrows
+    (3, math.pi / 3, 40.0): (
+        186, "13f22fea6a7994f4678f1b5965b37a5ff93280c434b7b7a5cb184893ec5f39af",
+        1082, 1082, 1082, ("resums",)),
+    # half-integer orders from 3/2 with no root on the grid: the one re-sum
+    # is the first series past omega = 0, at grid point 18 of channel 19/2
+    (4, math.pi / 3, 40.0): (
+        177, "26b6eaf5f1b27889e8bd9d05e0357ec65d5a952d688a497288a9c23156ec59cc",
+        1060, 50, 51, ("resums",)),
+    # the widest cap the oracle scans: the lowest roots of 38 channels crowd
+    # onto the channel below, and 82 of their brackets show no sign change
+    # and are walked on the scan grid
+    (2, 2.2, 120.0): (
+        5681, "76817473d73ab01710510aecc564d57de907e3b2249ad006bef03a3f1280863a",
+        26538, 11367, 11581, ()),
+    # the hemisphere: the scan step is 1/2, and the roots lie within
+    # rounding above integers, which are grid points; a trial that would
+    # pass an undecided grid point stops on it, so none is evaluated twice
+    (2, math.pi / 2, 20.0): (
+        90, "a685bda9fed96b114388e5e3f3590e3223b624a8bfead193465586dac060bfce",
+        438, 101, 102, ()),
+    # even D: integer orders, every evaluation a series, its trials aimed
+    # _AIM past their estimates
+    (5, 1.8, 30.0): (
+        243, "45a550280a5494f04145fa46568e684bf3a22d8937810cae4b9733a4e0d22058",
+        1377, 1377, 1377, ("evaluations", "series")),
+    # the widest cap at a low cutoff
+    (2, 2.2, 30.0): (
+        348, "ad2f1a85246fa4649237582b0ffed4dceee609b24a1df2133161d0e1441b8b7e",
+        1958, 191, 192, ()),
+    # high orders on the widest cap: the lowest roots of channels 72.5, 73.5
+    # and 74.5 crowd, and each crowded bracket is walked on the scan grid
+    (140, 2.2, 76.0): (
+        21, "c0b2250bb82b57043d1e4e90752665354da92f4a7c3d0d61087b73b4799d93f3",
+        353, 108, 116, ()),
+}
+
+
 class TestSpectrum:
     def test_channels_stop_when_empty(self):
         chans = spectrum(2, math.pi / 2, 6.5)
@@ -758,10 +822,10 @@ class TestSpectrum:
         theta0, omega_max = THETA0_GUARD, 75.0
         below = dirichlet_roots(71.5, theta0, omega_max)
         assert abs(below[1] - 73.0) < 1e-10
-        f = spectral_oracle._channel(72.5, theta0, {})
+        f, aim = spectral_oracle._channel(72.5, theta0, {})
         grid = spectral_oracle._scan_grid(theta0, omega_max)
         roots, _ = spectral_oracle._bracket_roots(f, [*below, omega_max], grid,
-                                                  [below])
+                                                  [below], aim=aim)
         assert roots == dirichlet_roots(72.5, theta0, omega_max)
         assert roots[0] == below[1]
 
@@ -853,98 +917,30 @@ class TestSpectrum:
             given = [(x, mid) for x, mid in starts if x is not None]
             assert given and all(x == mid for x, mid in given)
 
-    @pytest.mark.parametrize("omega_max", [40.0, 120.0])
-    def test_evaluations_per_root(self, monkeypatch, omega_max):
-        # a scan of every channel costs 16.6 per root here, the interlace
-        # brackets without the extrapolated start 11.6 and 11.9, with the
-        # quadratic start and Illinois halving 7.7 and 7.1, with the cubic
-        # start 6.46 and 5.47 (1,228 and 9,717 evaluations), and with the
-        # predicted slope 5.87 and 4.79 (1,116 and 8,511), and with the walk
-        # of the scan's bisection tree 5.61 and 4.41 (1,066 and 7,844).  The
-        # half-integer closed form steers the trials with values that are
-        # only certain in sign near a root, 5.92 and 4.74 (1,125 and 8,422),
-        # and leaves 187 and 3,237 of them to the series, where every
-        # evaluation was a series.  Aimed _CLOSED_FORM_AIM past their
-        # estimates instead of _AIM, its trials land where it certifies
-        # their signs: 1,125 -> 1,083 and 8,422 -> 8,670 evaluations (5.70
-        # and 4.88 per root), 187 -> 63 and 3,237 -> 2,041 series.  The
-        # re-sums are 1 and 4; they were 26 and 79 when every evaluation
-        # was a series, 27 and 80 while a fresh state started at 64 bits,
-        # and 58 and 179 when each channel's first sum did.
-        evaluations, series, resums = {40.0: (1083, 63, 1),
-                                       120.0: (8670, 2041, 4)}[omega_max]
+    @pytest.mark.parametrize("key", SPECTRUM_PINS,
+                             ids=lambda key: "{}-{:.6g}-{:g}".format(*key))
+    def test_roots_and_work_pinned(self, monkeypatch, key):
+        roots, digest, evaluations, series, sums, exact = SPECTRUM_PINS[key]
         calls = count_evaluations(monkeypatch)
-        spectrum(2, math.pi / 3, omega_max)
-        assert calls["evaluations"] <= evaluations
-        assert calls["series"] <= series
-        assert calls["sums"] - calls["series"] <= resums
+        hexes = [r.hex() for ch in spectrum(*key) for r in ch.roots]
+        assert len(hexes) == roots
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
+        calls["resums"] = calls["sums"] - calls["series"]
+        pinned = {"evaluations": evaluations, "series": series, "sums": sums,
+                  "resums": sums - series}
+        for name, bound in pinned.items():
+            assert calls[name] == bound if name in exact else calls[name] <= bound, name
 
-    def test_series_channels_keep_the_near_aim(self, monkeypatch):
-        # at even D every order is an integer: no closed form, every
-        # evaluation a series, whose sign is exact at any distance from a
-        # root, so the trials keep aiming _AIM past their estimates.  Aimed
-        # _CLOSED_FORM_AIM, this spectrum took 1,434 evaluations
-        assert spectral_oracle._trial_aim(2.0, 1.8) == spectral_oracle._AIM
-        assert (spectral_oracle._trial_aim(2.5, 1.8)
-                == spectral_oracle._CLOSED_FORM_AIM)
-        assert spectral_oracle._trial_aim(2.5, 2.3) == spectral_oracle._AIM
-        calls = count_evaluations(monkeypatch)
-        spectrum(5, 1.8, 30.0)
-        assert calls["evaluations"] == calls["series"] == 1377
+    def test_series_channels_keep_the_near_aim(self):
+        # a series' sign is exact at any distance from a root: a channel of
+        # integer order, or past z = 0.8 (theta0 about 2.21), takes no
+        # closed form and aims its trials _AIM past their estimates
+        def aim(mu, theta0):
+            return spectral_oracle._channel(mu, theta0, {})[1]
 
-    def test_sums_per_root_on_an_obtuse_cap(self, monkeypatch):
-        # at theta0 = 2.2 the lowest roots of 38 channels crowd onto the
-        # channel below, and 82 of their brackets show no sign change:
-        # walking each of those on the scan grid took 25,118 evaluations
-        # for the 5,681 roots (4.42 per root).  The half-integer closed form
-        # certified 11,220 of them, and the series summed the rest in 14,098
-        # sums (2.48 per root), where every evaluation was a series in
-        # 24,737 sums (4.35), and a scan of each crowded channel took 39,427
-        # (6.94).  With the closed form's trials aimed _CLOSED_FORM_AIM past
-        # their estimates, 25,118 -> 26,538 evaluations (4.67 per root) and
-        # 14,098 -> 11,581 sums (2.04)
-        calls = count_evaluations(monkeypatch)
-        chans = spectrum(2, THETA0_GUARD, 120.0)
-        roots = sum(len(ch.roots) for ch in chans)
-        assert roots == 5681
-        assert calls["evaluations"] <= 26_538
-        assert calls["sums"] <= 11_581
-
-    def test_hemisphere_roots_on_the_grid_are_not_evaluated_again(
-            self, monkeypatch):
-        # at theta0 = pi/2 the scan step is 1/2, and the roots lie within
-        # rounding above integers, which are grid points (channel 1/2's are
-        # the even integers).  A trial that would pass the undecided grid
-        # point stops on it, and once evaluated its sign is known: 438
-        # evaluations.  It took 445 when every evaluation was a series, and
-        # 459 with the closed form's trials aimed _AIM past their estimates,
-        # where its values steer them less closely than the series'.
-        # Replaying the scan on a false-position bracket took 514, and 538
-        # when it evaluated the bracket's ends as well.
-        calls = count_evaluations(monkeypatch)
-        spectrum(2, math.pi / 2, 20.0)
-        assert calls["evaluations"] <= 438
-
-    @pytest.mark.parametrize("d,resums", [(2, 1), (3, 0), (4, 1)])
-    def test_resums_are_channel_zeros_on_the_grid(self, monkeypatch, d, resums):
-        # The first sum of a spectrum, at omega = 0, starts at 102 bits, a
-        # precision it passes, and does not re-sum.  At d = 2 channel 0's
-        # order mu = 1/2 has the exact roots k pi / theta0 = 3k, every
-        # fourth scan point: the scan evaluates within rounding of a zero
-        # there (|f| about 1.3e-16), where the closed form never certifies
-        # a sign.  The first such series, at omega = 3, loses more bits to
-        # cancellation than the hint of the sum at omega = 0 and re-sums
-        # once, and its hint covers every later series.  When every
-        # evaluation was a series each of the 13 roots re-summed twice, at
-        # the grid point and at the trial beside it.  At d = 4 (mu = 3/2
-        # and up) no root falls on the grid, and the one re-sum is the
-        # first series past omega = 0, at grid point 18 in channel 19/2
-        # (beside a root of channel 7/2 while the closed form's trials
-        # aimed _AIM past their estimates).  At d = 3 (integer mu, no
-        # closed form) no sum re-sums.
-        calls = count_evaluations(monkeypatch)
-        spectrum(d, math.pi / 3, 40.0)
-        assert calls["sums"] - calls["series"] == resums
+        assert aim(2.0, 1.8) == spectral_oracle._AIM
+        assert aim(2.5, 1.8) == spectral_oracle._CLOSED_FORM_AIM
+        assert aim(2.5, 2.3) == spectral_oracle._AIM
 
     @pytest.mark.parametrize("offset", [-5e-14, 5e-14])
     def test_replay_scan_with_a_grid_point_in_the_bracket(self, offset):
@@ -980,44 +976,6 @@ class TestSpectrum:
         assert all(a < w < b for w in evaluated)
         assert got.hex() == (0.5 * (lo + hi)).hex()
 
-    def test_roots_fingerprint(self):
-        # sha256 of the float.hex of the verify-cap spectrum's 190 roots,
-        # as the scan of every channel finds them: any moved bit fails here
-        chans = spectrum(2, math.pi / 3, 40.0)
-        hexes = [r.hex() for ch in chans for r in ch.roots]
-        assert len(hexes) == 190
-        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == (
-            "ab64c0244414c2fe1cf47aed4f4f4dbc33d12016fd47ceb4b11a608373f4f2fa"
-        )
-
-    @pytest.mark.parametrize("d,theta0,omega_max,count,digest", [
-        (5, 1.8, 30.0, 243,
-         "45a550280a5494f04145fa46568e684bf3a22d8937810cae4b9733a4e0d22058"),
-        (2, 2.2, 30.0, 348,
-         "ad2f1a85246fa4649237582b0ffed4dceee609b24a1df2133161d0e1441b8b7e"),
-        # the lowest roots of channels 72.5, 73.5 and 74.5 crowd
-        (140, 2.2, 76.0, 21,
-         "c0b2250bb82b57043d1e4e90752665354da92f4a7c3d0d61087b73b4799d93f3"),
-    ])
-    def test_roots_fingerprint_beyond_verify_cap(self, monkeypatch, d, theta0,
-                                                 omega_max, count, digest):
-        # recorded before the cubic start, the miss correction, the
-        # Anderson-Bjorck bracketing and the shared precision hint.  The
-        # evaluations are bounded too: at d = 140 each crowded bracket is
-        # walked on the scan grid, 355 evaluations, where a scan of each
-        # crowded channel took 1,000.  At d = 2 the half-integer closed
-        # form's values steer the trials: 1,887 evaluations all series,
-        # 1,933 with the closed form's trials aimed _AIM past their
-        # estimates and 1,958 aimed _CLOSED_FORM_AIM, which leaves 191
-        # series instead of 370.  The closed form's aim moves d = 140 from
-        # 355 to 353.
-        calls = count_evaluations(monkeypatch)
-        chans = spectrum(d, theta0, omega_max)
-        hexes = [r.hex() for ch in chans for r in ch.roots]
-        assert len(hexes) == count
-        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
-        assert calls["evaluations"] <= {5: 1377, 2: 1958, 140: 353}[d]
-
 
 # At theta0 = pi/4 the scan step pi/(4 theta0) is exactly 1, so the grid
 # points are the integers 0, 1, 2, ... and a synthetic f can put a root on
@@ -1027,9 +985,9 @@ QUARTER = math.pi / 4
 
 def synthetic_roots(monkeypatch, f, omega_max):
     """dirichlet_roots at mu = 1/2, theta0 = pi/4 with the channel's
-    Dirichlet function replaced by f."""
+    Dirichlet function replaced by f, its trials aimed _AIM."""
     monkeypatch.setattr(spectral_oracle, "_channel",
-                        lambda mu, theta0, state=None: f)
+                        lambda mu, theta0, state=None: (f, spectral_oracle._AIM))
     return dirichlet_roots(0.5, QUARTER, omega_max)
 
 
