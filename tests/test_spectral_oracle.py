@@ -720,30 +720,25 @@ class TestDirichletRoots:
 # evaluations, the Ferrers series evaluations among them and the
 # fixed-point sums of count_evaluations.  Those counts, and the re-sums
 # (sums less series), are upper bounds, save the ones the last field names,
-# which must hold exactly.
+# which must hold exactly.  The re-sums at (2..4, pi/3, 40) are exact in
+# test_resums_are_channel_zeros_on_the_grid.
 SPECTRUM_PINS = {
-    # verify-cap, criterion 6's geometry at a third of its cutoff.  Channel
-    # 1/2's exact roots 3k are every fourth grid point, where the closed
-    # form never certifies a sign: the first series there, at omega = 3,
-    # re-sums once, and its hint covers every later series
+    # verify-cap, criterion 6's geometry at a third of its cutoff
     (2, math.pi / 3, 40.0): (
         190, "ab64c0244414c2fe1cf47aed4f4f4dbc33d12016fd47ceb4b11a608373f4f2fa",
-        1083, 63, 64, ("resums",)),
+        1083, 63, 64, ()),
     # criterion 6
     (2, math.pi / 3, 120.0): (
         1777, "ff636c33f1fcc0552231243bb0071899f21ead42c77fceba659c9077f4d36169",
         8670, 2041, 2045, ()),
-    # integer orders: no closed form, every evaluation a series, and the
-    # first sum of the spectrum, at omega = 0, passes at 102 bits and leaves
-    # a hint that no later sum outgrows
+    # integer orders: no closed form, every evaluation a series
     (3, math.pi / 3, 40.0): (
         186, "13f22fea6a7994f4678f1b5965b37a5ff93280c434b7b7a5cb184893ec5f39af",
-        1082, 1082, 1082, ("resums",)),
-    # half-integer orders from 3/2 with no root on the grid: the one re-sum
-    # is the first series past omega = 0, at grid point 18 of channel 19/2
+        1082, 1082, 1082, ()),
+    # half-integer orders from 3/2, with no root on the grid
     (4, math.pi / 3, 40.0): (
         177, "26b6eaf5f1b27889e8bd9d05e0357ec65d5a952d688a497288a9c23156ec59cc",
-        1060, 50, 51, ("resums",)),
+        1060, 50, 51, ()),
     # the widest cap the oracle scans: the lowest roots of 38 channels crowd
     # onto the channel below, and 82 of their brackets show no sign change
     # and are walked on the scan grid
@@ -930,6 +925,32 @@ class TestSpectrum:
                   "resums": sums - series}
         for name, bound in pinned.items():
             assert calls[name] == bound if name in exact else calls[name] <= bound, name
+
+    @pytest.mark.parametrize("d,resums", [(2, 1), (3, 0), (4, 1)])
+    def test_resums_are_channel_zeros_on_the_grid(self, monkeypatch, d, resums):
+        # The first sum of a spectrum, at omega = 0, starts at 102 bits, a
+        # precision it passes, and does not re-sum.  At d = 2 channel 0's
+        # order mu = 1/2 has the exact roots k pi / theta0 = 3k, every
+        # fourth scan point: the scan evaluates within rounding of a zero
+        # there (|f| about 1.3e-16), where the closed form never certifies
+        # a sign.  The first such series, at omega = 3, loses more bits to
+        # cancellation than the hint of the sum at omega = 0 and re-sums
+        # once, and its hint covers every later series.  At d = 4 (mu = 3/2
+        # and up) no root falls on the grid, and the one re-sum is the
+        # first series past omega = 0, at grid point 18 in channel 19/2.
+        # At d = 3 (integer mu, no closed form) no sum re-sums.
+        calls = count_evaluations(monkeypatch)
+        spectrum(d, math.pi / 3, 40.0)
+        assert calls["sums"] - calls["series"] == resums
+
+    def test_roots_fingerprint(self):
+        # the verify-cap row of SPECTRUM_PINS, found by the oracle with no
+        # counting wrapper in place: wrapping _channel moves no root bit
+        roots, digest = SPECTRUM_PINS[2, math.pi / 3, 40.0][:2]
+        hexes = [r.hex() for ch in spectrum(2, math.pi / 3, 40.0)
+                 for r in ch.roots]
+        assert len(hexes) == roots
+        assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == digest
 
     def test_series_channels_keep_the_near_aim(self):
         # a series' sign is exact at any distance from a root: a channel of

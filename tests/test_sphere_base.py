@@ -7,7 +7,13 @@ from math import comb, factorial
 import pytest
 
 from capheat.errors import ValidationError
-from capheat.heat_coeffs import sphere_heat_coefficient
+from capheat.heat_coeffs import (
+    SphereBase,
+    SuspensionConfig,
+    _exp_shift,
+    assemble_script_A,
+    sphere_heat_coefficient,
+)
 from capheat.special_eval import AngleParams
 from capheat.spectral_oracle import degeneracy, sphere_mu
 
@@ -35,6 +41,10 @@ class TestSpectrum:
 
     def test_degeneracy_d2(self):
         assert [degeneracy(k, 2) for k in range(6)] == [1, 3, 5, 7, 9, 11]
+
+    def test_degeneracy_d3_squares(self):
+        for k in range(51):
+            assert degeneracy(k, 3) == (k + 1) ** 2
 
     def test_degeneracy_matches_the_factorial_formula(self):
         for d in range(2, 13):
@@ -94,6 +104,11 @@ class TestResidues:
 
 
 class TestHeatCoefficients:
+    def test_d2_values(self):
+        assert sphere_heat_coefficient(0, 2) == pytest.approx(1.0, abs=1e-12)
+        assert sphere_heat_coefficient(1, 2) == 0.0
+        assert sphere_heat_coefficient(2, 2) == pytest.approx(1.0 / 12.0, abs=1e-12)
+
     def test_d2_n4_curvature_value(self):
         # Independent value from the curvature invariants of the round
         # 2-sphere with potential 1/4: (1/15) - (1/12) + (1/32) = 7/480.
@@ -131,7 +146,39 @@ class TestHeatCoefficients:
         assert sphere_surface_area(3) == pytest.approx(2.0 * math.pi**2, rel=1e-14)
 
 
+def sphere_config(d: int, theta0: float, n_max: int) -> SuspensionConfig:
+    return SuspensionConfig(
+        D=d + 1,
+        angle=AngleParams.from_theta0(theta0),
+        base=SphereBase(d),
+        n_max=n_max,
+    )
+
+
 class TestTwoPathEquality:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_direct_equals_generic(self, d):
+        theta0 = 0.8
+        angle = AngleParams.from_theta0(theta0)
+        n_top = min(6, d)
+        cfg = sphere_config(d, theta0, n_top)
+        for n in range(n_top + 1):
+            direct = suspension_coefficient_direct(n, d, angle)
+            generic = assemble_script_A(cfg, n)
+            assert abs(direct - generic) <= 1e-10 * max(1.0, abs(generic))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("theta0", [0.6, 1.2])
+    def test_explicit_table_matches_pipeline(self, d, theta0):
+        angle = AngleParams.from_theta0(theta0)
+        n_top = min(6, d)
+        cfg = sphere_config(d, theta0, n_top)
+        script = {n: assemble_script_A(cfg, n) for n in range(n_top + 1)}
+        cal = _exp_shift(script, (0.5 * d) ** 2)
+        for n in range(n_top + 1):
+            tabulated = explicit_table_check(n, d, angle)
+            assert abs(tabulated - cal[n]) <= 1e-10 * max(1.0, abs(cal[n]))
+
     def test_leading_entry_formula(self):
         # index 0: sin^D / (d+1) * C1(theta0, D) * |S_d| / (4 pi)^(D/2)
         from capheat.special_eval import c1
