@@ -38,6 +38,8 @@ def _real(value, name: str) -> float:
     """``value`` as a double; ValidationError unless a real number (a bool is
     not) that a double holds.  Run before any comparison, which a wrong type
     would fail with a bare TypeError."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     try:

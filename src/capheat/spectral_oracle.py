@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -355,26 +356,45 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     ya, yb = fa, fb  # the ends' values, which the modification leaves
     kept = 0  # -1 after keeping b, +1 after keeping a
     x, prev = first, None
+    tol = _ABS_TOL
     j = bisect.bisect_left(grid, a)  # grid[j - 1] < a <= grid[j]
-    lo, hi = grid[j - 1], grid[j]
-    scanning = True  # the next tree point is the grid point hi
-    while scanning or hi - lo > _ABS_TOL:
-        p = hi if scanning else 0.5 * (lo + hi)
-        if p <= a:
-            if p == b:  # an exact zero, on the tree
-                return p, math.nan
-            lo = p
-            if scanning:
+    lo, p = grid[j - 1], grid[j]
+    scanning = True  # p is the grid point that closes the scan's cell
+    while True:
+        # walk the tree points that (a, b) decides, down to the first
+        # strictly inside it, p, or to the last cell
+        if scanning:
+            while p <= a:
+                if p == b:  # an exact zero, on the tree
+                    return p, math.nan
+                lo = p
                 j += 1
-                hi = grid[j]
-            continue
-        if p >= b:
+                p = grid[j]
             hi = p
-            scanning = False
-            continue
+            scanning = p < b
+        if not scanning:
+            while hi - lo > tol:
+                p = 0.5 * (lo + hi)
+                if p <= a:
+                    if p == b:
+                        return p, math.nan
+                    lo = p
+                elif p >= b:
+                    hi = p
+                else:
+                    break
+            else:
+                break
         if x is None:
             x = b - fb * (b - a) / (fb - fa)
-        x = min(x + aim, p) if x < p else max(x - aim, p)
+        if x < p:
+            x += aim
+            if x > p:
+                x = p
+        else:
+            x -= aim
+            if x < p:
+                x = p
         if not a < x < b:
             x = p
         fx = f(x)
@@ -418,11 +438,15 @@ def _check_scan(mu: float, theta0: float, omega_max: float) -> tuple:
     return mu, theta0, omega_max
 
 
-def _half_integer_factor(mu: float, z: float):
+def _uncertified(omega: float) -> None:
+    return None
+
+
+def _half_integer_factor(mu: float, z: float, otherwise=_uncertified):
     """For half-integer mu up to _MAX_OMEGA (a higher channel has no root
     below any scan's cutoff) and 0 < z <= 0.8, the Ferrers factor of
     ``_ferrers_factor`` as a function of omega, in doubles: a value whose
-    sign is certified, or None.  At theta = 2 asin(sqrt z), P^(-mu)_(w-1/2)
+    sign is certified, or else ``otherwise(omega)``, by default None.  At theta = 2 asin(sqrt z), P^(-mu)_(w-1/2)
     (cos theta) is (2 / (pi sin theta))^(1/2) s_K, K = mu - 1/2, where s_-1
     = cos(w theta), s_0 = sin(w theta) / w (DLMF 14.5.11-12) and the order
     recurrence (DLMF 14.10.1) steps s_k = ((2k - 1) c s_(k-1) - s_(k-2)) /
@@ -439,9 +463,9 @@ def _half_integer_factor(mu: float, z: float):
     every |s_k|, so 8 u (|w| theta + 1 + 4 K) m_K, a margin of 1.6 on the
     start and 2.9 on the steps, bounds the error of s_K.  A value within
     that bound of 0, an m beyond the normal doubles, or a bound above
-    m_K / 4, where the first-order rates no longer cover the rest, gives
-    None: the series decides there.  So does w = 0, and an integer w <= K,
-    a pole of step w."""
+    m_K / 4, where the first-order rates no longer cover the rest, is left
+    to ``otherwise``: the series decides there.  So are w = 0 and an
+    integer w <= K, a pole of step w."""
     if not ((2.0 * mu) % 2.0 == 1.0 and mu <= _MAX_OMEGA and 0.0 < z <= 0.8):
         return None
     theta = 2.0 * math.asin(math.sqrt(z))
@@ -449,26 +473,30 @@ def _half_integer_factor(mu: float, z: float):
     ladder = [(float(k), (2 * k - 1) * c, (2 * k - 1) * abs(c))
               for k in range(1, int(mu) + 1)]
     top = float(len(ladder))
+    steps = 4 * len(ladder)
     log_scale = (-0.5 * math.log(math.pi * math.sqrt(z * (1.0 - z)))
                  + math.lgamma(1.0 + mu) + 0.5 * mu * (math.log1p(-z) - math.log(z)))
+    tiny, ulps, log_max = sys.float_info.min, _CLOSED_FORM_ULPS, _LOG_MAX
+    cos, sin, log, exp, copysign = math.cos, math.sin, math.log, math.exp, math.copysign
 
-    def factor(w: float) -> float | None:
-        w, tiny = abs(w), sys.float_info.min
+    def factor(omega: float) -> float | None:
+        w = omega if omega > 0.0 else -omega
         if w == 0.0 or w <= top and w.is_integer():
-            return None
-        s_prev, s, m_prev, m = math.cos(w * theta), math.sin(w * theta) / w, 1.0, 1.0 / w
+            return otherwise(omega)
+        wt = w * theta
+        s_prev, s, m_prev, m = cos(wt), sin(wt) / w, 1.0, 1.0 / w
         for k, b, size in ladder:
             d = (w - k) * (w + k)
             if m < tiny:  # an infinite or NaN m fails the bound
-                return None
+                return otherwise(omega)
             s_prev, s = s, (b * s - s_prev) / d
-            m_prev, m = m, (size * m + m_prev) / abs(d)
-        bound = _CLOSED_FORM_ULPS * (w * theta + 1.0 + 4 * len(ladder)) * m
-        if not (bound < 0.25 * m and abs(s) > bound >= tiny):
-            return None
-        log_value = math.log(abs(s)) + log_scale
-        value = math.exp(log_value) if log_value < _LOG_MAX else 0.0
-        return math.copysign(value, s) if value >= tiny else None
+            m_prev, m = m, (size * m + m_prev) / (d if d > 0.0 else -d)
+        bound = ulps * (wt + 1.0 + steps) * m
+        if not (bound < 0.25 * m and (s if s > 0.0 else -s) > bound >= tiny):
+            return otherwise(omega)
+        log_value = log(s if s > 0.0 else -s) + log_scale
+        value = exp(log_value) if log_value < log_max else 0.0
+        return copysign(value, s) if value >= tiny else otherwise(omega)
 
     return factor
 
@@ -479,26 +507,19 @@ def _channel(mu: float, theta0: float, state: dict):
     factor at cos(theta0), with the root finder's tail-bound target.  The
     series' sign is exact at any distance from a root, and a channel of the
     series alone aims _AIM.  Where ``_half_integer_factor`` covers the
-    channel, f takes its closed form where that certifies its sign, which
-    is then the series' sign, and the series elsewhere; those values
-    certify their sign only clear of a root, so f aims _CLOSED_FORM_AIM.
-    ``state`` carries the series' precision hint between evaluations; a
-    spectrum passes one through all its channels, so each starts from the
-    hint the channel below left."""
+    channel, f is its closed form, which calls the series wherever it
+    cannot certify its sign, so that each evaluation is one call; those
+    values certify their sign only clear of a root, so f aims
+    _CLOSED_FORM_AIM.  ``state`` carries the series' precision hint
+    between evaluations; a spectrum passes one through all its channels, so
+    each starts from the hint the channel below left."""
     z = 0.5 * (1.0 - math.cos(theta0))
-    closed = _half_integer_factor(mu, z)
 
     def series(w: float) -> float:
         return _ferrers_factor(mu, w, z, _SIGN_BITS, state)
 
-    if closed is None:
-        return series, _AIM
-
-    def f(w: float) -> float:
-        value = closed(w)
-        return series(w) if value is None else value
-
-    return f, _CLOSED_FORM_AIM
+    closed = _half_integer_factor(mu, z, series)
+    return (series, _AIM) if closed is None else (closed, _CLOSED_FORM_AIM)
 
 
 def _scan_grid(theta0: float, omega_max: float) -> list[float]:
@@ -512,22 +533,23 @@ def _scan_grid(theta0: float, omega_max: float) -> list[float]:
     return grid
 
 
-def _extrapolated(lower: Sequence[Sequence[float]], j: int) -> float | None:
-    """Value j of the next channel, a root or log |f'| at one, extrapolated
-    in mu (step 1) from value j of the channels in ``lower`` (nearest
-    last): cubically from four, quadratically from three, linearly from
-    two, and not at all from one or none.  A non-finite extrapolation (from
-    a NaN or infinite log |f'|) is none either."""
-    w = [roots[j] for roots in lower[-4:]]
+def _extrapolated(lower: Sequence[Sequence[float]]) -> list[float | None]:
+    """The next channel's values, roots or log |f'| at them, each
+    extrapolated in mu (step 1) from the same value of the channels in
+    ``lower`` (nearest last): cubically from four, quadratically from
+    three, linearly from two, and not at all from one; one per value of the
+    shortest channel, none from no channel.  A non-finite extrapolation
+    (from a NaN or infinite log |f'|) is none either."""
+    w = lower[-4:]
     if len(w) == 4:
-        value = 4.0 * (w[3] + w[1]) - 6.0 * w[2] - w[0]
+        values = (4.0 * (w3 + w1) - 6.0 * w2 - w0 for w0, w1, w2, w3 in zip(*w))
     elif len(w) == 3:
-        value = 3.0 * (w[2] - w[1]) + w[0]
+        values = (3.0 * (w2 - w1) + w0 for w0, w1, w2 in zip(*w))
     elif len(w) == 2:
-        value = 2.0 * w[1] - w[0]
+        values = (2.0 * w1 - w0 for w0, w1 in zip(*w))
     else:
-        return None
-    return value if math.isfinite(value) else None
+        return [None] * len(w[0]) if w else []
+    return [value if math.isfinite(value) else None for value in values]
 
 
 def _bracket_roots(f, ends: Sequence[float], grid: list[float],
@@ -560,6 +582,10 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
     fa = f(ends[0]) if fa is None else fa
     if fa == 0.0:
         raise MissedRootSuspicion(f"unexpected root at omega = {ends[0]}")
+    # each bracket's extrapolated root and log |f'| there, or None
+    none = [None] * len(ends)
+    guesses = _extrapolated(lower) or none
+    log_guesses = _extrapolated(lower_logs) or none
     roots: list[float] = []
     logs: list[float] = []
     # the previous root and log |f'| there, less their extrapolations
@@ -577,8 +603,7 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
             if fb == 0.0 and len(split) % 2 == 0:
                 fa = -fa  # a root before the zero at b: the sign left of b
         elif change:
-            guess = _extrapolated(lower, i - 1)
-            log_guess = _extrapolated(lower_logs, i - 1)
+            guess, log_guess = guesses[i - 1], log_guesses[i - 1]
             start = None if guess is None else guess + miss
             predicted = math.nan if log_guess is None else log_guess + log_miss
             # f has the sign of fb right of the root; exp overflows a double
@@ -837,7 +862,7 @@ def _check_fit_request(ts: Sequence[float], n_fit: int) -> None:
 
 
 def _dot(x: Sequence[float], y: Sequence[float]) -> float:
-    return math.fsum(a * b for a, b in zip(x, y))
+    return math.fsum(map(operator.mul, x, y))
 
 
 def _jacobi_svd(a: list[list[float]]) -> tuple[list, list]:

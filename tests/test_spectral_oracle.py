@@ -870,14 +870,19 @@ class TestSpectrum:
         omega_max = 25.0
         chans = spectrum(d, theta0, omega_max)
 
-        def poor(lower, j):
+        def poor(lower):
             if not lower:  # a scan, with no channel below
-                return None
-            a, b = [*lower[-1], omega_max][j:j + 2]
-            midpoint = 0.5 * (a + b)
-            return {"none": None, "left": math.nextafter(a, b),
+                return []
+            ends = [*lower[-1], omega_max]
+            starts = []
+            for j in range(len(lower[-1])):
+                a, b = ends[j:j + 2]
+                midpoint = 0.5 * (a + b)
+                starts.append({
+                    "none": None, "left": math.nextafter(a, b),
                     "right": math.nextafter(b, a), "midpoint": midpoint,
-                    "after_infinite": midpoint if j % 2 else None}[start]
+                    "after_infinite": midpoint if j % 2 else None}[start])
+            return starts
 
         bad_slope = {
             "slope_zero": lambda s: 0.0,
@@ -1212,9 +1217,9 @@ class TestRootFinderBranches:
     def test_non_finite_extrapolation_is_none(self, bad):
         # a NaN or infinite log |f'| below gives no prediction at all, so
         # _bracket_roots has one rule for it and for too few channels
-        assert spectral_oracle._extrapolated([[1.0], [2.0]], 0) == 3.0
-        assert spectral_oracle._extrapolated([[bad], [2.0]], 0) is None
-        assert spectral_oracle._extrapolated([[2.0]], 0) is None
+        assert spectral_oracle._extrapolated([[1.0], [2.0]]) == [3.0]
+        assert spectral_oracle._extrapolated([[bad], [2.0]]) == [None]
+        assert spectral_oracle._extrapolated([[2.0]]) == [None]
 
     def test_interlaced_zero_at_the_cutoff(self):
         # the last bracket (4.5, 7] ends on a zero of f: the scan's zero at
