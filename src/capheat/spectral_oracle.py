@@ -17,9 +17,10 @@ of ``ferrers_p``.
 At a half-integer order, every channel of an odd-dimensional suspension,
 the Ferrers function is elementary: sines and cosines of the degree times
 the angle, raised through the order recurrence.  The root finder evaluates
-that in doubles first, with a proven error bound, and keeps the value only
-where the bound certifies its sign, which is then the series' exact sign;
-the series decides the rest.  ``_channel`` aims such a channel's trials
+that in doubles first and keeps the value only where a proven error bound
+certifies its sign, which is then the series' exact sign: a bound on the
+recurrence's magnitudes, else a sharper one that carries each step's
+error through the recurrence's own solutions.  The series decides the rest.  ``_channel`` aims such a channel's trials
 1e-10 / 16 past their estimates, not the series' 1e-10 / 1024, so that
 |f| there usually clears the bound.
 
@@ -107,6 +108,9 @@ _VALUE_BITS = 64
 _SIGN_BITS = 24
 # Unit of _half_integer_factor's error bound: 8 u, u = 2**-53
 _CLOSED_FORM_ULPS = 8 * 2.0**-53
+# Units, floor and slack of _half_integer_factor's second bound
+_STEP_ULPS, _START_ULPS = 12 * 2.0**-53, 5 * 2.0**-53
+_SHARP_FLOOR, _SHARP_SLACK = 2.0**-900, 2.0**-953
 # Highest index fit_asymptotics fits, and so the highest verify --max-n.
 _MAX_N_FIT = 4
 # Sweeps of the fit's Jacobi SVD, as in LAPACK's xGESVJ; README verify needs 5
@@ -367,8 +371,7 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
             while p <= a:
                 if p == b:  # an exact zero, on the tree
                     return p, math.nan
-                lo = p
-                j += 1
+                lo, j = p, j + 1
                 p = grid[j]
             hi = p
             scanning = p < b
@@ -387,14 +390,7 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
                 break
         if x is None:
             x = b - fb * (b - a) / (fb - fa)
-        if x < p:
-            x += aim
-            if x > p:
-                x = p
-        else:
-            x -= aim
-            if x < p:
-                x = p
+        x = min(x + aim, p) if x < p else max(x - aim, p)
         if not a < x < b:
             x = p
         fx = f(x)
@@ -438,34 +434,50 @@ def _check_scan(mu: float, theta0: float, omega_max: float) -> tuple:
     return mu, theta0, omega_max
 
 
-def _uncertified(omega: float) -> None:
-    return None
-
-
-def _half_integer_factor(mu: float, z: float, otherwise=_uncertified):
+def _half_integer_factor(mu: float, z: float, otherwise):
     """For half-integer mu up to _MAX_OMEGA (a higher channel has no root
     below any scan's cutoff) and 0 < z <= 0.8, the Ferrers factor of
     ``_ferrers_factor`` as a function of omega, in doubles: a value whose
-    sign is certified, or else ``otherwise(omega)``, by default None.  At theta = 2 asin(sqrt z), P^(-mu)_(w-1/2)
-    (cos theta) is (2 / (pi sin theta))^(1/2) s_K, K = mu - 1/2, where s_-1
-    = cos(w theta), s_0 = sin(w theta) / w (DLMF 14.5.11-12) and the order
-    recurrence (DLMF 14.10.1) steps s_k = ((2k - 1) c s_(k-1) - s_(k-2)) /
-    ((w - k)(w + k)), c = cot theta; the factor is that times
+    sign is certified, else ``otherwise(omega)``; None for another mu or z.
+    At theta = 2 asin(sqrt z), P^(-mu)_(w-1/2) (cos theta) is (2 / (pi sin
+    theta))^(1/2) s_K, K = mu - 1/2, where s_-1 = cos(w theta), s_0 =
+    sin(w theta) / w (DLMF 14.5.11-12) and the order recurrence (DLMF
+    14.10.1) steps s_k = (b_k s_(k-1) - s_(k-2)) / d_k, b_k = (2k - 1) c, c
+    = cot theta, d_k = (w - k)(w + k); the factor is that times
     Gamma(1 + mu) ((1 - z) / z)^(mu/2), a positive constant of the channel.
 
-    The error bound (Higham 2002, section 3) assumes that libm's asin, sin
+    The error bounds (Higham 2002, section 3) assume that libm's asin, sin
     and cos are within 1 ulp, as glibc's are.  With u = 2**-53, the phase
     (asin's condition number is below 1.81 up to z = 0.8) and those calls
     cost at most 5 (|w| theta + 1) u of the start's magnitudes (1, 1/|w|),
     and each step's roundings at most 11 u of its magnitudes, the terms of
-    the recurrence run on |c| and magnitudes, m: (w - k)(w + k) is good to
-    3 u, where w^2 - k^2 would lose w^2 / |w^2 - k^2| of it.  m bounds
-    every |s_k|, so 8 u (|w| theta + 1 + 4 K) m_K, a margin of 1.6 on the
-    start and 2.9 on the steps, bounds the error of s_K.  A value within
-    that bound of 0, an m beyond the normal doubles, or a bound above
-    m_K / 4, where the first-order rates no longer cover the rest, is left
-    to ``otherwise``: the series decides there.  So are w = 0 and an
-    integer w <= K, a pole of step w."""
+    the recurrence run on |c| and magnitudes, m: d_k is good to 3 u, where
+    w^2 - k^2 would lose w^2 / |w^2 - k^2| of it.  m bounds every |s_k|, so
+    8 u (|w| theta + 1 + 4 K) m_K, a margin of 1.6 on the start and 2.9 on
+    the steps, bounds the error of s_K.  Where that bound, B, does not
+    clear |s_K| and K < w <= _MAX_OMEGA, a second pass sharpens it (Olver,
+    J. Res. NBS 71B (1967) 111).  An error e_k of step k reaches s_K as e_k
+    g_k, g_k = (A_K B_(k-1) - B_K A_(k-1)) / W_k, with A and B the solutions
+    from (s_-1, s_0) = (1, 0) and (0, 1) and W_k = W_(k-1) / d_k, W_0 = -1,
+    their Casoratian; the start's errors reach it through A_K and B_K.  The
+    adjoint recurrence g_(k-1) = b_k g_k / d_k + h_k, h_(k-1) = -g_k / d_k
+    runs from g_K = 1, h_K = 0 down to g_0 = B_K, h_0 = A_K and forms no W,
+    whose product of d_k leaves the doubles.  So 12 u sum_k |g_k| (|b_k
+    s_(k-1)| + |s_(k-2)|) / |d_k| + 5 (|w| theta + 1) u (|A_K| + |B_K| /
+    |w|) over the doubles' values bounds the error to first order, and
+    B^2 / m_K >= 256 u^2 K (K + |w| theta + 1) m_K the rest: the g_k's own
+    rounding, at most 11 u (K - k) of their magnitudes, costs at most 144
+    u^2 K (K + |w| theta + 1) m_K.  The pass's values are 0 or at least
+    _SHARP_FLOOR, else the bound is inf, and its |d_k| are below 2**22, so
+    none of its operations underflows; _SHARP_SLACK covers the bound's own
+    terms.  It serves trials near roots, which lie above mu: below the last
+    pole the steps climb against the dominant solution, and a value it
+    certifies there can be 5% off (mu = 30.5, theta0 = pi/3, w = 12.25).
+
+    A value within those bounds of 0, an m beyond the normal doubles, or a
+    B above m_K / 4, where the first-order rates no longer cover the rest,
+    is left to ``otherwise``: the series decides there.  So are w = 0 and
+    an integer w <= K, a pole of step w."""
     if not ((2.0 * mu) % 2.0 == 1.0 and mu <= _MAX_OMEGA and 0.0 < z <= 0.8):
         return None
     theta = 2.0 * math.asin(math.sqrt(z))
@@ -473,11 +485,28 @@ def _half_integer_factor(mu: float, z: float, otherwise=_uncertified):
     ladder = [(float(k), (2 * k - 1) * c, (2 * k - 1) * abs(c))
               for k in range(1, int(mu) + 1)]
     top = float(len(ladder))
-    steps = 4 * len(ladder)
     log_scale = (-0.5 * math.log(math.pi * math.sqrt(z * (1.0 - z)))
                  + math.lgamma(1.0 + mu) + 0.5 * mu * (math.log1p(-z) - math.log(z)))
-    tiny, ulps, log_max = sys.float_info.min, _CLOSED_FORM_ULPS, _LOG_MAX
+    tiny, floor, log_max = sys.float_info.min, _SHARP_FLOOR, _LOG_MAX
     cos, sin, log, exp, copysign = math.cos, math.sin, math.log, math.exp, math.copysign
+
+    def sharp_bound(w: float, wt: float, bound: float, m: float) -> float:
+        g, h, back = 1.0, 0.0, []
+        for k, b, _ in reversed(ladder):
+            d = (w - k) * (w + k)
+            back.append((b, d, abs(g)))
+            g, h = b * g / d + h, -g / d
+            if 0.0 < abs(g) < floor:
+                return math.inf
+        s_prev, s, total = cos(wt), sin(wt) / w, 0.0
+        for b, d, weight in reversed(back):
+            if -floor < s < floor:
+                return math.inf
+            p = b * s
+            total += (abs(p) + abs(s_prev)) / abs(d) * weight
+            s_prev, s = s, (p - s_prev) / d
+        return (_STEP_ULPS * total + _START_ULPS * (wt + 1.0) * (abs(h) + abs(g) / w)
+                + bound * (bound / m) + _SHARP_SLACK)
 
     def factor(omega: float) -> float | None:
         w = omega if omega > 0.0 else -omega
@@ -491,10 +520,12 @@ def _half_integer_factor(mu: float, z: float, otherwise=_uncertified):
                 return otherwise(omega)
             s_prev, s = s, (b * s - s_prev) / d
             m_prev, m = m, (size * m + m_prev) / (d if d > 0.0 else -d)
-        bound = ulps * (wt + 1.0 + steps) * m
-        if not (bound < 0.25 * m and (s if s > 0.0 else -s) > bound >= tiny):
+        bound = _CLOSED_FORM_ULPS * (wt + 1.0 + 4.0 * top) * m
+        a = s if s > 0.0 else -s
+        if not (tiny <= bound < 0.25 * m and (a > bound or top < w <= _MAX_OMEGA
+                                              and a > sharp_bound(w, wt, bound, m))):
             return otherwise(omega)
-        log_value = log(s if s > 0.0 else -s) + log_scale
+        log_value = log(a) + log_scale
         value = exp(log_value) if log_value < log_max else 0.0
         return copysign(value, s) if value >= tiny else otherwise(omega)
 
@@ -534,12 +565,11 @@ def _scan_grid(theta0: float, omega_max: float) -> list[float]:
 
 
 def _extrapolated(lower: Sequence[Sequence[float]]) -> list[float | None]:
-    """The next channel's values, roots or log |f'| at them, each
-    extrapolated in mu (step 1) from the same value of the channels in
-    ``lower`` (nearest last): cubically from four, quadratically from
-    three, linearly from two, and not at all from one; one per value of the
-    shortest channel, none from no channel.  A non-finite extrapolation
-    (from a NaN or infinite log |f'|) is none either."""
+    """The next channel's values, roots or log |f'| at them, extrapolated in
+    mu (step 1) from the channels in ``lower`` (nearest last), one per value
+    of the shortest: cubically from four, quadratically from three,
+    linearly from two, and not at all (None) from one; none from no channel.
+    A non-finite extrapolation (from a NaN or infinite log |f'|) is None."""
     w = lower[-4:]
     if len(w) == 4:
         values = (4.0 * (w3 + w1) - 6.0 * w2 - w0 for w0, w1, w2, w3 in zip(*w))
@@ -583,9 +613,8 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
     if fa == 0.0:
         raise MissedRootSuspicion(f"unexpected root at omega = {ends[0]}")
     # each bracket's extrapolated root and log |f'| there, or None
-    none = [None] * len(ends)
-    guesses = _extrapolated(lower) or none
-    log_guesses = _extrapolated(lower_logs) or none
+    guesses = _extrapolated(lower) or [None] * len(ends)
+    log_guesses = _extrapolated(lower_logs) or [None] * len(ends)
     roots: list[float] = []
     logs: list[float] = []
     # the previous root and log |f'| there, less their extrapolations
@@ -752,10 +781,10 @@ def _log_weyl_tail(big_d: int, count: float, omega_max: float,
     heat weight above it, times a safety factor 3.  With y = omega_max^2 t
     that is 3 count (D/2) y^(-D/2) exp((D - 1)^2 t / 4) Gamma(D/2, y),
     summed as logarithms, so no factor overflows.  Where y underflows to 0
-    the tail is unbounded: +inf."""
+    the tail is unbounded, +inf, and where it overflows the tail is 0: -inf."""
     y = omega_max * omega_max * t
-    if not y:
-        return math.inf
+    if not y or math.isinf(y):
+        return -math.inf if y else math.inf
     return (
         math.log(1.5 * count * big_d)
         - 0.5 * big_d * math.log(y)
@@ -791,7 +820,7 @@ def heat_trace(
 ) -> list[HeatTraceSample]:
     """Truncated heat trace times exp(-mass^2 t), with a certified tail bound.
 
-    omega_max is the spectral cutoff (of ``channels`` too, when given).
+    omega_max is the spectral cutoff, above every root of given ``channels``.
     Only sphere bases are supported: those are the only bases with closed
     form degeneracies.  Raises AssumptionViolation for a root omega <= d/2,
     TailTooLarge when a requested time is too small for the cutoff and
@@ -813,6 +842,9 @@ def heat_trace(
         omega_max = _positive(omega_max, "omega_max")
         channels = [_instance(ch, EigenvalueChannel, "channel")
                     for ch in _collection(channels, "channels")]
+        above = [w for ch in channels for w in ch.roots if w > omega_max]
+        if above:  # the Weyl tail counts no root above the cutoff
+            raise ValidationError(f"root {above[0]} lies above omega_max {omega_max}")
     if not channels:
         raise TailTooLarge("no eigenvalues below the cutoff")
 

@@ -354,10 +354,17 @@ REFUSALS = [
     row(lambda: heat_trace(config(theta0=5e-324), [0.1], omega_max=10.0),
         TailTooLarge, flag(VERIFY, "--theta0", "5e-324"), 3,
         match="no eigenvalues", id="trace-theta0-subnormal"),
-    # omega_max^2 t underflows to 0: the Weyl tail is unbounded
+    # given roots above the cutoff, which the Weyl tail takes for the
+    # highest: with every root above d/2 the cutoff's square times t can no
+    # longer underflow to 0
     row(lambda: heat_trace(config(), [0.5], omega_max=5e-324,
                            channels=[EigenvalueChannel(1.5, 3, (2.2,))]),
-        TailTooLarge, id="trace-tail-scale-underflow"),
+        ValidationError, match="above omega_max",
+        id="trace-root-above-subnormal-cutoff"),
+    row(lambda: heat_trace(config(), [0.5], omega_max=2.0,
+                           channels=[EigenvalueChannel(1.5, 3, (2.2, 50.0))]),
+        ValidationError, match=r"root 2\.2 lies above omega_max 2\.0",
+        id="trace-root-above-cutoff"),
     # EigenvalueChannel, built for heat_trace
     row(lambda: channel_trace(mu=0.0), ValidationError, id="channel-mu-zero"),
     row(lambda: channel_trace(mu="x"), ValidationError, id="channel-mu-str"),
@@ -449,6 +456,16 @@ def test_scan_step_beyond_doubles_finds_no_roots(capsys):
     assert run(["roots", "--mu", "2.5", "--theta0", "5e-324",
                 "--omega-max", "1000"]) == 0
     assert json.loads(capsys.readouterr().out)["roots"] == []
+
+
+@pytest.mark.parametrize("omega_max", [1e9, 1e154, 1e155, 1e300])
+def test_cutoff_beyond_the_doubles_gives_a_zero_tail(omega_max):
+    # omega_max^2 t overflows from 1e155 on: the Weyl tail there is 0, as
+    # at 1e9, not an unbounded NaN
+    (sample,) = heat_trace(config(), [0.5], omega_max=omega_max,
+                           channels=[EigenvalueChannel(1.5, 3, (2.2,))])
+    assert sample.tail_bound == 0.0
+    assert sample.value == 3.0 * math.exp(-(2.2 * 2.2 - 1.0) * 0.5)
 
 
 # Extreme doubles: the smallest subnormal, a subnormal, tiny and moderate

@@ -481,6 +481,11 @@ class TestFixedPointKernel:
         assert value == ferrers_p(mu, omega, -0.79)
 
 
+def closed_form(mu, z):
+    """The closed form of channel mu at z, None where it certifies no sign."""
+    return spectral_oracle._half_integer_factor(mu, z, lambda omega: None)
+
+
 def series_sign_agreement(points) -> tuple[int, list]:
     """The closed form at each (mu, theta0, omega) of ``points`` against the
     series' exact sign: the count of certified values, and the points where
@@ -488,7 +493,7 @@ def series_sign_agreement(points) -> tuple[int, list]:
     certified, wrong = 0, []
     for mu, theta0, omega in points:
         z = 0.5 * (1.0 - math.cos(theta0))
-        value = spectral_oracle._half_integer_factor(mu, z)(omega)
+        value = closed_form(mu, z)(omega)
         if value is not None:
             certified += 1
             series = _ferrers_factor(mu, omega, z, spectral_oracle._SIGN_BITS, {})
@@ -515,6 +520,41 @@ def adjacent_doubles_of_the_zero(mu, theta0, a, b):
     return a, b
 
 
+def points_beside_roots(d, theta0, omega_max):
+    """(mu, theta0, w) at the doubles within 4 ulps of each zero of a
+    spectrum's channels, and at offsets of 1e-15 to 1e-6 from each root."""
+    points = []
+    for ch in spectrum(d, theta0, omega_max):
+        for root in ch.roots:
+            w = adjacent_doubles_of_the_zero(ch.mu, theta0, root - 1e-10,
+                                             root + 1e-10)[0]
+            for _ in range(4):
+                w = math.nextafter(w, 0.0)
+            for _ in range(9):
+                points.append((ch.mu, theta0, w))
+                w = math.nextafter(w, math.inf)
+            points += [(ch.mu, theta0, root + sign * 10.0**e)
+                       for e in range(-15, -5) for sign in (-1, 1)]
+    return points
+
+
+def points_beside_integer_omega(theta0):
+    """(mu, theta0, w) within 1e-15 to 1e-3 of the integers up to mu + 2."""
+    return [(mu, theta0, k + sign * 10.0**e)
+            for mu in (0.5, 1.5, 4.5, 12.5)
+            for k in range(1, int(mu) + 3)
+            for e in range(-15, -2) for sign in (-1, 1)]
+
+
+def random_points():
+    """600 seeded (mu, theta0, w): half-integer orders below 150, angles
+    from 0.02 to THETA0_GUARD, degrees up to 200."""
+    rng = random.Random(43)
+    return [(rng.randrange(150) + 0.5,
+             math.exp(rng.uniform(math.log(0.02), math.log(THETA0_GUARD))),
+             rng.uniform(0.0, 200.0)) for _ in range(600)]
+
+
 class TestHalfIntegerClosedForm:
     """A certified sign of the closed form must be the series' exact sign
     wherever the closed form is asked: at the doubles beside a root, within
@@ -525,42 +565,24 @@ class TestHalfIntegerClosedForm:
         (2, math.pi / 3, 30.0),
     ])
     def test_signs_beside_roots(self, d, theta0, omega_max):
-        # the doubles within 4 ulps of each zero, where only the error
-        # bound stands between the closed form and a wrong sign, and offsets
-        # of 1e-15 to 1e-6 from each root
-        points = []
-        for ch in spectrum(d, theta0, omega_max):
-            for root in ch.roots:
-                w = adjacent_doubles_of_the_zero(ch.mu, theta0, root - 1e-10,
-                                                 root + 1e-10)[0]
-                for _ in range(4):
-                    w = math.nextafter(w, 0.0)
-                for _ in range(9):
-                    points.append((ch.mu, theta0, w))
-                    w = math.nextafter(w, math.inf)
-                points += [(ch.mu, theta0, root + sign * 10.0**e)
-                           for e in range(-15, -5) for sign in (-1, 1)]
+        # within 4 ulps of a zero only the error bound stands between the
+        # closed form and a wrong sign
+        points = points_beside_roots(d, theta0, omega_max)
         certified, wrong = series_sign_agreement(points)
         assert not wrong
         assert certified > len(points) // 2
 
     @pytest.mark.parametrize("theta0", [0.02, math.pi / 2, THETA0_GUARD])
     def test_signs_beside_integer_omega(self, theta0):
-        # w = k is a pole of the order recurrence's step k: within 1e-15
-        # to 1e-3 of it the steps divide by almost nothing
-        points = [(mu, theta0, k + sign * 10.0**e)
-                  for mu in (0.5, 1.5, 4.5, 12.5)
-                  for k in range(1, int(mu) + 3)
-                  for e in range(-15, -2) for sign in (-1, 1)]
+        # w = k is a pole of the order recurrence's step k: near it the
+        # steps divide by almost nothing
+        points = points_beside_integer_omega(theta0)
         certified, wrong = series_sign_agreement(points)
         assert not wrong
         assert certified > len(points) // 10
 
     def test_signs_at_random_points(self):
-        rng = random.Random(43)
-        points = [(rng.randrange(150) + 0.5,
-                   math.exp(rng.uniform(math.log(0.02), math.log(THETA0_GUARD))),
-                   rng.uniform(0.0, 200.0)) for _ in range(600)]
+        points = random_points()
         certified, wrong = series_sign_agreement(points)
         assert not wrong
         # high orders at small angles cancel past the bound below w = mu
@@ -571,8 +593,7 @@ class TestHalfIntegerClosedForm:
         # at mu = 1/2 the factor vanishes at w = k pi / theta, and every
         # fourth scan point is k pi / theta0 to rounding: only the series
         # may decide those signs
-        closed = spectral_oracle._half_integer_factor(
-            0.5, 0.5 * (1.0 - math.cos(theta0)))
+        closed = closed_form(0.5, 0.5 * (1.0 - math.cos(theta0)))
         grid = spectral_oracle._scan_grid(theta0, 120.0)
         assert all(closed(w) is None for w in grid[4::4])
 
@@ -586,7 +607,7 @@ class TestHalfIntegerClosedForm:
         with mp.workdps(60):
             for theta0 in (0.3, 1.0, math.pi / 3, THETA0_GUARD):
                 z = 0.5 * (1.0 - math.cos(theta0))
-                closed = spectral_oracle._half_integer_factor(mu, z)
+                closed = closed_form(mu, z)
                 for omega in (0.7, 3.3, 12.25, 40.1, 80.7):
                     value = closed(omega)
                     if value is None:
@@ -605,27 +626,97 @@ class TestHalfIntegerClosedForm:
         # at mu = 3.5 (K = 3) steps 1..3 of the order recurrence divide by
         # (w - k)(w + k), which is 0 at w = k: those degrees take the series,
         # and w = 4.0, past the last step, is evaluated
-        closed = spectral_oracle._half_integer_factor(3.5, 0.25)
+        closed = closed_form(3.5, 0.25)
         assert [closed(w) for w in (1.0, 2.0, 3.0, -2.0)] == [None] * 4
         assert closed(4.0) is not None
 
     @pytest.mark.parametrize("mu", [1.0, 2.0, 0.25, 2.0**60])
     def test_only_half_integer_orders(self, mu):
-        assert spectral_oracle._half_integer_factor(mu, 0.25) is None
+        assert closed_form(mu, 0.25) is None
 
     @pytest.mark.parametrize("theta0", [1e-12, 2.3])
     def test_only_angles_the_bound_covers(self, theta0):
         # z rounds to 0 at 1e-12, and past z = 0.8 the bound's condition
         # number of asin no longer holds
         z = 0.5 * (1.0 - math.cos(theta0))
-        assert spectral_oracle._half_integer_factor(0.5, z) is None
+        assert closed_form(0.5, z) is None
 
     def test_orders_above_the_cutoff_limit_take_the_series(self):
         # a channel of order above the scan's cutoff limit has no root below
         # any cutoff, so no closed form is built for it
-        closed = spectral_oracle._half_integer_factor
+        closed = closed_form
         assert closed(_MAX_OMEGA + 0.5, 0.25) is None
         assert closed(_MAX_OMEGA - 0.5, 0.25) is not None
+
+
+def second_bound_points(monkeypatch, points):
+    """The points of ``points`` whose sign only the closed form's second,
+    sharper bound certifies: certified, but not with that bound off."""
+    def certified(mu, theta0, omega):
+        z = 0.5 * (1.0 - math.cos(theta0))
+        return closed_form(mu, z)(omega) is not None
+
+    with monkeypatch.context() as patch:
+        # an infinite unit fails every second bound
+        patch.setattr(spectral_oracle, "_STEP_ULPS", math.inf)
+        first = [certified(*point) for point in points]
+    return [point for point, done in zip(points, first)
+            if not done and certified(*point)]
+
+
+class TestSecondBound:
+    """Where the closed form's first bound fails, a second one that carries
+    each step's error through the recurrence certifies more signs.  Each
+    must be the series' exact sign: beside roots, near the recurrence's
+    poles and at random.  Cut 32-fold, the bound certifies wrong signs in
+    all but the pole rows here."""
+
+    @pytest.mark.parametrize("d,theta0,omega_max,least", [
+        (2, THETA0_GUARD, 30.0, 600), (2, 0.2, 60.0, 2), (4, 1.0, 30.0, 50),
+        (2, math.pi / 3, 30.0, 50),
+    ])
+    def test_signs_beside_roots(self, monkeypatch, d, theta0, omega_max, least):
+        points = second_bound_points(monkeypatch,
+                                     points_beside_roots(d, theta0, omega_max))
+        certified, wrong = series_sign_agreement(points)
+        assert not wrong
+        assert certified == len(points) >= least
+
+    @pytest.mark.parametrize("theta0,least", [
+        (0.02, 20), (math.pi / 2, 8), (THETA0_GUARD, 4),
+    ])
+    def test_signs_beside_integer_omega(self, monkeypatch, theta0, least):
+        points = second_bound_points(monkeypatch,
+                                     points_beside_integer_omega(theta0))
+        certified, wrong = series_sign_agreement(points)
+        assert not wrong
+        assert certified == len(points) >= least
+
+    def test_signs_at_random_points(self, monkeypatch):
+        points = second_bound_points(monkeypatch, random_points())
+        certified, wrong = series_sign_agreement(points)
+        assert not wrong
+        assert certified == len(points) >= 20
+
+    @pytest.mark.parametrize("d,theta0", [(4, 1.0), (2, math.pi / 3)])
+    def test_values_match_mpmath(self, monkeypatch, d, theta0):
+        # the factor at the series' own z, beside roots: a value whose sign
+        # the second bound certifies is within its own size of the truth,
+        # and here within a quarter of it (0.20 at most, beside a root of
+        # channel 1.5 at theta0 = 1)
+        points = second_bound_points(monkeypatch,
+                                     points_beside_roots(d, theta0, 30.0))
+        assert len(points) >= 50
+        z = 0.5 * (1.0 - math.cos(theta0))
+        zm = mp.mpf(z)
+        with mp.workdps(60):
+            for mu, _, omega in points:
+                value = closed_form(mu, z)(omega)
+                expected = (mp.legenp(omega - 0.5, -mu, 1 - 2 * zm, type=2)
+                            * mp.gamma(1 + mu) * ((1 - zm) / zm) ** (mu / 2))
+                error = abs(value - expected)
+                assert error < abs(value), (mu, omega)
+                assert error <= 0.25 * abs(value), (mu, omega)
 
 
 class TestDirichletRoots:
@@ -726,11 +817,11 @@ SPECTRUM_PINS = {
     # verify-cap, criterion 6's geometry at a third of its cutoff
     (2, math.pi / 3, 40.0): (
         190, "ab64c0244414c2fe1cf47aed4f4f4dbc33d12016fd47ceb4b11a608373f4f2fa",
-        1083, 63, 64, ()),
+        1088, 15, 16, ()),
     # criterion 6
     (2, math.pi / 3, 120.0): (
         1777, "ff636c33f1fcc0552231243bb0071899f21ead42c77fceba659c9077f4d36169",
-        8670, 2041, 2045, ()),
+        9207, 46, 49, ()),
     # integer orders: no closed form, every evaluation a series
     (3, math.pi / 3, 40.0): (
         186, "13f22fea6a7994f4678f1b5965b37a5ff93280c434b7b7a5cb184893ec5f39af",
@@ -738,13 +829,13 @@ SPECTRUM_PINS = {
     # half-integer orders from 3/2, with no root on the grid
     (4, math.pi / 3, 40.0): (
         177, "26b6eaf5f1b27889e8bd9d05e0357ec65d5a952d688a497288a9c23156ec59cc",
-        1060, 50, 51, ()),
+        1065, 2, 3, ()),
     # the widest cap the oracle scans: the lowest roots of 38 channels crowd
     # onto the channel below, and 82 of their brackets show no sign change
     # and are walked on the scan grid
     (2, 2.2, 120.0): (
         5681, "76817473d73ab01710510aecc564d57de907e3b2249ad006bef03a3f1280863a",
-        26538, 11367, 11581, ()),
+        28484, 1239, 1276, ()),
     # the hemisphere: the scan step is 1/2, and the roots lie within
     # rounding above integers, which are grid points; a trial that would
     # pass an undecided grid point stops on it, so none is evaluated twice
@@ -759,12 +850,12 @@ SPECTRUM_PINS = {
     # the widest cap at a low cutoff
     (2, 2.2, 30.0): (
         348, "ad2f1a85246fa4649237582b0ffed4dceee609b24a1df2133161d0e1441b8b7e",
-        1958, 191, 192, ()),
+        1962, 22, 23, ()),
     # high orders on the widest cap: the lowest roots of channels 72.5, 73.5
     # and 74.5 crowd, and each crowded bracket is walked on the scan grid
     (140, 2.2, 76.0): (
         21, "c0b2250bb82b57043d1e4e90752665354da92f4a7c3d0d61087b73b4799d93f3",
-        353, 108, 116, ()),
+        353, 5, 8, ()),
 }
 
 
@@ -1425,6 +1516,15 @@ class TestWeylTail:
         with pytest.raises(TailTooLarge, match=message):
             heat_trace(cfg, [t], tolerance=1e-6, omega_max=omega_max,
                        channels=channels)
+
+    @pytest.mark.parametrize("omega_max,t,expected", [
+        (5e-324, 0.5, math.inf), (1e-200, 1e-200, math.inf),
+        (1e155, 0.5, -math.inf), (1e300, 1e-6, -math.inf),
+    ])
+    def test_cutoff_scale_beyond_the_doubles(self, omega_max, t, expected):
+        # omega_max^2 t underflows to 0, where the tail is unbounded, or
+        # overflows, where it is 0; no inf - inf within the gamma function
+        assert spectral_oracle._log_weyl_tail(3, 3.0, omega_max, t) == expected
 
     def test_overflowing_factors_give_a_finite_tail(self):
         # at omega_max 120 the t = 0.1 tail is small, though its factor
