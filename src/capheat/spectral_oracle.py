@@ -467,9 +467,9 @@ def _half_integer_factor(mu: float, z: float, otherwise):
     |w|) over the doubles' values bounds the error to first order, and
     B^2 / m_K >= 256 u^2 K (K + |w| theta + 1) m_K the rest: the g_k's own
     rounding, at most 11 u (K - k) of their magnitudes, costs at most 144
-    u^2 K (K + |w| theta + 1) m_K.  The pass's values are 0 or at least
-    _SHARP_FLOOR, else the bound is inf, and its |d_k| are below 2**22, so
-    none of its operations underflows; _SHARP_SLACK covers the bound's own
+    u^2 K (K + |w| theta + 1) m_K.  Each factor of the pass's products is
+    0 or at least _SHARP_FLOOR, else the bound is inf, and its |d_k| are
+    below 2**22, so none of its operations underflows; _SHARP_SLACK covers the bound's own
     terms.  It serves trials near roots, which lie above mu: below the last
     pole the steps climb against the dominant solution, and a value it
     certifies there can be 5% off (mu = 30.5, theta0 = pi/3, w = 12.25).
