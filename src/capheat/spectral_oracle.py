@@ -17,12 +17,12 @@ of ``ferrers_p``.
 At a half-integer order, every channel of an odd-dimensional suspension,
 the Ferrers function is elementary: sines and cosines of the degree times
 the angle, raised through the order recurrence.  The root finder evaluates
-that in doubles first and keeps the value only where a proven error bound
-certifies its sign, which is then the series' exact sign: a bound on the
-recurrence's magnitudes, else a sharper one that carries each step's
-error through the recurrence's own solutions.  The series decides the rest.  ``_channel`` aims such a channel's trials
-1e-10 / 16 past their estimates, not the series' 1e-10 / 1024, so that
-|f| there usually clears the bound.
+that in doubles first and keeps the value only where an error bound on
+the recurrence's magnitudes, or a sharper one through its own solutions,
+certifies its sign, which is then the series' exact sign; the series
+decides the rest.  ``_channel`` aims such a channel's trials 1e-10 / 16
+past their estimates, not the series' 1e-10 / 1024, so that |f| there
+usually clears the bounds.
 
 One walk over brackets finds a channel's roots.  A scan walks a
 quarter-spacing grid, and a spectrum scans only its first channel: sphere
@@ -469,10 +469,11 @@ def _half_integer_factor(mu: float, z: float, otherwise):
     rounding, at most 11 u (K - k) of their magnitudes, costs at most 144
     u^2 K (K + |w| theta + 1) m_K.  Each factor of the pass's products is
     0 or at least _SHARP_FLOOR, else the bound is inf, and its |d_k| are
-    below 2**22, so none of its operations underflows; _SHARP_SLACK covers the bound's own
-    terms.  It serves trials near roots, which lie above mu: below the last
-    pole the steps climb against the dominant solution, and a value it
-    certifies there can be 5% off (mu = 30.5, theta0 = pi/3, w = 12.25).
+    below 2**22, so none of its operations underflows; _SHARP_SLACK covers
+    the bound's own terms.  It serves trials near roots, which lie above
+    mu: below the last pole the steps climb against the dominant solution,
+    and a value it certifies there can be 5% off (mu = 30.5, theta0 =
+    pi/3, w = 12.25).
 
     A value within those bounds of 0, an m beyond the normal doubles, or a
     B above m_K / 4, where the first-order rates no longer cover the rest,
