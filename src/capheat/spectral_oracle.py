@@ -568,9 +568,9 @@ def _scan_grid(theta0: float, omega_max: float) -> list[float]:
 def _extrapolated(lower: Sequence[Sequence[float]]) -> list[float | None]:
     """The next channel's values, roots or log |f'| at them, extrapolated in
     mu (step 1) from the channels in ``lower`` (nearest last), one per value
-    of the shortest: cubically from four, quadratically from three,
-    linearly from two, and not at all (None) from one; none from no channel.
-    A non-finite extrapolation (from a NaN or infinite log |f'|) is None."""
+    of the shortest: cubically from four, quadratically from three and
+    linearly from two; from fewer, none at all.  A non-finite extrapolation
+    (from a NaN or infinite log |f'|) is None."""
     w = lower[-4:]
     if len(w) == 4:
         values = (4.0 * (w3 + w1) - 6.0 * w2 - w0 for w0, w1, w2, w3 in zip(*w))
@@ -579,7 +579,7 @@ def _extrapolated(lower: Sequence[Sequence[float]]) -> list[float | None]:
     elif len(w) == 2:
         values = (2.0 * w1 - w0 for w0, w1 in zip(*w))
     else:
-        return [None] * len(w[0]) if w else []
+        return []
     return [value if math.isfinite(value) else None for value in values]
 
 

@@ -1310,7 +1310,7 @@ class TestRootFinderBranches:
         # _bracket_roots has one rule for it and for too few channels
         assert spectral_oracle._extrapolated([[1.0], [2.0]]) == [3.0]
         assert spectral_oracle._extrapolated([[bad], [2.0]]) == [None]
-        assert spectral_oracle._extrapolated([[2.0]]) == [None]
+        assert spectral_oracle._extrapolated([[2.0]]) == []
 
     def test_interlaced_zero_at_the_cutoff(self):
         # the last bracket (4.5, 7] ends on a zero of f: the scan's zero at
