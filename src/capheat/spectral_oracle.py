@@ -20,9 +20,8 @@ the angle, raised through the order recurrence.  The root finder evaluates
 that in doubles first and keeps the value only where an error bound on
 the recurrence's magnitudes, or a sharper one through its own solutions,
 certifies its sign, which is then the series' exact sign; the series
-decides the rest.  ``_channel`` aims such a channel's trials 1e-10 / 16
-past their estimates, not the series' 1e-10 / 1024, so that |f| there
-usually clears the bounds.
+decides the rest.  Every root trial aims 1e-10 / 16 past its estimate,
+far enough that |f| there usually clears the bounds.
 
 One walk over brackets finds a channel's roots.  A scan walks a
 quarter-spacing grid, and a spectrum scans only its first channel: sphere
@@ -52,7 +51,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
@@ -90,11 +88,10 @@ _MAX_OMEGA = 1_000.0
 _MAX_FERRERS_OMEGA = 10_000.0
 # Bisection width of a root, and how far past its estimate a trial aims:
 # the series' sign is exact at any distance from a root, but within about
-# 1e-13 of one |f| is below the closed form's error bound, so a closed-form
-# channel aims past that
+# 1e-13 of one |f| is below the closed form's error bound, so trials aim
+# past that
 _ABS_TOL = 1e-10
-_AIM = _ABS_TOL / 1024.0
-_CLOSED_FORM_AIM = _ABS_TOL / 16.0
+_AIM = _ABS_TOL / 16.0
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
 # 2,078).  Near it a d = 2 spectrum takes about 5.4 s at theta0 = 2.2
 # (omega_max 168.9, 11,284 roots) and 2.5 s at pi/3 (263.1, 8,595 roots),
@@ -165,16 +162,6 @@ class FitResult:
     condition_number: float
 
 
-@lru_cache(maxsize=256)
-def _series_constants(mu: float, z: float, bits: int) -> tuple[int, ...]:
-    """The integers of ``_series_state`` that omega leaves alone: mu = un /
-    ud, the numerator scale zn ud, log2 of z's denominator (a power of two)
-    and the tail-bound scale ceil(z / (1 - z)) 2**bits."""
-    un, ud = mu.as_integer_ratio()
-    zn, zd = z.as_integer_ratio()
-    return un, ud, zn * ud, zd.bit_length() - 1, -(-zn // (zd - zn)) << bits
-
-
 def _series_state(prec: int, omega: float, mu: float, z: float,
                   bits: int) -> tuple[int, int]:
     """Sum the hypergeometric factor of the Ferrers function in binary fixed
@@ -196,8 +183,11 @@ def _series_state(prec: int, omega: float, mu: float, z: float,
     for a sum that is 0 or noise, once a term falls below 2**(3 - prec)
     times the largest one."""
     wn, wd = omega.as_integer_ratio()
-    un, ud, num_scale, z_shift, tail_scale = _series_constants(mu, z, bits)
-    shift = 2 * wd.bit_length() + z_shift  # 4 wd^2 zd is 2**shift
+    un, ud = mu.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    num_scale = zn * ud
+    shift = 2 * wd.bit_length() + zd.bit_length() - 1  # 4 wd^2 zd is 2**shift
+    tail_scale = -(-zn // (zd - zn)) << bits  # ceil(z / (1 - z)) 2**bits
     wd2 = wd * wd
     # term m's ratio is num / (q 2**shift) with num = ((2m - 1)^2 wd^2 -
     # 4 wn^2) num_scale, which grows by step = 8 wd^2 m num_scale to term
@@ -327,8 +317,7 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
 
 def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
                  fb: float, first: float | None = None,
-                 slope: float | None = None,
-                 aim: float = _AIM) -> tuple[float, float]:
+                 slope: float | None = None) -> tuple[float, float]:
     """The root that the scan of ``grid`` finds in the sign-change bracket
     (a, b) of f, where fa = f(a), fb = f(b) and 0 <= a < b <= grid[-1], or
     at an exact zero a = b, and log |f'| there.
@@ -346,11 +335,10 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     halves it.  ``first``, when given, is the first estimate.  ``slope``,
     when given, is f's predicted slope at the root: the next estimate is
     then the Newton step, and the one after it the secant through the last
-    two.  Every trial aims ``aim`` past its estimate toward the undecided
-    tree point, stopping on it rather than passing it, so that an estimate
-    that close to the root decides the point in one evaluation; a trial not
-    strictly inside (a, b) becomes that point.  ``_channel`` returns each
-    channel's aim with its f.
+    two.  Every trial aims _AIM past its estimate toward the undecided tree
+    point, stopping on it rather than passing it, so that an estimate that
+    close to the root decides the point in one evaluation; a trial not
+    strictly inside (a, b) becomes that point.
     An exact zero collapses the bracket: it is the root where the walk
     meets it, else the midpoint of its last cell.
 
@@ -360,7 +348,7 @@ def _pinned_root(f, grid: list[float], a: float, fa: float, b: float,
     ya, yb = fa, fb  # the ends' values, which the modification leaves
     kept = 0  # -1 after keeping b, +1 after keeping a
     x, prev = first, None
-    tol = _ABS_TOL
+    tol, aim = _ABS_TOL, _AIM
     j = bisect.bisect_left(grid, a)  # grid[j - 1] < a <= grid[j]
     lo, p = grid[j - 1], grid[j]
     scanning = True  # p is the grid point that closes the scan's cell
@@ -535,23 +523,19 @@ def _half_integer_factor(mu: float, z: float, otherwise):
 
 def _channel(mu: float, theta0: float, state: dict):
     """The Dirichlet function f of channel mu at theta0, as a function of
-    omega, and the aim of its root trials (``_pinned_root``): the Ferrers
-    factor at cos(theta0), with the root finder's tail-bound target.  The
-    series' sign is exact at any distance from a root, and a channel of the
-    series alone aims _AIM.  Where ``_half_integer_factor`` covers the
-    channel, f is its closed form, which calls the series wherever it
-    cannot certify its sign, so that each evaluation is one call; those
-    values certify their sign only clear of a root, so f aims
-    _CLOSED_FORM_AIM.  ``state`` carries the series' precision hint
-    between evaluations; a spectrum passes one through all its channels, so
-    each starts from the hint the channel below left."""
+    omega: the Ferrers factor at cos(theta0), with the root finder's
+    tail-bound target.  Where ``_half_integer_factor`` covers the channel,
+    f is its closed form, which calls the series wherever it cannot certify
+    its sign, so that each evaluation is one call.  ``state`` carries the
+    series' precision hint between evaluations; a spectrum passes one
+    through all its channels, so each starts from the hint the channel
+    below left."""
     z = 0.5 * (1.0 - math.cos(theta0))
 
     def series(w: float) -> float:
         return _ferrers_factor(mu, w, z, _SIGN_BITS, state)
 
-    closed = _half_integer_factor(mu, z, series)
-    return (series, _AIM) if closed is None else (closed, _CLOSED_FORM_AIM)
+    return _half_integer_factor(mu, z, series) or series
 
 
 def _scan_grid(theta0: float, omega_max: float) -> list[float]:
@@ -586,16 +570,15 @@ def _extrapolated(lower: Sequence[Sequence[float]]) -> list[float | None]:
 def _bracket_roots(f, ends: Sequence[float], grid: list[float],
                    lower: Sequence[Sequence[float]] = (),
                    lower_logs: Sequence[Sequence[float]] = (),
-                   fa: float | None = None, aim: float = _AIM):
+                   fa: float | None = None):
     """The roots of f in (ends[0], ends[-1]] and log |f'| at each, walking
     the brackets between consecutive ends: a scan's ``grid``, or the roots
     of the channel below and the cutoff, with ``lower``, the roots of the
     channels below (nearest last), and ``lower_logs``, log |f'| at them.
     ``fa`` is f(ends[0]) when the caller holds it; a zero there raises
     MissedRootSuspicion.  ``_pinned_root`` pins each sign change on
-    ``grid``, its trials aimed ``aim`` past their estimates, so every walk
-    gives the scan's root: the start, the slope and the aim move the
-    evaluations, never the root.  The start is the root's
+    ``grid``, so every walk gives the scan's root: the start and the slope
+    move the evaluations, never the root.  The start is the root's
     extrapolation from the channels below (``_extrapolated``) plus the
     previous root's miss, that root less its own extrapolation.  The slope
     is predicted the same way from ``lower_logs``, with the sign of the
@@ -626,8 +609,7 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
         change = fb != 0.0 and (fb > 0) != (fa > 0)
         if lower and not change and i < len(ends) - 1:
             inside = grid[bisect.bisect_right(grid, a):bisect.bisect_left(grid, b)]
-            split, split_logs = _bracket_roots(f, [a, *inside, b], grid,
-                                               fa=fa, aim=aim)
+            split, split_logs = _bracket_roots(f, [a, *inside, b], grid, fa=fa)
             roots += split
             logs += split_logs
             if fb == 0.0 and len(split) % 2 == 0:
@@ -640,8 +622,7 @@ def _bracket_roots(f, ends: Sequence[float], grid: list[float],
             # past _LOG_MAX, and a NaN fails that test
             slope = (math.copysign(math.exp(predicted), fb)
                      if predicted < _LOG_MAX else None)
-            root, log_slope = _pinned_root(f, grid, a, fa, b, fb, start,
-                                           slope, aim)
+            root, log_slope = _pinned_root(f, grid, a, fa, b, fb, start, slope)
             roots.append(root)
             logs.append(log_slope)
             miss = 0.0 if guess is None else root - guess
@@ -667,8 +648,8 @@ def dirichlet_roots(mu: float, theta0: float, omega_max: float,
     mu, theta0, omega_max = _check_scan(mu, theta0, omega_max)
     grid = _scan_grid(theta0, omega_max)
     state = {} if state is None else state
-    f, aim = _channel(mu, theta0, state)
-    roots, state["log_slopes"] = _bracket_roots(f, grid, grid, aim=aim)
+    roots, state["log_slopes"] = _bracket_roots(_channel(mu, theta0, state),
+                                                grid, grid)
 
     # Roots settle to spacing pi/theta0 only once omega clears the turning
     # region; below ~2 mu / sin(theta0) wider gaps are genuine, not misses.
@@ -735,9 +716,9 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
         k += 1
         mu = sphere_mu(k, d)
         lower = [ch.roots for ch in channels[-4:]]
-        f, aim = _channel(mu, theta0, state)
-        roots, log_slopes = _bracket_roots(f, [*lower[-1], omega_max], grid,
-                                           lower, logs[-4:], aim=aim)
+        roots, log_slopes = _bracket_roots(_channel(mu, theta0, state),
+                                           [*lower[-1], omega_max], grid,
+                                           lower, logs[-4:])
         if len(lower[-1]) - len(roots) not in (0, 1):
             raise MissedRootSuspicion(
                 f"{len(roots)} roots at mu = {mu} do not interlace the "
@@ -781,11 +762,12 @@ def _log_weyl_tail(big_d: int, count: float, omega_max: float,
     Weyl density fitted to the ``count`` modes below the cutoff against the
     heat weight above it, times a safety factor 3.  With y = omega_max^2 t
     that is 3 count (D/2) y^(-D/2) exp((D - 1)^2 t / 4) Gamma(D/2, y),
-    summed as logarithms, so no factor overflows.  Where y underflows to 0
-    the tail is unbounded, +inf, and where it overflows the tail is 0: -inf."""
+    summed as logarithms, so no factor overflows.  y is positive: every
+    root of ``heat_trace`` lies in (d/2, omega_max] with d/2 >= 1, so y >=
+    t > 0.  Where y overflows the tail is 0: -inf."""
     y = omega_max * omega_max * t
-    if not y or math.isinf(y):
-        return -math.inf if y else math.inf
+    if math.isinf(y):
+        return -math.inf
     return (
         math.log(1.5 * count * big_d)
         - 0.5 * big_d * math.log(y)
