@@ -35,13 +35,12 @@ false-position trials aimed just past their estimates.  So every walk
 gives the scan's roots, bit for bit: where f is evaluated, at what
 precision and how long each sum runs never decide a root, only signs do.
 
-Everything else runs on doubles: the Ferrers prefactor and the incomplete
-gamma function of the Weyl tail are closed forms summed as logarithms, and
-every sum of the trace and the fit is a correctly rounded ``math.fsum``, so
-no summation order, BLAS or CPU moves a bit.  The oracle
-imports nothing from the assembly pipeline it is used to verify: it owns
-the sphere's channel data, and only ``heat_trace`` reads ``SphereBase``
-and ``SuspensionConfig``.
+Everything else runs on doubles: the Ferrers prefactor is a closed form summed
+as logarithms, the trace's tail a Sturm-comparison bound in exp, sqrt and log,
+and every sum of the trace and the fit a correctly rounded ``math.fsum``, so
+no summation order, BLAS or CPU moves a bit.  The oracle imports nothing from
+the assembly pipeline it is used to verify: it owns the sphere's channel
+data, and only ``heat_trace`` reads ``SphereBase`` and ``SuspensionConfig``.
 """
 
 from __future__ import annotations
@@ -148,8 +147,7 @@ class EigenvalueChannel:
 
 @dataclass(frozen=True)
 class HeatTraceSample:
-    """One certified trace value; tail_bound is the relative truncation
-    error estimate."""
+    """One trace value; tail_bound bounds its relative truncation error."""
 
     t: float
     value: float
@@ -413,13 +411,15 @@ def _check_scan(mu: float, theta0: float, omega_max: float) -> tuple:
     theta0 = _real(theta0, "theta0")
     if not 0.0 < theta0 <= THETA0_GUARD:
         raise ValidationError(f"theta0 must lie in (0, {THETA0_GUARD}]")
-    mu, omega_max = _positive(mu, "mu"), _positive(omega_max, "omega_max")
-    # with theta0 <= THETA0_GUARD this also caps the scan at 2,801 points
+    # with theta0 <= THETA0_GUARD the cutoff's limit caps the scan at 2,801 points
+    return _positive(mu, "mu"), theta0, _check_cutoff(omega_max)
+
+
+def _check_cutoff(omega_max: float) -> float:
+    omega_max = _positive(omega_max, "omega_max")
     if omega_max > _MAX_OMEGA:
-        raise ValidationError(
-            f"omega_max {omega_max} is above the limit {_MAX_OMEGA:g}"
-        )
-    return mu, theta0, omega_max
+        raise ValidationError(f"omega_max {omega_max} is above the limit {_MAX_OMEGA:g}")
+    return omega_max
 
 
 def _half_integer_factor(mu: float, z: float, otherwise):
@@ -728,52 +728,48 @@ def spectrum(d: int, theta0: float, omega_max: float) -> list[EigenvalueChannel]
     return channels
 
 
-def _log_upper_gamma(twice_a: int, y: float) -> float:
-    """log Gamma(a, y), the upper incomplete gamma function, for a =
-    twice_a / 2 with twice_a a positive integer and y > 0.  It starts from
-    Gamma(1/2, y) = sqrt(pi) erfc(sqrt(y)) or Gamma(1, y) = exp(-y) (DLMF
-    8.4.6) and climbs by Gamma(a + 1, y) = a Gamma(a, y) + y^a exp(-y)
-    (DLMF 8.8.2), whose terms are positive, summed as logarithms so that
-    neither overflows nor underflows.  Where erfc would underflow, its
-    asymptotic series (DLMF 7.12.1) supplies the start."""
-    if twice_a % 2 == 0:
-        a, log_g = 1.0, -y
-    elif y < 700.0:
-        a, log_g = 0.5, math.log(math.sqrt(math.pi) * math.erfc(math.sqrt(y)))
-    else:
-        # erfc(sqrt y) = exp(-y) / sqrt(pi y) sum_k (-1)^k (1/2)_k / y^k; at
-        # y >= 700 the first term left out, k = 9, is below 1e-20
-        series = term = 1.0
-        for k in range(1, 9):
-            term *= (0.5 - k) / y
-            series += term
-        a, log_g = 0.5, math.log(series) - y - 0.5 * math.log(y)
-    log_y = math.log(y)
-    while 2.0 * a < twice_a:
-        u, v = math.log(a) + log_g, a * log_y - y
-        log_g = max(u, v) + math.log1p(math.exp(-abs(u - v)))
-        a += 1.0
-    return log_g
+def _log_tail_scale(d: int, theta0: float, omega_max: float,
+                    found: dict, t: float) -> float:
+    """log X: X exp(-(omega_max^2 - d^2/4) t') bounds the trace's terms above
+    the cutoff at each t' >= t, for sphere channels k with found.get(k, 0)
+    roots up to omega_max; inf past _MAX_ROOTS channels or the doubles.
 
-
-def _log_weyl_tail(big_d: int, count: float, omega_max: float,
-                   t: float) -> float:
-    """Logarithm of the extrapolated truncation tail: the integral of the
-    Weyl density fitted to the ``count`` modes below the cutoff against the
-    heat weight above it, times a safety factor 3.  With y = omega_max^2 t
-    that is 3 count (D/2) y^(-D/2) exp((D - 1)^2 t / 4) Gamma(D/2, y),
-    summed as logarithms, so no factor overflows.  y is positive: every
-    root of ``heat_trace`` lies in (d/2, omega_max] with d/2 >= 1, so y >=
-    t > 0.  Where y overflows the tail is 0: -inf."""
-    y = omega_max * omega_max * t
-    if math.isinf(y):
-        return -math.inf
-    return (
-        math.log(1.5 * count * big_d)
-        - 0.5 * big_d * math.log(y)
-        + 0.25 * (big_d - 1) ** 2 * t
-        + _log_upper_gamma(big_d, y)
-    )
+    With u = sin^(1/2) P, channel k solves u'' + (w^2 - (mu^2 - 1/4) / sin^2)
+    u = 0, u(0) = u(theta0) = 0, mu = k + (d - 1)/2 >= 1/2.  The potential is
+    at least (mu^2 - 1/4) c, c = 1 / sin^2 min(theta0, pi/2), so by min-max
+    (Sturm comparison) root n has w_n^2 >= (n pi / theta0)^2 + (mu^2 - 1/4) c,
+    and each n > N_k, the count found, lies above omega_max.  The n below n1,
+    the first whose bound clears the cutoff, count at the cutoff, and sum_(n
+    >= n1) exp(-a n^2), a = (pi / theta0)^2 t, is at most exp(-a n1^2) (1 +
+    min(sqrt(pi / a) / 2, 1 / (2 a n1))) (erfc(x) <= exp(-x^2), Mills ratio).
+    Past the channels found and the cutoff (n1 = 1, N_k = 0), channel k + 1's
+    term is channel k's times r = g_(k+1) / g_k exp(-(2 mu + 1) c t), with
+    g_(k+1) / g_k = (2k + d + 1)(k + d - 1) / ((2k + d - 1)(k + 1)); both
+    factors fall with k, so once r < 1 the rest is at most r / (1 - r) times
+    the term.  Terms are relative to the cutoff's weight: none overflows."""
+    step = math.pi / theta0
+    a = step * step * t
+    # a smaller c keeps the bound: it only lowers the potential's floor
+    c = 1.0 / max(math.sin(min(theta0, 0.5 * math.pi)) ** 2, sys.float_info.min)
+    cut, last, total = omega_max * omega_max, max(found, default=-1), 0.0
+    try:
+        for k in range(_MAX_ROOTS):
+            mu, n = sphere_mu(k, d), found.get(k, 0)
+            floor = (mu * mu - 0.25) * c
+            n1 = max(n + 1, math.ceil(math.sqrt(max(cut - floor, 0.0)) / step))
+            rest = 1.0 + min(0.5 * math.sqrt(math.pi / a), 0.5 / (a * n1))
+            gauss = math.exp(-((n1 * step) ** 2 + floor - cut) * t) * rest
+            term = degeneracy(k, d) * (n1 - 1 - n + gauss)
+            if k > last and n1 == 1:
+                r = ((2 * k + d + 1) * (k + d - 1) / ((2 * k + d - 1) * (k + 1))
+                     * math.exp(-(2.0 * mu + 1.0) * c * t))
+                if r < 1.0:
+                    total += term / (1.0 - r)
+                    return math.log(total) if total else -math.inf
+            total += term
+    except OverflowError:  # a degeneracy or a term beyond the doubles
+        pass
+    return math.inf
 
 
 def _check_times(ts: Sequence[float]) -> list[float]:
@@ -784,11 +780,11 @@ def _check_times(ts: Sequence[float]) -> list[float]:
 
 def default_omega_max(big_d: int, t_min: float, tolerance: float) -> float:
     """Cutoff heuristic: large enough that the Gaussian tail at t_min falls
-    below the tolerance; always certified afterwards by the tail bound."""
+    below the tolerance; heat_trace's tail bound then accepts or refuses it."""
     tolerance, t_min = _positive(tolerance, "tolerance"), _positive(t_min, "t_min")
     _index(big_d, "total dimension D")
     # a large t_min turns the target negative: take the floor, and let the
-    # tail certificate judge it
+    # tail bound judge it
     log_target = math.log(1.0 / tolerance) + 0.5 * big_d * math.log(1.0 / t_min) + 12.0
     return max(20.0, math.sqrt(max(0.0, log_target) / t_min))
 
@@ -801,13 +797,14 @@ def heat_trace(
     omega_max: float,
     channels: Sequence[EigenvalueChannel] | None = None,
 ) -> list[HeatTraceSample]:
-    """Truncated heat trace times exp(-mass^2 t), with a certified tail bound.
+    """Truncated heat trace times exp(-mass^2 t), with a proven tail bound.
 
-    omega_max is the spectral cutoff, above every root of given ``channels``.
-    Only sphere bases are supported: those are the only bases with closed
-    form degeneracies.  Raises AssumptionViolation for a root omega <= d/2,
-    TailTooLarge when a requested time is too small for the cutoff and
-    NumericalError where the mass factor underflows a sample to 0.
+    omega_max is the spectral cutoff, at most _MAX_OMEGA and above every root
+    of given ``channels``, read as the sphere's: distinct orders k + (d -
+    1)/2, each with all its roots up to the cutoff.  Only sphere bases, whose
+    degeneracies are closed forms, are supported.  Raises AssumptionViolation
+    for a root omega <= d/2, TailTooLarge when a requested time is too small
+    for the cutoff and NumericalError where the mass underflows a sample.
     """
     from .heat_coeffs import SphereBase, SuspensionConfig
 
@@ -815,21 +812,25 @@ def heat_trace(
     if not isinstance(cfg.base, SphereBase):
         raise ValidationError("heat_trace supports sphere bases only")
     t_values = _check_times(t_values)
-    # a NaN tolerance would switch the tail certificate off (tail > nan is
+    # a NaN tolerance would switch the tail bound off (tail > nan is
     # never true), and 0 leaves no cutoff able to meet it
     tolerance = _positive(tolerance, "tolerance")
     d = cfg.d
     if channels is None:
         channels = spectrum(d, cfg.angle.theta0, omega_max)
     else:  # spectrum checks the cutoff it is given
-        omega_max = _positive(omega_max, "omega_max")
+        omega_max = _check_cutoff(omega_max)
         channels = [_instance(ch, EigenvalueChannel, "channel")
                     for ch in _collection(channels, "channels")]
         above = [w for ch in channels for w in ch.roots if w > omega_max]
-        if above:  # the Weyl tail counts no root above the cutoff
+        if above:  # the tail bound counts no root above the cutoff
             raise ValidationError(f"root {above[0]} lies above omega_max {omega_max}")
     if not channels:
         raise TailTooLarge("no eigenvalues below the cutoff")
+    # the root count of each channel k, for the tail bound
+    found = {ch.mu - sphere_mu(0, d): len(ch.roots) for ch in channels}
+    if len(found) < len(channels) or not all(k >= 0 and k.is_integer() for k in found):
+        raise ValidationError(f"channel orders must be distinct k + {sphere_mu(0, d)}")
 
     # (degeneracy, omega, alpha^2 = omega^2 - d^2/4) per root
     terms = [(ch.degeneracy, w, w * w - 0.25 * d * d)
@@ -838,17 +839,15 @@ def heat_trace(
     if low:
         raise AssumptionViolation(
             f"eigenvalue omega={low[0]} is not above d/2 = {0.5 * d}")
-    weighted_count = float(sum(g for g, _, _ in terms))
+    # each tail eigenvalue exceeds cut: the bound at t_min carries to later t
+    cut = omega_max * omega_max - 0.25 * d * d
+    log_scale = _log_tail_scale(d, cfg.angle.theta0, omega_max, found, min(t_values))
 
     samples = []
     for t in t_values:
         value = math.fsum(g * math.exp(-alpha_sq * t) for g, _, alpha_sq in terms)
         # a trace that underflows to 0 leaves the relative tail unbounded
-        log_tail = (
-            _log_weyl_tail(cfg.D, weighted_count, omega_max, t)
-            - math.log(value)
-            if value else math.inf
-        )
+        log_tail = log_scale - cut * t - math.log(value) if value else math.inf
         tail = math.exp(log_tail) if log_tail <= _LOG_MAX else math.inf
         if tail > tolerance:
             raise TailTooLarge(

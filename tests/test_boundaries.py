@@ -354,9 +354,8 @@ REFUSALS = [
     row(lambda: heat_trace(config(theta0=5e-324), [0.1], omega_max=10.0),
         TailTooLarge, flag(VERIFY, "--theta0", "5e-324"), 3,
         match="no eigenvalues", id="trace-theta0-subnormal"),
-    # given roots above the cutoff, which the Weyl tail takes for the
-    # highest: with every root above d/2 the cutoff's square times t can no
-    # longer underflow to 0
+    # given roots above the cutoff, which the tail bound takes for the
+    # highest in their channels
     row(lambda: heat_trace(config(), [0.5], omega_max=5e-324,
                            channels=[EigenvalueChannel(1.5, 3, (2.2,))]),
         ValidationError, match="above omega_max",
@@ -365,6 +364,15 @@ REFUSALS = [
                            channels=[EigenvalueChannel(1.5, 3, (2.2, 50.0))]),
         ValidationError, match=r"root 2\.2 lies above omega_max 2\.0",
         id="trace-root-above-cutoff"),
+    # given channels are read as the sphere's: each mu a sphere order
+    # k + (d - 1)/2, and none twice, which would overstate a root count
+    row(lambda: channel_trace(mu=1.0), ValidationError,
+        match=r"channel orders must be distinct k \+ 0\.5",
+        id="trace-channel-mu-not-a-sphere-order"),
+    row(lambda: heat_trace(hemisphere(), [0.3], omega_max=15.0, channels=[
+        EigenvalueChannel(1.5, 3, (3.0,)), EigenvalueChannel(1.5, 3, (4.0,))]),
+        ValidationError, match=r"channel orders must be distinct k \+ 0\.5",
+        id="trace-channel-mu-repeated"),
     # EigenvalueChannel, built for heat_trace
     row(lambda: channel_trace(mu=0.0), ValidationError, id="channel-mu-zero"),
     row(lambda: channel_trace(mu="x"), ValidationError, id="channel-mu-str"),
@@ -459,13 +467,12 @@ def test_scan_step_beyond_doubles_finds_no_roots(capsys):
 
 
 @pytest.mark.parametrize("omega_max", [1e9, 1e154, 1e155, 1e300])
-def test_cutoff_beyond_the_doubles_gives_a_zero_tail(omega_max):
-    # omega_max^2 t overflows from 1e155 on: the Weyl tail there is 0, as
-    # at 1e9, not an unbounded NaN
-    (sample,) = heat_trace(config(), [0.5], omega_max=omega_max,
-                           channels=[EigenvalueChannel(1.5, 3, (2.2,))])
-    assert sample.tail_bound == 0.0
-    assert sample.value == 3.0 * math.exp(-(2.2 * 2.2 - 1.0) * 0.5)
+def test_cutoff_above_the_limit_is_refused_with_channels(omega_max):
+    # given channels obey spectrum's cutoff limit: the tail bound walks the
+    # sphere channels up to the cutoff, about 1e9 of them at 1e9
+    with pytest.raises(ValidationError, match="is above the limit 1000"):
+        heat_trace(config(), [0.5], omega_max=omega_max,
+                   channels=[EigenvalueChannel(1.5, 3, (2.2,))])
 
 
 # Extreme doubles: the smallest subnormal, a subnormal, tiny and moderate

@@ -767,6 +767,20 @@ class TestVerify:
         assert error["type"] == "TailTooLarge"
         assert "relative tail inf" in error["message"]
 
+    def test_true_tail_above_the_tolerance_exits_3(self, capsys):
+        # the true relative tail at t = 0.9548 is 6.19e-5, above 2e-5; the
+        # Weyl extrapolation once put it at 1.25e-5 and exited 0
+        code, out, _ = invoke(
+            capsys,
+            ["verify", "--dim", "3", "--theta0", "1.5707963267948966",
+             "--max-n", "0", "--t-min", "0.9548", "--t-max", "9.548",
+             "--points", "9", "--omega-max", "4", "--tolerance", "2e-5"],
+        )
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "TailTooLarge"
+        assert error["message"].startswith("relative tail 1.49e-04 at t=0.9548")
+
     def test_validation_exit(self, capsys):
         code, _, err = invoke(
             capsys,
@@ -887,11 +901,11 @@ README_STDOUT_DIGESTS = (
     "6c0e1d6a3d1efb2dad728b1940a5a712a46ddb2becbc26da1737996e3d9ccf3e",
 )
 README_TRACE_CSV_DIGEST = (
-    "16ecf6a50af3dafef06fa13f438ba349d2af601c1b60221cd8397b8c199e501a"
+    "461f940920ba4f558ac11259de03087df4a5acd281b72d1d5c63e81aaf275b49"
 )
-# sha256 of its t and trace columns alone: the tail_bound column is a
-# heuristic estimate whose last bits move with the tail's evaluation, the
-# trace must not move at all
+# sha256 of its t and trace columns alone: the tail_bound column is a proven
+# bound whose last bits move with its evaluation, the trace must not move
+# at all
 README_TRACE_COLUMNS_DIGEST = (
     "8b8fe291d54ed62478ac61c8239df35909f85185953126ca313c53543e450a75"
 )

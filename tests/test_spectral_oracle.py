@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -1457,82 +1458,150 @@ class TestHeatTrace:
             heat_trace(cfg, [0.1, 0.5], omega_max=15.0)
 
 
+def sphere_cfg(d: int, theta0: float) -> SuspensionConfig:
+    return SuspensionConfig(D=d + 1, angle=AngleParams.from_theta0(theta0),
+                            base=SphereBase(d), n_max=0)
+
+
+def channels_below(full, omega_max):
+    """The channels of ``full`` cut to their roots at or below omega_max."""
+    return [EigenvalueChannel(ch.mu, ch.degeneracy,
+                              tuple(w for w in ch.roots if w <= omega_max))
+            for ch in full if ch.roots[0] <= omega_max]
+
+
+def bound_over_true_tail(d, theta0, omega_max, ts, full):
+    """tail_bound over the true relative tail at each t of ``ts``, with the
+    channels cut at omega_max from ``full``, a spectrum to 3 omega_max or
+    more.  The true tail is the sum over the roots in (omega_max, 3
+    omega_max] plus the bound on the rest, taken at 3 omega_max: so it is
+    overstated, if at all, by that rest alone."""
+    cfg = sphere_cfg(d, theta0)
+    samples, rests = (
+        heat_trace(cfg, ts, tolerance=1e300, omega_max=cut,
+                   channels=channels_below(full, cut))
+        for cut in (omega_max, 3.0 * omega_max)
+    )
+    above = [(ch.degeneracy, w * w - 0.25 * d * d)
+             for ch in full for w in ch.roots if omega_max < w <= 3.0 * omega_max]
+    return [
+        s.tail_bound * s.value / math.fsum(
+            [rest.tail_bound * rest.value,
+             *(g * math.exp(-alpha_sq * s.t) for g, alpha_sq in above)])
+        for s, rest in zip(samples, rests)
+    ]
+
+
+# (d, theta0) of the tail-bound grid: acute, right and obtuse caps, odd and
+# even D, d up to 11
+TAIL_GEOMETRIES = [(2, math.pi / 2), (2, math.pi / 3), (2, 0.3), (2, 2.2),
+                   (3, math.pi / 3), (4, 1.0), (5, 1.8), (11, 1.0)]
+
+
+def d201_trace(t, omega_max=130.0, tolerance=1e-6):
+    """One sample of the D = 201 trace over its spectrum at theta0 = 1,
+    whose lowest root, 125.38 at mu = 99.5, sits above d/2 = 100."""
+    return heat_trace(sphere_cfg(200, 1.0), [t], tolerance=tolerance,
+                      omega_max=omega_max,
+                      channels=spectrum(200, 1.0, omega_max))
+
+
 class TestWeylTail:
-    @pytest.mark.parametrize("big_d", [*range(2, 31), 50, 100, 200, 340])
-    def test_upper_gamma_matches_mpmath(self, big_d):
-        # Gamma(D/2, y) on y from 1e-3 to 1e4; below 1e-290 only an
-        # underflow is checked: where the double of the reference is 0, so
-        # is the closed form's
-        checked = 0
-        with mp.workdps(50):
-            for k in range(60):
-                y = 10.0 ** (-3.0 + 7.0 * k / 59)
-                expected = mp.gammainc(mp.mpf(big_d) / 2, y)
-                value = math.exp(spectral_oracle._log_upper_gamma(big_d, y))
-                if expected >= mp.mpf("1e-290"):
-                    assert abs(value - expected) <= 1e-12 * expected, (big_d, y)
-                    checked += 1
-                else:
-                    assert value < 1e-289, (big_d, y)
-                    if float(expected) == 0.0:
-                        assert y > 745.0 and value == 0.0, (big_d, y)
-        assert checked >= 40
+    @pytest.mark.parametrize("d,theta0", TAIL_GEOMETRIES)
+    def test_bound_covers_the_true_tail(self, d, theta0):
+        # cutoffs 4..20, at times where the relative tail runs from about 1
+        # to 1e-14: 732 points, at 105 of which the Weyl extrapolation that
+        # the bound replaces was below the true tail
+        full = spectrum(d, theta0, 60.0)
+        for omega_max in map(float, range(4, 21)):
+            if full and full[0].roots[0] <= omega_max:
+                ts = [2.0**k / omega_max**2 for k in range(6)]
+                ratios = bound_over_true_tail(d, theta0, omega_max, ts, full)
+                assert min(ratios) >= 1.0, (omega_max, ratios)
 
-    @pytest.mark.parametrize("twice_a", [1, 3, 5])
-    def test_log_upper_gamma_beyond_erfc(self, twice_a):
-        # past y = 700 erfc(sqrt y) is near underflow and the start is its
-        # asymptotic series; Gamma itself is below 1e-290 there, so the
-        # logarithm is checked, as the Weyl tail uses it
-        with mp.workdps(50):
-            for y in (699.9, 700.0, 700.1, 745.0, 1e3, 1e4):
-                expected = mp.log(mp.gammainc(mp.mpf(twice_a) / 2, y))
-                log_g = spectral_oracle._log_upper_gamma(twice_a, y)
-                assert log_g == pytest.approx(float(expected), rel=1e-15), y
+    def test_bound_covers_the_hemisphere_grids(self):
+        # the 16 times of test_cutoff_doubling_stability at cutoff 20, and
+        # the hemisphere at cutoff 4, t = 0.9548, where the Weyl
+        # extrapolation gave 1.25e-5 against a true tail of 6.19e-5
+        full = spectrum(2, math.pi / 2, 60.0)
+        ts = list(np.geomspace(0.08, 0.8, 16))
+        assert min(bound_over_true_tail(2, math.pi / 2, 20.0, ts, full)) >= 1.0
+        (ratio,) = bound_over_true_tail(2, math.pi / 2, 4.0, [0.9548], full)
+        assert 1.0 <= ratio < 3.0
 
-    @pytest.mark.parametrize("omega_max,roots,t,message", [
-        # t^(-D/2) = 1e402 overflowed
-        (120.0, (101.0, 110.0), 1e-4, r"relative tail [\d.]+e\+144 "),
-        # so did 1e804, and the tail itself is beyond the doubles
-        (120.0, (101.0, 110.0), 1e-8, "relative tail inf"),
-        # exp((D - 1)^2 t / 4) = exp(1000) overflowed
-        (100.5, (100.2, 100.4), 0.1, r"relative tail [\d.]+e-03 "),
+    def test_true_tail_above_the_tolerance_is_refused(self):
+        # the hemisphere at cutoff 4: the true relative tail at t = 0.9548 is
+        # 6.19e-5, above the tolerance 2e-5, and the bound gives 1.49e-4
+        with pytest.raises(TailTooLarge, match=r"relative tail 1\.49e-04 "):
+            heat_trace(hemisphere_cfg(), [0.9548], tolerance=2e-5, omega_max=4.0)
+
+    @pytest.mark.parametrize("t,message", [
+        # the channel ratio falls below 1 at k = 742, whose degeneracy is
+        # 3.9e209
+        (1e-4, r"relative tail [\d.]+e\+165 "),
+        # the degeneracy leaves the doubles first, at k = 2531: inf
+        (1e-8, "relative tail inf"),
+        # finite, and still above the tolerance: the loop stops at k = 10
+        (1e-2, r"relative tail [\d.]+e\+10 "),
     ], ids=["small-t", "tiny-t", "large-t"])
-    def test_overflowing_factors_give_tail_too_large(self, omega_max, roots, t,
-                                                     message):
-        # D = 201: a factor of the tail beyond the doubles escaped as a bare
-        # OverflowError; the tail, summed as logarithms, is merely too large
-        cfg = SuspensionConfig(
-            D=201,
-            angle=AngleParams.from_theta0(1.0),
-            base=SphereBase(200),
-            n_max=0,
-        )
-        channels = [EigenvalueChannel(99.5, 1, roots)]
+    def test_overflowing_factors_give_tail_too_large(self, t, message):
+        # D = 201: degeneracies up to and beyond the doubles
         with pytest.raises(TailTooLarge, match=message):
-            heat_trace(cfg, [t], tolerance=1e-6, omega_max=omega_max,
-                       channels=channels)
-
-    @pytest.mark.parametrize("omega_max,t,expected", [
-        (1e155, 0.5, -math.inf), (1e300, 1e-6, -math.inf),
-    ])
-    def test_cutoff_scale_beyond_the_doubles(self, omega_max, t, expected):
-        # omega_max^2 t overflows, where the tail is 0; no inf - inf within
-        # the gamma function
-        assert spectral_oracle._log_weyl_tail(3, 3.0, omega_max, t) == expected
+            d201_trace(t)
 
     def test_overflowing_factors_give_a_finite_tail(self):
-        # at omega_max 120 the t = 0.1 tail is small, though its factor
-        # exp((D - 1)^2 t / 4) = exp(1000) is not a double
-        cfg = SuspensionConfig(
-            D=201,
-            angle=AngleParams.from_theta0(1.0),
-            base=SphereBase(200),
-            n_max=0,
-        )
-        channels = [EigenvalueChannel(99.5, 1, (101.0, 110.0))]
-        (sample,) = heat_trace(cfg, [0.1], tolerance=1e-6, omega_max=120.0,
-                               channels=channels)
-        assert 0.0 < sample.tail_bound < 1e-100
+        # at t = 0.1 the trace is 3.75e-249 and exp(d^2 t / 4) = exp(1000)
+        # is not a double, but the relative tail is small
+        (sample,) = d201_trace(0.1)
+        assert 0.0 < sample.value < 1e-240
+        assert 0.0 < sample.tail_bound < 1e-30
+
+    @pytest.mark.parametrize("big_d,root,t,omega_max,error", [
+        # the channel loop reaches its cap of _MAX_ROOTS channels
+        (3, 2.2, 1e-300, 15.0, TailTooLarge),
+        # the degeneracies leave the doubles at k = 861
+        (340, 200.0, 1e-300, 200.0, TailTooLarge),
+        (340, 200.0, 0.01, 200.0, None),
+        # about 1e9 channels lie below this cutoff
+        (3, 2.2, 0.5, 1e9, ValidationError),
+    ], ids=["cap", "D340-tiny-t", "D340", "cutoff-1e9"])
+    def test_every_input_ends_within_a_second(self, big_d, root, t, omega_max,
+                                              error):
+        # a tolerance of 1e300 stops no loop early
+        d = big_d - 1
+        channels = [EigenvalueChannel(0.5 * (d - 1), 1, (root,))]
+        start = time.perf_counter()
+        if error is None:
+            (sample,) = heat_trace(sphere_cfg(d, 1.0), [t], tolerance=1e300,
+                                   omega_max=omega_max, channels=channels)
+            assert 0.0 < sample.tail_bound < math.inf
+        else:
+            with pytest.raises(error):
+                heat_trace(sphere_cfg(d, 1.0), [t], tolerance=1e300,
+                           omega_max=omega_max, channels=channels)
+        assert time.perf_counter() - start < 1.0
+
+    def test_bound_underflowing_to_zero_gives_a_zero_tail(self):
+        # at t = 100 every term of the bound underflows, though the trace,
+        # 5.1e-131, does not: the tail is 0, not a refusal
+        (sample,) = heat_trace(hemisphere_cfg(), [100.0], omega_max=15.0)
+        assert sample.value > 0.0
+        assert sample.tail_bound == 0.0
+
+    def test_bound_at_the_earliest_time_carries_to_the_later_ones(self):
+        # each sample's tail is the bound at t_min carried by the cutoff's
+        # heat weight: asked alone, a later time is bounded no worse
+        cfg = hemisphere_cfg()
+        channels = spectrum(2, math.pi / 2, 15.0)
+        together = heat_trace(cfg, [0.4, 0.1, 0.2], omega_max=15.0,
+                              channels=channels)
+        for sample in together:
+            (alone,) = heat_trace(cfg, [sample.t], omega_max=15.0,
+                                  channels=channels)
+            assert alone.value == sample.value
+            assert alone.tail_bound <= sample.tail_bound
+        assert together[1].tail_bound == heat_trace(
+            cfg, [0.1], omega_max=15.0, channels=channels)[0].tail_bound
 
 
 class TestFit:
