@@ -801,10 +801,11 @@ def heat_trace(
 
     omega_max is the spectral cutoff, at most _MAX_OMEGA and above every root
     of given ``channels``, read as the sphere's: distinct orders k + (d -
-    1)/2, each with all its roots up to the cutoff.  Only sphere bases, whose
-    degeneracies are closed forms, are supported.  Raises AssumptionViolation
-    for a root omega <= d/2, TailTooLarge when a requested time is too small
-    for the cutoff and NumericalError where the mass underflows a sample.
+    1)/2, each with all its roots up to the cutoff and with degeneracy(k, d),
+    the one multiplicity of the trace and its tail bound.  Only sphere bases
+    are supported.  Raises AssumptionViolation for a root omega <= d/2,
+    TailTooLarge when a requested time is too small for the cutoff and
+    NumericalError where the mass underflows a sample.
     """
     from .heat_coeffs import SphereBase, SuspensionConfig
 
@@ -815,44 +816,43 @@ def heat_trace(
     # a NaN tolerance would switch the tail bound off (tail > nan is
     # never true), and 0 leaves no cutoff able to meet it
     tolerance = _positive(tolerance, "tolerance")
-    d = cfg.d
+    d, mu0 = cfg.d, sphere_mu(0, cfg.d)
     if channels is None:
         channels = spectrum(d, cfg.angle.theta0, omega_max)
     else:  # spectrum checks the cutoff it is given
         omega_max = _check_cutoff(omega_max)
-        channels = [_instance(ch, EigenvalueChannel, "channel")
-                    for ch in _collection(channels, "channels")]
-        above = [w for ch in channels for w in ch.roots if w > omega_max]
-        if above:  # the tail bound counts no root above the cutoff
-            raise ValidationError(f"root {above[0]} lies above omega_max {omega_max}")
-    if not channels:
+        _collection(channels, "channels")
+    # one intake: the trace and its tail bound both take g = degeneracy(k, d)
+    found, terms = {}, []  # roots per channel k; (g, alpha^2 = omega^2 - d^2/4)
+    for ch in channels:
+        k = _instance(ch, EigenvalueChannel, "channel").mu - mu0
+        if k < 0 or not k.is_integer() or k in found:
+            raise ValidationError(f"channel orders must be distinct k + {mu0}")
+        found[int(k)], g = len(ch.roots), degeneracy(int(k), d)
+        if ch.degeneracy != g:
+            raise ValidationError(f"degeneracy {ch.degeneracy} is not the sphere's {g}")
+        for w in ch.roots:
+            if w > omega_max:  # the tail bound counts no root above the cutoff
+                raise ValidationError(f"root {w} lies above omega_max {omega_max}")
+            if w * w <= 0.25 * d * d:
+                raise AssumptionViolation(
+                    f"eigenvalue omega={w} is not above d/2 = {0.5 * d}")
+            terms.append((g, w * w - 0.25 * d * d))
+    if not found:
         raise TailTooLarge("no eigenvalues below the cutoff")
-    # the root count of each channel k, for the tail bound
-    found = {ch.mu - sphere_mu(0, d): len(ch.roots) for ch in channels}
-    if len(found) < len(channels) or not all(k >= 0 and k.is_integer() for k in found):
-        raise ValidationError(f"channel orders must be distinct k + {sphere_mu(0, d)}")
-
-    # (degeneracy, omega, alpha^2 = omega^2 - d^2/4) per root
-    terms = [(ch.degeneracy, w, w * w - 0.25 * d * d)
-             for ch in channels for w in ch.roots]
-    low = [w for _, w, alpha_sq in terms if alpha_sq <= 0.0]
-    if low:
-        raise AssumptionViolation(
-            f"eigenvalue omega={low[0]} is not above d/2 = {0.5 * d}")
     # each tail eigenvalue exceeds cut: the bound at t_min carries to later t
     cut = omega_max * omega_max - 0.25 * d * d
     log_scale = _log_tail_scale(d, cfg.angle.theta0, omega_max, found, min(t_values))
 
     samples = []
     for t in t_values:
-        value = math.fsum(g * math.exp(-alpha_sq * t) for g, _, alpha_sq in terms)
+        value = math.fsum(g * math.exp(-alpha_sq * t) for g, alpha_sq in terms)
         # a trace that underflows to 0 leaves the relative tail unbounded
         log_tail = log_scale - cut * t - math.log(value) if value else math.inf
         tail = math.exp(log_tail) if log_tail <= _LOG_MAX else math.inf
         if tail > tolerance:
-            raise TailTooLarge(
-                f"relative tail {tail:.2e} at t={t} exceeds tolerance {tolerance}"
-            )
+            raise TailTooLarge(f"relative tail {tail:.2e} at t={t} exceeds "
+                               f"tolerance {tolerance}")
         # the mass scales the trace and its tail alike, so not their ratio
         value *= math.exp(-(cfg.mass * cfg.mass) * t)
         if not value:

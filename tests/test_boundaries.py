@@ -373,6 +373,14 @@ REFUSALS = [
         EigenvalueChannel(1.5, 3, (3.0,)), EigenvalueChannel(1.5, 3, (4.0,))]),
         ValidationError, match=r"channel orders must be distinct k \+ 0\.5",
         id="trace-channel-mu-repeated"),
+    # and each with the sphere's degeneracy, which the tail bound takes: at
+    # degeneracy 1 the hemisphere's trace at t = 0.3 would read 0.521, not
+    # 0.753, under the sphere's tail
+    row(lambda: heat_trace(hemisphere(), [0.3], omega_max=15.0, channels=[
+        EigenvalueChannel(ch.mu, 1, ch.roots)
+        for ch in spectrum(2, math.pi / 2, 15.0)]),
+        ValidationError, match="degeneracy 1 is not the sphere's 3",
+        id="trace-channel-degeneracy-not-the-spheres"),
     # EigenvalueChannel, built for heat_trace
     row(lambda: channel_trace(mu=0.0), ValidationError, id="channel-mu-zero"),
     row(lambda: channel_trace(mu="x"), ValidationError, id="channel-mu-str"),

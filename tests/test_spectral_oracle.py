@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import random
@@ -1528,6 +1529,29 @@ class TestWeylTail:
         assert min(bound_over_true_tail(2, math.pi / 2, 20.0, ts, full)) >= 1.0
         (ratio,) = bound_over_true_tail(2, math.pi / 2, 4.0, [0.9548], full)
         assert 1.0 <= ratio < 3.0
+
+    def test_bound_covers_the_root_just_past_each_obtuse_cutoff(self):
+        # theta0 = 2.2: the potential floor takes c = 1 / sin^2 min(theta0,
+        # pi/2) = 1.  Each cutoff lies 1e-6 below a root up to 30 of a
+        # channel mu >= 3/2, whose floor c decides: 327 cutoffs.  In logs,
+        # relative to the cutoff's heat weight, the tightest margin is 4.6e-5
+        # (root 2.2823, t = 10); with c = 1 / sin^2 theta0 the bound falls
+        # below the tail at 7 cutoffs, by e^-0.505 already at t = 1.
+        d, theta0 = 2, 2.2
+        full = spectrum(d, theta0, 40.0)
+        roots = sorted((w, ch.degeneracy) for ch in full for w in ch.roots)
+        cutoffs = [w - 1e-6 for ch in full[1:] for w in ch.roots if w <= 30.0]
+        assert len(cutoffs) == 327
+        for cut in cutoffs:
+            found = {k: n for k, ch in enumerate(full)
+                     if (n := bisect.bisect_left(ch.roots, cut))}
+            # the roots above 40 weigh below e^-700 of the one past the cutoff
+            tail = roots[bisect.bisect_left(roots, (cut,)):]
+            for t in (1.0, 10.0, 100.0):
+                log_tail = math.log(math.fsum(
+                    g * math.exp(-(w * w - cut * cut) * t) for w, g in tail))
+                log_bound = spectral_oracle._log_tail_scale(d, theta0, cut, found, t)
+                assert log_bound >= log_tail, (cut, t, log_bound - log_tail)
 
     def test_true_tail_above_the_tolerance_is_refused(self):
         # the hemisphere at cutoff 4: the true relative tail at t = 0.9548 is
