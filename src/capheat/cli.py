@@ -207,7 +207,9 @@ def cmd_verify(args) -> int:
         omega_max = default_omega_max(args.dim, args.t_min, args.tolerance)
     ts = _time_grid(args.t_min, args.t_max, args.points)
     n_fit = min(_MAX_N_FIT, max(args.max_n + 2, 3))
-    _check_fit_request(ts, n_fit)  # before the spectrum, which takes seconds
+    # before the spectrum, which near its root limit takes about 4 s at
+    # --dim 3 and 9 s at --dim 4 (spectral_oracle._MAX_ROOTS)
+    _check_fit_request(ts, n_fit)
     samples = heat_trace(cfg, ts, tolerance=args.tolerance, omega_max=omega_max)
     fit = fit_asymptotics(samples, args.dim, n_fit)
     comparison = [

@@ -92,9 +92,9 @@ _MAX_FERRERS_OMEGA = 10_000.0
 _ABS_TOL = 1e-10
 _AIM = _ABS_TOL / 16.0
 # Bound on the estimated root count of a spectrum (criterion 6 estimates
-# 2,078).  Near it a d = 2 spectrum takes about 5.4 s at theta0 = 2.2
-# (omega_max 168.9, 11,284 roots) and 2.5 s at pi/3 (263.1, 8,595 roots),
-# and a d = 3 one, all series, 7 s at 2.2, same VM.
+# 2,078).  Near it a d = 2 spectrum takes about 3.9 s at theta0 = 2.2
+# (omega_max 168.9, 11,284 roots) and 1.8-2.4 s at pi/3 (263.1, 8,595
+# roots), and a d = 3 one, all series, 8.6 s at 2.2 (same VM).
 _MAX_ROOTS = 10_000
 # The caller's target for the Ferrers series' tail bound, in bits below the
 # sum: ferrers_p's doubles need 64; the root finder needs only the signs,
@@ -297,7 +297,7 @@ def ferrers_p(mu: float, omega: float, x: float) -> float:
         raise ValidationError("argument must lie in (-1, 1)")
     z = 0.5 * (1.0 - x)
     if z > 0.9:
-        raise SlowConvergence("argument too close to -1 (angle too close to pi)")
+        raise ValidationError("argument too close to -1 (angle too close to pi)")
     factor = _ferrers_factor(mu, omega, z, _VALUE_BITS, {})
     if factor == 0.0:
         return 0.0

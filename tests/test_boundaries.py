@@ -2,9 +2,13 @@
 
 Inputs are checked where they enter: the public constructors and functions,
 and the CLI's base-file reader.  Code behind them trusts what they passed.
-Each row is one refusal: the call, the exact error class it raises and,
-where the CLI reaches the same check, the CLI arguments and the exit code
-(2 for a validation problem, 3 for a numerical failure).
+Each row is one refusal: the call, the exact error class it raises, the
+pattern its message must contain, if any, and, where the CLI reaches the
+same check, the CLI arguments and the exit code (2 for a validation
+problem, 3 for a numerical failure), whose message must hold the pattern
+too.  The table is the one place a library refusal is asserted, and
+``test_every_refusal_site_has_a_row`` holds each refusal the package
+raises to a row.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -45,7 +50,6 @@ from capheat.errors import (
     IllConditioned,
     InsufficientBaseData,
     NumericalError,
-    SlowConvergence,
     TailTooLarge,
     ValidationError,
 )
@@ -109,7 +113,7 @@ REFUSALS = [
     row(lambda: AngleParams(0.0), ValidationError,
         flag(COEFFS, "--theta0", "0"), 2, id="angle-zero"),
     row(lambda: AngleParams(3.5), ValidationError,
-        flag(COEFFS, "--theta0", "3.5"), 2, id="angle-above-pi"),
+        flag(COEFFS, "--theta0", "3.5"), 2, match="theta0", id="angle-above-pi"),
     row(lambda: AngleParams(math.nan), ValidationError,
         flag(COEFFS, "--theta0", "nan"), 2, id="angle-nan"),
     row(lambda: AngleParams("1"), ValidationError, id="angle-str"),
@@ -117,11 +121,15 @@ REFUSALS = [
     # SphereBase
     row(lambda: SphereBase(1), ValidationError,
         flag(flag(COEFFS, "--dim", "2"), "--max-n", "1"), 2, id="sphere-d1"),
-    row(lambda: SphereBase(2.5), ValidationError, id="sphere-d-float"),
+    # operator.index decides: 2.0 is refused like 2.5
+    row(lambda: SphereBase(2.5), ValidationError, match="must be an integer",
+        id="sphere-d-float"),
+    row(lambda: SphereBase(2.0), ValidationError, match="must be an integer",
+        id="sphere-d-integral-float"),
     # UserBase: the dimension, the keys and the values
     row(lambda: user(d="2"), ValidationError,
         base_file('{"d": 2.5, "coefficients": {"0": 1, "1": 0, "2": 0.1}}'), 2,
-        id="user-d-float"),
+        match="must be an integer", id="user-d-float"),
     row(lambda: user(d=2.0), ValidationError,
         base_file('{"d": 2.0, "coefficients": {"0": 1, "1": 0, "2": 0.1}}'), 2,
         id="user-d-integral-float"),
@@ -168,17 +176,28 @@ REFUSALS = [
         base_file('{"coefficients": {"0": 1, "1": 0, "2": 0.1}, '
                   '"residue_at_minus_half": false}'), 2, id="user-residue-bool"),
     # SuspensionConfig
-    row(lambda: config(D=3.5, base=SphereBase(2)), ValidationError, id="D-float"),
+    row(lambda: config(D=3.5, base=SphereBase(2)), ValidationError,
+        match="must be an integer", id="D-float"),
+    # c1's Gamma factors overflow from D = 341 at theta0 = 1
     row(lambda: config(D=341), ValidationError,
-        flag(COEFFS, "--dim", "341"), 2, id="D-above-limit"),
+        flag(COEFFS, "--dim", "341"), 2, match="above the limit 340",
+        id="D-above-limit"),
+    row(lambda: config(D=400), ValidationError, match="above the limit 340",
+        id="D-far-above-limit"),
     row(lambda: config(base=SphereBase(3)), ValidationError,
         base_file('{"d": 3, "coefficients": {"0": 1, "1": 0, "2": 0.1}}'), 2,
         id="base-d-mismatch"),
+    row(lambda: config(D=4, base=SphereBase(2), n_max=1), ValidationError,
+        flag(base_file('{"d": 2, "coefficients": {"0": 1, "1": 0, "2": 0.1}}'),
+             "--dim", "4"), 2, match="inconsistent", id="base-d-below-D"),
     row(lambda: config(n_max=3), ValidationError,
         flag(COEFFS, "--max-n", "3"), 2, id="n_max-at-D"),
+    row(lambda: config(n_max=5), ValidationError,
+        flag(COEFFS, "--max-n", "5"), 2, match="n < D", id="n_max-above-D"),
     row(lambda: config(n_max=-1), ValidationError,
         flag(COEFFS, "--max-n", "-1"), 2, id="n_max-negative"),
-    row(lambda: config(n_max=2.0), ValidationError, id="n_max-float"),
+    row(lambda: config(n_max=2.0), ValidationError, match="must be an integer",
+        id="n_max-float"),
     row(lambda: config(n_max=True), ValidationError, id="n_max-bool"),
     row(lambda: config(D=19, n_max=18), ValidationError,
         flag(flag(COEFFS, "--dim", "19"), "--max-n", "18"), 2,
@@ -186,9 +205,9 @@ REFUSALS = [
     row(lambda: config(mass=-1.0), ValidationError,
         flag(COEFFS, "--mass", "-1"), 2, id="mass-negative"),
     row(lambda: config(mass=math.nan), ValidationError,
-        flag(COEFFS, "--mass", "nan"), 2, id="mass-nan"),
+        flag(COEFFS, "--mass", "nan"), 2, match="mass", id="mass-nan"),
     row(lambda: config(mass=math.inf), ValidationError,
-        flag(COEFFS, "--mass", "inf"), 2, id="mass-inf"),
+        flag(COEFFS, "--mass", "inf"), 2, match="mass", id="mass-inf"),
     row(lambda: config(mass="0"), ValidationError, id="mass-str"),
     row(lambda: config(mass=BIG), ValidationError, id="mass-int-beyond-doubles"),
     row(lambda: SuspensionConfig(D=1, angle=AngleParams(1.0), base=SphereBase(2),
@@ -242,10 +261,38 @@ REFUSALS = [
     row(lambda: gauss_2f1(1, 1, 2, "0.5"), ValidationError, id="2f1-x-str"),
     row(lambda: gauss_2f1(0.5, 1.0, 2.5, 1.5), ValidationError, id="2f1-x-above-1"),
     row(lambda: gauss_2f1(math.nan, 1.0, 2.5, 0.5), ValidationError,
-        id="2f1-nan-parameter"),
-    row(lambda: gauss_2f1(0.5, 1.0, -1.0, 0.5), ValidationError, id="2f1-c-pole"),
+        match="must be a finite double", id="2f1-nan-parameter"),
+    # every other non-finite parameter and argument: a NaN x once passed the
+    # range check and ran the series to its term budget, and an infinite or
+    # NaN parameter raised OverflowError or ValueError from the plan's rounding
+    *(row(partial(gauss_2f1, **{"a": 0.5, "b": 1.5, "c": 2.5, "x": 0.3,
+                                slot: value}), ValidationError,
+          match="argument" if slot == "x" else "must be a finite double",
+          id=f"2f1-{slot}-{value}")
+      for slot in "abcx" for value in (math.nan, math.inf, -math.inf)
+      if not (slot == "a" and math.isnan(value))),
+    row(lambda: gauss_2f1(0.5, 1.0, -1.0, 0.5), ValidationError,
+        match="nonpositive integer", id="2f1-c-pole"),
+    row(lambda: gauss_2f1(0.5, 0.5, 0.0, 0.3), ValidationError,
+        match="nonpositive integer", id="2f1-c-zero"),
+    row(lambda: gauss_2f1(0.5, 0.5, -2.0, 0.3), ValidationError,
+        match="nonpositive integer", id="2f1-c-minus-two"),
+    row(lambda: gauss_2f1(0.5, 1.2, 1.5, 1.0), ValidationError,
+        match="c-a-b > 0", id="2f1-divergent-at-one"),
+    # neither of the two shapes, none terminating: c - a - b = 0 (the second
+    # time as the log closed form -log(1 - x)/x), -2 (a terminating Euler
+    # transform), 3.02, and -inf from finite parameters, which raised a bare
+    # OverflowError from rounding it
     row(lambda: gauss_2f1(0.5, 0.5, 1.0, 0.5), ValidationError,
         id="2f1-integer-c-a-b"),
+    row(lambda: gauss_2f1(1.0, 1.0, 2.0, 0.3), ValidationError,
+        match="neither terminates", id="2f1-log-closed-form"),
+    row(lambda: gauss_2f1(2.5, 1.0, 1.5, 0.3), ValidationError,
+        match="neither terminates", id="2f1-euler-transform-terminates"),
+    row(lambda: gauss_2f1(0.3, 0.4, 3.72, 0.3), ValidationError,
+        match="neither terminates", id="2f1-c-a-b-near-integer"),
+    row(lambda: gauss_2f1(1e308, 1e308, 0.5, 0.3), ValidationError,
+        match="neither terminates", id="2f1-c-a-b-overflow"),
     row(lambda: gauss_2f1(-60.0, 0.5, 1.5, 0.9), NumericalError,
         id="2f1-cancellation"),
     row(lambda: gauss_2f1(BIG, 1.0, 2.5, 0.5), ValidationError,
@@ -265,8 +312,14 @@ REFUSALS = [
         match="overflows a double", id="2f1-value-overflow"),
     # ferrers_p
     row(lambda: ferrers_p(0.0, 1.0, 0.5), ValidationError, id="ferrers-mu-zero"),
+    row(lambda: ferrers_p(-1.0, 2.0, 0.3), ValidationError,
+        id="ferrers-mu-negative"),
+    row(lambda: ferrers_p(math.nan, 2.0, 0.3), ValidationError, id="ferrers-mu-nan"),
+    row(lambda: ferrers_p(math.inf, 2.0, 0.3), ValidationError, id="ferrers-mu-inf"),
+    row(lambda: ferrers_p(1.0, math.nan, 0.3), ValidationError,
+        id="ferrers-omega-nan"),
     row(lambda: ferrers_p(0.5, 1.0, 1.0), ValidationError, id="ferrers-x-one"),
-    row(lambda: ferrers_p(0.5, 1.0, -0.9), SlowConvergence, id="ferrers-near-pi"),
+    row(lambda: ferrers_p(0.5, 1.0, -0.9), ValidationError, id="ferrers-near-pi"),
     row(lambda: ferrers_p("1", 1.0, 0.5), ValidationError, id="ferrers-mu-str"),
     row(lambda: ferrers_p(BIG, 1.0, 0.5), ValidationError,
         id="ferrers-mu-int-beyond-doubles"),
@@ -279,20 +332,32 @@ REFUSALS = [
     # dirichlet_roots
     row(lambda: dirichlet_roots(0.5, 2.3, 5.0), ValidationError,
         flag(ROOTS, "--theta0", "2.3"), 2, id="roots-theta0-above-guard"),
+    row(lambda: dirichlet_roots(0.5, 2.5, 10.0), ValidationError,
+        flag(ROOTS, "--theta0", "2.5"), 2, id="roots-theta0-2.5"),
+    # the same domain as ferrers_p; mu = -1 used to divide by zero
     row(lambda: dirichlet_roots(0.0, 1.0, 5.0), ValidationError,
-        flag(ROOTS, "--mu", "0"), 2, id="roots-mu-zero"),
+        flag(ROOTS, "--mu", "0"), 2, match="positive", id="roots-mu-zero"),
+    row(lambda: dirichlet_roots(-1.0, 1.0, 5.0), ValidationError,
+        match="positive", id="roots-mu-minus-one"),
+    row(lambda: dirichlet_roots(-0.5, 1.0, 5.0), ValidationError,
+        match="positive", id="roots-mu-negative"),
+    row(lambda: dirichlet_roots(math.nan, 1.0, 10.0), ValidationError,
+        id="roots-mu-nan"),
     row(lambda: dirichlet_roots(math.inf, 1.0, 5.0), ValidationError,
         flag(ROOTS, "--mu", "inf"), 2, id="roots-mu-inf"),
     row(lambda: dirichlet_roots(0.5, 1.0, 1001.0), ValidationError,
         flag(ROOTS, "--omega-max", "1001"), 2, id="roots-omega_max-above-limit"),
     row(lambda: dirichlet_roots(0.5, 1.0, math.nan), ValidationError,
         flag(ROOTS, "--omega-max", "nan"), 2, id="roots-omega_max-nan"),
+    row(lambda: dirichlet_roots(0.5, 1.0, math.inf), ValidationError,
+        id="roots-omega_max-inf"),
     row(lambda: dirichlet_roots("1", 1.0, 5.0), ValidationError, id="roots-mu-str"),
     row(lambda: dirichlet_roots(BIG, 1.0, 5.0), ValidationError,
         id="roots-mu-int-beyond-doubles"),
     # spectrum
     row(lambda: spectrum(1, 1.0, 10.0), ValidationError, id="spectrum-d1"),
-    row(lambda: spectrum(2.5, 1.0, 10.0), ValidationError, id="spectrum-d-float"),
+    row(lambda: spectrum(2.5, 1.0, 10.0), ValidationError, match="must be an integer",
+        id="spectrum-d-float"),
     row(lambda: spectrum(2, 2.2, 300.0), ValidationError,
         flag(flag(VERIFY, "--theta0", "2.2"), "--omega-max", "300"), 2,
         id="spectrum-too-many-roots"),
@@ -302,6 +367,12 @@ REFUSALS = [
     # default_omega_max
     row(lambda: default_omega_max(3, "1", 1e-6), ValidationError,
         id="omega_max-t_min-str"),
+    *(row(partial(default_omega_max, 3, t_min, 1e-6), ValidationError,
+          match="finite and positive", id=f"omega_max-t_min-{t_min}")
+      for t_min in (math.nan, math.inf, 0.0)),
+    *(row(partial(default_omega_max, 3, 0.05, tolerance), ValidationError,
+          match="tolerance", id=f"omega_max-tolerance-{tolerance}")
+      for tolerance in (math.nan, 0.0, -1e-6, math.inf)),
     row(lambda: default_omega_max("3", 1e-3, 1e-6), ValidationError,
         id="omega_max-big_d-str"),
     row(lambda: default_omega_max(3, BIG, 1e-6), ValidationError,
@@ -326,16 +397,23 @@ REFUSALS = [
                            channels=spectrum(2, 1.0, 15.0)),
         ValidationError, id="trace-omega_max-str-with-channels"),
     row(lambda: heat_trace(config(base=user()), [0.1], omega_max=15.0),
-        ValidationError, id="trace-user-base"),
+        ValidationError, match="sphere bases only", id="trace-user-base"),
     row(lambda: heat_trace(hemisphere(), [], omega_max=15.0), ValidationError,
         id="trace-no-times", match="at least one t value"),
     row(lambda: heat_trace(hemisphere(), np.array([]), omega_max=15.0),
         ValidationError, id="trace-no-times-array", match="at least one t value"),
     row(lambda: heat_trace(hemisphere(), [0.3, 0.0], omega_max=15.0),
-        ValidationError, flag(VERIFY, "--t-min", "0"), 2, id="trace-time-zero"),
+        ValidationError, flag(VERIFY, "--t-min", "0"), 2,
+        match="finite and positive", id="trace-time-zero"),
+    *(row(partial(heat_trace, hemisphere(), [0.3, t], omega_max=15.0),
+          ValidationError, match="finite and positive", id=f"trace-time-{t}")
+      for t in (math.nan, math.inf)),
     row(lambda: heat_trace(hemisphere(), [0.3], math.nan, omega_max=15.0),
         ValidationError, flag(VERIFY, "--tolerance", "nan"), 2,
-        id="trace-tolerance-nan"),
+        match="tolerance", id="trace-tolerance-nan"),
+    *(row(partial(heat_trace, hemisphere(), [0.3], tolerance, omega_max=15.0),
+          ValidationError, match="tolerance", id=f"trace-tolerance-{tolerance}")
+      for tolerance in (0.0, -1e-6, math.inf)),
     row(lambda: heat_trace(hemisphere(), ["0.3"], omega_max=15.0),
         ValidationError, id="trace-time-str"),
     row(lambda: heat_trace(hemisphere(), [0.3], "1", omega_max=15.0),
@@ -409,10 +487,18 @@ REFUSALS = [
         ValidationError, match="samples", id="fit-samples-0d-array"),
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 20)), 3, 5),
         ValidationError, flag(VERIFY, "--max-n", "5"), 2, id="fit-n_fit-above-limit"),
+    row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 20)), 3, -1),
+        ValidationError, match="n_fit must lie in 0..4", id="fit-n_fit-negative"),
+    # a non-integral n_fit used to fit np.arange(n_fit + 1) powers
+    *(row(partial(fit_asymptotics, samples(np.geomspace(1e-3, 1e-2, 20)), 3, n_fit),
+          ValidationError, match="n_fit must be an integer", id=f"fit-n_fit-{kind}")
+      for n_fit, kind in ((1.5, "float"), (2.0, "integral-float"), ("2", "str"),
+                          (None, "none"))),
     row(lambda: fit_asymptotics(samples(np.geomspace(1e-3, 1e-2, 5)), 3, 4),
         ValidationError, flag(VERIFY, "--points", "5"), 2, id="fit-too-few-samples"),
     row(lambda: fit_asymptotics(samples(np.linspace(1e-3, 2e-3, 20)), 3, 4),
         ValidationError, flag(VERIFY, "--t-max", "5e-3"), 2, id="fit-narrow-span"),
+    # nearly coincident abscissas push the design matrix over the cap
     row(lambda: fit_asymptotics(samples(np.concatenate(
         [np.full(12, 1e-3) * (1 + 1e-12 * np.arange(12)), [1e-2]])), 3, 4),
         IllConditioned, id="fit-ill-conditioned"),
@@ -457,11 +543,16 @@ def test_refusal(capsys, tmp_path, call, error, argv, code, match):
             path.write_text(arg, encoding="utf-8")
     argv = [str(path) if isinstance(arg, BaseFile) else arg for arg in argv]
     assert run(argv) == code
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     if code == 2:
         assert out == ""
+        message = err
     else:
-        assert json.loads(out)["error"]["type"] == error.__name__
+        reported = json.loads(out)["error"]
+        assert reported["type"] == error.__name__
+        message = reported["message"]
+    if match:
+        assert re.search(match, message)
 
 
 def test_scan_step_beyond_doubles_finds_no_roots(capsys):
@@ -621,6 +712,53 @@ def test_number_rule_lives_in_errors(path):
     # errors owns what a valid number is and refuses with ValidationError;
     # an entry converts through its helpers rather than comparing by hand
     assert number_rule_breaches(path) == []
+
+
+def message_pieces(node: ast.expr) -> list:
+    """The literal text of a message: a string, the literal parts of an
+    f-string, and both sides of a ``+``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return [part.value for part in node.values if isinstance(part, ast.Constant)]
+    if isinstance(node, ast.BinOp):
+        return message_pieces(node.left) + message_pieces(node.right)
+    return []
+
+
+def refusal_sites(path: Path) -> list:
+    """Each ``raise ValidationError`` or ``raise InsufficientBaseData`` in
+    ``path``, as (line, the longest literal piece of its message)."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            exc = call.func if call else node.exc
+            if getattr(exc, "id", None) in {"ValidationError", "InsufficientBaseData"}:
+                pieces = message_pieces(call.args[0]) if call and call.args else []
+                sites.append((node.lineno, max(pieces, key=len, default="")))
+    return sorted(sites)
+
+
+def test_every_refusal_site_has_a_row():
+    # a refusal added to the library needs a row above: the message of some
+    # row's call holds each raise site's literal text.  The CLI's own
+    # refusals, of its flags and base files, are its tests' to state
+    messages = []
+    for param in REFUSALS:
+        call, error = param.values[:2]
+        with pytest.raises(error) as caught:
+            call()
+        if issubclass(error, ValidationError):
+            messages.append(str(caught.value))
+    missing = [
+        (path.name, line, piece)
+        for path in sorted(Path(capheat.__file__).parent.glob("*.py"))
+        if path.name != "cli.py"
+        for line, piece in refusal_sites(path)
+        if not (piece and any(piece in message for message in messages))
+    ]
+    assert missing == []
 
 
 # the functions outside errors.py that dispatch on a class: every other

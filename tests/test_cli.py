@@ -289,14 +289,6 @@ class TestCoeffs:
         assert payload["config"]["D"] == 3
         assert payload["log_coefficient"] is None
 
-    def test_n_max_validation_exit_code(self, capsys):
-        code, out, err = invoke(
-            capsys,
-            ["coeffs", "--dim", "3", "--theta0", "0.8", "--max-n", "5"],
-        )
-        assert code == 2
-        assert "n < D" in err
-
     def test_csv_format(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -351,13 +343,6 @@ class TestCoeffs:
         assert code == 2
         assert out == ""
         assert message in err
-
-    def test_angle_out_of_range(self, capsys):
-        code, _, err = invoke(
-            capsys, ["coeffs", "--dim", "3", "--theta0", "3.5", "--max-n", "1"]
-        )
-        assert code == 2
-        assert "theta0" in err
 
     def test_user_base_file(self, capsys, tmp_path):
         base = {
@@ -437,17 +422,6 @@ class TestCoeffs:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
-
-    @pytest.mark.parametrize("mass", ["nan", "inf"])
-    def test_non_finite_mass(self, capsys, mass):
-        code, out, err = invoke(
-            capsys,
-            ["coeffs", "--dim", "5", "--theta0", "1", "--max-n", "4",
-             "--mass", mass],
-        )
-        assert code == 2
-        assert out == ""
-        assert "mass" in err
 
     def test_mass_overflow_error_object(self, capsys):
         # m * m overflows to inf; no Infinity or NaN may be printed
@@ -668,12 +642,6 @@ class TestRoots:
         _, listing, _ = invoke(capsys, argv)
         assert out == "omega\n" + "".join(
             f"{root!r}\n" for root in json.loads(listing)["roots"])
-
-    def test_angle_guard_exit_code(self, capsys):
-        code, _, err = invoke(
-            capsys, ["roots", "--mu", "0.5", "--theta0", "2.5", "--omega-max", "5"]
-        )
-        assert code == 2
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--mu", "nan", "mu must be finite"),

@@ -8,17 +8,13 @@ values of the reference's terms and is bounded by 1e-10.
 
 Two known defects fail part of the grid.  Their cells are strict xfail, so
 a change that mends one makes its cells pass and the suite tells it to drop
-them here; their errors as measured are recorded in
-``closed_form_defects.json`` (rewrite it with
-``PYTHONPATH=src python tests/test_closed_forms.py --record``).
+them here; each cell's reason gives its error as measured at collection.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import math
-import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,7 +26,6 @@ from capheat.special_eval import AngleParams
 from closed_forms import branson_gilkey, hemisphere
 
 HERE = Path(__file__).resolve().parent
-DEFECTS_FILE = HERE / "closed_form_defects.json"
 
 BOUND = 1e-10
 DIMS = range(3, 19)
@@ -123,32 +118,15 @@ def check(err: float) -> None:
         pytest.fail(f"relative error {err:.2e} above {BOUND:.0e}", pytrace=False)
 
 
-def recorded_defects() -> dict[str, float]:
-    return json.loads(DEFECTS_FILE.read_text(encoding="utf-8"))["cells"]
-
-
-def defect_cells() -> dict[str, str]:
-    """Cell id -> known defect, for each cell that one of them fails."""
-    return {
-        cell_id(*cell): defect
-        for cell in bg_cells()
-        if (defect := known_defect(*cell)) is not None
-    }
-
-
 def bg_params():
-    recorded = recorded_defects()
-    defects = defect_cells()
     for cell in bg_cells():
-        name = cell_id(*cell)
-        defect = defects.get(name)
+        defect = known_defect(*cell)
         marks = ()
         if defect is not None:
-            measured = recorded.get(name, math.nan)
             marks = pytest.mark.xfail(
-                strict=True, reason=f"{defect}; measured {measured:.2e}"
+                strict=True, reason=f"{defect}; measured {bg_error(*cell):.2e}"
             )
-        yield pytest.param(*cell, id=name, marks=marks)
+        yield pytest.param(*cell, id=cell_id(*cell), marks=marks)
 
 
 @pytest.mark.parametrize("big_d,theta0,mass,n", bg_params())
@@ -190,31 +168,3 @@ def test_references_import_nothing_from_capheat():
             imported.append(node.module)
     assert imported
     assert not [name for name in imported if name.split(".")[0] == "capheat"]
-
-
-def test_recorded_errors_cover_the_known_defects():
-    recorded = recorded_defects()
-    assert set(recorded) == set(defect_cells())
-    assert all(err > BOUND for err in recorded.values())
-
-
-def record() -> None:
-    """Rewrite the defects file with the errors measured now."""
-    defects = defect_cells()
-    payload = {
-        "bound": BOUND,
-        "obtuse": sum(d == OBTUSE for d in defects.values()),
-        "cone": sum(d == CONE for d in defects.values()),
-        "cells": {
-            cell_id(*cell): float(f"{bg_error(*cell):.3g}")
-            for cell in bg_cells()
-            if cell_id(*cell) in defects
-        },
-    }
-    DEFECTS_FILE.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_closed_forms.py --record")
-    record()

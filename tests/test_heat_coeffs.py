@@ -33,7 +33,6 @@ from capheat.heat_coeffs import (
 )
 from capheat import special_eval
 from capheat.special_eval import AngleParams
-from capheat.spectral_oracle import spectrum
 
 from sphere_reference import residue_to_coefficient, sphere_surface_area
 
@@ -220,40 +219,6 @@ class TestLogCoefficient:
 
 
 class TestConfigValidation:
-    def test_n_max_below_dimension(self):
-        with pytest.raises(ValidationError):
-            sphere_config(2, 0.8, 3)
-
-    def test_base_dimension_consistency(self):
-        with pytest.raises(ValidationError):
-            SuspensionConfig(
-                D=4, angle=AngleParams.from_theta0(0.8), base=SphereBase(2), n_max=1
-            )
-
-    def test_negative_mass(self):
-        with pytest.raises(ValidationError):
-            sphere_config(2, 0.8, 1, mass=-1.0)
-
-    @pytest.mark.parametrize("mass", [math.nan, math.inf])
-    def test_non_finite_mass(self, mass):
-        with pytest.raises(ValidationError):
-            sphere_config(2, 0.8, 1, mass=mass)
-
-    @pytest.mark.parametrize("make", [
-        pytest.param(lambda: SphereBase(2.5), id="sphere-d"),
-        pytest.param(lambda: SphereBase(2.0), id="sphere-d-float"),
-        pytest.param(lambda: UserBase("2", {0: 1.0}), id="user-d"),
-        pytest.param(lambda: SuspensionConfig(
-            D=3.5, angle=AngleParams(1.0), base=UserBase(2, {0: 1.0}), n_max=1
-        ), id="D"),
-        pytest.param(lambda: sphere_config(2, 1.0, 2.0), id="n_max"),
-        pytest.param(lambda: spectrum(2.5, 1.0, 10.0), id="spectrum-d"),
-    ])
-    def test_non_integral_dimensions_refused(self, make):
-        # operator.index decides: 2.0 is refused like 2.5
-        with pytest.raises(ValidationError, match="must be an integer"):
-            make()
-
     def test_numpy_integer_dimensions_accepted(self):
         cfg = SuspensionConfig(D=np.int64(3), angle=AngleParams(1.0),
                                base=SphereBase(np.int64(2)), n_max=np.int64(2))
@@ -307,13 +272,8 @@ class TestConfigValidation:
                 f"Gamma factors of the angular weights overflow at {shown}")):
             compute_table(config)
 
-    @pytest.mark.parametrize("big_d", [341, 400])
-    def test_dimension_above_limit_refused(self, big_d):
-        # c1's Gamma factors overflow from D = 341 at theta0 = 1
-        with pytest.raises(ValidationError, match="above the limit 340"):
-            sphere_config(big_d - 1, 1.0, 3)
-
     def test_cumulant_order_limit(self):
+        # the limit itself is accepted, which no refusal row states
         sphere_config(18, 0.8, 17)  # order 16, the limit
         with pytest.raises(ValidationError, match="above the limit"):
             sphere_config(18, 0.8, 18)

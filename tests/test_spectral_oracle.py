@@ -15,7 +15,6 @@ from mpmath import mp
 from capheat import spectral_oracle
 from capheat.errors import (
     AssumptionViolation,
-    IllConditioned,
     MissedRootSuspicion,
     NumericalError,
     SlowConvergence,
@@ -405,16 +404,6 @@ class TestFerrers:
         with pytest.raises(NumericalError, match="overflows a double"):
             ferrers_p(2.0, 1.0, -0.8)
 
-    def test_domain_checks(self):
-        with pytest.raises(ValidationError):
-            ferrers_p(-1.0, 2.0, 0.3)
-        with pytest.raises(ValidationError):
-            ferrers_p(1.0, 2.0, 1.0)
-        with pytest.raises(SlowConvergence):
-            ferrers_p(1.0, 2.0, -0.9)
-        for mu, omega in ((math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan)):
-            with pytest.raises(ValidationError):
-                ferrers_p(mu, omega, 0.3)
 
 
 class TestFixedPointKernel:
@@ -749,10 +738,6 @@ class TestDirichletRoots:
         spacing = roots[-1] - roots[-2]
         assert spacing == pytest.approx(math.pi / theta0, rel=0.05)
 
-    def test_angle_guard(self):
-        with pytest.raises(ValidationError):
-            dirichlet_roots(0.5, 2.5, 10.0)
-
     @pytest.mark.parametrize("mu", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("theta0", [0.6, math.pi / 3, math.pi / 2, 2.0])
     def test_bit_identical_to_bisection(self, mu, theta0):
@@ -784,19 +769,6 @@ class TestDirichletRoots:
         monkeypatch.setattr(spectral_oracle, "_channel", no_evaluation)
         with pytest.raises(ValidationError, match="above the limit"):
             dirichlet_roots(0.5, theta0, omega_max)
-
-    @pytest.mark.parametrize("mu,omega_max", [
-        (math.nan, 10.0), (math.inf, 10.0), (0.5, math.nan), (0.5, math.inf),
-    ])
-    def test_non_finite_inputs(self, mu, omega_max):
-        with pytest.raises(ValidationError):
-            dirichlet_roots(mu, 1.0, omega_max)
-
-    @pytest.mark.parametrize("mu", [-1.0, 0.0, -0.5])
-    def test_nonpositive_mu(self, mu):
-        # the same domain as ferrers_p; mu = -1 used to divide by zero
-        with pytest.raises(ValidationError, match="positive"):
-            dirichlet_roots(mu, 1.0, 5.0)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("theta0", [0.6, 1.2, 2.0])
@@ -1366,22 +1338,6 @@ class TestHeatTrace:
         with pytest.raises(TailTooLarge, match="relative tail inf"):
             heat_trace(cfg, [1e4], tolerance=1e-6, omega_max=15.0)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-6, math.inf])
-    def test_tolerance_refused(self, tolerance):
-        cfg = hemisphere_cfg()
-        with pytest.raises(ValidationError, match="tolerance"):
-            heat_trace(cfg, [0.3], tolerance=tolerance, omega_max=15.0)
-        with pytest.raises(ValidationError, match="tolerance"):
-            default_omega_max(3, 0.05, tolerance)
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
-    def test_times_refused(self, t):
-        cfg = hemisphere_cfg()
-        with pytest.raises(ValidationError, match="finite and positive"):
-            heat_trace(cfg, [0.3, t], tolerance=1e-6, omega_max=15.0)
-        with pytest.raises(ValidationError, match="finite and positive"):
-            default_omega_max(3, t, 1e-6)
-
     @pytest.mark.parametrize("d,t_min", [(12, 100.0), (3, 1e8)])
     def test_large_t_min_takes_the_floor(self, d, t_min):
         # the Gaussian target turns negative here (from t_min of about 74 at
@@ -1404,18 +1360,6 @@ class TestHeatTrace:
         cfg = hemisphere_cfg()
         samples = heat_trace(cfg, [0.3], tolerance=1e-6, omega_max=15.0)
         assert samples[0].tail_bound < 1e-6
-
-    def test_sphere_base_required(self):
-        from capheat.heat_coeffs import UserBase
-
-        cfg = SuspensionConfig(
-            D=3,
-            angle=AngleParams.from_theta0(1.0),
-            base=UserBase(2, {0: 1.0}),
-            n_max=0,
-        )
-        with pytest.raises(ValidationError, match="sphere bases only"):
-            heat_trace(cfg, [0.1], omega_max=15.0)
 
     def test_cutoff_doubling_stability(self):
         # fitted leading coefficient moves by < 1e-3 relative when the
@@ -1646,21 +1590,10 @@ class TestFit:
         assert type(fit.condition_number) is float
 
     def test_validations(self):
+        # a numpy integer n_fit is accepted; the refusals are rows of
+        # tests/test_boundaries.py
         samples = [HeatTraceSample(t, 1.0, 0.0) for t in np.geomspace(1e-3, 1e-2, 20)]
-        with pytest.raises(ValidationError):
-            fit_asymptotics(samples, 3, 5)
-        with pytest.raises(ValidationError, match="n_fit must lie in 0..4"):
-            fit_asymptotics(samples, 3, -1)
-        # a non-integral n_fit used to fit np.arange(n_fit + 1) powers
-        for n_fit in (1.5, 2.0, "2", None):
-            with pytest.raises(ValidationError, match="n_fit must be an integer"):
-                fit_asymptotics(samples, 3, n_fit)
         assert len(fit_asymptotics(samples, 3, np.int64(2)).coefficients) == 3
-        with pytest.raises(ValidationError):
-            fit_asymptotics(samples[:5], 3, 4)
-        narrow = [HeatTraceSample(t, 1.0, 0.0) for t in np.linspace(1e-3, 2e-3, 20)]
-        with pytest.raises(ValidationError):
-            fit_asymptotics(narrow, 3, 4)
 
     @pytest.mark.parametrize("t_min,value,big_d", [
         (1e-300, 1.0, 3),  # u_ref^4 underflows: 0/0
@@ -1701,11 +1634,4 @@ class TestFit:
         samples = [HeatTraceSample(float(t), 1.0 / t, 0.0)
                    for t in np.geomspace(1.5e-3, 1.6e-2, 24)]
         with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
-            fit_asymptotics(samples, 3, 4)
-
-    def test_ill_conditioned_detected(self):
-        # nearly coincident abscissas push the design matrix over the cap
-        ts = np.concatenate([np.full(12, 1e-3) * (1 + 1e-12 * np.arange(12)), [1e-2]])
-        samples = [HeatTraceSample(float(t), 1.0, 0.0) for t in ts]
-        with pytest.raises(IllConditioned):
             fit_asymptotics(samples, 3, 4)
