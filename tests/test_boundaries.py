@@ -532,6 +532,21 @@ REFUSALS = [
 
 @pytest.mark.parametrize("call,error,argv,code,match", REFUSALS)
 def test_refusal(capsys, tmp_path, call, error, argv, code, match):
+    check_refusal(capsys, tmp_path, call, error, argv, code, match)
+
+
+def assert_refusals(capsys, tmp_path, *ids):
+    """Check the rows with these ids, as ``test_refusal`` does.
+
+    Tests elsewhere that name a refusal of their own module run its rows
+    through this, so the table stays the one place the refusal is stated.
+    """
+    rows = {param.id: param.values for param in REFUSALS}
+    for row_id in ids:
+        check_refusal(capsys, tmp_path, *rows[row_id])
+
+
+def check_refusal(capsys, tmp_path, call, error, argv, code, match):
     with pytest.raises(error, match=match) as caught:
         call()
     assert caught.type is error

@@ -19,6 +19,8 @@ from capheat import cli, heat_coeffs, legendre_asymptotics, spectral_oracle
 from capheat.cli import run
 from capheat.errors import StructureViolation
 
+from test_boundaries import assert_refusals
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -289,6 +291,11 @@ class TestCoeffs:
         assert payload["config"]["D"] == 3
         assert payload["log_coefficient"] is None
 
+    # the refusals are rows of tests/test_boundaries.py, which check the
+    # CLI's exit code and message beside the library's error
+    def test_n_max_validation_exit_code(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "n_max-above-D")
+
     def test_csv_format(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -343,6 +350,9 @@ class TestCoeffs:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_angle_out_of_range(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "angle-above-pi")
 
     def test_user_base_file(self, capsys, tmp_path):
         base = {
@@ -422,6 +432,10 @@ class TestCoeffs:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "OverflowError"
 
+
+    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    def test_non_finite_mass(self, capsys, tmp_path, mass):
+        assert_refusals(capsys, tmp_path, f"mass-{mass}")
 
     def test_mass_overflow_error_object(self, capsys):
         # m * m overflows to inf; no Infinity or NaN may be printed
@@ -642,6 +656,9 @@ class TestRoots:
         _, listing, _ = invoke(capsys, argv)
         assert out == "omega\n" + "".join(
             f"{root!r}\n" for root in json.loads(listing)["roots"])
+
+    def test_angle_guard_exit_code(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "roots-theta0-2.5")
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--mu", "nan", "mu must be finite"),

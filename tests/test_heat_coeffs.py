@@ -35,6 +35,7 @@ from capheat import special_eval
 from capheat.special_eval import AngleParams
 
 from sphere_reference import residue_to_coefficient, sphere_surface_area
+from test_boundaries import assert_refusals
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -219,6 +220,31 @@ class TestLogCoefficient:
 
 
 class TestConfigValidation:
+    # the refusals are rows of tests/test_boundaries.py, which these run
+    def test_n_max_below_dimension(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "n_max-at-D")
+
+    def test_base_dimension_consistency(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "base-d-below-D")
+
+    def test_negative_mass(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "mass-negative")
+
+    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    def test_non_finite_mass(self, capsys, tmp_path, mass):
+        assert_refusals(capsys, tmp_path, f"mass-{mass}")
+
+    @pytest.mark.parametrize("row_id", [
+        pytest.param("sphere-d-float", id="sphere-d"),
+        pytest.param("sphere-d-integral-float", id="sphere-d-float"),
+        pytest.param("user-d-float", id="user-d"),
+        pytest.param("D-float", id="D"),
+        pytest.param("n_max-float", id="n_max"),
+        pytest.param("spectrum-d-float", id="spectrum-d"),
+    ])
+    def test_non_integral_dimensions_refused(self, capsys, tmp_path, row_id):
+        assert_refusals(capsys, tmp_path, row_id)
+
     def test_numpy_integer_dimensions_accepted(self):
         cfg = SuspensionConfig(D=np.int64(3), angle=AngleParams(1.0),
                                base=SphereBase(np.int64(2)), n_max=np.int64(2))
@@ -271,6 +297,13 @@ class TestConfigValidation:
         with pytest.raises(OverflowError, match=re.escape(
                 f"Gamma factors of the angular weights overflow at {shown}")):
             compute_table(config)
+
+    @pytest.mark.parametrize("row_id", [
+        pytest.param("D-above-limit", id="341"),
+        pytest.param("D-far-above-limit", id="400"),
+    ])
+    def test_dimension_above_limit_refused(self, capsys, tmp_path, row_id):
+        assert_refusals(capsys, tmp_path, row_id)
 
     def test_cumulant_order_limit(self):
         # the limit itself is accepted, which no refusal row states

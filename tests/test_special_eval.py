@@ -13,6 +13,8 @@ from capheat.legendre_asymptotics import StructuredOmega, chi, omega_structures
 from capheat import special_eval
 from capheat.special_eval import AngleParams, c1, f_total, gauss_2f1, recip_gamma
 
+from test_boundaries import assert_refusals
+
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -159,6 +161,30 @@ def outcome(a, b, c, x) -> str:
 class TestGauss2F1:
     def test_at_zero(self):
         assert gauss_2f1(0.7, -1.3, 2.2, 0.0) == 1.0
+
+    # the refusals are rows of tests/test_boundaries.py, which these run
+    @pytest.mark.parametrize("row_id", [
+        pytest.param("2f1-log-closed-form", id="1.0-1.0-2.0"),
+        pytest.param("2f1-euler-transform-terminates", id="2.5-1.0-1.5"),
+        pytest.param("2f1-c-a-b-near-integer", id="0.3-0.4-3.72"),
+        pytest.param("2f1-c-a-b-overflow", id="1e+308-1e+308-0.5"),
+    ])
+    def test_off_route_refused(self, capsys, tmp_path, row_id):
+        assert_refusals(capsys, tmp_path, row_id)
+
+    def test_parameter_pole(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "2f1-c-zero", "2f1-c-minus-two")
+
+    def test_divergent_at_one(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "2f1-divergent-at-one")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slot", ["a", "b", "c", "x"])
+    def test_non_finite_refused(self, capsys, tmp_path, slot, value):
+        row_id = f"2f1-{slot}-{value}"
+        if row_id == "2f1-a-nan":
+            row_id = "2f1-nan-parameter"
+        assert_refusals(capsys, tmp_path, row_id)
 
     def test_gauss_summation_at_one(self):
         assert gauss_2f1(0.5, 1.5, 2.5, 1.0) == pytest.approx(

@@ -38,6 +38,8 @@ from capheat.spectral_oracle import (
     spectrum,
 )
 
+from test_boundaries import assert_refusals
+
 
 def hemisphere_cfg(n_max: int = 2) -> SuspensionConfig:
     return SuspensionConfig(
@@ -404,6 +406,11 @@ class TestFerrers:
         with pytest.raises(NumericalError, match="overflows a double"):
             ferrers_p(2.0, 1.0, -0.8)
 
+    def test_domain_checks(self, capsys, tmp_path):
+        # the refusals are rows of tests/test_boundaries.py, which this runs
+        assert_refusals(capsys, tmp_path, "ferrers-mu-negative", "ferrers-x-one",
+                        "ferrers-near-pi", "ferrers-mu-nan", "ferrers-mu-inf",
+                        "ferrers-omega-nan")
 
 
 class TestFixedPointKernel:
@@ -737,6 +744,27 @@ class TestDirichletRoots:
         roots = dirichlet_roots(0.5, theta0, 60.0)
         spacing = roots[-1] - roots[-2]
         assert spacing == pytest.approx(math.pi / theta0, rel=0.05)
+
+    # the refusals are rows of tests/test_boundaries.py, which these run
+    def test_angle_guard(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "roots-theta0-2.5")
+
+    @pytest.mark.parametrize("row_id", [
+        pytest.param("roots-mu-nan", id="nan-10.0"),
+        pytest.param("roots-mu-inf", id="inf-10.0"),
+        pytest.param("roots-omega_max-nan", id="0.5-nan"),
+        pytest.param("roots-omega_max-inf", id="0.5-inf"),
+    ])
+    def test_non_finite_inputs(self, capsys, tmp_path, row_id):
+        assert_refusals(capsys, tmp_path, row_id)
+
+    @pytest.mark.parametrize("row_id", [
+        pytest.param("roots-mu-minus-one", id="-1.0"),
+        pytest.param("roots-mu-zero", id="0.0"),
+        pytest.param("roots-mu-negative", id="-0.5"),
+    ])
+    def test_nonpositive_mu(self, capsys, tmp_path, row_id):
+        assert_refusals(capsys, tmp_path, row_id)
 
     @pytest.mark.parametrize("mu", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("theta0", [0.6, math.pi / 3, math.pi / 2, 2.0])
@@ -1338,6 +1366,20 @@ class TestHeatTrace:
         with pytest.raises(TailTooLarge, match="relative tail inf"):
             heat_trace(cfg, [1e4], tolerance=1e-6, omega_max=15.0)
 
+    # the refusals are rows of tests/test_boundaries.py, which these run
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-6, math.inf])
+    def test_tolerance_refused(self, capsys, tmp_path, tolerance):
+        assert_refusals(capsys, tmp_path, f"trace-tolerance-{tolerance}",
+                        f"omega_max-tolerance-{tolerance}")
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_times_refused(self, capsys, tmp_path, t):
+        trace_row = "trace-time-zero" if t == 0.0 else f"trace-time-{t}"
+        assert_refusals(capsys, tmp_path, trace_row, f"omega_max-t_min-{t}")
+
+    def test_sphere_base_required(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "trace-user-base")
+
     @pytest.mark.parametrize("d,t_min", [(12, 100.0), (3, 1e8)])
     def test_large_t_min_takes_the_floor(self, d, t_min):
         # the Gaussian target turns negative here (from t_min of about 74 at
@@ -1635,3 +1677,7 @@ class TestFit:
                    for t in np.geomspace(1.5e-3, 1.6e-2, 24)]
         with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
             fit_asymptotics(samples, 3, 4)
+
+    def test_ill_conditioned_detected(self, capsys, tmp_path):
+        # the refusal is a row of tests/test_boundaries.py, which this runs
+        assert_refusals(capsys, tmp_path, "fit-ill-conditioned")
