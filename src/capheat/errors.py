@@ -111,7 +111,3 @@ class TailTooLarge(NumericalError):
 
 class IllConditioned(NumericalError):
     """Least-squares design matrix condition number above the safety cap."""
-
-
-class AssumptionViolation(NumericalError):
-    """An eigenvalue below the spectral positivity threshold was found."""

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
-    AssumptionViolation,
     IllConditioned,
     MissedRootSuspicion,
     NumericalError,
@@ -803,9 +802,11 @@ def heat_trace(
     of given ``channels``, read as the sphere's: distinct orders k + (d -
     1)/2, each with all its roots up to the cutoff and with degeneracy(k, d),
     the one multiplicity of the trace and its tail bound.  Only sphere bases
-    are supported.  Raises AssumptionViolation for a root omega <= d/2,
-    TailTooLarge when a requested time is too small for the cutoff and
-    NumericalError where the mass underflows a sample.
+    are supported.  Raises ValidationError for a given root above the cutoff
+    or at most d/2 (spectrum yields none: each Dirichlet eigenvalue
+    omega^2 - d^2/4 is positive), TailTooLarge when a requested time is too
+    small for the cutoff and NumericalError where the mass underflows a
+    sample.
     """
     from .heat_coeffs import SphereBase, SuspensionConfig
 
@@ -835,7 +836,7 @@ def heat_trace(
             if w > omega_max:  # the tail bound counts no root above the cutoff
                 raise ValidationError(f"root {w} lies above omega_max {omega_max}")
             if w * w <= 0.25 * d * d:
-                raise AssumptionViolation(
+                raise ValidationError(
                     f"eigenvalue omega={w} is not above d/2 = {0.5 * d}")
             terms.append((g, w * w - 0.25 * d * d))
     if not found:

@@ -442,6 +442,12 @@ REFUSALS = [
                            channels=[EigenvalueChannel(1.5, 3, (2.2, 50.0))]),
         ValidationError, match=r"root 2\.2 lies above omega_max 2\.0",
         id="trace-root-above-cutoff"),
+    # a given root at or below d/2: its eigenvalue omega^2 - d^2/4 would not
+    # be positive, and spectrum yields none such
+    row(lambda: heat_trace(hemisphere(), [0.3], omega_max=15.0, channels=[
+        EigenvalueChannel(1.5, 3, (3.0,)), EigenvalueChannel(0.5, 1, (0.8,))]),
+        ValidationError, match=r"omega=0\.8 is not above d/2 = 1\.0",
+        id="trace-root-not-above-half-d"),
     # given channels are read as the sphere's: each mu a sphere order
     # k + (d - 1)/2, and none twice, which would overstate a root count
     row(lambda: channel_trace(mu=1.0), ValidationError,

@@ -2,13 +2,13 @@
 
 Every cell compares one ``cal_A`` entry of ``compute_table`` (sphere base)
 with ``closed_forms``: the Branson-Gilkey invariants for indices 0..4 on the
-grid D 3..18 x ten opening angles x mass {0, 0.5}, and the exact hemisphere
-for every index n < D.  The error is relative to the sum of the absolute
-values of the reference's terms and is bounded by 1e-10.
+grid D 3..18, 24, 40, 80 x ten opening angles x mass {0, 0.5}, and the
+exact hemisphere for every index n < D up to D = 18.  The error is relative
+to the sum of the absolute values of the reference's terms and is bounded
+by 1e-10.
 
-Two known defects fail part of the grid.  Their cells are strict xfail, so
-a change that mends one makes its cells pass and the suite tells it to drop
-them here; each cell's reason gives its error as measured at collection.
+Two known defects fail part of the grid, and ``known_defects`` marks their
+cells and names the one table, D = 80 at theta0 = 1e-3, that is refused.
 """
 
 from __future__ import annotations
@@ -24,64 +24,34 @@ from capheat.heat_coeffs import SphereBase, SuspensionConfig, compute_table
 from capheat.special_eval import AngleParams
 
 from closed_forms import branson_gilkey, hemisphere
+from known_defects import ASSEMBLY_REFUSED, assembly_defect, xfail
 
 HERE = Path(__file__).resolve().parent
 
 BOUND = 1e-10
-DIMS = range(3, 19)
+DIMS = (*range(3, 19), 24, 40, 80)
+# the hemisphere's n runs to D - 1, and a table's n_max stops at 17
+HEMISPHERE_DIMS = range(3, 19)
 THETAS = (1e-3, 1e-2, 0.1, 0.5, 1.0, math.pi / 2, 1.8, 2.2, 3.0, 3.1)
 MASSES = (0.0, 0.5)
-
-OBTUSE = (
-    "obtuse cap: c1 integrates sin^(D-n-1) over [0, pi - theta0], "
-    "so every even index is wrong for theta0 > pi/2"
-)
-CONE = (
-    "cone limit: the double-precision angular weights lose accuracy as "
-    "cos^2 theta0 -> 1 and D grows"
-)
-# The cone-limit failures are monotone in D: the first failing D for each
-# (theta0, n), the same at both masses.
-CONE_FIRST_D = {
-    (1e-3, 2): 4,
-    (1e-3, 3): 5,
-    (1e-3, 4): 6,
-    (1e-2, 2): 6,
-    (1e-2, 3): 7,
-    (1e-2, 4): 7,
-    (0.1, 2): 8,
-    (0.1, 3): 10,
-    (0.1, 4): 9,
-    (0.5, 2): 18,
-    (0.5, 4): 17,
-    (3.0, 3): 9,
-    (3.1, 3): 7,
-}
 
 
 def cell_id(big_d: int, theta0: float, mass: float, n: int) -> str:
     return f"D{big_d}-theta{theta0:g}-m{mass:g}-n{n}"
 
 
-def known_defect(big_d: int, theta0: float, mass: float, n: int) -> str | None:
-    if theta0 > math.pi / 2 and n % 2 == 0:
-        return OBTUSE
-    first = CONE_FIRST_D.get((theta0, n))
-    if first is not None and big_d >= first:
-        return CONE
-    return None
-
-
 def bg_cells():
     for big_d in DIMS:
         for theta0 in THETAS:
+            if (big_d, theta0) in ASSEMBLY_REFUSED:
+                continue
             for mass in MASSES:
                 for n in range(min(5, big_d)):
                     yield big_d, theta0, mass, n
 
 
 def hemisphere_cells():
-    for big_d in DIMS:
+    for big_d in HEMISPHERE_DIMS:
         for mass in MASSES:
             for n in range(big_d):
                 yield big_d, mass, n
@@ -120,12 +90,8 @@ def check(err: float) -> None:
 
 def bg_params():
     for cell in bg_cells():
-        defect = known_defect(*cell)
-        marks = ()
-        if defect is not None:
-            marks = pytest.mark.xfail(
-                strict=True, reason=f"{defect}; measured {bg_error(*cell):.2e}"
-            )
+        big_d, theta0, _, n = cell
+        marks = xfail(assembly_defect(big_d, theta0, n), lambda: bg_error(*cell))
         yield pytest.param(*cell, id=cell_id(*cell), marks=marks)
 
 

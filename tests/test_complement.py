@@ -10,9 +10,8 @@ beyond D = 18 and has no user base.  Even n waits for the volume term over
 obtuse caps to be mended.
 
 Every cell compares ``script_A`` at the two openings, relative to the larger
-magnitude.  The cells above the bound are strict xfail, with their deviation
-as measured, so a change that mends one makes its cell pass and the suite
-tells it to drop the cell here.
+magnitude.  ``known_defects`` marks the cells above the bound, with their
+deviation measured at collection, and names the tables that are refused.
 """
 
 from __future__ import annotations
@@ -26,40 +25,11 @@ import pytest
 from capheat.heat_coeffs import SphereBase, SuspensionConfig, UserBase, compute_table
 from capheat.special_eval import AngleParams
 
+from known_defects import COMPLEMENT_REFUSED, complement_defect, xfail
+
 BOUND = 1e-9
 DIMS = (*range(3, 19), 24, 40, 80, 160, 254)
 THETAS = (0.3, 0.7, 1.2, 1.5)
-# tables that exit 3: a term of index 0 underflows at theta0
-REFUSED = ((254, 0.3), (254, 0.7))
-
-ILL_CONDITIONED = (
-    "the double-precision table is ill-conditioned at high order or large D: "
-    "the identity fails beyond rounding"
-)
-# (D, theta0) -> {odd n: relative deviation as measured}
-MEASURED = {
-    (10, 0.7): {9: 4e-07},
-    (12, 0.7): {9: 2.2e-08, 11: 0.0011},
-    (13, 0.7): {11: 2.7e-09},
-    (14, 0.7): {9: 4.1e-09, 11: 4.3e-05, 13: 0.062},
-    (15, 0.7): {11: 3.1e-09, 13: 9.2e-07},
-    (16, 0.7): {9: 1.2e-09, 11: 3.7e-06, 13: 0.013, 15: 0.12},
-    (17, 0.7): {11: 1.6e-08, 13: 2.7e-08, 15: 6.7e-05},
-    (18, 0.7): {11: 8.5e-08, 13: 0.0017, 15: 0.11, 17: 0.062},
-    (18, 1.2): {17: 3.1e-09},
-    (24, 0.7): {11: 2.9e-08, 13: 2.2e-06, 15: 0.019, 17: 0.7},
-    (40, 0.7): {3: 2.9e-08, 5: 7.2e-09, 7: 2e-08, 9: 2e-08, 11: 1.9e-07,
-                13: 3.7e-08, 15: 7.6e-09, 17: 2e-09},
-    (80, 0.7): {3: 0.026, 5: 0.057, 7: 0.23, 9: 0.0055, 11: 0.046, 13: 0.019,
-                15: 0.00019, 17: 0.00024},
-    (160, 0.7): {3: 0.071, 5: 1.2, 7: 0.84, 9: 1.8, 11: 1.4, 13: 1.3,
-                 15: 0.11, 17: 1.3},
-    (160, 1.2): {3: 8.4e-09, 5: 1.6e-08, 7: 9.1e-09, 9: 4.4e-08, 11: 4.2e-08,
-                 13: 8.4e-09, 15: 0.0012, 17: 1.2e-07},
-    (254, 1.2): {3: 0.0014, 5: 0.0036, 7: 0.00083, 9: 0.0098, 11: 0.0041,
-                 13: 0.004, 15: 0.13, 17: 0.039},
-}
-
 
 # A closed base that is not the sphere: seeded even-index coefficients in
 # [-2, 2], and zero odd-index ones.
@@ -67,22 +37,6 @@ _rng = random.Random(3)
 USER_COEFFICIENTS = {n: _rng.uniform(-2.0, 2.0) if n % 2 == 0 else 0.0
                      for n in range(18)}
 USER_DIMS = tuple(range(3, 19))
-# (D, theta0) -> {odd n: relative deviation as measured}, over that base
-MEASURED_USER = {
-    (8, 0.7): {7: 1.1e-09},
-    (10, 0.7): {7: 2.1e-08, 9: 1.4e-06},
-    (11, 0.7): {9: 3.2e-09},
-    (12, 0.7): {9: 5.7e-07, 11: 0.0048},
-    (13, 0.7): {9: 1.6e-09, 11: 1.1e-07},
-    (14, 0.7): {9: 7e-08, 11: 0.0045, 13: 0.095},
-    (15, 0.7): {9: 6.5e-09, 11: 5.5e-07, 13: 3.9e-05},
-    (16, 0.7): {9: 5.9e-08, 11: 0.0007, 13: 0.099, 15: 0.12},
-    (16, 1.2): {15: 2.1e-09},
-    (17, 0.7): {9: 2.7e-07, 11: 9.7e-07, 13: 5.2e-06, 15: 0.019},
-    (17, 1.2): {15: 7.9e-09},
-    (18, 0.7): {9: 3.9e-08, 11: 3.5e-06, 13: 0.038, 15: 0.11, 17: 0.062},
-    (18, 1.2): {15: 6.9e-09, 17: 1.4e-07},
-}
 
 
 def config(big_d: int, theta0: float, user: bool = False) -> SuspensionConfig:
@@ -100,53 +54,43 @@ def script(big_d: int, theta0: float, user: bool = False) -> tuple[float, ...]:
     return tuple(e.script_A for e in table.entries)
 
 
-def cells(dims, measured_cells, refused=()):
+def deviation(big_d: int, theta0: float, n: int, user: bool = False) -> float:
+    a = script(big_d, theta0, user)[n]
+    b = script(big_d, math.pi - theta0, user)[n]
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def cells(dims, user=False):
     for big_d in dims:
         for theta0 in THETAS:
-            if (big_d, theta0) in refused:
+            if (big_d, theta0) in COMPLEMENT_REFUSED:
                 continue
-            measured = measured_cells.get((big_d, theta0), {})
             for n in range(1, min(big_d - 1, 17) + 1, 2):
-                marks = ()
-                if n in measured:
-                    marks = pytest.mark.xfail(
-                        strict=True,
-                        reason=f"{ILL_CONDITIONED}; measured {measured[n]:.2g}",
-                    )
+                cause = complement_defect(big_d, theta0, n, user)
                 yield pytest.param(
-                    big_d, theta0, n, id=f"D{big_d}-theta{theta0:g}-n{n}", marks=marks
+                    big_d, theta0, n, id=f"D{big_d}-theta{theta0:g}-n{n}",
+                    marks=xfail(cause, lambda: deviation(big_d, theta0, n, user)),
                 )
 
 
 def assert_complement(big_d, theta0, n, user=False):
-    a = script(big_d, theta0, user)[n]
-    b = script(big_d, math.pi - theta0, user)[n]
-    scale = max(abs(a), abs(b))
-    if not abs(a - b) <= BOUND * scale:
+    err = deviation(big_d, theta0, n, user)
+    if not err <= BOUND:
         # a cell's traceback says nothing its deviation does not
-        pytest.fail(f"relative deviation {abs(a - b) / scale:.2e}", pytrace=False)
+        pytest.fail(f"relative deviation {err:.2e}", pytrace=False)
 
 
-@pytest.mark.parametrize("big_d,theta0,n", cells(DIMS, MEASURED, REFUSED))
+@pytest.mark.parametrize("big_d,theta0,n", cells(DIMS))
 def test_odd_index_complement(big_d, theta0, n):
     assert_complement(big_d, theta0, n)
 
 
-@pytest.mark.parametrize("big_d,theta0,n", cells(USER_DIMS, MEASURED_USER))
+@pytest.mark.parametrize("big_d,theta0,n", cells(USER_DIMS, user=True))
 def test_odd_index_complement_user_base(big_d, theta0, n):
     assert_complement(big_d, theta0, n, user=True)
 
 
-@pytest.mark.parametrize("big_d,theta0", REFUSED)
+@pytest.mark.parametrize("big_d,theta0", COMPLEMENT_REFUSED)
 def test_refused_tables(big_d, theta0):
     with pytest.raises(OverflowError, match="underflows"):
         compute_table(config(big_d, theta0))
-
-
-def test_measured_cells_are_in_the_grid():
-    grids = [(DIMS, MEASURED), (USER_DIMS, MEASURED_USER)]
-    for dims, measured_cells in grids:
-        for (big_d, theta0), measured in measured_cells.items():
-            assert big_d in dims and theta0 in THETAS
-            assert all(n % 2 and n <= min(big_d - 1, 17) for n in measured)
-            assert all(dev > BOUND for dev in measured.values())

@@ -7,21 +7,22 @@ import random
 import re
 import time
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 from capheat import spectral_oracle
+from capheat.cli import _time_grid
 from capheat.errors import (
-    AssumptionViolation,
     MissedRootSuspicion,
     NumericalError,
     SlowConvergence,
     TailTooLarge,
     ValidationError,
 )
-from capheat.heat_coeffs import SphereBase, SuspensionConfig
+from capheat.heat_coeffs import SphereBase, SuspensionConfig, compute_table
 from capheat.special_eval import AngleParams
 from capheat.spectral_oracle import (
     EigenvalueChannel,
@@ -38,6 +39,7 @@ from capheat.spectral_oracle import (
     spectrum,
 )
 
+from known_defects import assembly_defect, xfail
 from test_boundaries import assert_refusals
 
 
@@ -875,10 +877,8 @@ class TestSpectrum:
         samples = heat_trace(cfg, [0.3], omega_max=15.0, channels=chans)
         assert samples[0].value > 0.0
 
-    def test_positivity_guard_raises(self):
-        fake = [EigenvalueChannel(1.5, 3, (3.0,)), EigenvalueChannel(0.5, 1, (0.8,))]
-        with pytest.raises(AssumptionViolation, match=r"omega=0\.8 "):
-            heat_trace(hemisphere_cfg(), [0.3], omega_max=15.0, channels=fake)
+    def test_positivity_guard_raises(self, capsys, tmp_path):
+        assert_refusals(capsys, tmp_path, "trace-root-not-above-half-d")
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     @pytest.mark.parametrize("theta0", [0.4, math.pi / 3, 1.8, 2.2])
@@ -1681,3 +1681,27 @@ class TestFit:
     def test_ill_conditioned_detected(self, capsys, tmp_path):
         # the refusal is a row of tests/test_boundaries.py, which this runs
         assert_refusals(capsys, tmp_path, "fit-ill-conditioned")
+
+
+@lru_cache(maxsize=None)
+def oracle_index_0_error(theta0: float) -> float:
+    """The relative error of ``cal_A`` at index 0 against the fit that the
+    README ``verify`` makes at this angle: D 3, cutoff 120, 24 times in
+    [1.5e-3, 1.6e-2] and five terms."""
+    cfg = SuspensionConfig(D=3, angle=AngleParams.from_theta0(theta0),
+                           base=SphereBase(2), n_max=2)
+    samples = heat_trace(cfg, _time_grid(1.5e-3, 1.6e-2, 24), omega_max=120.0)
+    fitted = fit_asymptotics(samples, 3, 4).coefficients[0]
+    predicted = compute_table(cfg).entries[0].cal_A
+    return abs(fitted - predicted) / abs(predicted)
+
+
+@pytest.mark.parametrize("theta0", [
+    pytest.param(theta0, marks=xfail(assembly_defect(3, theta0, 0),
+                                     lambda: oracle_index_0_error(theta0)))
+    for theta0 in (2.2,)
+])
+def test_oracle_fixes_the_volume_term_of_an_obtuse_cap(theta0):
+    # the eigenvalues know nothing of the assembly's c1, so they check its
+    # obtuse volume term
+    assert oracle_index_0_error(theta0) <= 1e-5
